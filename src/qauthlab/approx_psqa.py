@@ -23,17 +23,9 @@ import numpy as np
 
 from .adversary import AttackDescriptor
 from .codes import PtcFamily
-from .hybrid import Branch, FinalState, HybridState, Record, record_get
+from .hybrid import ACC, ERR, REJ, FinalState, key_sweep, record_get
 from .pauli import PauliString, pauli_matrix
-from .protocols import (
-    ACC,
-    ERR,
-    REJ,
-    _attack_pieces,
-    _family_encoders,
-    _send_through,
-    _with_verdict,
-)
+from .protocols import _detail_fields, _sweep_pieces
 from .qmath import (
     Povm,
     StateVector,
@@ -42,8 +34,9 @@ from .qmath import (
     max_entangled_vector,
     operator_norm,
     psd_sqrt,
+    tensor,
 )
-from .ucharness import ebit_advantage_bound, make_report, AdvantageReport
+from .ucharness import ebit_advantage_bound, fresh_keys, make_report, AdvantageReport
 
 
 @dataclass(frozen=True)
@@ -166,22 +159,19 @@ def rsp_povm(cipher: ApproxCipher, message_vec: np.ndarray) -> RspMeasurement:
 # ---------------------------------------------------------------------------
 
 
-def _psqa_plan(detail: bool):
-    def plan(rec: Record):
-        verdict = record_get(rec, "verdict")
-        key = record_get(rec, "k")
+def _psqa_plan(detail: bool, internal: tuple[str, ...] = ()):
+    """Finalize plan: fields -> (record, drop, mix); ``internal`` registers
+    never reach the environment."""
+
+    def plan(fields: dict):
+        verdict, key = fields["verdict"], fields["k"]
         if verdict == ACC and key != "f":
-            out_rec = (("verdict", ACC), ("key", key))
-            drop = ()
+            out_rec, drop = (("verdict", ACC), ("key", key)), ()
         else:
-            out_rec = (("verdict", verdict), ("key", ERR))
-            drop = ("M",)
+            out_rec, drop = (("verdict", verdict), ("key", ERR)), ("M",)
         if detail:
-            fields = dict(rec)
-            out_rec = out_rec + (
-                ("detail", tuple((kk, fields[kk]) for kk in ("k", "t", "y", "ysyn") if kk in fields)),
-            )
-        return out_rec, drop, ()
+            out_rec = out_rec + (("detail", tuple((kk, fields[kk]) for kk in ("k", "t", "y", "ysyn"))),)
+        return out_rec, drop + internal, ()
 
     return plan
 
@@ -200,33 +190,19 @@ def run_psqa_kg(
     shipped exactly as in the standard protocol, and the cipher key is
     recycled on accept.
     """
-    m, s = family.m, family.s
-    dm, dy = 1 << m, 1 << s
+    dm = 1 << family.m
     vec = np.asarray(message_vec, dtype=complex).reshape(-1)
-    base = StateVector(vec, (("Mc", dm),))
-    encs = _family_encoders(family)
-    iso, att_names, att_out = _attack_pieces(family, attack)
-    key_count = cipher.key_count * len(encs) * dy
-    collected: list[Branch] = []
-    registers = None
-    for k, u in enumerate(cipher.unitaries):
-        for t, enc in enumerate(encs):
-            for y in range(dy):
-                rec = (("k", k), ("t", t), ("y", y))
-                h = HybridState.from_pure(base, rec)
-                h = h.apply(u, ("Mc",))
-                h = _send_through(h, "Mc", enc, y, iso, att_names, att_out, dy, dm)
-                h = h.rename_register("B", "M")
-                h = h.apply_where(
-                    u.conj().T, ("M",), lambda r, _y=y: record_get(r, "ysyn") == _y
-                )
-                registers = h.registers
-                for br in h.branches:
-                    collected.append(
-                        Branch(br.probability / key_count, br.record, br.vector)
-                    )
-    combined = _with_verdict(HybridState(registers, collected, renormalized=True))
-    return combined.finalize(_psqa_plan(detail))
+    pads = np.stack(cipher.unitaries)
+    return key_sweep(
+        *_sweep_pieces(family, attack),
+        StateVector(vec, (("Mc", dm),)),
+        "Mc",
+        _psqa_plan(detail),
+        _detail_fields(detail, "k"),
+        pad=("k", range(cipher.key_count), pads),
+        correct=("k", pads.conj().transpose(0, 2, 1)),
+        receiver="M",
+    )
 
 
 def run_psrqa_kg(
@@ -244,54 +220,30 @@ def run_psrqa_kg(
     matches ``run_psqa_kg`` branch for branch; the failure outcome carries
     probability 1 - K/(M 2^m) and error symbols.
     """
-    m, s = family.m, family.s
-    dm, dy = 1 << m, 1 << s
+    dm = 1 << family.m
     vec = np.asarray(message_vec, dtype=complex).reshape(-1)
     meas = rsp_povm(cipher, vec)
     rho = np.outer(vec, vec.conj())
     scale = meas.scale
     ket0 = np.eye(dm, dtype=complex)[:, 0]
-    ops: list[tuple[object, np.ndarray, tuple]] = []
-    for k, u in enumerate(cipher.unitaries):
-        # measurement operator |0><conj(phi_k)| / sqrt(M); as a matrix its row
-        # is the unconjugated encryption, so the far half collapses to phi_k
-        kraus = np.outer(ket0, u @ vec) / np.sqrt(scale)
-        ops.append((k, kraus, (("Ams", dm),)))
+    # measurement operator |0><conj(phi_k)| / sqrt(M); as a matrix its row is
+    # the unconjugated encryption, so the far half collapses to phi_k
+    ops = [np.outer(ket0, u @ vec) / np.sqrt(scale) for u in cipher.unitaries]
     f_op = psd_sqrt(np.eye(dm, dtype=complex) - (sum(u @ rho @ u.conj().T for u in cipher.unitaries)).T / scale)
-    ops.append(("f", f_op, (("Ams", dm),)))
-
-    encs = _family_encoders(family)
-    iso, att_names, att_out = _attack_pieces(family, attack)
+    ops.append(f_op)
+    # the failure outcome f leaves the receiver's half as it is
+    corrections = [u.conj().T for u in cipher.unitaries] + [np.eye(dm, dtype=complex)]
     base = StateVector(max_entangled_vector(dm), (("Ams", dm), ("B0", dm)))
-    key_count = len(encs) * dy
-    collected: list[Branch] = []
-    registers = None
-    for t, enc in enumerate(encs):
-        for y in range(dy):
-            rec = (("t", t), ("y", y))
-            h = HybridState.from_pure(base, rec)
-            h = _send_through(h, "B0", enc, y, iso, att_names, att_out, dy, dm)
-            h = h.apply_instrument(ops, ("Ams",), "k")
-            h = h.rename_register("B", "M")
-            h = h.apply_by_record(
-                lambda r: (
-                    cipher.unitaries[record_get(r, "k")].conj().T
-                    if record_get(r, "k") != "f" and record_get(r, "ysyn") == record_get(r, "y")
-                    else None
-                ),
-                ("M",),
-            )
-            registers = h.registers
-            for br in h.branches:
-                collected.append(Branch(br.probability / key_count, br.record, br.vector))
-    combined = _with_verdict(HybridState(registers, collected, renormalized=True))
-
-    def plan(rec: Record):
-        new_rec, drop, mix = _psqa_plan(detail)(rec)
-        # the sender's measured half is internal; it never reaches the environment
-        return new_rec, drop + ("Ams",), mix
-
-    return combined.finalize(plan)
+    return key_sweep(
+        *_sweep_pieces(family, attack),
+        base,
+        "B0",
+        _psqa_plan(detail, internal=("Ams",)),
+        _detail_fields(detail, "k"),
+        instrument=(("Ams",), "k", list(range(cipher.key_count)) + ["f"], np.stack(ops), (("Ams", dm),)),
+        correct=("k", np.stack(corrections)),
+        receiver="M",
+    )
 
 
 def psqa_ideal(
@@ -300,61 +252,20 @@ def psqa_ideal(
     family: PtcFamily,
     attack: AttackDescriptor,
 ) -> FinalState:
-    """Simulator + ideal channel + ideal key box for the pure-state protocol."""
-    m, s = family.m, family.s
-    dm, dy = 1 << m, 1 << s
+    """Simulator + ideal channel + ideal key box for the pure-state protocol:
+    the exact message sits in M throughout and is delivered on accept."""
+    dm = 1 << family.m
     vec = np.asarray(message_vec, dtype=complex).reshape(-1)
-    encs = _family_encoders(family)
-    iso, att_names, att_out = _attack_pieces(family, attack)
-    base = StateVector(max_entangled_vector(dm), (("Ad", dm), ("B0", dm)))
-    key_count = len(encs) * dy
-    collected: list[Branch] = []
-    registers = None
-    for t, enc in enumerate(encs):
-        for y in range(dy):
-            rec = (("t", t), ("y", y))
-            h = HybridState.from_pure(base, rec)
-            h = _send_through(h, "B0", enc, y, iso, att_names, att_out, dy, dm)
-            registers = h.registers
-            for br in h.branches:
-                collected.append(Branch(br.probability / key_count, br.record, br.vector))
-    combined = _with_verdict(HybridState(registers, collected, renormalized=True))
-    combined = combined.branch_uniform(
-        "key", list(range(cipher.key_count)), where=lambda r: record_get(r, "verdict") == ACC
-    )
+    dummy = StateVector(max_entangled_vector(dm), (("Ad", dm), ("B0", dm)))
 
-    def plan(rec: Record):
-        if record_get(rec, "verdict") == ACC:
-            return (
-                (("verdict", ACC), ("key", record_get(rec, "key"))),
-                ("Ad", "B"),
-                (),
-            )
-        return ((("verdict", REJ), ("key", ERR)), ("Ad", "B"), ())
+    def plan(fields: dict):
+        if fields["verdict"] == ACC:
+            return (("verdict", ACC),), ("Ad", "B"), ()
+        return (("verdict", REJ), ("key", ERR)), ("Ad", "B", "M"), ()
 
-    final = combined.finalize(plan)
-    # deliver the exact message on accept: tensor it onto the accept blocks
-    rho = np.outer(vec, vec.conj())
-    blocks = {}
-    for rec, block in final.blocks.items():
-        if record_get(rec, "verdict") == ACC:
-            regs = tuple(sorted(block.registers + (("M", dm),), key=lambda r: r[0]))
-            pos = [nm for nm, _ in regs].index("M")
-            mat = _insert_factor(block.matrix, [d for _, d in block.registers], pos, rho)
-            blocks[rec] = (regs, mat)
-        else:
-            blocks[rec] = (block.registers, block.matrix.copy())
-    return FinalState(blocks)
-
-
-def _insert_factor(matrix: np.ndarray, dims: list[int], pos: int, factor: np.ndarray) -> np.ndarray:
-    """Tensor ``factor`` into a density matrix as a new register at axis ``pos``."""
-    left = int(np.prod(dims[:pos])) if pos else 1
-    right = int(np.prod(dims[pos:])) if pos < len(dims) else 1
-    d = factor.shape[0]
-    t4 = matrix.reshape(left, right, left, right)
-    out = np.einsum("ab,ixjy->iaxjby", factor, t4)
-    return out.reshape(left * d * right, left * d * right)
+    base = tensor(StateVector(vec, (("M", dm),)), dummy)
+    final = key_sweep(*_sweep_pieces(family, attack), base, "B0", plan, ())
+    return fresh_keys(final, range(cipher.key_count), lambda k: (("verdict", ACC), ("key", k)))
 
 
 def psqa_advantage(

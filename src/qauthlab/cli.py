@@ -15,21 +15,16 @@ lemmas         residuals of the two transpose identities on random instances
 Reports are JSON (one object per experiment, schema qauthlab-report/1, sorted
 keys). Everything except the elapsed_seconds field is byte-identical across
 reruns with the same seed and configuration. Exit codes: 0 all checks pass,
-1 a bound or verification failed, 2 configuration error.
-QAUTHLAB_WORKERS > 1 evaluates suite members in a process pool; report order
-stays deterministic, values agree to numerical precision, but the last float
-bit can vary with pool scheduling, so leave workers at 1 when diffing reports.
+1 a bound or verification failed, 2 configuration error, 3 an internal
+invariant failed (a fault in the program; the message names the check).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
-import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -38,16 +33,18 @@ from .adversary import AttackDescriptor, purified_input, standard_suite
 from .approx_psqa import psqa_advantage, rsp_povm, sample_cipher
 from .classical_wc import key_leak_demo, poly_hash_family, wc_kg_advantage
 from .codes import PtcFamily, cost_formulas, ptc_epsilon_formula, search_ptc, verify_ptc
+from .hybrid import InvariantError
 from .protocols import ebit_ptc, ebit_ptp, run_qa_kg, run_tqa_kg
 from .qmath import haar_unitary, transpose_trick_residual, encoder_postselection_residual
 from .ucharness import (
-    ebit_advantage,
-    overlap_chain_checks,
+    chain_checks,
+    ebit_report,
     ptp_soundness_exact,
-    qa_kg_advantage,
+    qa_kg_report,
+    run_qa_kg_ideal,
 )
 
-PASS, BOUND_FAIL, CONFIG_FAIL = 0, 1, 2
+PASS, BOUND_FAIL, CONFIG_FAIL, INVARIANT_FAIL = 0, 1, 2, 3
 
 
 def _report(command: str, config: dict, results, started: float) -> dict:
@@ -106,16 +103,16 @@ def cmd_ptc(args) -> int:
     return PASS if (stored_ok and meets_formula and family.met_target) else BOUND_FAIL
 
 
-def _uc_single(payload) -> dict:
-    family_json, attack_json, input_spec, m = payload
-    family = PtcFamily.from_json(family_json)
-    attack = AttackDescriptor.from_json(attack_json)
-    psi = purified_input(input_spec, m)
-    twin_gap = run_qa_kg(psi, family, attack).distance(run_tqa_kg(psi, family, attack))
-    forms_gap = ebit_ptc(family, attack).distance(ebit_ptp(family, attack))
-    ebit_rep = ebit_advantage(family, attack)
-    chain = overlap_chain_checks(family, attack)
-    qa_rep = qa_kg_advantage(family, psi, attack)
+def _uc_single(family: PtcFamily, attack: AttackDescriptor, input_spec: str) -> dict:
+    psi = purified_input(input_spec, family.m)
+    # each final state is built once and shared by the checks that read it
+    qa_real = run_qa_kg(psi, family, attack)
+    ebit_real = ebit_ptp(family, attack)
+    twin_gap = qa_real.distance(run_tqa_kg(psi, family, attack))
+    forms_gap = ebit_ptc(family, attack).distance(ebit_real)
+    ebit_rep = ebit_report(family, attack, ebit_real)
+    chain = chain_checks(ebit_rep)
+    qa_rep = qa_kg_report(family, attack, qa_real, run_qa_kg_ideal(psi, family, attack))
     eps = family.epsilon_verified
     checks = {
         "teleported_twin_identity": twin_gap,
@@ -157,21 +154,7 @@ def cmd_uc(args) -> int:
         if not suite:
             print(f"no attack named {args.attack!r} in the standard suite", file=sys.stderr)
             return CONFIG_FAIL
-    payloads = [
-        (family.to_json(), attack.to_json(), args.input, family.m) for attack in suite
-    ]
-    workers = int(os.environ.get("QAUTHLAB_WORKERS", "1"))
-    if workers > 1:
-        # single-threaded BLAS per worker avoids thread oversubscription;
-        # report order stays deterministic, but last-ulp float bits can vary
-        # with pool scheduling, so bit-reproducibility needs workers = 1
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, "1")
-        ctx = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-            results = list(pool.map(_uc_single, payloads))
-    else:
-        results = [_uc_single(p) for p in payloads]
+    results = [_uc_single(family, attack, args.input) for attack in suite]
     all_ok = all(r["pass"] for r in results)
     report = _report(
         "uc",
@@ -347,6 +330,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except InvariantError as exc:
+        print(f"internal invariant violated: {exc}", file=sys.stderr)
+        return INVARIANT_FAIL
     except (ValueError, FileNotFoundError, KeyError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return CONFIG_FAIL

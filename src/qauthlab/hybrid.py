@@ -1,4 +1,20 @@
-"""Hybrid classical/quantum ensembles: the simulation backend for protocols.
+"""Hybrid classical/quantum ensembles: the simulation backends for protocols.
+
+Two engines produce the same :class:`FinalState` (classical record ->
+weighted density matrix):
+
+- :func:`key_sweep`, the stacked driver, runs the seven keyed sweeps
+  (``run_qa_kg``, ``run_tqa_kg``, ``ebit_ptc``, ``run_qa_kg_ideal``,
+  ``run_psqa_kg``, ``run_psrqa_kg``, ``psqa_ideal``). It loops over the codes
+  in Python and holds every other key, the received syndrome and measurement
+  outcomes as leading axes of one amplitude array, with per-key operators as
+  stacked matrices; it finalizes with one contraction per code and record.
+- :class:`HybridState`, the per-branch engine, runs ``ebit_ptp``,
+  ``teleport`` and the one-shot Pauli pad. ``ebit_ptp`` stays on it bit for
+  bit because its state feeds ``fidelity_acc``, which is ill-conditioned on
+  these rank-deficient states: perturbing the state by 1e-17 moves the
+  fidelity by up to 2.7e-8, so any reordering of its arithmetic would move a
+  reported number by more than the 1e-12 the reports are held to.
 
 A :class:`HybridState` is a probability-weighted list of branches. Each branch
 carries a classical record (a tuple of (field, value) pairs: keys, verdicts,
@@ -31,7 +47,6 @@ from .qmath import (
     RegisterError,
     StateVector,
     as_registers,
-    basis_state,
     reg_dims,
     reg_names,
     reg_positions,
@@ -40,6 +55,8 @@ from .qmath import (
 )
 
 Record = tuple[tuple[str, object], ...]
+
+ACC, REJ, ERR = "ACC", "REJ", "ERR"
 
 # Branches below this probability are dropped. Tiny enough that even thousands
 # of pruned branches stay far under the 1e-9 pipeline tolerance.
@@ -88,10 +105,6 @@ class HybridState:
     def from_pure(cls, state: StateVector, record: Record = ()) -> "HybridState":
         return cls(state.registers, [Branch(1.0, record, state.amplitudes)])
 
-    @classmethod
-    def from_branches(cls, registers, branches: Sequence[Branch]) -> "HybridState":
-        return cls(registers, branches)
-
     # -- bookkeeping -------------------------------------------------------
 
     def total_probability(self) -> float:
@@ -99,21 +112,6 @@ class HybridState:
 
     def _dims(self) -> tuple[int, ...]:
         return reg_dims(self.registers)
-
-    def map_records(self, fn: Callable[[Record], Record]) -> "HybridState":
-        return HybridState(
-            self.registers,
-            [Branch(br.probability, fn(br.record), br.vector) for br in self.branches],
-            renormalized=True,
-        )
-
-    def extend_records(self, items: Sequence[tuple[str, object]]) -> "HybridState":
-        items = tuple(items)
-        return self.map_records(lambda rec: rec + items)
-
-    def rename_register(self, old: str, new: str) -> "HybridState":
-        regs = tuple((new if name == old else name, dim) for name, dim in self.registers)
-        return HybridState(regs, self.branches, renormalized=True)
 
     # -- quantum operations ------------------------------------------------
 
@@ -222,25 +220,6 @@ class HybridState:
             new_branches.append(Branch(br.probability, br.record, vecs[0]))
         return HybridState(self.registers, new_branches, renormalized=True)
 
-    def apply_where(
-        self, matrix: np.ndarray, names: Sequence[str], predicate: Callable[[Record], bool]
-    ) -> "HybridState":
-        """Apply one square operator only to branches whose record matches."""
-        return self.apply_by_record(lambda rec: matrix if predicate(rec) else None, names)
-
-    def append_register(self, name: str, dim: int, index: int = 0) -> "HybridState":
-        """Tensor a fresh register in a basis state onto every branch (at the end)."""
-        fresh = basis_state(dim, index)
-        regs = self.registers + ((name, dim),)
-        return HybridState(
-            regs,
-            [
-                Branch(br.probability, br.record, np.kron(br.vector, fresh))
-                for br in self.branches
-            ],
-            renormalized=True,
-        )
-
     def apply_instrument(
         self,
         ops: Sequence[tuple[object, np.ndarray, Registers]],
@@ -311,52 +290,6 @@ class HybridState:
             for i, value in enumerate(values)
         ]
         return self.apply_instrument(ops, names, label, prune=prune)
-
-    def branch_uniform(self, label: str, values: Sequence[object], where=None) -> "HybridState":
-        """Split branches uniformly over classical ``values`` (an ideal key draw)."""
-        values = tuple(values)
-        k = len(values)
-        out = []
-        for br in self.branches:
-            if where is not None and not where(br.record):
-                out.append(br)
-                continue
-            for value in values:
-                out.append(Branch(br.probability / k, br.record + ((label, value),), br.vector))
-        return HybridState(self.registers, out, renormalized=True)
-
-    def merge_registers(self, names: Sequence[str], new_name: str) -> "HybridState":
-        """Fuse registers into one, placed at the first named register's slot.
-
-        The flat index of the fused register runs over the given names in
-        order, first name most significant (C order).
-        """
-        names = tuple(names)
-        pos = reg_positions(self.registers, names)
-        dims = self._dims()
-        fused_dim = int(np.prod([dims[p] for p in pos]))
-        insert_at = min(pos)
-        order = []
-        for i in range(len(dims)):
-            if i == insert_at:
-                order.extend(pos)
-            elif i not in pos:
-                order.append(i)
-        new_regs: list[tuple[str, int]] = []
-        for i in range(len(dims)):
-            if i == insert_at:
-                new_regs.append((new_name, fused_dim))
-            elif i not in pos:
-                new_regs.append(self.registers[i])
-        new_branches = [
-            Branch(
-                br.probability,
-                br.record,
-                br.vector.reshape(dims).transpose(order).reshape(-1),
-            )
-            for br in self.branches
-        ]
-        return HybridState(tuple(new_regs), new_branches, renormalized=True)
 
     def split_register(self, name: str, new_regs) -> "HybridState":
         """Inverse of merge: reinterpret one register as several (C order)."""
@@ -492,9 +425,10 @@ class FinalState:
         return FinalState(out)
 
     def distance(self, other: "FinalState") -> float:
-        """Full 1-norm distance, decomposed over classical records."""
+        """Full 1-norm distance, decomposed over classical records (summed in
+        sorted record order, so the last bit does not depend on hashing)."""
         total = 0.0
-        for rec in set(self.blocks) | set(other.blocks):
+        for rec in sorted(set(self.blocks) | set(other.blocks), key=repr):
             mine = self.blocks.get(rec)
             theirs = other.blocks.get(rec)
             if mine is None:
@@ -521,3 +455,164 @@ class FinalState:
             out[at : at + d, at : at + d] = m
             at += d
         return out
+
+
+# ---------------------------------------------------------------------------
+# the stacked key sweep
+# ---------------------------------------------------------------------------
+
+
+class InvariantError(RuntimeError):
+    """An internal invariant failed: a fault in the program, not in its input."""
+
+
+def key_sweep(
+    encoders: Sequence[np.ndarray],
+    attack: tuple[np.ndarray, Sequence[str], Registers],
+    base: StateVector,
+    carrier: str,
+    plan: Callable[[dict], tuple[Record, tuple[str, ...], tuple[str, ...]]],
+    exposed: Sequence[str],
+    pad: tuple[str, Sequence, np.ndarray] | None = None,
+    instrument: tuple[Sequence[str], str, Sequence, np.ndarray, Registers] | None = None,
+    correct: tuple[str, np.ndarray] | None = None,
+    receiver: str = "B",
+) -> FinalState:
+    """Send ``carrier`` of ``base`` through a keyed code under attack, for
+    every key at once, and finalize.
+
+    The codes (``encoders``, each read as (syndrome, logical) -> T) are looped
+    over; every other key is a leading classical axis of one amplitude array:
+
+    - ``pad`` = (label, values, mats): mats[v] acts on the carrier, on a new
+      axis ``label``;
+    - the encoder maps (y, carrier) onto T, with the syndrome key ``y`` as an
+      axis; ``attack`` = (isometry, names, out registers) acts;
+    - the decoder splits T into the received syndrome ``ysyn`` (an axis) and
+      the register ``receiver``;
+    - ``instrument`` = (names, label, values, ops, out registers), with ops
+      stacked (outcomes, out dim, in dim), adds the outcome axis ``label``;
+    - ``correct`` = (label, mats): mats[v] acts on the receiver where the
+      ``label`` axis is v and ysyn == y.
+
+    Every key has equal weight. Slices of probability at most PRUNE_BELOW are
+    dropped, as the per-branch engine drops such branches. ``plan`` maps the
+    fields named in ``exposed`` (from t, y, ysyn, verdict and the labels) to
+    (output record, registers to drop, registers to replace by I/d); each
+    code adds one contraction per output record. The array of one code is at
+    most (keys x syndromes x outcomes x registers), which bounds memory.
+    """
+    iso, att_names, att_out = attack
+    d_in = dict(base.registers)[carrier]
+    dt = encoders[0].shape[0]
+    dy = dt // d_in
+    values: dict[str, Sequence] = {"t": range(len(encoders)), "y": range(dy), "ysyn": range(dy)}
+    start, start_names = base.amplitudes.reshape(reg_dims(base.registers)), []
+    if pad is not None:
+        label, values[label], mats = pad
+        start = np.broadcast_to(start, (len(mats),) + start.shape)
+        start = _keyed(start, 0, 1 + reg_positions(base.registers, (carrier,))[0], mats)
+        start_names = [label]
+    if instrument is not None:
+        in_names, out_label, values[out_label], ops, out_regs = instrument
+        measured = ops.reshape(len(ops) * total_dim(out_regs), -1)
+        out_regs = ((out_label, len(ops)),) + tuple(out_regs)
+    blocks: dict[Record, tuple[Registers, np.ndarray]] = {}
+    weight = 1.0 / (len(encoders) * dy * (len(pad[2]) if pad is not None else 1))
+    for t, enc in enumerate(encoders):
+        encode = enc.reshape(dt, dy, d_in).reshape(dt * dy, d_in)
+        amps, regs, names = _contract(
+            start, base.registers, start_names, encode, (carrier,), (("T", dt), ("y", dy)), ("y",)
+        )
+        amps, regs, names = _contract(amps, regs, names, iso, att_names, att_out)
+        amps, regs, names = _contract(
+            amps, regs, names, enc.conj().T, ("T",), (("ysyn", dy), (receiver, d_in)), ("ysyn",)
+        )
+        if instrument is not None:
+            amps, regs, names = _contract(
+                amps, regs, names, measured, in_names, out_regs, (out_label,)
+            )
+        if correct is not None:
+            by, mats = correct
+            target = len(names) + reg_positions(regs, (receiver,))[0]
+            fixed = _keyed(amps, names.index(by), target, mats)
+            at = names.index("y")  # ysyn follows y
+            accept = np.eye(dy, dtype=bool).reshape((1,) * at + (dy, dy) + (1,) * (amps.ndim - at - 2))
+            amps = np.where(accept, fixed, amps)
+        _accumulate(blocks, amps, names, t, values, regs, plan, exposed, weight)
+    final = FinalState(blocks)
+    total = final.total_weight()
+    if abs(total - 1.0) > 1e-10:
+        raise InvariantError(f"key sweep: final state total weight {total!r}, expected 1 within 1e-10")
+    return final
+
+
+def _keyed(amps: np.ndarray, axis: int, target: int, mats: np.ndarray) -> np.ndarray:
+    """Apply mats[v] to axis ``target`` of the slices whose axis ``axis`` is v."""
+    moved = np.moveaxis(amps, (axis, target), (0, -1))
+    out = np.einsum("v...j,vij->v...i", moved, mats)
+    return np.moveaxis(out, (0, -1), (axis, target))
+
+
+def _contract(amps, regs: Registers, names: list, matrix, in_names, out_regs, classical=()):
+    """Contract ``matrix`` against the named register axes of ``amps``, whose
+    leading axes are the classical fields ``names``. The output registers go
+    to the end of the layout, except those named in ``classical``, which
+    become classical axes after the existing ones."""
+    lead = len(names)
+    pos = reg_positions(regs, in_names)
+    out_dims = reg_dims(out_regs)
+    k = len(out_dims)
+    tensor = np.asarray(matrix).reshape(out_dims + tuple(regs[p][1] for p in pos))
+    amps = np.tensordot(amps, tensor, axes=([lead + p for p in pos], list(range(k, k + len(pos)))))
+    regs = tuple(r for i, r in enumerate(regs) if i not in pos) + tuple(out_regs)
+    names = list(names)
+    for name in classical:
+        (p,) = reg_positions(regs, (name,))
+        amps = np.moveaxis(amps, len(names) + p, len(names))
+        names.append(name)
+        regs = regs[:p] + regs[p + 1 :]
+    return amps, regs, names
+
+
+def _accumulate(blocks, amps, names, t, values, regs, plan, exposed, weight) -> None:
+    """Add code t's weighted density matrix to ``blocks`` for each output
+    record, each one contraction over the slices (classical index tuples)
+    that map to the record."""
+    shape, dims = amps.shape[: len(names)], reg_dims(regs)
+    slices = amps.reshape((-1,) + dims)
+    vecs = slices.reshape(len(slices), -1)
+    alive = np.flatnonzero(np.einsum("ij,ij->i", vecs, vecs.conj()).real > PRUNE_BELOW)
+    index = dict(zip(names, np.unravel_index(alive, shape)))
+    index["t"] = np.full_like(alive, t)
+    index["verdict"] = (index["y"] == index["ysyn"]).astype(np.intp)
+    values = {**values, "verdict": (REJ, ACC)}
+    exposed = ("verdict",) + tuple(exposed)
+    sizes = tuple(len(values[f]) for f in exposed)
+    codes, inverse = np.unique(
+        np.ravel_multi_index(tuple(index[f] for f in exposed), sizes), return_inverse=True
+    )
+    members = np.split(alive[np.argsort(inverse, kind="stable")], np.cumsum(np.bincount(inverse))[:-1])
+    groups: dict[Record, tuple[tuple, tuple, list]] = {}
+    for code, rows in zip(zip(*np.unravel_index(codes, sizes)), members):
+        record, drop, mix = plan({f: values[f][int(i)] for f, i in zip(exposed, code)})
+        entry = groups.setdefault(record, (tuple(drop), tuple(mix), []))
+        if entry[:2] != (tuple(drop), tuple(mix)):
+            raise RegisterError(f"record {record} accumulated under different register sets")
+        entry[2].append(rows)
+    for record, (drop, mix, rows) in groups.items():
+        keep = sorted((i for i, (n, _) in enumerate(regs) if n not in drop), key=lambda i: regs[i][0])
+        rest = [i for i in range(len(regs)) if i not in keep]
+        idx = np.concatenate(rows)
+        part = slices[idx].transpose([0] + [1 + i for i in keep + rest])
+        d_keep = int(np.prod([dims[i] for i in keep]))
+        x = part.reshape(len(idx), d_keep, -1).transpose(1, 0, 2).reshape(d_keep, -1)
+        kept = tuple(regs[i] for i in keep)
+        rho = weight * (x @ x.conj().T)
+        for name in mix:
+            rho = _replace_with_mixed(rho, kept, name)
+        if record in blocks:
+            if blocks[record][0] != kept:
+                raise RegisterError(f"record {record} accumulated under different register sets")
+            rho = blocks[record][1] + rho
+        blocks[record] = (kept, rho)

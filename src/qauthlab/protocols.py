@@ -1,6 +1,8 @@
 """Executable circuits for the authentication / key-recycling protocol family.
 
-Implemented protocols, all over the hybrid ensemble engine:
+Implemented protocols, over the engines of ``hybrid`` (the keyed sweeps over
+the stacked ``key_sweep``; ``teleport``, the Pauli pad and ``ebit_ptp`` over
+the per-branch ``HybridState``):
 
 - ``qenc_encrypt`` / ``qenc_decrypt``: the Pauli one-time pad on m qubits.
 - ``teleport``: qubit-wise teleportation with the Bell basis {(I (x) s_xz)|Phi>}.
@@ -32,7 +34,7 @@ import numpy as np
 
 from .adversary import AttackDescriptor, build_attack
 from .codes import EncodingUnitary, PtcFamily, encoding_unitary
-from .hybrid import Branch, FinalState, HybridState, Record, record_drop, record_get
+from .hybrid import ACC, ERR, REJ, Branch, FinalState, HybridState, Record, key_sweep, record_get
 from .pauli import PauliString, pauli_matrix
 from .qmath import (
     DensityMatrix,
@@ -40,9 +42,6 @@ from .qmath import (
     max_entangled_vector,
     tensor,
 )
-
-ACC, REJ, ERR = "ACC", "REJ", "ERR"
-
 
 @dataclass(frozen=True)
 class KeyTuple:
@@ -222,64 +221,34 @@ def _needs_env_reference(attack: AttackDescriptor) -> bool:
     return "R" in attack.acts_on
 
 
-def _send_through(
-    h: HybridState,
-    carrier: str,
-    enc: EncodingUnitary,
-    y: int,
-    iso,
-    att_names,
-    att_out_regs,
-    dy: int,
-    dm: int,
-) -> HybridState:
-    """Encode ``carrier`` with syndrome y, attack, decode, measure the syndrome.
+def _sweep_pieces(family: PtcFamily, attack: AttackDescriptor):
+    """The encoder matrices and the attack pieces that ``key_sweep`` takes."""
+    encoders = tuple(enc.matrix for enc in _family_encoders(family))
+    return encoders, _attack_pieces(family, attack)
 
-    Leaves a register named "B" with the decoded logical content and a record
-    field "ysyn" with the receiver's syndrome value.
-    """
-    h = h.append_register("Y", dy, y)
-    h = h.merge_registers(("Y", carrier), "T")
-    h = h.apply(enc.matrix, ("T",))
-    h = h.apply_isometry(iso, att_names, att_out_regs)
-    h = h.apply(enc.decoder, ("T",))
-    h = h.split_register("T", (("Ysyn", dy), ("B", dm)))
-    return h.measure("Ysyn", "ysyn")
+
+def _detail_fields(detail: bool, *fields: str) -> tuple[str, ...]:
+    return fields + (("t", "y", "ysyn") if detail else ())
 
 
 def _qa_output_plan(back_communication: bool, detail: bool):
-    """Finalize plan for message-carrying runs: records -> (record, drop, mix)."""
+    """Finalize plan for message-carrying runs: fields -> (record, drop, mix)."""
 
-    def plan(rec: Record):
-        verdict = record_get(rec, "verdict")
-        if verdict == ACC:
-            key = (record_get(rec, "x"), record_get(rec, "z"))
-            out = ((("verdict", ACC), ("key_alice", key), ("key_bob", key)), (), ())
+    def plan(fields: dict):
+        key = fields["key"]
+        if fields["verdict"] == ACC:
+            record, drop = (("verdict", ACC), ("key_alice", key), ("key_bob", key)), ()
         else:
-            alice = (
-                ERR
-                if back_communication
-                else (record_get(rec, "x"), record_get(rec, "z"))
-            )
-            out = ((("verdict", REJ), ("key_alice", alice), ("key_bob", ERR)), ("M",), ())
-        new_rec, drop, mix = out
+            alice = ERR if back_communication else key
+            record, drop = (("verdict", REJ), ("key_alice", alice), ("key_bob", ERR)), ("M",)
         if detail:
-            fields = dict(rec)
-            extra = tuple(
-                (k, fields[k]) for k in ("x", "z", "t", "y", "ysyn") if k in fields
+            extra = (("x", key[0]), ("z", key[1])) + tuple(
+                (k, fields[k]) for k in ("t", "y", "ysyn")
             )
-            new_rec = new_rec + (("detail", extra),)
-        return new_rec, drop, mix
+            record = record + (("detail", extra),)
+        return record, drop, ()
 
     return plan
-
-
-def _with_verdict(h: HybridState, key_field: str = "y") -> HybridState:
-    def fn(rec: Record) -> Record:
-        v = ACC if record_get(rec, "ysyn") == record_get(rec, key_field) else REJ
-        return rec + (("verdict", v),)
-
-    return h.map_records(fn)
 
 
 # ---------------------------------------------------------------------------
@@ -301,39 +270,22 @@ def run_qa_kg(
     state over registers R, M, E with classical verdict and key outputs;
     on reject the message register is replaced by the error symbol.
     """
-    m, s = family.m, family.s
-    dm, dy = 1 << m, 1 << s
+    m = family.m
+    dm = 1 << m
     if dict(input_state.registers).get("M") != dm:
         raise ValueError(f"input must carry an M register of dimension {dm}")
-    encs = _family_encoders(family)
-    iso, att_names, att_out = _attack_pieces(family, attack)
-    key_count = (dm * dm) * len(encs) * dy
-    collected: list[Branch] = []
-    registers = None
-    for t, enc in enumerate(encs):
-        for x in range(dm):
-            for z in range(dm):
-                sigma = key_pauli(m, x, z)
-                for y in range(dy):
-                    rec = (("x", x), ("z", z), ("t", t), ("y", y))
-                    h = HybridState.from_pure(input_state, rec)
-                    h = h.apply(sigma, ("M",))
-                    h = h.rename_register("M", "Mc")
-                    h = _send_through(h, "Mc", enc, y, iso, att_names, att_out, dy, dm)
-                    h = h.rename_register("B", "M")
-                    h = h.apply_where(
-                        sigma.conj().T,
-                        ("M",),
-                        lambda r, _y=y: record_get(r, "ysyn") == _y,
-                    )
-                    registers = h.registers
-                    for br in h.branches:
-                        collected.append(
-                            Branch(br.probability / key_count, br.record, br.vector)
-                        )
-    combined = HybridState(registers, collected, renormalized=True)
-    combined = _with_verdict(combined)
-    return combined.finalize(_qa_output_plan(back_communication, detail))
+    keys = [(x, z) for x in range(dm) for z in range(dm)]
+    pads = np.stack([key_pauli(m, x, z) for x, z in keys])
+    return key_sweep(
+        *_sweep_pieces(family, attack),
+        input_state,
+        "M",
+        _qa_output_plan(back_communication, detail),
+        _detail_fields(detail, "key"),
+        pad=("key", keys, pads),
+        correct=("key", pads.conj().transpose(0, 2, 1)),
+        receiver="M",
+    )
 
 
 def run_tqa_kg(
@@ -350,42 +302,26 @@ def run_tqa_kg(
     syndrome comparison, and the Bell outcome becomes the recycled key. The
     final state equals ``run_qa_kg``'s branch for branch.
     """
-    m, s = family.m, family.s
-    dm, dy = 1 << m, 1 << s
-    encs = _family_encoders(family)
-    iso, att_names, att_out = _attack_pieces(family, attack)
+    m = family.m
+    dm = 1 << m
     ebits = StateVector(max_entangled_vector(dm), (("A1", dm), ("A2", dm)))
-    base = tensor(input_state, ebits)
-    rows, values = bell_kets(m)
-    key_count = len(encs) * dy
-    collected: list[Branch] = []
-    registers = None
-    for t, enc in enumerate(encs):
-        for y in range(dy):
-            rec = (("t", t), ("y", y))
-            h = HybridState.from_pure(base, rec)
-            h = _send_through(h, "A2", enc, y, iso, att_names, att_out, dy, dm)
-            h = h.measure_in_basis(("M", "A1"), rows, "bell", outcome_values=values)
-            h = h.rename_register("B", "M")
-            h = h.apply_by_record(
-                lambda r, _y=y: (
-                    key_pauli(m, *record_get(r, "bell")).conj().T
-                    if record_get(r, "ysyn") == _y
-                    else None
-                ),
-                ("M",),
-            )
-            registers = h.registers
-            for br in h.branches:
-                collected.append(Branch(br.probability / key_count, br.record, br.vector))
-    combined = HybridState(registers, collected, renormalized=True)
-
-    def unpack_bell(rec: Record) -> Record:
-        x, z = record_get(rec, "bell")
-        return record_drop(rec, ("bell",)) + (("x", x), ("z", z))
-
-    combined = _with_verdict(combined.map_records(unpack_bell))
-    return combined.finalize(_qa_output_plan(back_communication, detail))
+    # the message is renamed so that the receiver's output can take its name
+    message = StateVector(
+        input_state.amplitudes,
+        tuple(("Min" if name == "M" else name, dim) for name, dim in input_state.registers),
+    )
+    rows, keys = bell_kets(m)
+    corrections = np.stack([key_pauli(m, x, z).conj().T for x, z in keys])
+    return key_sweep(
+        *_sweep_pieces(family, attack),
+        tensor(message, ebits),
+        "A2",
+        _qa_output_plan(back_communication, detail),
+        _detail_fields(detail, "key"),
+        instrument=(("Min", "A1"), "key", keys, rows.conj()[:, None, :], ()),
+        correct=("key", corrections),
+        receiver="M",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -394,14 +330,11 @@ def run_tqa_kg(
 
 
 def _ebit_output_plan(detail: bool):
-    def plan(rec: Record):
-        verdict = record_get(rec, "verdict")
+    def plan(fields: dict):
+        verdict = fields["verdict"]
         base = (("verdict", verdict),)
         if detail:
-            fields = dict(rec)
-            base = base + (
-                ("detail", tuple((k, fields[k]) for k in ("t", "y", "ysyn") if k in fields)),
-            )
+            base = base + (("detail", tuple((k, fields[k]) for k in ("t", "y", "ysyn"))),)
         if verdict == ACC:
             return base, (), ()
         # error state: maximally mixed on A, error symbol in place of B
@@ -431,25 +364,16 @@ def ebit_ptc(
     syndromes. Accept leaves registers (A, B, E); reject outputs the error
     state (A maximally mixed, B replaced by the error symbol).
     """
-    m, s = family.m, family.s
-    dm, dy = 1 << m, 1 << s
-    encs = _family_encoders(family)
-    iso, att_names, att_out = _attack_pieces(family, attack)
+    dm = 1 << family.m
     base = StateVector(max_entangled_vector(dm), (("A", dm), ("B0", dm)))
-    base = _maybe_reference(base, attack, m)
-    key_count = len(encs) * dy
-    collected: list[Branch] = []
-    registers = None
-    for t, enc in enumerate(encs):
-        for y in range(dy):
-            rec = (("t", t), ("y", y))
-            h = HybridState.from_pure(base, rec)
-            h = _send_through(h, "B0", enc, y, iso, att_names, att_out, dy, dm)
-            registers = h.registers
-            for br in h.branches:
-                collected.append(Branch(br.probability / key_count, br.record, br.vector))
-    combined = _with_verdict(HybridState(registers, collected, renormalized=True))
-    return combined.finalize(_ebit_output_plan(detail))
+    base = _maybe_reference(base, attack, family.m)
+    return key_sweep(
+        *_sweep_pieces(family, attack),
+        base,
+        "B0",
+        _ebit_output_plan(detail),
+        _detail_fields(detail),
+    )
 
 
 def ebit_ptp(
@@ -488,8 +412,14 @@ def ebit_ptp(
         registers = h.registers
         for br in h.branches:
             collected.append(Branch(br.probability / len(encs), br.record, br.vector))
-    combined = _with_verdict(HybridState(registers, collected, renormalized=True))
-    return combined.finalize(_ebit_output_plan(detail))
+    combined = HybridState(registers, collected, renormalized=True)
+    plan = _ebit_output_plan(detail)
+
+    def verdict_plan(rec: Record):
+        verdict = ACC if record_get(rec, "ysyn") == record_get(rec, "y") else REJ
+        return plan({**dict(rec), "verdict": verdict})
+
+    return combined.finalize(verdict_plan)
 
 
 def ebit_ideal(verdict: str, m: int) -> FinalState:

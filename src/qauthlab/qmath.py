@@ -291,6 +291,10 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Squared fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2 in [0, 1].
 
     Equals the maximum squared overlap over purifications of the two states.
+    For rank-deficient states it is accurate to about 1e-8, not to machine
+    precision: the square roots amplify roundoff in the near-zero eigenvalues
+    (a 1e-17 Hermitian perturbation of the accept-conditional entanglement
+    states moves the value by up to 2.7e-8).
     """
     if rho.dim != sigma.dim:
         raise RegisterError(f"dimension mismatch {rho.dim} vs {sigma.dim}")

@@ -31,24 +31,16 @@ import numpy as np
 
 from .adversary import AttackDescriptor
 from .codes import PtcFamily
-from .hybrid import Branch, FinalState, HybridState, Record, record_get
+from .hybrid import ACC, ERR, REJ, FinalState, InvariantError, Record, key_sweep, record_get
 from .pauli import PauliString, pauli_matrix
-from .protocols import (
-    ACC,
-    ERR,
-    REJ,
-    _attack_pieces,
-    _family_encoders,
-    _send_through,
-    _with_verdict,
-    ebit_ptp,
-    run_qa_kg,
-)
+from .protocols import _family_encoders, _sweep_pieces, ebit_ptp, run_qa_kg
 from .qmath import (
     DensityMatrix,
     StateVector,
+    _trace_out_axes,
     fidelity,
     max_entangled_vector,
+    reg_dims,
     tensor,
     trace_norm,
 )
@@ -85,7 +77,7 @@ class AdvantageReport:
 def make_report(protocol, attack_desc, p_acc, advantage, bound, epsilon, **extras):
     advantage = float(advantage)
     if not -ADVANTAGE_TOL <= advantage <= 2.0 + ADVANTAGE_TOL:
-        raise ValueError(f"advantage {advantage} outside [0, 2]")
+        raise InvariantError(f"make_report: {protocol} advantage {advantage} outside [0, 2]")
     return AdvantageReport(
         protocol=protocol,
         attack=attack_desc.to_json(),
@@ -127,36 +119,23 @@ def ebit_output_ideal(family: PtcFamily, attack: AttackDescriptor) -> FinalState
     payload is replaced by perfect ebits, and the reject branch is identical
     to the real protocol's by construction.
     """
-    real = ebit_output_real(family, attack)
-    dm = 1 << family.m
-    phi = max_entangled_vector(dm)
+    return _ebit_ideal_from(ebit_output_real(family, attack), family.m)
+
+
+def _ebit_ideal_from(real: FinalState, m: int) -> FinalState:
+    phi = max_entangled_vector(1 << m)
     phi_mat = np.outer(phi, phi.conj())
     blocks: dict[Record, tuple] = {}
     for rec, block in real.blocks.items():
         if not _is_acc(rec):
             blocks[rec] = (block.registers, block.matrix.copy())
             continue
-        names = [name for name, _ in block.registers]
-        env_names = [name for name in names if name not in ("A", "B")]
-        xi_e = _partial_trace_named(block.matrix, block.registers, keep=env_names)
+        payload = [i for i, (name, _) in enumerate(block.registers) if name in ("A", "B")]
+        xi_e = _trace_out_axes(block.matrix, reg_dims(block.registers), payload)
         # registers sorted by name: A, B precede E and R
         mat = np.kron(phi_mat, xi_e)
         blocks[rec] = (block.registers, mat)
     return FinalState(blocks)
-
-
-def _partial_trace_named(matrix: np.ndarray, registers, keep) -> np.ndarray:
-    dims = [dim for _, dim in registers]
-    names = [name for name, _ in registers]
-    keep_idx = [i for i, name in enumerate(names) if name in set(keep)]
-    drop_idx = [i for i in range(len(dims)) if i not in keep_idx]
-    k = len(dims)
-    tens = matrix.reshape(dims * 2)
-    for ax in sorted(drop_idx, reverse=True):
-        tens = np.trace(tens, axis1=ax, axis2=ax + k)
-        k -= 1
-    d = int(np.sqrt(tens.size))
-    return tens.reshape(d, d)
 
 
 def ebit_advantage(family: PtcFamily, attack: AttackDescriptor) -> AdvantageReport:
@@ -166,8 +145,12 @@ def ebit_advantage(family: PtcFamily, attack: AttackDescriptor) -> AdvantageRepo
     states, and through the factored form p_acc * ||xi_ABE - Phi (x) xi_E||_1.
     Both land in the report; they agree to numerical precision.
     """
-    real = ebit_output_real(family, attack)
-    ideal = ebit_output_ideal(family, attack)
+    return ebit_report(family, attack, ebit_output_real(family, attack))
+
+
+def ebit_report(family: PtcFamily, attack: AttackDescriptor, real: FinalState) -> AdvantageReport:
+    """``ebit_advantage`` from an already computed real final state."""
+    ideal = _ebit_ideal_from(real, family.m)
     direct = real.distance(ideal)
     p_acc = real.weight_where(_is_acc)
     factored = 0.0
@@ -182,7 +165,8 @@ def ebit_advantage(family: PtcFamily, attack: AttackDescriptor) -> AdvantageRepo
         regs = acc.registers
         fid = fidelity(DensityMatrix(xi, regs), DensityMatrix(target, regs))
         phi = max_entangled_vector(1 << family.m)
-        xi_ab = _partial_trace_named(xi, regs, keep=("A", "B"))
+        env = [i for i, (name, _) in enumerate(regs) if name not in ("A", "B")]
+        xi_ab = _trace_out_axes(xi, reg_dims(regs), env)
         alpha = float(np.real(np.trace(xi_ab) - phi.conj() @ xi_ab @ phi))
     bound = ebit_advantage_bound(family.epsilon_verified)
     return make_report(
@@ -206,7 +190,11 @@ def overlap_chain_checks(family: PtcFamily, attack: AttackDescriptor) -> dict:
     fidelity between the accept-conditional state and perfect ebits tensored
     with its E-marginal, which obeys F >= (1 - d)^2.
     """
-    rep = ebit_advantage(family, attack)
+    return chain_checks(ebit_advantage(family, attack))
+
+
+def chain_checks(rep: AdvantageReport) -> dict:
+    """``overlap_chain_checks`` from an entanglement advantage report."""
     defect = rep.extras["overlap_defect"]
     return {
         "p_acc": rep.p_acc,
@@ -295,44 +283,32 @@ def run_qa_kg_ideal(
     emitted; on reject all outputs are error symbols. The final state lives
     on the same registers (R, M, E) as the real run.
     """
-    m, s = family.m, family.s
-    dm, dy = 1 << m, 1 << s
+    dm = 1 << family.m
     if dict(input_state.registers).get("M") != dm:
         raise ValueError(f"input must carry an M register of dimension {dm}")
-    encs = _family_encoders(family)
-    iso, att_names, att_out = _attack_pieces(family, attack)
     dummy = StateVector(max_entangled_vector(dm), (("Ad", dm), ("B0", dm)))
-    base = tensor(input_state, dummy)
-    key_count = len(encs) * dy
+
+    def plan(fields: dict):
+        if fields["verdict"] == ACC:
+            return (("verdict", ACC),), ("Ad", "B"), ()
+        return (("verdict", REJ), ("key_alice", ERR), ("key_bob", ERR)), ("Ad", "B", "M"), ()
+
+    final = key_sweep(*_sweep_pieces(family, attack), tensor(input_state, dummy), "B0", plan, ())
     keys = [(x, z) for x in range(dm) for z in range(dm)]
-    collected: list[Branch] = []
-    registers = None
-    for t, enc in enumerate(encs):
-        for y in range(dy):
-            rec = (("t", t), ("y", y))
-            h = HybridState.from_pure(base, rec)
-            h = _send_through(h, "B0", enc, y, iso, att_names, att_out, dy, dm)
-            registers = h.registers
-            for br in h.branches:
-                collected.append(Branch(br.probability / key_count, br.record, br.vector))
-    combined = _with_verdict(HybridState(registers, collected, renormalized=True))
-    combined = combined.branch_uniform("key", keys, where=_is_acc)
+    return fresh_keys(final, keys, lambda key: (("verdict", ACC), ("key_alice", key), ("key_bob", key)))
 
-    def plan(rec: Record):
+
+def fresh_keys(final: FinalState, keys, record_for) -> FinalState:
+    """The ideal key box: each accept block split evenly over fresh keys,
+    recorded as ``record_for(key)``."""
+    blocks = {}
+    for rec, block in final.blocks.items():
         if _is_acc(rec):
-            key = record_get(rec, "key")
-            return (
-                (("verdict", ACC), ("key_alice", key), ("key_bob", key)),
-                ("Ad", "B"),
-                (),
-            )
-        return (
-            (("verdict", REJ), ("key_alice", ERR), ("key_bob", ERR)),
-            ("Ad", "B", "M"),
-            (),
-        )
-
-    return combined.finalize(plan)
+            for key in keys:
+                blocks[record_for(key)] = (block.registers, block.matrix / len(keys))
+        else:
+            blocks[rec] = (block.registers, block.matrix)
+    return FinalState(blocks)
 
 
 def qa_kg_advantage(
@@ -343,7 +319,13 @@ def qa_kg_advantage(
     """Advantage of the real authentication-plus-key-generation run against
     the composed ideal, bounded by the same 2 sqrt(2) eps^(1/3)."""
     real = run_qa_kg(input_state, family, attack, back_communication=True)
-    ideal = run_qa_kg_ideal(input_state, family, attack)
+    return qa_kg_report(family, attack, real, run_qa_kg_ideal(input_state, family, attack))
+
+
+def qa_kg_report(
+    family: PtcFamily, attack: AttackDescriptor, real: FinalState, ideal: FinalState
+) -> AdvantageReport:
+    """``qa_kg_advantage`` from already computed real and ideal final states."""
     advantage = real.distance(ideal)
     p_acc = real.weight_where(_is_acc)
     bound = ebit_advantage_bound(family.epsilon_verified)

@@ -101,6 +101,23 @@ def test_uc_unknown_attack_is_config_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_uc_invariant_violation_exits_three(tmp_path, capsys, monkeypatch):
+    from qauthlab import protocols
+
+    fam_path = tmp_path / "fam.json"
+    run_cli(capsys, "ptc", "--m", "1", "--s", "1", "--seed", "1", "--out", str(fam_path))
+    pieces = protocols._attack_pieces
+
+    def leaky(family, attack):  # an attack dilation that loses weight
+        iso, names, out_regs = pieces(family, attack)
+        return 0.9 * iso, names, out_regs
+
+    monkeypatch.setattr(protocols, "_attack_pieces", leaky)
+    code = main(["uc", "--m", "1", "--s", "1", "--family", str(fam_path), "--attack", "identity"])
+    assert code == 3
+    assert "total weight" in capsys.readouterr().err
+
+
 def test_ptp_soundness_command(tmp_path, capsys):
     fam_path = tmp_path / "fam.json"
     run_cli(capsys, "ptc", "--m", "1", "--s", "2", "--seed", "1", "--out", str(fam_path))

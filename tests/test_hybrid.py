@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
 
-from qauthlab.hybrid import Branch, FinalState, HybridState, record_drop, record_get
+from qauthlab.adversary import AttackDescriptor
+from qauthlab.hybrid import (
+    Branch,
+    FinalState,
+    HybridState,
+    InvariantError,
+    key_sweep,
+    record_drop,
+    record_get,
+)
+from qauthlab.protocols import _sweep_pieces
 from qauthlab.qmath import (
     RegisterError,
     StateVector,
@@ -35,9 +45,9 @@ def test_measure_splits_and_records():
     assert h.registers == (("B", 2),)
 
 
-def test_apply_and_apply_where():
+def test_apply_by_record():
     h = HybridState.from_pure(phi_state()).measure("A", "a")
-    flipped = h.apply_where(X, ("B",), lambda rec: record_get(rec, "a") == 1)
+    flipped = h.apply_by_record(lambda rec: X if record_get(rec, "a") == 1 else None, ("B",))
     for br in flipped.branches:
         assert np.allclose(br.vector, np.eye(2)[0])  # both collapse to |0>
 
@@ -63,16 +73,13 @@ def test_isometry_grows_register():
     np.testing.assert_allclose(vec, expect)
 
 
-def test_merge_and_split_roundtrip():
-    h = HybridState.from_pure(phi_state()).append_register("C", 3, 1)
-    merged = h.merge_registers(("A", "C"), "AC")
-    assert merged.registers == (("AC", 6), ("B", 2))
-    back = merged.split_register("AC", (("A", 2), ("C", 3)))
-    assert back.registers == (("A", 2), ("C", 3), ("B", 2))
-    reference = h.apply(np.eye(12), ("A", "C", "B"))  # same order as back
-    np.testing.assert_allclose(
-        back.branches[0].vector, reference.branches[0].vector, atol=1e-14
-    )
+def test_split_register_reads_c_order():
+    h = HybridState.from_pure(phi_state())
+    split = h.split_register("A", (("A1", 1), ("A2", 2)))
+    assert split.registers == (("A1", 1), ("A2", 2), ("B", 2))
+    np.testing.assert_allclose(split.branches[0].vector, h.branches[0].vector)
+    with pytest.raises(RegisterError):
+        h.split_register("A", (("A1", 3),))
 
 
 def test_instrument_requires_consistent_outputs():
@@ -83,12 +90,6 @@ def test_instrument_requires_consistent_outputs():
     ]
     with pytest.raises(RegisterError):
         h.apply_instrument(ops, ("B",), "v")
-
-
-def test_branch_uniform():
-    h = HybridState.from_pure(phi_state()).branch_uniform("k", (0, 1, 2, 3))
-    assert len(h.branches) == 4
-    assert h.total_probability() == pytest.approx(1.0)
 
 
 def test_finalize_drop_and_mix():
@@ -166,3 +167,30 @@ def test_conditional_where():
     assert abs(cond.matrix.trace() - 1.0) < 1e-12
     with pytest.raises(KeyError):
         final.conditional_where(lambda rec: False)
+
+
+def _verdict_plan(fields):
+    return (("verdict", fields["verdict"]),), (), ()
+
+
+def test_key_sweep_total_weight_and_records(family_s1):
+    encoders, attack = _sweep_pieces(family_s1, AttackDescriptor("fixed_pauli", x=1, label="X0"))
+    base = StateVector(max_entangled_vector(2), (("A", 2), ("B0", 2)))
+    final = key_sweep(encoders, attack, base, "B0", _verdict_plan, ())
+    assert final.total_weight() == pytest.approx(1.0, abs=1e-12)
+    # X on qubit 0 anticommutes with ZZ and YY: two codes in three reject
+    assert final.weight((("verdict", "REJ"),)) == pytest.approx(2.0 / 3.0, abs=1e-12)
+    detailed = key_sweep(
+        encoders, attack, base, "B0", lambda f: ((("y", f["y"]), ("ysyn", f["ysyn"])), (), ()),
+        ("y", "ysyn"),
+    )
+    # the received syndrome is an explicit field; zero-probability slices are pruned
+    assert len(detailed.blocks) == 4
+
+
+def test_key_sweep_rejects_non_isometric_attack(family_s1):
+    encoders, (iso, names, out_regs) = _sweep_pieces(family_s1, AttackDescriptor("identity"))
+    base = StateVector(max_entangled_vector(2), (("A", 2), ("B0", 2)))
+    with pytest.raises(InvariantError, match="key sweep: final state total weight"):
+        key_sweep(encoders, (1.1 * iso, names, out_regs), base, "B0", _verdict_plan, ())
+    assert not issubclass(InvariantError, ValueError)

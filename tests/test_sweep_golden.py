@@ -1,0 +1,155 @@
+"""The seven key sweeps pinned against golden values at m=1, s=1.
+
+The twin and forms identities compare two sweeps with each other, so a fault
+shared by every sweep would pass them. This test compares each sweep with
+values recorded from the per-branch ``HybridState`` engine that the stacked
+sweep driver replaced: for every (sweep, attack) a digest of the sorted record
+reprs (the same records, no more and no fewer), and per record in that order
+its weight and a fixed linear fingerprint of its block matrix (which reads the
+entries and the register order, not only the trace); for every attack, the
+distances between paired sweeps. Numbers agree to 1e-12.
+
+``golden_sweeps_s1.json`` was written by ``python tests/test_sweep_golden.py``
+run against the per-branch engine; rerunning it against the current engine
+only reproduces whatever that engine computes.
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from qauthlab.adversary import purified_input, standard_suite
+from qauthlab.approx_psqa import psqa_ideal, run_psqa_kg, run_psrqa_kg, sample_cipher
+from qauthlab.codes import PtcFamily, StabilizerCode
+from qauthlab.pauli import hermitian_pauli
+from qauthlab.protocols import ebit_ptc, ebit_ptp, run_qa_kg, run_tqa_kg
+from qauthlab.ucharness import run_qa_kg_ideal
+
+GOLDEN = Path(__file__).with_name("golden_sweeps_s1.json")
+TOL = 1e-12
+ATTACKS = (
+    "identity", "X0", "Y1", "mix-I-Z0-Xtop", "depol-0.5",
+    "swap-held", "cnot-R-T0", "swap-R-T0", "random-101",
+)
+PAIRS = (
+    ("run_qa_kg", "run_qa_kg_ideal"),
+    ("run_qa_kg", "run_tqa_kg/no-back"),
+    ("run_qa_kg/no-back/detail", "run_tqa_kg/detail"),
+    ("ebit_ptc", "ebit_ptp"),
+    ("run_psqa_kg", "psqa_ideal"),
+    ("run_psqa_kg/detail", "run_psrqa_kg/detail"),
+)
+
+
+def _family():
+    codes = tuple(
+        StabilizerCode((hermitian_pauli(2, x, z),)) for x, z in ((3, 0), (0, 3), (3, 3))
+    )
+    return PtcFamily(codes, epsilon_verified=2.0 / 3.0)
+
+
+def _sweeps():
+    fam = _family()
+    psi = purified_input("random-5", 1)
+    cipher = sample_cipher(1, 4, seed=2)
+    vec = np.array([0.6, 0.8j], dtype=complex)
+    return {
+        "run_qa_kg": lambda a: run_qa_kg(psi, fam, a),
+        "run_qa_kg/no-back/detail": lambda a: run_qa_kg(
+            psi, fam, a, back_communication=False, detail=True
+        ),
+        "run_tqa_kg/detail": lambda a: run_tqa_kg(psi, fam, a, detail=True),
+        "run_tqa_kg/no-back": lambda a: run_tqa_kg(psi, fam, a, back_communication=False),
+        "ebit_ptc": lambda a: ebit_ptc(fam, a),
+        "ebit_ptc/detail": lambda a: ebit_ptc(fam, a, detail=True),
+        "ebit_ptp": lambda a: ebit_ptp(fam, a),
+        "run_qa_kg_ideal": lambda a: run_qa_kg_ideal(psi, fam, a),
+        "run_psqa_kg": lambda a: run_psqa_kg(vec, cipher, fam, a),
+        "run_psqa_kg/detail": lambda a: run_psqa_kg(vec, cipher, fam, a, detail=True),
+        "run_psrqa_kg/detail": lambda a: run_psrqa_kg(vec, cipher, fam, a, detail=True),
+        "psqa_ideal": lambda a: psqa_ideal(vec, cipher, fam, a),
+    }
+
+
+def fingerprint(matrix: np.ndarray) -> float:
+    """Re Tr[G M] for a fixed full-rank, non-Hermitian G of M's size."""
+    idx = np.arange(matrix.shape[0])
+    g = np.exp(0.37j * np.outer(idx + 1, 2 * idx + 1)) / matrix.shape[0]
+    return float(np.real(np.sum(g.T * matrix)))
+
+
+def _t_only(name: str) -> bool:
+    return "psqa" in name or "psrqa" in name
+
+
+def digest() -> dict:
+    """Per-sweep records, weights and fingerprints; distances of paired sweeps."""
+    suite = {a.name(): a for a in standard_suite(1, 1)}
+    out = {"sweeps": {}, "pairs": {}}
+    for name, run in _sweeps().items():
+        attacks = [a for a in ATTACKS if not _t_only(name) or suite[a].acts_on == ("T",)]
+        for a in attacks:
+            final = run(suite[a])
+            records = final.records()
+            out["sweeps"][f"{name}|{a}"] = {
+                "records": hashlib.sha256(repr(records).encode()).hexdigest(),
+                "weights": [final.weight(rec) for rec in records],
+                "fingerprints": [fingerprint(final.blocks[rec].matrix) for rec in records],
+            }
+    sweeps = _sweeps()
+    for left, right in PAIRS:
+        for a in ATTACKS:
+            if (_t_only(left) or _t_only(right)) and suite[a].acts_on != ("T",):
+                continue
+            out["pairs"][f"{left}~{right}|{a}"] = sweeps[left](suite[a]).distance(
+                sweeps[right](suite[a])
+            )
+    return out
+
+
+@pytest.fixture(scope="module")
+def computed():
+    return digest()
+
+
+@pytest.fixture(scope="module")
+def golden():
+    out = {"sweeps": {}, "pairs": {}}
+    for key, value in json.loads(GOLDEN.read_text()).items():
+        part, name = key.split("/", 1)
+        out[part][name] = value
+    return out
+
+
+def test_same_sweeps_and_attacks(computed, golden):
+    assert sorted(computed["sweeps"]) == sorted(golden["sweeps"])
+    assert sorted(computed["pairs"]) == sorted(golden["pairs"])
+
+
+def test_records_weights_and_fingerprints_match(computed, golden):
+    for key, want in golden["sweeps"].items():
+        got = computed["sweeps"][key]
+        assert got["records"] == want["records"], key
+        np.testing.assert_allclose(got["weights"], want["weights"], rtol=0, atol=TOL, err_msg=key)
+        np.testing.assert_allclose(
+            got["fingerprints"], want["fingerprints"], rtol=0, atol=TOL, err_msg=key
+        )
+
+
+def test_pairwise_distances_match(computed, golden):
+    for key, want in golden["pairs"].items():
+        assert computed["pairs"][key] == pytest.approx(want, rel=0, abs=TOL), key
+
+
+if __name__ == "__main__":
+    values = digest()
+    lines = [
+        f"  {json.dumps(f'{part}/{key}')}: {json.dumps(values[part][key], sort_keys=True)}"
+        for part in ("sweeps", "pairs")
+        for key in sorted(values[part])
+    ]
+    sys.stdout.write("{\n" + ",\n".join(lines) + "\n}\n")

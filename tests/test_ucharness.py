@@ -195,6 +195,14 @@ def test_embedded_distance_matches_per_record(family_s1):
     assert abs(embed_final_state(real).matrix.trace() - 1.0) < 1e-10
 
 
+def test_make_report_rejects_impossible_advantage():
+    from qauthlab.hybrid import InvariantError
+    from qauthlab.ucharness import make_report
+
+    with pytest.raises(InvariantError, match="make_report: EBIT advantage 2.5 outside"):
+        make_report("EBIT", AttackDescriptor("identity"), 1.0, 2.5, 2.0, 0.5)
+
+
 def test_advantage_report_json(family_s1):
     rep = ebit_advantage(family_s1, AttackDescriptor("identity", label="identity"))
     payload = rep.to_json()
