@@ -87,11 +87,6 @@ class HashFamily:
     eps_asu2: float
     label: str = ""
 
-    def table(self) -> dict:
-        return {
-            (k, x): self.evaluate(k, x) for k in self.keys for x in self.message_space
-        }
-
 
 class FamilyVerificationError(ValueError):
     pass
@@ -319,14 +314,14 @@ def _explicit_substitution_advantage(family, x0, substitution) -> float:
 
 
 def completeness_exact(family: HashFamily) -> bool:
-    """No tampering: accept with certainty and deliver the message, every key."""
-    table = family.table()
+    """No tampering: for every message, hash key and pad, the wire message
+    from ``wc_send`` passes ``wc_verify`` and delivers the message. Fails for
+    a family whose tag is not a function of (key, message)."""
     for x in family.message_space:
         for k in family.keys:
-            h = table[(k, x)]
             for t in family.tag_space:
-                wire = (x, h ^ t)
-                if wire[1] ^ t != h or wire[0] != x:
+                wire = wc_send(x, k, t, family)
+                if wire[0] != x or not wc_verify(wire, k, t, family):
                     return False
     return True
 

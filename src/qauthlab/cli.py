@@ -122,10 +122,8 @@ def _uc_single(family: PtcFamily, attack: AttackDescriptor, input_spec: str) -> 
             abs(chain["advantage"] - chain["advantage_factored"]) < 1e-9
         ),
         "fidelity_chain_ok": bool(chain["fidelity"] >= chain["fidelity_floor"] - 1e-9),
-        "acc_defect_ok": bool(
-            chain["p_acc"] <= eps ** (1.0 / 3.0)
-            or chain["overlap_defect"] <= eps / chain["p_acc"] + 1e-9
-        ),
+        # the purity-test soundness statement: p_acc * (1 - <Phi|rho|Phi>) <= eps
+        "acc_defect_ok": bool(chain["soundness_product"] <= eps + 1e-9),
     }
     ok = (
         checks["identities_ok"]

@@ -1,33 +1,21 @@
-"""Hybrid classical/quantum ensembles: the simulation backends for protocols.
+"""Hybrid classical/quantum final states and the stacked key sweep.
 
-Two engines produce the same :class:`FinalState` (classical record ->
-weighted density matrix):
+A :class:`FinalState` maps each classical record (a tuple of (field, value)
+pairs: keys, verdicts, measurement outcomes, error flags) to a weighted
+density matrix over named registers. Classical data never gets embedded as
+qubits; it lives in the records, which keeps dimensions small and makes
+distances decompose per record.
 
-- :func:`key_sweep`, the stacked driver, runs the seven keyed sweeps
-  (``run_qa_kg``, ``run_tqa_kg``, ``ebit_ptc``, ``run_qa_kg_ideal``,
-  ``run_psqa_kg``, ``run_psrqa_kg``, ``psqa_ideal``). It loops over the codes
-  in Python and holds every other key, the received syndrome and measurement
-  outcomes as leading axes of one amplitude array, with per-key operators as
-  stacked matrices; it finalizes with one contraction per code and record.
-- :class:`HybridState`, the per-branch engine, runs ``ebit_ptp``,
-  ``teleport`` and the one-shot Pauli pad. ``ebit_ptp`` stays on it bit for
-  bit because its state feeds ``fidelity_acc``, which is ill-conditioned on
-  these rank-deficient states: perturbing the state by 1e-17 moves the
-  fidelity by up to 2.7e-8, so any reordering of its arithmetic would move a
-  reported number by more than the 1e-12 the reports are held to.
-
-A :class:`HybridState` is a probability-weighted list of branches. Each branch
-carries a classical record (a tuple of (field, value) pairs: keys, verdicts,
-measurement outcomes, error flags) together with a pure state vector over a
-shared register layout. Classical data never gets embedded as qubits; it lives
-in the records, which keeps dimensions small and makes distances decompose per
-record.
-
-Protocols evolve branches with unitaries, isometries (attacks arrive dilated,
-so branches stay pure), and instruments (measurements that split branches).
-Only at the very end does :meth:`HybridState.finalize` assemble per-record
-density matrices into a :class:`FinalState`, applying output filters such as
-"drop this register" or "replace this register by the maximally mixed state".
+:func:`key_sweep`, the one simulation engine, runs the seven keyed sweeps
+(``run_qa_kg``, ``run_tqa_kg``, ``ebit_ptc``, ``run_qa_kg_ideal``,
+``run_psqa_kg``, ``run_psrqa_kg``, ``psqa_ideal``). It loops over the codes in
+Python and holds every other key, the received syndrome and measurement
+outcomes as leading axes of one amplitude array, with per-key operators as
+stacked matrices; attacks arrive dilated, so the amplitudes stay pure until
+it finalizes with one contraction per code and record, applying output
+filters such as "drop this register" or "replace this register by the
+maximally mixed state". ``protocols.ebit_ptp`` builds its final state with a
+direct loop instead, to keep its arithmetic bit for bit (see ``protocols``).
 
 Distance between two final states is sum_c || p_c rho_c - q_c sigma_c ||_1
 over the union of classical records, which equals the full 1-norm of the
@@ -37,7 +25,7 @@ block-diagonal embedding (``FinalState.embed`` exists to spot-check that).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -46,7 +34,6 @@ from .qmath import (
     Registers,
     RegisterError,
     StateVector,
-    as_registers,
     reg_dims,
     reg_names,
     reg_positions,
@@ -63,280 +50,11 @@ ACC, REJ, ERR = "ACC", "REJ", "ERR"
 PRUNE_BELOW = 1e-15
 
 
-@dataclass(frozen=True)
-class Branch:
-    probability: float
-    record: Record
-    vector: np.ndarray
-
-
 def record_get(record: Record, fieldname: str):
     for key, value in record:
         if key == fieldname:
             return value
     raise KeyError(fieldname)
-
-
-def record_drop(record: Record, fields: Iterable[str]) -> Record:
-    drop = set(fields)
-    return tuple(item for item in record if item[0] not in drop)
-
-
-class HybridState:
-    """Immutable ensemble of pure branches over one register layout."""
-
-    def __init__(self, registers, branches: Sequence[Branch], renormalized: bool = False):
-        self.registers: Registers = as_registers(registers)
-        dim = total_dim(self.registers)
-        checked = []
-        for br in branches:
-            vec = np.asarray(br.vector, dtype=complex).reshape(-1)
-            if vec.size != dim:
-                raise RegisterError(f"branch vector length {vec.size} != {dim}")
-            checked.append(Branch(float(br.probability), br.record, vec))
-        self.branches: tuple[Branch, ...] = tuple(checked)
-        total = sum(br.probability for br in self.branches)
-        if not renormalized and abs(total - 1.0) > 1e-10:
-            raise ValueError(f"branch probabilities sum to {total}, expected 1")
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_pure(cls, state: StateVector, record: Record = ()) -> "HybridState":
-        return cls(state.registers, [Branch(1.0, record, state.amplitudes)])
-
-    # -- bookkeeping -------------------------------------------------------
-
-    def total_probability(self) -> float:
-        return float(sum(br.probability for br in self.branches))
-
-    def _dims(self) -> tuple[int, ...]:
-        return reg_dims(self.registers)
-
-    # -- quantum operations ------------------------------------------------
-
-    def _apply_op(
-        self,
-        matrix: np.ndarray,
-        in_names: Sequence[str],
-        out_regs: Registers,
-        vectors: Iterable[np.ndarray] | None = None,
-    ) -> tuple[Registers, list[np.ndarray]]:
-        """Core primitive: contract ``matrix`` against the named registers.
-
-        ``matrix`` has shape (prod(out dims), prod(in dims)). The output
-        registers replace the input ones as a group at the position of the
-        first input register; all other registers keep their order. Returns
-        the new layout and the transformed (unnormalized) vectors.
-        """
-        in_names = tuple(in_names)
-        out_regs = as_registers(out_regs)
-        pos = reg_positions(self.registers, in_names)
-        dims = self._dims()
-        in_dims = tuple(dims[p] for p in pos)
-        out_dims = reg_dims(out_regs)
-        d_in = int(np.prod(in_dims)) if in_dims else 1
-        d_out = int(np.prod(out_dims)) if out_dims else 1
-        if matrix.shape != (d_out, d_in):
-            raise RegisterError(f"operator shape {matrix.shape} != ({d_out}, {d_in})")
-
-        rest = [i for i in range(len(dims)) if i not in pos]
-        insert_at = min(pos) if pos else len(rest)
-        # new axis order: rest axes with the out group spliced in at insert_at
-        n_out = len(out_regs)
-        new_regs = []
-        placed = False
-        for i in range(len(dims)):
-            if i in pos:
-                if not placed:
-                    new_regs.extend(out_regs)
-                    placed = True
-                continue
-            new_regs.append(self.registers[i])
-        if not placed:
-            new_regs.extend(out_regs)
-        mat_t = matrix.reshape(out_dims + in_dims) if (out_dims or in_dims) else matrix
-
-        # position of the spliced group inside the new layout
-        group_start = sum(1 for i in rest if i < insert_at)
-
-        out_vectors = []
-        for vec in vectors if vectors is not None else (br.vector for br in self.branches):
-            tens = vec.reshape(dims)
-            res = np.tensordot(mat_t, tens, axes=(tuple(range(n_out, n_out + len(pos))), pos))
-            # res axes: out group first, then the rest in original order
-            res = np.moveaxis(res, range(n_out), range(group_start, group_start + n_out))
-            out_vectors.append(res.reshape(-1))
-        return tuple(new_regs), out_vectors
-
-    def apply(self, matrix: np.ndarray, names: Sequence[str]) -> "HybridState":
-        """Apply a square operator (usually a unitary) to the named registers."""
-        names = tuple(names)
-        pos = reg_positions(self.registers, names)
-        out_regs = tuple(self.registers[p] for p in pos)
-        new_regs, vecs = self._apply_op(np.asarray(matrix, dtype=complex), names, out_regs)
-        return HybridState(
-            new_regs,
-            [Branch(br.probability, br.record, v) for br, v in zip(self.branches, vecs)],
-            renormalized=True,
-        )
-
-    def apply_isometry(
-        self, matrix: np.ndarray, in_names: Sequence[str], out_regs
-    ) -> "HybridState":
-        """Apply an isometry, replacing ``in_names`` with ``out_regs``."""
-        new_regs, vecs = self._apply_op(
-            np.asarray(matrix, dtype=complex), in_names, as_registers(out_regs)
-        )
-        return HybridState(
-            new_regs,
-            [Branch(br.probability, br.record, v) for br, v in zip(self.branches, vecs)],
-            renormalized=True,
-        )
-
-    def apply_by_record(
-        self, fn: Callable[[Record], np.ndarray | None], names: Sequence[str]
-    ) -> "HybridState":
-        """Apply a record-dependent square operator to the named registers.
-
-        ``fn`` maps a branch record to a matrix (or None to leave the branch
-        alone). The register layout must be preserved, so this is for square
-        operators addressed in register order (e.g. a keyed correction).
-        """
-        names = tuple(names)
-        pos = reg_positions(self.registers, names)
-        out_regs = tuple(self.registers[p] for p in pos)
-        new_branches = []
-        for br in self.branches:
-            matrix = fn(br.record)
-            if matrix is None:
-                new_branches.append(br)
-                continue
-            new_regs, vecs = self._apply_op(
-                np.asarray(matrix, dtype=complex), names, out_regs, vectors=[br.vector]
-            )
-            if reg_names(new_regs) != reg_names(self.registers):
-                raise RegisterError("apply_by_record must preserve the register layout")
-            new_branches.append(Branch(br.probability, br.record, vecs[0]))
-        return HybridState(self.registers, new_branches, renormalized=True)
-
-    def apply_instrument(
-        self,
-        ops: Sequence[tuple[object, np.ndarray, Registers]],
-        names: Sequence[str],
-        label: str,
-        prune: float = PRUNE_BELOW,
-    ) -> "HybridState":
-        """Generalized measurement: each (value, operator, out_regs) splits a branch.
-
-        The operators' completeness is the caller's responsibility (they come
-        from unitary rows, POVM square roots, etc.). Outcome values are
-        appended to the record under ``label``. Branches falling below
-        ``prune`` probability are dropped.
-        """
-        new_branches: list[Branch] = []
-        new_regs_out: Registers | None = None
-        for value, matrix, out_regs in ops:
-            new_regs, vecs = self._apply_op(
-                np.asarray(matrix, dtype=complex), names, as_registers(out_regs)
-            )
-            if new_regs_out is None:
-                new_regs_out = new_regs
-            elif reg_names(new_regs) != reg_names(new_regs_out):
-                raise RegisterError("instrument ops disagree on output registers")
-            for br, vec in zip(self.branches, vecs):
-                weight = float(np.vdot(vec, vec).real)
-                p = br.probability * weight
-                if p <= prune:
-                    continue
-                new_branches.append(
-                    Branch(p, br.record + ((label, value),), vec / np.sqrt(weight))
-                )
-        assert new_regs_out is not None
-        return HybridState(new_regs_out, new_branches, renormalized=True)
-
-    def measure(self, name: str, label: str, prune: float = PRUNE_BELOW) -> "HybridState":
-        """Computational-basis measurement; removes the register, records the value."""
-        (pos,) = reg_positions(self.registers, (name,))
-        dims = self._dims()
-        d = dims[pos]
-        new_regs = tuple(r for i, r in enumerate(self.registers) if i != pos)
-        new_branches = []
-        for br in self.branches:
-            tens = np.moveaxis(br.vector.reshape(dims), pos, 0).reshape(d, -1)
-            probs = np.einsum("ij,ij->i", tens, tens.conj()).real
-            for value in range(d):
-                p = br.probability * float(probs[value])
-                if p <= prune:
-                    continue
-                rest = tens[value] / np.sqrt(probs[value])
-                new_branches.append(Branch(p, br.record + ((label, value),), rest))
-        return HybridState(new_regs, new_branches, renormalized=True)
-
-    def measure_in_basis(
-        self,
-        names: Sequence[str],
-        basis_rows: np.ndarray,
-        label: str,
-        outcome_values: Sequence[object] | None = None,
-        prune: float = PRUNE_BELOW,
-    ) -> "HybridState":
-        """Projective measurement in the orthonormal basis given by the rows of
-        ``basis_rows``; the measured registers are consumed."""
-        basis_rows = np.asarray(basis_rows, dtype=complex)
-        values = outcome_values if outcome_values is not None else range(basis_rows.shape[0])
-        ops = [
-            (value, basis_rows[i : i + 1, :].conj(), ())
-            for i, value in enumerate(values)
-        ]
-        return self.apply_instrument(ops, names, label, prune=prune)
-
-    def split_register(self, name: str, new_regs) -> "HybridState":
-        """Inverse of merge: reinterpret one register as several (C order)."""
-        new_regs = as_registers(new_regs)
-        (pos,) = reg_positions(self.registers, (name,))
-        if total_dim(new_regs) != self.registers[pos][1]:
-            raise RegisterError("split dimensions do not factor the register")
-        regs = self.registers[:pos] + new_regs + self.registers[pos + 1 :]
-        return HybridState(regs, self.branches, renormalized=True)
-
-    # -- finalization --------------------------------------------------------
-
-    def finalize(
-        self,
-        plan: Callable[[Record], tuple[Record, tuple[str, ...], tuple[str, ...]]] | None = None,
-    ) -> "FinalState":
-        """Assemble per-record density matrices, applying per-branch filters.
-
-        ``plan`` maps a branch record to (output record, registers to drop,
-        registers to replace by maximally mixed states). Dropping a register
-        traces it out. The remaining registers are sorted by name so final
-        states from different circuit layouts compare directly.
-        """
-        blocks: dict[Record, tuple[Registers, np.ndarray]] = {}
-        dims = self._dims()
-        for br in self.branches:
-            record, drop, mix = plan(br.record) if plan else (br.record, (), ())
-            keep = [i for i, (name, _) in enumerate(self.registers) if name not in set(drop)]
-            keep.sort(key=lambda i: self.registers[i][0])
-            drop_axes = [i for i in range(len(dims)) if i not in keep]
-            kept_regs = tuple(self.registers[i] for i in keep)
-            tens = br.vector.reshape(dims).transpose(keep + drop_axes)
-            d_keep = int(np.prod([dims[i] for i in keep])) if keep else 1
-            flat = tens.reshape(d_keep, -1)
-            rho = br.probability * (flat @ flat.conj().T)
-            for name in mix:
-                rho = _replace_with_mixed(rho, kept_regs, name)
-            if record in blocks:
-                prev_regs, prev = blocks[record]
-                if reg_names(prev_regs) != reg_names(kept_regs):
-                    raise RegisterError(
-                        f"record {record} accumulated under different register sets"
-                    )
-                blocks[record] = (prev_regs, prev + rho)
-            else:
-                blocks[record] = (kept_regs, rho)
-        return FinalState(blocks)
 
 
 def _replace_with_mixed(rho: np.ndarray, regs: Registers, name: str) -> np.ndarray:
@@ -411,19 +129,6 @@ class FinalState:
             total = total + block.matrix
         return FinalBlock(regs, total)
 
-    def map_records(self, fn: Callable[[Record], Record]) -> "FinalState":
-        out: dict[Record, tuple[Registers, np.ndarray]] = {}
-        for rec, block in self.blocks.items():
-            new_rec = fn(rec)
-            if new_rec in out:
-                regs, mat = out[new_rec]
-                if reg_names(regs) != reg_names(block.registers):
-                    raise RegisterError("merged records carry different register sets")
-                out[new_rec] = (regs, mat + block.matrix)
-            else:
-                out[new_rec] = (block.registers, block.matrix.copy())
-        return FinalState(out)
-
     def distance(self, other: "FinalState") -> float:
         """Full 1-norm distance, decomposed over classical records (summed in
         sorted record order, so the last bit does not depend on hashing)."""
@@ -496,10 +201,9 @@ def key_sweep(
       ``label`` axis is v and ysyn == y.
 
     Every key has equal weight. Slices of probability at most PRUNE_BELOW are
-    dropped, as the per-branch engine drops such branches. ``plan`` maps the
-    fields named in ``exposed`` (from t, y, ysyn, verdict and the labels) to
-    (output record, registers to drop, registers to replace by I/d); each
-    code adds one contraction per output record. The array of one code is at
+    dropped. ``plan`` maps the fields named in ``exposed`` (from t, y, ysyn,
+    verdict and the labels) to (output record, registers to drop, registers
+    to replace by I/d); each code adds one contraction per output record. The array of one code is at
     most (keys x syndromes x outcomes x registers), which bounds memory.
     """
     iso, att_names, att_out = attack

@@ -342,15 +342,6 @@ def apply_channel(ch: QuantumChannel, rho: DensityMatrix, targets: Sequence[str]
     return DensityMatrix(out.reshape(d, d), rho.registers)
 
 
-def dilate(ch: QuantumChannel) -> tuple[np.ndarray, int]:
-    """Stinespring isometry and environment dimension of a channel.
-
-    Returns (V, env_dim) where V maps input -> output (x) env and tracing the
-    env register out of V rho V^dag reproduces the operator-sum action.
-    """
-    return ch.dilation(), ch.env_dim
-
-
 # ---------------------------------------------------------------------------
 # transpose-trick identities
 # ---------------------------------------------------------------------------

@@ -398,46 +398,3 @@ def compose(tree: CompositionTree) -> float:
     for nid in ids:
         visit(nid)
     return float(sum(eps for _, eps in tree.nodes))
-
-
-def embed_final_state(final: FinalState, b_error_dim: bool = True) -> DensityMatrix:
-    """Dense single-matrix embedding of an entanglement-run final state.
-
-    The verdict becomes an explicit two-level register V and the error symbol
-    on B becomes an extra orthogonal level, so accept blocks live on
-    A (x) B (x) E (x) V and reject blocks on the B = err level. Mostly useful
-    for spot-checking that the per-record distance equals the distance of the
-    embedded block-diagonal matrices.
-    """
-    records = final.records()
-    acc_block = next((final.blocks[r] for r in records if _is_acc(r)), None)
-    rej_block = next((final.blocks[r] for r in records if not _is_acc(r)), None)
-    if acc_block is None:
-        raise ValueError("need at least an accept block to infer dimensions")
-    regs = acc_block.registers
-    names = [name for name, _ in regs]
-    dims = {name: dim for name, dim in regs}
-    da, db = dims["A"], dims["B"]
-    env_names = [nm for nm in names if nm not in ("A", "B")]
-    de = int(np.prod([dims[nm] for nm in env_names])) if env_names else 1
-    db_ext = db + 1 if b_error_dim else db
-    dim = da * db_ext * de * 2
-    out = np.zeros((dim, dim), dtype=complex)
-
-    def embed_abe(mat: np.ndarray, v: int) -> np.ndarray:
-        tens = mat.reshape(da, db, de, da, db, de)
-        big = np.zeros((da, db_ext, de, 2, da, db_ext, de, 2), dtype=complex)
-        big[:, :db, :, v, :, :db, :, v] = tens
-        return big.reshape(dim, dim)
-
-    if acc_block is not None:
-        out += embed_abe(acc_block.matrix, 0)
-    if rej_block is not None:
-        # reject: A (x) err_B (x) env, err is the extra B level
-        mat = rej_block.matrix  # over (A, env) sorted as A first
-        tens = mat.reshape(da, de, da, de)
-        big = np.zeros((da, db_ext, de, 2, da, db_ext, de, 2), dtype=complex)
-        big[:, db, :, 1, :, db, :, 1] = tens
-        out += big.reshape(dim, dim)
-    regs_out = (("A", da), ("Bext", db_ext), ("Env", de), ("V", 2))
-    return DensityMatrix(out, regs_out)

@@ -1,3 +1,6 @@
+import itertools
+from dataclasses import replace
+
 import pytest
 
 from qauthlab.classical_wc import (
@@ -72,6 +75,15 @@ def test_pad_makes_tag_marginal_uniform():
 def test_completeness():
     assert completeness_exact(poly_hash_family(2, 1))
     assert completeness_exact(poly_hash_family(3, 1))
+
+
+def test_completeness_fails_for_a_tag_that_is_not_a_function():
+    # negative control: a "hash" that flips with every evaluation makes the
+    # tag Bob recomputes differ from the one Alice sent
+    fam = poly_hash_family(2, 1)
+    calls = itertools.count()
+    flaky = replace(fam, evaluate=lambda k, x: fam.evaluate(k, x) ^ (next(calls) & 1))
+    assert not completeness_exact(flaky)
 
 
 def test_identity_substitution_zero_advantage():

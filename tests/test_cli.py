@@ -118,6 +118,25 @@ def test_uc_invariant_violation_exits_three(tmp_path, capsys, monkeypatch):
     assert "total weight" in capsys.readouterr().err
 
 
+def test_uc_understated_epsilon_exits_one(tmp_path, capsys):
+    # negative control: this family's true eps is 0.625; with a stored eps of
+    # 0.2, attack X0 is accepted with p_acc * (1 - overlap) = 0.25 > 0.2,
+    # which breaks the purity-test soundness statement
+    fam_path = tmp_path / "fam.json"
+    run_cli(capsys, "ptc", "--m", "1", "--s", "1", "--seed", "1", "--out", str(fam_path))
+    payload = json.loads(fam_path.read_text())
+    payload["epsilon_verified"] = 0.2
+    fam_path.write_text(json.dumps(payload))
+    code, rep = run_cli(
+        capsys, "uc", "--m", "1", "--s", "1", "--family", str(fam_path), "--attack", "X0"
+    )
+    assert code == 1
+    (result,) = rep["results"]
+    assert result["checks"]["acc_defect_ok"] is False
+    # the advantage bounds are too loose to notice
+    assert result["ebit"]["pass"] and result["qa_kg"]["pass"]
+
+
 def test_ptp_soundness_command(tmp_path, capsys):
     fam_path = tmp_path / "fam.json"
     run_cli(capsys, "ptc", "--m", "1", "--s", "2", "--seed", "1", "--out", str(fam_path))

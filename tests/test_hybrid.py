@@ -3,15 +3,12 @@ import pytest
 
 from qauthlab.adversary import AttackDescriptor
 from qauthlab.hybrid import (
-    Branch,
     FinalState,
-    HybridState,
     InvariantError,
     key_sweep,
-    record_drop,
     record_get,
 )
-from qauthlab.protocols import _sweep_pieces
+from qauthlab.protocols import _apply, _measure, _sweep_pieces
 from qauthlab.qmath import (
     RegisterError,
     StateVector,
@@ -19,106 +16,80 @@ from qauthlab.qmath import (
     trace_norm,
 )
 
-X = np.array([[0, 1], [1, 0]], dtype=complex)
+B = (("B", 2),)
 
 
 def phi_state():
     return StateVector(max_entangled_vector(2), (("A", 2), ("B", 2)))
 
 
-def test_probability_bookkeeping():
-    h = HybridState.from_pure(phi_state())
-    assert h.total_probability() == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        HybridState((("A", 2),), [Branch(0.5, (), np.array([1, 0]))])
-    with pytest.raises(RegisterError):
-        HybridState((("A", 2),), [Branch(1.0, (), np.array([1, 0, 0]))])
-
-
-def test_measure_splits_and_records():
-    h = HybridState.from_pure(phi_state()).measure("A", "a")
-    assert len(h.branches) == 2
-    for br in h.branches:
-        assert br.probability == pytest.approx(0.5)
-        a = record_get(br.record, "a")
-        assert np.allclose(br.vector, np.eye(2)[a])
-    assert h.registers == (("B", 2),)
-
-
-def test_apply_by_record():
-    h = HybridState.from_pure(phi_state()).measure("A", "a")
-    flipped = h.apply_by_record(lambda rec: X if record_get(rec, "a") == 1 else None, ("B",))
-    for br in flipped.branches:
-        assert np.allclose(br.vector, np.eye(2)[0])  # both collapse to |0>
+# ---------------------------------------------------------------------------
+# the state-vector contraction and measurement that the sweep pieces use
+# ---------------------------------------------------------------------------
 
 
 def test_apply_reorders_to_named_axes():
     # applying a two-register operator with names out of layout order permutes
     # the layout to match the operator's index convention
-    h = HybridState.from_pure(phi_state())
-    swapped = h.apply(np.eye(4), ("B", "A"))
-    assert [name for name, _ in swapped.registers] == ["B", "A"]
-    np.testing.assert_allclose(swapped.branches[0].vector, h.branches[0].vector)
+    psi = phi_state()
+    vec, regs = _apply(psi.amplitudes, psi.registers, np.eye(4), ("B", "A"))
+    assert [name for name, _ in regs] == ["B", "A"]
+    np.testing.assert_allclose(vec, psi.amplitudes)
 
 
 def test_isometry_grows_register():
-    h = HybridState.from_pure(phi_state())
+    psi = phi_state()
     iso = np.zeros((4, 2), dtype=complex)
     iso[0, 0] = iso[3, 1] = 1.0  # |b> -> |b>|b>
-    grown = h.apply_isometry(iso, ("B",), (("B", 2), ("E", 2)))
-    assert grown.registers == (("A", 2), ("B", 2), ("E", 2))
-    vec = grown.branches[0].vector
+    vec, regs = _apply(psi.amplitudes, psi.registers, iso, ("B",), (("B", 2), ("E", 2)))
+    assert regs == (("A", 2), ("B", 2), ("E", 2))
     expect = np.zeros(8)
     expect[0] = expect[7] = 1 / np.sqrt(2)  # |000> + |111>
     np.testing.assert_allclose(vec, expect)
 
 
+def test_measure_splits_and_records():
+    # A = (Ya, A) in C order, Ya most significant:
+    # (|Ya=0, A=1>|0> + |Ya=1, A=0>|1>) / sqrt 2
+    vec = np.zeros(8, dtype=complex)
+    vec[2] = vec[5] = 1 / np.sqrt(2)
+    regs = (("A", 4), ("B", 2))
+    out = list(_measure(vec, regs, "A", (("Ya", 2), ("A", 2)), 0.5))
+    assert [value for value, *_ in out] == [0, 1]
+    for value, p, rest, rest_regs in out:
+        assert p == pytest.approx(0.25)  # half of the measured branch's 0.5
+        assert rest_regs == (("A", 2), ("B", 2))
+        np.testing.assert_allclose(rest, np.eye(4)[2 if value == 0 else 1])
+    # outcomes at or below PRUNE_BELOW are dropped
+    assert list(_measure(vec, regs, "A", (("Ya", 2), ("A", 2)), 1e-16)) == []
+
+
 def test_split_register_reads_c_order():
-    h = HybridState.from_pure(phi_state())
-    split = h.split_register("A", (("A1", 1), ("A2", 2)))
-    assert split.registers == (("A1", 1), ("A2", 2), ("B", 2))
-    np.testing.assert_allclose(split.branches[0].vector, h.branches[0].vector)
+    # a trivial leading factor leaves the vector as it is
+    psi = phi_state()
+    split = (("A1", 1), ("A2", 2))
+    ((value, p, rest, rest_regs),) = _measure(psi.amplitudes, psi.registers, "A", split, 1.0)
+    assert (value, rest_regs) == (0, (("A2", 2), ("B", 2)))
+    assert p == pytest.approx(1.0)
+    np.testing.assert_allclose(rest, psi.amplitudes)
+    # basis index k of a 4-dim register reads as (k // 2, k % 2)
+    for k in range(4):
+        ((value, _, rest, _),) = _measure(np.eye(4)[k], (("A", 4),), "A", (("hi", 2), ("lo", 2)), 1)
+        assert value == k // 2
+        np.testing.assert_allclose(rest, np.eye(2)[k % 2])
     with pytest.raises(RegisterError):
-        h.split_register("A", (("A1", 3),))
+        list(_measure(psi.amplitudes, psi.registers, "A", (("A1", 3),), 1.0))
 
 
-def test_instrument_requires_consistent_outputs():
-    h = HybridState.from_pure(phi_state())
-    ops = [
-        (0, np.eye(2), (("B", 2),)),
-        (1, np.eye(2), (("Bx", 2),)),
-    ]
-    with pytest.raises(RegisterError):
-        h.apply_instrument(ops, ("B",), "v")
-
-
-def test_finalize_drop_and_mix():
-    h = HybridState.from_pure(phi_state())
-    final = h.finalize(lambda rec: (rec, ("B",), ("A",)))
-    block = final.blocks[()]
-    assert block.registers == (("A", 2),)
-    np.testing.assert_allclose(block.matrix, np.eye(2) / 2, atol=1e-14)
-
-    kept = h.finalize()
-    mat = kept.blocks[()].matrix
-    phi = max_entangled_vector(2)
-    np.testing.assert_allclose(mat, np.outer(phi, phi.conj()), atol=1e-14)
-
-
-def test_finalize_sorts_registers():
-    sv = StateVector(np.kron([1, 0], [0, 1]).astype(complex), (("Zz", 2), ("Aa", 2)))
-    final = HybridState.from_pure(sv).finalize()
-    assert final.blocks[()].registers == (("Aa", 2), ("Zz", 2))
-    # |0> on Zz, |1> on Aa -> sorted layout puts Aa first: index 1*2+0=2
-    expect = np.zeros((4, 4))
-    expect[2, 2] = 1.0
-    np.testing.assert_allclose(final.blocks[()].matrix, expect, atol=1e-14)
+def measured_phi(flip: bool = False) -> FinalState:
+    """|Phi> on (A, B) (or X on A first), A measured into record field a."""
+    return FinalState(
+        {((("a", a),)): (B, 0.5 * np.diag([1.0 - (a ^ flip), float(a ^ flip)])) for a in (0, 1)}
+    )
 
 
 def test_distance_decomposes_and_embeds():
-    h1 = HybridState.from_pure(phi_state()).measure("A", "a")
-    h2 = HybridState.from_pure(phi_state()).apply(X, ("A",)).measure("A", "a")
-    f1, f2 = h1.finalize(), h2.finalize()
+    f1, f2 = measured_phi(), measured_phi(flip=True)
     d = f1.distance(f2)
     # per-record distance equals the distance of the dense block-diagonal
     # embedding over a shared record order
@@ -131,8 +102,7 @@ def test_distance_decomposes_and_embeds():
 
 
 def test_distance_counts_missing_records():
-    h = HybridState.from_pure(phi_state()).measure("A", "a")
-    full = h.finalize()
+    full = measured_phi()
     only0 = FinalState(
         {
             rec: (blk.registers, blk.matrix)
@@ -141,36 +111,60 @@ def test_distance_counts_missing_records():
         }
     )
     assert full.distance(only0) == pytest.approx(0.5)
+    assert only0.distance(full) == pytest.approx(0.5)
+    with pytest.raises(RegisterError):
+        full.distance(FinalState({(("a", 0),): ((("Bx", 2),), np.eye(2) / 2)}))
 
 
 def test_record_helpers():
     rec = (("a", 1), ("b", "x"))
     assert record_get(rec, "b") == "x"
-    assert record_drop(rec, ("a",)) == (("b", "x"),)
     with pytest.raises(KeyError):
         record_get(rec, "zz")
 
 
-def test_map_records_merges_blocks():
-    h = HybridState.from_pure(phi_state()).measure("A", "a")
-    final = h.finalize().map_records(lambda rec: ())
-    assert list(final.blocks) == [()]
-    assert final.blocks[()].weight == pytest.approx(1.0)
-
-
 def test_conditional_where():
-    h = HybridState.from_pure(phi_state()).measure("A", "a")
-    final = h.finalize()
+    final = measured_phi()
     blk = final.conditional_where(lambda rec: True)
     assert blk.weight == pytest.approx(1.0)
     cond = blk.conditional()
     assert abs(cond.matrix.trace() - 1.0) < 1e-12
+    np.testing.assert_allclose(cond.matrix, np.eye(2) / 2, atol=1e-14)
     with pytest.raises(KeyError):
         final.conditional_where(lambda rec: False)
+    mixed = FinalState({(("a", 0),): (B, np.eye(2) / 2), (("a", 1),): ((("Bx", 2),), np.eye(2) / 2)})
+    with pytest.raises(RegisterError):
+        mixed.conditional_where(lambda rec: True)
 
 
 def _verdict_plan(fields):
     return (("verdict", fields["verdict"]),), (), ()
+
+
+def test_finalize_drop_and_mix(family_s1):
+    # every slice maps to one record; B is traced out and A replaced by I/2
+    encoders, attack = _sweep_pieces(family_s1, AttackDescriptor("identity"))
+    base = StateVector(max_entangled_vector(2), (("A", 2), ("B0", 2)))
+    final = key_sweep(encoders, attack, base, "B0", lambda f: ((), ("B",), ("A",)), ())
+    block = final.blocks[()]
+    assert block.registers == (("A", 2), ("E", 1))
+    np.testing.assert_allclose(block.matrix, np.eye(2) / 2, atol=1e-14)
+
+    kept = key_sweep(encoders, attack, base, "B0", lambda f: ((), (), ()), ())
+    assert kept.blocks[()].registers == (("A", 2), ("B", 2), ("E", 1))
+    phi = max_entangled_vector(2)
+    np.testing.assert_allclose(kept.blocks[()].matrix, np.outer(phi, phi.conj()), atol=1e-14)
+
+
+def test_finalize_sorts_registers(family_s1):
+    encoders, attack = _sweep_pieces(family_s1, AttackDescriptor("identity"))
+    base = StateVector(np.kron([1, 0], [0, 1]).astype(complex), (("Zz", 2), ("B0", 2)))
+    final = key_sweep(encoders, attack, base, "B0", lambda f: ((), (), ()), (), receiver="Aa")
+    assert final.blocks[()].registers == (("Aa", 2), ("E", 1), ("Zz", 2))
+    # |0> on Zz, |1> on Aa -> sorted layout puts Aa first: index 1*2+0=2
+    expect = np.zeros((4, 4))
+    expect[2, 2] = 1.0
+    np.testing.assert_allclose(final.blocks[()].matrix, expect, atol=1e-14)
 
 
 def test_key_sweep_total_weight_and_records(family_s1):

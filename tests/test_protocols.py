@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from qauthlab import protocols
 from qauthlab.adversary import AttackDescriptor, purified_input, standard_suite
 from qauthlab.codes import syndrome
 from qauthlab.hybrid import record_get
@@ -10,13 +9,10 @@ from qauthlab.protocols import (
     ACC,
     ERR,
     REJ,
-    ProtocolOutcome,
     ebit_ideal,
     ebit_ptc,
     ebit_ptp,
-    kd_ideal,
     key_pauli,
-    q_ideal,
     qenc_decrypt,
     qenc_encrypt,
     run_qa_kg,
@@ -34,21 +30,6 @@ from qauthlab.qmath import (
 
 def is_acc(rec):
     return record_get(rec, "verdict") == ACC
-
-
-# ---------------------------------------------------------------------------
-# ideal key box
-# ---------------------------------------------------------------------------
-
-
-def test_kd_ideal_counting_and_entropy():
-    kd = kd_ideal(1, 1, 3)
-    draws = list(kd)
-    assert len(draws) == 4 * 3 * 2 == 24
-    assert all(p == pytest.approx(1 / 24) for p, _ in draws)
-    assert kd.entropy_bits() == pytest.approx(2 + np.log2(3) + 1)
-    marg_x = kd.marginal("x")
-    assert marg_x == {0: pytest.approx(0.5), 1: pytest.approx(0.5)}
 
 
 # ---------------------------------------------------------------------------
@@ -306,13 +287,3 @@ def test_ebit_ideal_outputs():
     assert [n for n, _ in blk.registers] == ["A"]
     with pytest.raises(ValueError):
         ebit_ideal("MAYBE", 1)
-
-
-def test_q_ideal_outcomes():
-    msg = purified_input("plus", 1)
-    out = q_ideal(msg, ACC, recycled_key=(1, 0))
-    assert out.verdict == ACC and out.message_out is msg and out.recycled_key == (1, 0)
-    bad = q_ideal(msg, REJ)
-    assert bad.message_out == ERR and bad.recycled_key == ERR
-    with pytest.raises(ValueError):
-        ProtocolOutcome(REJ, msg, (0, 0))

@@ -9,7 +9,6 @@ from qauthlab.qmath import (
     RegisterError,
     StateVector,
     apply_channel,
-    dilate,
     encoder_postselection_residual,
     fidelity,
     haar_state,
@@ -175,7 +174,7 @@ def test_random_channels_preserve_trace(rng):
 
 def test_dilation_identity_and_rank():
     ident = QuantumChannel((np.eye(2),))
-    v, env = dilate(ident)
+    v, env = ident.dilation(), ident.env_dim
     assert env == 1
     assert np.allclose(v, np.eye(2))
 
@@ -183,14 +182,13 @@ def test_dilation_identity_and_rank():
     y = np.array([[0, -1j], [1j, 0]], dtype=complex)
     z = np.diag([1.0, -1.0]).astype(complex)
     depol = QuantumChannel(tuple(0.5 * op for op in (np.eye(2), x, y, z)))
-    _, env = dilate(depol)
-    assert env == 4  # Kraus rank of the fully depolarizing qubit channel
+    assert depol.env_dim == 4  # Kraus rank of the fully depolarizing qubit channel
 
 
 def test_dilation_roundtrip_matches_kraus(rng):
     for rank in (2, 3):
         ch = random_channel(3, rank, rng)
-        v, env = dilate(ch)
+        v, env = ch.dilation(), ch.env_dim
         assert np.allclose(v.conj().T @ v, np.eye(3), atol=1e-12)
         rho = random_density(3, rng)
         big = v @ rho @ v.conj().T

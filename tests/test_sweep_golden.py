@@ -1,13 +1,14 @@
-"""The seven key sweeps pinned against golden values at m=1, s=1.
+"""The seven key sweeps and ``ebit_ptp`` pinned against golden values at m=1, s=1.
 
 The twin and forms identities compare two sweeps with each other, so a fault
 shared by every sweep would pass them. This test compares each sweep with
-values recorded from the per-branch ``HybridState`` engine that the stacked
-sweep driver replaced: for every (sweep, attack) a digest of the sorted record
-reprs (the same records, no more and no fewer), and per record in that order
-its weight and a fixed linear fingerprint of its block matrix (which reads the
-entries and the register order, not only the trace); for every attack, the
-distances between paired sweeps. Numbers agree to 1e-12.
+values recorded from the per-branch engine (``HybridState``, since removed)
+that ``key_sweep`` and ``ebit_ptp``'s direct loop replaced: for every
+(sweep, attack) a digest of the sorted record reprs (the same records,
+no more and no fewer), and per record in that order its weight and a fixed
+linear fingerprint of its block matrix (which reads the entries and the
+register order, not only the trace); for every attack, the distances between
+paired sweeps. Numbers agree to 1e-12.
 
 ``golden_sweeps_s1.json`` was written by ``python tests/test_sweep_golden.py``
 run against the per-branch engine; rerunning it against the current engine
@@ -40,6 +41,7 @@ PAIRS = (
     ("run_qa_kg", "run_tqa_kg/no-back"),
     ("run_qa_kg/no-back/detail", "run_tqa_kg/detail"),
     ("ebit_ptc", "ebit_ptp"),
+    ("ebit_ptc/detail", "ebit_ptp/detail"),
     ("run_psqa_kg", "psqa_ideal"),
     ("run_psqa_kg/detail", "run_psrqa_kg/detail"),
 )
@@ -67,6 +69,7 @@ def _sweeps():
         "ebit_ptc": lambda a: ebit_ptc(fam, a),
         "ebit_ptc/detail": lambda a: ebit_ptc(fam, a, detail=True),
         "ebit_ptp": lambda a: ebit_ptp(fam, a),
+        "ebit_ptp/detail": lambda a: ebit_ptp(fam, a, detail=True),
         "run_qa_kg_ideal": lambda a: run_qa_kg_ideal(psi, fam, a),
         "run_psqa_kg": lambda a: run_psqa_kg(vec, cipher, fam, a),
         "run_psqa_kg/detail": lambda a: run_psqa_kg(vec, cipher, fam, a, detail=True),

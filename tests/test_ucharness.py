@@ -17,7 +17,6 @@ from qauthlab.ucharness import (
     ebit_advantage_bound,
     ebit_output_ideal,
     ebit_output_real,
-    embed_final_state,
     overlap_chain_checks,
     pauli_displaced_input,
     ptp_soundness_exact,
@@ -188,11 +187,12 @@ def test_embedded_distance_matches_per_record(family_s1):
     desc = AttackDescriptor("depolarizing", strength=0.5, label="d5")
     real = ebit_output_real(family_s1, desc)
     ideal = ebit_output_ideal(family_s1, desc)
-    dense = trace_norm(
-        embed_final_state(real).matrix - embed_final_state(ideal).matrix
-    )
+    # both carry an accept and a reject record, with matching layouts
+    order = real.records()
+    assert order == ideal.records()
+    dense = trace_norm(real.embed(order) - ideal.embed(order))
     assert dense == pytest.approx(real.distance(ideal), abs=1e-10)
-    assert abs(embed_final_state(real).matrix.trace() - 1.0) < 1e-10
+    assert abs(real.embed(order).trace() - 1.0) < 1e-10
 
 
 def test_make_report_rejects_impossible_advantage():
