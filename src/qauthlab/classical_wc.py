@@ -22,9 +22,12 @@ acceptance checks compare like with like.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 # ---------------------------------------------------------------------------
 # GF(2^w) arithmetic, small and exhaustive
@@ -57,27 +60,20 @@ def gf_mul(a: int, b: int, w: int) -> int:
     return out
 
 
-def gf_pow(a: int, k: int, w: int) -> int:
-    out = 1
-    for _ in range(k):
-        out = gf_mul(out, a, w)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # hash families
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HashFamily:
     """A finite keyed hash family with a brute-force-verified eps_asu2.
 
     The almost-strong-universality parameter is defined through
         Pr_k[h_k(x) = a and h_k(x') = b] <= eps_asu2 / |tags|
     for all x != x' and all tag pairs (a, b), together with exact single-point
-    uniformity Pr_k[h_k(x) = a] = 1 / |tags|. Both are established by looping
-    over every key, never assumed from the construction.
+    uniformity Pr_k[h_k(x) = a] = 1 / |tags|. Both are counted over every key,
+    never assumed, in ``table[i, j]``: the tag of message i under key j.
     """
 
     keys: tuple
@@ -85,6 +81,7 @@ class HashFamily:
     tag_space: tuple
     evaluate: Callable[[object, object], int]
     eps_asu2: float
+    table: np.ndarray
     label: str = ""
 
 
@@ -92,37 +89,45 @@ class FamilyVerificationError(ValueError):
     pass
 
 
-def verify_asu2(
-    keys, message_space, tag_space, evaluate
-) -> float:
+# poly_hash_family refuses |messages|^2 * |keys| above this before any work
+WC_COST_LIMIT = 1 << 24
+
+
+def verify_asu2(keys, message_space, tag_space, evaluate) -> float:
     """Brute-force eps_asu2 and the single-point uniformity check.
 
     Returns |tags| * max_{x != x', a, b} Pr_k[h(x) = a, h(x') = b]. Raises if
-    any single-point distribution deviates from exact uniformity.
+    any single-point distribution deviates from exact uniformity. Calls
+    ``evaluate`` once per (message, key) to build the tag table.
     """
-    keys = list(keys)
-    tags = list(tag_space)
     msgs = list(message_space)
-    nk, nt = len(keys), len(tags)
-    values = {x: [evaluate(k, x) for k in keys] for x in msgs}
-    for x in msgs:
-        counts: dict[int, int] = {}
-        for v in values[x]:
-            counts[v] = counts.get(v, 0) + 1
-        if len(counts) != nt or any(c * nt != nk for c in counts.values()):
-            raise FamilyVerificationError(
-                f"single-point distribution for message {x!r} is not uniform"
-            )
+    table = np.array([[evaluate(k, x) for k in keys] for x in msgs], dtype=np.int64)
+    return _verify_table(table, msgs, len(tag_space))
+
+
+def _row_counts(values: np.ndarray) -> np.ndarray:
+    """counts[i, v] = how often the int v >= 0 occurs in row i of ``values``."""
+    width = int(values.max()) + 1
+    flat = (np.arange(len(values))[:, None] * width + values).ravel()
+    return np.bincount(flat, minlength=len(values) * width).reshape(len(values), width)
+
+
+def _verify_table(table: np.ndarray, msgs: list, n_tags: int) -> float:
+    nm, nk = table.shape
+    # every tag that occurs occurs nk / n_tags times, so exactly n_tags occur
+    counts = _row_counts(table)
+    skewed = np.flatnonzero(~np.all((counts == 0) | (counts * n_tags == nk), axis=1))
+    if skewed.size:
+        raise FamilyVerificationError(
+            f"single-point distribution for message {msgs[skewed[0]]!r} is not uniform"
+        )
+    width = int(table.max()) + 1
     worst = 0
-    for i, x in enumerate(msgs):
-        vx = values[x]
-        for xp in msgs[i + 1 :]:
-            vp = values[xp]
-            pair_counts: dict[tuple[int, int], int] = {}
-            for a, b in zip(vx, vp):
-                pair_counts[(a, b)] = pair_counts.get((a, b), 0) + 1
-            worst = max(worst, max(pair_counts.values()))
-    return worst * nt / nk
+    for i in range(nm - 1):
+        # every (a, b) tag pair of x_i against each later x', one row per x'
+        pairs = table[i] * width + table[i + 1 :]
+        worst = max(worst, int(_row_counts(pairs).max()))
+    return worst * n_tags / nk
 
 
 def poly_hash_family(field_bits: int, message_len: int) -> HashFamily:
@@ -144,29 +149,34 @@ def poly_hash_family(field_bits: int, message_len: int) -> HashFamily:
     if not 1 <= L <= 4:
         raise ValueError("message_len must be between 1 and 4 for exhaustive checks")
     q = 1 << w
+    if q ** (2 * L + 2) > WC_COST_LIMIT:
+        raise ValueError(
+            f"wc cost |messages|^2 * |keys| = {q ** L}^2 * {q * q} = {q ** (2 * L + 2)} "
+            f"exceeds the limit 2^24 = {WC_COST_LIMIT} (field_bits={w}, msg_len={L})"
+        )
     keys = tuple((c, d) for c in range(q) for d in range(q))
-    msgs = tuple(_field_tuples(q, L))
+    msgs = tuple(itertools.product(range(q), repeat=L))
     tags = tuple(range(q))
 
     def evaluate(key, msg) -> int:
         c, d = key
-        out = d
-        for i, coeff in enumerate(msg, start=1):
-            out ^= gf_mul(coeff, gf_pow(c, i, w), w)
+        out, power = d, c
+        for coeff in msg:
+            out ^= gf_mul(coeff, power, w)
+            power = gf_mul(power, c, w)
         return out
 
-    eps = verify_asu2(keys, msgs, tags, evaluate)
-    return HashFamily(keys, msgs, tags, evaluate, eps, label=f"affine-poly-w{w}-L{L}")
-
-
-def _field_tuples(q: int, length: int):
-    if length == 1:
-        for a in range(q):
-            yield (a,)
-        return
-    for a in range(q):
-        for rest in _field_tuples(q, length - 1):
-            yield (a,) + rest
+    # the table by Horner's rule, c (m_1 + c (m_2 + ... + c m_L)), over the
+    # field's multiplication table; row i of `digits` is m_(i+1) of every message
+    mul = np.array([[gf_mul(a, b, w) for b in range(q)] for a in range(q)])
+    digits = np.indices((q,) * L).reshape(L, -1)
+    horner = np.zeros((q**L, q), dtype=np.int64)
+    for coeff in digits[::-1]:
+        horner = mul[horner ^ coeff[:, None], np.arange(q)]
+    # key (c, d) sits at column c * q + d
+    table = (horner[:, :, None] ^ np.arange(q)).reshape(q**L, q * q)
+    eps = _verify_table(table, list(msgs), q)
+    return HashFamily(keys, msgs, tags, evaluate, eps, table, label=f"affine-poly-w{w}-L{L}")
 
 
 # ---------------------------------------------------------------------------
@@ -222,12 +232,13 @@ def substitution_advantage(
     x_prime, delta = candidate
     if x_prime == x_in and delta == 0:
         return 0.0
-    hits = sum(
-        1
-        for k in family.keys
-        if family.evaluate(k, x_prime) ^ family.evaluate(k, x_in) == delta
-    )
-    return hits / len(family.keys)
+    return _hits(family, x_in, x_prime, delta) / len(family.keys)
+
+
+def _hits(family: HashFamily, x0, x_prime, delta: int) -> int:
+    """Number of keys with h_k(x') xor h_k(x0) == delta."""
+    row = family.message_space.index
+    return int(np.count_nonzero(family.table[row(x_prime)] ^ family.table[row(x0)] == delta))
 
 
 def wc_kg_advantage(
@@ -244,8 +255,7 @@ def wc_kg_advantage(
     full (astronomically large) deterministic strategy space. Passing an
     explicit ``substitution`` map evaluates that one strategy instead.
     """
-    msgs = list(family.message_space)
-    inputs = [x_in] if x_in is not None else msgs
+    inputs = [x_in] if x_in is not None else list(family.message_space)
     best = 0.0
     best_info: dict = {"substitution": "identity"}
     for x0 in inputs:
@@ -268,27 +278,22 @@ def wc_kg_advantage(
 
 
 def _max_substitution_advantage(family: HashFamily, x0) -> tuple[float, dict]:
-    nk = len(family.keys)
-    base = [family.evaluate(k, x0) for k in family.keys]
-    best = 0.0
-    info: dict = {"substitution": "identity"}
-    for x_prime in family.message_space:
-        diffs: dict[int, int] = {}
-        for k, h0 in zip(family.keys, base):
-            d = family.evaluate(k, x_prime) ^ h0
-            diffs[d] = diffs.get(d, 0) + 1
-        for delta, hits in diffs.items():
-            if x_prime == x0 and delta == 0:
-                continue
-            if hits / nk > best:
-                best = hits / nk
-                info = {
-                    "substitution": "rewrite",
-                    "input": str(x0),
-                    "to_message": str(x_prime),
-                    "tag_xor": delta,
-                }
-    return best, info
+    """Best rewrite (x', delta) of input x0: the first x' in message order
+    with the most keys, and within it the delta that the earliest key gives."""
+    table = family.table
+    i0 = family.message_space.index(x0)
+    diffs = table ^ table[i0]
+    counts = _row_counts(diffs)
+    counts[i0, 0] = 0  # the identity rewrite has no advantage
+    hits = int(counts.max())
+    j = int(np.argmax(counts.max(axis=1) == hits))
+    first_key = int(np.argmax(counts[j, diffs[j]] == hits))
+    return hits / table.shape[1], {
+        "substitution": "rewrite",
+        "input": str(x0),
+        "to_message": str(family.message_space[j]),
+        "tag_xor": int(diffs[j, first_key]),
+    }
 
 
 def _explicit_substitution_advantage(family, x0, substitution) -> float:
@@ -297,19 +302,13 @@ def _explicit_substitution_advantage(family, x0, substitution) -> float:
     Sums, over observed tags tau, the distinguishing mass contributed by the
     keys that make Bob accept a forged pair; identical outputs cancel exactly.
     """
-    nk = len(family.keys)
-    nt = len(family.tag_space)
+    nk, nt = len(family.keys), len(family.tag_space)
     total = 0.0
     for tau in family.tag_space:
         x_prime, tag_prime = substitution(x0, tau)
         if x_prime == x0 and tag_prime == tau:
             continue
-        hits = sum(
-            1
-            for k in family.keys
-            if family.evaluate(k, x_prime) ^ family.evaluate(k, x0) == (tag_prime ^ tau)
-        )
-        total += hits / (nk * nt)
+        total += _hits(family, x0, x_prime, tag_prime ^ tau) / (nk * nt)
     return total
 
 
@@ -363,32 +362,31 @@ def key_leak_demo(family: HashFamily, honest: bool = False) -> KeyLeakReport:
     """Recycling leaks: guess a key, tamper consistently, watch accept/reject.
 
     The adversary guesses a key value k0, picks x' != x, and rewrites the wire
-    tag by h_k0(x') xor h_k0(x). Acceptance then depends deterministically on
-    the real key (the pad cancels), so the accept/reject output carries
-    H(accept) bits of mutual information about the recycled key: strictly
-    positive whenever the forgery neither always fails nor always succeeds.
-    With ``honest=True`` the message is forwarded untouched and the leak is 0.
+    tag by h_k0(x') xor h_k0(x). ``leakage_bits`` is the mutual information
+    I(K; verdict) of the joint distribution of the hash key and Bob's verdict
+    over every (key, pad) pair, read off the tag table; ``entropy_bound_bits``
+    is H(verdict), which it reaches when the pad cancels and the verdict is a
+    function of the key. With ``honest=True`` the message is forwarded
+    untouched and the leak is 0.
     """
-    msgs = list(family.message_space)
-    x = msgs[0]
-    if honest:
-        return KeyLeakReport("honest", 1.0, 0.0, 0.0, guessed_key="-", passed=True)
-    x_prime = msgs[1]
-    k0 = family.keys[0]
-    delta = family.evaluate(k0, x_prime) ^ family.evaluate(k0, x)
-    hits = sum(
-        1
-        for k in family.keys
-        if family.evaluate(k, x_prime) ^ family.evaluate(k, x) == delta
-    )
-    p_acc = hits / len(family.keys)
-    # verdict is a deterministic function of the key, so I(K; verdict) = H(verdict)
-    leak = _binary_entropy(p_acc)
+    table = family.table
+    nk, nt = table.shape[1], len(family.tag_space)
+    x_prime, delta = (0, 0) if honest else (1, int(table[1, 0] ^ table[0, 0]))
+    # accepts[k] = pads t for which Bob accepts the wire (x', h_k(x) ^ t ^ delta)
+    pads = np.asarray(family.tag_space)
+    sent = table[0][:, None] ^ pads
+    accepts = np.count_nonzero((sent ^ delta) == (table[x_prime][:, None] ^ pads), axis=1)
+    p_acc = int(accepts.sum()) / (nk * nt)
+    # H(verdict | key), summed over the distinct per-key accept counts
+    values, n_keys = np.unique(accepts, return_counts=True)
+    h_given_key = sum(int(c) / nk * _binary_entropy(int(a) / nt) for a, c in zip(values, n_keys))
+    h_verdict = _binary_entropy(p_acc)
+    leak = h_verdict - h_given_key
     return KeyLeakReport(
-        strategy="guess-and-tamper",
+        strategy="honest" if honest else "guess-and-tamper",
         accept_probability=p_acc,
         leakage_bits=leak,
-        entropy_bound_bits=_binary_entropy(p_acc),
-        guessed_key=k0,
-        passed=leak > 0.0,
+        entropy_bound_bits=h_verdict,
+        guessed_key="-" if honest else family.keys[0],
+        passed=leak == 0.0 if honest else leak > 0.0,
     )

@@ -11,8 +11,8 @@ so the bare operator is X^x Z^z qubit-wise and s_11 equals the product X Z
 is needed, e.g. for stabilizer generators). Bit j of a mask addresses qubit j,
 and qubit 0 is the least significant bit of a basis label.
 
-Masks are plain Python ints, so brute-force loops over all 4^n errors stay
-cheap for the n <= 6 regime this package targets.
+Masks are plain Python ints; the exhaustive sweep ``codes.verify_ptc`` holds
+all 4^n errors as integer labels x << n | z in one numpy array instead.
 """
 
 from __future__ import annotations

@@ -1,10 +1,13 @@
 import itertools
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from qauthlab import classical_wc
 from qauthlab.classical_wc import (
     FamilyVerificationError,
+    HashFamily,
     completeness_exact,
     gf_mul,
     key_leak_demo,
@@ -26,9 +29,11 @@ def test_field_arithmetic():
         assert gf_mul(a, 0, 3) == 0
 
 
-@pytest.mark.parametrize("w,L", [(2, 1), (3, 1), (2, 2)])
+@pytest.mark.parametrize("w,L", [(2, 1), (3, 1), (2, 2), (6, 1), (4, 2), (3, 3), (2, 4)])
 def test_family_parameter_is_L_over_field(w, L):
+    # the last four are the largest configurations under the cost limit
     fam = poly_hash_family(w, L)
+    assert len(fam.message_space) ** 2 * len(fam.keys) <= classical_wc.WC_COST_LIMIT
     assert fam.eps_asu2 == pytest.approx(L / (1 << w))
     assert len(fam.keys) == (1 << w) ** 2
     assert len(fam.tag_space) == 1 << w
@@ -142,3 +147,86 @@ def test_parameter_guards():
         poly_hash_family(9, 1)
     with pytest.raises(ValueError):
         poly_hash_family(2, 5)
+
+
+def _scalar_advantages(fam):
+    """Reference loop over `family.evaluate` only: per input x0, the best
+    rewrite (x', delta), scanning x' in message order and, within one x', the
+    deltas in the order their first key produces them; later ties never win."""
+    nk = len(fam.keys)
+    values = {x: [fam.evaluate(k, x) for k in fam.keys] for x in fam.message_space}
+    out = {}
+    for x0 in fam.message_space:
+        best, info = 0.0, {"substitution": "identity"}
+        for xp in fam.message_space:
+            diffs: dict[int, int] = {}
+            for h0, h in zip(values[x0], values[xp]):
+                diffs[h ^ h0] = diffs.get(h ^ h0, 0) + 1
+            for delta, hits in diffs.items():
+                if (xp, delta) != (x0, 0) and hits / nk > best:
+                    best = hits / nk
+                    info = {"substitution": "rewrite", "input": str(x0),
+                            "to_message": str(xp), "tag_xor": delta}
+        out[x0] = (best, info)
+    return out
+
+
+@pytest.mark.parametrize("w,L", [(2, 1), (3, 1), (2, 2), (3, 2)])
+def test_table_advantage_matches_scalar_loop(w, L):
+    fam = poly_hash_family(w, L)
+    ref = _scalar_advantages(fam)
+    for x0, (best, info) in ref.items():
+        rep = wc_kg_advantage(fam, x_in=x0)
+        assert (rep.advantage, rep.best_substitution) == (best, info)
+    overall = (0.0, {"substitution": "identity"})
+    for best, info in ref.values():
+        if best > overall[0]:
+            overall = (best, info)
+    rep = wc_kg_advantage(fam)
+    assert (rep.advantage, rep.best_substitution) == overall
+
+
+def test_advantage_tie_break_follows_the_first_key():
+    # x' = (1,) gives delta 3 on keys 0, 2 and delta 1 on keys 1, 3: a tie the
+    # earliest key breaks in favour of 3, not of the smaller delta 1
+    rows = [[0, 0, 0, 0], [3, 1, 3, 1]]
+    msgs = ((0,), (1,))
+    fam = HashFamily(
+        keys=(0, 1, 2, 3), message_space=msgs, tag_space=(0, 1, 2, 3),
+        evaluate=lambda k, x: rows[msgs.index(x)][k], eps_asu2=1.0, table=np.array(rows),
+    )
+    rep = wc_kg_advantage(fam, x_in=(0,))
+    assert rep.best_substitution["tag_xor"] == 3
+    assert (rep.advantage, rep.best_substitution) == _scalar_advantages(fam)[(0,)]
+
+
+@pytest.mark.parametrize("w,L", [(2, 1), (3, 1), (2, 2)])
+def test_tag_table_matches_evaluate(w, L):
+    fam = poly_hash_family(w, L)
+    assert fam.table.shape == (len(fam.message_space), len(fam.keys))
+    for i, x in enumerate(fam.message_space):
+        assert list(fam.table[i]) == [fam.evaluate(k, x) for k in fam.keys]
+
+
+@pytest.mark.parametrize("w,L", [(2, 1), (3, 1), (2, 2)])
+def test_key_leak_is_mutual_information(w, L):
+    fam = poly_hash_family(w, L)
+    leak = key_leak_demo(fam)
+    # the pad cancels, so the verdict is a function of the key: I(K; V) = H(V)
+    assert leak.leakage_bits == pytest.approx(leak.entropy_bound_bits, abs=1e-12)
+    assert leak.leakage_bits > 0.0
+    honest = key_leak_demo(fam, honest=True)
+    assert honest.leakage_bits == 0.0
+    assert honest.entropy_bound_bits == 0.0
+    assert honest.passed
+
+
+@pytest.mark.parametrize("w,L", [(7, 1), (8, 1), (5, 2), (4, 3), (3, 4)])
+def test_cost_limit_refuses_before_any_work(w, L, monkeypatch):
+    def no_field_work(*args):
+        raise AssertionError("field arithmetic ran before the cost check")
+
+    monkeypatch.setattr(classical_wc, "gf_mul", no_field_work)
+    cost = (1 << w) ** (2 * L) * (1 << (2 * w))
+    with pytest.raises(ValueError, match=rf"= {cost} exceeds the limit 2\^24 = 16777216"):
+        poly_hash_family(w, L)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -168,3 +169,18 @@ def test_psqa_command(tmp_path, capsys):
 
 def test_bad_usage_exits_two():
     assert main(["no-such-command"]) == 2
+
+
+def test_wc_above_cost_limit_exits_two(capsys):
+    assert main(["wc", "--field-bits", "6", "--msg-len", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "68719476736" in err and "2^24 = 16777216" in err
+
+
+def test_ptc_reproduces_the_committed_fixture(tmp_path, capsys):
+    # locks the worst-error tie-break that search_ptc's repair loop follows
+    fixture = Path(__file__).resolve().parent.parent / "perfbench/fixtures/family-m1-s3.json"
+    out = tmp_path / "fam.json"
+    code, _ = run_cli(capsys, "ptc", "--m", "1", "--s", "3", "--seed", "1", "--out", str(out))
+    assert code == 0
+    assert out.read_bytes() == fixture.read_bytes()

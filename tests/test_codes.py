@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qauthlab.codes import (
     CodeError,
+    _verify_ptc_details,
     EncodingUnitary,
     PtcFamily,
     StabilizerCode,
@@ -222,3 +223,34 @@ def test_family_json_malformed(tmp_path):
     path.write_text(json.dumps({"codes": "nope"}))
     with pytest.raises(CodeError):
         PtcFamily.load(path)
+
+
+def _scalar_ptc_details(codes):
+    """Reference loop: one `detects` call per (error, code), first maximum kept."""
+    worst_count, worst = -1, None
+    for e in enumerate_paulis(codes[0].n, include_identity=False):
+        missed = sum(not detects(c, e) for c in codes)
+        if missed > worst_count:
+            worst_count, worst = missed, e
+    return worst_count / len(codes), worst
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), data=st.data())
+def test_array_sweep_matches_scalar_loop(seed, n, data):
+    s = data.draw(st.integers(1, n))
+    size = data.draw(st.integers(1, 10))
+    rng = np.random.default_rng(seed)
+    codes = [random_stabilizer_code(n, s, rng) for _ in range(size)]
+    eps, worst = _verify_ptc_details(codes)
+    ref_eps, ref_worst = _scalar_ptc_details(codes)
+    assert eps == ref_eps
+    assert worst == ref_worst
+
+
+def test_worst_error_is_first_maximum_and_never_identity():
+    # m = 0: every nontrivial error is flagged or a stabilizer, so every count
+    # is 0 and the first nontrivial label (x=0, z=1) is the worst, not I
+    codes = [StabilizerCode((hermitian_pauli(1, 0, 1),))] * 3
+    assert _verify_ptc_details(codes) == (0.0, PauliString(1, 0, 1))
+    assert _scalar_ptc_details(codes) == (0.0, PauliString(1, 0, 1))
