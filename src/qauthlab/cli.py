@@ -22,6 +22,7 @@ invariant failed (a fault in the program; the message names the check).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -46,6 +47,9 @@ from .ucharness import (
 
 PASS, BOUND_FAIL, CONFIG_FAIL, INVARIANT_FAIL = 0, 1, 2, 3
 
+# uc, psqa and ptp-soundness build dense states and operators on 4^n dims
+STATE_LEVEL_MAX_N = 4
+
 
 def _report(command: str, config: dict, results, started: float) -> dict:
     return {
@@ -66,9 +70,18 @@ def _emit(report: dict, out_path: str | None) -> None:
     print(text)
 
 
-def _load_or_search_family(args) -> PtcFamily:
-    if getattr(args, "family", None):
-        return PtcFamily.load(args.family)
+def _load_or_search_family(args, max_n: int | None = None) -> PtcFamily:
+    """The loaded or searched family; with ``max_n``, a family on more than
+    ``max_n`` qubits is refused before any search starts."""
+    family = PtcFamily.load(args.family) if getattr(args, "family", None) else None
+    n = family.n if family is not None else args.m + args.s
+    if max_n is not None and n > max_n:
+        raise ValueError(
+            f"state-level experiments are limited to n <= {max_n} (dense operators on 4^n dims); "
+            f"this family has n = m + s = {n}"
+        )
+    if family is not None:
+        return family
     target = args.target_eps if args.target_eps is not None else ptc_epsilon_formula(args.m, args.s)
     return search_ptc(args.m, args.s, target, budget=args.budget, seed=args.seed)
 
@@ -144,7 +157,7 @@ def _uc_single(family: PtcFamily, attack: AttackDescriptor, input_spec: str) -> 
 
 def cmd_uc(args) -> int:
     started = time.time()
-    family = _load_or_search_family(args)
+    family = _load_or_search_family(args, STATE_LEVEL_MAX_N)
     if args.attack == "standard":
         suite = standard_suite(family.m, family.s)
     else:
@@ -166,7 +179,7 @@ def cmd_uc(args) -> int:
 
 def cmd_ptp_soundness(args) -> int:
     started = time.time()
-    family = _load_or_search_family(args)
+    family = _load_or_search_family(args, STATE_LEVEL_MAX_N)
     exact = ptp_soundness_exact(family)
     ok = exact <= family.epsilon_verified + 1e-9
     results = {
@@ -194,7 +207,7 @@ def cmd_wc(args) -> int:
 
 def cmd_psqa(args) -> int:
     started = time.time()
-    family = _load_or_search_family(args)
+    family = _load_or_search_family(args, STATE_LEVEL_MAX_N)
     cipher = sample_cipher(family.m, args.cipher_size, args.seed)
     rng = np.random.default_rng(args.seed)
     vec = haar_unitary(1 << family.m, rng)[:, 0]
@@ -270,7 +283,10 @@ def _family_args(sub, need_ms=True):
     sub.add_argument("--seed", type=int, default=0, help="seed (mandatory for randomized steps)")
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (``parse_args`` does not
+    change it)."""
     parser = argparse.ArgumentParser(
         prog="qauthlab",
         description="quantum message authentication with key recycling: "

@@ -29,6 +29,11 @@ class CodeError(ValueError):
     """Raised for malformed generator sets or inconsistent family parameters."""
 
 
+# verify_ptc refuses 4^n * (2n + |codes|) above this before any work: its
+# array sweep holds arrays of that many entries
+PTC_COST_LIMIT = 1 << 24
+
+
 def _gf2_rank(rows: list[int]) -> int:
     rank = 0
     pivots = []
@@ -115,7 +120,8 @@ def verify_ptc(codes: Sequence[StabilizerCode]) -> float:
     of every error under every code comes from a GF(2) matrix product with
     the generators. Returns the maximum, over errors, of the fraction of codes
     that fail to detect. This is the family's security parameter and the only
-    way this package ever assigns one.
+    way this package ever assigns one. Raises ``CodeError`` before any work
+    when 4^n * (2n + |codes|) exceeds PTC_COST_LIMIT.
     """
     eps, _ = _verify_ptc_details(codes)
     return eps
@@ -129,6 +135,12 @@ def _verify_ptc_details(codes: Sequence[StabilizerCode]) -> tuple[float, PauliSt
     for c in codes:
         if (c.n, c.s) != (n, s):
             raise CodeError("family mixes code parameters")
+    cost = 4**n * (2 * n + len(codes))
+    if cost > PTC_COST_LIMIT:
+        raise CodeError(
+            f"verify_ptc cost 4^n * (2n + |codes|) = 4^{n} * ({2 * n} + {len(codes)}) = {cost} "
+            f"exceeds the limit 2^24 = {PTC_COST_LIMIT}"
+        )
     # error (x, z) has label x << n | z; row `label` of `bits` holds its 2n bits
     shifts = np.arange(2 * n)
     bits = ((np.arange(1 << 2 * n)[:, None] >> shifts) & 1).astype(np.float32)

@@ -8,14 +8,18 @@ distances decompose per record.
 
 :func:`key_sweep`, the one simulation engine, runs the seven keyed sweeps
 (``run_qa_kg``, ``run_tqa_kg``, ``ebit_ptc``, ``run_qa_kg_ideal``,
-``run_psqa_kg``, ``run_psrqa_kg``, ``psqa_ideal``). It loops over the codes in
-Python and holds every other key, the received syndrome and measurement
-outcomes as leading axes of one amplitude array, with per-key operators as
-stacked matrices; attacks arrive dilated, so the amplitudes stay pure until
-it finalizes with one contraction per code and record, applying output
-filters such as "drop this register" or "replace this register by the
-maximally mixed state". ``protocols.ebit_ptp`` builds its final state with a
-direct loop instead, to keep its arithmetic bit for bit (see ``protocols``).
+``run_psqa_kg``, ``run_psrqa_kg``, ``psqa_ideal``). Every key, the code index
+among them, the received syndrome and measurement outcomes are leading axes
+of one amplitude array, with per-key operators as stacked matrices applied
+by batched products; attacks arrive dilated, so the amplitudes stay pure
+until it finalizes with one contraction per chunk of codes and record. The
+codes run in chunks whose largest array holds at most CHUNK_ELEMENTS
+entries, so memory is bounded per chunk, not per sweep. Output filters such
+as "drop this register" apply per contraction; "replace this register by the
+maximally mixed state" applies once per record, after the last chunk.
+``protocols.ebit_ptp`` builds its accept blocks with a direct loop instead,
+to keep their arithmetic bit for bit, and finalizes its reject branches
+through the same contraction (see ``protocols``).
 
 Distance between two final states is sum_c || p_c rho_c - q_c sigma_c ||_1
 over the union of classical records, which equals the full 1-norm of the
@@ -48,6 +52,12 @@ ACC, REJ, ERR = "ACC", "REJ", "ERR"
 # Branches below this probability are dropped. Tiny enough that even thousands
 # of pruned branches stay far under the 1e-9 pipeline tolerance.
 PRUNE_BELOW = 1e-15
+
+# Largest amplitude array, in complex entries, that one chunk of codes in
+# ``key_sweep`` holds. With every code in one chunk, the m=1, s=3 `uc` and
+# `psqa` benchmark runs peaked at 62 and 80 MB instead of 45 MB; at 2^16 they
+# peak at 49 MB, at 2^17 at 54 MB, and at 2^15 at 46 MB with `psqa` 12% slower.
+CHUNK_ELEMENTS = 1 << 16
 
 
 def record_get(record: Record, fieldname: str):
@@ -186,15 +196,17 @@ def key_sweep(
     """Send ``carrier`` of ``base`` through a keyed code under attack, for
     every key at once, and finalize.
 
-    The codes (``encoders``, each read as (syndrome, logical) -> T) are looped
-    over; every other key is a leading classical axis of one amplitude array:
+    Every key is a leading classical axis of one amplitude array, the code
+    index ``t`` among them:
 
     - ``pad`` = (label, values, mats): mats[v] acts on the carrier, on a new
       axis ``label``;
-    - the encoder maps (y, carrier) onto T, with the syndrome key ``y`` as an
-      axis; ``attack`` = (isometry, names, out registers) acts;
-    - the decoder splits T into the received syndrome ``ysyn`` (an axis) and
-      the register ``receiver``;
+    - the stacked encoders (``encoders[t]``, each read as (syndrome, logical)
+      -> T) map the carrier onto T in one contraction, with the code ``t``
+      and the syndrome key ``y`` as axes; ``attack`` = (isometry, names, out
+      registers) acts once, shared by every code;
+    - the decoder of code t splits T into the received syndrome ``ysyn`` (an
+      axis) and the register ``receiver``;
     - ``instrument`` = (names, label, values, ops, out registers), with ops
       stacked (outcomes, out dim, in dim), adds the outcome axis ``label``;
     - ``correct`` = (label, mats): mats[v] acts on the receiver where the
@@ -203,8 +215,10 @@ def key_sweep(
     Every key has equal weight. Slices of probability at most PRUNE_BELOW are
     dropped. ``plan`` maps the fields named in ``exposed`` (from t, y, ysyn,
     verdict and the labels) to (output record, registers to drop, registers
-    to replace by I/d); each code adds one contraction per output record. The array of one code is at
-    most (keys x syndromes x outcomes x registers), which bounds memory.
+    to replace by I/d). The codes run in chunks: each chunk's largest
+    amplitude array holds at most CHUNK_ELEMENTS entries (or one code's, if
+    that is more), which bounds memory, and adds one contraction per output
+    record. Each record is replaced by I/d once, after the last chunk.
     """
     iso, att_names, att_out = attack
     d_in = dict(base.registers)[carrier]
@@ -217,21 +231,37 @@ def key_sweep(
         start = np.broadcast_to(start, (len(mats),) + start.shape)
         start = _keyed(start, 0, 1 + reg_positions(base.registers, (carrier,))[0], mats)
         start_names = [label]
+    # one code's amplitudes after the attack (and after the instrument, which
+    # may widen them): the chunk size follows from it
+    dims = {**dict(base.registers), "T": dt}
+    attacked_in = int(np.prod([dims[name] for name in att_names]))
+    per_code = start.size // d_in * dt * dy * total_dim(att_out) // attacked_in
     if instrument is not None:
         in_names, out_label, values[out_label], ops, out_regs = instrument
         measured = ops.reshape(len(ops) * total_dim(out_regs), -1)
         out_regs = ((out_label, len(ops)),) + tuple(out_regs)
+        per_code = max(per_code, per_code * measured.shape[0] // measured.shape[1])
+    stacked = np.stack(encoders)
+    decoders = stacked.conj().transpose(0, 2, 1)
+    step = max(1, CHUNK_ELEMENTS // per_code)
     blocks: dict[Record, tuple[Registers, np.ndarray]] = {}
+    mixes: dict[Record, tuple[str, ...]] = {}
     weight = 1.0 / (len(encoders) * dy * (len(pad[2]) if pad is not None else 1))
-    for t, enc in enumerate(encoders):
-        encode = enc.reshape(dt, dy, d_in).reshape(dt * dy, d_in)
+    for t0 in range(0, len(encoders), step):
+        chunk = stacked[t0 : t0 + step]
+        encode = chunk.reshape(len(chunk) * dt * dy, d_in)
         amps, regs, names = _contract(
-            start, base.registers, start_names, encode, (carrier,), (("T", dt), ("y", dy)), ("y",)
+            start, base.registers, start_names, encode, (carrier,),
+            (("t", len(chunk)), ("T", dt), ("y", dy)), ("t", "y"),
         )
         amps, regs, names = _contract(amps, regs, names, iso, att_names, att_out)
-        amps, regs, names = _contract(
-            amps, regs, names, enc.conj().T, ("T",), (("ysyn", dy), (receiver, d_in)), ("ysyn",)
-        )
+        # the decoder of code t, then T read as (ysyn, receiver)
+        (pos,) = reg_positions(regs, ("T",))
+        at = len(names) + pos
+        amps = _keyed(amps, names.index("t"), at, decoders[t0 : t0 + step])
+        amps = amps.reshape(amps.shape[:at] + (dy, d_in) + amps.shape[at + 1 :])
+        amps = np.moveaxis(amps, at, len(names))
+        regs, names = regs[:pos] + ((receiver, d_in),) + regs[pos + 1 :], names + ["ysyn"]
         if instrument is not None:
             amps, regs, names = _contract(
                 amps, regs, names, measured, in_names, out_regs, (out_label,)
@@ -243,8 +273,8 @@ def key_sweep(
             at = names.index("y")  # ysyn follows y
             accept = np.eye(dy, dtype=bool).reshape((1,) * at + (dy, dy) + (1,) * (amps.ndim - at - 2))
             amps = np.where(accept, fixed, amps)
-        _accumulate(blocks, amps, names, t, values, regs, plan, exposed, weight)
-    final = FinalState(blocks)
+        _accumulate(blocks, mixes, amps, names, t0, values, regs, plan, exposed, weight)
+    final = mix_records(blocks, mixes)
     total = final.total_weight()
     if abs(total - 1.0) > 1e-10:
         raise InvariantError(f"key sweep: final state total weight {total!r}, expected 1 within 1e-10")
@@ -252,9 +282,11 @@ def key_sweep(
 
 
 def _keyed(amps: np.ndarray, axis: int, target: int, mats: np.ndarray) -> np.ndarray:
-    """Apply mats[v] to axis ``target`` of the slices whose axis ``axis`` is v."""
+    """Apply mats[v] to axis ``target`` of the slices whose axis ``axis`` is v
+    (one batched product over v)."""
     moved = np.moveaxis(amps, (axis, target), (0, -1))
-    out = np.einsum("v...j,vij->v...i", moved, mats)
+    rows = moved.reshape(len(mats), -1, moved.shape[-1])
+    out = np.matmul(rows, mats.transpose(0, 2, 1)).reshape(moved.shape[:-1] + (mats.shape[1],))
     return np.moveaxis(out, (0, -1), (axis, target))
 
 
@@ -279,16 +311,18 @@ def _contract(amps, regs: Registers, names: list, matrix, in_names, out_regs, cl
     return amps, regs, names
 
 
-def _accumulate(blocks, amps, names, t, values, regs, plan, exposed, weight) -> None:
-    """Add code t's weighted density matrix to ``blocks`` for each output
+def _accumulate(blocks, mixes, amps, names, t0, values, regs, plan, exposed, weight) -> None:
+    """Add the weighted density matrices of a chunk of codes (axis ``t`` of
+    ``amps``, the first being code ``t0``) to ``blocks`` for each output
     record, each one contraction over the slices (classical index tuples)
-    that map to the record."""
+    that map to the record. The registers each record replaces by I/d go to
+    ``mixes``; ``mix_records`` applies them once all chunks are in."""
     shape, dims = amps.shape[: len(names)], reg_dims(regs)
     slices = amps.reshape((-1,) + dims)
     vecs = slices.reshape(len(slices), -1)
     alive = np.flatnonzero(np.einsum("ij,ij->i", vecs, vecs.conj()).real > PRUNE_BELOW)
     index = dict(zip(names, np.unravel_index(alive, shape)))
-    index["t"] = np.full_like(alive, t)
+    index["t"] = index["t"] + t0
     index["verdict"] = (index["y"] == index["ysyn"]).astype(np.intp)
     values = {**values, "verdict": (REJ, ACC)}
     exposed = ("verdict",) + tuple(exposed)
@@ -297,14 +331,14 @@ def _accumulate(blocks, amps, names, t, values, regs, plan, exposed, weight) -> 
         np.ravel_multi_index(tuple(index[f] for f in exposed), sizes), return_inverse=True
     )
     members = np.split(alive[np.argsort(inverse, kind="stable")], np.cumsum(np.bincount(inverse))[:-1])
-    groups: dict[Record, tuple[tuple, tuple, list]] = {}
+    groups: dict[Record, tuple[tuple, list]] = {}
     for code, rows in zip(zip(*np.unravel_index(codes, sizes)), members):
         record, drop, mix = plan({f: values[f][int(i)] for f, i in zip(exposed, code)})
-        entry = groups.setdefault(record, (tuple(drop), tuple(mix), []))
-        if entry[:2] != (tuple(drop), tuple(mix)):
+        entry = groups.setdefault(record, (tuple(drop), []))
+        if entry[0] != tuple(drop) or mixes.setdefault(record, tuple(mix)) != tuple(mix):
             raise RegisterError(f"record {record} accumulated under different register sets")
-        entry[2].append(rows)
-    for record, (drop, mix, rows) in groups.items():
+        entry[1].append(rows)
+    for record, (drop, rows) in groups.items():
         keep = sorted((i for i, (n, _) in enumerate(regs) if n not in drop), key=lambda i: regs[i][0])
         rest = [i for i in range(len(regs)) if i not in keep]
         idx = np.concatenate(rows)
@@ -313,10 +347,19 @@ def _accumulate(blocks, amps, names, t, values, regs, plan, exposed, weight) -> 
         x = part.reshape(len(idx), d_keep, -1).transpose(1, 0, 2).reshape(d_keep, -1)
         kept = tuple(regs[i] for i in keep)
         rho = weight * (x @ x.conj().T)
-        for name in mix:
-            rho = _replace_with_mixed(rho, kept, name)
         if record in blocks:
             if blocks[record][0] != kept:
                 raise RegisterError(f"record {record} accumulated under different register sets")
             rho = blocks[record][1] + rho
         blocks[record] = (kept, rho)
+
+
+def mix_records(blocks: dict, mixes: dict) -> FinalState:
+    """The final state of summed ``blocks``, each record's ``mixes``
+    registers replaced by I/d (mixing is linear, so once per record)."""
+    for record, mix in mixes.items():
+        kept, rho = blocks[record]
+        for name in mix:
+            rho = _replace_with_mixed(rho, kept, name)
+        blocks[record] = (kept, rho)
+    return FinalState(blocks)

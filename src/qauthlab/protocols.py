@@ -1,8 +1,8 @@
 """Executable circuits for the authentication / key-recycling protocol family.
 
 Implemented protocols (the keyed sweeps over ``hybrid.key_sweep``; the Pauli
-pad, ``teleport`` and ``ebit_ptp`` as direct loops over one contraction
-helper, ``_apply``):
+pad, ``teleport`` and the accept path of ``ebit_ptp`` as direct loops over
+one contraction helper, ``_apply``):
 
 - ``qenc_encrypt`` / ``qenc_decrypt``: the Pauli one-time pad on m qubits.
 - ``teleport``: qubit-wise teleportation with the Bell basis {(I (x) s_xz)|Phi>}.
@@ -20,12 +20,14 @@ helper, ``_apply``):
 
 ``ebit_ptp`` does not go through ``key_sweep`` on purpose. Its accept blocks
 feed ``fidelity_acc``, which is ill-conditioned on these rank-deficient
-states (a 1e-17 perturbation of the state moves it by up to 2.7e-8), so it
-repeats one fixed order of arithmetic: per code and per syndrome pair, the
-same ``tensordot`` contractions, measurements and outer products, summed in
-branch order. Stacking it into ``key_sweep`` reorders that arithmetic and
-moves ``fidelity_acc`` by up to 2.75e-8, far beyond the 1e-12 the reports
-are held to.
+states (a 1e-17 perturbation of the state moves it by up to 2.7e-8), so its
+accept path repeats one fixed order of arithmetic: per code and per syndrome,
+the same ``tensordot`` contractions, measurement and outer product, summed in
+branch order. Stacking that path into ``key_sweep`` reorders the arithmetic
+and moves ``fidelity_acc`` by up to 2.75e-8, far beyond the 1e-12 the reports
+are held to. Only the accept path is fixed: the reject branches (received
+syndrome != sent syndrome) are collected unnormalized and finalized per
+record by one product over each chunk of codes, as ``key_sweep`` does.
 
 Conventions: keys x, z are m-bit masks; the encryption operator is the
 qubit-wise X^x Z^z. Code index t and syndrome y are marginalized out of final
@@ -41,7 +43,17 @@ import numpy as np
 
 from .adversary import AttackDescriptor, build_attack
 from .codes import EncodingUnitary, PtcFamily, encoding_unitary
-from .hybrid import ACC, ERR, PRUNE_BELOW, REJ, FinalState, _replace_with_mixed, key_sweep
+from .hybrid import (
+    ACC,
+    CHUNK_ELEMENTS,
+    ERR,
+    PRUNE_BELOW,
+    REJ,
+    FinalState,
+    _accumulate,
+    key_sweep,
+    mix_records,
+)
 from .pauli import PauliString, pauli_matrix
 from .qmath import (
     DensityMatrix,
@@ -358,7 +370,8 @@ def ebit_ptp(
     conjugated code basis (for real encoders this is the same code) and the
     receiver in the plain one; they accept iff the syndromes agree, then
     decode. Produces the same final state as ``ebit_ptc`` branch for branch.
-    The order of its arithmetic is fixed on purpose (see the module notes).
+    The order of the accept path's arithmetic is fixed on purpose (see the
+    module notes); the reject branches are batched per chunk of codes.
     """
     m, s, n = family.m, family.s, family.n
     dm, dt, dy = 1 << m, 1 << n, 1 << s
@@ -366,42 +379,50 @@ def ebit_ptp(
     base = StateVector(max_entangled_vector(dt), (("A0", dt), ("T", dt)))
     base = _maybe_reference(base, attack, m)
     attacked, att_regs = _apply(base.amplitudes, base.registers, *_attack_pieces(family, attack))
-    plan = _ebit_output_plan(detail)
+    plan, exposed = _ebit_output_plan(detail), _detail_fields(detail)
+    values = {"t": range(len(encs)), "y": range(dy), "ysyn": range(dy)}
     blocks: dict = {}
     mixes: dict = {}
-    for t, enc in enumerate(encs):
-        # sender: decode in the conjugate basis, measure her syndrome value
-        vec, regs = _apply(attacked, att_regs, enc.matrix.T, ("A0",))
-        for y, p_y, vec_y, regs_y in _measure(vec, regs, "A0", (("Ya", dy), ("A", dm)), 1.0):
-            # receiver: decode, measure his syndrome value
-            vec_y, regs_y = _apply(vec_y, regs_y, enc.decoder, ("T",))
-            for ysyn, p, flat, out_regs in _measure(vec_y, regs_y, "T", (("Ysyn", dy), ("B", dm)), p_y):
-                verdict = ACC if ysyn == y else REJ
-                record, drop, mix = plan({"t": t, "y": y, "ysyn": ysyn, "verdict": verdict})
+    step = max(1, CHUNK_ELEMENTS // attacked.size)
+    for t0 in range(0, len(encs), step):
+        chunk = encs[t0 : t0 + step]
+        # the reject branches (t, y, ysyn != y, rest) of the chunk, unnormalized
+        rejected = np.zeros((len(chunk), dy, dy, attacked.size // (dy * dy)), dtype=complex)
+        for t, enc in enumerate(chunk, t0):
+            # sender: decode in the conjugate basis, measure her syndrome value
+            vec, regs = _apply(attacked, att_regs, enc.matrix.T, ("A0",))
+            for y, p_y, vec_y, regs_y in _measure(vec, regs, "A0", (("Ya", dy), ("A", dm)), 1.0):
+                # receiver: decode, measure his syndrome value
+                vec_y, regs_y = _apply(vec_y, regs_y, enc.decoder, ("T",))
+                tens, probs, out_regs = _split(vec_y, regs_y, "T", (("Ysyn", dy), ("B", dm)))
+                rejected[t - t0, y] = np.sqrt(p_y) * tens
+                rejected[t - t0, y, y] = 0.0
+                p = p_y * float(probs[y])
+                if p <= PRUNE_BELOW:
+                    continue
+                # the accept branch, added in branch order
+                record, drop, mix = plan({"t": t, "y": y, "ysyn": y, "verdict": ACC})
                 mixes[record] = mix
                 names = reg_names(out_regs)
                 keep = sorted((i for i, nm in enumerate(names) if nm not in drop), key=names.__getitem__)
                 rest = [i for i in range(len(names)) if i not in keep]
-                part = flat.reshape(reg_dims(out_regs)).transpose(keep + rest)
+                part = (tens[y] / np.sqrt(probs[y])).reshape(reg_dims(out_regs)).transpose(keep + rest)
                 part = part.reshape(int(np.prod([out_regs[i][1] for i in keep])), -1)
                 rho = p / len(encs) * (part @ part.conj().T)
                 if record in blocks:
                     rho = blocks[record][1] + rho
                 blocks[record] = (tuple(out_regs[i] for i in keep), rho)
-    # mixing is linear, so each record is mixed once, after summing
-    for record, mix in mixes.items():
-        kept, rho = blocks[record]
-        for name in mix:
-            rho = _replace_with_mixed(rho, kept, name)
-        blocks[record] = (kept, rho)
-    return FinalState(blocks)
+        amps = rejected.reshape(rejected.shape[:3] + reg_dims(out_regs))
+        _accumulate(
+            blocks, mixes, amps, ["t", "y", "ysyn"], t0, values, out_regs, plan, exposed, 1.0 / len(encs)
+        )
+    return mix_records(blocks, mixes)
 
 
-def _measure(vec: np.ndarray, regs: Registers, name: str, split: Registers, prob: float):
-    """Split register ``name`` into ``split`` and measure its first factor in
-    the computational basis. Yields (value, branch probability, normalized
-    rest vector, rest layout) for each outcome whose probability exceeds
-    PRUNE_BELOW; ``prob`` is the probability of the branch measured."""
+def _split(vec: np.ndarray, regs: Registers, name: str, split: Registers):
+    """Split register ``name`` into ``split`` and take its first factor out
+    as the leading axis. Returns (amplitudes by value of that factor, the
+    probability of each value, rest layout)."""
     (pos,) = reg_positions(regs, (name,))
     if total_dim(split) != regs[pos][1]:
         raise RegisterError(f"split {split} does not factor register {regs[pos]}")
@@ -409,8 +430,16 @@ def _measure(vec: np.ndarray, regs: Registers, name: str, split: Registers, prob
     dims = reg_dims(regs)
     tens = np.moveaxis(vec.reshape(dims), pos, 0).reshape(dims[pos], -1)
     probs = np.einsum("ij,ij->i", tens, tens.conj()).real
-    rest = regs[:pos] + regs[pos + 1 :]
-    for value in range(dims[pos]):
+    return tens, probs, regs[:pos] + regs[pos + 1 :]
+
+
+def _measure(vec: np.ndarray, regs: Registers, name: str, split: Registers, prob: float):
+    """Split register ``name`` into ``split`` and measure its first factor in
+    the computational basis. Yields (value, branch probability, normalized
+    rest vector, rest layout) for each outcome whose probability exceeds
+    PRUNE_BELOW; ``prob`` is the probability of the branch measured."""
+    tens, probs, rest = _split(vec, regs, name, split)
+    for value in range(len(probs)):
         p = prob * float(probs[value])
         if p > PRUNE_BELOW:
             yield value, p, tens[value] / np.sqrt(probs[value]), rest

@@ -184,3 +184,42 @@ def test_ptc_reproduces_the_committed_fixture(tmp_path, capsys):
     code, _ = run_cli(capsys, "ptc", "--m", "1", "--s", "3", "--seed", "1", "--out", str(out))
     assert code == 0
     assert out.read_bytes() == fixture.read_bytes()
+
+
+def test_ptc_family_above_cost_limit_exits_two(tmp_path, capsys):
+    # an n = 10 family: verify_ptc would hold 4^10 * (20 + 1) entries
+    fam_path = tmp_path / "fam10.json"
+    fam_path.write_text(json.dumps({"codes": [["xz:0000000000|1000000000"]], "epsilon_verified": 0.0}))
+    assert main(["ptc", "--family", str(fam_path)]) == 2
+    err = capsys.readouterr().err
+    assert "4^10 * (20 + 1) = 22020096" in err and "2^24 = 16777216" in err
+
+
+@pytest.mark.parametrize("command", ["uc", "psqa", "ptp-soundness"])
+def test_state_level_runs_above_n4_exit_two_before_any_work(tmp_path, capsys, monkeypatch, command):
+    from qauthlab import cli
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the family search started")
+
+    monkeypatch.setattr(cli, "search_ptc", no_search)
+    assert main([command, "--m", "1", "--s", "4"]) == 2
+    assert "limited to n <= 4" in capsys.readouterr().err
+    # a loaded n = 5 family is refused the same way
+    fam_path = tmp_path / "fam5.json"
+    fam_path.write_text(json.dumps({"codes": [["xz:00000|10000"]], "epsilon_verified": 0.0}))
+    assert main([command, "--family", str(fam_path)]) == 2
+    assert "this family has n = m + s = 5" in capsys.readouterr().err
+
+
+def test_parser_is_built_once_and_carries_nothing_over(capsys):
+    from qauthlab import cli
+
+    assert cli.build_parser() is cli.build_parser()
+    run_cli(capsys, "wc", "--field-bits", "3", "--msg-len", "1", "--leak-demo")
+    code, rep = run_cli(capsys, "lemmas", "--trials", "5", "--seed", "2")
+    assert code == 0
+    assert rep["config"] == {"command": "lemmas", "trials": 5, "seed": 2}
+    code, rep = run_cli(capsys, "wc", "--field-bits", "2")
+    assert code == 0
+    assert rep["config"] == {"command": "wc", "field_bits": 2, "msg_len": 1, "leak_demo": False}

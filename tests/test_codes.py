@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qauthlab import codes as codes_module
 from qauthlab.codes import (
+    PTC_COST_LIMIT,
     CodeError,
     _verify_ptc_details,
     EncodingUnitary,
@@ -254,3 +256,23 @@ def test_worst_error_is_first_maximum_and_never_identity():
     codes = [StabilizerCode((hermitian_pauli(1, 0, 1),))] * 3
     assert _verify_ptc_details(codes) == (0.0, PauliString(1, 0, 1))
     assert _scalar_ptc_details(codes) == (0.0, PauliString(1, 0, 1))
+
+
+def test_verify_ptc_cost_limit_refuses_before_any_work(monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep started")
+
+    # n = 10: 4^10 * (20 + 1) = 22020096 entries; n = 7 with 1011 codes: just over
+    wide = StabilizerCode((hermitian_pauli(10, 0, 1),))
+    narrow = StabilizerCode((hermitian_pauli(7, 0, 1),))
+    with monkeypatch.context() as patch:
+        patch.setattr(codes_module.np, "arange", no_sweep)
+        for family, cost in (([wide], 22020096), ([narrow] * 1011, 16793600)):
+            with pytest.raises(CodeError, match=f"= {cost} exceeds the limit 2\\^24 = 16777216"):
+                verify_ptc(family)
+    assert 4**7 * (14 + 1010) == PTC_COST_LIMIT
+    # admitted: the benchmark's n = 6, 64-code families (about 2^18) and the
+    # largest family a ptc search at n <= 6 builds (64 codes plus 48 repairs)
+    assert 4**6 * (12 + 64 + 48) <= PTC_COST_LIMIT
+    rng = np.random.default_rng(7)
+    assert 0.0 <= verify_ptc([random_stabilizer_code(6, 5, rng) for _ in range(64)]) <= 1.0

@@ -1,0 +1,89 @@
+"""The chunking of the code axis changes no result.
+
+``key_sweep`` (and ``ebit_ptp``'s reject branches) run the codes in chunks
+sized by ``hybrid.CHUNK_ELEMENTS``. Here the budget is patched three ways on
+the 8-code ``family_s2``: one code per chunk, chunks of three (boundaries
+inside the family and a shorter last chunk), and every code in one chunk.
+Each run must give the same records on the same registers as the one-chunk
+run, with weights and the distance between them within 1e-12.
+"""
+
+import numpy as np
+import pytest
+
+from qauthlab import hybrid, protocols
+from qauthlab.adversary import purified_input, standard_suite
+from qauthlab.approx_psqa import psqa_ideal, run_psqa_kg, run_psrqa_kg, sample_cipher
+from qauthlab.protocols import ebit_ptc, ebit_ptp, run_qa_kg, run_tqa_kg
+from qauthlab.ucharness import run_qa_kg_ideal
+
+TOL = 1e-12
+ATTACKS = ("identity", "depol-0.5", "swap-held", "cnot-R-T0")
+PSI = purified_input("random-5", 1)
+CIPHER = sample_cipher(1, 4, seed=2)
+VEC = np.array([0.6, 0.8j], dtype=complex)
+SWEEPS = {
+    "run_qa_kg": lambda f, a: run_qa_kg(PSI, f, a),
+    "run_qa_kg/no-back/detail": lambda f, a: run_qa_kg(PSI, f, a, back_communication=False, detail=True),
+    "run_tqa_kg/detail": lambda f, a: run_tqa_kg(PSI, f, a, detail=True),
+    "run_tqa_kg/no-back": lambda f, a: run_tqa_kg(PSI, f, a, back_communication=False),
+    "ebit_ptc": lambda f, a: ebit_ptc(f, a),
+    "ebit_ptc/detail": lambda f, a: ebit_ptc(f, a, detail=True),
+    "run_qa_kg_ideal": lambda f, a: run_qa_kg_ideal(PSI, f, a),
+    "run_psqa_kg": lambda f, a: run_psqa_kg(VEC, CIPHER, f, a),
+    "run_psqa_kg/detail": lambda f, a: run_psqa_kg(VEC, CIPHER, f, a, detail=True),
+    "run_psrqa_kg/detail": lambda f, a: run_psrqa_kg(VEC, CIPHER, f, a, detail=True),
+    "psqa_ideal": lambda f, a: psqa_ideal(VEC, CIPHER, f, a),
+    "ebit_ptp": lambda f, a: ebit_ptp(f, a),
+    "ebit_ptp/detail": lambda f, a: ebit_ptp(f, a, detail=True),
+}
+
+
+def _chunked(monkeypatch, budget, run):
+    """Run with the chunk budget patched; return the final state, the chunk
+    lengths in order, and the amplitude entries per code."""
+    accumulate = hybrid._accumulate
+    seen = []
+
+    def spy(blocks, mixes, amps, names, t0, *rest):
+        k = amps.shape[names.index("t")]
+        seen.append((t0, k, amps.size // k))
+        return accumulate(blocks, mixes, amps, names, t0, *rest)
+
+    with monkeypatch.context() as patch:
+        for module in (hybrid, protocols):
+            patch.setattr(module, "CHUNK_ELEMENTS", budget)
+            patch.setattr(module, "_accumulate", spy)
+        final = run()
+    starts = [t0 for t0, _, _ in seen]
+    assert starts == sorted(starts) and starts[0] == 0
+    return final, [k for _, k, _ in seen], seen[0][2]
+
+
+def _assert_same(final, want, label):
+    assert sorted(final.blocks, key=repr) == sorted(want.blocks, key=repr), label
+    for record, block in want.blocks.items():
+        assert final.blocks[record].registers == block.registers, (label, record)
+        assert final.weight(record) == pytest.approx(block.weight, rel=0, abs=TOL), (label, record)
+    assert final.distance(want) <= TOL, label
+
+
+@pytest.mark.parametrize("sweep", sorted(SWEEPS))
+def test_chunking_changes_no_record(monkeypatch, family_s2, sweep):
+    assert len(family_s2.codes) == 8
+    suite = {a.name(): a for a in standard_suite(1, 2)}
+    for name in ATTACKS:
+        attack = suite[name]
+        if "psqa" in sweep or "psrqa" in sweep:
+            if attack.acts_on != ("T",):
+                continue
+        run = lambda: SWEEPS[sweep](family_s2, attack)  # noqa: E731
+        whole, sizes, per_code = _chunked(monkeypatch, 1 << 40, run)
+        assert sizes == [8], (sweep, name)
+        own, sizes, _ = _chunked(monkeypatch, 1, run)
+        assert sizes == [1] * 8, (sweep, name)
+        _assert_same(own, whole, f"{sweep} {name} one code per chunk")
+        threes, sizes, _ = _chunked(monkeypatch, 3 * per_code, run)
+        assert sizes == [3, 3, 2], (sweep, name)
+        _assert_same(threes, whole, f"{sweep} {name} chunks of three")
+        _assert_same(run(), whole, f"{sweep} {name} default budget")
