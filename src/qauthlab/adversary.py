@@ -246,6 +246,8 @@ def purified_input(spec: str, m: int, seed: int = 0) -> StateVector:
     regs = (("R", d), ("M", d))
     if spec.startswith("basis-"):
         k = int(spec.split("-", 1)[1])
+        if not 0 <= k < d:
+            raise ValueError(f"input spec {spec!r} needs 0 <= k < 2^m = {d}")
         vec = np.zeros(d * d, dtype=complex)
         vec[k] = 1.0  # R index 0, M index k
         return StateVector(vec, regs)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .adversary import AttackDescriptor
 from .codes import PtcFamily
-from .hybrid import ACC, ERR, REJ, FinalState, key_sweep, record_get
+from .hybrid import ACC, ERR, FinalState, key_sweep, record_get
 from .pauli import PauliString, pauli_matrix
 from .protocols import _detail_fields, _sweep_pieces
 from .qmath import (
@@ -34,9 +34,8 @@ from .qmath import (
     max_entangled_vector,
     operator_norm,
     psd_sqrt,
-    tensor,
 )
-from .ucharness import ebit_advantage_bound, fresh_keys, make_report, AdvantageReport
+from .ucharness import AdvantageReport, ebit_advantage_bound, ideal_sweep, make_report
 
 
 @dataclass(frozen=True)
@@ -86,13 +85,10 @@ def measure_delta(
     """Measured flattening parameter of a cipher over the standard test set."""
     d = 1 << m
     rng = np.random.default_rng(seed ^ 0x5EED)
-    worst = 0.0
-    eye = np.eye(d) / d
-    for vec in _test_states(m, rng, samples):
-        rho = np.outer(vec, vec.conj())
-        avg = sum(u @ rho @ u.conj().T for u in unitaries) / len(unitaries)
-        worst = max(worst, d * operator_norm(avg - eye))
-    return float(worst)
+    # U_k |psi> for every test state psi and key k, then every average at once
+    images = np.einsum("kab,sb->ska", np.stack(unitaries), np.stack(_test_states(m, rng, samples)))
+    avg = np.einsum("ska,skb->sab", images, images.conj()) / len(unitaries)
+    return float(d * np.linalg.norm(avg - np.eye(d) / d, 2, axis=(1, 2)).max())
 
 
 def pauli_cipher(m: int) -> ApproxCipher:
@@ -254,18 +250,9 @@ def psqa_ideal(
 ) -> FinalState:
     """Simulator + ideal channel + ideal key box for the pure-state protocol:
     the exact message sits in M throughout and is delivered on accept."""
-    dm = 1 << family.m
     vec = np.asarray(message_vec, dtype=complex).reshape(-1)
-    dummy = StateVector(max_entangled_vector(dm), (("Ad", dm), ("B0", dm)))
-
-    def plan(fields: dict):
-        if fields["verdict"] == ACC:
-            return (("verdict", ACC),), ("Ad", "B"), ()
-        return (("verdict", REJ), ("key", ERR)), ("Ad", "B", "M"), ()
-
-    base = tensor(StateVector(vec, (("M", dm),)), dummy)
-    final = key_sweep(*_sweep_pieces(family, attack), base, "B0", plan, ())
-    return fresh_keys(final, range(cipher.key_count), lambda k: (("verdict", ACC), ("key", k)))
+    message = StateVector(vec, (("M", 1 << family.m),))
+    return ideal_sweep(message, family, attack, range(cipher.key_count), lambda k: (("key", k),))
 
 
 def psqa_advantage(

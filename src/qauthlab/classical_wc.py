@@ -218,52 +218,20 @@ class WcAdvantageReport:
         }
 
 
-def substitution_advantage(
-    family: HashFamily, x_in, candidate: tuple
-) -> float:
-    """Distinguishing probability when every observed tag is rewritten to the
-    fixed candidate (x', delta) with tag' = tag xor delta.
-
-    Acceptance in the real protocol depends only on
-    h_k(x') xor h_k(x_in) == delta (the pad cancels), so the advantage is the
-    fraction of keys satisfying that relation, unless the substitution is the
-    identity (x' == x_in, delta == 0), which both sides accept identically.
-    """
-    x_prime, delta = candidate
-    if x_prime == x_in and delta == 0:
-        return 0.0
-    return _hits(family, x_in, x_prime, delta) / len(family.keys)
-
-
-def _hits(family: HashFamily, x0, x_prime, delta: int) -> int:
-    """Number of keys with h_k(x') xor h_k(x0) == delta."""
-    row = family.message_space.index
-    return int(np.count_nonzero(family.table[row(x_prime)] ^ family.table[row(x0)] == delta))
-
-
-def wc_kg_advantage(
-    family: HashFamily,
-    x_in=None,
-    substitution: Callable[[object, int], tuple] | None = None,
-) -> WcAdvantageReport:
+def wc_kg_advantage(family: HashFamily, x_in=None) -> WcAdvantageReport:
     """Exact real-vs-ideal advantage, maximized over deterministic substitutions.
 
     The environment sees the wire pair, Bob's output, and the recycled hash
     key. Because the observed tag is uniform and part of the record, the
     advantage decomposes per observed tag, and each tag's best rewrite is a
     finite maximization; the result is therefore the exact maximum over the
-    full (astronomically large) deterministic strategy space. Passing an
-    explicit ``substitution`` map evaluates that one strategy instead.
+    full (astronomically large) deterministic strategy space.
     """
     inputs = [x_in] if x_in is not None else list(family.message_space)
     best = 0.0
     best_info: dict = {"substitution": "identity"}
     for x0 in inputs:
-        if substitution is not None:
-            val = _explicit_substitution_advantage(family, x0, substitution)
-            info = {"substitution": "explicit", "input": str(x0)}
-        else:
-            val, info = _max_substitution_advantage(family, x0)
+        val, info = _max_substitution_advantage(family, x0)
         if val > best:
             best, best_info = val, info
     return WcAdvantageReport(
@@ -294,22 +262,6 @@ def _max_substitution_advantage(family: HashFamily, x0) -> tuple[float, dict]:
         "to_message": str(family.message_space[j]),
         "tag_xor": int(diffs[j, first_key]),
     }
-
-
-def _explicit_substitution_advantage(family, x0, substitution) -> float:
-    """Per-observed-tag advantage of one concrete substitution map.
-
-    Sums, over observed tags tau, the distinguishing mass contributed by the
-    keys that make Bob accept a forged pair; identical outputs cancel exactly.
-    """
-    nk, nt = len(family.keys), len(family.tag_space)
-    total = 0.0
-    for tau in family.tag_space:
-        x_prime, tag_prime = substitution(x0, tau)
-        if x_prime == x0 and tag_prime == tau:
-            continue
-        total += _hits(family, x0, x_prime, tag_prime ^ tau) / (nk * nt)
-    return total
 
 
 def completeness_exact(family: HashFamily) -> bool:

@@ -72,14 +72,17 @@ def _emit(report: dict, out_path: str | None) -> None:
 
 def _load_or_search_family(args, max_n: int | None = None) -> PtcFamily:
     """The loaded or searched family; with ``max_n``, a family on more than
-    ``max_n`` qubits is refused before any search starts."""
+    ``max_n`` qubits, and a bad ``--input`` spec, are refused before any
+    search starts."""
     family = PtcFamily.load(args.family) if getattr(args, "family", None) else None
-    n = family.n if family is not None else args.m + args.s
+    m, n = (family.m, family.n) if family is not None else (args.m, args.m + args.s)
     if max_n is not None and n > max_n:
         raise ValueError(
             f"state-level experiments are limited to n <= {max_n} (dense operators on 4^n dims); "
             f"this family has n = m + s = {n}"
         )
+    if getattr(args, "input", None) is not None:
+        purified_input(args.input, m)  # refuses a bad input spec before the search
     if family is not None:
         return family
     target = args.target_eps if args.target_eps is not None else ptc_epsilon_formula(args.m, args.s)
@@ -272,14 +275,22 @@ def _config_echo(args, **extra) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _positive(text: str) -> int:
+    """argparse type: an int of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not at least 1")
+    return value
+
+
 def _family_args(sub, need_ms=True):
     if need_ms:
         sub.add_argument("--m", type=int, default=1, help="logical qubits")
-        sub.add_argument("--s", type=int, default=2, help="syndrome qubits")
+        sub.add_argument("--s", type=_positive, default=2, help="syndrome qubits")
     sub.add_argument("--family", type=str, default=None, help="load a saved family JSON")
     sub.add_argument("--target-eps", type=float, default=None, dest="target_eps",
                      help="search target (default: the reference formula value)")
-    sub.add_argument("--budget", type=int, default=200, help="search trials")
+    sub.add_argument("--budget", type=_positive, default=200, help="search trials")
     sub.add_argument("--seed", type=int, default=0, help="seed (mandatory for randomized steps)")
 
 
@@ -322,13 +333,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("psqa", help="pure-state authentication with a sampled cipher")
     _family_args(p)
-    p.add_argument("--K", type=int, default=16, dest="cipher_size", help="cipher size")
-    p.add_argument("--attacks", type=int, default=6, help="number of suite attacks to run")
+    p.add_argument("--K", type=_positive, default=16, dest="cipher_size", help="cipher size")
+    p.add_argument("--attacks", type=_positive, default=6, help="number of suite attacks to run")
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=cmd_psqa)
 
     p = subs.add_parser("lemmas", help="transpose-identity residuals on random instances")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_positive, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_lemmas)
 
@@ -344,10 +355,12 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except InvariantError as exc:
-        print(f"internal invariant violated: {exc}", file=sys.stderr)
+    except (InvariantError, KeyError) as exc:
+        # no input path raises KeyError (family files report CodeError), so
+        # one is a fault in the program, such as a record_get miss
+        print(f"internal invariant violated: {exc!r}", file=sys.stderr)
         return INVARIANT_FAIL
-    except (ValueError, FileNotFoundError, KeyError) as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return CONFIG_FAIL
 

@@ -295,6 +295,8 @@ def search_ptc(
     n = m + s
     if n > 6:
         raise CodeError("exhaustive verification is limited to n <= 6")
+    if budget < 1:
+        raise CodeError(f"the search needs a budget of at least 1 trial, got {budget}")
     rng = np.random.default_rng(seed)
     best: tuple[float, list[StabilizerCode]] | None = None
     sizes = (8, 12, 16, 24, 32, 48, 64)
@@ -313,7 +315,6 @@ def search_ptc(
             best = (eps, list(codes))
         if eps <= target_eps:
             return PtcFamily(tuple(codes), eps, seed=seed, met_target=True)
-    assert best is not None
     return PtcFamily(tuple(best[1]), best[0], seed=seed, met_target=False)
 
 

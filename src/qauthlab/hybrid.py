@@ -41,6 +41,7 @@ from .qmath import (
     reg_dims,
     reg_names,
     reg_positions,
+    replace_factors,
     total_dim,
     trace_norm,
 )
@@ -70,20 +71,8 @@ def record_get(record: Record, fieldname: str):
 def _replace_with_mixed(rho: np.ndarray, regs: Registers, name: str) -> np.ndarray:
     """Replace one register's content by I/d, leaving its correlations severed."""
     (pos,) = reg_positions(regs, (name,))
-    dims = reg_dims(regs)
-    k = len(dims)
-    d = dims[pos]
-    tens = rho.reshape(dims * 2)
-    traced = np.trace(tens, axis1=pos, axis2=pos + k)  # axes: rest row, rest col
-    rest = int(np.sqrt(traced.size))
-    traced = traced.reshape(rest, rest)
-    # re-insert I/d at the same register slot
-    left = int(np.prod(dims[:pos])) if pos else 1
-    right = int(np.prod(dims[pos + 1 :])) if pos + 1 < k else 1
-    t4 = traced.reshape(left, right, left, right)
-    eye = np.eye(d) / d
-    out = np.einsum("ab,ixjy->iaxjby", eye, t4)
-    return out.reshape(rho.shape)
+    d = regs[pos][1]
+    return replace_factors(rho, regs, (name,), np.eye(d) / d)
 
 
 @dataclass(frozen=True)

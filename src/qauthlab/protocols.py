@@ -1,10 +1,9 @@
 """Executable circuits for the authentication / key-recycling protocol family.
 
-Implemented protocols (the keyed sweeps over ``hybrid.key_sweep``; the Pauli
-pad, ``teleport`` and the accept path of ``ebit_ptp`` as direct loops over
-one contraction helper, ``_apply``):
+Implemented protocols (the keyed sweeps over ``hybrid.key_sweep``;
+``teleport`` and the accept path of ``ebit_ptp`` as direct loops over one
+contraction helper, ``_apply``):
 
-- ``qenc_encrypt`` / ``qenc_decrypt``: the Pauli one-time pad on m qubits.
 - ``teleport``: qubit-wise teleportation with the Bell basis {(I (x) s_xz)|Phi>}.
 - ``run_qa_kg``: encrypt, encode into a secretly keyed error-detecting code
   with a secret syndrome, transmit under attack, decode, compare syndromes,
@@ -15,8 +14,6 @@ one contraction helper, ``_apply``):
   channel, in the encoder-keyed form and the bilateral syndrome-measurement
   form. On reject both output the error state: maximally mixed on A, error
   symbol on B.
-- ``ebit_ideal``: the ideal entanglement box these protocols are measured
-  against.
 
 ``ebit_ptp`` does not go through ``key_sweep`` on purpose. Its accept blocks
 feed ``fidelity_acc``, which is ill-conditioned on these rank-deficient
@@ -56,7 +53,6 @@ from .hybrid import (
 )
 from .pauli import PauliString, pauli_matrix
 from .qmath import (
-    DensityMatrix,
     RegisterError,
     Registers,
     StateVector,
@@ -76,21 +72,6 @@ from .qmath import (
 def key_pauli(m: int, x: int, z: int) -> np.ndarray:
     """Dense m-qubit X^x Z^z selected by an encryption key pair."""
     return pauli_matrix(PauliString(m, x, z))
-
-
-def qenc_encrypt(state, key: tuple[int, int], message: str = "M"):
-    """Conjugate the message register by the keyed Pauli."""
-    x, z = key
-    m = _register_qubits(state, message)
-    op = key_pauli(m, x, z)
-    return _conjugate(state, op, message)
-
-
-def qenc_decrypt(state, key: tuple[int, int], message: str = "M"):
-    x, z = key
-    m = _register_qubits(state, message)
-    op = key_pauli(m, x, z).conj().T
-    return _conjugate(state, op, message)
 
 
 def _register_qubits(state, name: str) -> int:
@@ -117,16 +98,6 @@ def _apply(vector: np.ndarray, registers: Registers, matrix, names, out_regs=Non
     res = np.moveaxis(res, range(k), range(at, at + k))
     rest = tuple(r for i, r in enumerate(registers) if i not in pos)
     return res.reshape(-1), rest[:at] + out_regs + rest[at:]
-
-
-def _conjugate(state, op: np.ndarray, name: str):
-    if isinstance(state, StateVector):
-        return StateVector(*_apply(state.amplitudes, state.registers, op, (name,)))
-    if isinstance(state, DensityMatrix):
-        from .qmath import QuantumChannel, apply_channel
-
-        return apply_channel(QuantumChannel((op,)), state, (name,))
-    raise TypeError("expected StateVector or DensityMatrix")
 
 
 def bell_kets(m: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
@@ -444,15 +415,3 @@ def _measure(vec: np.ndarray, regs: Registers, name: str, split: Registers, prob
         if p > PRUNE_BELOW:
             yield value, p, tens[value] / np.sqrt(probs[value]), rest
 
-
-def ebit_ideal(verdict: str, m: int) -> FinalState:
-    """The ideal entanglement box: perfect ebits on accept, the error state
-    (maximally mixed A, error symbol B) on reject."""
-    dm = 1 << m
-    if verdict == ACC:
-        phi = max_entangled_vector(dm)
-        block = np.outer(phi, phi.conj())
-        return FinalState({(("verdict", ACC),): ((("A", dm), ("B", dm)), block)})
-    if verdict == REJ:
-        return FinalState({(("verdict", REJ),): ((("A", dm),), np.eye(dm) / dm)})
-    raise ValueError(f"verdict must be {ACC} or {REJ}")

@@ -310,36 +310,26 @@ def operator_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(a, dtype=complex), 2))
 
 
-def apply_channel(ch: QuantumChannel, rho: DensityMatrix, targets: Sequence[str]) -> DensityMatrix:
-    """Operator-sum action of ``ch`` on the named target registers.
+def replace_factors(
+    matrix: np.ndarray, registers: Registers, names: Sequence[str], state: np.ndarray
+) -> np.ndarray:
+    """Trace the named registers out of ``matrix`` and put ``state`` in their
+    place, each register keeping its slot in ``registers``.
 
-    The channel input dimension must equal the product of the target register
-    dimensions, taken in the order given by ``targets`` (first name most
-    significant). Registers not targeted are untouched.
+    ``state`` is a matrix on the named registers, taken in the order given
+    (first name most significant). Every entry of the result is one product
+    state[a, b] * rest[i, j], so the result is exact given the partial trace.
     """
-    targets = tuple(targets)
-    pos = reg_positions(rho.registers, targets)
-    dims = reg_dims(rho.registers)
-    t_dim = int(np.prod([dims[p] for p in pos]))
-    if ch.input_dim != t_dim:
-        raise RegisterError(f"channel input dim {ch.input_dim} != target dims {t_dim}")
-    if ch.output_dim != ch.input_dim:
-        raise RegisterError("apply_channel keeps register shapes; need a square channel")
-    k = len(dims)
-    tens = rho.matrix.reshape(dims * 2)
-    out = np.zeros_like(tens)
-    t_dims = tuple(dims[p] for p in pos)
-    for op in ch.kraus_ops:
-        op_t = op.reshape(t_dims + t_dims)
-        left = np.tensordot(op_t, tens, axes=(range(len(pos), 2 * len(pos)), pos))
-        left = np.moveaxis(left, range(len(pos)), pos)
-        right = np.tensordot(
-            left, op_t.conj(), axes=([k + p for p in pos], list(range(len(pos), 2 * len(pos))))
-        )
-        right = np.moveaxis(right, range(2 * k - len(pos), 2 * k), [k + p for p in pos])
-        out += right
-    d = rho.dim
-    return DensityMatrix(out.reshape(d, d), rho.registers)
+    pos = reg_positions(registers, names)
+    dims = reg_dims(registers)
+    rest = _trace_out_axes(matrix, dims, pos)
+    # both factors as row and column axes over every register, of length 1
+    # where the factor has no register, so one broadcast product fills the result
+    order = sorted(range(len(pos)), key=pos.__getitem__)
+    named = state.reshape(tuple(dims[p] for p in pos) * 2).transpose(order + [len(pos) + j for j in order])
+    put = tuple(d if i in pos else 1 for i, d in enumerate(dims))
+    keep = tuple(1 if i in pos else d for i, d in enumerate(dims))
+    return (named.reshape(put * 2) * rest.reshape(keep * 2)).reshape(matrix.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -430,12 +420,6 @@ def random_channel(dim: int, kraus_rank: int, rng: np.random.Generator) -> Quant
     iso = big[:, :dim]  # isometry dim -> dim * kraus_rank, row index (out, env)
     ops = [iso[e::kraus_rank, :] for e in range(kraus_rank)]
     return QuantumChannel(tuple(ops))
-
-
-def basis_state(dim: int, index: int) -> np.ndarray:
-    vec = np.zeros(dim, dtype=complex)
-    vec[index] = 1.0
-    return vec
 
 
 def max_entangled_vector(d: int) -> np.ndarray:

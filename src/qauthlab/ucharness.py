@@ -41,6 +41,7 @@ from .qmath import (
     fidelity,
     max_entangled_vector,
     reg_dims,
+    replace_factors,
     tensor,
     trace_norm,
 )
@@ -106,23 +107,14 @@ def _is_acc(rec: Record) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def ebit_output_real(family: PtcFamily, attack: AttackDescriptor) -> FinalState:
-    """Final environment-visible state of the bilateral-syndrome protocol."""
-    return ebit_ptp(family, attack)
-
-
-def ebit_output_ideal(family: PtcFamily, attack: AttackDescriptor) -> FinalState:
-    """Final state of simulator + ideal box, assembled from a dummy real run.
-
-    The dummy run is statistically identical to the real one, so its accept
-    probability and environment marginal are reused; the accept branch's
-    payload is replaced by perfect ebits, and the reject branch is identical
-    to the real protocol's by construction.
-    """
-    return _ebit_ideal_from(ebit_output_real(family, attack), family.m)
-
-
 def _ebit_ideal_from(real: FinalState, m: int) -> FinalState:
+    """Final state of simulator + ideal box, assembled from a real run.
+
+    A dummy run is statistically identical to the real one, so the real run's
+    accept probability and environment marginal are reused; the accept
+    branch's payload (A, B) is replaced by perfect ebits, and the reject
+    branch is identical to the real protocol's by construction.
+    """
     phi = max_entangled_vector(1 << m)
     phi_mat = np.outer(phi, phi.conj())
     blocks: dict[Record, tuple] = {}
@@ -130,10 +122,7 @@ def _ebit_ideal_from(real: FinalState, m: int) -> FinalState:
         if not _is_acc(rec):
             blocks[rec] = (block.registers, block.matrix.copy())
             continue
-        payload = [i for i, (name, _) in enumerate(block.registers) if name in ("A", "B")]
-        xi_e = _trace_out_axes(block.matrix, reg_dims(block.registers), payload)
-        # registers sorted by name: A, B precede E and R
-        mat = np.kron(phi_mat, xi_e)
+        mat = replace_factors(block.matrix, block.registers, ("A", "B"), phi_mat)
         blocks[rec] = (block.registers, mat)
     return FinalState(blocks)
 
@@ -145,7 +134,7 @@ def ebit_advantage(family: PtcFamily, attack: AttackDescriptor) -> AdvantageRepo
     states, and through the factored form p_acc * ||xi_ABE - Phi (x) xi_E||_1.
     Both land in the report; they agree to numerical precision.
     """
-    return ebit_report(family, attack, ebit_output_real(family, attack))
+    return ebit_report(family, attack, ebit_ptp(family, attack))
 
 
 def ebit_report(family: PtcFamily, attack: AttackDescriptor, real: FinalState) -> AdvantageReport:
@@ -286,26 +275,35 @@ def run_qa_kg_ideal(
     dm = 1 << family.m
     if dict(input_state.registers).get("M") != dm:
         raise ValueError(f"input must carry an M register of dimension {dm}")
+    keys = [(x, z) for x in range(dm) for z in range(dm)]
+    return ideal_sweep(
+        input_state, family, attack, keys, lambda key: (("key_alice", key), ("key_bob", key))
+    )
+
+
+def ideal_sweep(
+    message: StateVector, family: PtcFamily, attack: AttackDescriptor, keys, key_record
+) -> FinalState:
+    """Simulator + ideal channel + ideal key box for a ``message`` state that
+    carries an M register: the dummy run through ``attack`` decides the
+    verdict, M is delivered untouched on accept, and the accept block is split
+    evenly over the fresh ``keys``. ``key_record(key)`` gives the key fields
+    of a record; on reject they hold ERR and M is dropped."""
+    dm = 1 << family.m
     dummy = StateVector(max_entangled_vector(dm), (("Ad", dm), ("B0", dm)))
 
     def plan(fields: dict):
         if fields["verdict"] == ACC:
             return (("verdict", ACC),), ("Ad", "B"), ()
-        return (("verdict", REJ), ("key_alice", ERR), ("key_bob", ERR)), ("Ad", "B", "M"), ()
+        return (("verdict", REJ),) + key_record(ERR), ("Ad", "B", "M"), ()
 
-    final = key_sweep(*_sweep_pieces(family, attack), tensor(input_state, dummy), "B0", plan, ())
-    keys = [(x, z) for x in range(dm) for z in range(dm)]
-    return fresh_keys(final, keys, lambda key: (("verdict", ACC), ("key_alice", key), ("key_bob", key)))
-
-
-def fresh_keys(final: FinalState, keys, record_for) -> FinalState:
-    """The ideal key box: each accept block split evenly over fresh keys,
-    recorded as ``record_for(key)``."""
+    final = key_sweep(*_sweep_pieces(family, attack), tensor(message, dummy), "B0", plan, ())
     blocks = {}
     for rec, block in final.blocks.items():
         if _is_acc(rec):
             for key in keys:
-                blocks[record_for(key)] = (block.registers, block.matrix / len(keys))
+                record = (("verdict", ACC),) + key_record(key)
+                blocks[record] = (block.registers, block.matrix / len(keys))
         else:
             blocks[rec] = (block.registers, block.matrix)
     return FinalState(blocks)
@@ -338,63 +336,3 @@ def qa_kg_report(
         family.epsilon_verified,
         p_acc_ideal=float(ideal.weight_where(_is_acc)),
     )
-
-
-# ---------------------------------------------------------------------------
-# composition accounting
-# ---------------------------------------------------------------------------
-
-
-class CompositionCycleError(ValueError):
-    """The modular structure has a dependency cycle (a security deadlock)."""
-
-
-@dataclass(frozen=True)
-class CompositionTree:
-    """Protocol nodes with per-node advantages and subroutine edges."""
-
-    nodes: tuple[tuple[str, float], ...]
-    edges: tuple[tuple[str, str], ...] = ()
-
-    def to_json(self) -> dict:
-        return {
-            "nodes": [{"id": nid, "epsilon": eps} for nid, eps in self.nodes],
-            "edges": [list(edge) for edge in self.edges],
-        }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "CompositionTree":
-        nodes = tuple((str(n["id"]), float(n["epsilon"])) for n in payload["nodes"])
-        edges = tuple((str(a), str(b)) for a, b in payload.get("edges", ()))
-        return cls(nodes, edges)
-
-
-def compose(tree: CompositionTree) -> float:
-    """Total advantage of a composed protocol: the sum over nodes.
-
-    Raises CompositionCycleError if the subroutine graph is cyclic; advantages
-    only add up over a proper (acyclic) modular structure.
-    """
-    ids = [nid for nid, _ in tree.nodes]
-    if len(set(ids)) != len(ids):
-        raise ValueError("duplicate node ids")
-    adjacency: dict[str, list[str]] = {nid: [] for nid in ids}
-    for parent, child in tree.edges:
-        if parent not in adjacency or child not in adjacency:
-            raise ValueError(f"edge ({parent}, {child}) references unknown node")
-        adjacency[parent].append(child)
-    state: dict[str, int] = {}
-
-    def visit(node: str):
-        if state.get(node) == 1:
-            raise CompositionCycleError(f"cycle through {node!r}")
-        if state.get(node) == 2:
-            return
-        state[node] = 1
-        for nxt in adjacency[node]:
-            visit(nxt)
-        state[node] = 2
-
-    for nid in ids:
-        visit(nid)
-    return float(sum(eps for _, eps in tree.nodes))

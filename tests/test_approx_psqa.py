@@ -3,6 +3,7 @@ import pytest
 
 from qauthlab.adversary import AttackDescriptor, standard_suite
 from qauthlab.approx_psqa import (
+    _test_states,
     measure_delta,
     pauli_cipher,
     psqa_advantage,
@@ -46,13 +47,22 @@ def test_delta_shrinks_with_key_count_in_distribution():
     assert large < small
 
 
+def flattening(unitaries, vec) -> float:
+    d = len(vec)
+    rho = np.outer(vec, vec.conj())
+    avg = sum(u @ rho @ u.conj().T for u in unitaries) / len(unitaries)
+    return d * np.linalg.norm(avg - np.eye(d) / d, 2)
+
+
 def test_measure_delta_matches_flattening_definition(rng):
     cip = sample_cipher(1, 8, seed=1)
-    vec = haar_state(2, rng)
-    rho = np.outer(vec, vec.conj())
-    avg = sum(u @ rho @ u.conj().T for u in cip.unitaries) / cip.key_count
-    value = 2 * np.linalg.norm(avg - np.eye(2) / 2, 2)
-    assert value <= cip.delta_measured + 1e-12
+    assert flattening(cip.unitaries, haar_state(2, rng)) <= cip.delta_measured + 1e-12
+    # the batched maximum against a per-state loop over the same test states
+    for m, seed in ((1, 1), (1, 7), (2, 3)):
+        unitaries = sample_cipher(m, 8, seed).unitaries
+        states = _test_states(m, np.random.default_rng(seed ^ 0x5EED), 300)
+        oracle = max(flattening(unitaries, vec) for vec in states)
+        assert measure_delta(unitaries, m, seed=seed, samples=300) == pytest.approx(oracle, rel=0, abs=1e-14)
 
 
 def test_rsp_povm_structure(message):

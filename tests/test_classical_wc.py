@@ -12,7 +12,6 @@ from qauthlab.classical_wc import (
     gf_mul,
     key_leak_demo,
     poly_hash_family,
-    substitution_advantage,
     verify_asu2,
     wc_kg_advantage,
     wc_send,
@@ -91,14 +90,6 @@ def test_completeness_fails_for_a_tag_that_is_not_a_function():
     assert not completeness_exact(flaky)
 
 
-def test_identity_substitution_zero_advantage():
-    fam = poly_hash_family(3, 1)
-    rep = wc_kg_advantage(fam, x_in=(0,), substitution=lambda x, tau: (x, tau))
-    assert rep.advantage == 0.0
-    assert rep.advantage_one_norm == 0.0
-    assert rep.passed
-
-
 def test_exhaustive_advantage_bounded_by_eps():
     for w, L in ((2, 1), (3, 1), (2, 2)):
         fam = poly_hash_family(w, L)
@@ -109,15 +100,6 @@ def test_exhaustive_advantage_bounded_by_eps():
     # the bound is tight: some rewrite achieves it exactly
     fam = poly_hash_family(3, 1)
     assert wc_kg_advantage(fam).advantage == pytest.approx(fam.eps_asu2)
-
-
-def test_replay_substitution():
-    fam = poly_hash_family(3, 1)
-    x, x_alt = fam.message_space[0], fam.message_space[3]
-    rep = wc_kg_advantage(fam, x_in=x, substitution=lambda _x, tau: (x_alt, tau))
-    assert rep.advantage <= fam.eps_asu2 + 1e-12
-    # per-candidate helper agrees with the protocol-level computation
-    assert substitution_advantage(fam, x, (x_alt, 0)) == pytest.approx(rep.advantage)
 
 
 def test_key_leak_demo():

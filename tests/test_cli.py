@@ -223,3 +223,45 @@ def test_parser_is_built_once_and_carries_nothing_over(capsys):
     code, rep = run_cli(capsys, "wc", "--field-bits", "2")
     assert code == 0
     assert rep["config"] == {"command": "wc", "field_bits": 2, "msg_len": 1, "leak_demo": False}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["uc", "--m", "1", "--s", "1", "--attack", "identity", "--input", "basis-7"], "0 <= k < 2^m = 2"),
+        (["uc", "--m", "1", "--s", "1", "--input", "basis-2"], "0 <= k < 2^m = 2"),
+        (["uc", "--m", "1", "--s", "1", "--input", "basis--1"], "0 <= k < 2^m = 2"),
+        (["psqa", "--K", "0"], "argument --K: 0 is not at least 1"),
+        (["psqa", "--K", "-3"], "argument --K: -3 is not at least 1"),
+        (["ptc", "--s", "0"], "argument --s: 0 is not at least 1"),
+        (["ptc", "--budget", "0"], "argument --budget: 0 is not at least 1"),
+        (["psqa", "--attacks", "0"], "argument --attacks: 0 is not at least 1"),
+        (["lemmas", "--trials", "0"], "argument --trials: 0 is not at least 1"),
+    ],
+)
+def test_bad_numbers_exit_two_before_any_work(capsys, monkeypatch, argv, message):
+    from qauthlab import cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("an experiment started")
+
+    for step in ("search_ptc", "sample_cipher", "transpose_trick_residual"):
+        monkeypatch.setattr(cli, step, no_work)
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_internal_key_error_exits_three(tmp_path, capsys, monkeypatch):
+    from qauthlab import cli
+
+    fam_path = tmp_path / "fam.json"
+    run_cli(capsys, "ptc", "--m", "1", "--s", "1", "--seed", "1", "--out", str(fam_path))
+
+    def missing_field(rep):  # a record or report field the program expected
+        raise KeyError("overlap_defect")
+
+    monkeypatch.setattr(cli, "chain_checks", missing_field)
+    code = main(["uc", "--m", "1", "--s", "1", "--family", str(fam_path), "--attack", "identity"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "internal invariant violated" in err and "KeyError('overlap_defect')" in err

@@ -135,6 +135,8 @@ def test_search_reports_failure_without_meeting_target():
 def test_search_dimension_guard():
     with pytest.raises(CodeError):
         search_ptc(3, 4, target_eps=0.5)
+    with pytest.raises(CodeError, match="budget of at least 1 trial, got 0"):
+        search_ptc(1, 1, target_eps=0.5, budget=0)
 
 
 def test_random_code_shape(rng):

@@ -8,13 +8,9 @@ from qauthlab.pauli import enumerate_paulis
 from qauthlab.protocols import (
     ACC,
     ERR,
-    REJ,
-    ebit_ideal,
     ebit_ptc,
     ebit_ptp,
     key_pauli,
-    qenc_decrypt,
-    qenc_encrypt,
     run_qa_kg,
     run_tqa_kg,
     teleport,
@@ -35,22 +31,6 @@ def is_acc(rec):
 # ---------------------------------------------------------------------------
 # encryption
 # ---------------------------------------------------------------------------
-
-
-def test_qenc_zero_key_is_identity():
-    psi = purified_input("random-3", 1)
-    out = qenc_encrypt(psi, (0, 0))
-    np.testing.assert_allclose(out.amplitudes, psi.amplitudes)
-
-
-def test_qenc_roundtrip_random_states(rng):
-    for _ in range(20):
-        vec = haar_state(4, rng)
-        psi = StateVector(vec, (("R", 2), ("M", 2)))
-        x, z = int(rng.integers(0, 2)), int(rng.integers(0, 2))
-        back = qenc_decrypt(qenc_encrypt(psi, (x, z)), (x, z))
-        # conjugation is phase-insensitive, so compare projectors
-        assert abs(abs(np.vdot(back.amplitudes, psi.amplitudes)) - 1.0) < 1e-12
 
 
 def test_qenc_uniform_key_average_flattens(rng):
@@ -274,16 +254,3 @@ def test_entanglement_forms_identity_per_attack(family_s1, attack_label):
     ptp = ebit_ptp(family_s1, desc)
     assert ptc.distance(ptp) < 1e-9
 
-
-def test_ebit_ideal_outputs():
-    acc = ebit_ideal(ACC, 1)
-    phi = max_entangled_vector(2)
-    np.testing.assert_allclose(
-        acc.blocks[(("verdict", ACC),)].matrix, np.outer(phi, phi.conj())
-    )
-    rej = ebit_ideal(REJ, 1)
-    blk = rej.blocks[(("verdict", REJ),)]
-    np.testing.assert_allclose(blk.matrix, np.eye(2) / 2)
-    assert [n for n, _ in blk.registers] == ["A"]
-    with pytest.raises(ValueError):
-        ebit_ideal("MAYBE", 1)

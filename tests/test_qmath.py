@@ -8,7 +8,6 @@ from qauthlab.qmath import (
     QuantumChannel,
     RegisterError,
     StateVector,
-    apply_channel,
     encoder_postselection_residual,
     fidelity,
     haar_state,
@@ -19,6 +18,7 @@ from qauthlab.qmath import (
     psd_sqrt,
     random_channel,
     random_density,
+    replace_factors,
     tensor,
     trace_distance,
     trace_norm,
@@ -87,6 +87,33 @@ def test_partial_trace_preserves_trace_on_random_state(rng):
         assert abs(out.matrix.trace() - 1.0) < 1e-12
 
 
+def test_replace_factors_at_every_register_slot(rng):
+    regs = (("A", 2), ("B", 3), ("C", 4))
+    rho, sigma, tau = (random_density(d, rng) for _, d in regs)
+    new = {name: random_density(d, rng) for name, d in regs}
+    product = np.kron(np.kron(rho, sigma), tau)
+    got = {name: replace_factors(product, regs, (name,), new[name]) for name in new}
+    np.testing.assert_allclose(got["A"], np.kron(np.kron(new["A"], sigma), tau), atol=1e-14)
+    np.testing.assert_allclose(got["B"], np.kron(np.kron(rho, new["B"]), tau), atol=1e-14)
+    np.testing.assert_allclose(got["C"], np.kron(np.kron(rho, sigma), new["C"]), atol=1e-14)
+    # two registers apart, the state given in the order (C, A)
+    both = replace_factors(product, regs, ("C", "A"), np.kron(new["C"], new["A"]))
+    np.testing.assert_allclose(both, np.kron(np.kron(new["A"], sigma), new["C"]), atol=1e-14)
+    # an entangled state: the rest of the registers keep their correlations
+    psi = StateVector(haar_state(24, rng), regs).density()
+    rest = {name: partial_trace(psi, {n for n, _ in regs} - {name}).matrix for name in new}
+    np.testing.assert_allclose(
+        replace_factors(psi.matrix, regs, ("A",), new["A"]), np.kron(new["A"], rest["A"]), atol=1e-14
+    )
+    np.testing.assert_allclose(
+        replace_factors(psi.matrix, regs, ("C",), new["C"]), np.kron(rest["C"], new["C"]), atol=1e-14
+    )
+    # B in the middle: the kron orders (A, C, B); permute its rows to (A, B, C)
+    perm = np.arange(24).reshape(2, 4, 3).transpose(0, 2, 1).reshape(-1)
+    middle = np.kron(rest["B"], new["B"])[np.ix_(perm, perm)]
+    np.testing.assert_allclose(replace_factors(psi.matrix, regs, ("B",), new["B"]), middle, atol=1e-14)
+
+
 def test_trace_distance_reference_values():
     zero = DensityMatrix(np.diag([1.0, 0.0]), (("Q", 2),))
     one = DensityMatrix(np.diag([0.0, 1.0]), (("Q", 2),))
@@ -149,7 +176,7 @@ def test_fuchs_van_de_graaf_upper_bound(rng):
 def test_channel_validation_and_identity():
     ident = QuantumChannel((np.eye(2),))
     rho = DensityMatrix(np.eye(2) / 2, (("Q", 2),))
-    assert np.allclose(apply_channel(ident, rho, ("Q",)).matrix, rho.matrix)
+    assert np.allclose(ident.apply_matrix(rho.matrix), rho.matrix)
     with pytest.raises(ValueError):
         QuantumChannel((np.eye(2) * 0.5,))
 
@@ -161,15 +188,16 @@ def test_depolarizing_channel_flattens():
     z = np.diag([1.0, -1.0]).astype(complex)
     ch = QuantumChannel(tuple(0.5 * op for op in (np.eye(2), x, y, z)))
     rho = DensityMatrix(np.diag([1.0, 0.0]), (("Q", 2),))
-    assert np.allclose(apply_channel(ch, rho, ("Q",)).matrix, np.eye(2) / 2, atol=1e-12)
+    assert np.allclose(ch.apply_matrix(rho.matrix), np.eye(2) / 2, atol=1e-12)
 
 
 def test_random_channels_preserve_trace(rng):
     for _ in range(10):
         ch = random_channel(4, 3, rng)
         rho = DensityMatrix(random_density(8, rng), (("A", 2), ("B", 4)))
-        out = apply_channel(ch, rho, ("B",))
-        assert abs(out.matrix.trace() - 1.0) < 1e-10
+        # the channel on B alone is I (x) ch on the pair
+        out = QuantumChannel(tuple(np.kron(np.eye(2), k) for k in ch.kraus_ops)).apply_matrix(rho.matrix)
+        assert abs(out.trace() - 1.0) < 1e-10
 
 
 def test_dilation_identity_and_rank():

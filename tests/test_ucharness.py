@@ -6,17 +6,13 @@ import pytest
 from qauthlab.adversary import AttackDescriptor, purified_input, standard_suite
 from qauthlab.hybrid import record_get
 from qauthlab.pauli import enumerate_paulis
-from qauthlab.protocols import ACC
+from qauthlab.protocols import ACC, ebit_ptp
 from qauthlab.qmath import max_entangled_vector, trace_norm
 from qauthlab.ucharness import (
     AdvantageReport,
-    CompositionCycleError,
-    CompositionTree,
-    compose,
+    _ebit_ideal_from,
     ebit_advantage,
     ebit_advantage_bound,
-    ebit_output_ideal,
-    ebit_output_real,
     overlap_chain_checks,
     pauli_displaced_input,
     ptp_soundness_exact,
@@ -41,8 +37,8 @@ def test_bound_values():
 
 def test_eta_states_identity_attack(family_s1):
     ident = AttackDescriptor("identity", label="identity")
-    real = ebit_output_real(family_s1, ident)
-    ideal = ebit_output_ideal(family_s1, ident)
+    real = ebit_ptp(family_s1, ident)
+    ideal = _ebit_ideal_from(real, family_s1.m)
     assert real.total_weight() == pytest.approx(1.0)
     assert real.weight_where(is_acc) == pytest.approx(1.0)
     assert real.distance(ideal) < 1e-12
@@ -53,8 +49,8 @@ def test_eta_states_identity_attack(family_s1):
 
 def test_eta_reject_branches_identical(family_s1):
     desc = AttackDescriptor("random_dilation", seed=11, env_dim=2, label="r11")
-    real = ebit_output_real(family_s1, desc)
-    ideal = ebit_output_ideal(family_s1, desc)
+    real = ebit_ptp(family_s1, desc)
+    ideal = _ebit_ideal_from(real, family_s1.m)
     rej_real = real.conditional_where(lambda rec: not is_acc(rec))
     rej_ideal = ideal.conditional_where(lambda rec: not is_acc(rec))
     assert trace_norm(rej_real.matrix - rej_ideal.matrix) < 1e-12
@@ -71,7 +67,7 @@ def test_eta_always_detected_pauli_is_pure_reject(family_s2):
         if all(syndrome(code, e) != 0 for code in family_s2.codes)
     )
     desc = AttackDescriptor("fixed_pauli", x=chosen.x, z=chosen.z, label="det")
-    real = ebit_output_real(family_s2, desc)
+    real = ebit_ptp(family_s2, desc)
     assert real.weight_where(is_acc) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -185,8 +181,8 @@ def test_two_qubit_messages_end_to_end():
 
 def test_embedded_distance_matches_per_record(family_s1):
     desc = AttackDescriptor("depolarizing", strength=0.5, label="d5")
-    real = ebit_output_real(family_s1, desc)
-    ideal = ebit_output_ideal(family_s1, desc)
+    real = ebit_ptp(family_s1, desc)
+    ideal = _ebit_ideal_from(real, family_s1.m)
     # both carry an accept and a reject record, with matching layouts
     order = real.records()
     assert order == ideal.records()
@@ -209,42 +205,3 @@ def test_advantage_report_json(family_s1):
     assert payload["pass"] is True
     assert payload["protocol"] == "EBIT"
     assert 0.0 <= payload["advantage"] <= 2.0
-
-
-def test_compose_sums_and_detects_cycles():
-    tree = CompositionTree(nodes=(("a", 0.1), ("b", 0.05)), edges=(("a", "b"),))
-    assert compose(tree) == pytest.approx(0.15)
-    single = CompositionTree(nodes=(("only", 0.3),))
-    assert compose(single) == pytest.approx(0.3)
-    cyclic = CompositionTree(
-        nodes=(("a", 0.0), ("b", 0.0)), edges=(("a", "b"), ("b", "a"))
-    )
-    with pytest.raises(CompositionCycleError):
-        compose(cyclic)
-    with pytest.raises(ValueError):
-        compose(CompositionTree(nodes=(("a", 0.0),), edges=(("a", "zz"),)))
-
-
-def test_compose_full_protocol_chain(family_s3):
-    # the whole argument: two exact circuit rewrites, one simulator step with
-    # the cube-root bound, and two exact endgame identifications
-    eps = family_s3.epsilon_verified
-    bound = ebit_advantage_bound(eps)
-    chain = CompositionTree(
-        nodes=(
-            ("qa-kg-to-teleported", 0.0),
-            ("code-form-to-protocol-form", 0.0),
-            ("entanglement-vs-ideal", bound),
-            ("teleport-over-ideal-ebits", 0.0),
-            ("fresh-key-identification", 0.0),
-        ),
-        edges=(
-            ("qa-kg-to-teleported", "code-form-to-protocol-form"),
-            ("code-form-to-protocol-form", "entanglement-vs-ideal"),
-            ("entanglement-vs-ideal", "teleport-over-ideal-ebits"),
-            ("teleport-over-ideal-ebits", "fresh-key-identification"),
-        ),
-    )
-    assert compose(chain) == pytest.approx(bound)
-    roundtrip = CompositionTree.from_json(chain.to_json())
-    assert compose(roundtrip) == pytest.approx(bound)
