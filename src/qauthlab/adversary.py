@@ -7,6 +7,8 @@ attack is a plain descriptor (JSON-serializable, deterministic given its seed)
 that compiles to a validated :class:`~qauthlab.qmath.QuantumChannel`; protocols
 apply attacks through the channel's isometric dilation, so the adversary's
 retained environment register E is always explicit in the final states.
+Every Pauli operator an attack uses (fixed, mixed or depolarizing) comes from
+``pauli.pauli_matrix``.
 """
 
 from __future__ import annotations
@@ -15,8 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PauliString, pauli_matrix
-from .qmath import QuantumChannel, RegisterError, StateVector, haar_state, haar_unitary, kron_all
+from .pauli import PauliString, hermitian_pauli, pauli_matrix
+from .qmath import (
+    QuantumChannel,
+    RegisterError,
+    StateVector,
+    haar_state,
+    haar_unitary,
+    max_entangled_vector,
+)
 
 # Register order convention for attacks on ("R", "T"): R most significant.
 
@@ -81,14 +90,6 @@ class AttackDescriptor:
         )
 
 
-def _embed_on_qubit(op2: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    """Single-qubit operator on qubit ``qubit`` of an n-qubit register
-    (qubit 0 least significant)."""
-    mats = [np.eye(2, dtype=complex)] * n
-    mats[n - 1 - qubit] = op2
-    return kron_all(mats)
-
-
 def build_attack(desc: AttackDescriptor, dims: dict[str, int]) -> QuantumChannel:
     """Compile a descriptor into a channel on the registers it acts on.
 
@@ -125,18 +126,11 @@ def build_attack(desc: AttackDescriptor, dims: dict[str, int]) -> QuantumChannel
             raise ValueError(f"depolarizing strength {p} outside [0, 1]")
         if desc.qubit >= n_t:
             raise RegisterError(f"qubit {desc.qubit} outside T ({n_t} qubits)")
-        eye = np.eye(2, dtype=complex)
-        xo = np.array([[0, 1], [1, 0]], dtype=complex)
-        yo = np.array([[0, -1j], [1j, 0]], dtype=complex)
-        zo = np.array([[1, 0], [0, -1]], dtype=complex)
+        # I, X, Y, Z on the qubit: the Hermitian Paulis with masks (x, z) there
+        q = desc.qubit
         ops = tuple(
-            np.sqrt(w) * _lift_t(_embed_on_qubit(o, desc.qubit, n_t), desc, dims)
-            for w, o in (
-                (1 - 3 * p / 4, eye),
-                (p / 4, xo),
-                (p / 4, yo),
-                (p / 4, zo),
-            )
+            np.sqrt(w) * _lift_t(pauli_matrix(hermitian_pauli(n_t, x << q, z << q)), desc, dims)
+            for w, x, z in ((1 - 3 * p / 4, 0, 0), (p / 4, 1, 0), (p / 4, 1, 1), (p / 4, 0, 1))
             if w > 0
         )
         return QuantumChannel(ops)
@@ -236,7 +230,7 @@ def standard_suite(m: int, s: int) -> list[AttackDescriptor]:
     return suite
 
 
-def purified_input(spec: str, m: int, seed: int = 0) -> StateVector:
+def purified_input(spec: str, m: int) -> StateVector:
     """Named test inputs on (R, M), each register of m qubits.
 
     specs: "basis-<k>" (|0>_R |k>_M), "plus" (|0>_R |+...+>_M), "entangled"
@@ -256,10 +250,8 @@ def purified_input(spec: str, m: int, seed: int = 0) -> StateVector:
         vec = np.kron(np.eye(d, dtype=complex)[:, 0], msg)
         return StateVector(vec, regs)
     if spec == "entangled":
-        vec = np.zeros(d * d, dtype=complex)
-        vec[:: d + 1] = 1.0 / np.sqrt(d)
-        return StateVector(vec, regs)
+        return StateVector(max_entangled_vector(d), regs)
     if spec.startswith("random-"):
-        rng = np.random.default_rng(int(spec.split("-", 1)[1]) + seed)
+        rng = np.random.default_rng(int(spec.split("-", 1)[1]))
         return StateVector(haar_state(d * d, rng), regs)
     raise ValueError(f"unknown input spec {spec!r}")

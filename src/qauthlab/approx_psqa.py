@@ -12,7 +12,9 @@ half exactly onto U_k rho U_k^dag when k != f. Substituting this for
 teleportation inside the authentication protocol yields the pure-state
 variant; with the exact Pauli cipher the variant reduces to the standard
 protocol branch for branch, and with sampled ciphers the security bound picks
-up 2 Pr(f) from the failure branch.
+up 2 Pr(f) from the failure branch. The exact cipher is the keyed Pauli pad of
+``protocols.key_pads``, and the failure element F comes from ``rsp_povm``
+alone, which ``run_psrqa_kg`` reads.
 """
 
 from __future__ import annotations
@@ -24,13 +26,13 @@ import numpy as np
 from .adversary import AttackDescriptor
 from .codes import PtcFamily
 from .hybrid import ACC, ERR, FinalState, key_sweep, record_get
-from .pauli import PauliString, pauli_matrix
-from .protocols import _detail_fields, _sweep_pieces
+from .protocols import _detail_fields, _sweep_pieces, key_pads
 from .qmath import (
     Povm,
     StateVector,
     haar_state,
     haar_unitary,
+    kron_all,
     max_entangled_vector,
     operator_norm,
     psd_sqrt,
@@ -70,10 +72,7 @@ class ApproxCipher:
 def _test_states(m: int, rng: np.random.Generator, samples: int) -> list[np.ndarray]:
     d = 1 << m
     states = [np.eye(d, dtype=complex)[:, i] for i in range(d)]
-    had = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-    hall = had
-    for _ in range(m - 1):
-        hall = np.kron(hall, had)
+    hall = kron_all([np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)] * m)
     states += [hall @ np.eye(d, dtype=complex)[:, i] for i in range(d)]
     states += [haar_state(d, rng) for _ in range(samples)]
     return states
@@ -93,11 +92,7 @@ def measure_delta(
 
 def pauli_cipher(m: int) -> ApproxCipher:
     """The exact cipher: all 4^m keyed Paulis, delta numerically zero."""
-    unis = tuple(
-        pauli_matrix(PauliString(m, x, z))
-        for x in range(1 << m)
-        for z in range(1 << m)
-    )
+    unis = tuple(key_pads(m)[1])
     delta = measure_delta(unis, m, seed=0, samples=64)
     return ApproxCipher(unis, m, delta, seed=None, label=f"pauli-{m}")
 
@@ -219,14 +214,11 @@ def run_psrqa_kg(
     dm = 1 << family.m
     vec = np.asarray(message_vec, dtype=complex).reshape(-1)
     meas = rsp_povm(cipher, vec)
-    rho = np.outer(vec, vec.conj())
-    scale = meas.scale
     ket0 = np.eye(dm, dtype=complex)[:, 0]
     # measurement operator |0><conj(phi_k)| / sqrt(M); as a matrix its row is
     # the unconjugated encryption, so the far half collapses to phi_k
-    ops = [np.outer(ket0, u @ vec) / np.sqrt(scale) for u in cipher.unitaries]
-    f_op = psd_sqrt(np.eye(dm, dtype=complex) - (sum(u @ rho @ u.conj().T for u in cipher.unitaries)).T / scale)
-    ops.append(f_op)
+    ops = [np.outer(ket0, u @ vec) / np.sqrt(meas.scale) for u in cipher.unitaries]
+    ops.append(psd_sqrt(meas.povm.elements[meas.failure_index]))
     # the failure outcome f leaves the receiver's half as it is
     corrections = [u.conj().T for u in cipher.unitaries] + [np.eye(dm, dtype=complex)]
     base = StateVector(max_entangled_vector(dm), (("Ams", dm), ("B0", dm)))

@@ -72,17 +72,20 @@ def _emit(report: dict, out_path: str | None) -> None:
 
 def _load_or_search_family(args, max_n: int | None = None) -> PtcFamily:
     """The loaded or searched family; with ``max_n``, a family on more than
-    ``max_n`` qubits, and a bad ``--input`` spec, are refused before any
-    search starts."""
+    ``max_n`` qubits, a bad ``--input`` spec and an ``--attack`` outside the
+    standard suite are refused before any search starts."""
     family = PtcFamily.load(args.family) if getattr(args, "family", None) else None
-    m, n = (family.m, family.n) if family is not None else (args.m, args.m + args.s)
-    if max_n is not None and n > max_n:
+    m, s = (family.m, family.s) if family is not None else (args.m, args.s)
+    if max_n is not None and m + s > max_n:
         raise ValueError(
             f"state-level experiments are limited to n <= {max_n} (dense operators on 4^n dims); "
-            f"this family has n = m + s = {n}"
+            f"this family has n = m + s = {m + s}"
         )
     if getattr(args, "input", None) is not None:
         purified_input(args.input, m)  # refuses a bad input spec before the search
+    attack = getattr(args, "attack", "standard")
+    if attack != "standard" and attack not in [a.name() for a in standard_suite(m, s)]:
+        raise ValueError(f"no attack named {attack!r} in the standard suite")
     if family is not None:
         return family
     target = args.target_eps if args.target_eps is not None else ptc_epsilon_formula(args.m, args.s)
@@ -161,13 +164,7 @@ def _uc_single(family: PtcFamily, attack: AttackDescriptor, input_spec: str) -> 
 def cmd_uc(args) -> int:
     started = time.time()
     family = _load_or_search_family(args, STATE_LEVEL_MAX_N)
-    if args.attack == "standard":
-        suite = standard_suite(family.m, family.s)
-    else:
-        suite = [a for a in standard_suite(family.m, family.s) if a.name() == args.attack]
-        if not suite:
-            print(f"no attack named {args.attack!r} in the standard suite", file=sys.stderr)
-            return CONFIG_FAIL
+    suite = [a for a in standard_suite(family.m, family.s) if args.attack in ("standard", a.name())]
     results = [_uc_single(family, attack, args.input) for attack in suite]
     all_ok = all(r["pass"] for r in results)
     report = _report(
@@ -283,10 +280,9 @@ def _positive(text: str) -> int:
     return value
 
 
-def _family_args(sub, need_ms=True):
-    if need_ms:
-        sub.add_argument("--m", type=int, default=1, help="logical qubits")
-        sub.add_argument("--s", type=_positive, default=2, help="syndrome qubits")
+def _family_args(sub):
+    sub.add_argument("--m", type=int, default=1, help="logical qubits")
+    sub.add_argument("--s", type=_positive, default=2, help="syndrome qubits")
     sub.add_argument("--family", type=str, default=None, help="load a saved family JSON")
     sub.add_argument("--target-eps", type=float, default=None, dest="target_eps",
                      help="search target (default: the reference formula value)")

@@ -11,6 +11,10 @@ least one syndrome bit, or if it lies in the code's stabilizer group (up to
 phase) and therefore acts trivially on every codeword. Errors that commute
 with all generators without being stabilizers are the harmful ones; they pass
 the syndrome comparison while corrupting the logical content.
+
+Commutation of generators, syndrome bits and the generator search all read
+``pauli.symplectic_product``; only ``verify_ptc`` computes the same parity as
+one array product over every error at once.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .pauli import PauliString, hermitian_pauli, pauli_matrix
+from .pauli import PauliString, hermitian_pauli, pauli_matrix, symplectic_product
 
 
 class CodeError(ValueError):
@@ -68,7 +72,7 @@ class StabilizerCode:
                 raise CodeError(f"generator {g.to_text()} is not Hermitian")
         for i, g in enumerate(gens):
             for h in gens[i + 1 :]:
-                if (g.x & h.z).bit_count() % 2 != (g.z & h.x).bit_count() % 2:
+                if symplectic_product(g, h):
                     raise CodeError("generators do not commute")
         rows = [(g.x << n) | g.z for g in gens]
         if _gf2_rank(rows) != len(gens):
@@ -99,11 +103,7 @@ def syndrome(code: StabilizerCode, e: PauliString) -> int:
     """Syndrome bits of an error: bit i is 1 iff e anticommutes with generator i."""
     if e.n != code.n:
         raise CodeError(f"error acts on {e.n} qubits, code on {code.n}")
-    out = 0
-    for i, g in enumerate(code.generators):
-        bit = ((e.x & g.z).bit_count() + (e.z & g.x).bit_count()) & 1
-        out |= bit << i
-    return out
+    return sum(symplectic_product(e, g) << i for i, g in enumerate(code.generators))
 
 
 def detects(code: StabilizerCode, e: PauliString) -> bool:
@@ -265,9 +265,7 @@ def random_stabilizer_code(n: int, s: int, rng: np.random.Generator) -> Stabiliz
         if x == 0 and z == 0:
             continue
         cand = hermitian_pauli(n, x, z)
-        if any(
-            ((cand.x & g.z).bit_count() + (cand.z & g.x).bit_count()) & 1 for g in gens
-        ):
+        if any(symplectic_product(cand, g) for g in gens):
             continue
         new_rows = rows + [(x << n) | z]
         if _gf2_rank(new_rows) != len(new_rows):

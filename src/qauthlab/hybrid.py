@@ -263,11 +263,7 @@ def key_sweep(
             accept = np.eye(dy, dtype=bool).reshape((1,) * at + (dy, dy) + (1,) * (amps.ndim - at - 2))
             amps = np.where(accept, fixed, amps)
         _accumulate(blocks, mixes, amps, names, t0, values, regs, plan, exposed, weight)
-    final = mix_records(blocks, mixes)
-    total = final.total_weight()
-    if abs(total - 1.0) > 1e-10:
-        raise InvariantError(f"key sweep: final state total weight {total!r}, expected 1 within 1e-10")
-    return final
+    return checked_total(mix_records(blocks, mixes), "key sweep")
 
 
 def _keyed(amps: np.ndarray, axis: int, target: int, mats: np.ndarray) -> np.ndarray:
@@ -341,6 +337,15 @@ def _accumulate(blocks, mixes, amps, names, t0, values, regs, plan, exposed, wei
                 raise RegisterError(f"record {record} accumulated under different register sets")
             rho = blocks[record][1] + rho
         blocks[record] = (kept, rho)
+
+
+def checked_total(final: FinalState, where: str) -> FinalState:
+    """``final``, once its total weight is 1 within 1e-10 (every final state
+    covers all branches); ``where`` names the builder in the error."""
+    total = final.total_weight()
+    if abs(total - 1.0) > 1e-10:
+        raise InvariantError(f"{where}: final state total weight {total!r}, expected 1 within 1e-10")
+    return final
 
 
 def mix_records(blocks: dict, mixes: dict) -> FinalState:

@@ -26,6 +26,13 @@ are held to. Only the accept path is fixed: the reject branches (received
 syndrome != sent syndrome) are collected unnormalized and finalized per
 record by one product over each chunk of codes, as ``key_sweep`` does.
 
+Shared pieces are built once, here: the keyed Pauli pad (``key_pads``, read
+by ``run_qa_kg``, the Bell basis ``bell_kets``, ``run_tqa_kg``'s corrections,
+``ucharness.run_qa_kg_ideal``'s key list and ``approx_psqa.pauli_cipher``),
+a family's encoders (``_family_encoders``) and an attack's channel and
+dilation (``_attack_pieces``, once per job: every final-state build of one
+(family, attack) reuses it).
+
 Conventions: keys x, z are m-bit masks; the encryption operator is the
 qubit-wise X^x Z^z. Code index t and syndrome y are marginalized out of final
 states (they are not protocol outputs); the recycled key is kept classically.
@@ -48,10 +55,11 @@ from .hybrid import (
     REJ,
     FinalState,
     _accumulate,
+    checked_total,
     key_sweep,
     mix_records,
 )
-from .pauli import PauliString, pauli_matrix
+from .pauli import PauliString, enumerate_paulis, pauli_matrix
 from .qmath import (
     RegisterError,
     Registers,
@@ -72,6 +80,15 @@ from .qmath import (
 def key_pauli(m: int, x: int, z: int) -> np.ndarray:
     """Dense m-qubit X^x Z^z selected by an encryption key pair."""
     return pauli_matrix(PauliString(m, x, z))
+
+
+def key_pads(m: int) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """The keyed Pauli pad: every key pair (x, z) in ``enumerate_paulis``'
+    order (x-major, z-minor, so key (x, z) is row x * 2^m + z) and the stack
+    of the X^x Z^z they select. Every keyed sweep, the Bell basis and the
+    exact cipher read their pads from here."""
+    paulis = list(enumerate_paulis(m))
+    return [(p.x, p.z) for p in paulis], np.stack([pauli_matrix(p) for p in paulis])
 
 
 def _register_qubits(state, name: str) -> int:
@@ -103,15 +120,8 @@ def _apply(vector: np.ndarray, registers: Registers, matrix, names, out_regs=Non
 def bell_kets(m: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
     """Rows are the Bell-basis kets (I (x) X^x Z^z)|Phi^m> on a register pair
     (first factor most significant); outcome order is x-major, z-minor."""
-    d = 1 << m
-    rows = np.zeros((d * d, d * d), dtype=complex)
-    values = []
-    for x in range(d):
-        for z in range(d):
-            sigma = key_pauli(m, x, z)
-            rows[x * d + z, :] = sigma.T.reshape(-1) / np.sqrt(d)
-            values.append((x, z))
-    return rows, values
+    values, pads = key_pads(m)
+    return pads.transpose(0, 2, 1).reshape(len(values), -1) / np.sqrt(1 << m), values
 
 
 def teleport(
@@ -138,15 +148,16 @@ def teleport(
         raise ValueError("resource register dims must match the message register")
     combined = tensor(state, resource)
     rows, values = bell_kets(m)
+    _, pads = key_pads(m)
     out = []
-    for row, (x, z) in zip(rows, values):
+    for row, (x, z), pad in zip(rows, values, pads):
         bra = row[None, :].conj()
         vec, regs = _apply(combined.amplitudes, combined.registers, bra, (message, alice), ())
         p = float(np.vdot(vec, vec).real)
         if p <= PRUNE_BELOW:
             continue
         if correct:
-            vec, regs = _apply(vec, regs, key_pauli(m, x, z).conj().T, (bob,))
+            vec, regs = _apply(vec, regs, pad.conj().T, (bob,))
         out.append((p, (x, z), StateVector(vec / np.linalg.norm(vec), regs)))
     return out
 
@@ -161,11 +172,16 @@ def _family_encoders(family: PtcFamily) -> tuple[EncodingUnitary, ...]:
     return tuple(encoding_unitary(code) for code in family.codes)
 
 
+# One entry: the final-state builds of one job share the attack's pieces, and
+# nothing is kept from one (family, attack) to the next.
+@lru_cache(maxsize=1)
 def _attack_pieces(family: PtcFamily, attack: AttackDescriptor):
-    """Dilation isometry, target names, and output registers for an attack."""
+    """Dilation isometry (read-only), target names, and output registers for
+    an attack."""
     dims = {"R": 1 << family.m, "T": 1 << family.n}
     ch = build_attack(attack, dims)
     iso = ch.dilation()
+    iso.setflags(write=False)
     out_regs = tuple((name, dims[name]) for name in attack.acts_on) + (("E", ch.env_dim),)
     return iso, attack.acts_on, out_regs
 
@@ -227,8 +243,7 @@ def run_qa_kg(
     dm = 1 << m
     if dict(input_state.registers).get("M") != dm:
         raise ValueError(f"input must carry an M register of dimension {dm}")
-    keys = [(x, z) for x in range(dm) for z in range(dm)]
-    pads = np.stack([key_pauli(m, x, z) for x, z in keys])
+    keys, pads = key_pads(m)
     return key_sweep(
         *_sweep_pieces(family, attack),
         input_state,
@@ -264,7 +279,7 @@ def run_tqa_kg(
         tuple(("Min" if name == "M" else name, dim) for name, dim in input_state.registers),
     )
     rows, keys = bell_kets(m)
-    corrections = np.stack([key_pauli(m, x, z).conj().T for x, z in keys])
+    _, pads = key_pads(m)
     return key_sweep(
         *_sweep_pieces(family, attack),
         tensor(message, ebits),
@@ -272,7 +287,7 @@ def run_tqa_kg(
         _qa_output_plan(back_communication, detail),
         _detail_fields(detail, "key"),
         instrument=(("Min", "A1"), "key", keys, rows.conj()[:, None, :], ()),
-        correct=("key", corrections),
+        correct=("key", pads.conj().transpose(0, 2, 1)),
         receiver="M",
     )
 
@@ -387,7 +402,7 @@ def ebit_ptp(
         _accumulate(
             blocks, mixes, amps, ["t", "y", "ysyn"], t0, values, out_regs, plan, exposed, 1.0 / len(encs)
         )
-    return mix_records(blocks, mixes)
+    return checked_total(mix_records(blocks, mixes), "ebit_ptp")
 
 
 def _split(vec: np.ndarray, regs: Registers, name: str, split: Registers):

@@ -20,6 +20,12 @@ channel delivers the message exactly and the ideal key box emits a fresh
 uniform key; on reject everything is replaced by error symbols.
 
 Everything is reported in the full 1-norm (maximum 2 between states).
+
+The accept-and-decode operators L_{t,u} are built once (``_accept_decoders``)
+for both ``ptp_soundness_exact`` and ``soundness_functional``;
+``ebit_report`` takes its accept-conditional states from
+``FinalBlock.conditional`` and their AB marginal from ``qmath.partial_trace``;
+the ideal key list is ``protocols.key_pads``'.
 """
 
 from __future__ import annotations
@@ -33,14 +39,12 @@ from .adversary import AttackDescriptor
 from .codes import PtcFamily
 from .hybrid import ACC, ERR, REJ, FinalState, InvariantError, Record, key_sweep, record_get
 from .pauli import PauliString, pauli_matrix
-from .protocols import _family_encoders, _sweep_pieces, ebit_ptp, run_qa_kg
+from .protocols import _family_encoders, _sweep_pieces, ebit_ptp, key_pads, run_qa_kg
 from .qmath import (
-    DensityMatrix,
     StateVector,
-    _trace_out_axes,
     fidelity,
     max_entangled_vector,
-    reg_dims,
+    partial_trace,
     replace_factors,
     tensor,
     trace_norm,
@@ -146,16 +150,12 @@ def ebit_report(family: PtcFamily, attack: AttackDescriptor, real: FinalState) -
     fid = 1.0
     alpha = 0.0
     if p_acc > 0:
-        acc = real.conditional_where(_is_acc)
-        xi = acc.matrix / acc.weight
-        ideal_acc = ideal.conditional_where(_is_acc)
-        target = ideal_acc.matrix / ideal_acc.weight
-        factored = p_acc * trace_norm(xi - target)
-        regs = acc.registers
-        fid = fidelity(DensityMatrix(xi, regs), DensityMatrix(target, regs))
+        xi = real.conditional_where(_is_acc).conditional()
+        target = ideal.conditional_where(_is_acc).conditional()
+        factored = p_acc * trace_norm(xi.matrix - target.matrix)
+        fid = fidelity(xi, target)
         phi = max_entangled_vector(1 << family.m)
-        env = [i for i, (name, _) in enumerate(regs) if name not in ("A", "B")]
-        xi_ab = _trace_out_axes(xi, reg_dims(regs), env)
+        xi_ab = partial_trace(xi, ("A", "B")).matrix
         alpha = float(np.real(np.trace(xi_ab) - phi.conj() @ xi_ab @ phi))
     bound = ebit_advantage_bound(family.epsilon_verified)
     return make_report(
@@ -201,6 +201,22 @@ def chain_checks(rep: AdvantageReport) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _accept_decoders(family: PtcFamily) -> np.ndarray:
+    """The accept-and-decode operators L_{t,u} = <u|D_t^* (x) <u|D_t (sender
+    decodes in the conjugate basis, receiver in the plain one, both find
+    syndrome u), stacked over (t, u) in that order: 2n qubits -> 2m."""
+    dm = 1 << family.m
+    blocks = np.stack([enc.decoder for enc in _family_encoders(family)])
+    blocks = blocks.reshape(len(blocks) * (1 << family.s), dm, -1)  # <u| D_t
+    return np.stack([np.kron(block.conj(), block) for block in blocks])
+
+
+def _overlap_defect(m: int) -> np.ndarray:
+    """I - Phi^m on the decoded pair (2m qubits)."""
+    phi = max_entangled_vector(1 << m)
+    return np.eye(phi.size, dtype=complex) - np.outer(phi, phi.conj())
+
+
 def ptp_soundness_exact(family: PtcFamily) -> float:
     """Exact worst case of Tr[ T(rho) ((I - Phi^m) (x) acc) ] over all inputs.
 
@@ -211,38 +227,22 @@ def ptp_soundness_exact(family: PtcFamily) -> float:
     Cross-validates the mask-level detection predicate against the state-level
     soundness definition: the value matches the family's verified epsilon.
     """
-    m, n, s = family.m, family.n, family.s
-    if n > 4:
+    if family.n > 4:
         raise ValueError("exact soundness is limited to n <= 4 (operator on 4^n dims)")
-    dm, dt, dy = 1 << m, 1 << n, 1 << s
-    phi = max_entangled_vector(dm)
-    defect = np.eye(dm * dm, dtype=complex) - np.outer(phi, phi.conj())
+    defect = _overlap_defect(family.m)
+    dt = 1 << family.n
     omega = np.zeros((dt * dt, dt * dt), dtype=complex)
-    for enc in _family_encoders(family):
-        dec = enc.decoder
-        for u in range(dy):
-            block = dec[u * dm : (u + 1) * dm, :]  # <u| D : 2^n -> 2^m
-            l_op = np.kron(block.conj(), block)  # sender conjugate-basis, receiver plain
-            omega += l_op.conj().T @ defect @ l_op
+    for l_op in _accept_decoders(family):
+        omega += l_op.conj().T @ defect @ l_op
     omega /= len(family.codes)
     return float(np.linalg.eigvalsh((omega + omega.conj().T) / 2).max())
 
 
 def soundness_functional(family: PtcFamily, rho: np.ndarray) -> float:
     """Tr[ T(rho) ((I - Phi^m) (x) acc) ] for one explicit 2n-qubit input."""
-    m, n, s = family.m, family.n, family.s
-    dm, dy = 1 << m, 1 << s
-    phi = max_entangled_vector(dm)
-    defect = np.eye(dm * dm, dtype=complex) - np.outer(phi, phi.conj())
-    total = 0.0
-    for enc in _family_encoders(family):
-        dec = enc.decoder
-        for u in range(dy):
-            block = dec[u * dm : (u + 1) * dm, :]
-            l_op = np.kron(block.conj(), block)
-            out = l_op @ rho @ l_op.conj().T
-            total += float(np.real(np.trace(defect @ out)))
-    return total / len(family.codes)
+    l_ops = _accept_decoders(family)
+    out = l_ops @ rho @ l_ops.conj().transpose(0, 2, 1)
+    return float(np.einsum("ab,kba->", _overlap_defect(family.m), out).real) / len(family.codes)
 
 
 def pauli_displaced_input(family: PtcFamily, error: PauliString) -> np.ndarray:
@@ -275,7 +275,7 @@ def run_qa_kg_ideal(
     dm = 1 << family.m
     if dict(input_state.registers).get("M") != dm:
         raise ValueError(f"input must carry an M register of dimension {dm}")
-    keys = [(x, z) for x in range(dm) for z in range(dm)]
+    keys, _ = key_pads(family.m)
     return ideal_sweep(
         input_state, family, attack, keys, lambda key: (("key_alice", key), ("key_bob", key))
     )

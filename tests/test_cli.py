@@ -5,6 +5,7 @@ import pytest
 
 from qauthlab.cli import main
 
+FIXTURE = Path(__file__).resolve().parent.parent / "perfbench/fixtures/family-m1-s3.json"
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -119,6 +120,37 @@ def test_uc_invariant_violation_exits_three(tmp_path, capsys, monkeypatch):
     assert "total weight" in capsys.readouterr().err
 
 
+def test_uc_tampered_decoder_breaks_the_forms_identity(capsys, monkeypatch):
+    # negative control for identities_ok: ebit_ptp decodes code 0 with the
+    # inverse of its encoder with one codeword's sign flipped, while ebit_ptc
+    # keeps the true encoder, so the two entanglement forms drift apart
+    from types import SimpleNamespace
+
+    import numpy as np
+
+    from qauthlab import protocols
+
+    encoders = protocols._family_encoders
+
+    def tampered(family):
+        first, *rest = encoders(family)
+        flipped = first.matrix.copy()
+        flipped[:, 0] *= -1
+        return (SimpleNamespace(matrix=first.matrix, decoder=np.linalg.inv(flipped)), *rest)
+
+    monkeypatch.setattr(protocols, "_family_encoders", tampered)
+    code, rep = run_cli(
+        capsys, "uc", "--family", str(FIXTURE), "--input", "entangled", "--attack", "random-101"
+    )
+    assert code == 1
+    (result,) = rep["results"]
+    assert result["checks"]["entanglement_forms_identity"] == pytest.approx(1.8e-3, rel=0.01)
+    assert result["checks"]["teleported_twin_identity"] < 1e-9
+    assert result["checks"]["identities_ok"] is False
+    # both advantage bounds still pass: only the identity check sees the fault
+    assert result["ebit"]["pass"] and result["qa_kg"]["pass"]
+
+
 def test_uc_understated_epsilon_exits_one(tmp_path, capsys):
     # negative control: this family's true eps is 0.625; with a stored eps of
     # 0.2, attack X0 is accepted with p_acc * (1 - overlap) = 0.25 > 0.2,
@@ -179,11 +211,10 @@ def test_wc_above_cost_limit_exits_two(capsys):
 
 def test_ptc_reproduces_the_committed_fixture(tmp_path, capsys):
     # locks the worst-error tie-break that search_ptc's repair loop follows
-    fixture = Path(__file__).resolve().parent.parent / "perfbench/fixtures/family-m1-s3.json"
     out = tmp_path / "fam.json"
     code, _ = run_cli(capsys, "ptc", "--m", "1", "--s", "3", "--seed", "1", "--out", str(out))
     assert code == 0
-    assert out.read_bytes() == fixture.read_bytes()
+    assert out.read_bytes() == FIXTURE.read_bytes()
 
 
 def test_ptc_family_above_cost_limit_exits_two(tmp_path, capsys):
@@ -237,6 +268,7 @@ def test_parser_is_built_once_and_carries_nothing_over(capsys):
         (["ptc", "--budget", "0"], "argument --budget: 0 is not at least 1"),
         (["psqa", "--attacks", "0"], "argument --attacks: 0 is not at least 1"),
         (["lemmas", "--trials", "0"], "argument --trials: 0 is not at least 1"),
+        (["uc", "--m", "2", "--s", "2", "--attack", "nope"], "no attack named 'nope' in the standard suite"),
     ],
 )
 def test_bad_numbers_exit_two_before_any_work(capsys, monkeypatch, argv, message):

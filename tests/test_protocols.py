@@ -254,3 +254,49 @@ def test_entanglement_forms_identity_per_attack(family_s1, attack_label):
     ptp = ebit_ptp(family_s1, desc)
     assert ptc.distance(ptp) < 1e-9
 
+
+
+def test_ebit_ptp_refuses_a_lossy_dilation(family_s1, monkeypatch):
+    # the total-weight invariant every key sweep has; without it ebit_ptp
+    # returned a final state of total weight 0.81 here
+    from qauthlab import protocols
+    from qauthlab.hybrid import InvariantError
+
+    pieces = protocols._attack_pieces
+
+    def leaky(family, attack):  # an attack dilation that loses weight
+        iso, names, out_regs = pieces(family, attack)
+        return 0.9 * iso, names, out_regs
+
+    monkeypatch.setattr(protocols, "_attack_pieces", leaky)
+    attack = AttackDescriptor("identity")
+    with pytest.raises(InvariantError, match="key sweep: final state total weight 0.8"):
+        ebit_ptc(family_s1, attack)
+    with pytest.raises(InvariantError, match="ebit_ptp: final state total weight 0.8"):
+        ebit_ptp(family_s1, attack)
+
+
+def test_attack_is_built_once_per_job(family_s1, monkeypatch):
+    # the five final-state builds of a uc job, and the two of a psqa job,
+    # share one channel and dilation; the next attack replaces it
+    from qauthlab import protocols
+    from qauthlab.approx_psqa import psqa_advantage, sample_cipher
+    from qauthlab.cli import _uc_single
+
+    built = []
+    build = protocols.build_attack
+
+    def spy(desc, dims):
+        built.append(desc.name())
+        return build(desc, dims)
+
+    monkeypatch.setattr(protocols, "build_attack", spy)
+    protocols._attack_pieces.cache_clear()
+    x0, y0 = (a for a in standard_suite(1, 1) if a.name() in ("X0", "Y0"))
+    _uc_single(family_s1, x0, "entangled")
+    _uc_single(family_s1, y0, "entangled")
+    assert built == ["X0", "Y0"]
+    psqa_advantage(haar_state(2, np.random.default_rng(3)), sample_cipher(1, 4, 3), family_s1, x0)
+    assert built == ["X0", "Y0", "X0"]
+    iso = protocols._attack_pieces(family_s1, x0)[0]
+    assert not iso.flags.writeable
