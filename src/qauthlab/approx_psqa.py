@@ -26,7 +26,7 @@ import numpy as np
 from .adversary import AttackDescriptor
 from .codes import PtcFamily
 from .hybrid import ACC, ERR, FinalState, key_sweep, record_get
-from .protocols import _detail_fields, _sweep_pieces, key_pads
+from .protocols import _detail_fields, _sweep_pieces, key_pads, pad_key
 from .qmath import (
     Povm,
     StateVector,
@@ -38,6 +38,9 @@ from .qmath import (
     psd_sqrt,
 )
 from .ucharness import AdvantageReport, ebit_advantage_bound, ideal_sweep, make_report
+
+# sampled ciphers act on at most this many qubits (toy scale)
+CIPHER_MAX_M = 2
 
 
 @dataclass(frozen=True)
@@ -99,8 +102,8 @@ def pauli_cipher(m: int) -> ApproxCipher:
 
 def sample_cipher(m: int, key_count: int, seed: int) -> ApproxCipher:
     """K Haar-random unitaries with the measured (not assumed) delta."""
-    if m > 2:
-        raise ValueError("toy-scale ciphers are limited to m <= 2")
+    if m > CIPHER_MAX_M:
+        raise ValueError(f"sampled ciphers are limited to m <= {CIPHER_MAX_M}")
     rng = np.random.default_rng(seed)
     unis = tuple(haar_unitary(1 << m, rng) for _ in range(key_count))
     delta = measure_delta(unis, m, seed=seed)
@@ -183,15 +186,13 @@ def run_psqa_kg(
     """
     dm = 1 << family.m
     vec = np.asarray(message_vec, dtype=complex).reshape(-1)
-    pads = np.stack(cipher.unitaries)
     return key_sweep(
         *_sweep_pieces(family, attack),
         StateVector(vec, (("Mc", dm),)),
         "Mc",
         _psqa_plan(detail),
         _detail_fields(detail, "k"),
-        pad=("k", range(cipher.key_count), pads),
-        correct=("k", pads.conj().transpose(0, 2, 1)),
+        key=pad_key("k", range(cipher.key_count), np.stack(cipher.unitaries), "Mc"),
         receiver="M",
     )
 
@@ -228,8 +229,8 @@ def run_psrqa_kg(
         "B0",
         _psqa_plan(detail, internal=("Ams",)),
         _detail_fields(detail, "k"),
-        instrument=(("Ams",), "k", list(range(cipher.key_count)) + ["f"], np.stack(ops), (("Ams", dm),)),
-        correct=("k", np.stack(corrections)),
+        key=("k", list(range(cipher.key_count)) + ["f"], ("Ams",), np.stack(ops), (("Ams", dm),),
+             np.stack(corrections)),
         receiver="M",
     )
 

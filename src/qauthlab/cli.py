@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .adversary import AttackDescriptor, purified_input, standard_suite
-from .approx_psqa import psqa_advantage, rsp_povm, sample_cipher
+from .approx_psqa import CIPHER_MAX_M, psqa_advantage, rsp_povm, sample_cipher
 from .classical_wc import key_leak_demo, poly_hash_family, wc_kg_advantage
 from .codes import PtcFamily, cost_formulas, ptc_epsilon_formula, search_ptc, verify_ptc
 from .hybrid import InvariantError
@@ -72,8 +72,9 @@ def _emit(report: dict, out_path: str | None) -> None:
 
 def _load_or_search_family(args, max_n: int | None = None) -> PtcFamily:
     """The loaded or searched family; with ``max_n``, a family on more than
-    ``max_n`` qubits, a bad ``--input`` spec and an ``--attack`` outside the
-    standard suite are refused before any search starts."""
+    ``max_n`` qubits, a bad ``--input`` spec, an ``--attack`` outside the
+    standard suite and a cipher (``--K``) on more than CIPHER_MAX_M qubits are
+    refused before any search starts."""
     family = PtcFamily.load(args.family) if getattr(args, "family", None) else None
     m, s = (family.m, family.s) if family is not None else (args.m, args.s)
     if max_n is not None and m + s > max_n:
@@ -81,6 +82,8 @@ def _load_or_search_family(args, max_n: int | None = None) -> PtcFamily:
             f"state-level experiments are limited to n <= {max_n} (dense operators on 4^n dims); "
             f"this family has n = m + s = {m + s}"
         )
+    if getattr(args, "cipher_size", None) is not None and m > CIPHER_MAX_M:
+        raise ValueError(f"sampled ciphers are limited to m <= {CIPHER_MAX_M}; this family has m = {m}")
     if getattr(args, "input", None) is not None:
         purified_input(args.input, m)  # refuses a bad input spec before the search
     attack = getattr(args, "attack", "standard")
@@ -281,7 +284,7 @@ def _positive(text: str) -> int:
 
 
 def _family_args(sub):
-    sub.add_argument("--m", type=int, default=1, help="logical qubits")
+    sub.add_argument("--m", type=_positive, default=1, help="logical qubits")
     sub.add_argument("--s", type=_positive, default=2, help="syndrome qubits")
     sub.add_argument("--family", type=str, default=None, help="load a saved family JSON")
     sub.add_argument("--target-eps", type=float, default=None, dest="target_eps",

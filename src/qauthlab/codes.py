@@ -176,6 +176,8 @@ class PtcFamily:
         object.__setattr__(self, "codes", tuple(self.codes))
         if not self.codes:
             raise CodeError("empty family")
+        if self.m < 1:
+            raise CodeError(f"a family must encode at least one qubit; its codes have m = {self.m}")
 
     @property
     def m(self) -> int:

@@ -9,10 +9,11 @@ distances decompose per record.
 :func:`key_sweep`, the one simulation engine, runs the seven keyed sweeps
 (``run_qa_kg``, ``run_tqa_kg``, ``ebit_ptc``, ``run_qa_kg_ideal``,
 ``run_psqa_kg``, ``run_psrqa_kg``, ``psqa_ideal``). Every key, the code index
-among them, the received syndrome and measurement outcomes are leading axes
-of one amplitude array, with per-key operators as stacked matrices applied
-by batched products; attacks arrive dilated, so the amplitudes stay pure
-until it finalizes with one contraction per chunk of codes and record. The
+among them, and the received syndrome are leading axes of one amplitude
+array. A run's secret key (pad, cipher, Bell or preparation outcome) is one
+instrument taken before the codes; the codes are stacked matrices applied by
+batched products; attacks arrive dilated, so the amplitudes stay pure until
+it finalizes with one contraction per chunk of codes and record. The
 codes run in chunks whose largest array holds at most CHUNK_ELEMENTS
 entries, so memory is bounded per chunk, not per sweep. Output filters such
 as "drop this register" apply per contraction; "replace this register by the
@@ -177,9 +178,7 @@ def key_sweep(
     carrier: str,
     plan: Callable[[dict], tuple[Record, tuple[str, ...], tuple[str, ...]]],
     exposed: Sequence[str],
-    pad: tuple[str, Sequence, np.ndarray] | None = None,
-    instrument: tuple[Sequence[str], str, Sequence, np.ndarray, Registers] | None = None,
-    correct: tuple[str, np.ndarray] | None = None,
+    key: tuple[str, Sequence, Sequence[str], np.ndarray, Registers, np.ndarray] | None = None,
     receiver: str = "B",
 ) -> FinalState:
     """Send ``carrier`` of ``base`` through a keyed code under attack, for
@@ -188,59 +187,52 @@ def key_sweep(
     Every key is a leading classical axis of one amplitude array, the code
     index ``t`` among them:
 
-    - ``pad`` = (label, values, mats): mats[v] acts on the carrier, on a new
-      axis ``label``;
+    - ``key`` = (label, values, names, ops, out registers, corrections): ops,
+      stacked (values, out dim, in dim), act once on the registers ``names``
+      of ``base``, before the codes, with their outcome as the axis
+      ``label``; corrections[v] acts on the receiver where that axis is v
+      and ysyn == y (a pad of K unitaries U_k is the instrument U_k/sqrt(K));
     - the stacked encoders (``encoders[t]``, each read as (syndrome, logical)
       -> T) map the carrier onto T in one contraction, with the code ``t``
       and the syndrome key ``y`` as axes; ``attack`` = (isometry, names, out
       registers) acts once, shared by every code;
     - the decoder of code t splits T into the received syndrome ``ysyn`` (an
-      axis) and the register ``receiver``;
-    - ``instrument`` = (names, label, values, ops, out registers), with ops
-      stacked (outcomes, out dim, in dim), adds the outcome axis ``label``;
-    - ``correct`` = (label, mats): mats[v] acts on the receiver where the
-      ``label`` axis is v and ysyn == y.
+      axis) and the register ``receiver``.
 
-    Every key has equal weight. Slices of probability at most PRUNE_BELOW are
-    dropped. ``plan`` maps the fields named in ``exposed`` (from t, y, ysyn,
-    verdict and the labels) to (output record, registers to drop, registers
-    to replace by I/d). The codes run in chunks: each chunk's largest
-    amplitude array holds at most CHUNK_ELEMENTS entries (or one code's, if
-    that is more), which bounds memory, and adds one contraction per output
-    record. Each record is replaced by I/d once, after the last chunk.
+    Every (t, y) has equal weight. Slices of probability at most PRUNE_BELOW
+    are dropped. ``plan`` maps the fields named in ``exposed`` (from t, y,
+    ysyn, verdict and the key label) to (output record, registers to drop,
+    registers to replace by I/d). The codes run in chunks: each chunk's
+    largest amplitude array holds at most CHUNK_ELEMENTS entries (or one
+    code's, if that is more), which bounds memory, and adds one contraction
+    per output record. Each record is replaced by I/d once, at the end.
     """
     iso, att_names, att_out = attack
     d_in = dict(base.registers)[carrier]
     dt = encoders[0].shape[0]
     dy = dt // d_in
     values: dict[str, Sequence] = {"t": range(len(encoders)), "y": range(dy), "ysyn": range(dy)}
-    start, start_names = base.amplitudes.reshape(reg_dims(base.registers)), []
-    if pad is not None:
-        label, values[label], mats = pad
-        start = np.broadcast_to(start, (len(mats),) + start.shape)
-        start = _keyed(start, 0, 1 + reg_positions(base.registers, (carrier,))[0], mats)
-        start_names = [label]
-    # one code's amplitudes after the attack (and after the instrument, which
-    # may widen them): the chunk size follows from it
-    dims = {**dict(base.registers), "T": dt}
+    start, start_regs, start_names = base.amplitudes.reshape(reg_dims(base.registers)), base.registers, []
+    if key is not None:
+        label, values[label], key_names, ops, key_out, corrections = key
+        start, start_regs, start_names = _contract(
+            start, start_regs, start_names, ops, key_names, ((label, len(ops)),) + tuple(key_out), (label,)
+        )
+    # one code's amplitudes after the attack: the chunk size follows from it
+    dims = {**dict(start_regs), "T": dt}
     attacked_in = int(np.prod([dims[name] for name in att_names]))
     per_code = start.size // d_in * dt * dy * total_dim(att_out) // attacked_in
-    if instrument is not None:
-        in_names, out_label, values[out_label], ops, out_regs = instrument
-        measured = ops.reshape(len(ops) * total_dim(out_regs), -1)
-        out_regs = ((out_label, len(ops)),) + tuple(out_regs)
-        per_code = max(per_code, per_code * measured.shape[0] // measured.shape[1])
     stacked = np.stack(encoders)
     decoders = stacked.conj().transpose(0, 2, 1)
     step = max(1, CHUNK_ELEMENTS // per_code)
     blocks: dict[Record, tuple[Registers, np.ndarray]] = {}
     mixes: dict[Record, tuple[str, ...]] = {}
-    weight = 1.0 / (len(encoders) * dy * (len(pad[2]) if pad is not None else 1))
+    weight = 1.0 / (len(encoders) * dy)
     for t0 in range(0, len(encoders), step):
         chunk = stacked[t0 : t0 + step]
         encode = chunk.reshape(len(chunk) * dt * dy, d_in)
         amps, regs, names = _contract(
-            start, base.registers, start_names, encode, (carrier,),
+            start, start_regs, start_names, encode, (carrier,),
             (("t", len(chunk)), ("T", dt), ("y", dy)), ("t", "y"),
         )
         amps, regs, names = _contract(amps, regs, names, iso, att_names, att_out)
@@ -251,14 +243,9 @@ def key_sweep(
         amps = amps.reshape(amps.shape[:at] + (dy, d_in) + amps.shape[at + 1 :])
         amps = np.moveaxis(amps, at, len(names))
         regs, names = regs[:pos] + ((receiver, d_in),) + regs[pos + 1 :], names + ["ysyn"]
-        if instrument is not None:
-            amps, regs, names = _contract(
-                amps, regs, names, measured, in_names, out_regs, (out_label,)
-            )
-        if correct is not None:
-            by, mats = correct
+        if key is not None:
             target = len(names) + reg_positions(regs, (receiver,))[0]
-            fixed = _keyed(amps, names.index(by), target, mats)
+            fixed = _keyed(amps, names.index(label), target, corrections)
             at = names.index("y")  # ysyn follows y
             accept = np.eye(dy, dtype=bool).reshape((1,) * at + (dy, dy) + (1,) * (amps.ndim - at - 2))
             amps = np.where(accept, fixed, amps)

@@ -26,6 +26,11 @@ are held to. Only the accept path is fixed: the reject branches (received
 syndrome != sent syndrome) are collected unnormalized and finalized per
 record by one product over each chunk of codes, as ``key_sweep`` does.
 
+Each keyed run passes its secret key to ``key_sweep`` as one instrument
+taken before encoding: a pad as U_k / sqrt(K) (``pad_key``, for ``run_qa_kg``
+and ``approx_psqa.run_psqa_kg``), and ``run_tqa_kg``'s Bell measurement, whose
+registers the code never touches, so it commutes with encoding and attack.
+
 Shared pieces are built once, here: the keyed Pauli pad (``key_pads``, read
 by ``run_qa_kg``, the Bell basis ``bell_kets``, ``run_tqa_kg``'s corrections,
 ``ucharness.run_qa_kg_ideal``'s key list and ``approx_psqa.pauli_cipher``),
@@ -115,6 +120,14 @@ def _apply(vector: np.ndarray, registers: Registers, matrix, names, out_regs=Non
     res = np.moveaxis(res, range(k), range(at, at + k))
     rest = tuple(r for i, r in enumerate(registers) if i not in pos)
     return res.reshape(-1), rest[:at] + out_regs + rest[at:]
+
+
+def pad_key(label: str, values, pads: np.ndarray, carrier: str):
+    """The ``key_sweep`` key of a pad of K unitaries on ``carrier``, each
+    picked with probability 1/K (the instrument U_k / sqrt(K)) and undone by
+    U_k^dag on accept."""
+    scaled, undo = pads / np.sqrt(len(pads)), pads.conj().transpose(0, 2, 1)
+    return label, values, (carrier,), scaled, ((carrier, pads.shape[1]),), undo
 
 
 def bell_kets(m: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
@@ -243,15 +256,13 @@ def run_qa_kg(
     dm = 1 << m
     if dict(input_state.registers).get("M") != dm:
         raise ValueError(f"input must carry an M register of dimension {dm}")
-    keys, pads = key_pads(m)
     return key_sweep(
         *_sweep_pieces(family, attack),
         input_state,
         "M",
         _qa_output_plan(back_communication, detail),
         _detail_fields(detail, "key"),
-        pad=("key", keys, pads),
-        correct=("key", pads.conj().transpose(0, 2, 1)),
+        key=pad_key("key", *key_pads(m), "M"),
         receiver="M",
     )
 
@@ -268,26 +279,21 @@ def run_tqa_kg(
     The sender shares fresh entanglement, ships the encoded halves through the
     attack, Bell-measures the message against her retained halves after the
     syndrome comparison, and the Bell outcome becomes the recycled key. The
-    final state equals ``run_qa_kg``'s branch for branch.
+    measurement touches no register of the code, so it is simulated first.
+    The final state equals ``run_qa_kg``'s branch for branch.
     """
     m = family.m
     dm = 1 << m
     ebits = StateVector(max_entangled_vector(dm), (("A1", dm), ("A2", dm)))
-    # the message is renamed so that the receiver's output can take its name
-    message = StateVector(
-        input_state.amplitudes,
-        tuple(("Min" if name == "M" else name, dim) for name, dim in input_state.registers),
-    )
     rows, keys = bell_kets(m)
     _, pads = key_pads(m)
     return key_sweep(
         *_sweep_pieces(family, attack),
-        tensor(message, ebits),
+        tensor(input_state, ebits),
         "A2",
         _qa_output_plan(back_communication, detail),
         _detail_fields(detail, "key"),
-        instrument=(("Min", "A1"), "key", keys, rows.conj()[:, None, :], ()),
-        correct=("key", pads.conj().transpose(0, 2, 1)),
+        key=("key", keys, ("M", "A1"), rows.conj()[:, None, :], (), pads.conj().transpose(0, 2, 1)),
         receiver="M",
     )
 

@@ -22,8 +22,9 @@ uniform key; on reject everything is replaced by error symbols.
 Everything is reported in the full 1-norm (maximum 2 between states).
 
 The accept-and-decode operators L_{t,u} are built once (``_accept_decoders``)
-for both ``ptp_soundness_exact`` and ``soundness_functional``;
-``ebit_report`` takes its accept-conditional states from
+into one soundness operator Omega (``_soundness_operator``), whose top
+eigenvalue is ``ptp_soundness_exact`` and whose trace against an input is
+``soundness_functional``; ``ebit_report`` takes its accept-conditional states from
 ``FinalBlock.conditional`` and their AB marginal from ``qmath.partial_trace``;
 the ideal key list is ``protocols.key_pads``'.
 """
@@ -211,38 +212,35 @@ def _accept_decoders(family: PtcFamily) -> np.ndarray:
     return np.stack([np.kron(block.conj(), block) for block in blocks])
 
 
-def _overlap_defect(m: int) -> np.ndarray:
-    """I - Phi^m on the decoded pair (2m qubits)."""
-    phi = max_entangled_vector(1 << m)
-    return np.eye(phi.size, dtype=complex) - np.outer(phi, phi.conj())
+def _soundness_operator(family: PtcFamily) -> np.ndarray:
+    """Omega = (1/|codes|) sum_{t,u} L_{t,u}^dag (I - Phi^m) L_{t,u}, the
+    adjoint of the accept-and-decode map applied to the overlap defect, as
+    one product of the stacked L_{t,u}."""
+    phi = max_entangled_vector(1 << family.m)
+    l_ops = _accept_decoders(family)
+    rows = l_ops.shape[0] * l_ops.shape[1]
+    defect = ((np.eye(phi.size) - np.outer(phi, phi.conj())) @ l_ops).reshape(rows, -1)
+    return l_ops.reshape(rows, -1).conj().T @ defect / len(family.codes)
 
 
 def ptp_soundness_exact(family: PtcFamily) -> float:
     """Exact worst case of Tr[ T(rho) ((I - Phi^m) (x) acc) ] over all inputs.
 
-    The functional is linear in the 2n-qubit input rho, so the maximum equals
-    the largest eigenvalue of the adjoint map applied to the accept projector:
-        Omega = (1/|codes|) sum_{t,u} L_{t,u}^dag (I - Phi^m) L_{t,u}
-    with L_{t,u} the accept-and-decode operator at code t and syndrome u.
-    Cross-validates the mask-level detection predicate against the state-level
-    soundness definition: the value matches the family's verified epsilon.
+    The functional is linear in the 2n-qubit input rho, so the maximum is the
+    largest eigenvalue of Omega (``_soundness_operator``). Cross-validates
+    the mask-level detection predicate against the state-level soundness
+    definition: the value matches the family's verified epsilon.
     """
     if family.n > 4:
         raise ValueError("exact soundness is limited to n <= 4 (operator on 4^n dims)")
-    defect = _overlap_defect(family.m)
-    dt = 1 << family.n
-    omega = np.zeros((dt * dt, dt * dt), dtype=complex)
-    for l_op in _accept_decoders(family):
-        omega += l_op.conj().T @ defect @ l_op
-    omega /= len(family.codes)
+    omega = _soundness_operator(family)
     return float(np.linalg.eigvalsh((omega + omega.conj().T) / 2).max())
 
 
 def soundness_functional(family: PtcFamily, rho: np.ndarray) -> float:
-    """Tr[ T(rho) ((I - Phi^m) (x) acc) ] for one explicit 2n-qubit input."""
-    l_ops = _accept_decoders(family)
-    out = l_ops @ rho @ l_ops.conj().transpose(0, 2, 1)
-    return float(np.einsum("ab,kba->", _overlap_defect(family.m), out).real) / len(family.codes)
+    """Tr[ T(rho) ((I - Phi^m) (x) acc) ] = Re Tr(Omega rho) for one explicit
+    2n-qubit input."""
+    return float(np.einsum("ab,ba->", _soundness_operator(family), rho).real)
 
 
 def pauli_displaced_input(family: PtcFamily, error: PauliString) -> np.ndarray:

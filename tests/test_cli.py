@@ -269,6 +269,12 @@ def test_parser_is_built_once_and_carries_nothing_over(capsys):
         (["psqa", "--attacks", "0"], "argument --attacks: 0 is not at least 1"),
         (["lemmas", "--trials", "0"], "argument --trials: 0 is not at least 1"),
         (["uc", "--m", "2", "--s", "2", "--attack", "nope"], "no attack named 'nope' in the standard suite"),
+        (["psqa", "--m", "0", "--s", "2"], "argument --m: 0 is not at least 1"),
+        (["ptp-soundness", "--m", "0", "--s", "1"], "argument --m: 0 is not at least 1"),
+        (
+            ["psqa", "--m", "3", "--s", "1", "--target-eps", "0", "--budget", "3000"],
+            "sampled ciphers are limited to m <= 2; this family has m = 3",
+        ),
     ],
 )
 def test_bad_numbers_exit_two_before_any_work(capsys, monkeypatch, argv, message):
@@ -281,6 +287,15 @@ def test_bad_numbers_exit_two_before_any_work(capsys, monkeypatch, argv, message
         monkeypatch.setattr(cli, step, no_work)
     assert main(argv) == 2
     assert message in capsys.readouterr().err
+
+
+def test_family_file_without_a_logical_qubit_exits_two(tmp_path, capsys):
+    # one generator on one qubit: the code encodes m = 0 qubits
+    fam_path = tmp_path / "m0.json"
+    fam_path.write_text(json.dumps({"codes": [["xz:0|1"]], "epsilon_verified": 0.0}))
+    for command in ("ptp-soundness", "ptc", "uc", "psqa"):
+        assert main([command, "--family", str(fam_path)]) == 2, command
+        assert "its codes have m = 0" in capsys.readouterr().err, command
 
 
 def test_internal_key_error_exits_three(tmp_path, capsys, monkeypatch):

@@ -188,3 +188,35 @@ def test_key_sweep_rejects_non_isometric_attack(family_s1):
     with pytest.raises(InvariantError, match="key sweep: final state total weight"):
         key_sweep(encoders, (1.1 * iso, names, out_regs), base, "B0", _verdict_plan, ())
     assert not issubclass(InvariantError, ValueError)
+
+
+def test_key_is_contracted_once_per_sweep(monkeypatch, family_s2):
+    # one code per chunk: 8 chunks, and still one contraction of the key
+    from qauthlab import hybrid
+    from qauthlab.approx_psqa import run_psqa_kg, run_psrqa_kg, sample_cipher
+    from qauthlab.protocols import run_qa_kg, run_tqa_kg
+
+    contract = hybrid._contract
+    seen = []
+
+    def spy(amps, regs, names, matrix, in_names, out_regs, classical=()):
+        seen.append(tuple(in_names))
+        return contract(amps, regs, names, matrix, in_names, out_regs, classical)
+
+    monkeypatch.setattr(hybrid, "CHUNK_ELEMENTS", 1)
+    monkeypatch.setattr(hybrid, "_contract", spy)
+    psi = StateVector(max_entangled_vector(2), (("R", 2), ("M", 2)))
+    cipher = sample_cipher(1, 4, seed=2)
+    vec = np.array([0.6, 0.8j], dtype=complex)
+    attack = AttackDescriptor("identity")
+    for run, keyed in (
+        (lambda: run_qa_kg(psi, family_s2, attack), ("M",)),
+        (lambda: run_tqa_kg(psi, family_s2, attack), ("M", "A1")),
+        (lambda: run_psqa_kg(vec, cipher, family_s2, attack), ("Mc",)),
+        (lambda: run_psrqa_kg(vec, cipher, family_s2, attack), ("Ams",)),
+    ):
+        seen.clear()
+        run()
+        assert seen[0] == keyed
+        # then per chunk of one code: encode the carrier, apply the attack
+        assert len(seen) == 1 + 2 * len(family_s2.codes)
