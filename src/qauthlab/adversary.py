@@ -4,11 +4,11 @@ Attack channels act on the transmitted register T alone, or jointly on the
 reference register R and T (the adversary holds the purifying system of the
 message, so letting the attack touch R is part of the threat model). Every
 attack is a plain descriptor (JSON-serializable, deterministic given its seed)
-that compiles to a validated :class:`~qauthlab.qmath.QuantumChannel`; protocols
-apply attacks through the channel's isometric dilation, so the adversary's
-retained environment register E is always explicit in the final states.
-Every Pauli operator an attack uses (fixed, mixed or depolarizing) comes from
-``pauli.pauli_matrix``.
+that compiles to the adversary's isometry V, from the registers it acts on to
+those registers and an environment E, checked to satisfy V^dag V = I.
+Protocols apply V as it is, so the adversary's retained register E is always
+explicit in the final states. Every Pauli operator an attack uses (fixed,
+mixed or depolarizing) comes from ``pauli.pauli_matrix``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import numpy as np
 
 from .pauli import PauliString, hermitian_pauli, pauli_matrix
 from .qmath import (
-    QuantumChannel,
     RegisterError,
     StateVector,
     haar_state,
@@ -28,6 +27,9 @@ from .qmath import (
 )
 
 # Register order convention for attacks on ("R", "T"): R most significant.
+
+# build_attack refuses an isometry whose V^dag V differs from I by more than this
+ISOMETRY_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -90,35 +92,45 @@ class AttackDescriptor:
         )
 
 
-def build_attack(desc: AttackDescriptor, dims: dict[str, int]) -> QuantumChannel:
-    """Compile a descriptor into a channel on the registers it acts on.
+def build_attack(desc: AttackDescriptor, dims: dict[str, int]) -> np.ndarray:
+    """Compile a descriptor into its read-only isometry V.
 
     ``dims`` maps register names to dimensions, e.g. {"R": 2, "T": 8}. The
-    resulting channel's index convention follows ``desc.acts_on`` order with
-    the first register most significant.
+    input index runs over the registers in ``desc.acts_on`` order, the first
+    most significant; the row index is (output, env) with env least
+    significant, so the attack's e-th Kraus operator is V[e::env_dim]. A V
+    whose V^dag V differs from I by more than ISOMETRY_TOL is refused.
     """
     for name in desc.acts_on:
         if name not in dims:
             raise RegisterError(f"attack needs register {name!r} dims, got {sorted(dims)}")
+    v = _isometry(desc, dims)
+    defect = np.abs(v.conj().T @ v - np.eye(v.shape[1])).max()
+    if not defect <= ISOMETRY_TOL:
+        raise ValueError(f"attack {desc.name()!r} is not an isometry: V^dag V is {defect:.3g} from I")
+    v.setflags(write=False)
+    return v
+
+
+def _isometry(desc: AttackDescriptor, dims: dict[str, int]) -> np.ndarray:
+    """``build_attack``'s V, before its check."""
     d = int(np.prod([dims[name] for name in desc.acts_on]))
     n_t = dims["T"].bit_length() - 1
 
     if desc.kind == "identity":
-        return QuantumChannel((np.eye(d, dtype=complex),))
+        return np.eye(d, dtype=complex)
 
     if desc.kind == "fixed_pauli":
-        op = pauli_matrix(PauliString(n_t, desc.x, desc.z))
-        return QuantumChannel((_lift_t(op, desc, dims),))
+        return _lift_t(pauli_matrix(PauliString(n_t, desc.x, desc.z)), desc, dims)
 
     if desc.kind == "pauli_mixture":
         total = sum(w for w, _, _ in desc.weights)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"mixture weights sum to {total}")
-        ops = tuple(
+        return _stack_kraus([
             np.sqrt(w) * _lift_t(pauli_matrix(PauliString(n_t, x, z)), desc, dims)
             for (w, x, z) in desc.weights
-        )
-        return QuantumChannel(ops)
+        ])
 
     if desc.kind == "depolarizing":
         p = desc.strength
@@ -128,25 +140,21 @@ def build_attack(desc: AttackDescriptor, dims: dict[str, int]) -> QuantumChannel
             raise RegisterError(f"qubit {desc.qubit} outside T ({n_t} qubits)")
         # I, X, Y, Z on the qubit: the Hermitian Paulis with masks (x, z) there
         q = desc.qubit
-        ops = tuple(
+        return _stack_kraus([
             np.sqrt(w) * _lift_t(pauli_matrix(hermitian_pauli(n_t, x << q, z << q)), desc, dims)
             for w, x, z in ((1 - 3 * p / 4, 0, 0), (p / 4, 1, 0), (p / 4, 1, 1), (p / 4, 0, 1))
             if w > 0
-        )
-        return QuantumChannel(ops)
+        ])
 
     if desc.kind == "swap_held":
+        # Kraus operators |0><j|: T is reset, E keeps the old basis label j
         dt = dims["T"]
-        ops = tuple(
-            np.outer(np.eye(dt, dtype=complex)[:, 0], np.eye(dt)[:, j]) for j in range(dt)
-        )
-        return QuantumChannel(tuple(_lift_t(op, desc, dims) for op in ops))
+        ket0 = np.eye(dt, dtype=complex)[:, 0]
+        return _stack_kraus([_lift_t(np.outer(ket0, np.eye(dt)[:, j]), desc, dims) for j in range(dt)])
 
     if desc.kind == "random_dilation":
         rng = np.random.default_rng(desc.seed)
-        iso = haar_unitary(d * desc.env_dim, rng)[:, :d]
-        ops = tuple(iso[e :: desc.env_dim, :] for e in range(desc.env_dim))
-        return QuantumChannel(ops)
+        return haar_unitary(d * desc.env_dim, rng)[:, :d]
 
     if desc.kind in ("cnot_from_r", "swap_with_r"):
         if desc.acts_on != ("R", "T"):
@@ -165,9 +173,14 @@ def build_attack(desc: AttackDescriptor, dims: dict[str, int]) -> QuantumChannel
                     new_r = (r_idx & ~1) | tbit
                     new_t = (t_idx & ~(1 << desc.qubit)) | (rbit << desc.qubit)
                 op[new_r * dt + new_t, r_idx * dt + t_idx] = 1.0
-        return QuantumChannel((op,))
+        return op
 
     raise ValueError(f"unknown attack kind {desc.kind!r}")
+
+
+def _stack_kraus(ops: list[np.ndarray]) -> np.ndarray:
+    """The isometry whose row (out, e) is row ``out`` of Kraus operator e."""
+    return np.stack(ops, axis=1).reshape(-1, ops[0].shape[1])
 
 
 def _lift_t(op_t: np.ndarray, desc: AttackDescriptor, dims: dict[str, int]) -> np.ndarray:

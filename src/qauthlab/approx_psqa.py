@@ -42,6 +42,28 @@ from .ucharness import AdvantageReport, ebit_advantage_bound, ideal_sweep, make_
 # sampled ciphers act on at most this many qubits (toy scale)
 CIPHER_MAX_M = 2
 
+# measure_delta's test states: the 2^(m+1) basis and Hadamard-basis states and
+# this many Haar samples
+DELTA_SAMPLES = 2000
+
+# a sampled cipher whose measure_delta array, (2^(m+1) + DELTA_SAMPLES) * K * 2^m
+# complex entries, would exceed this is refused before any work
+CIPHER_MAX_ENTRIES = 1 << 24
+
+
+def check_cipher_size(m: int, key_count: int) -> None:
+    """Refuse a sampled cipher on more than CIPHER_MAX_M qubits, or one whose
+    flattening measurement would hold more than CIPHER_MAX_ENTRIES complex
+    entries."""
+    if m > CIPHER_MAX_M:
+        raise ValueError(f"sampled ciphers are limited to m <= {CIPHER_MAX_M}; this family has m = {m}")
+    entries = (((2 << m) + DELTA_SAMPLES) * key_count) << m
+    if entries > CIPHER_MAX_ENTRIES:
+        raise ValueError(
+            f"a cipher of K = {key_count} keys on m = {m} qubits needs (2^(m+1) + {DELTA_SAMPLES}) * K * 2^m "
+            f"= {entries} entries to measure, above the limit 2^24 = {CIPHER_MAX_ENTRIES}"
+        )
+
 
 @dataclass(frozen=True)
 class ApproxCipher:
@@ -82,7 +104,7 @@ def _test_states(m: int, rng: np.random.Generator, samples: int) -> list[np.ndar
 
 
 def measure_delta(
-    unitaries, m: int, seed: int = 0, samples: int = 2000
+    unitaries, m: int, seed: int = 0, samples: int = DELTA_SAMPLES
 ) -> float:
     """Measured flattening parameter of a cipher over the standard test set."""
     d = 1 << m
@@ -102,8 +124,7 @@ def pauli_cipher(m: int) -> ApproxCipher:
 
 def sample_cipher(m: int, key_count: int, seed: int) -> ApproxCipher:
     """K Haar-random unitaries with the measured (not assumed) delta."""
-    if m > CIPHER_MAX_M:
-        raise ValueError(f"sampled ciphers are limited to m <= {CIPHER_MAX_M}")
+    check_cipher_size(m, key_count)
     rng = np.random.default_rng(seed)
     unis = tuple(haar_unitary(1 << m, rng) for _ in range(key_count))
     delta = measure_delta(unis, m, seed=seed)

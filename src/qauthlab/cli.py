@@ -31,13 +31,14 @@ import numpy as np
 
 from . import __version__
 from .adversary import AttackDescriptor, purified_input, standard_suite
-from .approx_psqa import CIPHER_MAX_M, psqa_advantage, rsp_povm, sample_cipher
+from .approx_psqa import check_cipher_size, psqa_advantage, rsp_povm, sample_cipher
 from .classical_wc import key_leak_demo, poly_hash_family, wc_kg_advantage
 from .codes import PtcFamily, cost_formulas, ptc_epsilon_formula, search_ptc, verify_ptc
 from .hybrid import InvariantError
 from .protocols import ebit_ptc, ebit_ptp, run_qa_kg, run_tqa_kg
 from .qmath import haar_unitary, transpose_trick_residual, encoder_postselection_residual
 from .ucharness import (
+    STATE_LEVEL_MAX_N,
     chain_checks,
     ebit_report,
     ptp_soundness_exact,
@@ -46,9 +47,6 @@ from .ucharness import (
 )
 
 PASS, BOUND_FAIL, CONFIG_FAIL, INVARIANT_FAIL = 0, 1, 2, 3
-
-# uc, psqa and ptp-soundness build dense states and operators on 4^n dims
-STATE_LEVEL_MAX_N = 4
 
 
 def _report(command: str, config: dict, results, started: float) -> dict:
@@ -73,8 +71,8 @@ def _emit(report: dict, out_path: str | None) -> None:
 def _load_or_search_family(args, max_n: int | None = None) -> PtcFamily:
     """The loaded or searched family; with ``max_n``, a family on more than
     ``max_n`` qubits, a bad ``--input`` spec, an ``--attack`` outside the
-    standard suite and a cipher (``--K``) on more than CIPHER_MAX_M qubits are
-    refused before any search starts."""
+    standard suite and a cipher (``--K``) that ``approx_psqa.check_cipher_size``
+    refuses are refused before any search starts."""
     family = PtcFamily.load(args.family) if getattr(args, "family", None) else None
     m, s = (family.m, family.s) if family is not None else (args.m, args.s)
     if max_n is not None and m + s > max_n:
@@ -82,8 +80,8 @@ def _load_or_search_family(args, max_n: int | None = None) -> PtcFamily:
             f"state-level experiments are limited to n <= {max_n} (dense operators on 4^n dims); "
             f"this family has n = m + s = {m + s}"
         )
-    if getattr(args, "cipher_size", None) is not None and m > CIPHER_MAX_M:
-        raise ValueError(f"sampled ciphers are limited to m <= {CIPHER_MAX_M}; this family has m = {m}")
+    if getattr(args, "cipher_size", None) is not None:
+        check_cipher_size(m, args.cipher_size)
     if getattr(args, "input", None) is not None:
         purified_input(args.input, m)  # refuses a bad input spec before the search
     attack = getattr(args, "attack", "standard")

@@ -318,27 +318,12 @@ def search_ptc(
     return PtcFamily(tuple(best[1]), best[0], seed=seed, met_target=False)
 
 
-@dataclass(frozen=True)
-class EncodingUnitary:
-    """Unitary encoder of a code: column (y * 2^m + l) is the l-th basis
-    codeword of the syndrome-y subspace, so the input is read as a syndrome
-    register (most significant) next to a logical register."""
-
-    matrix: np.ndarray
-    code: StabilizerCode
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-
-    @property
-    def decoder(self) -> np.ndarray:
-        return self.matrix.conj().T
-
-
-def encoding_unitary(code: StabilizerCode) -> EncodingUnitary:
-    """Build the encoder by explicit projector chains onto syndrome subspaces.
+def encoding_unitary(code: StabilizerCode) -> np.ndarray:
+    """The code's read-only unitary encoder, built by explicit projector chains
+    onto syndrome subspaces. Column (y * 2^m + l) is the l-th basis codeword
+    of the syndrome-y subspace, so the input is read as a syndrome register
+    (most significant) next to a logical register; the decoder is its
+    conjugate transpose.
 
     For each syndrome pattern y the projector prod_i (I + (-1)^{y_i} g_i) / 2
     has rank 2^m; an orthonormal basis of its range provides the codewords.
@@ -361,4 +346,5 @@ def encoding_unitary(code: StabilizerCode) -> EncodingUnitary:
         cols[:, y * (1 << m) : (y + 1) * (1 << m)] = u_[:, : 1 << m]
     if not np.allclose(cols.conj().T @ cols, np.eye(d), atol=1e-10):
         raise CodeError("encoder failed unitarity check")
-    return EncodingUnitary(cols, code)
+    cols.setflags(write=False)
+    return cols

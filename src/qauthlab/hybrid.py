@@ -12,7 +12,7 @@ distances decompose per record.
 among them, and the received syndrome are leading axes of one amplitude
 array. A run's secret key (pad, cipher, Bell or preparation outcome) is one
 instrument taken before the codes; the codes are stacked matrices applied by
-batched products; attacks arrive dilated, so the amplitudes stay pure until
+batched products; attacks arrive as isometries, so the amplitudes stay pure until
 it finalizes with one contraction per chunk of codes and record. The
 codes run in chunks whose largest array holds at most CHUNK_ELEMENTS
 entries, so memory is bounded per chunk, not per sweep. Output filters such
@@ -172,7 +172,7 @@ class InvariantError(RuntimeError):
 
 
 def key_sweep(
-    encoders: Sequence[np.ndarray],
+    encoders: np.ndarray,
     attack: tuple[np.ndarray, Sequence[str], Registers],
     base: StateVector,
     carrier: str,
@@ -192,8 +192,8 @@ def key_sweep(
       of ``base``, before the codes, with their outcome as the axis
       ``label``; corrections[v] acts on the receiver where that axis is v
       and ysyn == y (a pad of K unitaries U_k is the instrument U_k/sqrt(K));
-    - the stacked encoders (``encoders[t]``, each read as (syndrome, logical)
-      -> T) map the carrier onto T in one contraction, with the code ``t``
+    - the encoder stack (``encoders[t]``, each read as (syndrome, logical)
+      -> T) maps the carrier onto T in one contraction, with the code ``t``
       and the syndrome key ``y`` as axes; ``attack`` = (isometry, names, out
       registers) acts once, shared by every code;
     - the decoder of code t splits T into the received syndrome ``ysyn`` (an
@@ -222,14 +222,12 @@ def key_sweep(
     dims = {**dict(start_regs), "T": dt}
     attacked_in = int(np.prod([dims[name] for name in att_names]))
     per_code = start.size // d_in * dt * dy * total_dim(att_out) // attacked_in
-    stacked = np.stack(encoders)
-    decoders = stacked.conj().transpose(0, 2, 1)
     step = max(1, CHUNK_ELEMENTS // per_code)
     blocks: dict[Record, tuple[Registers, np.ndarray]] = {}
     mixes: dict[Record, tuple[str, ...]] = {}
     weight = 1.0 / (len(encoders) * dy)
     for t0 in range(0, len(encoders), step):
-        chunk = stacked[t0 : t0 + step]
+        chunk = encoders[t0 : t0 + step]
         encode = chunk.reshape(len(chunk) * dt * dy, d_in)
         amps, regs, names = _contract(
             start, start_regs, start_names, encode, (carrier,),
@@ -239,7 +237,7 @@ def key_sweep(
         # the decoder of code t, then T read as (ysyn, receiver)
         (pos,) = reg_positions(regs, ("T",))
         at = len(names) + pos
-        amps = _keyed(amps, names.index("t"), at, decoders[t0 : t0 + step])
+        amps = _keyed(amps, names.index("t"), at, chunk.conj().transpose(0, 2, 1))
         amps = amps.reshape(amps.shape[:at] + (dy, d_in) + amps.shape[at + 1 :])
         amps = np.moveaxis(amps, at, len(names))
         regs, names = regs[:pos] + ((receiver, d_in),) + regs[pos + 1 :], names + ["ysyn"]

@@ -1,10 +1,11 @@
 """Executable circuits for the authentication / key-recycling protocol family.
 
-Implemented protocols (the keyed sweeps over ``hybrid.key_sweep``;
-``teleport`` and the accept path of ``ebit_ptp`` as direct loops over one
-contraction helper, ``_apply``):
+Implemented protocols (the keyed sweeps over ``hybrid.key_sweep``; the
+accept path of ``ebit_ptp`` as a direct loop over one contraction helper,
+``_apply``):
 
-- ``teleport``: qubit-wise teleportation with the Bell basis {(I (x) s_xz)|Phi>}.
+- ``teleport``: qubit-wise teleportation with the Bell basis {(I (x) s_xz)|Phi>},
+  measured as ``run_tqa_kg``'s Bell key through the sweep's contraction.
 - ``run_qa_kg``: encrypt, encode into a secretly keyed error-detecting code
   with a secret syndrome, transmit under attack, decode, compare syndromes,
   decrypt, and recycle the encryption key on accept.
@@ -28,21 +29,23 @@ record by one product over each chunk of codes, as ``key_sweep`` does.
 
 Each keyed run passes its secret key to ``key_sweep`` as one instrument
 taken before encoding: a pad as U_k / sqrt(K) (``pad_key``, for ``run_qa_kg``
-and ``approx_psqa.run_psqa_kg``), and ``run_tqa_kg``'s Bell measurement, whose
-registers the code never touches, so it commutes with encoding and attack.
+and ``approx_psqa.run_psqa_kg``), and ``run_tqa_kg``'s Bell measurement
+(``bell_key``), whose registers the code never touches, so it commutes with
+encoding and attack.
 
 Shared pieces are built once, here: the keyed Pauli pad (``key_pads``, read
-by ``run_qa_kg``, the Bell basis ``bell_kets``, ``run_tqa_kg``'s corrections,
-``ucharness.run_qa_kg_ideal``'s key list and ``approx_psqa.pauli_cipher``),
-a family's encoders (``_family_encoders``) and an attack's channel and
-dilation (``_attack_pieces``, once per job: every final-state build of one
-(family, attack) reuses it).
+by ``run_qa_kg``, ``bell_key``, ``ucharness.run_qa_kg_ideal``'s key list and
+``approx_psqa.pauli_cipher``), a family's encoders as one read-only stack
+(``_family_encoders``, read by ``key_sweep``, ``ebit_ptp`` and
+``ucharness._accept_decoders``) and an attack's isometry
+(``_attack_pieces``, once per job: every final-state build of one (family,
+attack) reuses it).
 
 Conventions: keys x, z are m-bit masks; the encryption operator is the
 qubit-wise X^x Z^z. Code index t and syndrome y are marginalized out of final
 states (they are not protocol outputs); the recycled key is kept classically.
-The attack channel is always applied through its dilation, so the adversary's
-retained register E appears explicitly in every final state.
+The attack is always applied as its isometry, so the adversary's retained
+register E appears explicitly in every final state.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from functools import lru_cache
 import numpy as np
 
 from .adversary import AttackDescriptor, build_attack
-from .codes import EncodingUnitary, PtcFamily, encoding_unitary
+from .codes import PtcFamily, encoding_unitary
 from .hybrid import (
     ACC,
     CHUNK_ELEMENTS,
@@ -60,6 +63,8 @@ from .hybrid import (
     REJ,
     FinalState,
     _accumulate,
+    _contract,
+    _keyed,
     checked_total,
     key_sweep,
     mix_records,
@@ -96,20 +101,12 @@ def key_pads(m: int) -> tuple[list[tuple[int, int]], np.ndarray]:
     return [(p.x, p.z) for p in paulis], np.stack([pauli_matrix(p) for p in paulis])
 
 
-def _register_qubits(state, name: str) -> int:
-    for reg, dim in state.registers:
-        if reg == name:
-            if dim & (dim - 1):
-                raise ValueError(f"register {name} dimension {dim} is not a power of 2")
-            return dim.bit_length() - 1
-    raise ValueError(f"no register named {name!r}")
-
-
 def _apply(vector: np.ndarray, registers: Registers, matrix, names, out_regs=None):
     """Contract ``matrix`` (out dim x in dim) against the named registers of
     the flat ``vector``. The output registers (by default the input ones)
     take the place of the first named register; the others keep their order.
-    Returns the new flat vector and layout."""
+    Returns the new flat vector and layout. Serves only ``ebit_ptp``'s pinned
+    accept path (with ``_split`` and ``_measure``)."""
     pos = reg_positions(registers, names)
     dims = reg_dims(registers)
     out_regs = tuple(registers[p] for p in pos) if out_regs is None else tuple(out_regs)
@@ -130,11 +127,14 @@ def pad_key(label: str, values, pads: np.ndarray, carrier: str):
     return label, values, (carrier,), scaled, ((carrier, pads.shape[1]),), undo
 
 
-def bell_kets(m: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """Rows are the Bell-basis kets (I (x) X^x Z^z)|Phi^m> on a register pair
-    (first factor most significant); outcome order is x-major, z-minor."""
+def bell_key(m: int, pair: tuple[str, str]):
+    """The ``key_sweep`` key of a Bell measurement of the register ``pair``
+    (first factor most significant): outcome (x, z), in x-major, z-minor
+    order, projects onto the Bell ket (I (x) X^x Z^z)|Phi^m> and is undone by
+    (X^x Z^z)^dag on the receiver."""
     values, pads = key_pads(m)
-    return pads.transpose(0, 2, 1).reshape(len(values), -1) / np.sqrt(1 << m), values
+    kets = pads.transpose(0, 2, 1).reshape(len(values), -1) / np.sqrt(1 << m)
+    return "key", values, pair, kets.conj()[:, None, :], (), pads.conj().transpose(0, 2, 1)
 
 
 def teleport(
@@ -152,26 +152,30 @@ def teleport(
     4^-m and (after the s_xz correction) the bob register carries the message
     exactly, including any entanglement the message had with other registers.
 
-    Returns one (probability, outcome, post-state) triple per Bell outcome.
+    Returns one (probability, outcome, post-state) triple per Bell outcome of
+    probability above PRUNE_BELOW; the post-state keeps the other registers in
+    their order. The measurement is ``run_tqa_kg``'s Bell key, taken the way
+    ``key_sweep`` takes it.
     """
-    m = _register_qubits(state, message)
-    if dict(resource.registers).get(alice) != 1 << m or dict(resource.registers).get(bob) != (
-        1 << m
-    ):
-        raise ValueError("resource register dims must match the message register")
+    dm, pair_dims = dict(state.registers).get(message, 0), dict(resource.registers)
+    if not dm or dm & (dm - 1) or (pair_dims.get(alice), pair_dims.get(bob)) != (dm, dm):
+        raise ValueError(
+            f"teleport needs a {message!r} register of dimension 2^m and a resource of that dimension"
+        )
     combined = tensor(state, resource)
-    rows, values = bell_kets(m)
-    _, pads = key_pads(m)
+    label, values, pair, kets, out_regs, corrections = bell_key(dm.bit_length() - 1, (message, alice))
+    amps, regs, _ = _contract(
+        combined.amplitudes.reshape(reg_dims(combined.registers)), combined.registers, [], kets, pair,
+        ((label, len(kets)),) + out_regs, (label,),
+    )
+    if correct:
+        amps = _keyed(amps, 0, 1 + reg_positions(regs, (bob,))[0], corrections)
     out = []
-    for row, (x, z), pad in zip(rows, values, pads):
-        bra = row[None, :].conj()
-        vec, regs = _apply(combined.amplitudes, combined.registers, bra, (message, alice), ())
+    for outcome, amp in zip(values, amps):
+        vec = amp.reshape(-1)
         p = float(np.vdot(vec, vec).real)
-        if p <= PRUNE_BELOW:
-            continue
-        if correct:
-            vec, regs = _apply(vec, regs, pad.conj().T, (bob,))
-        out.append((p, (x, z), StateVector(vec / np.linalg.norm(vec), regs)))
+        if p > PRUNE_BELOW:
+            out.append((p, outcome, StateVector(vec / np.sqrt(p), regs)))
     return out
 
 
@@ -181,21 +185,22 @@ def teleport(
 
 
 @lru_cache(maxsize=32)
-def _family_encoders(family: PtcFamily) -> tuple[EncodingUnitary, ...]:
-    return tuple(encoding_unitary(code) for code in family.codes)
+def _family_encoders(family: PtcFamily) -> np.ndarray:
+    """The encoders of the family's codes as one read-only (codes, 2^n, 2^n)
+    stack; code t's decoder is ``stack[t].conj().T``."""
+    stack = np.stack([encoding_unitary(code) for code in family.codes])
+    stack.setflags(write=False)
+    return stack
 
 
 # One entry: the final-state builds of one job share the attack's pieces, and
 # nothing is kept from one (family, attack) to the next.
 @lru_cache(maxsize=1)
 def _attack_pieces(family: PtcFamily, attack: AttackDescriptor):
-    """Dilation isometry (read-only), target names, and output registers for
-    an attack."""
+    """The attack's read-only isometry, target names, and output registers."""
     dims = {"R": 1 << family.m, "T": 1 << family.n}
-    ch = build_attack(attack, dims)
-    iso = ch.dilation()
-    iso.setflags(write=False)
-    out_regs = tuple((name, dims[name]) for name in attack.acts_on) + (("E", ch.env_dim),)
+    iso = build_attack(attack, dims)
+    out_regs = tuple((name, dims[name]) for name in attack.acts_on) + (("E", iso.shape[0] // iso.shape[1]),)
     return iso, attack.acts_on, out_regs
 
 
@@ -204,9 +209,8 @@ def _needs_env_reference(attack: AttackDescriptor) -> bool:
 
 
 def _sweep_pieces(family: PtcFamily, attack: AttackDescriptor):
-    """The encoder matrices and the attack pieces that ``key_sweep`` takes."""
-    encoders = tuple(enc.matrix for enc in _family_encoders(family))
-    return encoders, _attack_pieces(family, attack)
+    """The encoder stack and the attack pieces that ``key_sweep`` takes."""
+    return _family_encoders(family), _attack_pieces(family, attack)
 
 
 def _detail_fields(detail: bool, *fields: str) -> tuple[str, ...]:
@@ -285,15 +289,13 @@ def run_tqa_kg(
     m = family.m
     dm = 1 << m
     ebits = StateVector(max_entangled_vector(dm), (("A1", dm), ("A2", dm)))
-    rows, keys = bell_kets(m)
-    _, pads = key_pads(m)
     return key_sweep(
         *_sweep_pieces(family, attack),
         tensor(input_state, ebits),
         "A2",
         _qa_output_plan(back_communication, detail),
         _detail_fields(detail, "key"),
-        key=("key", keys, ("M", "A1"), rows.conj()[:, None, :], (), pads.conj().transpose(0, 2, 1)),
+        key=bell_key(m, ("M", "A1")),
         receiver="M",
     )
 
@@ -382,10 +384,10 @@ def ebit_ptp(
         rejected = np.zeros((len(chunk), dy, dy, attacked.size // (dy * dy)), dtype=complex)
         for t, enc in enumerate(chunk, t0):
             # sender: decode in the conjugate basis, measure her syndrome value
-            vec, regs = _apply(attacked, att_regs, enc.matrix.T, ("A0",))
+            vec, regs = _apply(attacked, att_regs, enc.T, ("A0",))
             for y, p_y, vec_y, regs_y in _measure(vec, regs, "A0", (("Ya", dy), ("A", dm)), 1.0):
                 # receiver: decode, measure his syndrome value
-                vec_y, regs_y = _apply(vec_y, regs_y, enc.decoder, ("T",))
+                vec_y, regs_y = _apply(vec_y, regs_y, enc.conj().T, ("T",))
                 tens, probs, out_regs = _split(vec_y, regs_y, "T", (("Ysyn", dy), ("B", dm)))
                 rejected[t - t0, y] = np.sqrt(p_y) * tens
                 rejected[t - t0, y, y] = 0.0
@@ -414,7 +416,8 @@ def ebit_ptp(
 def _split(vec: np.ndarray, regs: Registers, name: str, split: Registers):
     """Split register ``name`` into ``split`` and take its first factor out
     as the leading axis. Returns (amplitudes by value of that factor, the
-    probability of each value, rest layout)."""
+    probability of each value, rest layout). Serves only ``ebit_ptp``'s
+    pinned accept path."""
     (pos,) = reg_positions(regs, (name,))
     if total_dim(split) != regs[pos][1]:
         raise RegisterError(f"split {split} does not factor register {regs[pos]}")
@@ -429,7 +432,8 @@ def _measure(vec: np.ndarray, regs: Registers, name: str, split: Registers, prob
     """Split register ``name`` into ``split`` and measure its first factor in
     the computational basis. Yields (value, branch probability, normalized
     rest vector, rest layout) for each outcome whose probability exceeds
-    PRUNE_BELOW; ``prob`` is the probability of the branch measured."""
+    PRUNE_BELOW; ``prob`` is the probability of the branch measured. Serves
+    only ``ebit_ptp``'s pinned accept path."""
     tens, probs, rest = _split(vec, regs, name, split)
     for value in range(len(probs)):
         p = prob * float(probs[value])

@@ -14,8 +14,8 @@ carry a register layout. Conventions used throughout the package:
   ``F(rho, sigma) = (Tr sqrt(sqrt(rho) sigma sqrt(rho)))**2``, which equals
   ``|<psi|phi>|**2`` on pure states.
 
-All values are immutable after construction; the operations are pure functions,
-so everything is safe to hand to worker processes.
+The value types hold read-only arrays, and the operations are pure functions
+that never write to their inputs.
 """
 
 from __future__ import annotations
@@ -135,58 +135,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
-class QuantumChannel:
-    """A completely positive trace-preserving map in operator-sum form.
-
-    ``kraus_ops`` all share one (output_dim, input_dim) shape and satisfy
-    sum(K^dag K) = identity to ATOL_EXACT. ``dilation()`` exposes the
-    corresponding isometry V : input -> output (x) env with env dimension
-    equal to the number of Kraus operators, so the retained system held by
-    whoever applies the channel is always explicit.
-    """
-
-    kraus_ops: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        ops = tuple(np.asarray(k, dtype=complex) for k in self.kraus_ops)
-        if not ops:
-            raise ValueError("channel needs at least one Kraus operator")
-        shape = ops[0].shape
-        if any(k.shape != shape for k in ops):
-            raise ValueError("Kraus operators disagree on shape")
-        comp = sum(k.conj().T @ k for k in ops)
-        if not np.allclose(comp, np.eye(shape[1]), atol=ATOL_EXACT * 10):
-            raise ValueError("Kraus operators violate completeness sum(K^dag K) = I")
-        for k in ops:
-            k.setflags(write=False)
-        object.__setattr__(self, "kraus_ops", ops)
-
-    @property
-    def input_dim(self) -> int:
-        return self.kraus_ops[0].shape[1]
-
-    @property
-    def output_dim(self) -> int:
-        return self.kraus_ops[0].shape[0]
-
-    @property
-    def env_dim(self) -> int:
-        return len(self.kraus_ops)
-
-    def dilation(self) -> np.ndarray:
-        """Isometry V with row index (output, env), env least significant."""
-        dout, din = self.kraus_ops[0].shape
-        k = len(self.kraus_ops)
-        v = np.zeros((dout * k, din), dtype=complex)
-        for e, op in enumerate(self.kraus_ops):
-            v[e::k, :] = op
-        return v
-
-    def apply_matrix(self, rho: np.ndarray) -> np.ndarray:
-        return sum(k @ rho @ k.conj().T for k in self.kraus_ops)
 
 
 @dataclass(frozen=True)
@@ -412,14 +360,6 @@ def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) 
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     mat = g @ g.conj().T
     return mat / mat.trace()
-
-
-def random_channel(dim: int, kraus_rank: int, rng: np.random.Generator) -> QuantumChannel:
-    """Random channel sampled by truncating a Haar isometry into Kraus blocks."""
-    big = haar_unitary(dim * kraus_rank, rng)
-    iso = big[:, :dim]  # isometry dim -> dim * kraus_rank, row index (out, env)
-    ops = [iso[e::kraus_rank, :] for e in range(kraus_rank)]
-    return QuantumChannel(tuple(ops))
 
 
 def max_entangled_vector(d: int) -> np.ndarray:

@@ -53,6 +53,9 @@ from .qmath import (
 
 ADVANTAGE_TOL = 1e-9
 
+# uc, psqa and ptp-soundness build dense states and operators on 4^n dims
+STATE_LEVEL_MAX_N = 4
+
 
 @dataclass(frozen=True)
 class AdvantageReport:
@@ -206,10 +209,12 @@ def _accept_decoders(family: PtcFamily) -> np.ndarray:
     """The accept-and-decode operators L_{t,u} = <u|D_t^* (x) <u|D_t (sender
     decodes in the conjugate basis, receiver in the plain one, both find
     syndrome u), stacked over (t, u) in that order: 2n qubits -> 2m."""
-    dm = 1 << family.m
-    blocks = np.stack([enc.decoder for enc in _family_encoders(family)])
-    blocks = blocks.reshape(len(blocks) * (1 << family.s), dm, -1)  # <u| D_t
-    return np.stack([np.kron(block.conj(), block) for block in blocks])
+    dm, dt = 1 << family.m, 1 << family.n
+    rows = _family_encoders(family).conj().transpose(0, 2, 1).reshape(-1, dm, dt)  # <u| D_t
+    # kron of each row block with its conjugate as one broadcast product, which
+    # multiplies as np.kron does (einsum's kernel moves the last bits)
+    pairs = rows.conj()[:, :, None, :, None] * rows[:, None, :, None, :]
+    return pairs.reshape(len(rows), dm * dm, dt * dt)
 
 
 def _soundness_operator(family: PtcFamily) -> np.ndarray:
@@ -231,8 +236,8 @@ def ptp_soundness_exact(family: PtcFamily) -> float:
     the mask-level detection predicate against the state-level soundness
     definition: the value matches the family's verified epsilon.
     """
-    if family.n > 4:
-        raise ValueError("exact soundness is limited to n <= 4 (operator on 4^n dims)")
+    if family.n > STATE_LEVEL_MAX_N:
+        raise ValueError(f"exact soundness is limited to n <= {STATE_LEVEL_MAX_N} (operator on 4^n dims)")
     omega = _soundness_operator(family)
     return float(np.linalg.eigvalsh((omega + omega.conj().T) / 2).max())
 

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from qauthlab.adversary import AttackDescriptor, standard_suite
+from qauthlab import approx_psqa
 from qauthlab.approx_psqa import (
     _test_states,
+    check_cipher_size,
     measure_delta,
     pauli_cipher,
     psqa_advantage,
@@ -37,6 +39,22 @@ def test_sampled_cipher_reports_delta(message):
     assert again.delta_measured == cip.delta_measured
     for u in cip.unitaries:
         assert np.allclose(u.conj().T @ u, np.eye(2), atol=1e-12)
+
+
+def test_sample_cipher_refuses_a_cipher_too_large_to_measure(monkeypatch):
+    # measure_delta holds (2^(m+1) + 2000) * K * 2^m entries: at most 2^24
+    # means K <= 4185 at m = 1 and K <= 2088 at m = 2
+    for m, largest in ((1, 4185), (2, 2088)):
+        check_cipher_size(m, largest)
+        with pytest.raises(ValueError, match=r"above the limit 2\^24 = 16777216"):
+            check_cipher_size(m, largest + 1)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the cipher was drawn")
+
+    monkeypatch.setattr(approx_psqa, "haar_unitary", no_work)
+    with pytest.raises(ValueError, match="a cipher of K = 4186 keys on m = 1 qubits"):
+        sample_cipher(1, 4186, seed=0)
 
 
 def test_delta_shrinks_with_key_count_in_distribution():

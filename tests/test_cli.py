@@ -121,30 +121,36 @@ def test_uc_invariant_violation_exits_three(tmp_path, capsys, monkeypatch):
 
 
 def test_uc_tampered_decoder_breaks_the_forms_identity(capsys, monkeypatch):
-    # negative control for identities_ok: ebit_ptp decodes code 0 with the
-    # inverse of its encoder with one codeword's sign flipped, while ebit_ptc
-    # keeps the true encoder, so the two entanglement forms drift apart
-    from types import SimpleNamespace
+    # negative control for identities_ok: ebit_ptc runs the family with code 0
+    # swapped for a copy of code 1, so its encoder and decoder for t = 0 are
+    # wrong, while ebit_ptp keeps the true family and the two entanglement
+    # forms drift apart. The fault goes into one form only: both forms read
+    # one encoder stack, so a tampered stack would reach both and the
+    # identity between them would still hold.
+    from dataclasses import replace
 
-    import numpy as np
+    from qauthlab import cli
 
-    from qauthlab import protocols
+    def uc():
+        code, rep = run_cli(
+            capsys, "uc", "--family", str(FIXTURE), "--input", "entangled", "--attack", "random-101"
+        )
+        (result,) = rep["results"]
+        return code, result
 
-    encoders = protocols._family_encoders
+    code, result = uc()
+    assert code == 0
+    assert result["checks"]["identities_ok"] is True
 
-    def tampered(family):
-        first, *rest = encoders(family)
-        flipped = first.matrix.copy()
-        flipped[:, 0] *= -1
-        return (SimpleNamespace(matrix=first.matrix, decoder=np.linalg.inv(flipped)), *rest)
+    ebit_ptc = cli.ebit_ptc
 
-    monkeypatch.setattr(protocols, "_family_encoders", tampered)
-    code, rep = run_cli(
-        capsys, "uc", "--family", str(FIXTURE), "--input", "entangled", "--attack", "random-101"
-    )
+    def swapped(family, attack, detail=False):
+        return ebit_ptc(replace(family, codes=family.codes[1:2] + family.codes[1:]), attack, detail)
+
+    monkeypatch.setattr(cli, "ebit_ptc", swapped)
+    code, result = uc()
     assert code == 1
-    (result,) = rep["results"]
-    assert result["checks"]["entanglement_forms_identity"] == pytest.approx(1.8e-3, rel=0.01)
+    assert result["checks"]["entanglement_forms_identity"] == pytest.approx(9.4e-3, rel=0.01)
     assert result["checks"]["teleported_twin_identity"] < 1e-9
     assert result["checks"]["identities_ok"] is False
     # both advantage bounds still pass: only the identity check sees the fault
@@ -274,6 +280,11 @@ def test_parser_is_built_once_and_carries_nothing_over(capsys):
         (
             ["psqa", "--m", "3", "--s", "1", "--target-eps", "0", "--budget", "3000"],
             "sampled ciphers are limited to m <= 2; this family has m = 3",
+        ),
+        (
+            ["psqa", "--K", "1048576"],
+            "a cipher of K = 1048576 keys on m = 1 qubits needs (2^(m+1) + 2000) * K * 2^m = 4202692608 "
+            "entries to measure, above the limit 2^24 = 16777216",
         ),
     ],
 )

@@ -52,9 +52,9 @@ def per_branch_ebit_ptp(family, attack, detail=False) -> FinalState:
     blocks: dict = {}
     mixes: dict = {}
     for t, enc in enumerate(encs):
-        vec, regs = _apply(attacked, att_regs, enc.matrix.T, ("A0",))
+        vec, regs = _apply(attacked, att_regs, enc.T, ("A0",))
         for y, p_y, vec_y, regs_y in _measure(vec, regs, "A0", (("Ya", dy), ("A", dm)), 1.0):
-            vec_y, regs_y = _apply(vec_y, regs_y, enc.decoder, ("T",))
+            vec_y, regs_y = _apply(vec_y, regs_y, enc.conj().T, ("T",))
             for ysyn, p, flat, out_regs in _measure(vec_y, regs_y, "T", (("Ysyn", dy), ("B", dm)), p_y):
                 verdict = ACC if ysyn == y else "REJ"
                 record, drop, mix = plan({"t": t, "y": y, "ysyn": ysyn, "verdict": verdict})

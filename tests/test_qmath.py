@@ -5,7 +5,6 @@ from qauthlab import qmath
 from qauthlab.qmath import (
     DensityMatrix,
     Povm,
-    QuantumChannel,
     RegisterError,
     StateVector,
     encoder_postselection_residual,
@@ -16,7 +15,6 @@ from qauthlab.qmath import (
     operator_norm,
     partial_trace,
     psd_sqrt,
-    random_channel,
     random_density,
     replace_factors,
     tensor,
@@ -173,57 +171,6 @@ def test_fuchs_van_de_graaf_upper_bound(rng):
         assert trace_distance(a, b) <= 2.0 * np.sqrt(1.0 - fidelity(a, b)) + 1e-9
 
 
-def test_channel_validation_and_identity():
-    ident = QuantumChannel((np.eye(2),))
-    rho = DensityMatrix(np.eye(2) / 2, (("Q", 2),))
-    assert np.allclose(ident.apply_matrix(rho.matrix), rho.matrix)
-    with pytest.raises(ValueError):
-        QuantumChannel((np.eye(2) * 0.5,))
-
-
-def test_depolarizing_channel_flattens():
-    # fully depolarizing single qubit: rho -> I/2
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    z = np.diag([1.0, -1.0]).astype(complex)
-    ch = QuantumChannel(tuple(0.5 * op for op in (np.eye(2), x, y, z)))
-    rho = DensityMatrix(np.diag([1.0, 0.0]), (("Q", 2),))
-    assert np.allclose(ch.apply_matrix(rho.matrix), np.eye(2) / 2, atol=1e-12)
-
-
-def test_random_channels_preserve_trace(rng):
-    for _ in range(10):
-        ch = random_channel(4, 3, rng)
-        rho = DensityMatrix(random_density(8, rng), (("A", 2), ("B", 4)))
-        # the channel on B alone is I (x) ch on the pair
-        out = QuantumChannel(tuple(np.kron(np.eye(2), k) for k in ch.kraus_ops)).apply_matrix(rho.matrix)
-        assert abs(out.trace() - 1.0) < 1e-10
-
-
-def test_dilation_identity_and_rank():
-    ident = QuantumChannel((np.eye(2),))
-    v, env = ident.dilation(), ident.env_dim
-    assert env == 1
-    assert np.allclose(v, np.eye(2))
-
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    z = np.diag([1.0, -1.0]).astype(complex)
-    depol = QuantumChannel(tuple(0.5 * op for op in (np.eye(2), x, y, z)))
-    assert depol.env_dim == 4  # Kraus rank of the fully depolarizing qubit channel
-
-
-def test_dilation_roundtrip_matches_kraus(rng):
-    for rank in (2, 3):
-        ch = random_channel(3, rank, rng)
-        v, env = ch.dilation(), ch.env_dim
-        assert np.allclose(v.conj().T @ v, np.eye(3), atol=1e-12)
-        rho = random_density(3, rng)
-        big = v @ rho @ v.conj().T
-        reduced = big.reshape(3, env, 3, env).trace(axis1=1, axis2=3)
-        assert np.allclose(reduced, ch.apply_matrix(rho), atol=1e-10)
-
-
 def test_operator_norm_values(rng):
     assert abs(operator_norm(np.eye(5)) - 1.0) < 1e-12
     assert abs(operator_norm(np.diag([3.0, -1.0])) - 3.0) < 1e-12
@@ -277,4 +224,4 @@ def test_postselection_identity_on_code_encoder(family_s2):
     enc = encoding_unitary(family_s2.codes[0])
     d, d2 = 1 << family_s2.s, 1 << family_s2.m
     for y in range(d):
-        assert encoder_postselection_residual(enc.matrix, y, d, d2) < 1e-12
+        assert encoder_postselection_residual(enc, y, d, d2) < 1e-12
