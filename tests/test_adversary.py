@@ -198,8 +198,10 @@ def test_unknown_kind_and_missing_register():
         build_attack(AttackDescriptor("identity", acts_on=("R", "T")), {"T": 8})
 
 
-def test_suite_isometries_are_read_only_with_their_kraus_rank():
-    # the environment E of each suite attack is as large as its Kraus rank
+def test_suite_dilations_roundtrip(rng):
+    # the environment E of each suite attack is as large as its Kraus rank, and
+    # discarding E reproduces the operator-sum action of the Kraus operators
+    # V[e::rank] that build_attack documents
     for s in (1, 2, 3):
         dims = {"R": 2, "T": 2 << s}
         for desc in standard_suite(1, s):
@@ -214,6 +216,11 @@ def test_suite_isometries_are_read_only_with_their_kraus_rank():
             assert v.shape == (d * rank, d), desc.name()
             assert not v.flags.writeable
             assert np.abs(v.conj().T @ v - np.eye(d)).max() < 1e-12, desc.name()
+            rho = random_density(d, rng)
+            kraus_sum = sum(v[e::rank] @ rho @ v[e::rank].conj().T for e in range(rank))
+            np.testing.assert_allclose(
+                channel_output(v, rho), kraus_sum, rtol=0, atol=1e-14, err_msg=desc.name()
+            )
 
 
 def test_suite_covers_sure_accept_and_strong_reject(family_s2):

@@ -171,6 +171,25 @@ def test_fuchs_van_de_graaf_upper_bound(rng):
         assert trace_distance(a, b) <= 2.0 * np.sqrt(1.0 - fidelity(a, b)) + 1e-9
 
 
+def test_dilation_identity_and_rank():
+    # an attack's Stinespring dilation is the isometry build_attack returns,
+    # with row index (out, env); its environment is as large as the Kraus rank
+    from qauthlab.adversary import AttackDescriptor, build_attack
+
+    v = build_attack(AttackDescriptor("identity"), {"T": 2})
+    assert v.shape == (2, 2)  # environment of dimension 1
+    assert np.allclose(v, np.eye(2))
+
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+    z = np.diag([1.0, -1.0]).astype(complex)
+    depol = build_attack(AttackDescriptor("depolarizing", strength=1.0), {"T": 2})
+    assert depol.shape == (8, 2)  # Kraus rank 4 of the fully depolarizing qubit channel
+    kraus = [depol[e::4] for e in range(4)]
+    np.testing.assert_allclose(kraus, [0.5 * op for op in (np.eye(2), x, y, z)], rtol=0, atol=1e-15)
+    assert np.linalg.matrix_rank(np.array([k.ravel() for k in kraus])) == 4
+
+
 def test_operator_norm_values(rng):
     assert abs(operator_norm(np.eye(5)) - 1.0) < 1e-12
     assert abs(operator_norm(np.diag([3.0, -1.0])) - 3.0) < 1e-12
