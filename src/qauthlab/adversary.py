@@ -124,6 +124,9 @@ def _isometry(desc: AttackDescriptor, dims: dict[str, int]) -> np.ndarray:
         return _lift_t(pauli_matrix(PauliString(n_t, desc.x, desc.z)), desc, dims)
 
     if desc.kind == "pauli_mixture":
+        for w, x, z in desc.weights:
+            if not w >= 0:
+                raise ValueError(f"mixture weight {w} of Pauli (x={x}, z={z}) is negative")
         total = sum(w for w, _, _ in desc.weights)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"mixture weights sum to {total}")

@@ -18,9 +18,10 @@ codes run in chunks whose largest array holds at most CHUNK_ELEMENTS
 entries, so memory is bounded per chunk, not per sweep. Output filters such
 as "drop this register" apply per contraction; "replace this register by the
 maximally mixed state" applies once per record, after the last chunk.
-``protocols.ebit_ptp`` builds its accept blocks with a direct loop instead,
-to keep their arithmetic bit for bit, and finalizes its reject branches
-through the same contraction (see ``protocols``).
+``protocols.ebit_ptp`` batches its accept blocks over (code, syndrome) in
+the arithmetic of one branch at a time instead, so that they keep their bits,
+and finalizes its reject branches through the same contraction (see
+``protocols``).
 
 Distance between two final states is sum_c || p_c rho_c - q_c sigma_c ||_1
 over the union of classical records, which equals the full 1-norm of the

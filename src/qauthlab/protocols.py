@@ -1,8 +1,7 @@
 """Executable circuits for the authentication / key-recycling protocol family.
 
-Implemented protocols (the keyed sweeps over ``hybrid.key_sweep``; the
-accept path of ``ebit_ptp`` as a direct loop over one contraction helper,
-``_apply``):
+Implemented protocols (the keyed sweeps over ``hybrid.key_sweep``;
+``ebit_ptp`` as its own batched sweep, in fixed arithmetic):
 
 - ``teleport``: qubit-wise teleportation with the Bell basis {(I (x) s_xz)|Phi>},
   measured as ``run_tqa_kg``'s Bell key through the sweep's contraction.
@@ -19,11 +18,16 @@ accept path of ``ebit_ptp`` as a direct loop over one contraction helper,
 ``ebit_ptp`` does not go through ``key_sweep`` on purpose. Its accept blocks
 feed ``fidelity_acc``, which is ill-conditioned on these rank-deficient
 states (a 1e-17 perturbation of the state moves it by up to 2.7e-8), so its
-accept path repeats one fixed order of arithmetic: per code and per syndrome,
-the same ``tensordot`` contractions, measurement and outer product, summed in
-branch order. Stacking that path into ``key_sweep`` reorders the arithmetic
-and moves ``fidelity_acc`` by up to 2.75e-8, far beyond the 1e-12 the reports
-are held to. Only the accept path is fixed: the reject branches (received
+accept path keeps the arithmetic of one branch at a time while it computes
+every (code, syndrome) branch of a chunk of codes at once. What keeps the
+bits: the decoders are applied by one batched product whose per-code matrix
+products have the shapes and layouts of the per-branch ``tensordot`` (the
+same BLAS call each); the syndrome probabilities reduce the same contiguous
+rows; each branch is normalized, weighted and outer-multiplied as one branch
+was; and the accept blocks are summed in (code, syndrome) order, one term
+after another, across chunks too. ``key_sweep``'s stacked contraction sums
+the same terms in another order and moves ``fidelity_acc`` by up to 2.75e-8,
+far beyond the 1e-12 the reports are held to. The reject branches (received
 syndrome != sent syndrome) are collected unnormalized and finalized per
 record by one product over each chunk of codes, as ``key_sweep`` does.
 
@@ -71,12 +75,10 @@ from .hybrid import (
 )
 from .pauli import PauliString, enumerate_paulis, pauli_matrix
 from .qmath import (
-    RegisterError,
     Registers,
     StateVector,
     max_entangled_vector,
     reg_dims,
-    reg_names,
     reg_positions,
     tensor,
     total_dim,
@@ -105,8 +107,8 @@ def _apply(vector: np.ndarray, registers: Registers, matrix, names, out_regs=Non
     """Contract ``matrix`` (out dim x in dim) against the named registers of
     the flat ``vector``. The output registers (by default the input ones)
     take the place of the first named register; the others keep their order.
-    Returns the new flat vector and layout. Serves only ``ebit_ptp``'s pinned
-    accept path (with ``_split`` and ``_measure``)."""
+    Returns the new flat vector and layout. Serves ``ebit_ptp``, which
+    applies the attack through it."""
     pos = reg_positions(registers, names)
     dims = reg_dims(registers)
     out_regs = tuple(registers[p] for p in pos) if out_regs is None else tuple(out_regs)
@@ -364,8 +366,12 @@ def ebit_ptp(
     conjugated code basis (for real encoders this is the same code) and the
     receiver in the plain one; they accept iff the syndromes agree, then
     decode. Produces the same final state as ``ebit_ptc`` branch for branch.
-    The order of the accept path's arithmetic is fixed on purpose (see the
-    module notes); the reject branches are batched per chunk of codes.
+
+    Every (code, syndrome) branch of a chunk of codes is computed at once, in
+    the arithmetic of one branch at a time (see the module notes): per code,
+    the same decoder products, per branch the same normalization and outer
+    product, and the accept blocks summed in (code, syndrome) order. The
+    reject branches are finalized per chunk of codes, as ``key_sweep`` does.
     """
     m, s, n = family.m, family.s, family.n
     dm, dt, dy = 1 << m, 1 << n, 1 << s
@@ -375,68 +381,62 @@ def ebit_ptp(
     attacked, att_regs = _apply(base.amplitudes, base.registers, *_attack_pieces(family, attack))
     plan, exposed = _ebit_output_plan(detail), _detail_fields(detail)
     values = {"t": range(len(encs)), "y": range(dy), "ysyn": range(dy)}
+    # the sender's A0 reads as (Ya, A) and the receiver's T as (Ysyn, B); each
+    # syndrome leads and the rest keeps the register order
+    (pos_a,) = reg_positions(att_regs, ("A0",))
+    sent_regs = att_regs[:pos_a] + (("A", dm),) + att_regs[pos_a + 1 :]
+    (pos_t,) = reg_positions(sent_regs, ("T",))
+    out_regs = sent_regs[:pos_t] + (("B", dm),) + sent_regs[pos_t + 1 :]
+    # an accept block keeps every register, sorted by name
+    order = sorted(range(len(out_regs)), key=lambda i: out_regs[i][0])
+    acc_regs, d_out = tuple(out_regs[i] for i in order), total_dim(out_regs)
+    # the attacked state as a matrix, A0 first: the sender's decoder acts on it
+    attacked = np.moveaxis(attacked.reshape(reg_dims(att_regs)), pos_a, 0).reshape(dt, -1)
+    diag = np.arange(dy)
     blocks: dict = {}
     mixes: dict = {}
     step = max(1, CHUNK_ELEMENTS // attacked.size)
     for t0 in range(0, len(encs), step):
         chunk = encs[t0 : t0 + step]
-        # the reject branches (t, y, ysyn != y, rest) of the chunk, unnormalized
-        rejected = np.zeros((len(chunk), dy, dy, attacked.size // (dy * dy)), dtype=complex)
-        for t, enc in enumerate(chunk, t0):
-            # sender: decode in the conjugate basis, measure her syndrome value
-            vec, regs = _apply(attacked, att_regs, enc.T, ("A0",))
-            for y, p_y, vec_y, regs_y in _measure(vec, regs, "A0", (("Ya", dy), ("A", dm)), 1.0):
-                # receiver: decode, measure his syndrome value
-                vec_y, regs_y = _apply(vec_y, regs_y, enc.conj().T, ("T",))
-                tens, probs, out_regs = _split(vec_y, regs_y, "T", (("Ysyn", dy), ("B", dm)))
-                rejected[t - t0, y] = np.sqrt(p_y) * tens
-                rejected[t - t0, y, y] = 0.0
-                p = p_y * float(probs[y])
-                if p <= PRUNE_BELOW:
-                    continue
-                # the accept branch, added in branch order
-                record, drop, mix = plan({"t": t, "y": y, "ysyn": y, "verdict": ACC})
+        c = len(chunk)
+        # sender: decode in the conjugate basis, measure her syndrome value
+        sent = np.matmul(chunk.transpose(0, 2, 1), attacked)
+        sent = sent.reshape((c, dy, dm) + reg_dims(att_regs[:pos_a] + att_regs[pos_a + 1 :]))
+        sent = np.moveaxis(sent, 2, 2 + pos_a).reshape(c, dy, -1)
+        p_y = np.einsum("tij,tij->ti", sent, sent.conj()).real
+        alive = p_y > PRUNE_BELOW
+        sent = sent / np.sqrt(np.where(alive, p_y, 1.0))[..., None]
+        sent[~alive] = 0.0
+        # receiver: decode, measure his syndrome value
+        sent = np.moveaxis(sent.reshape((c, dy) + reg_dims(sent_regs)), 2 + pos_t, 2)
+        sent = sent.reshape(c, dy, dt, -1)
+        got = np.matmul(chunk.conj().transpose(0, 2, 1)[:, None], sent)
+        got = got.reshape((c, dy, dy, dm) + reg_dims(sent_regs[:pos_t] + sent_regs[pos_t + 1 :]))
+        got = np.moveaxis(got, 3, 3 + pos_t).reshape(c, dy, dy, -1)
+        probs = np.einsum("tyij,tyij->tyi", got, got.conj()).real
+        # the accept branches, normalized, weighted and added in branch order
+        p = p_y * probs[:, diag, diag]
+        ts, ys = np.nonzero(p > PRUNE_BELOW)
+        parts = got[ts, ys, ys] / np.sqrt(probs[ts, ys, ys])[:, None]
+        parts = parts.reshape((len(ts),) + reg_dims(out_regs)).transpose([0] + [1 + i for i in order])
+        parts = parts.reshape(len(ts), d_out, 1)
+        weights = p[ts, ys] / len(encs)
+        # the outer products in runs of at most CHUNK_ELEMENTS entries
+        per = max(1, CHUNK_ELEMENTS // (d_out * d_out))
+        for lo in range(0, len(ts), per):
+            part = parts[lo : lo + per]
+            rhos = weights[lo : lo + per, None, None] * np.matmul(part, part.conj().transpose(0, 2, 1))
+            for t, y, rho in zip(ts[lo : lo + per], ys[lo : lo + per], rhos):
+                record, _, mix = plan({"t": t0 + int(t), "y": int(y), "ysyn": int(y), "verdict": ACC})
                 mixes[record] = mix
-                names = reg_names(out_regs)
-                keep = sorted((i for i, nm in enumerate(names) if nm not in drop), key=names.__getitem__)
-                rest = [i for i in range(len(names)) if i not in keep]
-                part = (tens[y] / np.sqrt(probs[y])).reshape(reg_dims(out_regs)).transpose(keep + rest)
-                part = part.reshape(int(np.prod([out_regs[i][1] for i in keep])), -1)
-                rho = p / len(encs) * (part @ part.conj().T)
                 if record in blocks:
                     rho = blocks[record][1] + rho
-                blocks[record] = (tuple(out_regs[i] for i in keep), rho)
+                blocks[record] = (acc_regs, rho)
+        # the reject branches (t, y, ysyn != y, rest), unnormalized
+        rejected = np.sqrt(p_y)[..., None, None] * got
+        rejected[:, diag, diag] = 0.0
         amps = rejected.reshape(rejected.shape[:3] + reg_dims(out_regs))
         _accumulate(
             blocks, mixes, amps, ["t", "y", "ysyn"], t0, values, out_regs, plan, exposed, 1.0 / len(encs)
         )
     return checked_total(mix_records(blocks, mixes), "ebit_ptp")
-
-
-def _split(vec: np.ndarray, regs: Registers, name: str, split: Registers):
-    """Split register ``name`` into ``split`` and take its first factor out
-    as the leading axis. Returns (amplitudes by value of that factor, the
-    probability of each value, rest layout). Serves only ``ebit_ptp``'s
-    pinned accept path."""
-    (pos,) = reg_positions(regs, (name,))
-    if total_dim(split) != regs[pos][1]:
-        raise RegisterError(f"split {split} does not factor register {regs[pos]}")
-    regs = regs[:pos] + tuple(split) + regs[pos + 1 :]
-    dims = reg_dims(regs)
-    tens = np.moveaxis(vec.reshape(dims), pos, 0).reshape(dims[pos], -1)
-    probs = np.einsum("ij,ij->i", tens, tens.conj()).real
-    return tens, probs, regs[:pos] + regs[pos + 1 :]
-
-
-def _measure(vec: np.ndarray, regs: Registers, name: str, split: Registers, prob: float):
-    """Split register ``name`` into ``split`` and measure its first factor in
-    the computational basis. Yields (value, branch probability, normalized
-    rest vector, rest layout) for each outcome whose probability exceeds
-    PRUNE_BELOW; ``prob`` is the probability of the branch measured. Serves
-    only ``ebit_ptp``'s pinned accept path."""
-    tens, probs, rest = _split(vec, regs, name, split)
-    for value in range(len(probs)):
-        p = prob * float(probs[value])
-        if p > PRUNE_BELOW:
-            yield value, p, tens[value] / np.sqrt(probs[value]), rest
-

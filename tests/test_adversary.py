@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,16 @@ def test_mixture_weights_must_normalize():
         build_attack(
             AttackDescriptor("pauli_mixture", weights=((0.5, 0, 0), (0.6, 1, 0))), DIMS
         )
+
+
+def test_mixture_refuses_a_negative_weight_before_any_square_root():
+    # the weights sum to 1; the negative one is refused by name, not by the
+    # isometry check after np.sqrt has made NaN entries
+    desc = AttackDescriptor("pauli_mixture", weights=((1.5, 0, 0), (-0.5, 1, 0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"mixture weight -0\.5 .* is negative"):
+            build_attack(desc, {"T": 4})
 
 
 def test_pauli_mixture_isometry_matches_the_weighted_sum(rng):

@@ -1,16 +1,24 @@
-"""``ebit_ptp``'s arithmetic pinned on the benchmark's m=1, s=3 family.
+"""``ebit_ptp``'s arithmetic pinned against its per-branch loop.
 
 ``fidelity_acc`` is ill-conditioned on the rank-deficient accept-conditional
 states (a 1e-17 change in the state moves it by up to ~3e-8), so ``ebit_ptp``
-keeps its accept path operation for operation and only batches the reject
-branches. This test holds it to that, for all 27 attacks of the s=3 suite:
+computes every (code, syndrome) branch of a chunk of codes at once in the
+arithmetic of one branch at a time: the same per-code decoder products, the
+same normalization and outer product per branch, and the accept blocks summed
+in branch order. These tests hold it to that:
 
-- against ``per_branch_ebit_ptp`` below, a copy of the loop that built every
-  (code, syndrome, syndrome) branch one at a time before the reject branches
-  were batched: accept blocks bit for bit, reject blocks to 1e-14, plain and
-  with ``detail=True``;
+- against ``per_branch_ebit_ptp`` below, the loop that built every (code,
+  syndrome, syndrome) branch one at a time: accept blocks bit for bit, reject
+  blocks to 1e-14, plain and with ``detail=True``, on all 27 attacks of the
+  benchmark's m=1, s=3 family (also with the chunk budget cut to one code per
+  chunk and to 2^12 entries, so that chunk boundaries fall inside the family
+  and inside the accept sum), and on searched families at (m, s) = (1, 1),
+  (1, 2), (2, 1) and (2, 2);
 - against the EBIT fields of the recorded benchmark reports
   (``perfbench/reference/uc-s3.json``, read only) to 1e-12.
+
+The oracle's measurement helpers ``_split`` and ``_measure`` live here, with
+their own tests.
 """
 
 import json
@@ -19,19 +27,28 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qauthlab import hybrid, protocols
 from qauthlab.adversary import standard_suite
-from qauthlab.codes import PtcFamily
-from qauthlab.hybrid import ACC, FinalState, _replace_with_mixed
+from qauthlab.codes import PtcFamily, ptc_epsilon_formula, search_ptc
+from qauthlab.hybrid import ACC, PRUNE_BELOW, FinalState, _replace_with_mixed
 from qauthlab.protocols import (
     _apply,
     _attack_pieces,
     _ebit_output_plan,
     _family_encoders,
     _maybe_reference,
-    _measure,
     ebit_ptp,
 )
-from qauthlab.qmath import StateVector, max_entangled_vector, reg_dims, reg_names
+from qauthlab.qmath import (
+    RegisterError,
+    Registers,
+    StateVector,
+    max_entangled_vector,
+    reg_dims,
+    reg_names,
+    reg_positions,
+    total_dim,
+)
 from qauthlab.ucharness import ebit_report
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -76,6 +93,34 @@ def per_branch_ebit_ptp(family, attack, detail=False) -> FinalState:
     return FinalState(blocks)
 
 
+def _split(vec: np.ndarray, regs: Registers, name: str, split: Registers):
+    """Split register ``name`` into ``split`` and take its first factor out
+    as the leading axis. Returns (amplitudes by value of that factor, the
+    probability of each value, rest layout). Serves only the oracle
+    above."""
+    (pos,) = reg_positions(regs, (name,))
+    if total_dim(split) != regs[pos][1]:
+        raise RegisterError(f"split {split} does not factor register {regs[pos]}")
+    regs = regs[:pos] + tuple(split) + regs[pos + 1 :]
+    dims = reg_dims(regs)
+    tens = np.moveaxis(vec.reshape(dims), pos, 0).reshape(dims[pos], -1)
+    probs = np.einsum("ij,ij->i", tens, tens.conj()).real
+    return tens, probs, regs[:pos] + regs[pos + 1 :]
+
+
+def _measure(vec: np.ndarray, regs: Registers, name: str, split: Registers, prob: float):
+    """Split register ``name`` into ``split`` and measure its first factor in
+    the computational basis. Yields (value, branch probability, normalized
+    rest vector, rest layout) for each outcome whose probability exceeds
+    PRUNE_BELOW; ``prob`` is the probability of the branch measured. Serves
+    only the oracle above."""
+    tens, probs, rest = _split(vec, regs, name, split)
+    for value in range(len(probs)):
+        p = prob * float(probs[value])
+        if p > PRUNE_BELOW:
+            yield value, p, tens[value] / np.sqrt(probs[value]), rest
+
+
 @pytest.fixture(scope="module")
 def family():
     return PtcFamily.load(FIXTURE)
@@ -88,10 +133,12 @@ def suite():
     return attacks
 
 
-@pytest.mark.parametrize("detail", [False, True])
-def test_accept_blocks_bitwise_and_reject_blocks_close(family, suite, detail):
+def _compare_with_oracle(family, attacks, detail) -> int:
+    """Assert that ``ebit_ptp`` gives the oracle's records and registers,
+    accept blocks bit for bit and reject blocks within 1e-14; return the
+    number of accept blocks compared."""
     accepts = 0
-    for attack in suite:
+    for attack in attacks:
         got = ebit_ptp(family, attack, detail=detail)
         want = per_branch_ebit_ptp(family, attack, detail=detail)
         assert set(got.blocks) == set(want.blocks), attack.name()
@@ -105,8 +152,42 @@ def test_accept_blocks_bitwise_and_reject_blocks_close(family, suite, detail):
                 np.testing.assert_allclose(
                     mine.matrix, block.matrix, rtol=0, atol=1e-14, err_msg=f"{attack.name()} {record}"
                 )
+    return accepts
+
+
+@pytest.mark.parametrize("detail", [False, True])
+def test_accept_blocks_bitwise_and_reject_blocks_close(family, suite, detail):
+    accepts = _compare_with_oracle(family, suite, detail)
     # 24 attacks have an accept block (Y0, Z0 and X2 are never accepted)
     assert accepts == (24 if not detail else 1736)
+
+
+@pytest.mark.parametrize("detail", [False, True])
+@pytest.mark.parametrize("budget", [1, 1 << 12])
+def test_chunk_boundaries_keep_the_accept_sum(monkeypatch, family, suite, budget, detail):
+    # budget 1: one code per chunk and one outer product per product call;
+    # 2^12: chunks of 1 to 14 codes and outer products in runs of 1 to 256
+    starts = []
+    accumulate = protocols._accumulate
+
+    def spy(blocks, mixes, amps, names, t0, *rest):
+        starts.append(t0)
+        return accumulate(blocks, mixes, amps, names, t0, *rest)
+
+    for module in (hybrid, protocols):
+        monkeypatch.setattr(module, "CHUNK_ELEMENTS", budget)
+    monkeypatch.setattr(protocols, "_accumulate", spy)
+    accepts = _compare_with_oracle(family, suite, detail)
+    assert accepts == (24 if not detail else 1736)
+    assert len(starts) == (27 * 14 if budget == 1 else 60)
+
+
+@pytest.mark.parametrize("detail", [False, True])
+@pytest.mark.parametrize("m, s", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_searched_families_match_the_oracle(m, s, detail):
+    family = search_ptc(m, s, target_eps=ptc_epsilon_formula(m, s), budget=60, seed=1)
+    assert family.met_target
+    assert _compare_with_oracle(family, standard_suite(m, s), detail) > 0
 
 
 def test_ebit_report_matches_the_recorded_references(family, suite):
@@ -119,3 +200,45 @@ def test_ebit_report_matches_the_recorded_references(family, suite):
         for key in ("fidelity_acc", "advantage_factored", "overlap_defect"):
             assert got[key] == pytest.approx(want["extras"][key], rel=0, abs=1e-12), (attack.name(), key)
         assert got["p_acc"] == pytest.approx(want["p_acc"], rel=0, abs=1e-12), attack.name()
+
+
+# ---------------------------------------------------------------------------
+# the oracle's measurement helpers
+# ---------------------------------------------------------------------------
+
+
+def phi_state():
+    return StateVector(max_entangled_vector(2), (("A", 2), ("B", 2)))
+
+
+def test_measure_splits_and_records():
+    # A = (Ya, A) in C order, Ya most significant:
+    # (|Ya=0, A=1>|0> + |Ya=1, A=0>|1>) / sqrt 2
+    vec = np.zeros(8, dtype=complex)
+    vec[2] = vec[5] = 1 / np.sqrt(2)
+    regs = (("A", 4), ("B", 2))
+    out = list(_measure(vec, regs, "A", (("Ya", 2), ("A", 2)), 0.5))
+    assert [value for value, *_ in out] == [0, 1]
+    for value, p, rest, rest_regs in out:
+        assert p == pytest.approx(0.25)  # half of the measured branch's 0.5
+        assert rest_regs == (("A", 2), ("B", 2))
+        np.testing.assert_allclose(rest, np.eye(4)[2 if value == 0 else 1])
+    # outcomes at or below PRUNE_BELOW are dropped
+    assert list(_measure(vec, regs, "A", (("Ya", 2), ("A", 2)), 1e-16)) == []
+
+
+def test_split_register_reads_c_order():
+    # a trivial leading factor leaves the vector as it is
+    psi = phi_state()
+    split = (("A1", 1), ("A2", 2))
+    ((value, p, rest, rest_regs),) = _measure(psi.amplitudes, psi.registers, "A", split, 1.0)
+    assert (value, rest_regs) == (0, (("A2", 2), ("B", 2)))
+    assert p == pytest.approx(1.0)
+    np.testing.assert_allclose(rest, psi.amplitudes)
+    # basis index k of a 4-dim register reads as (k // 2, k % 2)
+    for k in range(4):
+        ((value, _, rest, _),) = _measure(np.eye(4)[k], (("A", 4),), "A", (("hi", 2), ("lo", 2)), 1)
+        assert value == k // 2
+        np.testing.assert_allclose(rest, np.eye(2)[k % 2])
+    with pytest.raises(RegisterError):
+        list(_measure(psi.amplitudes, psi.registers, "A", (("A1", 3),), 1.0))

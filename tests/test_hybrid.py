@@ -8,7 +8,7 @@ from qauthlab.hybrid import (
     key_sweep,
     record_get,
 )
-from qauthlab.protocols import _apply, _measure, _sweep_pieces
+from qauthlab.protocols import _apply, _sweep_pieces
 from qauthlab.qmath import (
     RegisterError,
     StateVector,
@@ -24,7 +24,7 @@ def phi_state():
 
 
 # ---------------------------------------------------------------------------
-# the state-vector contraction and measurement that the sweep pieces use
+# the state-vector contraction that applies an attack
 # ---------------------------------------------------------------------------
 
 
@@ -46,39 +46,6 @@ def test_isometry_grows_register():
     expect = np.zeros(8)
     expect[0] = expect[7] = 1 / np.sqrt(2)  # |000> + |111>
     np.testing.assert_allclose(vec, expect)
-
-
-def test_measure_splits_and_records():
-    # A = (Ya, A) in C order, Ya most significant:
-    # (|Ya=0, A=1>|0> + |Ya=1, A=0>|1>) / sqrt 2
-    vec = np.zeros(8, dtype=complex)
-    vec[2] = vec[5] = 1 / np.sqrt(2)
-    regs = (("A", 4), ("B", 2))
-    out = list(_measure(vec, regs, "A", (("Ya", 2), ("A", 2)), 0.5))
-    assert [value for value, *_ in out] == [0, 1]
-    for value, p, rest, rest_regs in out:
-        assert p == pytest.approx(0.25)  # half of the measured branch's 0.5
-        assert rest_regs == (("A", 2), ("B", 2))
-        np.testing.assert_allclose(rest, np.eye(4)[2 if value == 0 else 1])
-    # outcomes at or below PRUNE_BELOW are dropped
-    assert list(_measure(vec, regs, "A", (("Ya", 2), ("A", 2)), 1e-16)) == []
-
-
-def test_split_register_reads_c_order():
-    # a trivial leading factor leaves the vector as it is
-    psi = phi_state()
-    split = (("A1", 1), ("A2", 2))
-    ((value, p, rest, rest_regs),) = _measure(psi.amplitudes, psi.registers, "A", split, 1.0)
-    assert (value, rest_regs) == (0, (("A2", 2), ("B", 2)))
-    assert p == pytest.approx(1.0)
-    np.testing.assert_allclose(rest, psi.amplitudes)
-    # basis index k of a 4-dim register reads as (k // 2, k % 2)
-    for k in range(4):
-        ((value, _, rest, _),) = _measure(np.eye(4)[k], (("A", 4),), "A", (("hi", 2), ("lo", 2)), 1)
-        assert value == k // 2
-        np.testing.assert_allclose(rest, np.eye(2)[k % 2])
-    with pytest.raises(RegisterError):
-        list(_measure(psi.amplitudes, psi.registers, "A", (("A1", 3),), 1.0))
 
 
 def measured_phi(flip: bool = False) -> FinalState:
