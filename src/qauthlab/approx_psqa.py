@@ -26,7 +26,7 @@ import numpy as np
 from .adversary import AttackDescriptor
 from .codes import PtcFamily
 from .hybrid import ACC, ERR, FinalState, key_sweep, record_get
-from .protocols import _detail_fields, _sweep_pieces, key_pads, pad_key
+from .protocols import _detail_fields, _transfer, key_pads, pad_key
 from .qmath import (
     Povm,
     StateVector,
@@ -208,7 +208,7 @@ def run_psqa_kg(
     dm = 1 << family.m
     vec = np.asarray(message_vec, dtype=complex).reshape(-1)
     return key_sweep(
-        *_sweep_pieces(family, attack),
+        _transfer(family, attack),
         StateVector(vec, (("Mc", dm),)),
         "Mc",
         _psqa_plan(detail),
@@ -245,7 +245,7 @@ def run_psrqa_kg(
     corrections = [u.conj().T for u in cipher.unitaries] + [np.eye(dm, dtype=complex)]
     base = StateVector(max_entangled_vector(dm), (("Ams", dm), ("B0", dm)))
     return key_sweep(
-        *_sweep_pieces(family, attack),
+        _transfer(family, attack),
         base,
         "B0",
         _psqa_plan(detail, internal=("Ams",)),

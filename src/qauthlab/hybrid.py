@@ -1,4 +1,4 @@
-"""Hybrid classical/quantum final states and the stacked key sweep.
+"""Hybrid classical/quantum final states and the key sweep.
 
 A :class:`FinalState` maps each classical record (a tuple of (field, value)
 pairs: keys, verdicts, measurement outcomes, error flags) to a weighted
@@ -8,20 +8,28 @@ distances decompose per record.
 
 :func:`key_sweep`, the one simulation engine, runs the seven keyed sweeps
 (``run_qa_kg``, ``run_tqa_kg``, ``ebit_ptc``, ``run_qa_kg_ideal``,
-``run_psqa_kg``, ``run_psrqa_kg``, ``psqa_ideal``). Every key, the code index
-among them, and the received syndrome are leading axes of one amplitude
-array. A run's secret key (pad, cipher, Bell or preparation outcome) is one
-instrument taken before the codes; the codes are stacked matrices applied by
-batched products; attacks arrive as isometries, so the amplitudes stay pure until
-it finalizes with one contraction per chunk of codes and record. The
-codes run in chunks whose largest array holds at most CHUNK_ELEMENTS
-entries, so memory is bounded per chunk, not per sweep. Output filters such
-as "drop this register" apply per contraction; "replace this register by the
-maximally mixed state" applies once per record, after the last chunk.
-``protocols.ebit_ptp`` batches its accept blocks over (code, syndrome) in
-the arithmetic of one branch at a time instead, so that they keep their bits,
-and finalizes its reject branches through the same contraction (see
-``protocols``).
+``run_psqa_kg``, ``run_psrqa_kg``, ``psqa_ideal``). Every one of them applies
+the same linear map, encode -> attack -> decode, to its carrier: a
+:class:`Transfer`, which ``protocols`` builds once per (family, attack) and
+every sweep of the job reads. The transfer holds, per branch (code t,
+syndrome key y, received syndrome ysyn), a matrix X_b from the probe
+registers (the carrier, and R when the attack acts on it) to the output
+registers, in chunks of codes whose largest array holds at most
+CHUNK_ELEMENTS entries. A sweep takes its run's secret key (pad, cipher,
+Bell or preparation outcome) as one instrument on its input, giving one
+input Psi_v per key value v, and builds every block from Gram matrices: per
+record class c (the verdict, and t, y, ysyn where the plan reads them) one
+G_c = sum_{b in c} x_b x_b^dag, with x_b the matrix X_b read as a vector over
+(out, probe), and per key value Psi_v G_c Psi_v^dag, one batched product over
+the keys. So the key count multiplies no contraction
+over codes. A (key, class) pair counts when one of its slices has
+probability above PRUNE_BELOW, read from the per-branch probe Grams
+X_b^dag X_b. Output filters such as "drop this register" trace each block;
+"replace this register by the maximally mixed state" applies once per
+record, after the last chunk. ``protocols.ebit_ptp`` batches its accept
+blocks over (code, syndrome) in the arithmetic of one branch at a time
+instead, so that they keep their bits, and finalizes its reject branches per
+slice through ``_accumulate`` (see ``protocols``).
 
 Distance between two final states is sum_c || p_c rho_c - q_c sigma_c ||_1
 over the union of classical records, which equals the full 1-norm of the
@@ -52,14 +60,15 @@ Record = tuple[tuple[str, object], ...]
 
 ACC, REJ, ERR = "ACC", "REJ", "ERR"
 
-# Branches below this probability are dropped. Tiny enough that even thousands
-# of pruned branches stay far under the 1e-9 pipeline tolerance.
+# A (key value, record class) pair whose slices (key, code, syndrome, received
+# syndrome) all have at most this probability is dropped. Tiny enough that even
+# thousands of pruned slices stay far under the 1e-9 pipeline tolerance.
 PRUNE_BELOW = 1e-15
 
-# Largest amplitude array, in complex entries, that one chunk of codes in
-# ``key_sweep`` holds. With every code in one chunk, the m=1, s=3 `uc` and
-# `psqa` benchmark runs peaked at 62 and 80 MB instead of 45 MB; at 2^16 they
-# peak at 49 MB, at 2^17 at 54 MB, and at 2^15 at 46 MB with `psqa` 12% slower.
+# Largest array, in complex entries, that one chunk of codes holds: a chunk of
+# a transfer (and the amplitudes it is built from), or of ``ebit_ptp``'s
+# branches. At m=1, s=3 every transfer of the attack suite fits in one chunk
+# (at most 4,096 entries per code, for swap-held).
 CHUNK_ELEMENTS = 1 << 16
 
 
@@ -164,7 +173,7 @@ class FinalState:
 
 
 # ---------------------------------------------------------------------------
-# the stacked key sweep
+# the key sweep
 # ---------------------------------------------------------------------------
 
 
@@ -172,9 +181,36 @@ class InvariantError(RuntimeError):
     """An internal invariant failed: a fault in the program, not in its input."""
 
 
+@dataclass(frozen=True)
+class TransferChunk:
+    """The transfer of a run of codes, from code ``t0`` on."""
+
+    t0: int
+    # (codes, y, ysyn, out, probe): branch (t, y, ysyn) as a matrix from the
+    # probe registers to the output registers, scaled by 1/sqrt(codes * 2^s)
+    x: np.ndarray
+    # (codes, y, ysyn, probe, probe): each branch's X^dag X
+    probe_grams: np.ndarray
+
+
+@dataclass(frozen=True)
+class Transfer:
+    """Encode, attack and decode of one (family, attack) as one linear map per
+    branch (code t, syndrome key y, received syndrome ysyn), read on the basis
+    of the ``probe`` registers: the attack's registers besides T, then the
+    carrier. It writes the ``out`` registers: the attack's, with T replaced by
+    the decoded receiver. Carrier and receiver both go by "T" here (the code's
+    register, which no input of a sweep carries); ``key_sweep`` renames them.
+    The branch maps of an isometric attack sum to the identity:
+    sum_b X_b^dag X_b = I."""
+
+    probe: Registers
+    out: Registers
+    chunks: tuple[TransferChunk, ...]
+
+
 def key_sweep(
-    encoders: np.ndarray,
-    attack: tuple[np.ndarray, Sequence[str], Registers],
+    transfer: Transfer,
     base: StateVector,
     carrier: str,
     plan: Callable[[dict], tuple[Record, tuple[str, ...], tuple[str, ...]]],
@@ -182,74 +218,116 @@ def key_sweep(
     key: tuple[str, Sequence, Sequence[str], np.ndarray, Registers, np.ndarray] | None = None,
     receiver: str = "B",
 ) -> FinalState:
-    """Send ``carrier`` of ``base`` through a keyed code under attack, for
-    every key at once, and finalize.
-
-    Every key is a leading classical axis of one amplitude array, the code
-    index ``t`` among them:
+    """Send ``carrier`` of ``base`` through ``transfer`` (a keyed code under
+    attack), for every key at once, and finalize.
 
     - ``key`` = (label, values, names, ops, out registers, corrections): ops,
       stacked (values, out dim, in dim), act once on the registers ``names``
-      of ``base``, before the codes, with their outcome as the axis
-      ``label``; corrections[v] acts on the receiver where that axis is v
-      and ysyn == y (a pad of K unitaries U_k is the instrument U_k/sqrt(K));
-    - the encoder stack (``encoders[t]``, each read as (syndrome, logical)
-      -> T) maps the carrier onto T in one contraction, with the code ``t``
-      and the syndrome key ``y`` as axes; ``attack`` = (isometry, names, out
-      registers) acts once, shared by every code;
-    - the decoder of code t splits T into the received syndrome ``ysyn`` (an
-      axis) and the register ``receiver``.
+      of ``base``, with their outcome as the key value v; corrections[v] acts
+      on the receiver on accept (ysyn == y). A pad of K unitaries U_k is the
+      instrument U_k/sqrt(K).
+    - The state of key value v is a matrix Psi_v from the probe registers to
+      the rest of ``base``. A record class c is a verdict (accept iff ysyn ==
+      y) together with the fields of t, y and ysyn named in ``exposed``. Its
+      Gram matrix G_c = sum_{b in c} x_b x_b^dag, x_b the branch map as a
+      vector over (out, probe), gives every key value's block at once: Psi_v
+      G_c Psi_v^dag, one batched product over the keys, so the key count
+      multiplies no contraction over codes.
+    - A (key, class) pair counts only if one of its slices (key, t, y, ysyn)
+      has probability above PRUNE_BELOW, read from the per-branch probe
+      Grams. ``plan`` maps its fields (the verdict, the fields named in
+      ``exposed``, the key label) to (output record, registers to drop,
+      registers to replace by I/d). Dropped registers are traced out of each
+      block; each record is replaced by I/d once, at the end.
 
-    Every (t, y) has equal weight. Slices of probability at most PRUNE_BELOW
-    are dropped. ``plan`` maps the fields named in ``exposed`` (from t, y,
-    ysyn, verdict and the key label) to (output record, registers to drop,
-    registers to replace by I/d). The codes run in chunks: each chunk's
-    largest amplitude array holds at most CHUNK_ELEMENTS entries (or one
-    code's, if that is more), which bounds memory, and adds one contraction
-    per output record. Each record is replaced by I/d once, at the end.
+    The codes run in the transfer's chunks, one set of Grams per chunk.
     """
-    iso, att_names, att_out = attack
-    d_in = dict(base.registers)[carrier]
-    dt = encoders[0].shape[0]
-    dy = dt // d_in
-    values: dict[str, Sequence] = {"t": range(len(encoders)), "y": range(dy), "ysyn": range(dy)}
-    start, start_regs, start_names = base.amplitudes.reshape(reg_dims(base.registers)), base.registers, []
-    if key is not None:
-        label, values[label], key_names, ops, key_out, corrections = key
-        start, start_regs, start_names = _contract(
-            start, start_regs, start_names, ops, key_names, ((label, len(ops)),) + tuple(key_out), (label,)
-        )
-    # one code's amplitudes after the attack: the chunk size follows from it
-    dims = {**dict(start_regs), "T": dt}
-    attacked_in = int(np.prod([dims[name] for name in att_names]))
-    per_code = start.size // d_in * dt * dy * total_dim(att_out) // attacked_in
-    step = max(1, CHUNK_ELEMENTS // per_code)
+    probe = tuple((carrier if name == "T" else name, d) for name, d in transfer.probe)
+    out = tuple((receiver if name == "T" else name, d) for name, d in transfer.out)
+    amps, regs = base.amplitudes.reshape(reg_dims(base.registers)), base.registers
+    if key is None:
+        label, values, corrections, amps = None, (None,), None, amps[None]
+    else:
+        label, values, key_names, ops, key_out, corrections = key
+        amps, regs, _ = _contract(amps, regs, [], ops, key_names, ((label, len(ops)),) + tuple(key_out), (label,))
+    other = tuple(r for r in regs if r[0] not in reg_names(probe))
+    order = reg_positions(regs, reg_names(other + probe))
+    psi = amps.transpose([0] + [1 + i for i in order]).reshape(len(amps), total_dim(other), total_dim(probe))
+    keys = (label, values, corrections)
     blocks: dict[Record, tuple[Registers, np.ndarray]] = {}
     mixes: dict[Record, tuple[str, ...]] = {}
-    weight = 1.0 / (len(encoders) * dy)
-    for t0 in range(0, len(encoders), step):
-        chunk = encoders[t0 : t0 + step]
-        encode = chunk.reshape(len(chunk) * dt * dy, d_in)
-        amps, regs, names = _contract(
-            start, start_regs, start_names, encode, (carrier,),
-            (("t", len(chunk)), ("T", dt), ("y", dy)), ("t", "y"),
-        )
-        amps, regs, names = _contract(amps, regs, names, iso, att_names, att_out)
-        # the decoder of code t, then T read as (ysyn, receiver)
-        (pos,) = reg_positions(regs, ("T",))
-        at = len(names) + pos
-        amps = _keyed(amps, names.index("t"), at, chunk.conj().transpose(0, 2, 1))
-        amps = amps.reshape(amps.shape[:at] + (dy, d_in) + amps.shape[at + 1 :])
-        amps = np.moveaxis(amps, at, len(names))
-        regs, names = regs[:pos] + ((receiver, d_in),) + regs[pos + 1 :], names + ["ysyn"]
-        if key is not None:
-            target = len(names) + reg_positions(regs, (receiver,))[0]
-            fixed = _keyed(amps, names.index(label), target, corrections)
-            at = names.index("y")  # ysyn follows y
-            accept = np.eye(dy, dtype=bool).reshape((1,) * at + (dy, dy) + (1,) * (amps.ndim - at - 2))
-            amps = np.where(accept, fixed, amps)
-        _accumulate(blocks, mixes, amps, names, t0, values, regs, plan, exposed, weight)
+    for chunk in transfer.chunks:
+        _add_chunk(blocks, mixes, chunk, psi, (other, out, receiver), plan, exposed, keys)
     return checked_total(mix_records(blocks, mixes), "key sweep")
+
+
+def _add_chunk(blocks, mixes, chunk: TransferChunk, psi, layout, plan, exposed, keys) -> None:
+    """Add one chunk of codes to ``blocks``: per record class one Gram matrix,
+    then the blocks of its live key values. The registers each record
+    replaces by I/d go to ``mixes``."""
+    label, values, corrections = keys
+    codes, dy = chunk.x.shape[:2]
+    x = chunk.x.reshape(codes * dy * dy, -1)
+    # p[v, b] = Tr(X_b^dag X_b Psi_v^T conj(Psi_v))
+    probe_states = np.matmul(psi.conj().transpose(0, 2, 1), psi)
+    probs = (probe_states.reshape(len(psi), -1) @ chunk.probe_grams.reshape(len(x), -1).T).real
+    t, y, ysyn = np.unravel_index(np.arange(len(x)), (codes, dy, dy))
+    index = {"verdict": (y == ysyn).astype(np.intp), "t": t + chunk.t0, "y": y, "ysyn": ysyn}
+    split = ("verdict",) + tuple(f for f in ("t", "y", "ysyn") if f in exposed)
+    sizes = tuple(2 if f == "verdict" else chunk.t0 + codes if f == "t" else dy for f in split)
+    classes, inverse = np.unique(np.ravel_multi_index(tuple(index[f] for f in split), sizes), return_inverse=True)
+    members = np.split(np.argsort(inverse, kind="stable"), np.cumsum(np.bincount(inverse))[:-1])
+    for cls, rows in zip(zip(*np.unravel_index(classes, sizes)), members):
+        live = np.flatnonzero((probs[:, rows] > PRUNE_BELOW).any(axis=1))
+        if not len(live):
+            continue
+        fields = {f: (REJ, ACC)[i] if f == "verdict" else int(i) for f, i in zip(split, cls)}
+        # the live key values by the registers their records drop, then by record
+        groups: dict[tuple, dict[Record, list]] = {}
+        for v in live:
+            record, drop, mix = plan({**fields, label: values[v]} if label in exposed else fields)
+            if mixes.setdefault(record, tuple(mix)) != tuple(mix):
+                raise RegisterError(f"record {record} accumulated under different register sets")
+            groups.setdefault(tuple(drop), {}).setdefault(record, []).append(v)
+        gram = x[rows].T @ x[rows].conj()
+        fix = corrections if fields["verdict"] == ACC else None
+        for drop, records in groups.items():
+            vals = [v for vs in records.values() for v in vs]
+            kept, rhos = _blocks(gram, psi[vals], layout, drop, None if fix is None else fix[vals])
+            at = 0
+            for record, vs in records.items():
+                rho = rhos[at : at + len(vs)].sum(axis=0)
+                at += len(vs)
+                if record in blocks:
+                    if blocks[record][0] != kept:
+                        raise RegisterError(f"record {record} accumulated under different register sets")
+                    rho = blocks[record][1] + rho
+                blocks[record] = (kept, rho)
+
+
+def _blocks(gram, psi, layout, drop, fix):
+    """Psi_v G Psi_v^dag for each key value v of ``psi`` (values, other,
+    probe), the correction ``fix[v]`` applied to the receiver, the ``drop``
+    registers traced out and the rest sorted by name. Returns the kept
+    registers and the stacked blocks."""
+    other, out, receiver = layout
+    regs, (n, do, dp), dj = other + out, psi.shape, total_dim(out)
+    # sum_p Psi[v, o, p] G[j, p, k, q], then sum_q with conj(Psi[v, o', q])
+    half = psi.reshape(-1, dp) @ gram.reshape(dj, dp, -1).transpose(1, 0, 2).reshape(dp, -1)
+    rho = np.matmul(half.reshape(n, -1, dp), psi.conj().transpose(0, 2, 1))
+    dims = reg_dims(regs)
+    rho = rho.reshape(n, do, dj, dj, do).transpose(0, 1, 2, 4, 3).reshape((n,) + dims + dims)
+    if fix is not None:
+        (pos,) = reg_positions(regs, (receiver,))
+        rho = _keyed(_keyed(rho, 0, 1 + pos, fix), 0, 1 + len(regs) + pos, fix.conj())
+    # one einsum traces the dropped registers (a shared index) and sorts the rest
+    left = {name: 1 + i for i, (name, _) in enumerate(regs)}
+    right = {name: left[name] if name in drop else 1 + len(regs) + i for i, (name, _) in enumerate(regs)}
+    kept = tuple(sorted((r for r in regs if r[0] not in drop), key=lambda r: r[0]))
+    names = reg_names(kept)
+    rho = np.einsum(rho, [0, *left.values(), *right.values()], [0, *map(left.get, names), *map(right.get, names)])
+    d = total_dim(kept)
+    return kept, rho.reshape(n, d, d)
 
 
 def _keyed(amps: np.ndarray, axis: int, target: int, mats: np.ndarray) -> np.ndarray:

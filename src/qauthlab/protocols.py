@@ -1,7 +1,8 @@
 """Executable circuits for the authentication / key-recycling protocol family.
 
-Implemented protocols (the keyed sweeps over ``hybrid.key_sweep``;
-``ebit_ptp`` as its own batched sweep, in fixed arithmetic):
+Implemented protocols (the keyed sweeps over ``hybrid.key_sweep`` and one
+shared transfer; ``ebit_ptp`` as its own batched sweep, in fixed
+arithmetic):
 
 - ``teleport``: qubit-wise teleportation with the Bell basis {(I (x) s_xz)|Phi>},
   measured as ``run_tqa_kg``'s Bell key through the sweep's contraction.
@@ -25,25 +26,32 @@ products have the shapes and layouts of the per-branch ``tensordot`` (the
 same BLAS call each); the syndrome probabilities reduce the same contiguous
 rows; each branch is normalized, weighted and outer-multiplied as one branch
 was; and the accept blocks are summed in (code, syndrome) order, one term
-after another, across chunks too. ``key_sweep``'s stacked contraction sums
-the same terms in another order and moves ``fidelity_acc`` by up to 2.75e-8,
-far beyond the 1e-12 the reports are held to. The reject branches (received
-syndrome != sent syndrome) are collected unnormalized and finalized per
-record by one product over each chunk of codes, as ``key_sweep`` does.
+after another, across chunks too. A stacked contraction sums the same terms
+in another order and moves ``fidelity_acc`` by up to 2.75e-8, far beyond the
+1e-12 the reports are held to. The reject branches (received syndrome !=
+sent syndrome) are collected unnormalized and finalized per record by one
+product over each chunk of codes (``hybrid._accumulate``).
 
-Each keyed run passes its secret key to ``key_sweep`` as one instrument
-taken before encoding: a pad as U_k / sqrt(K) (``pad_key``, for ``run_qa_kg``
-and ``approx_psqa.run_psqa_kg``), and ``run_tqa_kg``'s Bell measurement
-(``bell_key``), whose registers the code never touches, so it commutes with
-encoding and attack.
+The keyed sweeps share one linear map: encode, attack, decode. The simulator
+sends a dummy ebit half through the same coded channel and attack as the
+real run, and the teleported twin changes only how the key is handled. So
+``build_transfer`` applies that map once per (family, attack) to the basis of
+its probe registers (the carrier, and R when the attack acts on it), in
+chunks of codes, and every ``key_sweep`` of the job reads the result
+(``_transfer``). Each keyed run passes its secret key to ``key_sweep`` as one
+instrument on its input: a pad as U_k / sqrt(K) (``pad_key``, for
+``run_qa_kg`` and ``approx_psqa.run_psqa_kg``), and ``run_tqa_kg``'s Bell
+measurement (``bell_key``), whose registers the code never touches, so it
+commutes with encoding and attack.
 
 Shared pieces are built once, here: the keyed Pauli pad (``key_pads``, read
 by ``run_qa_kg``, ``bell_key``, ``ucharness.run_qa_kg_ideal``'s key list and
 ``approx_psqa.pauli_cipher``), a family's encoders as one read-only stack
-(``_family_encoders``, read by ``key_sweep``, ``ebit_ptp`` and
-``ucharness._accept_decoders``) and an attack's isometry
-(``_attack_pieces``, once per job: every final-state build of one (family,
-attack) reuses it).
+(``_family_encoders``, read by ``build_transfer``, ``ebit_ptp`` and
+``ucharness._accept_decoders``), an attack's isometry (``_attack_pieces``)
+and the transfer (``_transfer``), the last two once per job: every
+final-state build of one (family, attack) reuses them, and the next job's
+replace them.
 
 Conventions: keys x, z are m-bit masks; the encryption operator is the
 qubit-wise X^x Z^z. Code index t and syndrome y are marginalized out of final
@@ -66,6 +74,8 @@ from .hybrid import (
     PRUNE_BELOW,
     REJ,
     FinalState,
+    Transfer,
+    TransferChunk,
     _accumulate,
     _contract,
     _keyed,
@@ -210,9 +220,69 @@ def _needs_env_reference(attack: AttackDescriptor) -> bool:
     return "R" in attack.acts_on
 
 
-def _sweep_pieces(family: PtcFamily, attack: AttackDescriptor):
-    """The encoder stack and the attack pieces that ``key_sweep`` takes."""
-    return _family_encoders(family), _attack_pieces(family, attack)
+def build_transfer(encoders: np.ndarray, attack, m: int) -> Transfer:
+    """The ``hybrid.Transfer`` of the encoder stack under ``attack`` =
+    (isometry, names, out registers): every code's encoder, for every
+    syndrome key y, then the attack, then the code's decoder, with the
+    received syndrome read off. It is the sweep applied to the basis of the
+    probe registers (the attack's registers besides T, then the 2^m-dim
+    carrier), in chunks of codes whose largest array holds at most
+    CHUNK_ELEMENTS entries (or one code's, if that is more)."""
+    iso, att_names, att_out = attack
+    dc = 1 << m
+    dy = encoders.shape[1] // dc
+    probe = tuple(r for r in att_out if r[0] in att_names and r[0] != "T") + (("T", dc),)
+    # the attacked amplitudes of one code hold as many entries as its transfer
+    step = max(1, CHUNK_ELEMENTS // (total_dim(probe) * dy * total_dim(att_out)))
+    scale = 1.0 / np.sqrt(len(encoders) * dy)
+    chunks = tuple(
+        _transfer_chunk(encoders[t0 : t0 + step], t0, probe, attack, scale)
+        for t0 in range(0, len(encoders), step)
+    )
+    # after the attack the registers are att_out; the decoder reads T as
+    # (ysyn, receiver)
+    return Transfer(probe, tuple(("T", dc) if r[0] == "T" else r for r in att_out), chunks)
+
+
+def _transfer_chunk(encoders: np.ndarray, t0: int, probe: Registers, attack, scale: float) -> TransferChunk:
+    """One chunk of codes of ``build_transfer``, from code ``t0`` on."""
+    iso, att_names, att_out = attack
+    codes, dt, dc, dp = len(encoders), encoders.shape[1], dict(probe)["T"], total_dim(probe)
+    dy = dt // dc
+    basis = np.eye(dp, dtype=complex).reshape((dp,) + reg_dims(probe))
+    amps, regs, names = _contract(
+        basis, probe, ["p"], encoders.reshape(codes * dt * dy, dc), ("T",),
+        (("t", codes), ("T", dt), ("y", dy)), ("t", "y"),
+    )
+    amps, regs, names = _contract(amps, regs, names, iso, att_names, att_out)
+    # the decoder of code t, then T read as (ysyn, receiver)
+    at = len(names) + reg_positions(regs, ("T",))[0]
+    amps = _keyed(amps, names.index("t"), at, encoders.conj().transpose(0, 2, 1))
+    amps = amps.reshape(amps.shape[:at] + (dy, dc) + amps.shape[at + 1 :])
+    amps = np.moveaxis(amps, at, len(names))
+    x = np.ascontiguousarray(scale * np.moveaxis(amps.reshape(dp, codes, dy, dy, -1), 0, -1))
+    x.setflags(write=False)
+    grams = np.matmul(x.conj().transpose(0, 1, 2, 4, 3), x)
+    grams.setflags(write=False)
+    return TransferChunk(t0, x, grams)
+
+
+# One entry, like _attack_pieces: every sweep of one job reads the same
+# transfer, and the next job's replaces it. An entry is served only for the
+# very encoder stack and isometry it was built from (it holds both, so their
+# ids cannot pass to other arrays), and only under the chunk budget it was
+# cut by.
+_transfer_cache: dict = {}
+
+
+def _transfer(family: PtcFamily, attack: AttackDescriptor) -> Transfer:
+    """The family's transfer under the attack, built once per job."""
+    encoders, pieces = _family_encoders(family), _attack_pieces(family, attack)
+    key = (id(encoders), id(pieces[0]), CHUNK_ELEMENTS)
+    if key not in _transfer_cache:
+        _transfer_cache.clear()
+        _transfer_cache[key] = (encoders, pieces, build_transfer(encoders, pieces, family.m))
+    return _transfer_cache[key][2]
 
 
 def _detail_fields(detail: bool, *fields: str) -> tuple[str, ...]:
@@ -263,7 +333,7 @@ def run_qa_kg(
     if dict(input_state.registers).get("M") != dm:
         raise ValueError(f"input must carry an M register of dimension {dm}")
     return key_sweep(
-        *_sweep_pieces(family, attack),
+        _transfer(family, attack),
         input_state,
         "M",
         _qa_output_plan(back_communication, detail),
@@ -292,7 +362,7 @@ def run_tqa_kg(
     dm = 1 << m
     ebits = StateVector(max_entangled_vector(dm), (("A1", dm), ("A2", dm)))
     return key_sweep(
-        *_sweep_pieces(family, attack),
+        _transfer(family, attack),
         tensor(input_state, ebits),
         "A2",
         _qa_output_plan(back_communication, detail),
@@ -346,7 +416,7 @@ def ebit_ptc(
     base = StateVector(max_entangled_vector(dm), (("A", dm), ("B0", dm)))
     base = _maybe_reference(base, attack, family.m)
     return key_sweep(
-        *_sweep_pieces(family, attack),
+        _transfer(family, attack),
         base,
         "B0",
         _ebit_output_plan(detail),

@@ -40,7 +40,7 @@ from .adversary import AttackDescriptor
 from .codes import PtcFamily
 from .hybrid import ACC, ERR, REJ, FinalState, InvariantError, Record, key_sweep, record_get
 from .pauli import PauliString, pauli_matrix
-from .protocols import _family_encoders, _sweep_pieces, ebit_ptp, key_pads, run_qa_kg
+from .protocols import _family_encoders, _transfer, ebit_ptp, key_pads, run_qa_kg
 from .qmath import (
     StateVector,
     fidelity,
@@ -300,7 +300,7 @@ def ideal_sweep(
             return (("verdict", ACC),), ("Ad", "B"), ()
         return (("verdict", REJ),) + key_record(ERR), ("Ad", "B", "M"), ()
 
-    final = key_sweep(*_sweep_pieces(family, attack), tensor(message, dummy), "B0", plan, ())
+    final = key_sweep(_transfer(family, attack), tensor(message, dummy), "B0", plan, ())
     blocks = {}
     for rec, block in final.blocks.items():
         if _is_acc(rec):

@@ -8,7 +8,7 @@ from qauthlab.hybrid import (
     key_sweep,
     record_get,
 )
-from qauthlab.protocols import _apply, _sweep_pieces
+from qauthlab.protocols import _apply, _attack_pieces, _family_encoders, _transfer, build_transfer
 from qauthlab.qmath import (
     RegisterError,
     StateVector,
@@ -110,23 +110,23 @@ def _verdict_plan(fields):
 
 def test_finalize_drop_and_mix(family_s1):
     # every slice maps to one record; B is traced out and A replaced by I/2
-    encoders, attack = _sweep_pieces(family_s1, AttackDescriptor("identity"))
+    transfer = _transfer(family_s1, AttackDescriptor("identity"))
     base = StateVector(max_entangled_vector(2), (("A", 2), ("B0", 2)))
-    final = key_sweep(encoders, attack, base, "B0", lambda f: ((), ("B",), ("A",)), ())
+    final = key_sweep(transfer, base, "B0", lambda f: ((), ("B",), ("A",)), ())
     block = final.blocks[()]
     assert block.registers == (("A", 2), ("E", 1))
     np.testing.assert_allclose(block.matrix, np.eye(2) / 2, atol=1e-14)
 
-    kept = key_sweep(encoders, attack, base, "B0", lambda f: ((), (), ()), ())
+    kept = key_sweep(transfer, base, "B0", lambda f: ((), (), ()), ())
     assert kept.blocks[()].registers == (("A", 2), ("B", 2), ("E", 1))
     phi = max_entangled_vector(2)
     np.testing.assert_allclose(kept.blocks[()].matrix, np.outer(phi, phi.conj()), atol=1e-14)
 
 
 def test_finalize_sorts_registers(family_s1):
-    encoders, attack = _sweep_pieces(family_s1, AttackDescriptor("identity"))
+    transfer = _transfer(family_s1, AttackDescriptor("identity"))
     base = StateVector(np.kron([1, 0], [0, 1]).astype(complex), (("Zz", 2), ("B0", 2)))
-    final = key_sweep(encoders, attack, base, "B0", lambda f: ((), (), ()), (), receiver="Aa")
+    final = key_sweep(transfer, base, "B0", lambda f: ((), (), ()), (), receiver="Aa")
     assert final.blocks[()].registers == (("Aa", 2), ("E", 1), ("Zz", 2))
     # |0> on Zz, |1> on Aa -> sorted layout puts Aa first: index 1*2+0=2
     expect = np.zeros((4, 4))
@@ -135,14 +135,14 @@ def test_finalize_sorts_registers(family_s1):
 
 
 def test_key_sweep_total_weight_and_records(family_s1):
-    encoders, attack = _sweep_pieces(family_s1, AttackDescriptor("fixed_pauli", x=1, label="X0"))
+    transfer = _transfer(family_s1, AttackDescriptor("fixed_pauli", x=1, label="X0"))
     base = StateVector(max_entangled_vector(2), (("A", 2), ("B0", 2)))
-    final = key_sweep(encoders, attack, base, "B0", _verdict_plan, ())
+    final = key_sweep(transfer, base, "B0", _verdict_plan, ())
     assert final.total_weight() == pytest.approx(1.0, abs=1e-12)
     # X on qubit 0 anticommutes with ZZ and YY: two codes in three reject
     assert final.weight((("verdict", "REJ"),)) == pytest.approx(2.0 / 3.0, abs=1e-12)
     detailed = key_sweep(
-        encoders, attack, base, "B0", lambda f: ((("y", f["y"]), ("ysyn", f["ysyn"])), (), ()),
+        transfer, base, "B0", lambda f: ((("y", f["y"]), ("ysyn", f["ysyn"])), (), ()),
         ("y", "ysyn"),
     )
     # the received syndrome is an explicit field; zero-probability slices are pruned
@@ -150,28 +150,47 @@ def test_key_sweep_total_weight_and_records(family_s1):
 
 
 def test_key_sweep_rejects_non_isometric_attack(family_s1):
-    encoders, (iso, names, out_regs) = _sweep_pieces(family_s1, AttackDescriptor("identity"))
+    # a transfer built from a dilation that gains weight breaks the
+    # total-weight invariant of every sweep that reads it
+    attack = AttackDescriptor("identity")
+    iso, names, out_regs = _attack_pieces(family_s1, attack)
+    transfer = build_transfer(_family_encoders(family_s1), (1.1 * iso, names, out_regs), family_s1.m)
     base = StateVector(max_entangled_vector(2), (("A", 2), ("B0", 2)))
     with pytest.raises(InvariantError, match="key sweep: final state total weight"):
-        key_sweep(encoders, (1.1 * iso, names, out_regs), base, "B0", _verdict_plan, ())
+        key_sweep(transfer, base, "B0", _verdict_plan, ())
     assert not issubclass(InvariantError, ValueError)
 
 
 def test_key_is_contracted_once_per_sweep(monkeypatch, family_s2):
-    # one code per chunk: 8 chunks, and still one contraction of the key
-    from qauthlab import hybrid
-    from qauthlab.approx_psqa import run_psqa_kg, run_psrqa_kg, sample_cipher
+    # one code per chunk: 8 chunks, and still one contraction of the key; the
+    # transfer is built once per uc job and once per psqa job, and every sweep
+    # of the job reads it
+    from qauthlab import hybrid, protocols
+    from qauthlab.adversary import standard_suite
+    from qauthlab.approx_psqa import psqa_advantage, run_psqa_kg, run_psrqa_kg, sample_cipher
+    from qauthlab.cli import _uc_single
     from qauthlab.protocols import run_qa_kg, run_tqa_kg
 
-    contract = hybrid._contract
-    seen = []
+    contract, add_chunk, build = hybrid._contract, hybrid._add_chunk, protocols.build_transfer
+    seen, chunks, built = [], [], []
 
     def spy(amps, regs, names, matrix, in_names, out_regs, classical=()):
         seen.append(tuple(in_names))
         return contract(amps, regs, names, matrix, in_names, out_regs, classical)
 
-    monkeypatch.setattr(hybrid, "CHUNK_ELEMENTS", 1)
+    def chunk_spy(blocks, mixes, chunk, *rest):
+        chunks.append(chunk.t0)
+        return add_chunk(blocks, mixes, chunk, *rest)
+
+    def build_spy(encoders, attack, m):
+        built.append(len(encoders))
+        return build(encoders, attack, m)
+
+    for module in (hybrid, protocols):
+        monkeypatch.setattr(module, "CHUNK_ELEMENTS", 1)
     monkeypatch.setattr(hybrid, "_contract", spy)
+    monkeypatch.setattr(hybrid, "_add_chunk", chunk_spy)
+    monkeypatch.setattr(protocols, "build_transfer", build_spy)
     psi = StateVector(max_entangled_vector(2), (("R", 2), ("M", 2)))
     cipher = sample_cipher(1, 4, seed=2)
     vec = np.array([0.6, 0.8j], dtype=complex)
@@ -183,7 +202,17 @@ def test_key_is_contracted_once_per_sweep(monkeypatch, family_s2):
         (lambda: run_psrqa_kg(vec, cipher, family_s2, attack), ("Ams",)),
     ):
         seen.clear()
+        chunks.clear()
         run()
-        assert seen[0] == keyed
-        # then per chunk of one code: encode the carrier, apply the attack
-        assert len(seen) == 1 + 2 * len(family_s2.codes)
+        assert seen == [keyed]
+        assert chunks == list(range(8))
+
+    protocols._transfer_cache.clear()
+    built.clear()
+    x0, y0 = (a for a in standard_suite(1, 2) if a.name() in ("X0", "Y0"))
+    _uc_single(family_s2, x0, "random-3")
+    assert built == [8]
+    _uc_single(family_s2, y0, "random-3")
+    assert built == [8, 8]
+    psqa_advantage(vec, cipher, family_s2, x0)
+    assert built == [8, 8, 8]

@@ -1,0 +1,186 @@
+"""``key_sweep`` against the per-slice sweep it replaced.
+
+``per_slice_key_sweep`` below is that sweep, kept as the oracle: every key
+value is a leading axis of the amplitude array, the encoders, the attack and
+the decoders are applied to the keyed input itself, chunk by chunk, and each
+record's block is one product over its slices (``hybrid._accumulate``). The
+engine instead reads the shared transfer and builds each block from one Gram
+matrix per record class.
+
+On the benchmark's m=1, s=3 family, every protocol run goes once through the
+engine and once through the oracle (by rebinding ``key_sweep`` where the
+protocols call it), with the same bases, keys and plans: all seven sweeps,
+plain and, where the sweep has the flag, with ``detail=True``, over the 27
+suite attacks (the T-only ones for the three pure-state sweeps). The record
+sets and registers must be identical and the blocks agree within 1e-12.
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from qauthlab import approx_psqa, hybrid, protocols, ucharness
+from qauthlab.adversary import purified_input, standard_suite
+from qauthlab.approx_psqa import psqa_ideal, run_psqa_kg, run_psrqa_kg, sample_cipher
+from qauthlab.codes import PtcFamily
+from qauthlab.hybrid import (
+    ACC,
+    _accumulate,
+    _contract,
+    _keyed,
+    checked_total,
+    mix_records,
+    record_get,
+)
+from qauthlab.protocols import _attack_pieces, _family_encoders, ebit_ptc, run_qa_kg, run_tqa_kg
+from qauthlab.qmath import reg_dims, reg_positions, total_dim
+from qauthlab.ucharness import run_qa_kg_ideal
+
+FIXTURE = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "family-m1-s3.json"
+TOL = 1e-12
+PSI = purified_input("random-5", 1)
+CIPHER = sample_cipher(1, 4, seed=2)
+VEC = np.array([0.6, 0.8j], dtype=complex)
+SWEEPS = {
+    "run_qa_kg": lambda f, a: run_qa_kg(PSI, f, a),
+    "run_qa_kg/detail": lambda f, a: run_qa_kg(PSI, f, a, detail=True),
+    "run_qa_kg/no-back": lambda f, a: run_qa_kg(PSI, f, a, back_communication=False),
+    "run_tqa_kg": lambda f, a: run_tqa_kg(PSI, f, a),
+    "run_tqa_kg/no-back/detail": lambda f, a: run_tqa_kg(PSI, f, a, back_communication=False, detail=True),
+    "ebit_ptc": lambda f, a: ebit_ptc(f, a),
+    "ebit_ptc/detail": lambda f, a: ebit_ptc(f, a, detail=True),
+    "run_qa_kg_ideal": lambda f, a: run_qa_kg_ideal(PSI, f, a),
+    "run_psqa_kg": lambda f, a: run_psqa_kg(VEC, CIPHER, f, a),
+    "run_psqa_kg/detail": lambda f, a: run_psqa_kg(VEC, CIPHER, f, a, detail=True),
+    "run_psrqa_kg": lambda f, a: run_psrqa_kg(VEC, CIPHER, f, a),
+    "run_psrqa_kg/detail": lambda f, a: run_psrqa_kg(VEC, CIPHER, f, a, detail=True),
+    "psqa_ideal": lambda f, a: psqa_ideal(VEC, CIPHER, f, a),
+}
+
+
+def per_slice_key_sweep(encoders, attack, base, carrier, plan, exposed, key=None, receiver="B"):
+    """The per-slice sweep: ``key_sweep``'s arguments, with the encoder stack
+    and the attack pieces (isometry, names, out registers) in place of the
+    transfer."""
+    iso, att_names, att_out = attack
+    d_in = dict(base.registers)[carrier]
+    dt = encoders[0].shape[0]
+    dy = dt // d_in
+    values = {"t": range(len(encoders)), "y": range(dy), "ysyn": range(dy)}
+    start, start_regs, start_names = base.amplitudes.reshape(reg_dims(base.registers)), base.registers, []
+    if key is not None:
+        label, values[label], key_names, ops, key_out, corrections = key
+        start, start_regs, start_names = _contract(
+            start, start_regs, start_names, ops, key_names, ((label, len(ops)),) + tuple(key_out), (label,)
+        )
+    # one code's amplitudes after the attack: the chunk size follows from it
+    dims = {**dict(start_regs), "T": dt}
+    attacked_in = int(np.prod([dims[name] for name in att_names]))
+    per_code = start.size // d_in * dt * dy * total_dim(att_out) // attacked_in
+    step = max(1, hybrid.CHUNK_ELEMENTS // per_code)
+    blocks, mixes = {}, {}
+    weight = 1.0 / (len(encoders) * dy)
+    for t0 in range(0, len(encoders), step):
+        chunk = encoders[t0 : t0 + step]
+        encode = chunk.reshape(len(chunk) * dt * dy, d_in)
+        amps, regs, names = _contract(
+            start, start_regs, start_names, encode, (carrier,),
+            (("t", len(chunk)), ("T", dt), ("y", dy)), ("t", "y"),
+        )
+        amps, regs, names = _contract(amps, regs, names, iso, att_names, att_out)
+        # the decoder of code t, then T read as (ysyn, receiver)
+        (pos,) = reg_positions(regs, ("T",))
+        at = len(names) + pos
+        amps = _keyed(amps, names.index("t"), at, chunk.conj().transpose(0, 2, 1))
+        amps = amps.reshape(amps.shape[:at] + (dy, d_in) + amps.shape[at + 1 :])
+        amps = np.moveaxis(amps, at, len(names))
+        regs, names = regs[:pos] + ((receiver, d_in),) + regs[pos + 1 :], names + ["ysyn"]
+        if key is not None:
+            target = len(names) + reg_positions(regs, (receiver,))[0]
+            fixed = _keyed(amps, names.index(label), target, corrections)
+            at = names.index("y")  # ysyn follows y
+            accept = np.eye(dy, dtype=bool).reshape((1,) * at + (dy, dy) + (1,) * (amps.ndim - at - 2))
+            amps = np.where(accept, fixed, amps)
+        _accumulate(blocks, mixes, amps, names, t0, values, regs, plan, exposed, weight)
+    return checked_total(mix_records(blocks, mixes), "key sweep")
+
+
+@pytest.fixture(scope="module")
+def family():
+    return PtcFamily.load(FIXTURE)
+
+
+@pytest.fixture(scope="module")
+def suite(family):
+    return standard_suite(family.m, family.s)
+
+
+def oracle_run(monkeypatch, sweep, family, attack, tamper=False):
+    """``sweep`` with the oracle in place of ``key_sweep``; with ``tamper``,
+    the accept correction of key value 1 (never the identity: value 0 is the
+    identity in the Pauli pad and the Bell key) is the identity."""
+    pieces = (_family_encoders(family), _attack_pieces(family, attack))
+
+    def oracle(transfer, base, carrier, plan, exposed, key=None, receiver="B"):
+        if tamper and key is not None:
+            corrections = key[-1].copy()
+            corrections[1] = np.eye(corrections.shape[-1])
+            key = key[:-1] + (corrections,)
+        return per_slice_key_sweep(*pieces, base, carrier, plan, exposed, key, receiver)
+
+    with monkeypatch.context() as patch:
+        for module in (protocols, approx_psqa, ucharness):
+            patch.setattr(module, "key_sweep", oracle)
+        return SWEEPS[sweep](family, attack)
+
+
+def compare(final, want) -> list[str]:
+    """What differs between two final states: records, registers, or any
+    block entry by more than TOL."""
+    if sorted(final.blocks, key=repr) != sorted(want.blocks, key=repr):
+        return ["record sets differ"]
+    problems = []
+    for record, block in want.blocks.items():
+        got = final.blocks[record]
+        if got.registers != block.registers:
+            problems.append(f"{record}: registers {got.registers} != {block.registers}")
+        elif not np.abs(got.matrix - block.matrix).max() <= TOL:
+            problems.append(f"{record}: blocks differ by {np.abs(got.matrix - block.matrix).max():.3g}")
+    return problems
+
+
+def _attacks(sweep, suite):
+    if sweep.startswith(("run_ps", "psqa")):
+        return [a for a in suite if a.acts_on == ("T",)]
+    return list(suite)
+
+
+@pytest.mark.parametrize("sweep", sorted(SWEEPS))
+def test_engine_matches_the_per_slice_oracle(monkeypatch, family, suite, sweep):
+    attacks = _attacks(sweep, suite)
+    assert len(attacks) == (25 if sweep.startswith(("run_ps", "psqa")) else 27)
+    for attack in attacks:
+        got = SWEEPS[sweep](family, attack)
+        want = oracle_run(monkeypatch, sweep, family, attack)
+        assert compare(got, want) == [], (sweep, attack.name())
+
+
+@pytest.mark.parametrize("sweep", sorted(SWEEPS))
+def test_detected_attacks_are_never_accepted(family, suite, sweep):
+    # every code of the family detects Y0, Z0 and X2: their accept slices hold
+    # only roundoff, and the per-slice prune must drop every one of them
+    for attack in _attacks(sweep, suite):
+        if attack.name() in ("Y0", "Z0", "X2"):
+            final = SWEEPS[sweep](family, attack)
+            assert final.blocks
+            assert not [r for r in final.blocks if record_get(r, "verdict") == ACC], (sweep, attack.name())
+
+
+@pytest.mark.parametrize("sweep", ["run_qa_kg", "run_tqa_kg/no-back/detail", "run_psqa_kg", "run_psrqa_kg"])
+def test_a_wrong_correction_fails_the_comparison(monkeypatch, family, suite, sweep):
+    # negative control: one accept correction replaced by the identity
+    attack = next(a for a in suite if a.name() == "identity")
+    got = SWEEPS[sweep](family, attack)
+    assert compare(got, oracle_run(monkeypatch, sweep, family, attack)) == []
+    assert compare(got, oracle_run(monkeypatch, sweep, family, attack, tamper=True)) != []

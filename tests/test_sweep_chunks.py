@@ -1,7 +1,9 @@
 """The chunking of the code axis changes no result.
 
-``key_sweep`` (and ``ebit_ptp``'s reject branches) run the codes in chunks
-sized by ``hybrid.CHUNK_ELEMENTS``. Here the budget is patched three ways on
+The transfer that ``key_sweep`` reads is built, and its Gram matrices taken,
+in chunks of codes sized by ``hybrid.CHUNK_ELEMENTS``; ``ebit_ptp``'s reject
+branches are finalized in chunks sized by the same budget. Here the budget is
+patched three ways on
 the 8-code ``family_s2``: one code per chunk, chunks of three (boundaries
 inside the family and a shorter last chunk), and every code in one chunk.
 Each run must give the same records on the same registers as the one-chunk
@@ -41,8 +43,9 @@ SWEEPS = {
 
 def _chunked(monkeypatch, budget, run):
     """Run with the chunk budget patched; return the final state, the chunk
-    lengths in order, and the amplitude entries per code."""
-    accumulate = hybrid._accumulate
+    lengths in order, and the entries per code of the chunk arrays (the
+    transfer's for a key sweep, the reject amplitudes' for ``ebit_ptp``)."""
+    accumulate, add_chunk = protocols._accumulate, hybrid._add_chunk
     seen = []
 
     def spy(blocks, mixes, amps, names, t0, *rest):
@@ -50,10 +53,16 @@ def _chunked(monkeypatch, budget, run):
         seen.append((t0, k, amps.size // k))
         return accumulate(blocks, mixes, amps, names, t0, *rest)
 
+    def chunk_spy(blocks, mixes, chunk, *rest):
+        k = chunk.x.shape[0]
+        seen.append((chunk.t0, k, chunk.x.size // k))
+        return add_chunk(blocks, mixes, chunk, *rest)
+
     with monkeypatch.context() as patch:
         for module in (hybrid, protocols):
             patch.setattr(module, "CHUNK_ELEMENTS", budget)
-            patch.setattr(module, "_accumulate", spy)
+        patch.setattr(protocols, "_accumulate", spy)
+        patch.setattr(hybrid, "_add_chunk", chunk_spy)
         final = run()
     starts = [t0 for t0, _, _ in seen]
     assert starts == sorted(starts) and starts[0] == 0
