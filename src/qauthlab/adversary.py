@@ -75,22 +75,6 @@ class AttackDescriptor:
             out["qubit"] = self.qubit
         return out
 
-    @classmethod
-    def from_json(cls, payload: dict) -> "AttackDescriptor":
-        kind = payload["kind"]
-        return cls(
-            kind=kind,
-            acts_on=tuple(payload.get("acts_on", ("T",))),
-            x=int(payload.get("x", 0)),
-            z=int(payload.get("z", 0)),
-            qubit=int(payload.get("qubit", 0)),
-            strength=float(payload.get("strength", 0.0)),
-            weights=tuple((float(w), int(x), int(z)) for w, x, z in payload.get("weights", ())),
-            seed=int(payload.get("seed", 0)),
-            env_dim=int(payload.get("env_dim", 1)),
-            label=payload.get("label", ""),
-        )
-
 
 def build_attack(desc: AttackDescriptor, dims: dict[str, int]) -> np.ndarray:
     """Compile a descriptor into its read-only isometry V.

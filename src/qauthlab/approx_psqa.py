@@ -14,7 +14,8 @@ variant; with the exact Pauli cipher the variant reduces to the standard
 protocol branch for branch, and with sampled ciphers the security bound picks
 up 2 Pr(f) from the failure branch. The exact cipher is the keyed Pauli pad of
 ``protocols.key_pads``, and the failure element F comes from ``rsp_povm``
-alone, which ``run_psrqa_kg`` reads.
+alone, which ``run_psrqa_kg`` reads. ``rsp_twin_identity`` checks the twin
+against ``run_psqa_kg`` on every record that recycles a cipher key.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from .adversary import AttackDescriptor
 from .codes import PtcFamily
 from .hybrid import ACC, ERR, FinalState, key_sweep, record_get
-from .protocols import _detail_fields, _transfer, key_pads, pad_key
+from .protocols import _detail_fields, _transfer, pad_key
 from .qmath import (
     Povm,
     StateVector,
@@ -113,13 +114,6 @@ def measure_delta(
     images = np.einsum("kab,sb->ska", np.stack(unitaries), np.stack(_test_states(m, rng, samples)))
     avg = np.einsum("ska,skb->sab", images, images.conj()) / len(unitaries)
     return float(d * np.linalg.norm(avg - np.eye(d) / d, 2, axis=(1, 2)).max())
-
-
-def pauli_cipher(m: int) -> ApproxCipher:
-    """The exact cipher: all 4^m keyed Paulis, delta numerically zero."""
-    unis = tuple(key_pads(m)[1])
-    delta = measure_delta(unis, m, seed=0, samples=64)
-    return ApproxCipher(unis, m, delta, seed=None, label=f"pauli-{m}")
 
 
 def sample_cipher(m: int, key_count: int, seed: int) -> ApproxCipher:
@@ -267,6 +261,32 @@ def psqa_ideal(
     vec = np.asarray(message_vec, dtype=complex).reshape(-1)
     message = StateVector(vec, (("M", 1 << family.m),))
     return ideal_sweep(message, family, attack, range(cipher.key_count), lambda k: (("key", k),))
+
+
+def _keyed_accepts(final: FinalState, scale: float) -> FinalState:
+    """The accept blocks of ``final`` that recycle a cipher key, times ``scale``."""
+    return FinalState({
+        rec: (block.registers, scale * block.matrix)
+        for rec, block in final.blocks.items()
+        if record_get(rec, "verdict") == ACC and record_get(rec, "key") != ERR
+    })
+
+
+def rsp_twin_identity(
+    message_vec: np.ndarray,
+    cipher: ApproxCipher,
+    family: PtcFamily,
+    attack: AttackDescriptor,
+) -> float:
+    """Full 1-norm distance between the accept blocks with a cipher key of
+    ``run_psrqa_kg`` and (1 - Pr f) times those of ``run_psqa_kg``, a record
+    that one side lacks counting its weight. Zero up to roundoff: on outcome
+    k != f the twin's receiver half collapses exactly onto the k-th
+    encryption, with probability (1 - Pr f) / K."""
+    real = run_psqa_kg(message_vec, cipher, family, attack)
+    twin = run_psrqa_kg(message_vec, cipher, family, attack)
+    kept = 1.0 - rsp_povm(cipher, message_vec).failure_probability
+    return _keyed_accepts(twin, 1.0).distance(_keyed_accepts(real, kept))
 
 
 def psqa_advantage(

@@ -93,18 +93,6 @@ class FamilyVerificationError(ValueError):
 WC_COST_LIMIT = 1 << 24
 
 
-def verify_asu2(keys, message_space, tag_space, evaluate) -> float:
-    """Brute-force eps_asu2 and the single-point uniformity check.
-
-    Returns |tags| * max_{x != x', a, b} Pr_k[h(x) = a, h(x') = b]. Raises if
-    any single-point distribution deviates from exact uniformity. Calls
-    ``evaluate`` once per (message, key) to build the tag table.
-    """
-    msgs = list(message_space)
-    table = np.array([[evaluate(k, x) for k in keys] for x in msgs], dtype=np.int64)
-    return _verify_table(table, msgs, len(tag_space))
-
-
 def _row_counts(values: np.ndarray) -> np.ndarray:
     """counts[i, v] = how often the int v >= 0 occurs in row i of ``values``."""
     width = int(values.max()) + 1
@@ -180,18 +168,8 @@ def poly_hash_family(field_bits: int, message_len: int) -> HashFamily:
 
 
 # ---------------------------------------------------------------------------
-# the authenticated channel and its ideal twin
+# the real-vs-ideal substitution advantage
 # ---------------------------------------------------------------------------
-
-
-def wc_send(x, hash_key, pad: int, family: HashFamily) -> tuple[object, int]:
-    """Alice's wire message: (x, h_k(x) xor t)."""
-    return x, family.evaluate(hash_key, x) ^ pad
-
-
-def wc_verify(received, hash_key, pad: int, family: HashFamily) -> bool:
-    x_prime, tag_prime = received
-    return tag_prime == family.evaluate(hash_key, x_prime) ^ pad
 
 
 @dataclass(frozen=True)
@@ -262,19 +240,6 @@ def _max_substitution_advantage(family: HashFamily, x0) -> tuple[float, dict]:
         "to_message": str(family.message_space[j]),
         "tag_xor": int(diffs[j, first_key]),
     }
-
-
-def completeness_exact(family: HashFamily) -> bool:
-    """No tampering: for every message, hash key and pad, the wire message
-    from ``wc_send`` passes ``wc_verify`` and delivers the message. Fails for
-    a family whose tag is not a function of (key, message)."""
-    for x in family.message_space:
-        for k in family.keys:
-            for t in family.tag_space:
-                wire = wc_send(x, k, t, family)
-                if wire[0] != x or not wc_verify(wire, k, t, family):
-                    return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .adversary import AttackDescriptor, purified_input, standard_suite
-from .approx_psqa import check_cipher_size, psqa_advantage, rsp_povm, sample_cipher
+from .approx_psqa import check_cipher_size, psqa_advantage, rsp_povm, rsp_twin_identity, sample_cipher
 from .classical_wc import key_leak_demo, poly_hash_family, wc_kg_advantage
 from .codes import PtcFamily, cost_formulas, ptc_epsilon_formula, search_ptc, verify_ptc
 from .hybrid import InvariantError
@@ -47,6 +47,14 @@ from .ucharness import (
 )
 
 PASS, BOUND_FAIL, CONFIG_FAIL, INVARIANT_FAIL = 0, 1, 2, 3
+
+# The largest ``lemmas --trials`` and search ``--budget``; a larger one is
+# refused as a configuration error before any work. On a 2-core x86 host with
+# one BLAS thread, a lemmas trial takes about 0.11 ms and a family-search
+# trial at n = 6 with a target it cannot reach 5 to 33 ms (m = 5, s = 1 to
+# m = 1, s = 5), so these bound a run at about 11 s and 6 minutes.
+MAX_TRIALS = 10**5
+MAX_BUDGET = 10**4
 
 
 def _report(command: str, config: dict, results, started: float) -> dict:
@@ -71,8 +79,10 @@ def _emit(report: dict, out_path: str | None) -> None:
 def _load_or_search_family(args, max_n: int | None = None) -> PtcFamily:
     """The loaded or searched family; with ``max_n``, a family on more than
     ``max_n`` qubits, a bad ``--input`` spec, an ``--attack`` outside the
-    standard suite and a cipher (``--K``) that ``approx_psqa.check_cipher_size``
-    refuses are refused before any search starts."""
+    standard suite, more ``--attacks`` than the suite has T-only attacks, a
+    cipher (``--K``) that ``approx_psqa.check_cipher_size`` refuses and a
+    search ``--budget`` above MAX_BUDGET are refused before any search
+    starts."""
     family = PtcFamily.load(args.family) if getattr(args, "family", None) else None
     m, s = (family.m, family.s) if family is not None else (args.m, args.s)
     if max_n is not None and m + s > max_n:
@@ -87,8 +97,17 @@ def _load_or_search_family(args, max_n: int | None = None) -> PtcFamily:
     attack = getattr(args, "attack", "standard")
     if attack != "standard" and attack not in [a.name() for a in standard_suite(m, s)]:
         raise ValueError(f"no attack named {attack!r} in the standard suite")
+    if getattr(args, "attacks", None) is not None:
+        t_only = sum(a.acts_on == ("T",) for a in standard_suite(m, s))
+        if args.attacks > t_only:
+            raise ValueError(
+                f"--attacks {args.attacks} is more than the {t_only} T-only attacks of the "
+                f"standard suite at m = {m}, s = {s}"
+            )
     if family is not None:
         return family
+    if args.budget > MAX_BUDGET:
+        raise ValueError(f"--budget {args.budget} is above the limit {MAX_BUDGET} search trials")
     target = args.target_eps if args.target_eps is not None else ptc_epsilon_formula(args.m, args.s)
     return search_ptc(args.m, args.s, target, budget=args.budget, seed=args.seed)
 
@@ -217,8 +236,11 @@ def cmd_psqa(args) -> int:
     picks = [a for a in suite if a.acts_on == ("T",)][: args.attacks]
     results = []
     for attack in picks:
-        rep = psqa_advantage(vec, cipher, family, attack)
-        results.append(rep.to_json())
+        rep = psqa_advantage(vec, cipher, family, attack).to_json()
+        # the remote-preparation twin against the protocol, like uc's
+        # teleported_twin_identity
+        twin_gap = rsp_twin_identity(vec, cipher, family, attack)
+        results.append({**rep, "rsp_twin_identity": twin_gap, "pass": bool(rep["pass"] and twin_gap < 1e-9)})
     all_ok = all(r["pass"] for r in results)
     report = _report(
         "psqa",
@@ -235,6 +257,8 @@ def cmd_psqa(args) -> int:
 
 
 def cmd_lemmas(args) -> int:
+    if args.trials > MAX_TRIALS:
+        raise ValueError(f"--trials {args.trials} is above the limit {MAX_TRIALS}")
     started = time.time()
     rng = np.random.default_rng(args.seed)
     worst_relocate = 0.0

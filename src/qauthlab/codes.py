@@ -191,9 +191,6 @@ class PtcFamily:
     def n(self) -> int:
         return self.codes[0].n
 
-    def reverify(self) -> float:
-        return verify_ptc(self.codes)
-
     def to_json(self) -> dict:
         return {
             "schema": "qauthlab-ptc-family/1",

@@ -33,7 +33,7 @@ slice through ``_accumulate`` (see ``protocols``).
 
 Distance between two final states is sum_c || p_c rho_c - q_c sigma_c ||_1
 over the union of classical records, which equals the full 1-norm of the
-block-diagonal embedding (``FinalState.embed`` exists to spot-check that).
+block-diagonal embedding (the tests spot-check that against a dense one).
 """
 
 from __future__ import annotations
@@ -110,13 +110,6 @@ class FinalState:
             rec: FinalBlock(regs, mat) for rec, (regs, mat) in blocks.items()
         }
 
-    def records(self) -> list[Record]:
-        return sorted(self.blocks, key=repr)
-
-    def weight(self, record: Record) -> float:
-        block = self.blocks.get(record)
-        return block.weight if block is not None else 0.0
-
     def weight_where(self, predicate: Callable[[Record], bool]) -> float:
         return float(
             sum(block.weight for rec, block in self.blocks.items() if predicate(rec))
@@ -157,19 +150,6 @@ class FinalState:
                     raise RegisterError(f"record {rec} has mismatched dimensions")
                 total += trace_norm(mine.matrix - theirs.matrix)
         return float(total)
-
-    def embed(self, record_order: Sequence[Record] | None = None) -> np.ndarray:
-        """Dense block-diagonal embedding (records as orthogonal sectors)."""
-        order = list(record_order) if record_order is not None else self.records()
-        mats = [self.blocks[rec].matrix for rec in order if rec in self.blocks]
-        dim = sum(m.shape[0] for m in mats)
-        out = np.zeros((dim, dim), dtype=complex)
-        at = 0
-        for m in mats:
-            d = m.shape[0]
-            out[at : at + d, at : at + d] = m
-            at += d
-        return out
 
 
 # ---------------------------------------------------------------------------

@@ -62,10 +62,6 @@ class PauliString:
     def is_identity(self) -> bool:
         return self.x == 0 and self.z == 0
 
-    @property
-    def weight(self) -> int:
-        return (self.x | self.z).bit_count()
-
     def is_hermitian(self) -> bool:
         # X^x Z^z is Hermitian iff the XZ overlap is even; an odd overlap is
         # repaired by a +-i phase.
@@ -89,10 +85,6 @@ class PauliString:
         return cls(len(xs), x, z, phase_exp)
 
 
-def identity(n: int) -> PauliString:
-    return PauliString(n, 0, 0)
-
-
 def hermitian_pauli(n: int, x: int, z: int, sign: int = +1) -> PauliString:
     """The Hermitian operator +-(i^|x&z|) X^x Z^z with the given overall sign."""
     if sign not in (+1, -1):
@@ -111,27 +103,11 @@ def pauli_matrix(p: PauliString) -> np.ndarray:
     return p.phase * kron_all(factors)
 
 
-def pauli_mul(p: PauliString, q: PauliString) -> PauliString:
-    """Group product; agrees with dense matrix multiplication including phase.
-
-    Per qubit, (X^a Z^b)(X^c Z^d) = (-1)^(b c) X^(a xor c) Z^(b xor d), so the
-    accumulated phase is (-1)^|z_p & x_q| on top of the input phases.
-    """
-    if p.n != q.n:
-        raise ValueError(f"length mismatch {p.n} vs {q.n}")
-    exp = p.phase_exp + q.phase_exp + 2 * _parity(p.z & q.x)
-    return PauliString(p.n, p.x ^ q.x, p.z ^ q.z, exp)
-
-
 def symplectic_product(p: PauliString, q: PauliString) -> int:
     """0 if the operators commute, 1 if they anticommute (phases irrelevant)."""
     if p.n != q.n:
         raise ValueError(f"length mismatch {p.n} vs {q.n}")
     return _parity(p.x & q.z) ^ _parity(p.z & q.x)
-
-
-def commutes(p: PauliString, q: PauliString) -> bool:
-    return symplectic_product(p, q) == 0
 
 
 def enumerate_paulis(n: int, include_identity: bool = True) -> Iterator[PauliString]:

@@ -4,13 +4,12 @@ Implemented protocols (the keyed sweeps over ``hybrid.key_sweep`` and one
 shared transfer; ``ebit_ptp`` as its own batched sweep, in fixed
 arithmetic):
 
-- ``teleport``: qubit-wise teleportation with the Bell basis {(I (x) s_xz)|Phi>},
-  measured as ``run_tqa_kg``'s Bell key through the sweep's contraction.
 - ``run_qa_kg``: encrypt, encode into a secretly keyed error-detecting code
   with a secret syndrome, transmit under attack, decode, compare syndromes,
   decrypt, and recycle the encryption key on accept.
-- ``run_tqa_kg``: the teleportation-based twin; produces the same final state
-  branch for branch.
+- ``run_tqa_kg``: the teleportation-based twin, whose key is the Bell
+  measurement in the basis {(I (x) s_xz)|Phi>} (``bell_key``); produces the
+  same final state branch for branch.
 - ``ebit_ptc`` / ``ebit_ptp``: entanglement generation over the attacked
   channel, in the encoder-keyed form and the bilateral syndrome-measurement
   form. On reject both output the error state: maximally mixed on A, error
@@ -45,8 +44,8 @@ measurement (``bell_key``), whose registers the code never touches, so it
 commutes with encoding and attack.
 
 Shared pieces are built once, here: the keyed Pauli pad (``key_pads``, read
-by ``run_qa_kg``, ``bell_key``, ``ucharness.run_qa_kg_ideal``'s key list and
-``approx_psqa.pauli_cipher``), a family's encoders as one read-only stack
+by ``run_qa_kg``, ``bell_key`` and ``ucharness.run_qa_kg_ideal``'s key
+list), a family's encoders as one read-only stack
 (``_family_encoders``, read by ``build_transfer``, ``ebit_ptp`` and
 ``ucharness._accept_decoders``), an attack's isometry (``_attack_pieces``)
 and the transfer (``_transfer``), the last two once per job: every
@@ -83,7 +82,7 @@ from .hybrid import (
     key_sweep,
     mix_records,
 )
-from .pauli import PauliString, enumerate_paulis, pauli_matrix
+from .pauli import enumerate_paulis, pauli_matrix
 from .qmath import (
     Registers,
     StateVector,
@@ -95,13 +94,8 @@ from .qmath import (
 )
 
 # ---------------------------------------------------------------------------
-# encryption and teleportation
+# keys: the Pauli pad and the Bell measurement
 # ---------------------------------------------------------------------------
-
-
-def key_pauli(m: int, x: int, z: int) -> np.ndarray:
-    """Dense m-qubit X^x Z^z selected by an encryption key pair."""
-    return pauli_matrix(PauliString(m, x, z))
 
 
 def key_pads(m: int) -> tuple[list[tuple[int, int]], np.ndarray]:
@@ -147,48 +141,6 @@ def bell_key(m: int, pair: tuple[str, str]):
     values, pads = key_pads(m)
     kets = pads.transpose(0, 2, 1).reshape(len(values), -1) / np.sqrt(1 << m)
     return "key", values, pair, kets.conj()[:, None, :], (), pads.conj().transpose(0, 2, 1)
-
-
-def teleport(
-    state: StateVector,
-    resource: StateVector,
-    message: str = "M",
-    alice: str = "A",
-    bob: str = "B",
-    correct: bool = True,
-) -> list[tuple[float, tuple[int, int], StateVector]]:
-    """Teleport the ``message`` register of ``state`` through ``resource``.
-
-    ``resource`` is a bipartite state on (alice, bob); with the perfect
-    maximally entangled resource, every outcome (x, z) occurs with probability
-    4^-m and (after the s_xz correction) the bob register carries the message
-    exactly, including any entanglement the message had with other registers.
-
-    Returns one (probability, outcome, post-state) triple per Bell outcome of
-    probability above PRUNE_BELOW; the post-state keeps the other registers in
-    their order. The measurement is ``run_tqa_kg``'s Bell key, taken the way
-    ``key_sweep`` takes it.
-    """
-    dm, pair_dims = dict(state.registers).get(message, 0), dict(resource.registers)
-    if not dm or dm & (dm - 1) or (pair_dims.get(alice), pair_dims.get(bob)) != (dm, dm):
-        raise ValueError(
-            f"teleport needs a {message!r} register of dimension 2^m and a resource of that dimension"
-        )
-    combined = tensor(state, resource)
-    label, values, pair, kets, out_regs, corrections = bell_key(dm.bit_length() - 1, (message, alice))
-    amps, regs, _ = _contract(
-        combined.amplitudes.reshape(reg_dims(combined.registers)), combined.registers, [], kets, pair,
-        ((label, len(kets)),) + out_regs, (label,),
-    )
-    if correct:
-        amps = _keyed(amps, 0, 1 + reg_positions(regs, (bob,))[0], corrections)
-    out = []
-    for outcome, amp in zip(values, amps):
-        vec = amp.reshape(-1)
-        p = float(np.vdot(vec, vec).real)
-        if p > PRUNE_BELOW:
-            out.append((p, outcome, StateVector(vec / np.sqrt(p), regs)))
-    return out
 
 
 # ---------------------------------------------------------------------------

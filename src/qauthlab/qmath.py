@@ -8,8 +8,8 @@ carry a register layout. Conventions used throughout the package:
   amplitude vector to ``dims`` in register order gives one axis per register
   (C order). Within a multi-qubit register, basis label ``b`` has qubit ``j``
   equal to bit ``j`` of ``b`` (qubit 0 is the least significant bit).
-- ``trace_distance`` returns the full Schatten 1-norm of the difference
-  (maximum 2 for a pair of states), not half of it.
+- Distances are the full Schatten 1-norm of the difference (``trace_norm``
+  of rho - sigma, maximum 2 for a pair of states), not half of it.
 - ``fidelity`` uses the squared-overlap convention
   ``F(rho, sigma) = (Tr sqrt(sqrt(rho) sigma sqrt(rho)))**2``, which equals
   ``|<psi|phi>|**2`` on pure states.
@@ -94,13 +94,6 @@ class StateVector:
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "registers", regs)
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
-    def density(self) -> "DensityMatrix":
-        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()), self.registers)
 
 
 @dataclass(frozen=True)
@@ -211,18 +204,6 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
 def trace_norm(delta: np.ndarray) -> float:
     """Sum of singular values (Schatten 1-norm)."""
     return float(np.linalg.svd(delta, compute_uv=False).sum())
-
-
-def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Full 1-norm distance ||rho - sigma||_1 between two states.
-
-    Note the convention: this is the whole Schatten 1-norm, so orthogonal pure
-    states are at distance 2. All security bounds in this package are stated in
-    this convention.
-    """
-    if rho.dim != sigma.dim:
-        raise RegisterError(f"dimension mismatch {rho.dim} vs {sigma.dim}")
-    return trace_norm(rho.matrix - sigma.matrix)
 
 
 def psd_sqrt(mat: np.ndarray) -> np.ndarray:
@@ -337,7 +318,7 @@ def encoder_postselection_residual(u: np.ndarray, y: int, d: int, d2: int) -> fl
 
 
 # ---------------------------------------------------------------------------
-# random test objects (deterministic under a seeded Generator)
+# random states and unitaries (deterministic under a seeded Generator)
 # ---------------------------------------------------------------------------
 
 
@@ -353,13 +334,6 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     phases = np.diag(r).copy()
     phases /= np.abs(phases)
     return q * phases
-
-
-def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
-    rank = rank or dim
-    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
-    mat = g @ g.conj().T
-    return mat / mat.trace()
 
 
 def max_entangled_vector(d: int) -> np.ndarray:

@@ -23,10 +23,10 @@ Everything is reported in the full 1-norm (maximum 2 between states).
 
 The accept-and-decode operators L_{t,u} are built once (``_accept_decoders``)
 into one soundness operator Omega (``_soundness_operator``), whose top
-eigenvalue is ``ptp_soundness_exact`` and whose trace against an input is
-``soundness_functional``; ``ebit_report`` takes its accept-conditional states from
-``FinalBlock.conditional`` and their AB marginal from ``qmath.partial_trace``;
-the ideal key list is ``protocols.key_pads``'.
+eigenvalue is ``ptp_soundness_exact``; ``ebit_report`` takes its
+accept-conditional states from ``FinalBlock.conditional`` and their AB
+marginal from ``qmath.partial_trace``; the ideal key list is
+``protocols.key_pads``'.
 """
 
 from __future__ import annotations
@@ -39,8 +39,7 @@ import numpy as np
 from .adversary import AttackDescriptor
 from .codes import PtcFamily
 from .hybrid import ACC, ERR, REJ, FinalState, InvariantError, Record, key_sweep, record_get
-from .pauli import PauliString, pauli_matrix
-from .protocols import _family_encoders, _transfer, ebit_ptp, key_pads, run_qa_kg
+from .protocols import _family_encoders, _transfer, key_pads
 from .qmath import (
     StateVector,
     fidelity,
@@ -135,18 +134,14 @@ def _ebit_ideal_from(real: FinalState, m: int) -> FinalState:
     return FinalState(blocks)
 
 
-def ebit_advantage(family: PtcFamily, attack: AttackDescriptor) -> AdvantageReport:
-    """Distinguishability advantage of entanglement generation vs its ideal.
+def ebit_report(family: PtcFamily, attack: AttackDescriptor, real: FinalState) -> AdvantageReport:
+    """Distinguishability advantage of entanglement generation vs its ideal,
+    from the real final state (``protocols.ebit_ptp``'s).
 
     Computed two ways: directly as the distance between the assembled final
     states, and through the factored form p_acc * ||xi_ABE - Phi (x) xi_E||_1.
     Both land in the report; they agree to numerical precision.
     """
-    return ebit_report(family, attack, ebit_ptp(family, attack))
-
-
-def ebit_report(family: PtcFamily, attack: AttackDescriptor, real: FinalState) -> AdvantageReport:
-    """``ebit_advantage`` from an already computed real final state."""
     ideal = _ebit_ideal_from(real, family.m)
     direct = real.distance(ideal)
     p_acc = real.weight_where(_is_acc)
@@ -175,19 +170,15 @@ def ebit_report(family: PtcFamily, attack: AttackDescriptor, real: FinalState) -
     )
 
 
-def overlap_chain_checks(family: PtcFamily, attack: AttackDescriptor) -> dict:
-    """The two analytic consequences used in the security argument.
+def chain_checks(rep: AdvantageReport) -> dict:
+    """The two analytic consequences used in the security argument, read off
+    an ``ebit_report``.
 
     Returns the overlap defect d = Tr[S_AB (I - perfect ebits)], p_acc, the
     soundness product p_acc * d (bounded by the family epsilon), and the
     fidelity between the accept-conditional state and perfect ebits tensored
     with its E-marginal, which obeys F >= (1 - d)^2.
     """
-    return chain_checks(ebit_advantage(family, attack))
-
-
-def chain_checks(rep: AdvantageReport) -> dict:
-    """``overlap_chain_checks`` from an entanglement advantage report."""
     defect = rep.extras["overlap_defect"]
     return {
         "p_acc": rep.p_acc,
@@ -240,21 +231,6 @@ def ptp_soundness_exact(family: PtcFamily) -> float:
         raise ValueError(f"exact soundness is limited to n <= {STATE_LEVEL_MAX_N} (operator on 4^n dims)")
     omega = _soundness_operator(family)
     return float(np.linalg.eigvalsh((omega + omega.conj().T) / 2).max())
-
-
-def soundness_functional(family: PtcFamily, rho: np.ndarray) -> float:
-    """Tr[ T(rho) ((I - Phi^m) (x) acc) ] = Re Tr(Omega rho) for one explicit
-    2n-qubit input."""
-    return float(np.einsum("ab,ba->", _soundness_operator(family), rho).real)
-
-
-def pauli_displaced_input(family: PtcFamily, error: PauliString) -> np.ndarray:
-    """(I (x) E) Phi^n (I (x) E)^dag: the canonical family of worst-case inputs."""
-    dt = 1 << family.n
-    phi = max_entangled_vector(dt)
-    op = np.kron(np.eye(dt, dtype=complex), pauli_matrix(error))
-    vec = op @ phi
-    return np.outer(vec, vec.conj())
 
 
 # ---------------------------------------------------------------------------
@@ -312,21 +288,12 @@ def ideal_sweep(
     return FinalState(blocks)
 
 
-def qa_kg_advantage(
-    family: PtcFamily,
-    input_state: StateVector,
-    attack: AttackDescriptor,
-) -> AdvantageReport:
-    """Advantage of the real authentication-plus-key-generation run against
-    the composed ideal, bounded by the same 2 sqrt(2) eps^(1/3)."""
-    real = run_qa_kg(input_state, family, attack, back_communication=True)
-    return qa_kg_report(family, attack, real, run_qa_kg_ideal(input_state, family, attack))
-
-
 def qa_kg_report(
     family: PtcFamily, attack: AttackDescriptor, real: FinalState, ideal: FinalState
 ) -> AdvantageReport:
-    """``qa_kg_advantage`` from already computed real and ideal final states."""
+    """Advantage of the real authentication-plus-key-generation run
+    (``protocols.run_qa_kg``) against the composed ideal
+    (``run_qa_kg_ideal``), bounded by the same 2 sqrt(2) eps^(1/3)."""
     advantage = real.distance(ideal)
     p_acc = real.weight_where(_is_acc)
     bound = ebit_advantage_bound(family.epsilon_verified)

@@ -12,28 +12,25 @@ import pytest
 
 from qauthlab.adversary import AttackDescriptor, purified_input, standard_suite
 from qauthlab.approx_psqa import (
-    pauli_cipher,
     psqa_advantage,
     rsp_povm,
     run_psqa_kg,
     sample_cipher,
 )
 from qauthlab.classical_wc import (
-    completeness_exact,
     key_leak_demo,
     poly_hash_family,
     wc_kg_advantage,
 )
-from qauthlab.codes import cost_formulas, ptc_epsilon_formula, search_ptc
+from qauthlab.codes import cost_formulas, ptc_epsilon_formula, search_ptc, verify_ptc
 from qauthlab.hybrid import record_get
+from qauthlab.pauli import PauliString, pauli_matrix
 from qauthlab.protocols import (
     ACC,
     ebit_ptc,
     ebit_ptp,
-    key_pauli,
     run_qa_kg,
     run_tqa_kg,
-    teleport,
 )
 from qauthlab.qmath import (
     StateVector,
@@ -45,13 +42,15 @@ from qauthlab.qmath import (
     transpose_trick_residual,
 )
 from qauthlab.ucharness import (
-    ebit_advantage,
+    chain_checks,
     ebit_advantage_bound,
-    overlap_chain_checks,
+    ebit_report,
     ptp_soundness_exact,
-    qa_kg_advantage,
+    qa_kg_report,
     run_qa_kg_ideal,
 )
+
+from oracles import completeness_exact, pauli_cipher, teleport
 
 IDENTITY_TOL = 1e-12
 PIPELINE_TOL = 1e-9
@@ -107,7 +106,7 @@ def test_criterion_1_exact_identities(family_s1, family_s2, family_s3):
         assert abs(abs(np.vdot(post.amplitudes, vec)) - 1.0) < IDENTITY_TOL
     for x in range(2):
         for z in range(2):
-            op = key_pauli(1, x, z)
+            op = pauli_matrix(PauliString(1, x, z))
             back = op.conj().T @ (op @ vec)
             assert np.linalg.norm(back - vec) < IDENTITY_TOL
     report(
@@ -126,7 +125,7 @@ def test_criterion_2_encryption_soundness():
             vec = haar_state(d, rng)
             rho = np.outer(vec, vec.conj())
             avg = sum(
-                key_pauli(m, x, z) @ rho @ key_pauli(m, x, z).conj().T
+                pauli_matrix(PauliString(m, x, z)) @ rho @ pauli_matrix(PauliString(m, x, z)).conj().T
                 for x in range(d)
                 for z in range(d)
             ) / (d * d)
@@ -143,7 +142,7 @@ def test_criterion_3_family_search_meets_formula():
         fam = search_ptc(1, s, target_eps=formula, budget=120, seed=11)
         assert fam.met_target
         assert fam.epsilon_verified <= formula
-        assert fam.reverify() == fam.epsilon_verified  # exhaustive, 4^n - 1 errors
+        assert verify_ptc(fam.codes) == fam.epsilon_verified  # exhaustive, 4^n - 1 errors
         found[s] = (fam.epsilon_verified, formula, len(fam.codes))
     elapsed = time.time() - start
     assert elapsed < 60.0
@@ -176,15 +175,16 @@ def test_criterion_5_uc_bounds(family_s2, family_s3):
         eps = fam.epsilon_verified
         bound = ebit_advantage_bound(eps)
         for desc in standard_suite(fam.m, fam.s):
-            rep_e = ebit_advantage(fam, desc)
+            rep_e = ebit_report(fam, desc, ebit_ptp(fam, desc))
             assert rep_e.advantage <= bound + PIPELINE_TOL, desc.name()
             assert (
                 abs(rep_e.advantage - rep_e.extras["advantage_factored"]) < PIPELINE_TOL
             )
-            chk = overlap_chain_checks(fam, desc)
+            chk = chain_checks(rep_e)
             if chk["p_acc"] > eps ** (1.0 / 3.0):
                 assert chk["overlap_defect"] <= eps / chk["p_acc"] + PIPELINE_TOL
-            rep_q = qa_kg_advantage(fam, psi, desc)
+            real, ideal = run_qa_kg(psi, fam, desc), run_qa_kg_ideal(psi, fam, desc)
+            rep_q = qa_kg_report(fam, desc, real, ideal)
             assert rep_q.advantage <= bound + PIPELINE_TOL, desc.name()
             checked += 1
     report(

@@ -11,7 +11,9 @@ from qauthlab.adversary import (
     standard_suite,
 )
 from qauthlab.pauli import hermitian_pauli, pauli_matrix
-from qauthlab.qmath import RegisterError, StateVector, haar_state, random_density
+from qauthlab.qmath import RegisterError, StateVector, haar_state
+
+from oracles import attack_from_json, random_density
 
 
 DIMS = {"R": 2, "T": 8}
@@ -179,7 +181,7 @@ def test_suite_composition_and_determinism():
 def test_descriptor_json_roundtrip():
     suite = standard_suite(1, 2)
     for desc in suite:
-        back = AttackDescriptor.from_json(desc.to_json())
+        back = attack_from_json(desc.to_json())
         assert back.to_json() == desc.to_json()
 
 

@@ -7,7 +7,6 @@ from qauthlab.approx_psqa import (
     _test_states,
     check_cipher_size,
     measure_delta,
-    pauli_cipher,
     psqa_advantage,
     rsp_povm,
     run_psqa_kg,
@@ -17,6 +16,8 @@ from qauthlab.approx_psqa import (
 from qauthlab.pauli import PauliString, pauli_matrix
 from qauthlab.protocols import ACC, run_qa_kg
 from qauthlab.qmath import StateVector, haar_state, trace_norm
+
+from oracles import pauli_cipher
 
 
 @pytest.fixture(scope="module")

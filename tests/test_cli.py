@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qauthlab.cli import main
@@ -205,6 +206,36 @@ def test_psqa_command(tmp_path, capsys):
     assert rep["config"]["failure_probability"] >= 0.0
 
 
+def test_psqa_remote_preparation_twin_identity(capsys, monkeypatch):
+    from qauthlab import approx_psqa
+
+    argv = ["psqa", "--family", str(FIXTURE), "--attacks", "25", "--seed", "1"]
+    code, rep = run_cli(capsys, *argv)
+    assert code == 0
+    assert len(rep["results"]) == 25
+    assert all(r["rsp_twin_identity"] < 1e-9 and r["pass"] for r in rep["results"])
+
+    # negative control: the twin's receiver keeps the k-th encryption on
+    # accept, its corrections U_k^dag replaced by the identity
+    sweep = approx_psqa.key_sweep
+
+    def uncorrected(*args, key=None, **kwargs):
+        if key is not None and "f" in key[1]:
+            key = key[:5] + (np.broadcast_to(np.eye(key[5].shape[1]), key[5].shape),)
+        return sweep(*args, key=key, **kwargs)
+
+    monkeypatch.setattr(approx_psqa, "key_sweep", uncorrected)
+    code, tampered = run_cli(capsys, *argv)
+    assert code == 1
+    identity = next(r for r in tampered["results"] if r["attack"]["label"] == "identity")
+    assert identity["rsp_twin_identity"] >= 1e-9 and identity["pass"] is False
+    # the advantage and its bound do not read the twin
+    for before, after in zip(rep["results"], tampered["results"]):
+        assert {k: v for k, v in after.items() if k not in ("rsp_twin_identity", "pass")} == {
+            k: v for k, v in before.items() if k not in ("rsp_twin_identity", "pass")
+        }
+
+
 def test_bad_usage_exits_two():
     assert main(["no-such-command"]) == 2
 
@@ -286,6 +317,13 @@ def test_parser_is_built_once_and_carries_nothing_over(capsys):
             "a cipher of K = 1048576 keys on m = 1 qubits needs (2^(m+1) + 2000) * K * 2^m = 4202692608 "
             "entries to measure, above the limit 2^24 = 16777216",
         ),
+        (
+            ["psqa", "--m", "1", "--s", "1", "--attacks", "100"],
+            "--attacks 100 is more than the 19 T-only attacks of the standard suite at m = 1, s = 1",
+        ),
+        (["lemmas", "--trials", "100001"], "--trials 100001 is above the limit 100000"),
+        (["ptc", "--budget", "10001"], "--budget 10001 is above the limit 10000 search trials"),
+        (["uc", "--m", "1", "--s", "1", "--budget", "10001"], "--budget 10001 is above the limit 10000"),
     ],
 )
 def test_bad_numbers_exit_two_before_any_work(capsys, monkeypatch, argv, message):

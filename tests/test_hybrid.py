@@ -16,6 +16,8 @@ from qauthlab.qmath import (
     trace_norm,
 )
 
+from oracles import embed, records
+
 B = (("B", 2),)
 
 
@@ -60,8 +62,8 @@ def test_distance_decomposes_and_embeds():
     d = f1.distance(f2)
     # per-record distance equals the distance of the dense block-diagonal
     # embedding over a shared record order
-    order = f1.records()
-    emb = trace_norm(f1.embed(order) - f2.embed(order))
+    order = records(f1)
+    emb = trace_norm(embed(f1, order) - embed(f2, order))
     assert d == pytest.approx(emb, abs=1e-12)
     # orthogonal conditional states with equal weights: each record
     # contributes 2 * 0.5, and there are two records
@@ -140,7 +142,7 @@ def test_key_sweep_total_weight_and_records(family_s1):
     final = key_sweep(transfer, base, "B0", _verdict_plan, ())
     assert final.total_weight() == pytest.approx(1.0, abs=1e-12)
     # X on qubit 0 anticommutes with ZZ and YY: two codes in three reject
-    assert final.weight((("verdict", "REJ"),)) == pytest.approx(2.0 / 3.0, abs=1e-12)
+    assert final.blocks[(("verdict", "REJ"),)].weight == pytest.approx(2.0 / 3.0, abs=1e-12)
     detailed = key_sweep(
         transfer, base, "B0", lambda f: ((("y", f["y"]), ("ysyn", f["ysyn"])), (), ()),
         ("y", "ysyn"),

@@ -73,7 +73,7 @@ def _assert_same(final, want, label):
     assert sorted(final.blocks, key=repr) == sorted(want.blocks, key=repr), label
     for record, block in want.blocks.items():
         assert final.blocks[record].registers == block.registers, (label, record)
-        assert final.weight(record) == pytest.approx(block.weight, rel=0, abs=TOL), (label, record)
+        assert final.blocks[record].weight == pytest.approx(block.weight, rel=0, abs=TOL), (label, record)
     assert final.distance(want) <= TOL, label
 
 

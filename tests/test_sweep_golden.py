@@ -30,6 +30,8 @@ from qauthlab.pauli import hermitian_pauli
 from qauthlab.protocols import ebit_ptc, ebit_ptp, run_qa_kg, run_tqa_kg
 from qauthlab.ucharness import run_qa_kg_ideal
 
+import oracles
+
 GOLDEN = Path(__file__).with_name("golden_sweeps_s1.json")
 TOL = 1e-12
 ATTACKS = (
@@ -97,10 +99,10 @@ def digest() -> dict:
         attacks = [a for a in ATTACKS if not _t_only(name) or suite[a].acts_on == ("T",)]
         for a in attacks:
             final = run(suite[a])
-            records = final.records()
+            records = oracles.records(final)
             out["sweeps"][f"{name}|{a}"] = {
                 "records": hashlib.sha256(repr(records).encode()).hexdigest(),
-                "weights": [final.weight(rec) for rec in records],
+                "weights": [final.blocks[rec].weight for rec in records],
                 "fingerprints": [fingerprint(final.blocks[rec].matrix) for rec in records],
             }
     sweeps = _sweeps()

@@ -6,20 +6,20 @@ import pytest
 from qauthlab.adversary import AttackDescriptor, purified_input, standard_suite
 from qauthlab.hybrid import record_get
 from qauthlab.pauli import enumerate_paulis
-from qauthlab.protocols import ACC, ebit_ptp
+from qauthlab.protocols import ACC, ebit_ptp, run_qa_kg
 from qauthlab.qmath import max_entangled_vector, trace_norm
 from qauthlab.ucharness import (
     AdvantageReport,
     _ebit_ideal_from,
-    ebit_advantage,
+    chain_checks,
     ebit_advantage_bound,
-    overlap_chain_checks,
-    pauli_displaced_input,
+    ebit_report,
     ptp_soundness_exact,
-    qa_kg_advantage,
+    qa_kg_report,
     run_qa_kg_ideal,
-    soundness_functional,
 )
+
+from oracles import embed, pauli_displaced_input, records, soundness_functional
 
 
 def is_acc(rec):
@@ -73,7 +73,7 @@ def test_eta_always_detected_pauli_is_pure_reject(family_s2):
 
 def test_advantage_factored_form_and_bound(family_s1):
     for desc in standard_suite(1, 1):
-        rep = ebit_advantage(family_s1, desc)
+        rep = ebit_report(family_s1, desc, ebit_ptp(family_s1, desc))
         assert rep.passed
         assert abs(rep.advantage - rep.extras["advantage_factored"]) < 1e-9
         assert 0.0 <= rep.advantage <= 2.0 + 1e-12
@@ -82,7 +82,7 @@ def test_advantage_factored_form_and_bound(family_s1):
 def test_overlap_chain_checks(family_s1):
     eps = family_s1.epsilon_verified
     for desc in standard_suite(1, 1):
-        chk = overlap_chain_checks(family_s1, desc)
+        chk = chain_checks(ebit_report(family_s1, desc, ebit_ptp(family_s1, desc)))
         assert chk["fidelity"] >= chk["fidelity_floor"] - 1e-9
         if chk["p_acc"] > eps ** (1.0 / 3.0):
             assert chk["overlap_defect"] <= eps / chk["p_acc"] + 1e-9
@@ -117,7 +117,9 @@ def test_soundness_exact_dominates_random_inputs(family_s2, rng):
 
 def test_qa_kg_advantage_identity_attack(family_s1):
     psi = purified_input("entangled", 1)
-    rep = qa_kg_advantage(family_s1, psi, AttackDescriptor("identity", label="identity"))
+    desc = AttackDescriptor("identity", label="identity")
+    real, ideal = run_qa_kg(psi, family_s1, desc), run_qa_kg_ideal(psi, family_s1, desc)
+    rep = qa_kg_report(family_s1, desc, real, ideal)
     assert rep.advantage < 1e-9
     assert rep.passed
     assert rep.p_acc == pytest.approx(1.0)
@@ -143,7 +145,8 @@ def test_qa_kg_ideal_key_is_fresh_uniform(family_s1):
 def test_qa_kg_advantage_suite(family_s1):
     psi = purified_input("entangled", 1)
     for desc in standard_suite(1, 1):
-        rep = qa_kg_advantage(family_s1, psi, desc)
+        real, ideal = run_qa_kg(psi, family_s1, desc), run_qa_kg_ideal(psi, family_s1, desc)
+        rep = qa_kg_report(family_s1, desc, real, ideal)
         assert rep.passed, desc.name()
         assert abs(rep.p_acc - rep.extras["p_acc_ideal"]) < 1e-9
 
@@ -159,7 +162,8 @@ def test_qa_kg_advantage_other_inputs(family_s2):
     for spec in ("plus", "basis-0", "random-17"):
         psi = purified_input(spec, 1)
         for desc in attacks:
-            rep = qa_kg_advantage(family_s2, psi, desc)
+            real, ideal = run_qa_kg(psi, family_s2, desc), run_qa_kg_ideal(psi, family_s2, desc)
+            rep = qa_kg_report(family_s2, desc, real, ideal)
             assert rep.passed, (spec, desc.name())
 
 
@@ -176,7 +180,7 @@ def test_two_qubit_messages_end_to_end():
         desc = next(a for a in standard_suite(2, 2) if a.name() == label)
         assert run_qa_kg(psi, fam, desc).distance(run_tqa_kg(psi, fam, desc)) < 1e-9
         assert ebit_ptc(fam, desc).distance(ebit_ptp(fam, desc)) < 1e-9
-        assert qa_kg_advantage(fam, psi, desc).passed
+        assert qa_kg_report(fam, desc, run_qa_kg(psi, fam, desc), run_qa_kg_ideal(psi, fam, desc)).passed
 
 
 def test_embedded_distance_matches_per_record(family_s1):
@@ -184,11 +188,11 @@ def test_embedded_distance_matches_per_record(family_s1):
     real = ebit_ptp(family_s1, desc)
     ideal = _ebit_ideal_from(real, family_s1.m)
     # both carry an accept and a reject record, with matching layouts
-    order = real.records()
-    assert order == ideal.records()
-    dense = trace_norm(real.embed(order) - ideal.embed(order))
+    order = records(real)
+    assert order == records(ideal)
+    dense = trace_norm(embed(real, order) - embed(ideal, order))
     assert dense == pytest.approx(real.distance(ideal), abs=1e-10)
-    assert abs(real.embed(order).trace() - 1.0) < 1e-10
+    assert abs(embed(real, order).trace() - 1.0) < 1e-10
 
 
 def test_make_report_rejects_impossible_advantage():
@@ -200,7 +204,8 @@ def test_make_report_rejects_impossible_advantage():
 
 
 def test_advantage_report_json(family_s1):
-    rep = ebit_advantage(family_s1, AttackDescriptor("identity", label="identity"))
+    desc = AttackDescriptor("identity", label="identity")
+    rep = ebit_report(family_s1, desc, ebit_ptp(family_s1, desc))
     payload = rep.to_json()
     assert payload["pass"] is True
     assert payload["protocol"] == "EBIT"
