@@ -27,7 +27,7 @@ import numpy as np
 from .adversary import AttackDescriptor
 from .codes import PtcFamily
 from .hybrid import ACC, ERR, FinalState, key_sweep, record_get
-from .protocols import _detail_fields, _transfer, pad_key
+from .protocols import _transfer, pad_key
 from .qmath import (
     Povm,
     StateVector,
@@ -206,7 +206,7 @@ def run_psqa_kg(
         StateVector(vec, (("Mc", dm),)),
         "Mc",
         _psqa_plan(detail),
-        _detail_fields(detail, "k"),
+        detail,
         key=pad_key("k", range(cipher.key_count), np.stack(cipher.unitaries), "Mc"),
         receiver="M",
     )
@@ -243,7 +243,7 @@ def run_psrqa_kg(
         base,
         "B0",
         _psqa_plan(detail, internal=("Ams",)),
-        _detail_fields(detail, "k"),
+        detail,
         key=("k", list(range(cipher.key_count)) + ["f"], ("Ams",), np.stack(ops), (("Ams", dm),),
              np.stack(corrections)),
         receiver="M",

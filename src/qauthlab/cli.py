@@ -299,7 +299,10 @@ def _config_echo(args, **extra) -> dict:
 
 def _positive(text: str) -> int:
     """argparse type: an int of at least 1."""
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"{value} is not at least 1")
     return value
@@ -381,7 +384,8 @@ def main(argv=None) -> int:
         # one is a fault in the program, such as a record_get miss
         print(f"internal invariant violated: {exc!r}", file=sys.stderr)
         return INVARIANT_FAIL
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
+        # OSError: a --family or --out path that is missing, a directory or unreadable
         print(f"configuration error: {exc}", file=sys.stderr)
         return CONFIG_FAIL
 

@@ -28,8 +28,9 @@ X_b^dag X_b. Output filters such as "drop this register" trace each block;
 "replace this register by the maximally mixed state" applies once per
 record, after the last chunk. ``protocols.ebit_ptp`` batches its accept
 blocks over (code, syndrome) in the arithmetic of one branch at a time
-instead, so that they keep their bits, and finalizes its reject branches per
-slice through ``_accumulate`` (see ``protocols``).
+instead, so that they keep their bits, and hands its reject branches to the
+same finalizer, ``_add_chunk``, as a chunk of a one-dimensional probe (see
+``protocols``).
 
 Distance between two final states is sum_c || p_c rho_c - q_c sigma_c ||_1
 over the union of classical records, which equals the full 1-norm of the
@@ -194,7 +195,7 @@ def key_sweep(
     base: StateVector,
     carrier: str,
     plan: Callable[[dict], tuple[Record, tuple[str, ...], tuple[str, ...]]],
-    exposed: Sequence[str],
+    detail: bool,
     key: tuple[str, Sequence, Sequence[str], np.ndarray, Registers, np.ndarray] | None = None,
     receiver: str = "B",
 ) -> FinalState:
@@ -208,17 +209,18 @@ def key_sweep(
       instrument U_k/sqrt(K).
     - The state of key value v is a matrix Psi_v from the probe registers to
       the rest of ``base``. A record class c is a verdict (accept iff ysyn ==
-      y) together with the fields of t, y and ysyn named in ``exposed``. Its
+      y), together with t, y and ysyn when ``detail`` is set. Its
       Gram matrix G_c = sum_{b in c} x_b x_b^dag, x_b the branch map as a
       vector over (out, probe), gives every key value's block at once: Psi_v
       G_c Psi_v^dag, one batched product over the keys, so the key count
       multiplies no contraction over codes.
     - A (key, class) pair counts only if one of its slices (key, t, y, ysyn)
       has probability above PRUNE_BELOW, read from the per-branch probe
-      Grams. ``plan`` maps its fields (the verdict, the fields named in
-      ``exposed``, the key label) to (output record, registers to drop,
-      registers to replace by I/d). Dropped registers are traced out of each
-      block; each record is replaced by I/d once, at the end.
+      Grams. ``plan`` maps its fields (the verdict, t, y and ysyn with
+      ``detail``, and the key label with its value) to (output record,
+      registers to drop, registers to replace by I/d). Dropped registers
+      are traced out of each block; each record is replaced by I/d once, at
+      the end.
 
     The codes run in the transfer's chunks, one set of Grams per chunk.
     """
@@ -237,14 +239,16 @@ def key_sweep(
     blocks: dict[Record, tuple[Registers, np.ndarray]] = {}
     mixes: dict[Record, tuple[str, ...]] = {}
     for chunk in transfer.chunks:
-        _add_chunk(blocks, mixes, chunk, psi, (other, out, receiver), plan, exposed, keys)
+        _add_chunk(blocks, mixes, chunk, psi, (other, out, receiver), plan, detail, keys)
     return checked_total(mix_records(blocks, mixes), "key sweep")
 
 
-def _add_chunk(blocks, mixes, chunk: TransferChunk, psi, layout, plan, exposed, keys) -> None:
+def _add_chunk(blocks, mixes, chunk: TransferChunk, psi, layout, plan, detail: bool, keys) -> None:
     """Add one chunk of codes to ``blocks``: per record class one Gram matrix,
     then the blocks of its live key values. The registers each record
-    replaces by I/d go to ``mixes``."""
+    replaces by I/d go to ``mixes``; ``mix_records`` applies them once all
+    chunks are in. ``keys`` = (label, values, corrections), label None for
+    an unkeyed ``psi`` of one key value."""
     label, values, corrections = keys
     codes, dy = chunk.x.shape[:2]
     x = chunk.x.reshape(codes * dy * dy, -1)
@@ -253,7 +257,7 @@ def _add_chunk(blocks, mixes, chunk: TransferChunk, psi, layout, plan, exposed, 
     probs = (probe_states.reshape(len(psi), -1) @ chunk.probe_grams.reshape(len(x), -1).T).real
     t, y, ysyn = np.unravel_index(np.arange(len(x)), (codes, dy, dy))
     index = {"verdict": (y == ysyn).astype(np.intp), "t": t + chunk.t0, "y": y, "ysyn": ysyn}
-    split = ("verdict",) + tuple(f for f in ("t", "y", "ysyn") if f in exposed)
+    split = ("verdict", "t", "y", "ysyn") if detail else ("verdict",)
     sizes = tuple(2 if f == "verdict" else chunk.t0 + codes if f == "t" else dy for f in split)
     classes, inverse = np.unique(np.ravel_multi_index(tuple(index[f] for f in split), sizes), return_inverse=True)
     members = np.split(np.argsort(inverse, kind="stable"), np.cumsum(np.bincount(inverse))[:-1])
@@ -265,7 +269,7 @@ def _add_chunk(blocks, mixes, chunk: TransferChunk, psi, layout, plan, exposed, 
         # the live key values by the registers their records drop, then by record
         groups: dict[tuple, dict[Record, list]] = {}
         for v in live:
-            record, drop, mix = plan({**fields, label: values[v]} if label in exposed else fields)
+            record, drop, mix = plan(fields if label is None else {**fields, label: values[v]})
             if mixes.setdefault(record, tuple(mix)) != tuple(mix):
                 raise RegisterError(f"record {record} accumulated under different register sets")
             groups.setdefault(tuple(drop), {}).setdefault(record, []).append(v)
@@ -338,49 +342,6 @@ def _contract(amps, regs: Registers, names: list, matrix, in_names, out_regs, cl
         names.append(name)
         regs = regs[:p] + regs[p + 1 :]
     return amps, regs, names
-
-
-def _accumulate(blocks, mixes, amps, names, t0, values, regs, plan, exposed, weight) -> None:
-    """Add the weighted density matrices of a chunk of codes (axis ``t`` of
-    ``amps``, the first being code ``t0``) to ``blocks`` for each output
-    record, each one contraction over the slices (classical index tuples)
-    that map to the record. The registers each record replaces by I/d go to
-    ``mixes``; ``mix_records`` applies them once all chunks are in."""
-    shape, dims = amps.shape[: len(names)], reg_dims(regs)
-    slices = amps.reshape((-1,) + dims)
-    vecs = slices.reshape(len(slices), -1)
-    alive = np.flatnonzero(np.einsum("ij,ij->i", vecs, vecs.conj()).real > PRUNE_BELOW)
-    index = dict(zip(names, np.unravel_index(alive, shape)))
-    index["t"] = index["t"] + t0
-    index["verdict"] = (index["y"] == index["ysyn"]).astype(np.intp)
-    values = {**values, "verdict": (REJ, ACC)}
-    exposed = ("verdict",) + tuple(exposed)
-    sizes = tuple(len(values[f]) for f in exposed)
-    codes, inverse = np.unique(
-        np.ravel_multi_index(tuple(index[f] for f in exposed), sizes), return_inverse=True
-    )
-    members = np.split(alive[np.argsort(inverse, kind="stable")], np.cumsum(np.bincount(inverse))[:-1])
-    groups: dict[Record, tuple[tuple, list]] = {}
-    for code, rows in zip(zip(*np.unravel_index(codes, sizes)), members):
-        record, drop, mix = plan({f: values[f][int(i)] for f, i in zip(exposed, code)})
-        entry = groups.setdefault(record, (tuple(drop), []))
-        if entry[0] != tuple(drop) or mixes.setdefault(record, tuple(mix)) != tuple(mix):
-            raise RegisterError(f"record {record} accumulated under different register sets")
-        entry[1].append(rows)
-    for record, (drop, rows) in groups.items():
-        keep = sorted((i for i, (n, _) in enumerate(regs) if n not in drop), key=lambda i: regs[i][0])
-        rest = [i for i in range(len(regs)) if i not in keep]
-        idx = np.concatenate(rows)
-        part = slices[idx].transpose([0] + [1 + i for i in keep + rest])
-        d_keep = int(np.prod([dims[i] for i in keep]))
-        x = part.reshape(len(idx), d_keep, -1).transpose(1, 0, 2).reshape(d_keep, -1)
-        kept = tuple(regs[i] for i in keep)
-        rho = weight * (x @ x.conj().T)
-        if record in blocks:
-            if blocks[record][0] != kept:
-                raise RegisterError(f"record {record} accumulated under different register sets")
-            rho = blocks[record][1] + rho
-        blocks[record] = (kept, rho)
 
 
 def checked_total(final: FinalState, where: str) -> FinalState:

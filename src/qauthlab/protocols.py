@@ -28,8 +28,9 @@ was; and the accept blocks are summed in (code, syndrome) order, one term
 after another, across chunks too. A stacked contraction sums the same terms
 in another order and moves ``fidelity_acc`` by up to 2.75e-8, far beyond the
 1e-12 the reports are held to. The reject branches (received syndrome !=
-sent syndrome) are collected unnormalized and finalized per record by one
-product over each chunk of codes (``hybrid._accumulate``).
+sent syndrome) feed no such field: weighted, they make the chunk of a
+transfer from a one-dimensional probe, which ``hybrid._add_chunk``, the key
+sweep's finalizer, turns into one Gram matrix per record.
 
 The keyed sweeps share one linear map: encode, attack, decode. The simulator
 sends a dummy ebit half through the same coded channel and attack as the
@@ -48,9 +49,9 @@ by ``run_qa_kg``, ``bell_key`` and ``ucharness.run_qa_kg_ideal``'s key
 list), a family's encoders as one read-only stack
 (``_family_encoders``, read by ``build_transfer``, ``ebit_ptp`` and
 ``ucharness._accept_decoders``), an attack's isometry (``_attack_pieces``)
-and the transfer (``_transfer``), the last two once per job: every
-final-state build of one (family, attack) reuses them, and the next job's
-replace them.
+and the transfer (``_transfer``), the last two once per job: both are
+caches of one entry keyed by (family, attack), so every final-state build
+of one job reuses them and the next job's replace them.
 
 Conventions: keys x, z are m-bit masks; the encryption operator is the
 qubit-wise X^x Z^z. Code index t and syndrome y are marginalized out of final
@@ -75,7 +76,7 @@ from .hybrid import (
     FinalState,
     Transfer,
     TransferChunk,
-    _accumulate,
+    _add_chunk,
     _contract,
     _keyed,
     checked_total,
@@ -220,25 +221,11 @@ def _transfer_chunk(encoders: np.ndarray, t0: int, probe: Registers, attack, sca
 
 
 # One entry, like _attack_pieces: every sweep of one job reads the same
-# transfer, and the next job's replaces it. An entry is served only for the
-# very encoder stack and isometry it was built from (it holds both, so their
-# ids cannot pass to other arrays), and only under the chunk budget it was
-# cut by.
-_transfer_cache: dict = {}
-
-
+# transfer, and the next job's replaces it.
+@lru_cache(maxsize=1)
 def _transfer(family: PtcFamily, attack: AttackDescriptor) -> Transfer:
     """The family's transfer under the attack, built once per job."""
-    encoders, pieces = _family_encoders(family), _attack_pieces(family, attack)
-    key = (id(encoders), id(pieces[0]), CHUNK_ELEMENTS)
-    if key not in _transfer_cache:
-        _transfer_cache.clear()
-        _transfer_cache[key] = (encoders, pieces, build_transfer(encoders, pieces, family.m))
-    return _transfer_cache[key][2]
-
-
-def _detail_fields(detail: bool, *fields: str) -> tuple[str, ...]:
-    return fields + (("t", "y", "ysyn") if detail else ())
+    return build_transfer(_family_encoders(family), _attack_pieces(family, attack), family.m)
 
 
 def _qa_output_plan(back_communication: bool, detail: bool):
@@ -289,7 +276,7 @@ def run_qa_kg(
         input_state,
         "M",
         _qa_output_plan(back_communication, detail),
-        _detail_fields(detail, "key"),
+        detail,
         key=pad_key("key", *key_pads(m), "M"),
         receiver="M",
     )
@@ -318,7 +305,7 @@ def run_tqa_kg(
         tensor(input_state, ebits),
         "A2",
         _qa_output_plan(back_communication, detail),
-        _detail_fields(detail, "key"),
+        detail,
         key=bell_key(m, ("M", "A1")),
         receiver="M",
     )
@@ -372,7 +359,7 @@ def ebit_ptc(
         base,
         "B0",
         _ebit_output_plan(detail),
-        _detail_fields(detail),
+        detail,
     )
 
 
@@ -393,7 +380,8 @@ def ebit_ptp(
     the arithmetic of one branch at a time (see the module notes): per code,
     the same decoder products, per branch the same normalization and outer
     product, and the accept blocks summed in (code, syndrome) order. The
-    reject branches are finalized per chunk of codes, as ``key_sweep`` does.
+    reject branches are finalized per chunk of codes by ``key_sweep``'s
+    ``_add_chunk``.
     """
     m, s, n = family.m, family.s, family.n
     dm, dt, dy = 1 << m, 1 << n, 1 << s
@@ -401,8 +389,7 @@ def ebit_ptp(
     base = StateVector(max_entangled_vector(dt), (("A0", dt), ("T", dt)))
     base = _maybe_reference(base, attack, m)
     attacked, att_regs = _apply(base.amplitudes, base.registers, *_attack_pieces(family, attack))
-    plan, exposed = _ebit_output_plan(detail), _detail_fields(detail)
-    values = {"t": range(len(encs)), "y": range(dy), "ysyn": range(dy)}
+    plan = _ebit_output_plan(detail)
     # the sender's A0 reads as (Ya, A) and the receiver's T as (Ysyn, B); each
     # syndrome leads and the rest keeps the register order
     (pos_a,) = reg_positions(att_regs, ("A0",))
@@ -454,11 +441,13 @@ def ebit_ptp(
                 if record in blocks:
                     rho = blocks[record][1] + rho
                 blocks[record] = (acc_regs, rho)
-        # the reject branches (t, y, ysyn != y, rest), unnormalized
-        rejected = np.sqrt(p_y)[..., None, None] * got
-        rejected[:, diag, diag] = 0.0
-        amps = rejected.reshape(rejected.shape[:3] + reg_dims(out_regs))
-        _accumulate(
-            blocks, mixes, amps, ["t", "y", "ysyn"], t0, values, out_regs, plan, exposed, 1.0 / len(encs)
+        # the reject branches (t, y, ysyn != y), weighted, as the chunk of a
+        # transfer from a one-dimensional probe, read by an input psi = 1
+        x = np.sqrt(p_y / len(encs))[..., None, None, None] * got[..., None]
+        grams = (p_y[..., None] * probs / len(encs))[..., None, None]
+        x[:, diag, diag] = grams[:, diag, diag] = 0.0
+        _add_chunk(
+            blocks, mixes, TransferChunk(t0, x, grams), np.ones((1, 1, 1)), ((), out_regs, "B"), plan, detail,
+            (None, (None,), None),
         )
     return checked_total(mix_records(blocks, mixes), "ebit_ptp")

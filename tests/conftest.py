@@ -3,6 +3,7 @@ import pytest
 
 from qauthlab.codes import PtcFamily, StabilizerCode, search_ptc
 from qauthlab.pauli import hermitian_pauli
+from qauthlab.protocols import _attack_pieces, _transfer
 
 
 @pytest.fixture(scope="session")
@@ -31,3 +32,21 @@ def family_s3():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20260808)
+
+
+@pytest.fixture
+def clear_job_caches():
+    """Empty the per-job caches (``protocols._attack_pieces`` and
+    ``_transfer``, both keyed by (family, attack) alone) before the test,
+    after it, and whenever the test calls the function this yields. A test
+    that patches ``CHUNK_ELEMENTS`` or ``_attack_pieces`` needs it: it would
+    otherwise read a transfer cut or built before its patch, or leave one
+    built under its patch to the tests after it."""
+
+    def clear():
+        _attack_pieces.cache_clear()
+        _transfer.cache_clear()
+
+    clear()
+    yield clear
+    clear()

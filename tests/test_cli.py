@@ -1,4 +1,8 @@
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +10,8 @@ import pytest
 
 from qauthlab.cli import main
 
-FIXTURE = Path(__file__).resolve().parent.parent / "perfbench/fixtures/family-m1-s3.json"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURE = ROOT / "perfbench/fixtures/family-m1-s3.json"
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -104,7 +109,7 @@ def test_uc_unknown_attack_is_config_error(tmp_path, capsys):
     assert code == 2
 
 
-def test_uc_invariant_violation_exits_three(tmp_path, capsys, monkeypatch):
+def test_uc_invariant_violation_exits_three(tmp_path, capsys, monkeypatch, clear_job_caches):
     from qauthlab import protocols
 
     fam_path = tmp_path / "fam.json"
@@ -345,6 +350,47 @@ def test_family_file_without_a_logical_qubit_exits_two(tmp_path, capsys):
     for command in ("ptp-soundness", "ptc", "uc", "psqa"):
         assert main([command, "--family", str(fam_path)]) == 2, command
         assert "its codes have m = 0" in capsys.readouterr().err, command
+
+
+def test_unusable_paths_exit_two(tmp_path, capsys):
+    # a directory where a file belongs raises IsADirectoryError, an OSError
+    # but no FileNotFoundError: a configuration error all the same, not a
+    # traceback with exit 1, the code of a failed bound
+    assert main(["ptc", "--family", str(tmp_path)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    argv = ["ptc", "--m", "1", "--s", "1", "--seed", "1", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_a_count_that_is_not_an_integer_exits_two(capsys):
+    assert main(["lemmas", "--trials", "abc"]) == 2
+    err = capsys.readouterr().err
+    assert "argument --trials: 'abc' is not an integer" in err
+    assert "_positive" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("uc", "--m", "1", "--s", "1", "--attack", "random-101", "--seed", "1"),
+        ("psqa", "--m", "1", "--s", "1", "--attacks", "2", "--seed", "1"),
+    ],
+    ids=["uc", "psqa"],
+)
+def test_reports_do_not_depend_on_the_hash_seed(argv):
+    # records are dict keys, grouped and summed in dict order; reruns in one
+    # process share its hash seed, so each seed gets a fresh interpreter
+    runs = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": seed}
+        run = subprocess.run(
+            [sys.executable, "-m", "qauthlab.cli", *argv], capture_output=True, text=True, env=env, timeout=300
+        )
+        assert run.returncode == 0, run.stderr
+        assert '"elapsed_seconds"' in run.stdout
+        runs.append(re.sub(r'\n *"elapsed_seconds": [^\n]*', "", run.stdout))
+    assert runs[0] == runs[1]
 
 
 def test_internal_key_error_exits_three(tmp_path, capsys, monkeypatch):

@@ -164,19 +164,19 @@ def test_accept_blocks_bitwise_and_reject_blocks_close(family, suite, detail):
 
 @pytest.mark.parametrize("detail", [False, True])
 @pytest.mark.parametrize("budget", [1, 1 << 12])
-def test_chunk_boundaries_keep_the_accept_sum(monkeypatch, family, suite, budget, detail):
+def test_chunk_boundaries_keep_the_accept_sum(monkeypatch, clear_job_caches, family, suite, budget, detail):
     # budget 1: one code per chunk and one outer product per product call;
     # 2^12: chunks of 1 to 14 codes and outer products in runs of 1 to 256
     starts = []
-    accumulate = protocols._accumulate
+    add_chunk = protocols._add_chunk
 
-    def spy(blocks, mixes, amps, names, t0, *rest):
-        starts.append(t0)
-        return accumulate(blocks, mixes, amps, names, t0, *rest)
+    def spy(blocks, mixes, chunk, *rest):
+        starts.append(chunk.t0)
+        return add_chunk(blocks, mixes, chunk, *rest)
 
     for module in (hybrid, protocols):
         monkeypatch.setattr(module, "CHUNK_ELEMENTS", budget)
-    monkeypatch.setattr(protocols, "_accumulate", spy)
+    monkeypatch.setattr(protocols, "_add_chunk", spy)
     accepts = _compare_with_oracle(family, suite, detail)
     assert accepts == (24 if not detail else 1736)
     assert len(starts) == (27 * 14 if budget == 1 else 60)

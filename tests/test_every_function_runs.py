@@ -5,7 +5,7 @@ a method of a module-level class that no subcommand enters is code only the
 tests reach. The subcommands run once each, at small size, in a fresh
 interpreter under ``sys.setprofile``: a fresh process, because the caches
 (``cli.build_parser``, ``protocols._family_encoders``, ``_attack_pieces`` and
-``_transfer_cache``) would otherwise hide functions that an earlier test
+``_transfer``) would otherwise hide functions that an earlier test
 already ran. ``ast`` then lists the ``def``s that were never entered.
 """
 

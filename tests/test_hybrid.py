@@ -114,12 +114,12 @@ def test_finalize_drop_and_mix(family_s1):
     # every slice maps to one record; B is traced out and A replaced by I/2
     transfer = _transfer(family_s1, AttackDescriptor("identity"))
     base = StateVector(max_entangled_vector(2), (("A", 2), ("B0", 2)))
-    final = key_sweep(transfer, base, "B0", lambda f: ((), ("B",), ("A",)), ())
+    final = key_sweep(transfer, base, "B0", lambda f: ((), ("B",), ("A",)), False)
     block = final.blocks[()]
     assert block.registers == (("A", 2), ("E", 1))
     np.testing.assert_allclose(block.matrix, np.eye(2) / 2, atol=1e-14)
 
-    kept = key_sweep(transfer, base, "B0", lambda f: ((), (), ()), ())
+    kept = key_sweep(transfer, base, "B0", lambda f: ((), (), ()), False)
     assert kept.blocks[()].registers == (("A", 2), ("B", 2), ("E", 1))
     phi = max_entangled_vector(2)
     np.testing.assert_allclose(kept.blocks[()].matrix, np.outer(phi, phi.conj()), atol=1e-14)
@@ -128,7 +128,7 @@ def test_finalize_drop_and_mix(family_s1):
 def test_finalize_sorts_registers(family_s1):
     transfer = _transfer(family_s1, AttackDescriptor("identity"))
     base = StateVector(np.kron([1, 0], [0, 1]).astype(complex), (("Zz", 2), ("B0", 2)))
-    final = key_sweep(transfer, base, "B0", lambda f: ((), (), ()), (), receiver="Aa")
+    final = key_sweep(transfer, base, "B0", lambda f: ((), (), ()), False, receiver="Aa")
     assert final.blocks[()].registers == (("Aa", 2), ("E", 1), ("Zz", 2))
     # |0> on Zz, |1> on Aa -> sorted layout puts Aa first: index 1*2+0=2
     expect = np.zeros((4, 4))
@@ -139,13 +139,12 @@ def test_finalize_sorts_registers(family_s1):
 def test_key_sweep_total_weight_and_records(family_s1):
     transfer = _transfer(family_s1, AttackDescriptor("fixed_pauli", x=1, label="X0"))
     base = StateVector(max_entangled_vector(2), (("A", 2), ("B0", 2)))
-    final = key_sweep(transfer, base, "B0", _verdict_plan, ())
+    final = key_sweep(transfer, base, "B0", _verdict_plan, False)
     assert final.total_weight() == pytest.approx(1.0, abs=1e-12)
     # X on qubit 0 anticommutes with ZZ and YY: two codes in three reject
     assert final.blocks[(("verdict", "REJ"),)].weight == pytest.approx(2.0 / 3.0, abs=1e-12)
     detailed = key_sweep(
-        transfer, base, "B0", lambda f: ((("y", f["y"]), ("ysyn", f["ysyn"])), (), ()),
-        ("y", "ysyn"),
+        transfer, base, "B0", lambda f: ((("y", f["y"]), ("ysyn", f["ysyn"])), (), ()), True
     )
     # the received syndrome is an explicit field; zero-probability slices are pruned
     assert len(detailed.blocks) == 4
@@ -159,11 +158,11 @@ def test_key_sweep_rejects_non_isometric_attack(family_s1):
     transfer = build_transfer(_family_encoders(family_s1), (1.1 * iso, names, out_regs), family_s1.m)
     base = StateVector(max_entangled_vector(2), (("A", 2), ("B0", 2)))
     with pytest.raises(InvariantError, match="key sweep: final state total weight"):
-        key_sweep(transfer, base, "B0", _verdict_plan, ())
+        key_sweep(transfer, base, "B0", _verdict_plan, False)
     assert not issubclass(InvariantError, ValueError)
 
 
-def test_key_is_contracted_once_per_sweep(monkeypatch, family_s2):
+def test_key_is_contracted_once_per_sweep(monkeypatch, clear_job_caches, family_s2):
     # one code per chunk: 8 chunks, and still one contraction of the key; the
     # transfer is built once per uc job and once per psqa job, and every sweep
     # of the job reads it
@@ -209,7 +208,7 @@ def test_key_is_contracted_once_per_sweep(monkeypatch, family_s2):
         assert seen == [keyed]
         assert chunks == list(range(8))
 
-    protocols._transfer_cache.clear()
+    clear_job_caches()
     built.clear()
     x0, y0 = (a for a in standard_suite(1, 2) if a.name() in ("X0", "Y0"))
     _uc_single(family_s2, x0, "random-3")

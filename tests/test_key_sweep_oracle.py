@@ -3,9 +3,9 @@
 ``per_slice_key_sweep`` below is that sweep, kept as the oracle: every key
 value is a leading axis of the amplitude array, the encoders, the attack and
 the decoders are applied to the keyed input itself, chunk by chunk, and each
-record's block is one product over its slices (``hybrid._accumulate``). The
-engine instead reads the shared transfer and builds each block from one Gram
-matrix per record class.
+record's block is one product over its slices (``_accumulate`` below, the
+per-slice finalizer). The engine instead reads the shared transfer and
+builds each block from one Gram matrix per record class.
 
 On the benchmark's m=1, s=3 family, every protocol run goes once through the
 engine and once through the oracle (by rebinding ``key_sweep`` where the
@@ -26,7 +26,9 @@ from qauthlab.approx_psqa import psqa_ideal, run_psqa_kg, run_psrqa_kg, sample_c
 from qauthlab.codes import PtcFamily
 from qauthlab.hybrid import (
     ACC,
-    _accumulate,
+    PRUNE_BELOW,
+    REJ,
+    Record,
     _contract,
     _keyed,
     checked_total,
@@ -34,7 +36,7 @@ from qauthlab.hybrid import (
     record_get,
 )
 from qauthlab.protocols import _attack_pieces, _family_encoders, ebit_ptc, run_qa_kg, run_tqa_kg
-from qauthlab.qmath import reg_dims, reg_positions, total_dim
+from qauthlab.qmath import RegisterError, reg_dims, reg_positions, total_dim
 from qauthlab.ucharness import run_qa_kg_ideal
 
 FIXTURE = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "family-m1-s3.json"
@@ -59,10 +61,11 @@ SWEEPS = {
 }
 
 
-def per_slice_key_sweep(encoders, attack, base, carrier, plan, exposed, key=None, receiver="B"):
+def per_slice_key_sweep(encoders, attack, base, carrier, plan, detail, key=None, receiver="B"):
     """The per-slice sweep: ``key_sweep``'s arguments, with the encoder stack
     and the attack pieces (isometry, names, out registers) in place of the
     transfer."""
+    exposed = ((key[0],) if key is not None else ()) + (("t", "y", "ysyn") if detail else ())
     iso, att_names, att_out = attack
     d_in = dict(base.registers)[carrier]
     dt = encoders[0].shape[0]
@@ -106,6 +109,49 @@ def per_slice_key_sweep(encoders, attack, base, carrier, plan, exposed, key=None
     return checked_total(mix_records(blocks, mixes), "key sweep")
 
 
+def _accumulate(blocks, mixes, amps, names, t0, values, regs, plan, exposed, weight) -> None:
+    """Add the weighted density matrices of a chunk of codes (axis ``t`` of
+    ``amps``, the first being code ``t0``) to ``blocks`` for each output
+    record, each one contraction over the slices (classical index tuples)
+    that map to the record. The registers each record replaces by I/d go to
+    ``mixes``; ``mix_records`` applies them once all chunks are in."""
+    shape, dims = amps.shape[: len(names)], reg_dims(regs)
+    slices = amps.reshape((-1,) + dims)
+    vecs = slices.reshape(len(slices), -1)
+    alive = np.flatnonzero(np.einsum("ij,ij->i", vecs, vecs.conj()).real > PRUNE_BELOW)
+    index = dict(zip(names, np.unravel_index(alive, shape)))
+    index["t"] = index["t"] + t0
+    index["verdict"] = (index["y"] == index["ysyn"]).astype(np.intp)
+    values = {**values, "verdict": (REJ, ACC)}
+    exposed = ("verdict",) + tuple(exposed)
+    sizes = tuple(len(values[f]) for f in exposed)
+    codes, inverse = np.unique(
+        np.ravel_multi_index(tuple(index[f] for f in exposed), sizes), return_inverse=True
+    )
+    members = np.split(alive[np.argsort(inverse, kind="stable")], np.cumsum(np.bincount(inverse))[:-1])
+    groups: dict[Record, tuple[tuple, list]] = {}
+    for code, rows in zip(zip(*np.unravel_index(codes, sizes)), members):
+        record, drop, mix = plan({f: values[f][int(i)] for f, i in zip(exposed, code)})
+        entry = groups.setdefault(record, (tuple(drop), []))
+        if entry[0] != tuple(drop) or mixes.setdefault(record, tuple(mix)) != tuple(mix):
+            raise RegisterError(f"record {record} accumulated under different register sets")
+        entry[1].append(rows)
+    for record, (drop, rows) in groups.items():
+        keep = sorted((i for i, (n, _) in enumerate(regs) if n not in drop), key=lambda i: regs[i][0])
+        rest = [i for i in range(len(regs)) if i not in keep]
+        idx = np.concatenate(rows)
+        part = slices[idx].transpose([0] + [1 + i for i in keep + rest])
+        d_keep = int(np.prod([dims[i] for i in keep]))
+        x = part.reshape(len(idx), d_keep, -1).transpose(1, 0, 2).reshape(d_keep, -1)
+        kept = tuple(regs[i] for i in keep)
+        rho = weight * (x @ x.conj().T)
+        if record in blocks:
+            if blocks[record][0] != kept:
+                raise RegisterError(f"record {record} accumulated under different register sets")
+            rho = blocks[record][1] + rho
+        blocks[record] = (kept, rho)
+
+
 @pytest.fixture(scope="module")
 def family():
     return PtcFamily.load(FIXTURE)
@@ -122,12 +168,12 @@ def oracle_run(monkeypatch, sweep, family, attack, tamper=False):
     identity in the Pauli pad and the Bell key) is the identity."""
     pieces = (_family_encoders(family), _attack_pieces(family, attack))
 
-    def oracle(transfer, base, carrier, plan, exposed, key=None, receiver="B"):
+    def oracle(transfer, base, carrier, plan, detail, key=None, receiver="B"):
         if tamper and key is not None:
             corrections = key[-1].copy()
             corrections[1] = np.eye(corrections.shape[-1])
             key = key[:-1] + (corrections,)
-        return per_slice_key_sweep(*pieces, base, carrier, plan, exposed, key, receiver)
+        return per_slice_key_sweep(*pieces, base, carrier, plan, detail, key, receiver)
 
     with monkeypatch.context() as patch:
         for module in (protocols, approx_psqa, ucharness):

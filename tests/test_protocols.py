@@ -257,7 +257,7 @@ def test_entanglement_forms_identity_per_attack(family_s1, attack_label):
 
 
 
-def test_ebit_ptp_refuses_a_lossy_dilation(family_s1, monkeypatch):
+def test_ebit_ptp_refuses_a_lossy_dilation(family_s1, monkeypatch, clear_job_caches):
     # the total-weight invariant every key sweep has; without it ebit_ptp
     # returned a final state of total weight 0.81 here
     from qauthlab import protocols
@@ -277,7 +277,7 @@ def test_ebit_ptp_refuses_a_lossy_dilation(family_s1, monkeypatch):
         ebit_ptp(family_s1, attack)
 
 
-def test_attack_is_built_once_per_job(family_s1, monkeypatch):
+def test_attack_is_built_once_per_job(family_s1, monkeypatch, clear_job_caches):
     # the five final-state builds of a uc job, and the two of a psqa job,
     # share one channel and dilation; the next attack replaces it
     from qauthlab import protocols
@@ -292,7 +292,6 @@ def test_attack_is_built_once_per_job(family_s1, monkeypatch):
         return build(desc, dims)
 
     monkeypatch.setattr(protocols, "build_attack", spy)
-    protocols._attack_pieces.cache_clear()
     x0, y0 = (a for a in standard_suite(1, 1) if a.name() in ("X0", "Y0"))
     _uc_single(family_s1, x0, "entangled")
     _uc_single(family_s1, y0, "entangled")

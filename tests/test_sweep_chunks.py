@@ -1,10 +1,10 @@
 """The chunking of the code axis changes no result.
 
 The transfer that ``key_sweep`` reads is built, and its Gram matrices taken,
-in chunks of codes sized by ``hybrid.CHUNK_ELEMENTS``; ``ebit_ptp``'s reject
-branches are finalized in chunks sized by the same budget. Here the budget is
-patched three ways on
-the 8-code ``family_s2``: one code per chunk, chunks of three (boundaries
+in chunks of codes sized by ``hybrid.CHUNK_ELEMENTS``; ``ebit_ptp`` computes
+its branches, and hands its reject branches to the same finalizer, in chunks
+sized by the same budget. Here the budget is patched three ways on the
+8-code ``family_s2``: one code per chunk, chunks of three (boundaries
 inside the family and a shorter last chunk), and every code in one chunk.
 Each run must give the same records on the same registers as the one-chunk
 run, with weights and the distance between them within 1e-12.
@@ -41,17 +41,12 @@ SWEEPS = {
 }
 
 
-def _chunked(monkeypatch, budget, run):
+def _chunked(monkeypatch, clear_caches, budget, run):
     """Run with the chunk budget patched; return the final state, the chunk
     lengths in order, and the entries per code of the chunk arrays (the
-    transfer's for a key sweep, the reject amplitudes' for ``ebit_ptp``)."""
-    accumulate, add_chunk = protocols._accumulate, hybrid._add_chunk
+    transfer's for a key sweep, the reject branches' for ``ebit_ptp``)."""
+    add_chunk = hybrid._add_chunk
     seen = []
-
-    def spy(blocks, mixes, amps, names, t0, *rest):
-        k = amps.shape[names.index("t")]
-        seen.append((t0, k, amps.size // k))
-        return accumulate(blocks, mixes, amps, names, t0, *rest)
 
     def chunk_spy(blocks, mixes, chunk, *rest):
         k = chunk.x.shape[0]
@@ -61,9 +56,10 @@ def _chunked(monkeypatch, budget, run):
     with monkeypatch.context() as patch:
         for module in (hybrid, protocols):
             patch.setattr(module, "CHUNK_ELEMENTS", budget)
-        patch.setattr(protocols, "_accumulate", spy)
-        patch.setattr(hybrid, "_add_chunk", chunk_spy)
+            patch.setattr(module, "_add_chunk", chunk_spy)
+        clear_caches()
         final = run()
+    clear_caches()
     starts = [t0 for t0, _, _ in seen]
     assert starts == sorted(starts) and starts[0] == 0
     return final, [k for _, k, _ in seen], seen[0][2]
@@ -78,7 +74,7 @@ def _assert_same(final, want, label):
 
 
 @pytest.mark.parametrize("sweep", sorted(SWEEPS))
-def test_chunking_changes_no_record(monkeypatch, family_s2, sweep):
+def test_chunking_changes_no_record(monkeypatch, clear_job_caches, family_s2, sweep):
     assert len(family_s2.codes) == 8
     suite = {a.name(): a for a in standard_suite(1, 2)}
     for name in ATTACKS:
@@ -87,12 +83,12 @@ def test_chunking_changes_no_record(monkeypatch, family_s2, sweep):
             if attack.acts_on != ("T",):
                 continue
         run = lambda: SWEEPS[sweep](family_s2, attack)  # noqa: E731
-        whole, sizes, per_code = _chunked(monkeypatch, 1 << 40, run)
+        whole, sizes, per_code = _chunked(monkeypatch, clear_job_caches, 1 << 40, run)
         assert sizes == [8], (sweep, name)
-        own, sizes, _ = _chunked(monkeypatch, 1, run)
+        own, sizes, _ = _chunked(monkeypatch, clear_job_caches, 1, run)
         assert sizes == [1] * 8, (sweep, name)
         _assert_same(own, whole, f"{sweep} {name} one code per chunk")
-        threes, sizes, _ = _chunked(monkeypatch, 3 * per_code, run)
+        threes, sizes, _ = _chunked(monkeypatch, clear_job_caches, 3 * per_code, run)
         assert sizes == [3, 3, 2], (sweep, name)
         _assert_same(threes, whole, f"{sweep} {name} chunks of three")
         _assert_same(run(), whole, f"{sweep} {name} default budget")
