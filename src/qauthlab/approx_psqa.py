@@ -13,9 +13,9 @@ teleportation inside the authentication protocol yields the pure-state
 variant; with the exact Pauli cipher the variant reduces to the standard
 protocol branch for branch, and with sampled ciphers the security bound picks
 up 2 Pr(f) from the failure branch. The exact cipher is the keyed Pauli pad of
-``protocols.key_pads``, and the failure element F comes from ``rsp_povm``
-alone, which ``run_psrqa_kg`` reads. ``rsp_twin_identity`` checks the twin
-against ``run_psqa_kg`` on every record that recycles a cipher key.
+``protocols.key_pads``. Pr(f) comes from ``rsp_scale``, without a POVM, and
+F from ``rsp_povm`` alone (``run_psrqa_kg``). ``rsp_twin_identity`` checks
+the twin against ``run_psqa_kg`` on every record that recycles a cipher key.
 """
 
 from __future__ import annotations
@@ -132,10 +132,25 @@ def sample_cipher(m: int, key_count: int, seed: int) -> ApproxCipher:
 
 @dataclass(frozen=True)
 class RspMeasurement:
-    povm: Povm
-    failure_index: int
+    povm: Povm  # the K cipher elements, then the failure element F
     scale: float  # M = || sum_k U_k rho U_k^dag ||_inf
     failure_probability: float  # on half of a maximally entangled pair
+
+
+def rsp_scale(cipher: ApproxCipher, message_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """``rsp_povm``'s rho = |message><message|, S = sum_k U_k rho U_k^dag, its
+    norm M and the failure probability max(0, 1 - K/(M 2^m)), without a POVM."""
+    vec = np.asarray(message_vec, dtype=complex).reshape(-1)
+    d = 1 << cipher.m
+    if vec.size != d:
+        raise ValueError(f"message must have dimension {d}")
+    if abs(np.vdot(vec, vec).real - 1.0) > 1e-10:
+        raise ValueError("message must be a unit vector (pure state)")
+    rho = np.outer(vec, vec.conj())
+    total = sum(u @ rho @ u.conj().T for u in cipher.unitaries)
+    scale = operator_norm(total)
+    p_fail = 1.0 - cipher.key_count / (scale * d)
+    return rho, total, scale, float(max(p_fail, 0.0))
 
 
 def rsp_povm(cipher: ApproxCipher, message_vec: np.ndarray) -> RspMeasurement:
@@ -147,20 +162,11 @@ def rsp_povm(cipher: ApproxCipher, message_vec: np.ndarray) -> RspMeasurement:
     occurs with probability 1/(M 2^m) and leaves the far half in exactly
     U_k rho U_k^dag; the failure outcome has probability 1 - K/(M 2^m).
     """
-    vec = np.asarray(message_vec, dtype=complex).reshape(-1)
-    d = 1 << cipher.m
-    if vec.size != d:
-        raise ValueError(f"message must have dimension {d}")
-    if abs(np.vdot(vec, vec).real - 1.0) > 1e-10:
-        raise ValueError("message must be a unit vector (pure state)")
-    rho = np.outer(vec, vec.conj())
-    total = sum(u @ rho @ u.conj().T for u in cipher.unitaries)
-    scale = operator_norm(total)
+    rho, total, scale, p_fail = rsp_scale(cipher, message_vec)
     elements = [(u @ rho @ u.conj().T).T / scale for u in cipher.unitaries]
-    failure = np.eye(d, dtype=complex) - total.T / scale
+    failure = np.eye(len(rho), dtype=complex) - total.T / scale
     povm = Povm(tuple(elements) + (failure,))
-    p_fail = 1.0 - cipher.key_count / (scale * d)
-    return RspMeasurement(povm, cipher.key_count, scale, float(max(p_fail, 0.0)))
+    return RspMeasurement(povm, scale, p_fail)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +240,7 @@ def run_psrqa_kg(
     # measurement operator |0><conj(phi_k)| / sqrt(M); as a matrix its row is
     # the unconjugated encryption, so the far half collapses to phi_k
     ops = [np.outer(ket0, u @ vec) / np.sqrt(meas.scale) for u in cipher.unitaries]
-    ops.append(psd_sqrt(meas.povm.elements[meas.failure_index]))
+    ops.append(psd_sqrt(meas.povm.elements[-1]))
     # the failure outcome f leaves the receiver's half as it is
     corrections = [u.conj().T for u in cipher.unitaries] + [np.eye(dm, dtype=complex)]
     base = StateVector(max_entangled_vector(dm), (("Ams", dm), ("B0", dm)))
@@ -285,7 +291,7 @@ def rsp_twin_identity(
     encryption, with probability (1 - Pr f) / K."""
     real = run_psqa_kg(message_vec, cipher, family, attack)
     twin = run_psrqa_kg(message_vec, cipher, family, attack)
-    kept = 1.0 - rsp_povm(cipher, message_vec).failure_probability
+    kept = 1.0 - rsp_scale(cipher, message_vec)[-1]
     return _keyed_accepts(twin, 1.0).distance(_keyed_accepts(real, kept))
 
 
@@ -303,7 +309,7 @@ def psqa_advantage(
     real = run_psqa_kg(message_vec, cipher, family, attack)
     ideal = psqa_ideal(message_vec, cipher, family, attack)
     advantage = real.distance(ideal)
-    p_f = rsp_povm(cipher, message_vec).failure_probability
+    p_f = rsp_scale(cipher, message_vec)[-1]
     bound = min(2.0, ebit_advantage_bound(family.epsilon_verified) + 2.0 * p_f)
     p_acc = real.weight_where(lambda r: record_get(r, "verdict") == ACC)
     return make_report(

@@ -16,21 +16,16 @@ syndrome key y, received syndrome ysyn), a matrix X_b from the probe
 registers (the carrier, and R when the attack acts on it) to the output
 registers, in chunks of codes whose largest array holds at most
 CHUNK_ELEMENTS entries. A sweep takes its run's secret key (pad, cipher,
-Bell or preparation outcome) as one instrument on its input, giving one
-input Psi_v per key value v, and builds every block from Gram matrices: per
-record class c (the verdict, and t, y, ysyn where the plan reads them) one
-G_c = sum_{b in c} x_b x_b^dag, with x_b the matrix X_b read as a vector over
-(out, probe), and per key value Psi_v G_c Psi_v^dag, one batched product over
-the keys. So the key count multiplies no contraction
-over codes. A (key, class) pair counts when one of its slices has
-probability above PRUNE_BELOW, read from the per-branch probe Grams
-X_b^dag X_b. Output filters such as "drop this register" trace each block;
-"replace this register by the maximally mixed state" applies once per
-record, after the last chunk. ``protocols.ebit_ptp`` batches its accept
-blocks over (code, syndrome) in the arithmetic of one branch at a time
-instead, so that they keep their bits, and hands its reject branches to the
-same finalizer, ``_add_chunk``, as a chunk of a one-dimensional probe (see
-``protocols``).
+Bell or preparation outcome) as one instrument on its input and builds every
+block from one Gram matrix per record class (see ``key_sweep``): the verdict,
+whose two Grams each chunk takes once for every sweep of the job
+(``TransferChunk.verdicts``), or with ``detail`` one branch. Output filters
+such as "drop this register" trace each block; "replace this register by the
+maximally mixed state" applies once per record, after the last chunk.
+``protocols.ebit_ptp`` batches its accept blocks over (code, syndrome) in the
+arithmetic of one branch at a time instead, so that they keep their bits, and
+hands its reject branches to the same finalizer, ``_add_chunk``, as a chunk
+of a one-dimensional probe (see ``protocols``).
 
 Distance between two final states is sum_c || p_c rho_c - q_c sigma_c ||_1
 over the union of classical records, which equals the full 1-norm of the
@@ -40,6 +35,7 @@ block-diagonal embedding (the tests spot-check that against a dense one).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -78,13 +74,6 @@ def record_get(record: Record, fieldname: str):
         if key == fieldname:
             return value
     raise KeyError(fieldname)
-
-
-def _replace_with_mixed(rho: np.ndarray, regs: Registers, name: str) -> np.ndarray:
-    """Replace one register's content by I/d, leaving its correlations severed."""
-    (pos,) = reg_positions(regs, (name,))
-    d = regs[pos][1]
-    return replace_factors(rho, regs, (name,), np.eye(d) / d)
 
 
 @dataclass(frozen=True)
@@ -173,6 +162,19 @@ class TransferChunk:
     # (codes, y, ysyn, probe, probe): each branch's X^dag X
     probe_grams: np.ndarray
 
+    @cached_property
+    def verdicts(self) -> tuple[tuple[str, np.ndarray, np.ndarray], ...]:
+        """(verdict, branch rows in (t, y, ysyn) order, their read-only Gram
+        sum_b x_b x_b^dag) for REJ, then ACC (y == ysyn); taken once, for
+        every sweep that reads the chunk."""
+        x = self.x.reshape(self.x.shape[0] * self.x.shape[1] ** 2, -1)
+        accept = np.tile(np.eye(self.x.shape[1], dtype=bool).reshape(-1), len(self.x))
+        rows = (np.flatnonzero(~accept), np.flatnonzero(accept))
+        grams = [x[r].T @ x[r].conj() for r in rows]
+        for gram in grams:
+            gram.setflags(write=False)
+        return tuple(zip((REJ, ACC), rows, grams))
+
 
 @dataclass(frozen=True)
 class Transfer:
@@ -209,10 +211,10 @@ def key_sweep(
       instrument U_k/sqrt(K).
     - The state of key value v is a matrix Psi_v from the probe registers to
       the rest of ``base``. A record class c is a verdict (accept iff ysyn ==
-      y), together with t, y and ysyn when ``detail`` is set. Its
-      Gram matrix G_c = sum_{b in c} x_b x_b^dag, x_b the branch map as a
-      vector over (out, probe), gives every key value's block at once: Psi_v
-      G_c Psi_v^dag, one batched product over the keys, so the key count
+      y), or one branch (t, y, ysyn) when ``detail`` is set. Its Gram matrix
+      G_c = sum_{b in c} x_b x_b^dag, x_b the branch map as a vector over
+      (out, probe), gives every key value's block at once: Psi_v G_c
+      Psi_v^dag, one batched product over the keys, so the key count
       multiplies no contraction over codes.
     - A (key, class) pair counts only if one of its slices (key, t, y, ysyn)
       has probability above PRUNE_BELOW, read from the per-branch probe
@@ -244,28 +246,28 @@ def key_sweep(
 
 
 def _add_chunk(blocks, mixes, chunk: TransferChunk, psi, layout, plan, detail: bool, keys) -> None:
-    """Add one chunk of codes to ``blocks``: per record class one Gram matrix,
-    then the blocks of its live key values. The registers each record
-    replaces by I/d go to ``mixes``; ``mix_records`` applies them once all
-    chunks are in. ``keys`` = (label, values, corrections), label None for
-    an unkeyed ``psi`` of one key value."""
+    """Add one chunk of codes to ``blocks``: per record class (the chunk's
+    cached verdict classes, or with ``detail`` one branch each, REJ first)
+    one Gram matrix, then the blocks of its live key values. The registers
+    each record replaces by I/d go to ``mixes``; ``mix_records`` applies
+    them once all chunks are in. ``keys`` = (label, values, corrections),
+    label None for an unkeyed ``psi`` of one key value."""
     label, values, corrections = keys
     codes, dy = chunk.x.shape[:2]
     x = chunk.x.reshape(codes * dy * dy, -1)
     # p[v, b] = Tr(X_b^dag X_b Psi_v^T conj(Psi_v))
     probe_states = np.matmul(psi.conj().transpose(0, 2, 1), psi)
     probs = (probe_states.reshape(len(psi), -1) @ chunk.probe_grams.reshape(len(x), -1).T).real
-    t, y, ysyn = np.unravel_index(np.arange(len(x)), (codes, dy, dy))
-    index = {"verdict": (y == ysyn).astype(np.intp), "t": t + chunk.t0, "y": y, "ysyn": ysyn}
-    split = ("verdict", "t", "y", "ysyn") if detail else ("verdict",)
-    sizes = tuple(2 if f == "verdict" else chunk.t0 + codes if f == "t" else dy for f in split)
-    classes, inverse = np.unique(np.ravel_multi_index(tuple(index[f] for f in split), sizes), return_inverse=True)
-    members = np.split(np.argsort(inverse, kind="stable"), np.cumsum(np.bincount(inverse))[:-1])
-    for cls, rows in zip(zip(*np.unravel_index(classes, sizes)), members):
+    classes = [(v, b, None) for v, rows, _ in chunk.verdicts for b in rows[:, None]] if detail else chunk.verdicts
+    for verdict, rows, gram in classes:
         live = np.flatnonzero((probs[:, rows] > PRUNE_BELOW).any(axis=1))
         if not len(live):
             continue
-        fields = {f: (REJ, ACC)[i] if f == "verdict" else int(i) for f, i in zip(split, cls)}
+        fields = {"verdict": verdict}
+        if gram is None:
+            (b,) = rows.tolist()
+            fields.update(t=chunk.t0 + b // (dy * dy), y=b // dy % dy, ysyn=b % dy)
+            gram = x[rows].T @ x[rows].conj()
         # the live key values by the registers their records drop, then by record
         groups: dict[tuple, dict[Record, list]] = {}
         for v in live:
@@ -273,8 +275,7 @@ def _add_chunk(blocks, mixes, chunk: TransferChunk, psi, layout, plan, detail: b
             if mixes.setdefault(record, tuple(mix)) != tuple(mix):
                 raise RegisterError(f"record {record} accumulated under different register sets")
             groups.setdefault(tuple(drop), {}).setdefault(record, []).append(v)
-        gram = x[rows].T @ x[rows].conj()
-        fix = corrections if fields["verdict"] == ACC else None
+        fix = corrections if verdict == ACC else None
         for drop, records in groups.items():
             vals = [v for vs in records.values() for v in vs]
             kept, rhos = _blocks(gram, psi[vals], layout, drop, None if fix is None else fix[vals])
@@ -359,6 +360,7 @@ def mix_records(blocks: dict, mixes: dict) -> FinalState:
     for record, mix in mixes.items():
         kept, rho = blocks[record]
         for name in mix:
-            rho = _replace_with_mixed(rho, kept, name)
+            d = dict(kept)[name]
+            rho = replace_factors(rho, kept, (name,), np.eye(d) / d)
         blocks[record] = (kept, rho)
     return FinalState(blocks)

@@ -44,9 +44,9 @@ instrument on its input: a pad as U_k / sqrt(K) (``pad_key``, for
 measurement (``bell_key``), whose registers the code never touches, so it
 commutes with encoding and attack.
 
-Shared pieces are built once, here: the keyed Pauli pad (``key_pads``, read
-by ``run_qa_kg``, ``bell_key`` and ``ucharness.run_qa_kg_ideal``'s key
-list), a family's encoders as one read-only stack
+Shared pieces are built once, here: the keyed Pauli pad (``key_pads``, once
+per m, read by ``run_qa_kg``, ``bell_key`` and ``ucharness.run_qa_kg_ideal``'s
+key list), a family's encoders as one read-only stack
 (``_family_encoders``, read by ``build_transfer``, ``ebit_ptp`` and
 ``ucharness._accept_decoders``), an attack's isometry (``_attack_pieces``)
 and the transfer (``_transfer``), the last two once per job: both are
@@ -99,13 +99,16 @@ from .qmath import (
 # ---------------------------------------------------------------------------
 
 
-def key_pads(m: int) -> tuple[list[tuple[int, int]], np.ndarray]:
-    """The keyed Pauli pad: every key pair (x, z) in ``enumerate_paulis``'
-    order (x-major, z-minor, so key (x, z) is row x * 2^m + z) and the stack
-    of the X^x Z^z they select. Every keyed sweep, the Bell basis and the
-    exact cipher read their pads from here."""
+@lru_cache(maxsize=8)
+def key_pads(m: int) -> tuple[tuple[tuple[int, int], ...], np.ndarray]:
+    """The keyed Pauli pad, once per m: every key pair (x, z) in
+    ``enumerate_paulis``' order (x-major, z-minor, so key (x, z) is row x *
+    2^m + z) and the read-only stack of the X^x Z^z they select. Every keyed
+    sweep, the Bell basis and the exact cipher read their pads from here."""
     paulis = list(enumerate_paulis(m))
-    return [(p.x, p.z) for p in paulis], np.stack([pauli_matrix(p) for p in paulis])
+    stack = np.stack([pauli_matrix(p) for p in paulis])
+    stack.setflags(write=False)
+    return tuple((p.x, p.z) for p in paulis), stack
 
 
 def _apply(vector: np.ndarray, registers: Registers, matrix, names, out_regs=None):
@@ -167,10 +170,6 @@ def _attack_pieces(family: PtcFamily, attack: AttackDescriptor):
     iso = build_attack(attack, dims)
     out_regs = tuple((name, dims[name]) for name in attack.acts_on) + (("E", iso.shape[0] // iso.shape[1]),)
     return iso, attack.acts_on, out_regs
-
-
-def _needs_env_reference(attack: AttackDescriptor) -> bool:
-    return "R" in attack.acts_on
 
 
 def build_transfer(encoders: np.ndarray, attack, m: int) -> Transfer:
@@ -239,9 +238,7 @@ def _qa_output_plan(back_communication: bool, detail: bool):
             alice = ERR if back_communication else key
             record, drop = (("verdict", REJ), ("key_alice", alice), ("key_bob", ERR)), ("M",)
         if detail:
-            extra = (("x", key[0]), ("z", key[1])) + tuple(
-                (k, fields[k]) for k in ("t", "y", "ysyn")
-            )
+            extra = (("x", key[0]), ("z", key[1])) + tuple((k, fields[k]) for k in ("t", "y", "ysyn"))
             record = record + (("detail", extra),)
         return record, drop, ()
 
@@ -333,7 +330,7 @@ def _ebit_output_plan(detail: bool):
 def _maybe_reference(base: StateVector, attack: AttackDescriptor, m: int) -> StateVector:
     """Entanglement runs have no message reference; attacks that want an R
     register get a fresh environment-held one in |0...0>."""
-    if not _needs_env_reference(attack):
+    if "R" not in attack.acts_on:
         return base
     ref = StateVector(np.eye(1 << m, dtype=complex)[:, 0], (("R", 1 << m),))
     return tensor(ref, base)

@@ -126,10 +126,9 @@ def _ebit_ideal_from(real: FinalState, m: int) -> FinalState:
     phi_mat = np.outer(phi, phi.conj())
     blocks: dict[Record, tuple] = {}
     for rec, block in real.blocks.items():
-        if not _is_acc(rec):
-            blocks[rec] = (block.registers, block.matrix.copy())
-            continue
-        mat = replace_factors(block.matrix, block.registers, ("A", "B"), phi_mat)
+        mat = block.matrix.copy()
+        if _is_acc(rec):
+            mat = replace_factors(mat, block.registers, ("A", "B"), phi_mat)
         blocks[rec] = (block.registers, mat)
     return FinalState(blocks)
 
@@ -145,9 +144,7 @@ def ebit_report(family: PtcFamily, attack: AttackDescriptor, real: FinalState) -
     ideal = _ebit_ideal_from(real, family.m)
     direct = real.distance(ideal)
     p_acc = real.weight_where(_is_acc)
-    factored = 0.0
-    fid = 1.0
-    alpha = 0.0
+    factored, fid, alpha = 0.0, 1.0, 0.0
     if p_acc > 0:
         xi = real.conditional_where(_is_acc).conditional()
         target = ideal.conditional_where(_is_acc).conditional()

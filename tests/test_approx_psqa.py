@@ -9,13 +9,14 @@ from qauthlab.approx_psqa import (
     measure_delta,
     psqa_advantage,
     rsp_povm,
+    rsp_scale,
     run_psqa_kg,
     run_psrqa_kg,
     sample_cipher,
 )
 from qauthlab.pauli import PauliString, pauli_matrix
 from qauthlab.protocols import ACC, run_qa_kg
-from qauthlab.qmath import StateVector, haar_state, trace_norm
+from qauthlab.qmath import StateVector, haar_state, haar_unitary, trace_norm
 
 from oracles import pauli_cipher
 
@@ -108,6 +109,39 @@ def test_rsp_povm_failure_probability(message):
     assert meas.scale >= cip.key_count / 2.0 - 1e-12
     with pytest.raises(ValueError):
         rsp_povm(cip, np.array([1.0, 1.0]))
+
+
+def test_rsp_scale_reads_the_povms_failure_probability(message):
+    # the psqa message and the cipher of `psqa --seed 1 --K 16`, and the
+    # module's message with a sampled and the exact cipher
+    vec = haar_unitary(2, np.random.default_rng(1))[:, 0]
+    for cip, msg in ((sample_cipher(1, 16, 1), vec), (sample_cipher(1, 16, 3), message), (pauli_cipher(1), message)):
+        meas = rsp_povm(cip, msg)
+        rho, total, scale, p_fail = rsp_scale(cip, msg)
+        assert p_fail == meas.failure_probability
+        assert scale == meas.scale
+        np.testing.assert_allclose(total.T / scale + meas.povm.elements[-1], np.eye(2), rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(rho, np.outer(msg, msg.conj()))
+    with pytest.raises(ValueError, match="unit vector"):
+        rsp_scale(pauli_cipher(1), np.array([1.0, 1.0]))
+
+
+def test_psqa_advantage_builds_no_povm(monkeypatch, family_s2, message):
+    built = []
+    povm = approx_psqa.Povm
+
+    def spy(elements):
+        built.append(len(elements))
+        return povm(elements)
+
+    monkeypatch.setattr(approx_psqa, "Povm", spy)
+    cip = sample_cipher(1, 16, seed=3)
+    attack = next(a for a in standard_suite(1, 2) if a.name() == "X0")
+    rep = psqa_advantage(message, cip, family_s2, attack)
+    assert built == []
+    assert rep.extras["failure_probability"] == rsp_povm(cip, message).failure_probability
+    # the spy sees the POVM that rsp_povm builds
+    assert built == [17]
 
 
 def test_psqa_reduces_to_qa_with_pauli_cipher(family_s1, message):

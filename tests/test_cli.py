@@ -352,15 +352,56 @@ def test_family_file_without_a_logical_qubit_exits_two(tmp_path, capsys):
         assert "its codes have m = 0" in capsys.readouterr().err, command
 
 
-def test_unusable_paths_exit_two(tmp_path, capsys):
+def test_unusable_paths_exit_two(tmp_path, capsys, monkeypatch):
     # a directory where a file belongs raises IsADirectoryError, an OSError
     # but no FileNotFoundError: a configuration error all the same, not a
     # traceback with exit 1, the code of a failed bound
     assert main(["ptc", "--family", str(tmp_path)]) == 2
     assert "configuration error" in capsys.readouterr().err
-    argv = ["ptc", "--m", "1", "--s", "1", "--seed", "1", "--out", str(tmp_path)]
-    assert main(argv) == 2
-    assert "configuration error" in capsys.readouterr().err
+    # an --out that is a directory, or whose parent is missing or a file, is
+    # refused before the family search or any uc or psqa run starts
+    from qauthlab import cli
+
+    entered = []
+
+    def never(name):
+        def spy(*args, **kwargs):
+            entered.append(name)
+            raise AssertionError(f"{name} was entered")
+
+        return spy
+
+    for name in ("search_ptc", "_uc_single", "psqa_advantage"):
+        monkeypatch.setattr(cli, name, never(name))
+    (tmp_path / "file").write_text("")
+    for out in (tmp_path, tmp_path / "missing" / "r.json", tmp_path / "file" / "r.json"):
+        for argv in (
+            ["ptc", "--m", "1", "--s", "1", "--seed", "1"],
+            ["uc", "--family", str(FIXTURE), "--attack", "X0"],
+            ["psqa", "--family", str(FIXTURE), "--attacks", "1"],
+        ):
+            assert main(argv + ["--out", str(out)]) == 2, (argv, out)
+            assert "configuration error: --out" in capsys.readouterr().err, (argv, out)
+    assert entered == []
+    assert not (tmp_path / "missing").exists()
+
+
+def test_uc_draws_its_input_once(capsys, monkeypatch):
+    # one call checks the --input spec before the search, one draws the state
+    from qauthlab import cli
+
+    calls = []
+    draw = cli.purified_input
+
+    def spy(spec, m):
+        calls.append(spec)
+        return draw(spec, m)
+
+    monkeypatch.setattr(cli, "purified_input", spy)
+    code, rep = run_cli(capsys, "uc", "--m", "1", "--s", "1", "--seed", "1", "--input", "random-2")
+    assert code == 0
+    assert len(rep["results"]) > 1
+    assert calls == ["random-2", "random-2"]
 
 
 def test_a_count_that_is_not_an_integer_exits_two(capsys):

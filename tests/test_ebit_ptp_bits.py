@@ -30,7 +30,7 @@ import pytest
 from qauthlab import hybrid, protocols
 from qauthlab.adversary import standard_suite
 from qauthlab.codes import PtcFamily, ptc_epsilon_formula, search_ptc
-from qauthlab.hybrid import ACC, PRUNE_BELOW, FinalState, _replace_with_mixed
+from qauthlab.hybrid import ACC, PRUNE_BELOW, FinalState
 from qauthlab.protocols import (
     _apply,
     _attack_pieces,
@@ -47,6 +47,7 @@ from qauthlab.qmath import (
     reg_dims,
     reg_names,
     reg_positions,
+    replace_factors,
     total_dim,
 )
 from qauthlab.ucharness import ebit_report
@@ -88,7 +89,8 @@ def per_branch_ebit_ptp(family, attack, detail=False) -> FinalState:
     for record, mix in mixes.items():
         kept, rho = blocks[record]
         for name in mix:
-            rho = _replace_with_mixed(rho, kept, name)
+            d = dict(kept)[name]
+            rho = replace_factors(rho, kept, (name,), np.eye(d) / d)
         blocks[record] = (kept, rho)
     return FinalState(blocks)
 

@@ -167,7 +167,7 @@ def test_key_is_contracted_once_per_sweep(monkeypatch, clear_job_caches, family_
     # transfer is built once per uc job and once per psqa job, and every sweep
     # of the job reads it
     from qauthlab import hybrid, protocols
-    from qauthlab.adversary import standard_suite
+    from qauthlab.adversary import purified_input, standard_suite
     from qauthlab.approx_psqa import psqa_advantage, run_psqa_kg, run_psrqa_kg, sample_cipher
     from qauthlab.cli import _uc_single
     from qauthlab.protocols import run_qa_kg, run_tqa_kg
@@ -211,9 +211,50 @@ def test_key_is_contracted_once_per_sweep(monkeypatch, clear_job_caches, family_
     clear_job_caches()
     built.clear()
     x0, y0 = (a for a in standard_suite(1, 2) if a.name() in ("X0", "Y0"))
-    _uc_single(family_s2, x0, "random-3")
+    _uc_single(family_s2, x0, purified_input("random-3", 1))
     assert built == [8]
-    _uc_single(family_s2, y0, "random-3")
+    _uc_single(family_s2, y0, purified_input("random-3", 1))
     assert built == [8, 8]
     psqa_advantage(vec, cipher, family_s2, x0)
     assert built == [8, 8, 8]
+
+
+def test_verdict_grams_are_taken_once_per_chunk(monkeypatch, clear_job_caches, family_s2):
+    # one code per chunk: the four key sweeps of a uc job read each chunk of
+    # the one transfer, and ebit_ptp its own reject chunks; each chunk takes
+    # its verdict Grams once, whichever sweep reads it first
+    from functools import cached_property
+
+    from qauthlab import hybrid, protocols
+    from qauthlab.adversary import purified_input, standard_suite
+    from qauthlab.cli import _uc_single
+
+    verdicts, add_chunk = hybrid.TransferChunk.verdicts.func, hybrid._add_chunk
+    taken, read = [], []
+
+    def verdicts_spy(chunk):
+        taken.append(chunk)
+        return verdicts(chunk)
+
+    def chunk_spy(blocks, mixes, chunk, *rest):
+        read.append(chunk)
+        return add_chunk(blocks, mixes, chunk, *rest)
+
+    prop = cached_property(verdicts_spy)
+    prop.__set_name__(hybrid.TransferChunk, "verdicts")
+    monkeypatch.setattr(hybrid.TransferChunk, "verdicts", prop)
+    for module in (hybrid, protocols):
+        monkeypatch.setattr(module, "CHUNK_ELEMENTS", 1)
+        monkeypatch.setattr(module, "_add_chunk", chunk_spy)
+    clear_job_caches()
+    x0 = next(a for a in standard_suite(1, 2) if a.name() == "X0")
+    _uc_single(family_s2, x0, purified_input("random-3", 1))
+    shared = _transfer(family_s2, x0).chunks
+    assert len(shared) == 8
+    for chunk in shared:
+        assert sum(c is chunk for c in read) == 4
+        assert sum(c is chunk for c in taken) == 1
+    own = [c for c in read if not any(c is s for s in shared)]
+    assert len(own) == 8  # ebit_ptp's reject chunks, one per code
+    assert len(taken) == len(shared) + len(own)
+    assert all(sum(c is chunk for c in taken) == 1 for chunk in own)

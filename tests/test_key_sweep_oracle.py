@@ -13,8 +13,11 @@ protocols call it), with the same bases, keys and plans: all seven sweeps,
 plain and, where the sweep has the flag, with ``detail=True``, over the 27
 suite attacks (the T-only ones for the three pure-state sweeps). The record
 sets and registers must be identical and the blocks agree within 1e-12.
+Each transfer chunk's cached verdict classes are checked against their
+definition, and with the two classes swapped the comparison must fail.
 """
 
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +38,7 @@ from qauthlab.hybrid import (
     mix_records,
     record_get,
 )
-from qauthlab.protocols import _attack_pieces, _family_encoders, ebit_ptc, run_qa_kg, run_tqa_kg
+from qauthlab.protocols import _attack_pieces, _family_encoders, _transfer, ebit_ptc, run_qa_kg, run_tqa_kg
 from qauthlab.qmath import RegisterError, reg_dims, reg_positions, total_dim
 from qauthlab.ucharness import run_qa_kg_ideal
 
@@ -230,3 +233,42 @@ def test_a_wrong_correction_fails_the_comparison(monkeypatch, family, suite, swe
     got = SWEEPS[sweep](family, attack)
     assert compare(got, oracle_run(monkeypatch, sweep, family, attack)) == []
     assert compare(got, oracle_run(monkeypatch, sweep, family, attack, tamper=True)) != []
+
+
+def test_each_chunk_caches_its_two_verdict_classes(family, suite):
+    # REJ then ACC: the rows partition the chunk's branches, ACC is exactly
+    # y == ysyn, and each Gram matrix is the sum of its branches' x_b x_b^dag
+    for attack in suite:
+        for chunk in _transfer(family, attack).chunks:
+            codes, dy = chunk.x.shape[:2]
+            x = chunk.x.reshape(codes * dy * dy, -1)
+            _, y, ysyn = np.unravel_index(np.arange(len(x)), (codes, dy, dy))
+            (rej, rej_rows, rej_gram), (acc, acc_rows, acc_gram) = chunk.verdicts
+            assert (rej, acc) == (REJ, ACC)
+            assert np.array_equal(acc_rows, np.flatnonzero(y == ysyn)), attack.name()
+            assert np.array_equal(np.sort(np.concatenate([rej_rows, acc_rows])), np.arange(len(x)))
+            for rows, gram in ((rej_rows, rej_gram), (acc_rows, acc_gram)):
+                want = sum(np.outer(x[b], x[b].conj()) for b in rows)
+                assert np.abs(gram - want).max() <= TOL, attack.name()
+                assert not gram.flags.writeable
+            assert chunk.verdicts is chunk.verdicts
+
+
+@pytest.mark.parametrize("sweep", ["run_qa_kg", "ebit_ptc", "run_psqa_kg"])
+def test_swapped_verdict_classes_fail_the_comparison(monkeypatch, clear_job_caches, family, suite, sweep):
+    # negative control: each verdict read with the other's rows and Gram
+    attack = next(a for a in suite if a.name() == "depol-0.5")
+    got = SWEEPS[sweep](family, attack)
+    want = oracle_run(monkeypatch, sweep, family, attack)
+    assert compare(got, want) == []
+    verdicts = hybrid.TransferChunk.verdicts.func
+
+    def swapped(chunk):
+        (rej, rej_rows, rej_gram), (acc, acc_rows, acc_gram) = verdicts(chunk)
+        return (rej, acc_rows, acc_gram), (acc, rej_rows, rej_gram)
+
+    prop = cached_property(swapped)
+    prop.__set_name__(hybrid.TransferChunk, "verdicts")
+    monkeypatch.setattr(hybrid.TransferChunk, "verdicts", prop)
+    clear_job_caches()
+    assert compare(SWEEPS[sweep](family, attack), want) != []

@@ -10,6 +10,7 @@ from qauthlab.protocols import (
     ERR,
     ebit_ptc,
     ebit_ptp,
+    key_pads,
     run_qa_kg,
     run_tqa_kg,
 )
@@ -32,6 +33,18 @@ def is_acc(rec):
 # ---------------------------------------------------------------------------
 # encryption
 # ---------------------------------------------------------------------------
+
+
+def test_key_pads_are_built_once_per_m():
+    for m in (1, 2):
+        keys, pads = key_pads(m)
+        assert key_pads(m) is key_pads(m)
+        assert keys == tuple((p.x, p.z) for p in enumerate_paulis(m))
+        assert not pads.flags.writeable
+        with pytest.raises(ValueError):
+            pads[0, 0, 0] = 0.0
+        for (x, z), pad in zip(keys, pads):
+            np.testing.assert_array_equal(pad, pauli_matrix(PauliString(m, x, z)))
 
 
 def test_qenc_uniform_key_average_flattens(rng):
@@ -293,8 +306,9 @@ def test_attack_is_built_once_per_job(family_s1, monkeypatch, clear_job_caches):
 
     monkeypatch.setattr(protocols, "build_attack", spy)
     x0, y0 = (a for a in standard_suite(1, 1) if a.name() in ("X0", "Y0"))
-    _uc_single(family_s1, x0, "entangled")
-    _uc_single(family_s1, y0, "entangled")
+    psi = purified_input("entangled", 1)
+    _uc_single(family_s1, x0, psi)
+    _uc_single(family_s1, y0, psi)
     assert built == ["X0", "Y0"]
     psqa_advantage(haar_state(2, np.random.default_rng(3)), sample_cipher(1, 4, 3), family_s1, x0)
     assert built == ["X0", "Y0", "X0"]
