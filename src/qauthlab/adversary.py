@@ -14,6 +14,7 @@ mixed or depolarizing) comes from ``pauli.pauli_matrix``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -179,13 +180,14 @@ def _lift_t(op_t: np.ndarray, desc: AttackDescriptor, dims: dict[str, int]) -> n
     raise RegisterError(f"unsupported acts_on {desc.acts_on}")
 
 
-def standard_suite(m: int, s: int) -> list[AttackDescriptor]:
+@lru_cache(maxsize=8)
+def standard_suite(m: int, s: int) -> tuple[AttackDescriptor, ...]:
     """The fixed coverage suite: 14 + 3(m+s) deterministic attacks.
 
     identity; X/Y/Z on every T qubit; three Pauli mixtures; single-qubit
     depolarizing at strengths 0.1 / 0.5 / 1.0; a swap-with-held-state; CNOT
     and swap entangling T with R; five seeded random dilations. Identical
-    across runs for the same (m, s).
+    across runs for the same (m, s); built once per (m, s).
     """
     n = m + s
     suite: list[AttackDescriptor] = [AttackDescriptor("identity", label="identity")]
@@ -227,7 +229,7 @@ def standard_suite(m: int, s: int) -> list[AttackDescriptor]:
                 "random_dilation", seed=101 + i, env_dim=2, label=f"random-{101 + i}"
             )
         )
-    return suite
+    return tuple(suite)
 
 
 def purified_input(spec: str, m: int) -> StateVector:

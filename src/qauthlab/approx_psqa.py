@@ -35,7 +35,6 @@ from .qmath import (
     haar_unitary,
     kron_all,
     max_entangled_vector,
-    operator_norm,
     psd_sqrt,
 )
 from .ucharness import AdvantageReport, ebit_advantage_bound, ideal_sweep, make_report
@@ -147,8 +146,10 @@ def rsp_scale(cipher: ApproxCipher, message_vec: np.ndarray) -> tuple[np.ndarray
     if abs(np.vdot(vec, vec).real - 1.0) > 1e-10:
         raise ValueError("message must be a unit vector (pure state)")
     rho = np.outer(vec, vec.conj())
-    total = sum(u @ rho @ u.conj().T for u in cipher.unitaries)
-    scale = operator_norm(total)
+    # S = sum_k (U_k vec)(U_k vec)^dag, PSD, so its norm is its top eigenvalue
+    images = np.stack(cipher.unitaries) @ vec
+    total = images.T @ images.conj()
+    scale = float(np.linalg.eigvalsh(total)[-1])
     p_fail = 1.0 - cipher.key_count / (scale * d)
     return rho, total, scale, float(max(p_fail, 0.0))
 

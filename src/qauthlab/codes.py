@@ -178,6 +178,11 @@ class PtcFamily:
             raise CodeError("empty family")
         if self.m < 1:
             raise CodeError(f"a family must encode at least one qubit; its codes have m = {self.m}")
+        # the caches keyed by (family, attack) hash it on every lookup
+        object.__setattr__(self, "_hash", hash((self.codes, self.epsilon_verified, self.seed, self.met_target)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def m(self) -> int:

@@ -29,7 +29,10 @@ of a one-dimensional probe (see ``protocols``).
 
 Distance between two final states is sum_c || p_c rho_c - q_c sigma_c ||_1
 over the union of classical records, which equals the full 1-norm of the
-block-diagonal embedding (the tests spot-check that against a dense one).
+block-diagonal embedding (the tests spot-check that against a dense one). The
+blocks are Hermitian, so ``FinalState.distance`` stacks the shared records'
+differences by block shape and takes their norms with one ``eigvalsh`` per
+shape (``qmath.trace_norm``); a record on one side only counts its weight.
 """
 
 from __future__ import annotations
@@ -123,23 +126,27 @@ class FinalState:
         return FinalBlock(regs, total)
 
     def distance(self, other: "FinalState") -> float:
-        """Full 1-norm distance, decomposed over classical records (summed in
-        sorted record order, so the last bit does not depend on hashing)."""
-        total = 0.0
-        for rec in sorted(set(self.blocks) | set(other.blocks), key=repr):
-            mine = self.blocks.get(rec)
-            theirs = other.blocks.get(rec)
-            if mine is None:
-                total += theirs.weight
-            elif theirs is None:
-                total += mine.weight
+        """Full 1-norm distance, decomposed over classical records: one
+        ``trace_norm`` call per block shape, and the records summed in sorted
+        order, so the last bit does not depend on hashing. A record that one
+        side lacks counts its weight."""
+        records = sorted(set(self.blocks) | set(other.blocks), key=repr)
+        norms: dict[Record, float] = {}
+        by_shape: dict[tuple, list[Record]] = {}
+        for rec in records:
+            mine, theirs = self.blocks.get(rec), other.blocks.get(rec)
+            if mine is None or theirs is None:
+                norms[rec] = (theirs if mine is None else mine).weight
+            elif reg_names(mine.registers) != reg_names(theirs.registers):
+                raise RegisterError(f"record {rec} has mismatched registers")
+            elif mine.matrix.shape != theirs.matrix.shape:
+                raise RegisterError(f"record {rec} has mismatched dimensions")
             else:
-                if reg_names(mine.registers) != reg_names(theirs.registers):
-                    raise RegisterError(f"record {rec} has mismatched registers")
-                if mine.matrix.shape != theirs.matrix.shape:
-                    raise RegisterError(f"record {rec} has mismatched dimensions")
-                total += trace_norm(mine.matrix - theirs.matrix)
-        return float(total)
+                by_shape.setdefault(mine.matrix.shape, []).append(rec)
+        for recs in by_shape.values():
+            diffs = np.stack([self.blocks[rec].matrix - other.blocks[rec].matrix for rec in recs])
+            norms.update(zip(recs, trace_norm(diffs)))
+        return float(sum(norms[rec] for rec in records))
 
 
 # ---------------------------------------------------------------------------
@@ -279,10 +286,8 @@ def _add_chunk(blocks, mixes, chunk: TransferChunk, psi, layout, plan, detail: b
         for drop, records in groups.items():
             vals = [v for vs in records.values() for v in vs]
             kept, rhos = _blocks(gram, psi[vals], layout, drop, None if fix is None else fix[vals])
-            at = 0
-            for record, vs in records.items():
-                rho = rhos[at : at + len(vs)].sum(axis=0)
-                at += len(vs)
+            starts = np.cumsum([0] + [len(vs) for vs in records.values()])[:-1]
+            for record, rho in zip(records, np.add.reduceat(rhos, starts, axis=0)):
                 if record in blocks:
                     if blocks[record][0] != kept:
                         raise RegisterError(f"record {record} accumulated under different register sets")

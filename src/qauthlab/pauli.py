@@ -22,15 +22,6 @@ from typing import Iterator
 
 import numpy as np
 
-from .qmath import kron_all
-
-_SINGLE = {
-    (0, 0): np.eye(2, dtype=complex),
-    (1, 0): np.array([[0, 1], [1, 0]], dtype=complex),
-    (0, 1): np.array([[1, 0], [0, -1]], dtype=complex),
-    (1, 1): np.array([[0, -1], [1, 0]], dtype=complex),  # X @ Z
-}
-
 _PHASES = (1, 1j, -1, -1j)
 
 
@@ -96,11 +87,14 @@ def hermitian_pauli(n: int, x: int, z: int, sign: int = +1) -> PauliString:
 
 
 def pauli_matrix(p: PauliString) -> np.ndarray:
-    """Dense 2^n x 2^n realization; qubit 0 is the least significant bit."""
-    factors = [
-        _SINGLE[((p.x >> j) & 1, (p.z >> j) & 1)] for j in range(p.n - 1, -1, -1)
-    ]
-    return p.phase * kron_all(factors)
+    """Dense 2^n x 2^n realization; qubit 0 is the least significant bit.
+    X^x Z^z maps basis state i to (-1)^|i & z| times basis state i ^ x, so
+    the matrix is one signed permutation."""
+    cols = np.arange(1 << p.n)
+    signs = np.array([1 - 2 * _parity(i & p.z) for i in range(1 << p.n)])
+    mat = np.zeros((1 << p.n, 1 << p.n), dtype=complex)
+    mat[cols ^ p.x, cols] = p.phase * signs
+    return mat
 
 
 def symplectic_product(p: PauliString, q: PauliString) -> int:

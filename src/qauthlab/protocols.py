@@ -25,7 +25,8 @@ products have the shapes and layouts of the per-branch ``tensordot`` (the
 same BLAS call each); the syndrome probabilities reduce the same contiguous
 rows; each branch is normalized, weighted and outer-multiplied as one branch
 was; and the accept blocks are summed in (code, syndrome) order, one term
-after another, across chunks too. A stacked contraction sums the same terms
+after another (a sequential ``np.add.reduce`` over a record's running sum and
+its run of branches), across chunks too. A stacked contraction sums the same terms
 in another order and moves ``fidelity_acc`` by up to 2.75e-8, far beyond the
 1e-12 the reports are held to. The reject branches (received syndrome !=
 sent syndrome) feed no such field: weighted, they make the chunk of a
@@ -38,11 +39,15 @@ real run, and the teleported twin changes only how the key is handled. So
 ``build_transfer`` applies that map once per (family, attack) to the basis of
 its probe registers (the carrier, and R when the attack acts on it), in
 chunks of codes, and every ``key_sweep`` of the job reads the result
-(``_transfer``). Each keyed run passes its secret key to ``key_sweep`` as one
-instrument on its input: a pad as U_k / sqrt(K) (``pad_key``, for
-``run_qa_kg`` and ``approx_psqa.run_psqa_kg``), and ``run_tqa_kg``'s Bell
-measurement (``bell_key``), whose registers the code never touches, so it
-commutes with encoding and attack.
+(``_transfer``). A chunk of the transfer is two batched products and one
+transpose: the attack's isometry, as a matrix on T, times every encoder, then
+each code's decoder on the attacked T. That reads the isometry's input as
+(R, T), R first, as ``adversary.build_attack`` lifts it; ``build_transfer``
+refuses any other order. Each keyed run passes its secret key to
+``key_sweep`` as one instrument on its input: a pad as U_k / sqrt(K)
+(``pad_key``, for ``run_qa_kg`` and ``approx_psqa.run_psqa_kg``), and
+``run_tqa_kg``'s Bell measurement (``bell_key``), whose registers the code
+never touches, so it commutes with encoding and attack.
 
 Shared pieces are built once, here: the keyed Pauli pad (``key_pads``, once
 per m, read by ``run_qa_kg``, ``bell_key`` and ``ucharness.run_qa_kg_ideal``'s
@@ -77,14 +82,13 @@ from .hybrid import (
     Transfer,
     TransferChunk,
     _add_chunk,
-    _contract,
-    _keyed,
     checked_total,
     key_sweep,
     mix_records,
 )
 from .pauli import enumerate_paulis, pauli_matrix
 from .qmath import (
+    RegisterError,
     Registers,
     StateVector,
     max_entangled_vector,
@@ -177,13 +181,17 @@ def build_transfer(encoders: np.ndarray, attack, m: int) -> Transfer:
     (isometry, names, out registers): every code's encoder, for every
     syndrome key y, then the attack, then the code's decoder, with the
     received syndrome read off. It is the sweep applied to the basis of the
-    probe registers (the attack's registers besides T, then the 2^m-dim
+    probe registers (R when the attack acts on it, then the 2^m-dim
     carrier), in chunks of codes whose largest array holds at most
-    CHUNK_ELEMENTS entries (or one code's, if that is more)."""
+    CHUNK_ELEMENTS entries (or one code's, if that is more). The attack acts
+    on ("T",) or on ("R", "T"), R first, as ``adversary.build_attack`` lifts
+    it; any other order is refused before any work."""
     iso, att_names, att_out = attack
+    if att_names not in (("T",), ("R", "T")):
+        raise RegisterError(f"a transfer takes attacks on ('T',) or ('R', 'T'), R first; got {att_names}")
     dc = 1 << m
     dy = encoders.shape[1] // dc
-    probe = tuple(r for r in att_out if r[0] in att_names and r[0] != "T") + (("T", dc),)
+    probe = tuple(r for r in att_out if r[0] == "R") + (("T", dc),)
     # the attacked amplitudes of one code hold as many entries as its transfer
     step = max(1, CHUNK_ELEMENTS // (total_dim(probe) * dy * total_dim(att_out)))
     scale = 1.0 / np.sqrt(len(encoders) * dy)
@@ -197,22 +205,18 @@ def build_transfer(encoders: np.ndarray, attack, m: int) -> Transfer:
 
 
 def _transfer_chunk(encoders: np.ndarray, t0: int, probe: Registers, attack, scale: float) -> TransferChunk:
-    """One chunk of codes of ``build_transfer``, from code ``t0`` on."""
-    iso, att_names, att_out = attack
+    """One chunk of codes of ``build_transfer``, from code ``t0`` on: two
+    batched products and one transpose."""
+    iso = attack[0]
     codes, dt, dc, dp = len(encoders), encoders.shape[1], dict(probe)["T"], total_dim(probe)
-    dy = dt // dc
-    basis = np.eye(dp, dtype=complex).reshape((dp,) + reg_dims(probe))
-    amps, regs, names = _contract(
-        basis, probe, ["p"], encoders.reshape(codes * dt * dy, dc), ("T",),
-        (("t", codes), ("T", dt), ("y", dy)), ("t", "y"),
-    )
-    amps, regs, names = _contract(amps, regs, names, iso, att_names, att_out)
-    # the decoder of code t, then T read as (ysyn, receiver)
-    at = len(names) + reg_positions(regs, ("T",))[0]
-    amps = _keyed(amps, names.index("t"), at, encoders.conj().transpose(0, 2, 1))
-    amps = amps.reshape(amps.shape[:at] + (dy, dc) + amps.shape[at + 1 :])
-    amps = np.moveaxis(amps, at, len(names))
-    x = np.ascontiguousarray(scale * np.moveaxis(amps.reshape(dp, codes, dy, dy, -1), 0, -1))
+    dr, dy = dp // dc, dt // dc
+    # the attack on every encoder: rows (R', T', E, R), columns (y, carrier)
+    amps = np.matmul(iso.reshape(-1, dt), encoders)
+    # the decoder of code t on T', read as (ysyn, receiver)
+    amps = np.matmul(encoders.conj().transpose(0, 2, 1)[:, None], amps.reshape(codes, dr, dt, -1))
+    # (codes, R', ysyn, receiver, E, R, y, carrier) -> (codes, y, ysyn, out, probe)
+    amps = amps.reshape(codes, dr, dy, dc, -1, dr, dy, dc).transpose(0, 6, 2, 1, 3, 4, 5, 7)
+    x = np.multiply(scale, amps, order="C").reshape(codes, dy, dy, -1, dp)
     x.setflags(write=False)
     grams = np.matmul(x.conj().transpose(0, 1, 2, 4, 3), x)
     grams.setflags(write=False)
@@ -431,13 +435,22 @@ def ebit_ptp(
         per = max(1, CHUNK_ELEMENTS // (d_out * d_out))
         for lo in range(0, len(ts), per):
             part = parts[lo : lo + per]
-            rhos = weights[lo : lo + per, None, None] * np.matmul(part, part.conj().transpose(0, 2, 1))
-            for t, y, rho in zip(ts[lo : lo + per], ys[lo : lo + per], rhos):
-                record, _, mix = plan({"t": t0 + int(t), "y": int(y), "ysyn": int(y), "verdict": ACC})
+            # branch i's block in slot i + 1; slot i is free for a running sum
+            rhos = np.empty((len(part) + 1, d_out, d_out), dtype=complex)
+            np.matmul(part, part.conj().transpose(0, 2, 1), out=rhos[1:])
+            rhos[1:] *= weights[lo : lo + per, None, None]
+            plans = [plan({"t": t0 + int(t), "y": int(y), "ysyn": int(y), "verdict": ACC})
+                     for t, y in zip(ts[lo : lo + per], ys[lo : lo + per])]
+            # each run of branches that share a record is added to its running
+            # sum, one branch after another, by one reduction
+            cuts = [i for i in range(1, len(plans)) if plans[i][0] != plans[i - 1][0]]
+            for a, b in zip([0] + cuts, cuts + [len(plans)]):
+                record, _, mix = plans[a]
                 mixes[record] = mix
+                start = a + 1
                 if record in blocks:
-                    rho = blocks[record][1] + rho
-                blocks[record] = (acc_regs, rho)
+                    start, rhos[a] = a, blocks[record][1]
+                blocks[record] = (acc_regs, np.add.reduce(rhos[start : b + 1], axis=0))
         # the reject branches (t, y, ysyn != y), weighted, as the chunk of a
         # transfer from a one-dimensional probe, read by an input psi = 1
         x = np.sqrt(p_y / len(encs))[..., None, None, None] * got[..., None]

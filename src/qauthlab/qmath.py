@@ -201,9 +201,16 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
     return DensityMatrix(mat, new_regs)
 
 
-def trace_norm(delta: np.ndarray) -> float:
-    """Sum of singular values (Schatten 1-norm)."""
-    return float(np.linalg.svd(delta, compute_uv=False).sum())
+def trace_norm(delta: np.ndarray):
+    """Schatten 1-norm of a Hermitian matrix, the sum of its |eigenvalues|;
+    of a stack of them (over the last two axes), the array of their norms.
+    A matrix that is not Hermitian within ATOL_EXACT is refused."""
+    delta = np.asarray(delta)
+    skew = np.abs(delta - delta.conj().swapaxes(-1, -2)).max(initial=0.0)
+    if not skew <= ATOL_EXACT:
+        raise ValueError(f"trace_norm takes Hermitian matrices; this one is {skew:.3g} from its adjoint")
+    norms = np.abs(np.linalg.eigvalsh(delta)).sum(axis=-1)
+    return float(norms) if delta.ndim == 2 else norms
 
 
 def psd_sqrt(mat: np.ndarray) -> np.ndarray:
@@ -232,11 +239,6 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     eigs = np.clip(np.linalg.eigvalsh((inner + inner.conj().T) / 2), 0.0, None)
     val = float(np.sqrt(eigs).sum() ** 2)
     return min(val, 1.0) if val < 1.0 + 1e-9 else val
-
-
-def operator_norm(a: np.ndarray) -> float:
-    """Largest singular value."""
-    return float(np.linalg.norm(np.asarray(a, dtype=complex), 2))
 
 
 def replace_factors(

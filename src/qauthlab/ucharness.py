@@ -277,9 +277,10 @@ def ideal_sweep(
     blocks = {}
     for rec, block in final.blocks.items():
         if _is_acc(rec):
+            share = block.matrix / len(keys)
+            share.setflags(write=False)
             for key in keys:
-                record = (("verdict", ACC),) + key_record(key)
-                blocks[record] = (block.registers, block.matrix / len(keys))
+                blocks[(("verdict", ACC),) + key_record(key)] = (block.registers, share)
         else:
             blocks[rec] = (block.registers, block.matrix)
     return FinalState(blocks)

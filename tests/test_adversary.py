@@ -178,6 +178,13 @@ def test_suite_composition_and_determinism():
             assert v.shape[0] % v.shape[1] == 0
 
 
+def test_suite_is_built_once_per_m_and_s():
+    suite = standard_suite(1, 3)
+    assert isinstance(suite, tuple)
+    assert standard_suite(1, 3) is suite
+    assert standard_suite(1, 2) is not suite
+
+
 def test_descriptor_json_roundtrip():
     suite = standard_suite(1, 2)
     for desc in suite:

@@ -126,6 +126,19 @@ def test_rsp_scale_reads_the_povms_failure_probability(message):
         rsp_scale(pauli_cipher(1), np.array([1.0, 1.0]))
 
 
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("keys", [1, 4, 16])
+def test_rsp_scale_is_the_operator_norm_of_s(m, keys):
+    # M is the top eigenvalue of the PSD sum S; the SVD norm is the definition
+    for seed in range(3):
+        cipher = sample_cipher(m, keys, seed=seed)
+        vec = haar_state(1 << m, np.random.default_rng(seed))
+        rho, total, scale, _ = rsp_scale(cipher, vec)
+        want = sum(u @ rho @ u.conj().T for u in cipher.unitaries)
+        assert np.abs(total - want).max() <= 1e-12
+        assert abs(scale - np.linalg.norm(total, 2)) <= 1e-12
+
+
 def test_psqa_advantage_builds_no_povm(monkeypatch, family_s2, message):
     built = []
     povm = approx_psqa.Povm

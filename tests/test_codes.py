@@ -221,6 +221,16 @@ def test_family_json_roundtrip(tmp_path, family_s2):
     ]
 
 
+def test_family_hash_agrees_with_equality(tmp_path, family_s2):
+    assert hash(family_s2) == hash((family_s2.codes, family_s2.epsilon_verified, family_s2.seed, family_s2.met_target))
+    path = tmp_path / "family.json"
+    family_s2.save(path)
+    again = PtcFamily.load(path)
+    assert again == family_s2 and hash(again) == hash(family_s2)
+    other = PtcFamily(family_s2.codes[:1], family_s2.epsilon_verified)
+    assert other != family_s2 and hash(other) != hash(family_s2)
+
+
 def test_family_json_malformed(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"codes": "nope"}))

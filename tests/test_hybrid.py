@@ -1,24 +1,43 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from qauthlab.adversary import AttackDescriptor
+from qauthlab import hybrid
+from qauthlab.adversary import AttackDescriptor, purified_input, standard_suite
+from qauthlab.approx_psqa import _keyed_accepts, psqa_ideal, rsp_scale, run_psqa_kg, run_psrqa_kg, sample_cipher
+from qauthlab.codes import PtcFamily
 from qauthlab.hybrid import (
     FinalState,
     InvariantError,
     key_sweep,
     record_get,
 )
-from qauthlab.protocols import _apply, _attack_pieces, _family_encoders, _transfer, build_transfer
+from qauthlab.protocols import (
+    _apply,
+    _attack_pieces,
+    _family_encoders,
+    _transfer,
+    build_transfer,
+    ebit_ptc,
+    ebit_ptp,
+    run_qa_kg,
+    run_tqa_kg,
+)
 from qauthlab.qmath import (
     RegisterError,
     StateVector,
+    haar_unitary,
     max_entangled_vector,
+    reg_names,
     trace_norm,
 )
+from qauthlab.ucharness import _ebit_ideal_from, run_qa_kg_ideal
 
 from oracles import embed, records
 
 B = (("B", 2),)
+FIXTURE = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "family-m1-s3.json"
 
 
 def phi_state():
@@ -83,6 +102,111 @@ def test_distance_counts_missing_records():
     assert only0.distance(full) == pytest.approx(0.5)
     with pytest.raises(RegisterError):
         full.distance(FinalState({(("a", 0),): ((("Bx", 2),), np.eye(2) / 2)}))
+
+
+def per_record_distance(a: FinalState, b: FinalState) -> float:
+    """The per-record loop ``FinalState.distance`` replaced: one SVD per
+    shared record, in sorted record order."""
+    total = 0.0
+    for rec in sorted(set(a.blocks) | set(b.blocks), key=repr):
+        mine = a.blocks.get(rec)
+        theirs = b.blocks.get(rec)
+        if mine is None:
+            total += theirs.weight
+        elif theirs is None:
+            total += mine.weight
+        else:
+            if reg_names(mine.registers) != reg_names(theirs.registers):
+                raise RegisterError(f"record {rec} has mismatched registers")
+            if mine.matrix.shape != theirs.matrix.shape:
+                raise RegisterError(f"record {rec} has mismatched dimensions")
+            total += float(np.linalg.svd(mine.matrix - theirs.matrix, compute_uv=False).sum())
+    return float(total)
+
+
+def compared_pairs(family, attack, psi, cipher, vec, detail):
+    """Every pair of final states that ``uc`` and ``psqa`` compare for one
+    attack (``psqa``'s only for attacks on T), label -> (first, second);
+    with ``detail``, the same runs with one record per branch."""
+    ptp = ebit_ptp(family, attack, detail=detail)
+    pairs = {
+        "qa/tqa": (run_qa_kg(psi, family, attack, detail=detail), run_tqa_kg(psi, family, attack, detail=detail)),
+        "ptc/ptp": (ebit_ptc(family, attack, detail=detail), ptp),
+    }
+    if not detail:
+        pairs["ebit/ideal"] = (ptp, _ebit_ideal_from(ptp, family.m))
+        pairs["qa/ideal"] = (pairs["qa/tqa"][0], run_qa_kg_ideal(psi, family, attack))
+    if attack.acts_on == ("T",):
+        real = run_psqa_kg(vec, cipher, family, attack, detail=detail)
+        twin = run_psrqa_kg(vec, cipher, family, attack, detail=detail)
+        if detail:
+            pairs["psqa/twin"] = (real, twin)
+        else:
+            kept = 1.0 - rsp_scale(cipher, vec)[-1]
+            pairs["psqa/ideal"] = (real, psqa_ideal(vec, cipher, family, attack))
+            pairs["psqa/twin"] = (_keyed_accepts(twin, 1.0), _keyed_accepts(real, kept))
+    return pairs
+
+
+@pytest.mark.parametrize("detail", [False, True])
+def test_distance_matches_the_per_record_svd_sum(monkeypatch, detail):
+    # every pair uc and psqa compare on the benchmark family, with the inputs
+    # the benchmark draws at seed 1 (with detail, on six of the attacks, two
+    # of them on R and T, and a K = 4 cipher: thousands of records each)
+    family = PtcFamily.load(FIXTURE)
+    psi = purified_input("random-1", family.m)
+    cipher = sample_cipher(family.m, 4 if detail else 16, 1)
+    vec = haar_unitary(1 << family.m, np.random.default_rng(1))[:, 0]
+    suite = standard_suite(family.m, family.s)
+    if detail:
+        suite = [a for a in suite if a.name() in ("identity", "X0", "depol-0.5", "swap-held", "cnot-R-T0", "swap-R-T0")]
+    calls = []
+    norm = hybrid.trace_norm
+    monkeypatch.setattr(hybrid, "trace_norm", lambda deltas: calls.append(deltas.shape) or norm(deltas))
+    count = 0
+    for attack in suite:
+        for label, (a, b) in compared_pairs(family, attack, psi, cipher, vec, detail).items():
+            del calls[:]
+            got = a.distance(b)
+            assert abs(got - per_record_distance(a, b)) <= 1e-12, (attack.name(), label)
+            # one call per block shape among the shared records
+            shapes = {a.blocks[r].matrix.shape for r in set(a.blocks) & set(b.blocks)}
+            assert sorted(shape[1:] for shape in calls) == sorted(shapes), (attack.name(), label)
+            count += 1
+    assert count == (6 * 2 + 4 if detail else 27 * 4 + 25 * 2)
+
+
+def test_distance_stacks_blocks_of_every_shape():
+    # records of two shapes (2 and 4) shared by both sides, and one of a
+    # third shape (8) on one side only
+    rng = np.random.default_rng(7)
+    blocks = {}
+    for i, d in enumerate((2, 4, 2, 4, 8)):
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        blocks[(("r", i),)] = (((f"Q{d}", d),), g @ g.conj().T / 10)
+    a = FinalState(blocks)
+    b = FinalState({rec: (regs, mat.T.copy()) for rec, (regs, mat) in list(blocks.items())[:4]})
+    shared = sum(np.linalg.svd(mat - mat.T, compute_uv=False).sum() for _, mat in list(blocks.values())[:4])
+    want = shared + np.trace(blocks[(("r", 4),)][1]).real
+    assert abs(per_record_distance(a, b) - want) <= 1e-12
+    assert abs(a.distance(b) - want) <= 1e-12
+    assert abs(b.distance(a) - want) <= 1e-12
+
+
+def test_distance_refuses_a_non_hermitian_difference():
+    a = FinalState({(("r", 0),): (B, np.eye(2) / 2)})
+    b = FinalState({(("r", 0),): (B, np.array([[0.5, 1e-9], [0.0, 0.5]]))})
+    with pytest.raises(ValueError, match="Hermitian"):
+        a.distance(b)
+
+
+def test_distance_refuses_mismatched_dimensions():
+    a = FinalState({(("r", 0),): (B, np.eye(2) / 2)})
+    b = FinalState({(("r", 0),): ((("B", 4),), np.eye(4) / 4)})
+    with pytest.raises(RegisterError, match="dimensions"):
+        a.distance(b)
+    with pytest.raises(RegisterError, match="registers"):
+        a.distance(FinalState({(("r", 0),): ((("C", 2),), np.eye(2) / 2)}))
 
 
 def test_record_helpers():

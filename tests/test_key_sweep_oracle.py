@@ -12,7 +12,8 @@ engine and once through the oracle (by rebinding ``key_sweep`` where the
 protocols call it), with the same bases, keys and plans: all seven sweeps,
 plain and, where the sweep has the flag, with ``detail=True``, over the 27
 suite attacks (the T-only ones for the three pure-state sweeps). The record
-sets and registers must be identical and the blocks agree within 1e-12.
+sets and registers must be identical and the blocks agree within 1e-12, and
+every block is Hermitian within 1e-13.
 Each transfer chunk's cached verdict classes are checked against their
 definition, and with the two classes swapped the comparison must fail.
 """
@@ -213,6 +214,11 @@ def test_engine_matches_the_per_slice_oracle(monkeypatch, family, suite, sweep):
         got = SWEEPS[sweep](family, attack)
         want = oracle_run(monkeypatch, sweep, family, attack)
         assert compare(got, want) == [], (sweep, attack.name())
+        # FinalState.distance takes each difference's 1-norm from eigvalsh,
+        # which reads one triangle: every block is Hermitian to roundoff
+        for record, block in got.blocks.items():
+            skew = np.abs(block.matrix - block.matrix.conj().T).max()
+            assert skew <= 1e-13, (sweep, attack.name(), record, skew)
 
 
 @pytest.mark.parametrize("sweep", sorted(SWEEPS))

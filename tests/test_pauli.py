@@ -119,6 +119,26 @@ def test_hermitian_pauli():
     assert not PauliString(1, 1, 1).is_hermitian()
 
 
+def test_pauli_matrix_is_the_kron_chain():
+    # the signed-permutation scatter against the kron of single-qubit factors
+    # (qubit n-1 leftmost), for every Pauli and phase at n <= 4
+    single = {(0, 0): np.eye(2, dtype=complex), (1, 0): X, (0, 1): Z, (1, 1): X @ Z}
+    count = 0
+    for n in range(1, 5):
+        for x in range(1 << n):
+            for z in range(1 << n):
+                factors = [single[(x >> j) & 1, (z >> j) & 1] for j in reversed(range(n))]
+                chain = factors[0]
+                for factor in factors[1:]:
+                    chain = np.kron(chain, factor)
+                for phase in range(4):
+                    p = PauliString(n, x, z, phase)
+                    got = pauli_matrix(p)
+                    assert got.dtype == complex and np.array_equal(got, p.phase * chain), (n, x, z, phase)
+                    count += 1
+    assert count == 4 * (4 + 16 + 64 + 256)
+
+
 def test_text_roundtrip():
     p = PauliString(4, 0b1001, 0b0110)
     assert p.to_text() == "xz:1001|0110"

@@ -12,7 +12,6 @@ from qauthlab.qmath import (
     haar_state,
     haar_unitary,
     max_entangled_vector,
-    operator_norm,
     partial_trace,
     psd_sqrt,
     replace_factors,
@@ -127,6 +126,30 @@ def test_trace_distance_reference_values():
     assert abs(trace_norm(zero.matrix - mixed.matrix) - 1.0) < 1e-12
 
 
+def test_trace_norm_of_a_stack_is_each_matrix_norm(rng):
+    # one eigvalsh per stack: each entry is the matrix's singular-value sum
+    deltas = np.stack([random_density(4, rng) - random_density(4, rng) for _ in range(6)])
+    norms = trace_norm(deltas)
+    assert norms.shape == (6,)
+    for delta, norm in zip(deltas, norms):
+        assert abs(norm - np.linalg.svd(delta, compute_uv=False).sum()) < 1e-12
+        assert trace_norm(delta) == norm
+    assert trace_norm(deltas[:0]).shape == (0,)
+
+
+def test_trace_norm_refuses_a_non_hermitian_matrix(rng):
+    delta = random_density(4, rng) - random_density(4, rng)
+    # roundoff-sized skew passes; a skew above 1e-12 is refused
+    trace_norm(delta + 1e-13 * np.triu(np.ones((4, 4)), 1))
+    skewed = delta + 1e-11 * np.triu(np.ones((4, 4)), 1)
+    with pytest.raises(ValueError, match="Hermitian"):
+        trace_norm(skewed)
+    with pytest.raises(ValueError, match="Hermitian"):
+        trace_norm(np.stack([delta, skewed]))
+    with pytest.raises(ValueError, match="Hermitian"):
+        trace_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
 def test_trace_distance_triangle_and_symmetry(rng):
     for _ in range(25):
         a = DensityMatrix(random_density(4, rng), (("Q", 4),))
@@ -190,14 +213,6 @@ def test_dilation_identity_and_rank():
     kraus = [depol[e::4] for e in range(4)]
     np.testing.assert_allclose(kraus, [0.5 * op for op in (np.eye(2), x, y, z)], rtol=0, atol=1e-15)
     assert np.linalg.matrix_rank(np.array([k.ravel() for k in kraus])) == 4
-
-
-def test_operator_norm_values(rng):
-    assert abs(operator_norm(np.eye(5)) - 1.0) < 1e-12
-    assert abs(operator_norm(np.diag([3.0, -1.0])) - 3.0) < 1e-12
-    for _ in range(20):
-        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        assert operator_norm(a) <= trace_norm(a) + 1e-12
 
 
 def test_povm_validation():

@@ -1,0 +1,131 @@
+"""``protocols._transfer_chunk`` against the contraction chain it replaced.
+
+``chained_transfer_chunk`` below is that chain, kept as the oracle: the
+probe basis contracted with the encoders, then the attack, through
+``hybrid._contract``, then each code's decoder through ``hybrid._keyed`` and
+three ``moveaxis`` to the (codes, y, ysyn, out, probe) layout. The engine
+builds the same chunk from two batched products and one transpose. Both are
+read through ``build_transfer``, so they see the same chunks of codes.
+
+Every chunk's ``x`` and ``probe_grams`` must be ``array_equal`` to the
+oracle's: on all 27 attacks of the benchmark's m=1, s=3 family, with the
+chunk budget at one entry (one code per chunk), at 2^12 entries and at its
+default, and on searched families at (m, s) = (1, 1), (1, 2), (2, 1) and
+(2, 2). An oracle that applies the decoder without its conjugate must
+differ, and an attack on (T, R), in that order, is refused.
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from qauthlab import hybrid, protocols
+from qauthlab.adversary import AttackDescriptor, purified_input, standard_suite
+from qauthlab.codes import PtcFamily, ptc_epsilon_formula, search_ptc
+from qauthlab.hybrid import TransferChunk, _contract, _keyed
+from qauthlab.protocols import _attack_pieces, _family_encoders, _transfer, build_transfer, run_qa_kg
+from qauthlab.qmath import RegisterError, reg_dims, reg_positions, total_dim
+
+FIXTURE = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "family-m1-s3.json"
+
+
+def chained_transfer_chunk(encoders, t0, probe, attack, scale, conj=True):
+    """The contraction chain; with ``conj=False`` the decoder is the
+    encoder's plain transpose (the negative control)."""
+    iso, att_names, att_out = attack
+    codes, dt, dc, dp = len(encoders), encoders.shape[1], dict(probe)["T"], total_dim(probe)
+    dy = dt // dc
+    basis = np.eye(dp, dtype=complex).reshape((dp,) + reg_dims(probe))
+    amps, regs, names = _contract(
+        basis, probe, ["p"], encoders.reshape(codes * dt * dy, dc), ("T",),
+        (("t", codes), ("T", dt), ("y", dy)), ("t", "y"),
+    )
+    amps, regs, names = _contract(amps, regs, names, iso, att_names, att_out)
+    # the decoder of code t, then T read as (ysyn, receiver)
+    at = len(names) + reg_positions(regs, ("T",))[0]
+    decoders = (encoders.conj() if conj else encoders).transpose(0, 2, 1)
+    amps = _keyed(amps, names.index("t"), at, decoders)
+    amps = amps.reshape(amps.shape[:at] + (dy, dc) + amps.shape[at + 1 :])
+    amps = np.moveaxis(amps, at, len(names))
+    x = np.ascontiguousarray(scale * np.moveaxis(amps.reshape(dp, codes, dy, dy, -1), 0, -1))
+    grams = np.matmul(x.conj().transpose(0, 1, 2, 4, 3), x)
+    return TransferChunk(t0, x, grams)
+
+
+def both_transfers(monkeypatch, family, attack, conj=True):
+    """(engine, oracle) transfers of ``family`` under ``attack``."""
+    encoders, pieces = _family_encoders(family), _attack_pieces(family, attack)
+    got = build_transfer(encoders, pieces, family.m)
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            protocols, "_transfer_chunk",
+            lambda *args: chained_transfer_chunk(*args, conj=conj),
+        )
+        want = build_transfer(encoders, pieces, family.m)
+    return got, want
+
+
+def differences(got, want) -> list[str]:
+    """What differs, bit for bit, between two transfers."""
+    if (got.probe, got.out, len(got.chunks)) != (want.probe, want.out, len(want.chunks)):
+        return ["layouts or chunk counts differ"]
+    problems = []
+    for mine, theirs in zip(got.chunks, want.chunks):
+        for name in ("x", "probe_grams"):
+            a, b = getattr(mine, name), getattr(theirs, name)
+            if mine.t0 != theirs.t0 or a.shape != b.shape or not np.array_equal(a, b):
+                problems.append(f"chunk from code {theirs.t0}: {name}")
+    return problems
+
+
+@pytest.fixture(scope="module")
+def family():
+    return PtcFamily.load(FIXTURE)
+
+
+@pytest.mark.parametrize("budget", [1, 1 << 12, hybrid.CHUNK_ELEMENTS])
+def test_transfer_chunks_match_the_contraction_chain(monkeypatch, clear_job_caches, family, budget):
+    for module in (hybrid, protocols):
+        monkeypatch.setattr(module, "CHUNK_ELEMENTS", budget)
+    suite = standard_suite(family.m, family.s)
+    assert len(suite) == 27
+    chunks = 0
+    for attack in suite:
+        got, want = both_transfers(monkeypatch, family, attack)
+        assert differences(got, want) == [], attack.name()
+        chunks += len(got.chunks)
+    # one code per chunk; chunks of 1 to 14 codes; one chunk per attack
+    assert chunks == {1: 27 * 14, 1 << 12: 64}.get(budget, 27)
+
+
+@pytest.mark.parametrize("m, s", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_searched_families_match_the_contraction_chain(monkeypatch, clear_job_caches, m, s):
+    family = search_ptc(m, s, target_eps=ptc_epsilon_formula(m, s), budget=60, seed=1)
+    assert family.met_target
+    for attack in standard_suite(m, s):
+        got, want = both_transfers(monkeypatch, family, attack)
+        assert differences(got, want) == [], (m, s, attack.name())
+
+
+def test_a_decoder_without_its_conjugate_fails_the_comparison(monkeypatch, clear_job_caches, family):
+    # negative control: the fixture's encoders are complex, so a decoder that
+    # is the plain transpose changes the chunks
+    for name in ("identity", "depol-0.5", "cnot-R-T0"):
+        attack = next(a for a in standard_suite(family.m, family.s) if a.name() == name)
+        got, want = both_transfers(monkeypatch, family, attack, conj=False)
+        assert differences(got, want) != [], name
+
+
+def test_an_attack_on_t_then_r_is_refused(monkeypatch, clear_job_caches, family):
+    # R must come first, as build_attack lifts an operator on T; the transfer
+    # refuses any other order before it builds a chunk
+    attack = AttackDescriptor("random_dilation", acts_on=("T", "R"), seed=3, env_dim=2, label="t-then-r")
+    assert _attack_pieces(family, attack)[1] == ("T", "R")
+    built = []
+    monkeypatch.setattr(protocols, "_transfer_chunk", lambda *args: built.append(args))
+    with pytest.raises(RegisterError, match="R first"):
+        _transfer(family, attack)
+    with pytest.raises(RegisterError, match="R first"):
+        run_qa_kg(purified_input("random-1", family.m), family, attack)
+    assert built == []
