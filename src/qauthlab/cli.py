@@ -381,6 +381,11 @@ def main(argv=None) -> int:
         # one is a fault in the program, such as a record_get miss
         print(f"internal invariant violated: {exc!r}", file=sys.stderr)
         return INVARIANT_FAIL
+    except MemoryError as exc:
+        # a configuration above a cost limit is refused before any work, so
+        # running out of memory is a fault in the program, not a failed bound
+        print(f"internal invariant violated: {args.command} ran out of memory ({exc!r})", file=sys.stderr)
+        return INVARIANT_FAIL
     except (ValueError, OSError) as exc:
         # OSError: a --family or --out path that is missing, a directory or unreadable
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -13,8 +13,13 @@ with all generators without being stabilizers are the harmful ones; they pass
 the syndrome comparison while corrupting the logical content.
 
 Commutation of generators, syndrome bits and the generator search all read
-``pauli.symplectic_product``; only ``verify_ptc`` computes the same parity as
-one array product over every error at once.
+``pauli.symplectic_product``. Only ``verify_ptc`` computes the same parity in
+arrays, factored over the two halves of an error: the syndrome of (x, z)
+under a code is sx(x) XOR sz(z), bit i of sx the parity of x & g_i.z and of
+sz that of z & g_i.x. A code is silent on (x, z) when the halves agree, so
+with 2^n x (|codes| 2^s) one-hot tables A of sx and B of sz the number of
+silent codes is (A B^T)[x, z]: one small product counts every error under
+every code, and each code's 2^s stabilizers are then taken off the count.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -33,8 +39,9 @@ class CodeError(ValueError):
     """Raised for malformed generator sets or inconsistent family parameters."""
 
 
-# verify_ptc refuses 4^n * (2n + |codes|) above this before any work: its
-# array sweep holds arrays of that many entries
+# verify_ptc refuses 4^n * (2n + |codes|) above this before any work. It is
+# a conservative bound, not the size of an array: the count product's two
+# one-hot tables hold 2^(n+s) |codes| <= 4^n |codes| entries each
 PTC_COST_LIMIT = 1 << 24
 
 
@@ -116,15 +123,27 @@ def detects(code: StabilizerCode, e: PauliString) -> bool:
 def verify_ptc(codes: Sequence[StabilizerCode]) -> float:
     """Exhaustive worst-case undetected fraction of a uniformly weighted family.
 
-    Sweeps all 4^n - 1 nontrivial Pauli errors as arrays: every syndrome bit
-    of every error under every code comes from a GF(2) matrix product with
-    the generators. Returns the maximum, over errors, of the fraction of codes
-    that fail to detect. This is the family's security parameter and the only
-    way this package ever assigns one. Raises ``CodeError`` before any work
-    when 4^n * (2n + |codes|) exceeds PTC_COST_LIMIT.
+    Covers all 4^n - 1 nontrivial Pauli errors at once: the number of codes
+    with a zero syndrome on each error is one product of the codes' one-hot
+    x-half and z-half syndrome tables (see the module docstring), less each
+    code's stabilizers. Returns the maximum, over errors, of the fraction of
+    codes that fail to detect. This is the family's security parameter and
+    the only way this package ever assigns one. Raises ``CodeError`` before
+    any work when 4^n * (2n + |codes|) exceeds PTC_COST_LIMIT.
     """
     eps, _ = _verify_ptc_details(codes)
     return eps
+
+
+@lru_cache(maxsize=None)
+def _parity_table(n: int) -> np.ndarray:
+    """Read-only 2^n x 2^n table of parity(a & b), as uint8.
+
+    The 0/1 bit rows' product counts the common bits (exact in float32)."""
+    bits = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(np.float32)
+    table = (bits @ bits.T).astype(np.uint8) & 1
+    table.setflags(write=False)
+    return table
 
 
 def _verify_ptc_details(codes: Sequence[StabilizerCode]) -> tuple[float, PauliString]:
@@ -141,23 +160,28 @@ def _verify_ptc_details(codes: Sequence[StabilizerCode]) -> tuple[float, PauliSt
             f"verify_ptc cost 4^n * (2n + |codes|) = 4^{n} * ({2 * n} + {len(codes)}) = {cost} "
             f"exceeds the limit 2^24 = {PTC_COST_LIMIT}"
         )
-    # error (x, z) has label x << n | z; row `label` of `bits` holds its 2n bits
-    shifts = np.arange(2 * n)
-    bits = ((np.arange(1 << 2 * n)[:, None] >> shifts) & 1).astype(np.float32)
-    silent = np.ones((len(bits), len(codes)), dtype=bool)
+    # generator i of code c as the label x << n | z
+    labels = np.array([[(g.x << n) | g.z for g in c.generators] for c in codes])
+    # the module docstring's tables A (rows x, masks g.z) and B (rows z,
+    # masks g.x): column c * 2^s + y marks the halves whose syndrome reads y
+    parity = _parity_table(n)
+    weights = 1 << np.arange(s)
+    rows = np.arange(1 << n)[:, None]
+    offsets = np.arange(len(codes)) << s
+    halves = []
+    for masks in (labels & ((1 << n) - 1), labels >> n):
+        onehot = np.zeros((1 << n, len(codes) << s), dtype=np.float32)
+        onehot[rows, parity[:, masks] @ weights + offsets] = 1.0
+        halves.append(onehot)
+    # silent[x << n | z] counts the codes whose two halves agree (a zero
+    # syndrome); every count is below 2^24, so float32 keeps it exact
+    silent = (halves[0] @ halves[1].T).astype(np.int64).ravel()
+    # stabilizers (the identity among them) are silent but act trivially, so
+    # they are detected: take each code's 2^s group labels off the count
     group = np.zeros((len(codes), 1), dtype=np.int64)
-    for gens in zip(*(c.generators for c in codes)):
-        # bits of (z << n | x) dotted with an error's bits count the symplectic
-        # overlap (exact in float32, which keeps the product in BLAS); its
-        # parity is this generator's syndrome bit
-        partners = np.array([(g.z << n) | g.x for g in gens])
-        pbits = ((partners[:, None] >> shifts) & 1).astype(np.float32)
-        silent &= ((bits @ pbits.T).astype(np.uint8) & 1) == 0
-        own = np.array([[(g.x << n) | g.z] for g in gens])
-        group = np.concatenate([group, group ^ own], axis=1)
-    # stabilizers (the identity among them) act trivially, so they are detected
-    silent[group, np.arange(len(codes))[:, None]] = False
-    missed = np.count_nonzero(silent, axis=1)
+    for i in range(s):
+        group = np.concatenate([group, group ^ labels[:, i : i + 1]], axis=1)
+    missed = silent - np.bincount(group.ravel(), minlength=silent.size)
     missed[0] = -1  # never the identity; argmax keeps the first worst error
     worst = int(np.argmax(missed))
     return int(missed[worst]) / len(codes), PauliString(n, worst >> n, worst & ((1 << n) - 1))

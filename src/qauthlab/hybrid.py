@@ -143,8 +143,13 @@ class FinalState:
                 raise RegisterError(f"record {rec} has mismatched dimensions")
             else:
                 by_shape.setdefault(mine.matrix.shape, []).append(rec)
-        for recs in by_shape.values():
-            diffs = np.stack([self.blocks[rec].matrix - other.blocks[rec].matrix for rec in recs])
+        for shape, recs in by_shape.items():
+            pairs = [(self.blocks[rec].matrix, other.blocks[rec].matrix) for rec in recs]
+            dtype = np.result_type(*{m.dtype for pair in pairs for m in pair})
+            # one stack per shape, each difference written into its own slice
+            diffs = np.empty((len(recs), *shape), dtype=dtype)
+            for out, (mine, theirs) in zip(diffs, pairs):
+                np.subtract(mine, theirs, out=out)
             norms.update(zip(recs, trace_norm(diffs)))
         return float(sum(norms[rec] for rec in records))
 

@@ -11,8 +11,9 @@ so the bare operator is X^x Z^z qubit-wise and s_11 equals the product X Z
 is needed, e.g. for stabilizer generators). Bit j of a mask addresses qubit j,
 and qubit 0 is the least significant bit of a basis label.
 
-Masks are plain Python ints; the exhaustive sweep ``codes.verify_ptc`` holds
-all 4^n errors as integer labels x << n | z in one numpy array instead.
+Masks are plain Python ints; the exhaustive count ``codes.verify_ptc`` reads
+an error's x and z halves separately, as the rows and columns of a 2^n x 2^n
+array whose entry (x, z) stands for the label x << n | z.
 """
 
 from __future__ import annotations

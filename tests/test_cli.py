@@ -448,3 +448,16 @@ def test_internal_key_error_exits_three(tmp_path, capsys, monkeypatch):
     assert code == 3
     err = capsys.readouterr().err
     assert "internal invariant violated" in err and "KeyError('overlap_defect')" in err
+
+
+def test_memory_error_exits_three_and_names_the_subcommand(capsys, monkeypatch):
+    from qauthlab import cli
+
+    def out_of_memory(family, attack, psi):
+        raise MemoryError("Unable to allocate 16.0 GiB")
+
+    monkeypatch.setattr(cli, "_uc_single", out_of_memory)
+    code = main(["uc", "--family", str(FIXTURE), "--attack", "identity"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "internal invariant violated: uc ran out of memory" in err and "16.0 GiB" in err

@@ -1,5 +1,6 @@
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -259,6 +260,35 @@ def test_array_sweep_matches_scalar_loop(seed, n, data):
     ref_eps, ref_worst = _scalar_ptc_details(codes)
     assert eps == ref_eps
     assert worst == ref_worst
+
+
+@pytest.mark.parametrize(
+    "n, s, size, seed",
+    [
+        (5, 1, 24, 1),
+        (5, 2, 32, 2),
+        (5, 3, 40, 3),
+        (5, 4, 16, 4),
+        (5, 5, 8, 5),  # m = 0: every count is 0, the first label is the worst
+        (6, 6, 4, 6),  # m = 0 at n = 6
+        (6, 3, 64, 7),  # the benchmark's family size
+        (6, 5, 112, 8),  # 64 codes plus 48 repairs: the largest a search builds
+    ],
+)
+def test_count_product_matches_scalar_loop_at_five_and_six_qubits(n, s, size, seed):
+    rng = np.random.default_rng(seed)
+    codes = [random_stabilizer_code(n, s, rng) for _ in range(size)]
+    assert _verify_ptc_details(codes) == _scalar_ptc_details(codes)
+
+
+def test_search_reproduces_the_committed_fixture():
+    # search and verification end to end: the s = 3 benchmark family is what
+    # ``qauthlab ptc --m 1 --s 3 --seed 1`` searches, code for code
+    fixture = PtcFamily.load(Path(__file__).resolve().parent.parent / "perfbench/fixtures/family-m1-s3.json")
+    family = search_ptc(1, 3, ptc_epsilon_formula(1, 3), budget=200, seed=1)
+    assert family.codes == fixture.codes
+    assert family.epsilon_verified == fixture.epsilon_verified == verify_ptc(fixture.codes)
+    assert family == fixture
 
 
 def test_worst_error_is_first_maximum_and_never_identity():

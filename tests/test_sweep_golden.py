@@ -150,6 +150,42 @@ def test_pairwise_distances_match(computed, golden):
         assert computed["pairs"][key] == pytest.approx(want, rel=0, abs=TOL), key
 
 
+def test_distance_stack_equals_the_list_and_stack_form(monkeypatch):
+    # ``FinalState.distance`` fills one preallocated stack per block shape;
+    # on every paired s = 1 golden final state that stack, and the distance,
+    # equal bit for bit those of stacking a list of the differences
+    from qauthlab import hybrid
+
+    stacks = []
+    norm = hybrid.trace_norm
+    monkeypatch.setattr(hybrid, "trace_norm", lambda diffs: stacks.append(diffs.copy()) or norm(diffs))
+    suite = {a.name(): a for a in standard_suite(1, 1)}
+    sweeps = _sweeps()
+    compared = 0
+    for left, right in PAIRS:
+        for a in ATTACKS:
+            if (_t_only(left) or _t_only(right)) and suite[a].acts_on != ("T",):
+                continue
+            mine, theirs = sweeps[left](suite[a]), sweeps[right](suite[a])
+            del stacks[:]
+            got = mine.distance(theirs)
+            records = sorted(set(mine.blocks) | set(theirs.blocks), key=repr)
+            by_shape, norms = {}, {}
+            for rec in records:
+                if rec in mine.blocks and rec in theirs.blocks:
+                    by_shape.setdefault(mine.blocks[rec].matrix.shape, []).append(rec)
+                else:
+                    norms[rec] = (mine.blocks.get(rec) or theirs.blocks[rec]).weight
+            assert len(stacks) == len(by_shape)
+            for stack, recs in zip(stacks, by_shape.values()):
+                want = np.stack([mine.blocks[rec].matrix - theirs.blocks[rec].matrix for rec in recs])
+                assert stack.dtype == want.dtype and np.array_equal(stack, want), (left, right, a)
+                norms.update(zip(recs, norm(want)))
+            assert got == float(sum(norms[rec] for rec in records)), (left, right, a)
+            compared += 1
+    assert compared == 7 * len(ATTACKS) - 2 * sum(suite[a].acts_on != ("T",) for a in ATTACKS)
+
+
 if __name__ == "__main__":
     values = digest()
     lines = [
