@@ -10,7 +10,7 @@ ptp-soundness  exact worst-case soundness of a family's bilateral test
 wc             classical authentication: exhaustive substitution advantage,
                or the key-leak exhibit with --leak-demo
 psqa           pure-state authentication with a sampled cipher
-lemmas         residuals of the two transpose identities on random instances
+lemmas         residuals of the two transpose identities on every matrix unit
 
 Reports are JSON (one object per experiment, schema qauthlab-report/1, sorted
 keys). Everything except the elapsed_seconds field is byte-identical across
@@ -49,12 +49,11 @@ from .ucharness import (
 
 PASS, BOUND_FAIL, CONFIG_FAIL, INVARIANT_FAIL = 0, 1, 2, 3
 
-# The largest ``lemmas --trials`` and search ``--budget``; a larger one is
-# refused as a configuration error before any work. On a 2-core x86 host with
-# one BLAS thread, a lemmas trial takes about 0.11 ms and a family-search
-# trial at n = 6 with a target it cannot reach 5 to 33 ms (m = 5, s = 1 to
-# m = 1, s = 5), so these bound a run at about 11 s and 6 minutes.
-MAX_TRIALS = 10**5
+# The largest search ``--budget``; a larger one is refused as a configuration
+# error before any work. On a 2-core x86 host with one BLAS thread, a
+# family-search trial at n = 6 with a target it cannot reach takes 1.2 to
+# 10.5 ms (m = 5, s = 1 to m = 1, s = 5), so this bounds a search at about
+# 2 minutes.
 MAX_BUDGET = 10**4
 
 
@@ -254,23 +253,23 @@ def cmd_psqa(args) -> int:
 
 
 def cmd_lemmas(args) -> int:
-    if args.trials > MAX_TRIALS:
-        raise ValueError(f"--trials {args.trials} is above the limit {MAX_TRIALS}")
     started = time.time()
-    rng = np.random.default_rng(args.seed)
-    worst_relocate = 0.0
-    for _ in range(args.trials):
-        d1 = int(rng.integers(1, 7))
-        d2 = int(rng.integers(1, 7))
-        mat = rng.standard_normal((d2, d1)) + 1j * rng.standard_normal((d2, d1))
-        worst_relocate = max(worst_relocate, transpose_trick_residual(mat))
-    worst_post = 0.0
-    for _ in range(args.trials):
-        d = int(rng.integers(2, 4))
-        d2 = int(rng.integers(2, 4))
-        u = haar_unitary(d * d2, rng)
-        y = int(rng.integers(0, d))
-        worst_post = max(worst_post, encoder_postselection_residual(u, y, d, d2))
+    # both residuals are norms of a map linear in the matrix, so a map that
+    # vanishes on every matrix unit of a shape (the rows of an identity,
+    # reshaped) vanishes on every matrix of that shape
+    worst_relocate = max(
+        transpose_trick_residual(unit)
+        for d1 in range(1, 7)
+        for d2 in range(1, 7)
+        for unit in np.eye(d2 * d1).reshape(-1, d2, d1)
+    )
+    worst_post = max(
+        encoder_postselection_residual(unit, y, d, d2)
+        for d in (2, 3)
+        for d2 in (2, 3)
+        for unit in np.eye((d * d2) ** 2).reshape(-1, d * d2, d * d2)
+        for y in range(d)
+    )
     ok = worst_relocate < 1e-12 and worst_post < 1e-12
     results = {
         "relocation_identity_max_residual": worst_relocate,
@@ -359,9 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=cmd_psqa)
 
-    p = subs.add_parser("lemmas", help="transpose-identity residuals on random instances")
-    p.add_argument("--trials", type=_positive, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p = subs.add_parser("lemmas", help="transpose-identity residuals on every matrix unit")
     p.set_defaults(func=cmd_lemmas)
 
     return parser

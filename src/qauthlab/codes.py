@@ -12,14 +12,14 @@ phase) and therefore acts trivially on every codeword. Errors that commute
 with all generators without being stabilizers are the harmful ones; they pass
 the syndrome comparison while corrupting the logical content.
 
-Commutation of generators, syndrome bits and the generator search all read
-``pauli.symplectic_product``. Only ``verify_ptc`` computes the same parity in
-arrays, factored over the two halves of an error: the syndrome of (x, z)
-under a code is sx(x) XOR sz(z), bit i of sx the parity of x & g_i.z and of
-sz that of z & g_i.x. A code is silent on (x, z) when the halves agree, so
-with 2^n x (|codes| 2^s) one-hot tables A of sx and B of sz the number of
-silent codes is (A B^T)[x, z]: one small product counts every error under
-every code, and each code's 2^s stabilizers are then taken off the count.
+Syndrome bits live only in the detection count ``_missed_counts``, which
+takes the parity in arrays, factored over the two halves of an error: the
+syndrome of (x, z) under a code is sx(x) XOR sz(z), bit i of sx the parity of
+x & g_i.z and of sz that of z & g_i.x. A code is silent on (x, z) when the
+halves agree, so with 2^n x (|codes| 2^s) one-hot tables A of sx and B of sz
+the number of silent codes is (A B^T)[x, z]: one small product counts every
+error under every code, less each code's 2^s stabilizers. The count is a sum
+over codes: ``search_ptc`` adds each new code's count to a running total.
 """
 
 from __future__ import annotations
@@ -98,27 +98,6 @@ class StabilizerCode:
     def m(self) -> int:
         return self.n - self.s
 
-    def stabilizer_masks(self) -> frozenset[tuple[int, int]]:
-        """All 2^s (x, z) mask pairs of the generated group, phases ignored."""
-        masks = {(0, 0)}
-        for g in self.generators:
-            masks |= {(x ^ g.x, z ^ g.z) for (x, z) in masks}
-        return frozenset(masks)
-
-
-def syndrome(code: StabilizerCode, e: PauliString) -> int:
-    """Syndrome bits of an error: bit i is 1 iff e anticommutes with generator i."""
-    if e.n != code.n:
-        raise CodeError(f"error acts on {e.n} qubits, code on {code.n}")
-    return sum(symplectic_product(e, g) << i for i, g in enumerate(code.generators))
-
-
-def detects(code: StabilizerCode, e: PauliString) -> bool:
-    """True iff the error is flagged (nonzero syndrome) or acts trivially."""
-    if syndrome(code, e) != 0:
-        return True
-    return (e.x, e.z) in code.stabilizer_masks()
-
 
 def verify_ptc(codes: Sequence[StabilizerCode]) -> float:
     """Exhaustive worst-case undetected fraction of a uniformly weighted family.
@@ -147,6 +126,20 @@ def _parity_table(n: int) -> np.ndarray:
 
 
 def _verify_ptc_details(codes: Sequence[StabilizerCode]) -> tuple[float, PauliString]:
+    eps, worst = _worst_error(_missed_counts(codes), len(codes))
+    n = codes[0].n
+    return eps, PauliString(n, worst >> n, worst & ((1 << n) - 1))
+
+
+def _worst_error(missed: np.ndarray, size: int) -> tuple[float, int]:
+    """(missed fraction, label) at the first largest count, never the identity."""
+    worst = 1 + int(np.argmax(missed[1:]))
+    return int(missed[worst]) / size, worst
+
+
+def _missed_counts(codes: Sequence[StabilizerCode]) -> np.ndarray:
+    """int64 count, at each error label x << n | z, of the codes that miss it
+    (a zero syndrome, not a stabilizer); see ``verify_ptc`` for the guards."""
     codes = list(codes)
     if not codes:
         raise CodeError("empty family")
@@ -181,10 +174,7 @@ def _verify_ptc_details(codes: Sequence[StabilizerCode]) -> tuple[float, PauliSt
     group = np.zeros((len(codes), 1), dtype=np.int64)
     for i in range(s):
         group = np.concatenate([group, group ^ labels[:, i : i + 1]], axis=1)
-    missed = silent - np.bincount(group.ravel(), minlength=silent.size)
-    missed[0] = -1  # never the identity; argmax keeps the first worst error
-    worst = int(np.argmax(missed))
-    return int(missed[worst]) / len(codes), PauliString(n, worst >> n, worst & ((1 << n) - 1))
+    return silent - np.bincount(group.ravel(), minlength=silent.size)
 
 
 @dataclass(frozen=True)
@@ -313,10 +303,11 @@ def search_ptc(
     """Randomized search for a family meeting ``target_eps``, verified exactly.
 
     Tries growing family sizes; within a trial, repairs the family by adding
-    codes that detect the current worst error. Every candidate is re-verified
-    by the exhaustive loop, and the returned ``epsilon_verified`` is always
-    that measured value. If the budget runs out the best family found is
-    returned with ``met_target=False``; callers decide whether that is fatal.
+    codes that detect the current worst error. The running count is the
+    grown family's exact count, so the returned ``epsilon_verified`` is always
+    that measured value (``qauthlab ptc`` re-verifies it). If the budget runs
+    out the best family found is returned with ``met_target=False``; callers
+    decide whether that is fatal.
     """
     n = m + s
     if n > 6:
@@ -329,13 +320,16 @@ def search_ptc(
     for trial in range(budget):
         size = sizes[trial % len(sizes)]
         codes = [random_stabilizer_code(n, s, rng) for _ in range(size)]
-        eps, worst = _verify_ptc_details(codes)
+        missed = _missed_counts(codes)
+        eps, worst = _worst_error(missed, len(codes))
         repairs = 0
         while eps > target_eps and repairs < 48:
             cand = random_stabilizer_code(n, s, rng)
-            if detects(cand, worst):
+            cand_missed = _missed_counts([cand])
+            if cand_missed[worst] == 0:  # the candidate detects the worst error
                 codes.append(cand)
-                eps, worst = _verify_ptc_details(codes)
+                missed += cand_missed
+                eps, worst = _worst_error(missed, len(codes))
             repairs += 1
         if best is None or eps < best[0] or (eps == best[0] and len(codes) < len(best[1])):
             best = (eps, list(codes))

@@ -1,10 +1,11 @@
 """Reference implementations and test objects that the tests compare against.
 
 None of these is run by an experiment: each is a second, independent way to
-compute what the package computes (teleportation outcome by outcome, the
-classical channel message by message, the soundness functional on one
-explicit input, the dense block-diagonal embedding of a final state), or an
-object the tests build their cases from.
+compute what the package computes (syndromes and detection one error and one
+code at a time, teleportation outcome by outcome, the classical channel
+message by message, the soundness functional on one explicit input, the
+dense block-diagonal embedding of a final state), or an object the tests
+build their cases from.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ import numpy as np
 from qauthlab.adversary import AttackDescriptor
 from qauthlab.approx_psqa import ApproxCipher, measure_delta
 from qauthlab.classical_wc import HashFamily
-from qauthlab.codes import PtcFamily
+from qauthlab.codes import CodeError, PtcFamily, StabilizerCode
 from qauthlab.hybrid import PRUNE_BELOW, FinalState, Record, _contract, _keyed
-from qauthlab.pauli import PauliString, _parity, pauli_matrix
+from qauthlab.pauli import PauliString, _parity, pauli_matrix, symplectic_product
 from qauthlab.protocols import bell_key, key_pads
 from qauthlab.qmath import StateVector, max_entangled_vector, reg_dims, reg_positions, tensor
 from qauthlab.ucharness import _soundness_operator
@@ -61,6 +62,33 @@ def attack_from_json(payload: dict) -> AttackDescriptor:
         env_dim=int(payload.get("env_dim", 1)),
         label=payload.get("label", ""),
     )
+
+
+# ---------------------------------------------------------------------------
+# detection, one error and one code at a time
+# ---------------------------------------------------------------------------
+
+
+def stabilizer_masks(code: StabilizerCode) -> frozenset[tuple[int, int]]:
+    """All 2^s (x, z) mask pairs of the code's stabilizer group, phases ignored."""
+    masks = {(0, 0)}
+    for g in code.generators:
+        masks |= {(x ^ g.x, z ^ g.z) for (x, z) in masks}
+    return frozenset(masks)
+
+
+def syndrome(code: StabilizerCode, e: PauliString) -> int:
+    """Syndrome bits of an error: bit i is 1 iff e anticommutes with generator i."""
+    if e.n != code.n:
+        raise CodeError(f"error acts on {e.n} qubits, code on {code.n}")
+    return sum(symplectic_product(e, g) << i for i, g in enumerate(code.generators))
+
+
+def detects(code: StabilizerCode, e: PauliString) -> bool:
+    """True iff the error is flagged (nonzero syndrome) or acts trivially."""
+    if syndrome(code, e) != 0:
+        return True
+    return (e.x, e.z) in stabilizer_masks(code)
 
 
 # ---------------------------------------------------------------------------

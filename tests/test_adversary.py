@@ -248,7 +248,7 @@ def test_suite_covers_sure_accept_and_strong_reject(family_s2):
     # the suite must contain the no-op (accepted with certainty) and at least
     # one keyed Pauli rejected with probability >= 1 - epsilon; acceptance of
     # a keyed Pauli equals its zero-syndrome fraction over the family
-    from qauthlab.codes import syndrome
+    from oracles import syndrome
     from qauthlab.pauli import PauliString
 
     suite = standard_suite(family_s2.m, family_s2.s)

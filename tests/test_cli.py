@@ -24,10 +24,30 @@ def strip_timing(report: dict) -> dict:
 
 
 def test_lemmas_command(capsys):
-    code, rep = run_cli(capsys, "lemmas", "--trials", "25", "--seed", "1")
+    code, rep = run_cli(capsys, "lemmas")
     assert code == 0
     assert rep["results"]["pass"] is True
     assert rep["results"]["relocation_identity_max_residual"] < 1e-12
+    assert rep["results"]["postselection_identity_max_residual"] < 1e-12
+
+
+def test_lemmas_fails_an_identity_that_drops_the_transpose(capsys, monkeypatch):
+    # negative control: (M (x) I) sum_j |j>|j> = (I (x) M) sum_i |i>|i> holds
+    # only for a symmetric M, and an off-diagonal matrix unit is not one
+    from qauthlab import cli
+
+    def without_transpose(m):
+        d = m.shape[0]
+        if m.shape != (d, d):
+            return 0.0
+        pair = np.eye(d).reshape(-1)
+        return float(np.linalg.norm(np.kron(m, np.eye(d)) @ pair - np.kron(np.eye(d), m) @ pair))
+
+    monkeypatch.setattr(cli, "transpose_trick_residual", without_transpose)
+    code, rep = run_cli(capsys, "lemmas")
+    assert code == 1
+    assert rep["results"]["relocation_identity_max_residual"] > 1e-12
+    assert rep["results"]["pass"] is False
 
 
 def test_ptc_search_and_reload(tmp_path, capsys):
@@ -290,9 +310,9 @@ def test_parser_is_built_once_and_carries_nothing_over(capsys):
 
     assert cli.build_parser() is cli.build_parser()
     run_cli(capsys, "wc", "--field-bits", "3", "--msg-len", "1", "--leak-demo")
-    code, rep = run_cli(capsys, "lemmas", "--trials", "5", "--seed", "2")
+    code, rep = run_cli(capsys, "lemmas")
     assert code == 0
-    assert rep["config"] == {"command": "lemmas", "trials": 5, "seed": 2}
+    assert rep["config"] == {"command": "lemmas"}
     code, rep = run_cli(capsys, "wc", "--field-bits", "2")
     assert code == 0
     assert rep["config"] == {"command": "wc", "field_bits": 2, "msg_len": 1, "leak_demo": False}
@@ -309,7 +329,7 @@ def test_parser_is_built_once_and_carries_nothing_over(capsys):
         (["ptc", "--s", "0"], "argument --s: 0 is not at least 1"),
         (["ptc", "--budget", "0"], "argument --budget: 0 is not at least 1"),
         (["psqa", "--attacks", "0"], "argument --attacks: 0 is not at least 1"),
-        (["lemmas", "--trials", "0"], "argument --trials: 0 is not at least 1"),
+        (["ptp-soundness", "--budget", "10001"], "--budget 10001 is above the limit 10000"),
         (["uc", "--m", "2", "--s", "2", "--attack", "nope"], "no attack named 'nope' in the standard suite"),
         (["psqa", "--m", "0", "--s", "2"], "argument --m: 0 is not at least 1"),
         (["ptp-soundness", "--m", "0", "--s", "1"], "argument --m: 0 is not at least 1"),
@@ -326,7 +346,7 @@ def test_parser_is_built_once_and_carries_nothing_over(capsys):
             ["psqa", "--m", "1", "--s", "1", "--attacks", "100"],
             "--attacks 100 is more than the 19 T-only attacks of the standard suite at m = 1, s = 1",
         ),
-        (["lemmas", "--trials", "100001"], "--trials 100001 is above the limit 100000"),
+        (["psqa", "--budget", "10001"], "--budget 10001 is above the limit 10000"),
         (["ptc", "--budget", "10001"], "--budget 10001 is above the limit 10000 search trials"),
         (["uc", "--m", "1", "--s", "1", "--budget", "10001"], "--budget 10001 is above the limit 10000"),
     ],
@@ -337,7 +357,7 @@ def test_bad_numbers_exit_two_before_any_work(capsys, monkeypatch, argv, message
     def no_work(*args, **kwargs):
         raise AssertionError("an experiment started")
 
-    for step in ("search_ptc", "sample_cipher", "transpose_trick_residual"):
+    for step in ("search_ptc", "sample_cipher"):
         monkeypatch.setattr(cli, step, no_work)
     assert main(argv) == 2
     assert message in capsys.readouterr().err
@@ -405,9 +425,9 @@ def test_uc_draws_its_input_once(capsys, monkeypatch):
 
 
 def test_a_count_that_is_not_an_integer_exits_two(capsys):
-    assert main(["lemmas", "--trials", "abc"]) == 2
+    assert main(["ptc", "--budget", "abc"]) == 2
     err = capsys.readouterr().err
-    assert "argument --trials: 'abc' is not an integer" in err
+    assert "argument --budget: 'abc' is not an integer" in err
     assert "_positive" not in err
 
 

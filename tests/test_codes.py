@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 from pathlib import Path
@@ -11,19 +12,20 @@ from qauthlab import codes as codes_module
 from qauthlab.codes import (
     PTC_COST_LIMIT,
     CodeError,
+    _missed_counts,
     _verify_ptc_details,
     PtcFamily,
     StabilizerCode,
     cost_formulas,
-    detects,
     encoding_unitary,
     ptc_epsilon_formula,
     random_stabilizer_code,
     search_ptc,
-    syndrome,
     verify_ptc,
 )
 from qauthlab.pauli import PauliString, enumerate_paulis, hermitian_pauli, pauli_matrix
+
+from oracles import detects, stabilizer_masks, syndrome
 
 
 def single(x, z):
@@ -142,7 +144,7 @@ def test_search_dimension_guard():
 def test_random_code_shape(rng):
     code = random_stabilizer_code(4, 3, rng)
     assert (code.n, code.s, code.m) == (4, 3, 1)
-    assert len(code.stabilizer_masks()) == 8
+    assert len(stabilizer_masks(code)) == 8
 
 
 def test_encoding_unitary_roundtrip(family_s2):
@@ -289,6 +291,47 @@ def test_search_reproduces_the_committed_fixture():
     assert family.codes == fixture.codes
     assert family.epsilon_verified == fixture.epsilon_verified == verify_ptc(fixture.codes)
     assert family == fixture
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), data=st.data())
+def test_the_detection_count_is_a_sum_of_one_code_counts(seed, n, data):
+    # search_ptc grows a family's count by adding each new code's own count,
+    # and accepts a code whose own count is 0 at the worst error
+    s = data.draw(st.integers(1, n))
+    rng = np.random.default_rng(seed)
+    a = [random_stabilizer_code(n, s, rng) for _ in range(data.draw(st.integers(1, 6)))]
+    b = [random_stabilizer_code(n, s, rng) for _ in range(data.draw(st.integers(1, 6)))]
+    np.testing.assert_array_equal(_missed_counts(a + b), _missed_counts(a) + _missed_counts(b))
+    for code in a:
+        one = _missed_counts([code])
+        for e in enumerate_paulis(n):
+            assert one[(e.x << n) | e.z] == (0 if detects(code, e) else 1)
+
+
+# sha256 of the sorted-key JSON of families searched while search_ptc still
+# recounted the whole family after every repair; the running count must find
+# the same families, code for code
+@pytest.mark.parametrize(
+    "m, s, seed, target, budget, digest",
+    [
+        (1, 4, 1, None, 200, "33505bdc49d518841b70f55487c3290e7aadc0a19c4e8fcb36529ad08d6f6cb8"),
+        (1, 4, 2, None, 200, "b9a59a2993e2a13b4aa88e01bf00ef3c1e107a96d5f6237db7aac5887c7f41b8"),
+        (2, 2, 1, None, 200, "764c155805396e105d71b9c5fe2fc6bb36fe91a0a2cad65d8575a5856a87c0d1"),
+        (2, 2, 2, None, 200, "76338dc4af2e43500c7f9bdea36ca158511a6eb7773ad8b26093cd13d9e909f0"),
+        (2, 3, 1, None, 200, "fe80c2a124ca6a932b17a543d7e66fee790fa368667c95520e0aedb2403a7f69"),
+        (2, 3, 2, None, 200, "f3f1e6c1b4d42b9ca3df5391690f0221514f99cfc8ee60d157d4ee216d2b1ccc"),
+        (3, 3, 1, None, 200, "380cc6f282d972527c506eb0b6873c87859a3d5a130c4284ce72bdfb95466e56"),
+        (3, 3, 2, None, 200, "779dc3d3d90ce9730a19244f481e4eaafb5185897f1204b7a26b4160dafd3c10"),
+        # out of budget: eight trials of up to 48 repairs each, best family kept
+        (1, 3, 1, 0.0, 8, "c9262df039b35c227b1d56b411c5a7fa19b46c4d266e15a0760c6cb3add765c2"),
+    ],
+)
+def test_searched_families_are_pinned(m, s, seed, target, budget, digest):
+    target = ptc_epsilon_formula(m, s) if target is None else target
+    family = search_ptc(m, s, target, budget=budget, seed=seed)
+    assert family.met_target == (target > 0)
+    assert hashlib.sha256(json.dumps(family.to_json(), sort_keys=True).encode()).hexdigest() == digest
 
 
 def test_worst_error_is_first_maximum_and_never_identity():

@@ -22,8 +22,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # command writes the family the later ones load
 COMMANDS = (
     ("ptc", "--m", "1", "--s", "2", "--seed", "1", "--target-eps", "0.55", "--out", "{family}"),
-    # this search repairs a code, which runs detects, syndrome and
-    # stabilizer_masks; it misses its target, so it exits 1
+    # this search repairs a code, which adds the code's own detection count
+    # to the family's; it misses its target, so it exits 1
     ("ptc", "--m", "1", "--s", "1", "--seed", "1", "--target-eps", "0.4", "--budget", "3"),
     ("uc", "--family", "{family}", "--attack", "depol-0.5", "--input", "random-1"),
     ("uc", "--m", "1", "--s", "1", "--seed", "1", "--attack", "swap-held"),
@@ -31,7 +31,7 @@ COMMANDS = (
     ("wc",),
     ("wc", "--leak-demo"),
     ("psqa", "--family", "{family}", "--attacks", "1", "--out", "{out}"),
-    ("lemmas", "--trials", "3"),
+    ("lemmas",),
 )
 
 # records the (file, first line) of every code object entered under the

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from qauthlab.adversary import AttackDescriptor, purified_input, standard_suite
-from qauthlab.codes import syndrome
 from qauthlab.hybrid import record_get
 from qauthlab.pauli import PauliString, enumerate_paulis, pauli_matrix
 from qauthlab.protocols import (
@@ -23,7 +22,7 @@ from qauthlab.qmath import (
     trace_norm,
 )
 
-from oracles import teleport
+from oracles import syndrome, teleport
 
 
 def is_acc(rec):

@@ -1,9 +1,11 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from qauthlab.adversary import AttackDescriptor, purified_input, standard_suite
+from qauthlab.codes import _missed_counts, ptc_epsilon_formula, search_ptc
 from qauthlab.hybrid import record_get
 from qauthlab.pauli import enumerate_paulis
 from qauthlab.protocols import ACC, ebit_ptp, run_qa_kg
@@ -19,7 +21,7 @@ from qauthlab.ucharness import (
     run_qa_kg_ideal,
 )
 
-from oracles import embed, pauli_displaced_input, records, soundness_functional
+from oracles import embed, pauli_displaced_input, records, soundness_functional, stabilizer_masks
 
 
 def is_acc(rec):
@@ -59,7 +61,7 @@ def test_eta_reject_branches_identical(family_s1):
 
 
 def test_eta_always_detected_pauli_is_pure_reject(family_s2):
-    from qauthlab.codes import syndrome
+    from oracles import syndrome
 
     chosen = next(
         e
@@ -69,6 +71,32 @@ def test_eta_always_detected_pauli_is_pure_reject(family_s2):
     desc = AttackDescriptor("fixed_pauli", x=chosen.x, z=chosen.z, label="det")
     real = ebit_ptp(family_s2, desc)
     assert real.weight_where(is_acc) == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("m, s", [(1, 1), (1, 2), (2, 1)])
+def test_pauli_attacks_follow_the_detection_count(m, s):
+    # a keyed Pauli E passes the codes that miss it and the codes that
+    # stabilize it; only a miss corrupts the ebits, into a state orthogonal
+    # to them, so the advantage is 2 miss(E) and p_acc is miss(E) + stab(E)
+    family = search_ptc(m, s, ptc_epsilon_formula(m, s), seed=1)
+    n, size = family.n, len(family.codes)
+    missed = _missed_counts(family.codes) / size
+    groups = [stabilizer_masks(code) for code in family.codes]
+    # negative control: each code's group without its first generator
+    short_groups = [stabilizer_masks(SimpleNamespace(generators=code.generators[1:])) for code in family.codes]
+    worst_advantage = worst_p_acc = worst_short = 0.0
+    for e in enumerate_paulis(n, include_identity=False):
+        desc = AttackDescriptor("fixed_pauli", x=e.x, z=e.z, label="e")
+        rep = ebit_report(family, desc, ebit_ptp(family, desc))
+        miss = missed[(e.x << n) | e.z]
+        stab = sum((e.x, e.z) in group for group in groups) / size
+        short = sum((e.x, e.z) in group for group in short_groups) / size
+        worst_advantage = max(worst_advantage, abs(rep.advantage - 2 * miss))
+        worst_p_acc = max(worst_p_acc, abs(rep.p_acc - miss - stab))
+        worst_short = max(worst_short, abs(rep.p_acc - miss - short))
+    assert worst_advantage < 1e-12
+    assert worst_p_acc < 1e-12
+    assert worst_short > 1e-12
 
 
 def test_advantage_factored_form_and_bound(family_s1):
