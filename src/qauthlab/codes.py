@@ -44,6 +44,9 @@ class CodeError(ValueError):
 # one-hot tables hold 2^(n+s) |codes| <= 4^n |codes| entries each
 PTC_COST_LIMIT = 1 << 24
 
+# random_stabilizer_code gives up after this many candidate generators
+MAX_CANDIDATES = 100_000
+
 
 def _gf2_rank(rows: list[int]) -> int:
     rank = 0
@@ -268,29 +271,47 @@ def cost_formulas(m: int, s: int) -> tuple[int, float]:
 
 
 def random_stabilizer_code(n: int, s: int, rng: np.random.Generator) -> StabilizerCode:
-    """Uniform-ish random code: rejection-sample commuting independent generators."""
+    """Uniform-ish random code: rejection-sample commuting independent generators.
+
+    Each candidate (x, z) is two consecutive ``rng.integers(0, 2^n)`` draws.
+    It is rejected if it anticommutes with an accepted generator (the parity
+    of (x & g.z) ^ (z & g.x)) or lies in their span (it reduces to 0 against
+    their GF(2) pivots; the zero mask always does), on plain int masks.
+    Candidates are drawn in chunks of ``2^(s+1)``, each one array draw; an
+    array draw takes the same numbers from the generator as that many scalar
+    draws, so after the last chunk the state is restored and exactly the
+    candidates used are drawn again. The generator ends where one scalar draw
+    per mask would leave it, and the codes are those of that scalar loop.
+    Raises ``CodeError`` after MAX_CANDIDATES candidates without s
+    generators.
+    """
     if s < 1 or s > n:
         raise CodeError(f"bad parameters n={n}, s={s}")
-    gens: list[PauliString] = []
-    rows: list[int] = []
-    guard = 0
-    while len(gens) < s:
-        guard += 1
-        if guard > 100_000:
-            raise CodeError("could not sample independent commuting generators")
-        x = int(rng.integers(0, 1 << n))
-        z = int(rng.integers(0, 1 << n))
-        if x == 0 and z == 0:
-            continue
-        cand = hermitian_pauli(n, x, z)
-        if any(symplectic_product(cand, g) for g in gens):
-            continue
-        new_rows = rows + [(x << n) | z]
-        if _gf2_rank(new_rows) != len(new_rows):
-            continue
-        gens.append(cand)
-        rows = new_rows
-    return StabilizerCode(tuple(gens))
+    masks: list[tuple[int, int]] = []
+    pivots: list[int] = []
+    drawn = 0
+    while drawn < MAX_CANDIDATES:
+        chunk = min(2 << s, MAX_CANDIDATES - drawn)
+        start = rng.bit_generator.state
+        pairs = rng.integers(0, 1 << n, size=2 * chunk).tolist()
+        for used in range(1, chunk + 1):
+            x, z = pairs[2 * used - 2], pairs[2 * used - 1]
+            if any(((x & gz) ^ (z & gx)).bit_count() & 1 for gx, gz in masks):
+                continue
+            row = (x << n) | z
+            for p in pivots:
+                row = min(row, row ^ p)
+            if not row:
+                continue
+            pivots.append(row)
+            pivots.sort(reverse=True)
+            masks.append((x, z))
+            if len(masks) == s:
+                rng.bit_generator.state = start
+                rng.integers(0, 1 << n, size=2 * used)
+                return StabilizerCode(tuple(hermitian_pauli(n, x, z) for x, z in masks))
+        drawn += chunk
+    raise CodeError("could not sample independent commuting generators")
 
 
 def search_ptc(

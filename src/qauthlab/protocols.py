@@ -53,7 +53,7 @@ Shared pieces are built once, here: the keyed Pauli pad (``key_pads``, once
 per m, read by ``run_qa_kg``, ``bell_key`` and ``ucharness.run_qa_kg_ideal``'s
 key list), a family's encoders as one read-only stack
 (``_family_encoders``, read by ``build_transfer``, ``ebit_ptp`` and
-``ucharness._accept_decoders``), an attack's isometry (``_attack_pieces``)
+``ucharness._soundness_operator``), an attack's isometry (``_attack_pieces``)
 and the transfer (``_transfer``), the last two once per job: both are
 caches of one entry keyed by (family, attack), so every final-state build
 of one job reuses them and the next job's replace them.

@@ -21,9 +21,10 @@ uniform key; on reject everything is replaced by error symbols.
 
 Everything is reported in the full 1-norm (maximum 2 between states).
 
-The accept-and-decode operators L_{t,u} are built once (``_accept_decoders``)
-into one soundness operator Omega (``_soundness_operator``), whose top
-eigenvalue is ``ptp_soundness_exact``; ``ebit_report`` takes its
+The soundness operator Omega (``_soundness_operator``) is one Gram product of
+the codes' syndrome projectors, built from the encoders; it is real
+symmetric, and ``ptp_soundness_exact`` is the top eigenvalue of its real
+part, after a check that its imaginary part vanishes; ``ebit_report`` takes its
 accept-conditional states from ``FinalBlock.conditional`` and their AB
 marginal from ``qmath.partial_trace``; the ideal key list is
 ``protocols.key_pads``'.
@@ -41,6 +42,7 @@ from .codes import PtcFamily
 from .hybrid import ACC, ERR, REJ, FinalState, InvariantError, Record, key_sweep, record_get
 from .protocols import _family_encoders, _transfer, key_pads
 from .qmath import (
+    ATOL_EXACT,
     StateVector,
     fidelity,
     max_entangled_vector,
@@ -193,41 +195,64 @@ def chain_checks(rep: AdvantageReport) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _accept_decoders(family: PtcFamily) -> np.ndarray:
-    """The accept-and-decode operators L_{t,u} = <u|D_t^* (x) <u|D_t (sender
-    decodes in the conjugate basis, receiver in the plain one, both find
-    syndrome u), stacked over (t, u) in that order: 2n qubits -> 2m."""
-    dm, dt = 1 << family.m, 1 << family.n
-    rows = _family_encoders(family).conj().transpose(0, 2, 1).reshape(-1, dm, dt)  # <u| D_t
-    # kron of each row block with its conjugate as one broadcast product, which
-    # multiplies as np.kron does (einsum's kernel moves the last bits)
-    pairs = rows.conj()[:, :, None, :, None] * rows[:, None, :, None, :]
-    return pairs.reshape(len(rows), dm * dm, dt * dt)
-
-
 def _soundness_operator(family: PtcFamily) -> np.ndarray:
     """Omega = (1/|codes|) sum_{t,u} L_{t,u}^dag (I - Phi^m) L_{t,u}, the
     adjoint of the accept-and-decode map applied to the overlap defect, as
-    one product of the stacked L_{t,u}."""
-    phi = max_entangled_vector(1 << family.m)
-    l_ops = _accept_decoders(family)
-    rows = l_ops.shape[0] * l_ops.shape[1]
-    defect = ((np.eye(phi.size) - np.outer(phi, phi.conj())) @ l_ops).reshape(rows, -1)
-    return l_ops.reshape(rows, -1).conj().T @ defect / len(family.codes)
+    one Gram product of the syndrome projectors.
+
+    L_{t,u} = R_bar (x) R with R = (<u| (x) I) D_t, the sender decoding in
+    the conjugate basis and the receiver in the plain one, both finding
+    syndrome u (2n qubits -> 2m). Two exact identities remove L:
+
+    - L^dag L = P_bar (x) P, where P = R^dag R = D_t^dag (|u><u| (x) I) D_t is
+      the 2^n-dim projector onto code t's syndrome-u space. With Q the
+      (|codes| 2^s, 4^n) stack of the flattened P, G = Q^dag Q holds
+      G[(i, k), (j, l)] = sum conj(P[i, k]) P[j, l], so the sum of the
+      P_bar (x) P is G with its two middle axes swapped.
+    - L^dag Phi L = w w^dag with w = L^dag phi = vec(P_bar) / sqrt(2^m)
+      (component (i, j) is sum_a R[a, i] conj(R[a, j]) / sqrt(2^m)), so the
+      sum of the w w^dag is G / 2^m, read without the swap.
+
+    So Omega |codes| = swap(G) - G / 2^m. For a stabilizer code,
+    P_u = 2^-s sum_{g in S_t} chi_u(g) g with characters chi_u = +-1, and
+    the sum over u keeps only the diagonal pairs: sum_u P_bar_u (x) P_u =
+    2^-s sum_g g_bar (x) g, and the Phi term likewise
+    2^-s sum_g |g>><<g| / 2^m. The phase of each Hermitian g cancels
+    against its conjugate, leaving products of the real X and Z, so Omega
+    is real symmetric, whatever logical basis the encoder's SVD picked.
+    """
+    dm, dt = 1 << family.m, 1 << family.n
+    rows = _family_encoders(family).conj().transpose(0, 2, 1).reshape(-1, dm, dt)  # <u| D_t
+    projectors = np.matmul(rows.conj().transpose(0, 2, 1), rows).reshape(len(rows), dt * dt)
+    gram = projectors.conj().T @ projectors
+    # the swap copies G, so G can then be scaled in place
+    omega = gram.reshape(dt, dt, dt, dt).transpose(0, 2, 1, 3).reshape(dt * dt, dt * dt)
+    gram /= dm
+    omega -= gram
+    omega /= len(family.codes)
+    return omega
 
 
 def ptp_soundness_exact(family: PtcFamily) -> float:
     """Exact worst case of Tr[ T(rho) ((I - Phi^m) (x) acc) ] over all inputs.
 
     The functional is linear in the 2n-qubit input rho, so the maximum is the
-    largest eigenvalue of Omega (``_soundness_operator``). Cross-validates
-    the mask-level detection predicate against the state-level soundness
-    definition: the value matches the family's verified epsilon.
+    largest eigenvalue of Omega (``_soundness_operator``). Omega is real
+    symmetric for stabilizer codes, so that is the top eigenvalue of its real
+    part, from one real ``eigvalsh`` (which reads its lower triangle).
+    Dropping an imaginary part can only lower the top eigenvalue, which would
+    weaken the check unseen, so an entry of Im Omega above ATOL_EXACT raises
+    ``InvariantError``. Cross-validates the mask-level detection predicate
+    against the state-level soundness definition: the value matches the
+    family's verified epsilon.
     """
     if family.n > STATE_LEVEL_MAX_N:
         raise ValueError(f"exact soundness is limited to n <= {STATE_LEVEL_MAX_N} (operator on 4^n dims)")
     omega = _soundness_operator(family)
-    return float(np.linalg.eigvalsh((omega + omega.conj().T) / 2).max())
+    residual = float(np.abs(omega.imag).max())
+    if residual > ATOL_EXACT:
+        raise InvariantError(f"ptp_soundness_exact: soundness operator has imaginary entries up to {residual!r}")
+    return float(np.linalg.eigvalsh(omega.real).max())
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,11 @@
 
 None of these is run by an experiment: each is a second, independent way to
 compute what the package computes (syndromes and detection one error and one
-code at a time, teleportation outcome by outcome, the classical channel
-message by message, the soundness functional on one explicit input, the
-dense block-diagonal embedding of a final state), or an object the tests
-build their cases from.
+code at a time, random codes drawn one scalar at a time, teleportation
+outcome by outcome, the classical channel message by message, the soundness
+operator from the stacked accept-and-decode operators and its functional on
+one explicit input, the dense block-diagonal embedding of a final state), or
+an object the tests build their cases from.
 """
 
 from __future__ import annotations
@@ -17,12 +18,11 @@ import numpy as np
 from qauthlab.adversary import AttackDescriptor
 from qauthlab.approx_psqa import ApproxCipher, measure_delta
 from qauthlab.classical_wc import HashFamily
-from qauthlab.codes import CodeError, PtcFamily, StabilizerCode
+from qauthlab.codes import CodeError, PtcFamily, StabilizerCode, _gf2_rank
 from qauthlab.hybrid import PRUNE_BELOW, FinalState, Record, _contract, _keyed
-from qauthlab.pauli import PauliString, _parity, pauli_matrix, symplectic_product
-from qauthlab.protocols import bell_key, key_pads
+from qauthlab.pauli import PauliString, _parity, hermitian_pauli, pauli_matrix, symplectic_product
+from qauthlab.protocols import _family_encoders, bell_key, key_pads
 from qauthlab.qmath import StateVector, max_entangled_vector, reg_dims, reg_positions, tensor
-from qauthlab.ucharness import _soundness_operator
 
 # ---------------------------------------------------------------------------
 # Pauli algebra and random states
@@ -89,6 +89,34 @@ def detects(code: StabilizerCode, e: PauliString) -> bool:
     if syndrome(code, e) != 0:
         return True
     return (e.x, e.z) in stabilizer_masks(code)
+
+
+def scalar_random_stabilizer_code(n: int, s: int, rng: np.random.Generator) -> StabilizerCode:
+    """``codes.random_stabilizer_code`` one candidate at a time: two scalar
+    draws per candidate (x, z), rejecting the zero mask, a candidate that
+    anticommutes with an accepted generator, and a dependent one."""
+    if s < 1 or s > n:
+        raise CodeError(f"bad parameters n={n}, s={s}")
+    gens: list[PauliString] = []
+    rows: list[int] = []
+    guard = 0
+    while len(gens) < s:
+        guard += 1
+        if guard > 100_000:
+            raise CodeError("could not sample independent commuting generators")
+        x = int(rng.integers(0, 1 << n))
+        z = int(rng.integers(0, 1 << n))
+        if x == 0 and z == 0:
+            continue
+        cand = hermitian_pauli(n, x, z)
+        if any(symplectic_product(cand, g) for g in gens):
+            continue
+        new_rows = rows + [(x << n) | z]
+        if _gf2_rank(new_rows) != len(new_rows):
+            continue
+        gens.append(cand)
+        rows = new_rows
+    return StabilizerCode(tuple(gens))
 
 
 # ---------------------------------------------------------------------------
@@ -171,14 +199,37 @@ def embed(final: FinalState, record_order: Sequence[Record] | None = None) -> np
 
 
 # ---------------------------------------------------------------------------
-# the soundness functional on explicit inputs
+# the soundness operator from the accept-and-decode operators
 # ---------------------------------------------------------------------------
 
 
-def soundness_functional(family: PtcFamily, rho: np.ndarray) -> float:
+def accept_decoders(family: PtcFamily) -> np.ndarray:
+    """The accept-and-decode operators L_{t,u} = <u|D_t^* (x) <u|D_t (sender
+    decodes in the conjugate basis, receiver in the plain one, both find
+    syndrome u), stacked over (t, u) in that order: 2n qubits -> 2m."""
+    dm, dt = 1 << family.m, 1 << family.n
+    rows = _family_encoders(family).conj().transpose(0, 2, 1).reshape(-1, dm, dt)  # <u| D_t
+    # kron of each row block with its conjugate as one broadcast product, which
+    # multiplies as np.kron does (einsum's kernel moves the last bits)
+    pairs = rows.conj()[:, :, None, :, None] * rows[:, None, :, None, :]
+    return pairs.reshape(len(rows), dm * dm, dt * dt)
+
+
+def soundness_operator(family: PtcFamily) -> np.ndarray:
+    """Omega = (1/|codes|) sum_{t,u} L_{t,u}^dag (I - Phi^m) L_{t,u} as one
+    complex product of the stacked L_{t,u}, with no identity used: the
+    reference for ``ucharness._soundness_operator``'s Gram form."""
+    phi = max_entangled_vector(1 << family.m)
+    l_ops = accept_decoders(family)
+    rows = l_ops.shape[0] * l_ops.shape[1]
+    defect = ((np.eye(phi.size) - np.outer(phi, phi.conj())) @ l_ops).reshape(rows, -1)
+    return l_ops.reshape(rows, -1).conj().T @ defect / len(family.codes)
+
+
+def soundness_functional(omega: np.ndarray, rho: np.ndarray) -> float:
     """Tr[ T(rho) ((I - Phi^m) (x) acc) ] = Re Tr(Omega rho) for one explicit
-    2n-qubit input."""
-    return float(np.einsum("ab,ba->", _soundness_operator(family), rho).real)
+    2n-qubit input, from a family's ``soundness_operator``."""
+    return float(np.einsum("ab,ba->", omega, rho).real)
 
 
 def pauli_displaced_input(family: PtcFamily, error: PauliString) -> np.ndarray:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from qauthlab.codes import (
 )
 from qauthlab.pauli import PauliString, enumerate_paulis, hermitian_pauli, pauli_matrix
 
-from oracles import detects, stabilizer_masks, syndrome
+from oracles import detects, scalar_random_stabilizer_code, stabilizer_masks, syndrome
 
 
 def single(x, z):
@@ -145,6 +146,35 @@ def test_random_code_shape(rng):
     code = random_stabilizer_code(4, 3, rng)
     assert (code.n, code.s, code.m) == (4, 3, 1)
     assert len(stabilizer_masks(code)) == 8
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_batched_draw_matches_the_scalar_sampler(n):
+    # the same codes, and the generator left in the same state, as drawing
+    # each mask with its own scalar call
+    for s in range(1, n + 1):
+        for seed in range(20):
+            batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(30):
+                assert random_stabilizer_code(n, s, batched) == scalar_random_stabilizer_code(n, s, scalar)
+            assert batched.bit_generator.state == scalar.bit_generator.state
+
+
+def test_random_code_gives_up_after_100000_candidates():
+    # a generator that only draws the zero mask never yields a generator
+    class Zeros:
+        def __init__(self):
+            self.bit_generator, self.drawn = SimpleNamespace(state=None), 0
+
+        def integers(self, low, high, size=None):
+            self.drawn += 1 if size is None else size
+            return 0 if size is None else np.zeros(size, dtype=np.int64)
+
+    for sampler in (random_stabilizer_code, scalar_random_stabilizer_code):
+        rng = Zeros()
+        with pytest.raises(CodeError, match="could not sample"):
+            sampler(3, 3, rng)
+        assert rng.drawn == 200_000
 
 
 def test_encoding_unitary_roundtrip(family_s2):

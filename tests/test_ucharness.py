@@ -4,11 +4,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from qauthlab import ucharness
 from qauthlab.adversary import AttackDescriptor, purified_input, standard_suite
 from qauthlab.codes import _missed_counts, ptc_epsilon_formula, search_ptc
-from qauthlab.hybrid import record_get
+from qauthlab.hybrid import InvariantError, record_get
 from qauthlab.pauli import enumerate_paulis
-from qauthlab.protocols import ACC, ebit_ptp, run_qa_kg
+from qauthlab.protocols import ACC, _family_encoders, ebit_ptp, run_qa_kg
 from qauthlab.qmath import max_entangled_vector, trace_norm
 from qauthlab.ucharness import (
     AdvantageReport,
@@ -21,7 +22,14 @@ from qauthlab.ucharness import (
     run_qa_kg_ideal,
 )
 
-from oracles import embed, pauli_displaced_input, records, soundness_functional, stabilizer_masks
+from oracles import (
+    embed,
+    pauli_displaced_input,
+    records,
+    soundness_functional,
+    soundness_operator,
+    stabilizer_masks,
+)
 
 
 def is_acc(rec):
@@ -124,8 +132,9 @@ def test_ptp_soundness_exact_cross_validates(family_s1, family_s2, family_s3):
         assert exact <= fam.epsilon_verified + 1e-9
         # Pauli-displaced entangled inputs achieve the worst case, so the
         # mask-level and state-level definitions agree to precision
+        omega = soundness_operator(fam)
         best = max(
-            soundness_functional(fam, pauli_displaced_input(fam, e))
+            soundness_functional(omega, pauli_displaced_input(fam, e))
             for e in enumerate_paulis(fam.n, include_identity=False)
         )
         assert best <= exact + 1e-9
@@ -136,11 +145,77 @@ def test_soundness_exact_dominates_random_inputs(family_s2, rng):
     from qauthlab.qmath import haar_state
 
     exact = ptp_soundness_exact(family_s2)
+    omega = soundness_operator(family_s2)
     dt = 1 << family_s2.n
     for _ in range(10):
         vec = haar_state(dt * dt, rng)
         rho = np.outer(vec, vec.conj())
-        assert soundness_functional(family_s2, rho) <= exact + 1e-9
+        assert soundness_functional(omega, rho) <= exact + 1e-9
+
+
+@pytest.fixture(scope="module")
+def family_m2_s3():
+    return search_ptc(2, 3, ptc_epsilon_formula(2, 3), seed=1)
+
+
+@pytest.mark.parametrize("name", ["family_s1", "family_s2", "family_s3", "family_m2_s3"])
+def test_gram_soundness_operator_matches_the_accept_decoder_stack(name, request):
+    # the Gram form against the complex product of the stacked L_{t,u};
+    # (2, 3) is above STATE_LEVEL_MAX_N, so its top eigenvalue is taken here
+    fam = request.getfixturevalue(name)
+    gram, oracle = ucharness._soundness_operator(fam), soundness_operator(fam)
+    assert np.abs(gram - oracle).max() <= 1e-12
+    assert np.abs(gram.imag).max() <= 1e-12
+    top = np.linalg.eigvalsh(gram.real).max()
+    assert abs(top - np.linalg.eigvalsh(oracle).max()) <= 1e-12
+    if fam.n <= ucharness.STATE_LEVEL_MAX_N:
+        assert ptp_soundness_exact(fam) == top
+
+
+def _patch_encoders(monkeypatch, change):
+    """``ucharness._family_encoders`` through ``change(stack)``."""
+    monkeypatch.setattr(ucharness, "_family_encoders", lambda family: change(_family_encoders(family)))
+
+
+def _t_gate_on_qubit_0(stack):
+    # diag(1, e^{i pi/4}) on the least significant bit, after each encoder
+    phases = np.exp(1j * np.pi / 4 * (np.arange(stack.shape[1]) & 1))
+    return phases[:, None] * stack
+
+
+def test_soundness_refuses_a_complex_operator(family_s3, monkeypatch):
+    # negative control: a T gate after the encoder makes the syndrome
+    # projectors non-Pauli, and Omega's imaginary part (about 0.045) must
+    # stop the real eigvalsh, which could only under-report the maximum
+    _patch_encoders(monkeypatch, _t_gate_on_qubit_0)
+    assert np.abs(ucharness._soundness_operator(family_s3).imag).max() > 0.01
+    with pytest.raises(InvariantError, match="imaginary entries up to"):
+        ptp_soundness_exact(family_s3)
+
+
+def test_ptp_soundness_command_exits_three_on_a_complex_operator(tmp_path, capsys, monkeypatch, family_s3):
+    from qauthlab.cli import main
+
+    fam_path = tmp_path / "fam.json"
+    family_s3.save(fam_path)
+    _patch_encoders(monkeypatch, _t_gate_on_qubit_0)
+    assert main(["ptp-soundness", "--family", str(fam_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "internal invariant violated" in captured.err and "imaginary entries" in captured.err
+
+
+def test_soundness_ignores_the_logical_basis(family_s3, monkeypatch):
+    # a phase on the logical index (columns y 2^m + l) leaves every syndrome
+    # projector as it was, so Omega stays real and the value stays put
+    exact = ptp_soundness_exact(family_s3)
+    dm = 1 << family_s3.m
+
+    def logical_phase(stack):
+        return stack * np.exp(1j * 0.7 * (1 + np.arange(stack.shape[2]) % dm))
+
+    _patch_encoders(monkeypatch, logical_phase)
+    assert abs(ptp_soundness_exact(family_s3) - exact) <= 1e-12
 
 
 def test_qa_kg_advantage_identity_attack(family_s1):
