@@ -204,18 +204,33 @@ def wc_kg_advantage(family: HashFamily, x_in=None) -> WcAdvantageReport:
     advantage decomposes per observed tag, and each tag's best rewrite is a
     finite maximization; the result is therefore the exact maximum over the
     full (astronomically large) deterministic strategy space.
+
+    The best rewrite of input x_i to x_j hits #{k : T_ik ^ T_jk = delta} keys
+    for its best delta, a count symmetric in (i, j), so over all inputs each
+    unordered message pair is counted once, in row i < j. That is enough: the
+    first input in message order with the most hits is the smaller index of a
+    best pair, and its first best partner (``_best_rewrite``) comes after it.
     """
-    inputs = [x_in] if x_in is not None else list(family.message_space)
-    best = 0.0
-    best_info: dict = {"substitution": "identity"}
-    for x0 in inputs:
-        val, info = _max_substitution_advantage(family, x0)
-        if val > best:
-            best, best_info = val, info
+    table = family.table
+    if x_in is None:
+        inputs = list(range(len(table)))
+        hits = np.zeros((len(table), len(table)), dtype=np.int64)
+        for i in range(len(table) - 1):
+            hits[i, i + 1 :] = _row_counts(table[i + 1 :] ^ table[i]).max(axis=1)
+    else:
+        inputs = [family.message_space.index(x_in)]
+        counts = _row_counts(table ^ table[inputs[0]])
+        counts[inputs[0], 0] = 0  # the identity rewrite has no advantage
+        hits = counts.max(axis=1)[None]
+    top = hits.max(axis=1)
+    r = int(np.argmax(top))
+    best, best_info = 0.0, {"substitution": "identity"}
+    if top[r] > 0:
+        best, best_info = int(top[r]) / table.shape[1], _best_rewrite(family, inputs[r], hits[r])
     return WcAdvantageReport(
         family=family.label,
         eps_asu2=family.eps_asu2,
-        input_message=inputs[0] if len(inputs) == 1 else "all",
+        input_message=family.message_space[inputs[0]] if len(inputs) == 1 else "all",
         advantage=best,
         advantage_one_norm=2.0 * best,
         best_substitution=best_info,
@@ -223,22 +238,20 @@ def wc_kg_advantage(family: HashFamily, x_in=None) -> WcAdvantageReport:
     )
 
 
-def _max_substitution_advantage(family: HashFamily, x0) -> tuple[float, dict]:
-    """Best rewrite (x', delta) of input x0: the first x' in message order
-    with the most keys, and within it the delta that the earliest key gives."""
+def _best_rewrite(family: HashFamily, i: int, hits: np.ndarray) -> dict:
+    """Best rewrite (x', delta) of input x_i, given ``hits[j]``, the most keys
+    any delta takes x_i to x_j on (0 for j = i and for pairs not counted): the
+    first x' in message order with the most keys, and within it the delta
+    that the earliest key gives."""
     table = family.table
-    i0 = family.message_space.index(x0)
-    diffs = table ^ table[i0]
-    counts = _row_counts(diffs)
-    counts[i0, 0] = 0  # the identity rewrite has no advantage
-    hits = int(counts.max())
-    j = int(np.argmax(counts.max(axis=1) == hits))
-    first_key = int(np.argmax(counts[j, diffs[j]] == hits))
-    return hits / table.shape[1], {
+    j = int(np.argmax(hits))
+    diffs = table[j] ^ table[i]
+    first_key = int(np.argmax(np.bincount(diffs)[diffs] == hits[j]))
+    return {
         "substitution": "rewrite",
-        "input": str(x0),
+        "input": str(family.message_space[i]),
         "to_message": str(family.message_space[j]),
-        "tag_xor": int(diffs[j, first_key]),
+        "tag_xor": int(diffs[first_key]),
     }
 
 

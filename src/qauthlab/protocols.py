@@ -439,11 +439,15 @@ def ebit_ptp(
             rhos = np.empty((len(part) + 1, d_out, d_out), dtype=complex)
             np.matmul(part, part.conj().transpose(0, 2, 1), out=rhos[1:])
             rhos[1:] *= weights[lo : lo + per, None, None]
-            plans = [plan({"t": t0 + int(t), "y": int(y), "ysyn": int(y), "verdict": ACC})
-                     for t, y in zip(ts[lo : lo + per], ys[lo : lo + per])]
+            if detail:
+                plans = [plan({"t": t0 + int(t), "y": int(y), "ysyn": int(y), "verdict": ACC})
+                         for t, y in zip(ts[lo : lo + per], ys[lo : lo + per])]
+                cuts = [i for i in range(1, len(plans)) if plans[i][0] != plans[i - 1][0]]
+            else:
+                # in a plain run every accept branch has the one record (verdict, ACC)
+                plans, cuts = [plan({"verdict": ACC})] * len(part), []
             # each run of branches that share a record is added to its running
             # sum, one branch after another, by one reduction
-            cuts = [i for i in range(1, len(plans)) if plans[i][0] != plans[i - 1][0]]
             for a, b in zip([0] + cuts, cuts + [len(plans)]):
                 record, _, mix = plans[a]
                 mixes[record] = mix

@@ -22,9 +22,11 @@ uniform key; on reject everything is replaced by error symbols.
 Everything is reported in the full 1-norm (maximum 2 between states).
 
 The soundness operator Omega (``_soundness_operator``) is one Gram product of
-the codes' syndrome projectors, built from the encoders; it is real
-symmetric, and ``ptp_soundness_exact`` is the top eigenvalue of its real
-part, after a check that its imaginary part vanishes; ``ebit_report`` takes its
+the codes' syndrome projectors, built from the encoders as its real and
+imaginary parts; it is real symmetric and splits into 2^n blocks by the
+XOR of its row's sender and receiver indices, and ``ptp_soundness_exact`` is
+the top eigenvalue of those blocks, after checks that Omega's imaginary part
+and its entries outside the blocks vanish; ``ebit_report`` takes its
 accept-conditional states from ``FinalBlock.conditional`` and their AB
 marginal from ``qmath.partial_trace``; the ideal key list is
 ``protocols.key_pads``'.
@@ -195,10 +197,11 @@ def chain_checks(rep: AdvantageReport) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _soundness_operator(family: PtcFamily) -> np.ndarray:
+def _soundness_operator(family: PtcFamily) -> tuple[np.ndarray, np.ndarray]:
     """Omega = (1/|codes|) sum_{t,u} L_{t,u}^dag (I - Phi^m) L_{t,u}, the
     adjoint of the accept-and-decode map applied to the overlap defect, as
-    one Gram product of the syndrome projectors.
+    one Gram product of the syndrome projectors, returned as the real arrays
+    (Re Omega, Im Omega).
 
     L_{t,u} = R_bar (x) R with R = (<u| (x) I) D_t, the sender decoding in
     the conjugate basis and the receiver in the plain one, both finding
@@ -213,8 +216,10 @@ def _soundness_operator(family: PtcFamily) -> np.ndarray:
       (component (i, j) is sum_a R[a, i] conj(R[a, j]) / sqrt(2^m)), so the
       sum of the w w^dag is G / 2^m, read without the swap.
 
-    So Omega |codes| = swap(G) - G / 2^m. For a stabilizer code,
-    P_u = 2^-s sum_{g in S_t} chi_u(g) g with characters chi_u = +-1, and
+    So Omega |codes| = swap(G) - G / 2^m. With Q = A + iB, G splits into
+    Re G = A^T A + B^T B and Im G = C - C^T for C = A^T B, and Re Omega and
+    Im Omega are the same swap and difference of Re G and Im G. For a
+    stabilizer code, P_u = 2^-s sum_{g in S_t} chi_u(g) g with characters chi_u = +-1, and
     the sum over u keeps only the diagonal pairs: sum_u P_bar_u (x) P_u =
     2^-s sum_g g_bar (x) g, and the Phi term likewise
     2^-s sum_g |g>><<g| / 2^m. The phase of each Hermitian g cancels
@@ -224,13 +229,33 @@ def _soundness_operator(family: PtcFamily) -> np.ndarray:
     dm, dt = 1 << family.m, 1 << family.n
     rows = _family_encoders(family).conj().transpose(0, 2, 1).reshape(-1, dm, dt)  # <u| D_t
     projectors = np.matmul(rows.conj().transpose(0, 2, 1), rows).reshape(len(rows), dt * dt)
-    gram = projectors.conj().T @ projectors
-    # the swap copies G, so G can then be scaled in place
-    omega = gram.reshape(dt, dt, dt, dt).transpose(0, 2, 1, 3).reshape(dt * dt, dt * dt)
-    gram /= dm
-    omega -= gram
-    omega /= len(family.codes)
-    return omega
+    # [A; B] as one real array, so Re G is one product; the complex stack is
+    # freed before the products, which keeps the peak memory down
+    ab = np.concatenate([projectors.real, projectors.imag])
+    del projectors
+
+    def omega_part(g):
+        part = np.multiply(g, -1.0 / dm)
+        part.reshape(dt, dt, dt, dt)[...] += g.reshape(dt, dt, dt, dt).transpose(0, 2, 1, 3)
+        part /= len(family.codes)
+        return part
+
+    real = omega_part(ab.T @ ab)
+    c = ab[: len(rows)].T @ ab[len(rows) :]
+    return real, omega_part(c - c.T)
+
+
+def _xor_blocks(omega: np.ndarray, dt: int) -> tuple[np.ndarray, float]:
+    """The (2^n, 2^n, 2^n) stack of Omega's blocks B_c[i, k] = Omega[(i, i^c),
+    (k, k^c)], and the largest |entry| of Omega outside them (rows (i, j) and
+    columns (k, l) with i ^ j != k ^ l)."""
+    ar = np.arange(dt)
+    # row (c, i) of the block layout is Omega's row (i, i ^ c)
+    order = (ar * dt + (ar ^ ar[:, None])).ravel()
+    grouped = omega.take(order, 0).take(order, 1).reshape(dt, dt, dt, dt)
+    blocks = grouped[ar, :, ar]
+    grouped[ar, :, ar] = 0.0
+    return blocks, float(max(grouped.max(), -grouped.min()))
 
 
 def ptp_soundness_exact(family: PtcFamily) -> float:
@@ -239,20 +264,39 @@ def ptp_soundness_exact(family: PtcFamily) -> float:
     The functional is linear in the 2n-qubit input rho, so the maximum is the
     largest eigenvalue of Omega (``_soundness_operator``). Omega is real
     symmetric for stabilizer codes, so that is the top eigenvalue of its real
-    part, from one real ``eigvalsh`` (which reads its lower triangle).
-    Dropping an imaginary part can only lower the top eigenvalue, which would
-    weaken the check unseen, so an entry of Im Omega above ATOL_EXACT raises
-    ``InvariantError``. Cross-validates the mask-level detection predicate
-    against the state-level soundness definition: the value matches the
-    family's verified epsilon.
+    part. Dropping an imaginary part can only lower the top eigenvalue, which
+    would weaken the check unseen, so an entry of Im Omega above ATOL_EXACT
+    raises ``InvariantError``.
+
+    Omega also keeps i ^ j, its rows indexed (i, j) as sender (x) receiver:
+    it commutes with every Z^a (x) Z^a, which multiplies |i, j> by
+    (-1)^(a . (i ^ j)). In each g_bar (x) g of ``_soundness_operator``'s
+    sum, both factors have the same X-part X^x, so their signs (-1)^(a . x)
+    cancel, and the Phi term's |g>> only changes sign, as Z^a g Z^a = +-g.
+    So Omega is 2^n blocks of 2^n x 2^n, one per c = i ^ j, and its top
+    eigenvalue is the largest of theirs, from one batched real ``eigvalsh``;
+    an entry outside the blocks above ATOL_EXACT raises ``InvariantError``.
+    This stops at the Z-subgroup on purpose: adding X^b (x) X^b would make
+    Omega diagonal in the Pauli-displaced Bell basis, with
+    ``codes._missed_counts``' fractions on the diagonal, and a value read off
+    that form would share its derivation with the mask count it checks.
+
+    Cross-validates the mask-level detection predicate against the
+    state-level soundness definition: the value matches the family's
+    verified epsilon.
     """
     if family.n > STATE_LEVEL_MAX_N:
         raise ValueError(f"exact soundness is limited to n <= {STATE_LEVEL_MAX_N} (operator on 4^n dims)")
-    omega = _soundness_operator(family)
-    residual = float(np.abs(omega.imag).max())
+    omega, omega_imag = _soundness_operator(family)
+    residual = float(np.abs(omega_imag).max())
     if residual > ATOL_EXACT:
         raise InvariantError(f"ptp_soundness_exact: soundness operator has imaginary entries up to {residual!r}")
-    return float(np.linalg.eigvalsh(omega.real).max())
+    blocks, off_block = _xor_blocks(omega, 1 << family.n)
+    if off_block > ATOL_EXACT:
+        raise InvariantError(
+            f"ptp_soundness_exact: soundness operator has entries up to {off_block!r} off its i ^ j blocks"
+        )
+    return float(np.linalg.eigvalsh(blocks).max())
 
 
 # ---------------------------------------------------------------------------

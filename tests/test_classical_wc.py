@@ -158,7 +158,9 @@ def _scalar_advantages(fam):
     return out
 
 
-@pytest.mark.parametrize("w,L", [(2, 1), (3, 1), (2, 2), (3, 2)])
+# (5, 1) is the benchmark's family, where the all-inputs path counts each
+# unordered message pair once and mirrors it
+@pytest.mark.parametrize("w,L", [(2, 1), (3, 1), (2, 2), (3, 2), (5, 1)])
 def test_table_advantage_matches_scalar_loop(w, L):
     fam = poly_hash_family(w, L)
     ref = _scalar_advantages(fam)
@@ -185,6 +187,25 @@ def test_advantage_tie_break_follows_the_first_key():
     rep = wc_kg_advantage(fam, x_in=(0,))
     assert rep.best_substitution["tag_xor"] == 3
     assert (rep.advantage, rep.best_substitution) == _scalar_advantages(fam)[(0,)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_all_inputs_choice_matches_scalar_loop_on_random_tables(seed):
+    # unstructured tables, where best pairs and ties fall anywhere: counting
+    # each unordered pair once (row i < j) must still pick the scalar loop's
+    # first input and its first partner
+    rows = np.random.default_rng(seed).integers(0, 4, size=(7, 8))
+    msgs = tuple((i,) for i in range(len(rows)))
+    fam = HashFamily(
+        keys=tuple(range(8)), message_space=msgs, tag_space=(0, 1, 2, 3),
+        evaluate=lambda k, x: int(rows[x[0], k]), eps_asu2=1.0, table=rows,
+    )
+    overall = (0.0, {"substitution": "identity"})
+    for best, info in _scalar_advantages(fam).values():
+        if best > overall[0]:
+            overall = (best, info)
+    rep = wc_kg_advantage(fam)
+    assert (rep.advantage, rep.best_substitution) == overall
 
 
 @pytest.mark.parametrize("w,L", [(2, 1), (3, 1), (2, 2)])

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from qauthlab import ucharness
 from qauthlab.adversary import AttackDescriptor, purified_input, standard_suite
-from qauthlab.codes import _missed_counts, ptc_epsilon_formula, search_ptc
+from qauthlab.codes import PtcFamily, _missed_counts, ptc_epsilon_formula, search_ptc
 from qauthlab.hybrid import InvariantError, record_get
 from qauthlab.pauli import enumerate_paulis
 from qauthlab.protocols import ACC, _family_encoders, ebit_ptp, run_qa_kg
@@ -163,13 +164,36 @@ def test_gram_soundness_operator_matches_the_accept_decoder_stack(name, request)
     # the Gram form against the complex product of the stacked L_{t,u};
     # (2, 3) is above STATE_LEVEL_MAX_N, so its top eigenvalue is taken here
     fam = request.getfixturevalue(name)
-    gram, oracle = ucharness._soundness_operator(fam), soundness_operator(fam)
-    assert np.abs(gram - oracle).max() <= 1e-12
-    assert np.abs(gram.imag).max() <= 1e-12
-    top = np.linalg.eigvalsh(gram.real).max()
+    (real, imag), oracle = ucharness._soundness_operator(fam), soundness_operator(fam)
+    assert np.abs(real + 1j * imag - oracle).max() <= 1e-12
+    assert np.abs(imag).max() <= 1e-12
+    top = np.linalg.eigvalsh(real).max()
     assert abs(top - np.linalg.eigvalsh(oracle).max()) <= 1e-12
     if fam.n <= ucharness.STATE_LEVEL_MAX_N:
-        assert ptp_soundness_exact(fam) == top
+        assert abs(ptp_soundness_exact(fam) - top) <= 1e-12
+
+
+FIXTURE = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "family-m1-s3.json"
+
+
+@pytest.mark.parametrize("ms", [None, (1, 1), (1, 2), (2, 1), (2, 2)])
+def test_soundness_operator_keeps_the_xor_of_its_indices(ms):
+    # the dense oracle, with no identity used, is zero between rows (i, j)
+    # and columns (k, l) with i ^ j != k ^ l, and its top eigenvalue is the
+    # top block eigenvalue that ptp_soundness_exact reports
+    if ms is None:
+        fam = PtcFamily.load(FIXTURE)
+    else:
+        fam = search_ptc(*ms, ptc_epsilon_formula(*ms), seed=1)
+    dt = 1 << fam.n
+    oracle = soundness_operator(fam)
+    ij = np.arange(dt)[:, None] ^ np.arange(dt)
+    off = ij.reshape(-1, 1) != ij.reshape(1, -1)
+    assert np.abs(oracle[off]).max() <= 1e-12
+    blocks = [oracle[np.ix_(ij.ravel() == c, ij.ravel() == c)] for c in range(dt)]
+    top = max(np.linalg.eigvalsh(b).max() for b in blocks)
+    assert abs(top - np.linalg.eigvalsh(oracle).max()) <= 1e-12
+    assert abs(ptp_soundness_exact(fam) - top) <= 1e-12
 
 
 def _patch_encoders(monkeypatch, change):
@@ -188,8 +212,29 @@ def test_soundness_refuses_a_complex_operator(family_s3, monkeypatch):
     # projectors non-Pauli, and Omega's imaginary part (about 0.045) must
     # stop the real eigvalsh, which could only under-report the maximum
     _patch_encoders(monkeypatch, _t_gate_on_qubit_0)
-    assert np.abs(ucharness._soundness_operator(family_s3).imag).max() > 0.01
+    assert np.abs(ucharness._soundness_operator(family_s3)[1]).max() > 0.01
     with pytest.raises(InvariantError, match="imaginary entries up to"):
+        ptp_soundness_exact(family_s3)
+
+
+def _ry_on_qubit_0(stack):
+    # the real rotation Ry(0.3) on the least significant bit, after each encoder
+    c, s = np.cos(0.15), np.sin(0.15)
+    pairs = stack.reshape(len(stack), -1, 2, stack.shape[2])
+    return np.einsum("ab,tibj->tiaj", np.array([[c, -s], [s, c]]), pairs).reshape(stack.shape)
+
+
+def test_soundness_refuses_entries_off_the_xor_blocks(family_s3, monkeypatch):
+    # negative control: a real non-Clifford rotation keeps Omega real but
+    # breaks its Z^a (x) Z^a symmetry; the block eigenvalues would then miss
+    # the entries between blocks (up to about 0.011), so the off-block check
+    # must stop them
+    _patch_encoders(monkeypatch, _ry_on_qubit_0)
+    real, imag = ucharness._soundness_operator(family_s3)
+    assert np.abs(imag).max() <= 1e-12
+    _, off_block = ucharness._xor_blocks(real, 1 << family_s3.n)
+    assert off_block > 1e-3
+    with pytest.raises(InvariantError, match="off its i \\^ j blocks"):
         ptp_soundness_exact(family_s3)
 
 
@@ -203,6 +248,18 @@ def test_ptp_soundness_command_exits_three_on_a_complex_operator(tmp_path, capsy
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "internal invariant violated" in captured.err and "imaginary entries" in captured.err
+
+
+def test_ptp_soundness_command_exits_three_off_the_xor_blocks(tmp_path, capsys, monkeypatch, family_s3):
+    from qauthlab.cli import main
+
+    fam_path = tmp_path / "fam.json"
+    family_s3.save(fam_path)
+    _patch_encoders(monkeypatch, _ry_on_qubit_0)
+    assert main(["ptp-soundness", "--family", str(fam_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "ptp_soundness_exact" in captured.err and "off its i ^ j blocks" in captured.err
 
 
 def test_soundness_ignores_the_logical_basis(family_s3, monkeypatch):
