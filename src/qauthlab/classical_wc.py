@@ -196,7 +196,7 @@ class WcAdvantageReport:
         }
 
 
-def wc_kg_advantage(family: HashFamily, x_in=None) -> WcAdvantageReport:
+def wc_kg_advantage(family: HashFamily) -> WcAdvantageReport:
     """Exact real-vs-ideal advantage, maximized over deterministic substitutions.
 
     The environment sees the wire pair, Bob's output, and the recycled hash
@@ -212,25 +212,18 @@ def wc_kg_advantage(family: HashFamily, x_in=None) -> WcAdvantageReport:
     best pair, and its first best partner (``_best_rewrite``) comes after it.
     """
     table = family.table
-    if x_in is None:
-        inputs = list(range(len(table)))
-        hits = np.zeros((len(table), len(table)), dtype=np.int64)
-        for i in range(len(table) - 1):
-            hits[i, i + 1 :] = _row_counts(table[i + 1 :] ^ table[i]).max(axis=1)
-    else:
-        inputs = [family.message_space.index(x_in)]
-        counts = _row_counts(table ^ table[inputs[0]])
-        counts[inputs[0], 0] = 0  # the identity rewrite has no advantage
-        hits = counts.max(axis=1)[None]
+    hits = np.zeros((len(table), len(table)), dtype=np.int64)
+    for i in range(len(table) - 1):
+        hits[i, i + 1 :] = _row_counts(table[i + 1 :] ^ table[i]).max(axis=1)
     top = hits.max(axis=1)
     r = int(np.argmax(top))
     best, best_info = 0.0, {"substitution": "identity"}
     if top[r] > 0:
-        best, best_info = int(top[r]) / table.shape[1], _best_rewrite(family, inputs[r], hits[r])
+        best, best_info = int(top[r]) / table.shape[1], _best_rewrite(family, r, hits[r])
     return WcAdvantageReport(
         family=family.label,
         eps_asu2=family.eps_asu2,
-        input_message=family.message_space[inputs[0]] if len(inputs) == 1 else "all",
+        input_message="all",
         advantage=best,
         advantage_one_norm=2.0 * best,
         best_substitution=best_info,

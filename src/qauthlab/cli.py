@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .adversary import AttackDescriptor, purified_input, standard_suite
-from .approx_psqa import check_cipher_size, psqa_advantage, rsp_povm, rsp_twin_identity, sample_cipher
+from .approx_psqa import check_cipher_size, psqa_advantage, rsp_scale, rsp_twin_identity, sample_cipher
 from .classical_wc import key_leak_demo, poly_hash_family, wc_kg_advantage
 from .codes import PtcFamily, cost_formulas, ptc_epsilon_formula, search_ptc, verify_ptc
 from .hybrid import InvariantError
@@ -227,7 +227,6 @@ def cmd_psqa(args) -> int:
     cipher = sample_cipher(family.m, args.cipher_size, args.seed)
     rng = np.random.default_rng(args.seed)
     vec = haar_unitary(1 << family.m, rng)[:, 0]
-    meas = rsp_povm(cipher, vec)
     suite = standard_suite(family.m, family.s)
     picks = [a for a in suite if a.acts_on == ("T",)][: args.attacks]
     results = []
@@ -243,7 +242,7 @@ def cmd_psqa(args) -> int:
         _config_echo(
             args,
             delta_measured=cipher.delta_measured,
-            failure_probability=meas.failure_probability,
+            failure_probability=rsp_scale(cipher, vec)[-1],
         ),
         results,
         started,

@@ -19,9 +19,11 @@ CHUNK_ELEMENTS entries. A sweep takes its run's secret key (pad, cipher,
 Bell or preparation outcome) as one instrument on its input and builds every
 block from one Gram matrix per record class (see ``key_sweep``): the verdict,
 whose two Grams each chunk takes once for every sweep of the job
-(``TransferChunk.verdicts``), or with ``detail`` one branch. Output filters
-such as "drop this register" trace each block; "replace this register by the
-maximally mixed state" applies once per record, after the last chunk.
+(``TransferChunk.verdicts``), or with ``detail`` one branch. A (key value,
+class) pair whose probability, read off the class's Gram matrix, is at most
+PRUNE_BELOW is dropped. Output filters such as "drop this register" trace
+each block; "replace this register by the maximally mixed state" applies once
+per record, after the last chunk.
 ``protocols.ebit_ptp`` batches its accept blocks over (code, syndrome) in the
 arithmetic of one branch at a time instead, so that they keep their bits, and
 hands its reject branches to the same finalizer, ``_add_chunk``, as a chunk
@@ -60,9 +62,9 @@ Record = tuple[tuple[str, object], ...]
 
 ACC, REJ, ERR = "ACC", "REJ", "ERR"
 
-# A (key value, record class) pair whose slices (key, code, syndrome, received
-# syndrome) all have at most this probability is dropped. Tiny enough that even
-# thousands of pruned slices stay far under the 1e-9 pipeline tolerance.
+# A (key value, record class) pair of at most this probability is dropped, so
+# each dropped pair loses at most this much weight: even thousands of them stay
+# far under the 1e-9 pipeline tolerance.
 PRUNE_BELOW = 1e-15
 
 # Largest array, in complex entries, that one chunk of codes holds: a chunk of
@@ -171,8 +173,6 @@ class TransferChunk:
     # (codes, y, ysyn, out, probe): branch (t, y, ysyn) as a matrix from the
     # probe registers to the output registers, scaled by 1/sqrt(codes * 2^s)
     x: np.ndarray
-    # (codes, y, ysyn, probe, probe): each branch's X^dag X
-    probe_grams: np.ndarray
 
     @cached_property
     def verdicts(self) -> tuple[tuple[str, np.ndarray, np.ndarray], ...]:
@@ -228,9 +228,9 @@ def key_sweep(
       (out, probe), gives every key value's block at once: Psi_v G_c
       Psi_v^dag, one batched product over the keys, so the key count
       multiplies no contraction over codes.
-    - A (key, class) pair counts only if one of its slices (key, t, y, ysyn)
-      has probability above PRUNE_BELOW, read from the per-branch probe
-      Grams. ``plan`` maps its fields (the verdict, t, y and ysyn with
+    - A (key, class) pair counts only if its probability Tr(Psi_v G_c
+      Psi_v^dag), read off G_c traced over the output registers, is above
+      PRUNE_BELOW. ``plan`` maps its fields (the verdict, t, y and ysyn with
       ``detail``, and the key label with its value) to (output record,
       registers to drop, registers to replace by I/d). Dropped registers
       are traced out of each block; each record is replaced by I/d once, at
@@ -260,26 +260,27 @@ def key_sweep(
 def _add_chunk(blocks, mixes, chunk: TransferChunk, psi, layout, plan, detail: bool, keys) -> None:
     """Add one chunk of codes to ``blocks``: per record class (the chunk's
     cached verdict classes, or with ``detail`` one branch each, REJ first)
-    one Gram matrix, then the blocks of its live key values. The registers
-    each record replaces by I/d go to ``mixes``; ``mix_records`` applies
-    them once all chunks are in. ``keys`` = (label, values, corrections),
+    one Gram matrix, then the blocks of its live key values, those whose
+    class probability is above PRUNE_BELOW. The registers each record
+    replaces by I/d go to ``mixes``; ``mix_records`` applies them once all
+    chunks are in. ``keys`` = (label, values, corrections),
     label None for an unkeyed ``psi`` of one key value."""
     label, values, corrections = keys
     codes, dy = chunk.x.shape[:2]
     x = chunk.x.reshape(codes * dy * dy, -1)
-    # p[v, b] = Tr(X_b^dag X_b Psi_v^T conj(Psi_v))
-    probe_states = np.matmul(psi.conj().transpose(0, 2, 1), psi)
-    probs = (probe_states.reshape(len(psi), -1) @ chunk.probe_grams.reshape(len(x), -1).T).real
+    dj, dp = total_dim(layout[1]), psi.shape[2]
     classes = [(v, b, None) for v, rows, _ in chunk.verdicts for b in rows[:, None]] if detail else chunk.verdicts
     for verdict, rows, gram in classes:
-        live = np.flatnonzero((probs[:, rows] > PRUNE_BELOW).any(axis=1))
-        if not len(live):
-            continue
         fields = {"verdict": verdict}
         if gram is None:
             (b,) = rows.tolist()
             fields.update(t=chunk.t0 + b // (dy * dy), y=b // dy % dy, ysyn=b % dy)
             gram = x[rows].T @ x[rows].conj()
+        # p[v] = Tr(Psi_v G Psi_v^dag), G traced over the output registers
+        traced = np.trace(gram.reshape(dj, dp, dj, dp), axis1=0, axis2=2)
+        live = np.flatnonzero(np.einsum("vop,pq,voq->v", psi, traced, psi.conj()).real > PRUNE_BELOW)
+        if not len(live):
+            continue
         # the live key values by the registers their records drop, then by record
         groups: dict[tuple, dict[Record, list]] = {}
         for v in live:

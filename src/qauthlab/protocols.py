@@ -25,13 +25,15 @@ products have the shapes and layouts of the per-branch ``tensordot`` (the
 same BLAS call each); the syndrome probabilities reduce the same contiguous
 rows; each branch is normalized, weighted and outer-multiplied as one branch
 was; and the accept blocks are summed in (code, syndrome) order, one term
-after another (a sequential ``np.add.reduce`` over a record's running sum and
-its run of branches), across chunks too. A stacked contraction sums the same terms
-in another order and moves ``fidelity_acc`` by up to 2.75e-8, far beyond the
-1e-12 the reports are held to. The reject branches (received syndrome !=
-sent syndrome) feed no such field: weighted, they make the chunk of a
-transfer from a one-dimensional probe, which ``hybrid._add_chunk``, the key
-sweep's finalizer, turns into one Gram matrix per record.
+after another (in a plain run, one sequential ``np.add.reduce`` over the
+record's running sum and the chunk's branches; with ``detail`` every branch
+is its own record), across chunks too. A stacked contraction sums the same
+terms in another order and moves ``fidelity_acc`` by up to 2.75e-8, far
+beyond the 1e-12 the reports are held to. The reject branches (received
+syndrome != sent syndrome) feed no such field: weighted, they make the branch
+maps of a transfer chunk from a one-dimensional probe, which
+``hybrid._add_chunk``, the key sweep's finalizer, turns into one Gram matrix
+per record class and prunes by that class's probability.
 
 The keyed sweeps share one linear map: encode, attack, decode. The simulator
 sends a dummy ebit half through the same coded channel and attack as the
@@ -218,9 +220,7 @@ def _transfer_chunk(encoders: np.ndarray, t0: int, probe: Registers, attack, sca
     amps = amps.reshape(codes, dr, dy, dc, -1, dr, dy, dc).transpose(0, 6, 2, 1, 3, 4, 5, 7)
     x = np.multiply(scale, amps, order="C").reshape(codes, dy, dy, -1, dp)
     x.setflags(write=False)
-    grams = np.matmul(x.conj().transpose(0, 1, 2, 4, 3), x)
-    grams.setflags(write=False)
-    return TransferChunk(t0, x, grams)
+    return TransferChunk(t0, x)
 
 
 # One entry, like _attack_pieces: every sweep of one job reads the same
@@ -381,8 +381,8 @@ def ebit_ptp(
     the arithmetic of one branch at a time (see the module notes): per code,
     the same decoder products, per branch the same normalization and outer
     product, and the accept blocks summed in (code, syndrome) order. The
-    reject branches are finalized per chunk of codes by ``key_sweep``'s
-    ``_add_chunk``.
+    reject branches, as the branch maps of a one-dimensional probe, are
+    finalized per chunk of codes by ``key_sweep``'s ``_add_chunk``.
     """
     m, s, n = family.m, family.s, family.n
     dm, dt, dy = 1 << m, 1 << n, 1 << s
@@ -435,33 +435,31 @@ def ebit_ptp(
         per = max(1, CHUNK_ELEMENTS // (d_out * d_out))
         for lo in range(0, len(ts), per):
             part = parts[lo : lo + per]
-            # branch i's block in slot i + 1; slot i is free for a running sum
+            # branch i's block in slot i + 1; slot 0 holds the running sum
             rhos = np.empty((len(part) + 1, d_out, d_out), dtype=complex)
             np.matmul(part, part.conj().transpose(0, 2, 1), out=rhos[1:])
             rhos[1:] *= weights[lo : lo + per, None, None]
             if detail:
-                plans = [plan({"t": t0 + int(t), "y": int(y), "ysyn": int(y), "verdict": ACC})
-                         for t, y in zip(ts[lo : lo + per], ys[lo : lo + per])]
-                cuts = [i for i in range(1, len(plans)) if plans[i][0] != plans[i - 1][0]]
-            else:
-                # in a plain run every accept branch has the one record (verdict, ACC)
-                plans, cuts = [plan({"verdict": ACC})] * len(part), []
-            # each run of branches that share a record is added to its running
-            # sum, one branch after another, by one reduction
-            for a, b in zip([0] + cuts, cuts + [len(plans)]):
-                record, _, mix = plans[a]
-                mixes[record] = mix
-                start = a + 1
-                if record in blocks:
-                    start, rhos[a] = a, blocks[record][1]
-                blocks[record] = (acc_regs, np.add.reduce(rhos[start : b + 1], axis=0))
-        # the reject branches (t, y, ysyn != y), weighted, as the chunk of a
-        # transfer from a one-dimensional probe, read by an input psi = 1
+                # every branch is its own record
+                for t, y, rho in zip(ts[lo : lo + per], ys[lo : lo + per], rhos[1:]):
+                    record, _, mix = plan({"t": t0 + int(t), "y": int(y), "ysyn": int(y), "verdict": ACC})
+                    mixes[record] = mix
+                    blocks[record] = (acc_regs, rho)
+                continue
+            # a plain run's accept branches all add, one after another, to the
+            # running sum of the one record (verdict, ACC), by one reduction
+            record, _, mix = plan({"verdict": ACC})
+            mixes[record] = mix
+            start = 1
+            if record in blocks:
+                start, rhos[0] = 0, blocks[record][1]
+            blocks[record] = (acc_regs, np.add.reduce(rhos[start:], axis=0))
+        # the reject branches (t, y, ysyn != y), weighted, as the branch maps
+        # of a transfer chunk from a one-dimensional probe, read by psi = 1
         x = np.sqrt(p_y / len(encs))[..., None, None, None] * got[..., None]
-        grams = (p_y[..., None] * probs / len(encs))[..., None, None]
-        x[:, diag, diag] = grams[:, diag, diag] = 0.0
+        x[:, diag, diag] = 0.0
         _add_chunk(
-            blocks, mixes, TransferChunk(t0, x, grams), np.ones((1, 1, 1)), ((), out_regs, "B"), plan, detail,
+            blocks, mixes, TransferChunk(t0, x), np.ones((1, 1, 1)), ((), out_regs, "B"), plan, detail,
             (None, (None,), None),
         )
     return checked_total(mix_records(blocks, mixes), "ebit_ptp")

@@ -142,7 +142,9 @@ def teleport(
     Returns one (probability, outcome, post-state) triple per Bell outcome of
     probability above PRUNE_BELOW; the post-state keeps the other registers in
     their order. The measurement is ``run_tqa_kg``'s Bell key, taken the way
-    ``key_sweep`` takes it.
+    ``key_sweep`` takes it. This prunes each outcome on its own, where
+    ``key_sweep`` prunes each (key value, record class) pair by the pair's
+    probability; on every tested input the two keep the same outcomes.
     """
     dm, pair_dims = dict(state.registers).get(message, 0), dict(resource.registers)
     if not dm or dm & (dm - 1) or (pair_dims.get(alice), pair_dims.get(bob)) != (dm, dm):

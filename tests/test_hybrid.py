@@ -274,6 +274,24 @@ def test_key_sweep_total_weight_and_records(family_s1):
     assert len(detailed.blocks) == 4
 
 
+@pytest.mark.parametrize("rej_slice, kept", [(0.6e-15, True), (0.4e-15, False)])
+def test_a_record_class_is_pruned_by_its_own_probability(rej_slice, kept):
+    # one code at s = 1, a 1-dim probe and a 2-dim output: the two REJ slices
+    # each sit below PRUNE_BELOW, and the REJ class is kept iff their sum
+    # (1.2e-15 or 0.8e-15) is above it
+    x = np.zeros((1, 2, 2, 2, 1), dtype=complex)
+    x[0, [0, 1], [0, 1], 0, 0] = np.sqrt(0.5)
+    x[0, [0, 1], [1, 0], 1, 0] = np.sqrt(rej_slice)
+    transfer = hybrid.Transfer((("T", 1),), (("T", 2),), (hybrid.TransferChunk(0, x),))
+    final = key_sweep(transfer, StateVector(np.ones(1, dtype=complex), (("C", 1),)), "C", _verdict_plan, False)
+    assert final.blocks[(("verdict", "ACC"),)].weight == pytest.approx(1.0, abs=1e-15)
+    rej = final.blocks.get((("verdict", "REJ"),))
+    assert (rej is not None) == kept
+    if kept:
+        assert rej.weight == pytest.approx(2 * rej_slice, rel=1e-12)
+        assert rej.registers == (("B", 2),)
+
+
 def test_key_sweep_rejects_non_isometric_attack(family_s1):
     # a transfer built from a dilation that gains weight breaks the
     # total-weight invariant of every sweep that reads it

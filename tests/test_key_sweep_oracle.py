@@ -16,6 +16,12 @@ sets and registers must be identical and the blocks agree within 1e-12, and
 every block is Hermitian within 1e-13.
 Each transfer chunk's cached verdict classes are checked against their
 definition, and with the two classes swapped the comparison must fail.
+
+The oracle prunes per slice (a slice of probability at most PRUNE_BELOW is
+dropped), the engine per (key value, record class) pair (the pair is dropped
+when its whole probability is at most PRUNE_BELOW). No slice of a tested
+family lies near the threshold, so the two rules keep the same records here;
+``tests/test_hybrid.py`` pins where they part.
 """
 
 from functools import cached_property
@@ -223,8 +229,8 @@ def test_engine_matches_the_per_slice_oracle(monkeypatch, family, suite, sweep):
 
 @pytest.mark.parametrize("sweep", sorted(SWEEPS))
 def test_detected_attacks_are_never_accepted(family, suite, sweep):
-    # every code of the family detects Y0, Z0 and X2: their accept slices hold
-    # only roundoff, and the per-slice prune must drop every one of them
+    # every code of the family detects Y0, Z0 and X2: their accept classes
+    # hold only roundoff, and the prune must drop every one of them
     for attack in _attacks(sweep, suite):
         if attack.name() in ("Y0", "Z0", "X2"):
             final = SWEEPS[sweep](family, attack)

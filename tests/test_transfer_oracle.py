@@ -7,8 +7,7 @@ three ``moveaxis`` to the (codes, y, ysyn, out, probe) layout. The engine
 builds the same chunk from two batched products and one transpose. Both are
 read through ``build_transfer``, so they see the same chunks of codes.
 
-Every chunk's ``x`` and ``probe_grams`` must be ``array_equal`` to the
-oracle's: on all 27 attacks of the benchmark's m=1, s=3 family, with the
+Every chunk's ``x`` must be ``array_equal`` to the oracle's: on all 27 attacks of the benchmark's m=1, s=3 family, with the
 chunk budget at one entry (one code per chunk), at 2^12 entries and at its
 default, and on searched families at (m, s) = (1, 1), (1, 2), (2, 1) and
 (2, 2). An oracle that applies the decoder without its conjugate must
@@ -49,8 +48,7 @@ def chained_transfer_chunk(encoders, t0, probe, attack, scale, conj=True):
     amps = amps.reshape(amps.shape[:at] + (dy, dc) + amps.shape[at + 1 :])
     amps = np.moveaxis(amps, at, len(names))
     x = np.ascontiguousarray(scale * np.moveaxis(amps.reshape(dp, codes, dy, dy, -1), 0, -1))
-    grams = np.matmul(x.conj().transpose(0, 1, 2, 4, 3), x)
-    return TransferChunk(t0, x, grams)
+    return TransferChunk(t0, x)
 
 
 def both_transfers(monkeypatch, family, attack, conj=True):
@@ -72,10 +70,9 @@ def differences(got, want) -> list[str]:
         return ["layouts or chunk counts differ"]
     problems = []
     for mine, theirs in zip(got.chunks, want.chunks):
-        for name in ("x", "probe_grams"):
-            a, b = getattr(mine, name), getattr(theirs, name)
-            if mine.t0 != theirs.t0 or a.shape != b.shape or not np.array_equal(a, b):
-                problems.append(f"chunk from code {theirs.t0}: {name}")
+        a, b = mine.x, theirs.x
+        if mine.t0 != theirs.t0 or a.shape != b.shape or not np.array_equal(a, b):
+            problems.append(f"chunk from code {theirs.t0}: x")
     return problems
 
 
