@@ -175,7 +175,7 @@ def rsp_povm(cipher: ApproxCipher, message_vec: np.ndarray) -> RspMeasurement:
 # ---------------------------------------------------------------------------
 
 
-def _psqa_plan(detail: bool, internal: tuple[str, ...] = ()):
+def _psqa_plan(internal: tuple[str, ...] = ()):
     """Finalize plan: fields -> (record, drop, mix); ``internal`` registers
     never reach the environment."""
 
@@ -185,8 +185,6 @@ def _psqa_plan(detail: bool, internal: tuple[str, ...] = ()):
             out_rec, drop = (("verdict", ACC), ("key", key)), ()
         else:
             out_rec, drop = (("verdict", verdict), ("key", ERR)), ("M",)
-        if detail:
-            out_rec = out_rec + (("detail", tuple((kk, fields[kk]) for kk in ("k", "t", "y", "ysyn"))),)
         return out_rec, drop + internal, ()
 
     return plan
@@ -197,7 +195,6 @@ def run_psqa_kg(
     cipher: ApproxCipher,
     family: PtcFamily,
     attack: AttackDescriptor,
-    detail: bool = False,
 ) -> FinalState:
     """Pure-state authentication: the cipher replaces the Pauli pad.
 
@@ -212,8 +209,7 @@ def run_psqa_kg(
         _transfer(family, attack),
         StateVector(vec, (("Mc", dm),)),
         "Mc",
-        _psqa_plan(detail),
-        detail,
+        _psqa_plan(),
         key=pad_key("k", range(cipher.key_count), np.stack(cipher.unitaries), "Mc"),
         receiver="M",
     )
@@ -224,7 +220,6 @@ def run_psrqa_kg(
     cipher: ApproxCipher,
     family: PtcFamily,
     attack: AttackDescriptor,
-    detail: bool = False,
 ) -> FinalState:
     """Remote-preparation twin: entanglement through the attacked channel,
     then the message-specific measurement on the sender's halves.
@@ -249,8 +244,7 @@ def run_psrqa_kg(
         _transfer(family, attack),
         base,
         "B0",
-        _psqa_plan(detail, internal=("Ams",)),
-        detail,
+        _psqa_plan(internal=("Ams",)),
         key=("k", list(range(cipher.key_count)) + ["f"], ("Ams",), np.stack(ops), (("Ams", dm),),
              np.stack(corrections)),
         receiver="M",

@@ -17,13 +17,13 @@ registers (the carrier, and R when the attack acts on it) to the output
 registers, in chunks of codes whose largest array holds at most
 CHUNK_ELEMENTS entries. A sweep takes its run's secret key (pad, cipher,
 Bell or preparation outcome) as one instrument on its input and builds every
-block from one Gram matrix per record class (see ``key_sweep``): the verdict,
+block from one Gram matrix per record class, the verdict (see ``key_sweep``),
 whose two Grams each chunk takes once for every sweep of the job
-(``TransferChunk.verdicts``), or with ``detail`` one branch. A (key value,
-class) pair whose probability, read off the class's Gram matrix, is at most
-PRUNE_BELOW is dropped. Output filters such as "drop this register" trace
-each block; "replace this register by the maximally mixed state" applies once
-per record, after the last chunk.
+(``TransferChunk.verdicts``). No record holds a single branch; the tests take
+branches from per-slice oracles. A (key value, class) pair whose probability,
+read off the class's Gram matrix, is at most PRUNE_BELOW is dropped. Output
+filters such as "drop this register" trace each block; "replace this register
+by the maximally mixed state" applies once per record, after the last chunk.
 ``protocols.ebit_ptp`` batches its accept blocks over (code, syndrome) in the
 arithmetic of one branch at a time instead, so that they keep their bits, and
 hands its reject branches to the same finalizer, ``_add_chunk``, as a chunk
@@ -167,25 +167,23 @@ class InvariantError(RuntimeError):
 
 @dataclass(frozen=True)
 class TransferChunk:
-    """The transfer of a run of codes, from code ``t0`` on."""
+    """The transfer of a run of codes."""
 
-    t0: int
     # (codes, y, ysyn, out, probe): branch (t, y, ysyn) as a matrix from the
     # probe registers to the output registers, scaled by 1/sqrt(codes * 2^s)
     x: np.ndarray
 
     @cached_property
-    def verdicts(self) -> tuple[tuple[str, np.ndarray, np.ndarray], ...]:
-        """(verdict, branch rows in (t, y, ysyn) order, their read-only Gram
-        sum_b x_b x_b^dag) for REJ, then ACC (y == ysyn); taken once, for
-        every sweep that reads the chunk."""
+    def verdicts(self) -> tuple[tuple[str, np.ndarray], ...]:
+        """(verdict, read-only Gram sum_b x_b x_b^dag over its branches) for
+        REJ, then ACC (y == ysyn); taken once, for every sweep that reads the
+        chunk."""
         x = self.x.reshape(self.x.shape[0] * self.x.shape[1] ** 2, -1)
         accept = np.tile(np.eye(self.x.shape[1], dtype=bool).reshape(-1), len(self.x))
-        rows = (np.flatnonzero(~accept), np.flatnonzero(accept))
-        grams = [x[r].T @ x[r].conj() for r in rows]
+        grams = [x[rows].T @ x[rows].conj() for rows in (~accept, accept)]
         for gram in grams:
             gram.setflags(write=False)
-        return tuple(zip((REJ, ACC), rows, grams))
+        return tuple(zip((REJ, ACC), grams))
 
 
 @dataclass(frozen=True)
@@ -209,7 +207,6 @@ def key_sweep(
     base: StateVector,
     carrier: str,
     plan: Callable[[dict], tuple[Record, tuple[str, ...], tuple[str, ...]]],
-    detail: bool,
     key: tuple[str, Sequence, Sequence[str], np.ndarray, Registers, np.ndarray] | None = None,
     receiver: str = "B",
 ) -> FinalState:
@@ -223,18 +220,16 @@ def key_sweep(
       instrument U_k/sqrt(K).
     - The state of key value v is a matrix Psi_v from the probe registers to
       the rest of ``base``. A record class c is a verdict (accept iff ysyn ==
-      y), or one branch (t, y, ysyn) when ``detail`` is set. Its Gram matrix
-      G_c = sum_{b in c} x_b x_b^dag, x_b the branch map as a vector over
-      (out, probe), gives every key value's block at once: Psi_v G_c
-      Psi_v^dag, one batched product over the keys, so the key count
-      multiplies no contraction over codes.
+      y). Its Gram matrix G_c = sum_{b in c} x_b x_b^dag, x_b the branch map
+      as a vector over (out, probe), gives every key value's block at once:
+      Psi_v G_c Psi_v^dag, one batched product over the keys, so the key
+      count multiplies no contraction over codes.
     - A (key, class) pair counts only if its probability Tr(Psi_v G_c
       Psi_v^dag), read off G_c traced over the output registers, is above
-      PRUNE_BELOW. ``plan`` maps its fields (the verdict, t, y and ysyn with
-      ``detail``, and the key label with its value) to (output record,
-      registers to drop, registers to replace by I/d). Dropped registers
-      are traced out of each block; each record is replaced by I/d once, at
-      the end.
+      PRUNE_BELOW. ``plan`` maps its fields (the verdict, and the key label
+      with its value) to (output record, registers to drop, registers to
+      replace by I/d). Dropped registers are traced out of each block; each
+      record is replaced by I/d once, at the end.
 
     The codes run in the transfer's chunks, one set of Grams per chunk.
     """
@@ -253,29 +248,21 @@ def key_sweep(
     blocks: dict[Record, tuple[Registers, np.ndarray]] = {}
     mixes: dict[Record, tuple[str, ...]] = {}
     for chunk in transfer.chunks:
-        _add_chunk(blocks, mixes, chunk, psi, (other, out, receiver), plan, detail, keys)
+        _add_chunk(blocks, mixes, chunk, psi, (other, out, receiver), plan, keys)
     return checked_total(mix_records(blocks, mixes), "key sweep")
 
 
-def _add_chunk(blocks, mixes, chunk: TransferChunk, psi, layout, plan, detail: bool, keys) -> None:
-    """Add one chunk of codes to ``blocks``: per record class (the chunk's
-    cached verdict classes, or with ``detail`` one branch each, REJ first)
-    one Gram matrix, then the blocks of its live key values, those whose
-    class probability is above PRUNE_BELOW. The registers each record
+def _add_chunk(blocks, mixes, chunk: TransferChunk, psi, layout, plan, keys) -> None:
+    """Add one chunk of codes to ``blocks``: per verdict class (the chunk's
+    cached Gram matrices, REJ first) the blocks of its live key values, those
+    whose class probability is above PRUNE_BELOW. The registers each record
     replaces by I/d go to ``mixes``; ``mix_records`` applies them once all
     chunks are in. ``keys`` = (label, values, corrections),
     label None for an unkeyed ``psi`` of one key value."""
     label, values, corrections = keys
-    codes, dy = chunk.x.shape[:2]
-    x = chunk.x.reshape(codes * dy * dy, -1)
     dj, dp = total_dim(layout[1]), psi.shape[2]
-    classes = [(v, b, None) for v, rows, _ in chunk.verdicts for b in rows[:, None]] if detail else chunk.verdicts
-    for verdict, rows, gram in classes:
+    for verdict, gram in chunk.verdicts:
         fields = {"verdict": verdict}
-        if gram is None:
-            (b,) = rows.tolist()
-            fields.update(t=chunk.t0 + b // (dy * dy), y=b // dy % dy, ysyn=b % dy)
-            gram = x[rows].T @ x[rows].conj()
         # p[v] = Tr(Psi_v G Psi_v^dag), G traced over the output registers
         traced = np.trace(gram.reshape(dj, dp, dj, dp), axis1=0, axis2=2)
         live = np.flatnonzero(np.einsum("vop,pq,voq->v", psi, traced, psi.conj()).real > PRUNE_BELOW)
@@ -286,7 +273,7 @@ def _add_chunk(blocks, mixes, chunk: TransferChunk, psi, layout, plan, detail: b
         for v in live:
             record, drop, mix = plan(fields if label is None else {**fields, label: values[v]})
             if mixes.setdefault(record, tuple(mix)) != tuple(mix):
-                raise RegisterError(f"record {record} accumulated under different register sets")
+                raise InvariantError(f"record {record} accumulated under different registers to mix")
             groups.setdefault(tuple(drop), {}).setdefault(record, []).append(v)
         fix = corrections if verdict == ACC else None
         for drop, records in groups.items():
@@ -296,7 +283,7 @@ def _add_chunk(blocks, mixes, chunk: TransferChunk, psi, layout, plan, detail: b
             for record, rho in zip(records, np.add.reduceat(rhos, starts, axis=0)):
                 if record in blocks:
                     if blocks[record][0] != kept:
-                        raise RegisterError(f"record {record} accumulated under different register sets")
+                        raise InvariantError(f"record {record} accumulated under different kept registers")
                     rho = blocks[record][1] + rho
                 blocks[record] = (kept, rho)
 

@@ -9,7 +9,8 @@ arithmetic):
   decrypt, and recycle the encryption key on accept.
 - ``run_tqa_kg``: the teleportation-based twin, whose key is the Bell
   measurement in the basis {(I (x) s_xz)|Phi>} (``bell_key``); produces the
-  same final state branch for branch.
+  same final state branch for branch. The sweeps keep one record per verdict
+  and key; the tests compare the branches in a per-slice oracle.
 - ``ebit_ptc`` / ``ebit_ptp``: entanglement generation over the attacked
   channel, in the encoder-keyed form and the bilateral syndrome-measurement
   form. On reject both output the error state: maximally mixed on A, error
@@ -25,11 +26,10 @@ products have the shapes and layouts of the per-branch ``tensordot`` (the
 same BLAS call each); the syndrome probabilities reduce the same contiguous
 rows; each branch is normalized, weighted and outer-multiplied as one branch
 was; and the accept blocks are summed in (code, syndrome) order, one term
-after another (in a plain run, one sequential ``np.add.reduce`` over the
-record's running sum and the chunk's branches; with ``detail`` every branch
-is its own record), across chunks too. A stacked contraction sums the same
-terms in another order and moves ``fidelity_acc`` by up to 2.75e-8, far
-beyond the 1e-12 the reports are held to. The reject branches (received
+after another (one sequential ``np.add.reduce`` over the record's running
+sum and the chunk's branches), across chunks too. A stacked contraction sums
+the same terms in another order and moves ``fidelity_acc`` by up to 2.75e-8,
+far beyond the 1e-12 the reports are held to. The reject branches (received
 syndrome != sent syndrome) feed no such field: weighted, they make the branch
 maps of a transfer chunk from a one-dimensional probe, which
 ``hybrid._add_chunk``, the key sweep's finalizer, turns into one Gram matrix
@@ -198,7 +198,7 @@ def build_transfer(encoders: np.ndarray, attack, m: int) -> Transfer:
     step = max(1, CHUNK_ELEMENTS // (total_dim(probe) * dy * total_dim(att_out)))
     scale = 1.0 / np.sqrt(len(encoders) * dy)
     chunks = tuple(
-        _transfer_chunk(encoders[t0 : t0 + step], t0, probe, attack, scale)
+        _transfer_chunk(encoders[t0 : t0 + step], probe, attack, scale)
         for t0 in range(0, len(encoders), step)
     )
     # after the attack the registers are att_out; the decoder reads T as
@@ -206,9 +206,9 @@ def build_transfer(encoders: np.ndarray, attack, m: int) -> Transfer:
     return Transfer(probe, tuple(("T", dc) if r[0] == "T" else r for r in att_out), chunks)
 
 
-def _transfer_chunk(encoders: np.ndarray, t0: int, probe: Registers, attack, scale: float) -> TransferChunk:
-    """One chunk of codes of ``build_transfer``, from code ``t0`` on: two
-    batched products and one transpose."""
+def _transfer_chunk(encoders: np.ndarray, probe: Registers, attack, scale: float) -> TransferChunk:
+    """One chunk of codes of ``build_transfer``: two batched products and one
+    transpose."""
     iso = attack[0]
     codes, dt, dc, dp = len(encoders), encoders.shape[1], dict(probe)["T"], total_dim(probe)
     dr, dy = dp // dc, dt // dc
@@ -220,7 +220,7 @@ def _transfer_chunk(encoders: np.ndarray, t0: int, probe: Registers, attack, sca
     amps = amps.reshape(codes, dr, dy, dc, -1, dr, dy, dc).transpose(0, 6, 2, 1, 3, 4, 5, 7)
     x = np.multiply(scale, amps, order="C").reshape(codes, dy, dy, -1, dp)
     x.setflags(write=False)
-    return TransferChunk(t0, x)
+    return TransferChunk(x)
 
 
 # One entry, like _attack_pieces: every sweep of one job reads the same
@@ -231,20 +231,15 @@ def _transfer(family: PtcFamily, attack: AttackDescriptor) -> Transfer:
     return build_transfer(_family_encoders(family), _attack_pieces(family, attack), family.m)
 
 
-def _qa_output_plan(back_communication: bool, detail: bool):
+def _qa_output_plan(back_communication: bool):
     """Finalize plan for message-carrying runs: fields -> (record, drop, mix)."""
 
     def plan(fields: dict):
         key = fields["key"]
         if fields["verdict"] == ACC:
-            record, drop = (("verdict", ACC), ("key_alice", key), ("key_bob", key)), ()
-        else:
-            alice = ERR if back_communication else key
-            record, drop = (("verdict", REJ), ("key_alice", alice), ("key_bob", ERR)), ("M",)
-        if detail:
-            extra = (("x", key[0]), ("z", key[1])) + tuple((k, fields[k]) for k in ("t", "y", "ysyn"))
-            record = record + (("detail", extra),)
-        return record, drop, ()
+            return (("verdict", ACC), ("key_alice", key), ("key_bob", key)), (), ()
+        alice = ERR if back_communication else key
+        return (("verdict", REJ), ("key_alice", alice), ("key_bob", ERR)), ("M",), ()
 
     return plan
 
@@ -259,7 +254,6 @@ def run_qa_kg(
     family: PtcFamily,
     attack: AttackDescriptor,
     back_communication: bool = True,
-    detail: bool = False,
 ) -> FinalState:
     """Run the noninteractive protocol over the full key distribution.
 
@@ -276,8 +270,7 @@ def run_qa_kg(
         _transfer(family, attack),
         input_state,
         "M",
-        _qa_output_plan(back_communication, detail),
-        detail,
+        _qa_output_plan(back_communication),
         key=pad_key("key", *key_pads(m), "M"),
         receiver="M",
     )
@@ -288,7 +281,6 @@ def run_tqa_kg(
     family: PtcFamily,
     attack: AttackDescriptor,
     back_communication: bool = True,
-    detail: bool = False,
 ) -> FinalState:
     """Teleportation-based twin of ``run_qa_kg``.
 
@@ -305,8 +297,7 @@ def run_tqa_kg(
         _transfer(family, attack),
         tensor(input_state, ebits),
         "A2",
-        _qa_output_plan(back_communication, detail),
-        detail,
+        _qa_output_plan(back_communication),
         key=bell_key(m, ("M", "A1")),
         receiver="M",
     )
@@ -317,18 +308,13 @@ def run_tqa_kg(
 # ---------------------------------------------------------------------------
 
 
-def _ebit_output_plan(detail: bool):
-    def plan(fields: dict):
-        verdict = fields["verdict"]
-        base = (("verdict", verdict),)
-        if detail:
-            base = base + (("detail", tuple((k, fields[k]) for k in ("t", "y", "ysyn"))),)
-        if verdict == ACC:
-            return base, (), ()
-        # error state: maximally mixed on A, error symbol in place of B
-        return base, ("B",), ("A",)
-
-    return plan
+def _ebit_output_plan(fields: dict):
+    """Finalize plan for entanglement runs: fields -> (record, drop, mix)."""
+    record = (("verdict", fields["verdict"]),)
+    if fields["verdict"] == ACC:
+        return record, (), ()
+    # error state: maximally mixed on A, error symbol in place of B
+    return record, ("B",), ("A",)
 
 
 def _maybe_reference(base: StateVector, attack: AttackDescriptor, m: int) -> StateVector:
@@ -340,11 +326,7 @@ def _maybe_reference(base: StateVector, attack: AttackDescriptor, m: int) -> Sta
     return tensor(ref, base)
 
 
-def ebit_ptc(
-    family: PtcFamily,
-    attack: AttackDescriptor,
-    detail: bool = False,
-) -> FinalState:
+def ebit_ptc(family: PtcFamily, attack: AttackDescriptor) -> FinalState:
     """Entanglement generation with the encoder-keyed code family.
 
     The sender makes m fresh ebits, encodes one half with the secret (t, y),
@@ -355,20 +337,10 @@ def ebit_ptc(
     dm = 1 << family.m
     base = StateVector(max_entangled_vector(dm), (("A", dm), ("B0", dm)))
     base = _maybe_reference(base, attack, family.m)
-    return key_sweep(
-        _transfer(family, attack),
-        base,
-        "B0",
-        _ebit_output_plan(detail),
-        detail,
-    )
+    return key_sweep(_transfer(family, attack), base, "B0", _ebit_output_plan)
 
 
-def ebit_ptp(
-    family: PtcFamily,
-    attack: AttackDescriptor,
-    detail: bool = False,
-) -> FinalState:
+def ebit_ptp(family: PtcFamily, attack: AttackDescriptor) -> FinalState:
     """Entanglement generation in the bilateral syndrome-measurement form.
 
     Both parties hold halves of n fresh ebit pairs (the receiver's half
@@ -390,7 +362,6 @@ def ebit_ptp(
     base = StateVector(max_entangled_vector(dt), (("A0", dt), ("T", dt)))
     base = _maybe_reference(base, attack, m)
     attacked, att_regs = _apply(base.amplitudes, base.registers, *_attack_pieces(family, attack))
-    plan = _ebit_output_plan(detail)
     # the sender's A0 reads as (Ya, A) and the receiver's T as (Ysyn, B); each
     # syndrome leads and the rest keeps the register order
     (pos_a,) = reg_positions(att_regs, ("A0",))
@@ -439,16 +410,9 @@ def ebit_ptp(
             rhos = np.empty((len(part) + 1, d_out, d_out), dtype=complex)
             np.matmul(part, part.conj().transpose(0, 2, 1), out=rhos[1:])
             rhos[1:] *= weights[lo : lo + per, None, None]
-            if detail:
-                # every branch is its own record
-                for t, y, rho in zip(ts[lo : lo + per], ys[lo : lo + per], rhos[1:]):
-                    record, _, mix = plan({"t": t0 + int(t), "y": int(y), "ysyn": int(y), "verdict": ACC})
-                    mixes[record] = mix
-                    blocks[record] = (acc_regs, rho)
-                continue
-            # a plain run's accept branches all add, one after another, to the
-            # running sum of the one record (verdict, ACC), by one reduction
-            record, _, mix = plan({"verdict": ACC})
+            # the accept branches all add, one after another, to the running
+            # sum of the one record (verdict, ACC), by one reduction
+            record, _, mix = _ebit_output_plan({"verdict": ACC})
             mixes[record] = mix
             start = 1
             if record in blocks:
@@ -459,7 +423,7 @@ def ebit_ptp(
         x = np.sqrt(p_y / len(encs))[..., None, None, None] * got[..., None]
         x[:, diag, diag] = 0.0
         _add_chunk(
-            blocks, mixes, TransferChunk(t0, x), np.ones((1, 1, 1)), ((), out_regs, "B"), plan, detail,
+            blocks, mixes, TransferChunk(x), np.ones((1, 1, 1)), ((), out_regs, "B"), _ebit_output_plan,
             (None, (None,), None),
         )
     return checked_total(mix_records(blocks, mixes), "ebit_ptp")

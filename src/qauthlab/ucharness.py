@@ -342,7 +342,7 @@ def ideal_sweep(
             return (("verdict", ACC),), ("Ad", "B"), ()
         return (("verdict", REJ),) + key_record(ERR), ("Ad", "B", "M"), ()
 
-    final = key_sweep(_transfer(family, attack), tensor(message, dummy), "B0", plan, False)
+    final = key_sweep(_transfer(family, attack), tensor(message, dummy), "B0", plan)
     blocks = {}
     for rec, block in final.blocks.items():
         if _is_acc(rec):

@@ -1,0 +1,114 @@
+"""Source mutants and the tests that must kill them.
+
+Each entry of MUTANTS is one edit of one source file: the old text (found
+there exactly once), the new text, and the test expected to fail on the
+edited source. ``python tests/mutants.py`` runs each entry in its own copy
+of the repository in a temporary directory: the named test must pass there
+as it is, and fail once the edit is applied. It exits 1 if any named test
+passes on its mutant (the mutant survives), fails without it, or any old
+text is not found exactly once. The catalogue starts with the mutants in
+the engine's branch path, which the per-branch records of the key sweep
+used to guard: each check that replaced them is seen to fail.
+
+Run it from anywhere; it takes about ten seconds on two cores.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    test: str
+
+
+MUTANTS = (
+    # the transfer's branch layout: y and ysyn swapped. Every report moves by
+    # at most roundoff (the two axes are summed over alike), so only a
+    # bit-for-bit comparison of the chunks sees it
+    Mutant(
+        "transfer-swaps-y-and-ysyn",
+        "src/qauthlab/protocols.py",
+        ".transpose(0, 6, 2, 1, 3, 4, 5, 7)",
+        ".transpose(0, 2, 6, 1, 3, 4, 5, 7)",
+        "tests/test_transfer_oracle.py",
+    ),
+    # the accept class: y == ysyn + 1 instead of y == ysyn
+    Mutant(
+        "accept-class-off-the-diagonal",
+        "src/qauthlab/hybrid.py",
+        "np.eye(self.x.shape[1], dtype=bool)",
+        "np.eye(self.x.shape[1], k=1, dtype=bool)",
+        "tests/test_key_sweep_oracle.py::test_each_chunk_caches_its_two_verdict_classes",
+    ),
+    # ebit_ptp's accept weights without the receiver's syndrome probability
+    Mutant(
+        "ebit-ptp-accept-weight-drops-the-receiver",
+        "src/qauthlab/protocols.py",
+        "weights = p[ts, ys] / len(encs)",
+        "weights = p_y[ts, ys] / len(encs)",
+        "tests/test_ebit_ptp_bits.py::test_accept_blocks_bitwise_and_reject_blocks_close",
+    ),
+    # ebit_ptp's accept blocks summed last branch first: the same terms in
+    # another order, which only the bit-for-bit comparison sees
+    Mutant(
+        "ebit-ptp-accept-sum-reversed",
+        "src/qauthlab/protocols.py",
+        "np.add.reduce(rhos[start:], axis=0)",
+        "np.add.reduce(rhos[start:][::-1], axis=0)",
+        "tests/test_ebit_ptp_bits.py::test_accept_blocks_bitwise_and_reject_blocks_close",
+    ),
+)
+
+IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "perfbench-out")
+
+
+def _pytest(copy: Path, test: str) -> int:
+    env = {**os.environ, "PYTHONPATH": str(copy / "src")}
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", test]
+    return subprocess.run(command, cwd=copy, env=env, capture_output=True, timeout=1200).returncode
+
+
+def run(mutant: Mutant, workdir: Path) -> str:
+    """Run ``mutant``'s test in a copy of the repository under ``workdir``,
+    before and after the edit: "killed", "SURVIVED", or what went wrong."""
+    copy = workdir / mutant.name
+    shutil.copytree(ROOT, copy, ignore=IGNORED)
+    source = copy / mutant.path
+    text = source.read_text()
+    if text.count(mutant.old) != 1:
+        return f"NOT APPLIED: the old text occurs {text.count(mutant.old)} times in {mutant.path}"
+    if _pytest(copy, mutant.test) != 0:
+        return "ERROR: the test fails without the mutant"
+    source.write_text(text.replace(mutant.old, mutant.new))
+    # pytest exits 1 when a test fails; any other code is a collection or
+    # usage error, which kills nothing
+    code = _pytest(copy, mutant.test)
+    return {0: "SURVIVED", 1: "killed"}.get(code, f"ERROR: pytest exited {code}")
+
+
+def main() -> int:
+    failed = 0
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        for mutant in MUTANTS:
+            verdict = run(mutant, Path(tmp))
+            failed += verdict != "killed"
+            print(f"{mutant.name}: {verdict} ({mutant.test})", flush=True)
+    print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

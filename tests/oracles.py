@@ -2,27 +2,48 @@
 
 None of these is run by an experiment: each is a second, independent way to
 compute what the package computes (syndromes and detection one error and one
-code at a time, random codes drawn one scalar at a time, teleportation
-outcome by outcome, the classical channel message by message, the soundness
-operator from the stacked accept-and-decode operators and its functional on
-one explicit input, the dense block-diagonal embedding of a final state), or
-an object the tests build their cases from.
+code at a time, random codes drawn one scalar at a time, the key sweep slice
+by slice and with one record per branch, teleportation outcome by outcome,
+the classical channel message by message, the soundness operator from the
+stacked accept-and-decode operators and its functional on one explicit
+input, the dense block-diagonal embedding of a final state), or an object
+the tests build their cases from.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
+import pytest
 
+from qauthlab import approx_psqa, hybrid, protocols, ucharness
 from qauthlab.adversary import AttackDescriptor
 from qauthlab.approx_psqa import ApproxCipher, measure_delta
 from qauthlab.classical_wc import HashFamily
 from qauthlab.codes import CodeError, PtcFamily, StabilizerCode, _gf2_rank
-from qauthlab.hybrid import PRUNE_BELOW, FinalState, Record, _contract, _keyed
+from qauthlab.hybrid import (
+    ACC,
+    PRUNE_BELOW,
+    REJ,
+    FinalState,
+    Record,
+    _contract,
+    _keyed,
+    checked_total,
+    mix_records,
+)
 from qauthlab.pauli import PauliString, _parity, hermitian_pauli, pauli_matrix, symplectic_product
-from qauthlab.protocols import _family_encoders, bell_key, key_pads
-from qauthlab.qmath import StateVector, max_entangled_vector, reg_dims, reg_positions, tensor
+from qauthlab.protocols import _attack_pieces, _family_encoders, bell_key, key_pads
+from qauthlab.qmath import (
+    RegisterError,
+    StateVector,
+    max_entangled_vector,
+    reg_dims,
+    reg_positions,
+    tensor,
+    total_dim,
+)
 
 # ---------------------------------------------------------------------------
 # Pauli algebra and random states
@@ -117,6 +138,184 @@ def scalar_random_stabilizer_code(n: int, s: int, rng: np.random.Generator) -> S
         gens.append(cand)
         rows = new_rows
     return StabilizerCode(tuple(gens))
+
+
+# ---------------------------------------------------------------------------
+# the key sweep slice by slice, and records per branch
+# ---------------------------------------------------------------------------
+
+
+def per_slice_key_sweep(encoders, attack, base, carrier, plan, detail, key=None, receiver="B"):
+    """The per-slice sweep that ``hybrid.key_sweep`` replaced: ``key_sweep``'s
+    arguments, with the encoder stack and the attack pieces (isometry, names,
+    out registers) in place of the transfer. Every key value is a leading
+    axis of the amplitude array, the encoders, the attack and the decoders
+    are applied to the keyed input itself, chunk by chunk, and each record's
+    block is one product over its slices (``_accumulate``). With ``detail``
+    the plan also reads each slice's code t, syndrome y and received
+    syndrome ysyn, so a plan can keep one record per branch
+    (``branch_plan``).
+
+    It prunes per slice (a slice of probability at most PRUNE_BELOW is
+    dropped), the engine per (key value, record class) pair. No slice of a
+    tested family lies near the threshold, so the two rules keep the same
+    records there; ``tests/test_hybrid.py`` pins where they part."""
+    exposed = ((key[0],) if key is not None else ()) + (("t", "y", "ysyn") if detail else ())
+    iso, att_names, att_out = attack
+    d_in = dict(base.registers)[carrier]
+    dt = encoders[0].shape[0]
+    dy = dt // d_in
+    values = {"t": range(len(encoders)), "y": range(dy), "ysyn": range(dy)}
+    start, start_regs, start_names = base.amplitudes.reshape(reg_dims(base.registers)), base.registers, []
+    if key is not None:
+        label, values[label], key_names, ops, key_out, corrections = key
+        start, start_regs, start_names = _contract(
+            start, start_regs, start_names, ops, key_names, ((label, len(ops)),) + tuple(key_out), (label,)
+        )
+    # one code's amplitudes after the attack: the chunk size follows from it
+    dims = {**dict(start_regs), "T": dt}
+    attacked_in = int(np.prod([dims[name] for name in att_names]))
+    per_code = start.size // d_in * dt * dy * total_dim(att_out) // attacked_in
+    step = max(1, hybrid.CHUNK_ELEMENTS // per_code)
+    blocks, mixes = {}, {}
+    weight = 1.0 / (len(encoders) * dy)
+    for t0 in range(0, len(encoders), step):
+        chunk = encoders[t0 : t0 + step]
+        encode = chunk.reshape(len(chunk) * dt * dy, d_in)
+        amps, regs, names = _contract(
+            start, start_regs, start_names, encode, (carrier,),
+            (("t", len(chunk)), ("T", dt), ("y", dy)), ("t", "y"),
+        )
+        amps, regs, names = _contract(amps, regs, names, iso, att_names, att_out)
+        # the decoder of code t, then T read as (ysyn, receiver)
+        (pos,) = reg_positions(regs, ("T",))
+        at = len(names) + pos
+        amps = _keyed(amps, names.index("t"), at, chunk.conj().transpose(0, 2, 1))
+        amps = amps.reshape(amps.shape[:at] + (dy, d_in) + amps.shape[at + 1 :])
+        amps = np.moveaxis(amps, at, len(names))
+        regs, names = regs[:pos] + ((receiver, d_in),) + regs[pos + 1 :], names + ["ysyn"]
+        if key is not None:
+            target = len(names) + reg_positions(regs, (receiver,))[0]
+            fixed = _keyed(amps, names.index(label), target, corrections)
+            at = names.index("y")  # ysyn follows y
+            accept = np.eye(dy, dtype=bool).reshape((1,) * at + (dy, dy) + (1,) * (amps.ndim - at - 2))
+            amps = np.where(accept, fixed, amps)
+        _accumulate(blocks, mixes, amps, names, t0, values, regs, plan, exposed, weight)
+    return checked_total(mix_records(blocks, mixes), "key sweep")
+
+
+def _accumulate(blocks, mixes, amps, names, t0, values, regs, plan, exposed, weight) -> None:
+    """Add the weighted density matrices of a chunk of codes (axis ``t`` of
+    ``amps``, the first being code ``t0``) to ``blocks`` for each output
+    record, each one contraction over the slices (classical index tuples)
+    that map to the record. The registers each record replaces by I/d go to
+    ``mixes``; ``mix_records`` applies them once all chunks are in."""
+    shape, dims = amps.shape[: len(names)], reg_dims(regs)
+    slices = amps.reshape((-1,) + dims)
+    vecs = slices.reshape(len(slices), -1)
+    alive = np.flatnonzero(np.einsum("ij,ij->i", vecs, vecs.conj()).real > PRUNE_BELOW)
+    index = dict(zip(names, np.unravel_index(alive, shape)))
+    index["t"] = index["t"] + t0
+    index["verdict"] = (index["y"] == index["ysyn"]).astype(np.intp)
+    values = {**values, "verdict": (REJ, ACC)}
+    exposed = ("verdict",) + tuple(exposed)
+    sizes = tuple(len(values[f]) for f in exposed)
+    codes, inverse = np.unique(
+        np.ravel_multi_index(tuple(index[f] for f in exposed), sizes), return_inverse=True
+    )
+    members = np.split(alive[np.argsort(inverse, kind="stable")], np.cumsum(np.bincount(inverse))[:-1])
+    groups: dict[Record, tuple[tuple, list]] = {}
+    for code, rows in zip(zip(*np.unravel_index(codes, sizes)), members):
+        record, drop, mix = plan({f: values[f][int(i)] for f, i in zip(exposed, code)})
+        entry = groups.setdefault(record, (tuple(drop), []))
+        if entry[0] != tuple(drop) or mixes.setdefault(record, tuple(mix)) != tuple(mix):
+            raise RegisterError(f"record {record} accumulated under different register sets")
+        entry[1].append(rows)
+    for record, (drop, rows) in groups.items():
+        keep = sorted((i for i, (n, _) in enumerate(regs) if n not in drop), key=lambda i: regs[i][0])
+        rest = [i for i in range(len(regs)) if i not in keep]
+        idx = np.concatenate(rows)
+        part = slices[idx].transpose([0] + [1 + i for i in keep + rest])
+        d_keep = int(np.prod([dims[i] for i in keep]))
+        x = part.reshape(len(idx), d_keep, -1).transpose(1, 0, 2).reshape(d_keep, -1)
+        kept = tuple(regs[i] for i in keep)
+        rho = weight * (x @ x.conj().T)
+        if record in blocks:
+            if blocks[record][0] != kept:
+                raise RegisterError(f"record {record} accumulated under different register sets")
+            rho = blocks[record][1] + rho
+        blocks[record] = (kept, rho)
+
+
+def ebit_branch(fields: dict) -> tuple:
+    """The branch field of the entanglement runs: t, y, ysyn."""
+    return tuple((name, fields[name]) for name in ("t", "y", "ysyn"))
+
+
+def qa_branch(fields: dict) -> tuple:
+    """The branch field of ``run_qa_kg`` and ``run_tqa_kg``: the key (x, z)
+    as x and z, then t, y, ysyn."""
+    return (("x", fields["key"][0]), ("z", fields["key"][1])) + ebit_branch(fields)
+
+
+def psqa_branch(fields: dict) -> tuple:
+    """The branch field of ``run_psqa_kg`` and ``run_psrqa_kg``: the cipher
+    outcome k, then t, y, ysyn."""
+    return (("k", fields["k"]),) + ebit_branch(fields)
+
+
+def branch_plan(plan: Callable, fmt: Callable[[dict], tuple]) -> Callable:
+    """``plan`` with one record per branch: each record gets a ("detail",
+    fmt(fields)) field appended, ``fmt`` reading t, y and ysyn (and the key
+    value) from the fields."""
+
+    def branched(fields: dict):
+        record, drop, mix = plan(fields)
+        return record + (("detail", fmt(fields)),), drop, mix
+
+    return branched
+
+
+def per_slice_run(
+    run: Callable[[], FinalState], family: PtcFamily, attack: AttackDescriptor, fmt=None, tamper: bool = False
+) -> FinalState:
+    """``run()``, a protocol run of ``family`` under ``attack``, with
+    ``per_slice_key_sweep`` in place of every ``key_sweep`` call, and the
+    same bases, keys and plans. With ``fmt``, the plan is ``branch_plan(plan,
+    fmt)``: one record per branch. With ``tamper``, the accept correction of
+    key value 1 (never the identity: value 0 is the identity in the Pauli pad
+    and the Bell key) is the identity."""
+    pieces = (_family_encoders(family), _attack_pieces(family, attack))
+
+    def oracle(transfer, base, carrier, plan, key=None, receiver="B"):
+        if tamper and key is not None:
+            corrections = key[-1].copy()
+            corrections[1] = np.eye(corrections.shape[-1])
+            key = key[:-1] + (corrections,)
+        if fmt is not None:
+            plan = branch_plan(plan, fmt)
+        return per_slice_key_sweep(*pieces, base, carrier, plan, fmt is not None, key, receiver)
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (protocols, approx_psqa, ucharness):
+            patch.setattr(module, "key_sweep", oracle)
+        return run()
+
+
+def merge_branches(final: FinalState) -> FinalState:
+    """``final`` with each record's "detail" field dropped and the blocks
+    that then share a record summed, one after another in ``final``'s order:
+    the final state of the plan that ``branch_plan`` wrapped."""
+    blocks: dict = {}
+    for record, block in final.blocks.items():
+        plain = tuple(field for field in record if field[0] != "detail")
+        if plain in blocks:
+            if blocks[plain][0] != block.registers:
+                raise RegisterError(f"record {plain} merged from branches on different registers")
+            blocks[plain] = (block.registers, blocks[plain][1] + block.matrix)
+        else:
+            blocks[plain] = (block.registers, block.matrix)
+    return FinalState(blocks)
 
 
 # ---------------------------------------------------------------------------

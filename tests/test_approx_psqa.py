@@ -18,7 +18,7 @@ from qauthlab.pauli import PauliString, pauli_matrix
 from qauthlab.protocols import ACC, run_qa_kg
 from qauthlab.qmath import StateVector, haar_state, haar_unitary, trace_norm
 
-from oracles import pauli_cipher
+from oracles import pauli_cipher, per_slice_run, psqa_branch
 
 
 @pytest.fixture(scope="module")
@@ -184,8 +184,9 @@ def test_psrqa_matches_psqa_branch_for_branch(family_s1, message):
     meas = rsp_povm(cip, message)
     for label in ("identity", "depol-0.5", "random-103"):
         desc = next(a for a in standard_suite(1, 1) if a.name() == label)
-        psqa = run_psqa_kg(message, cip, family_s1, desc, detail=True)
-        psrqa = run_psrqa_kg(message, cip, family_s1, desc, detail=True)
+        # one record per branch, through the per-slice oracle
+        psqa = per_slice_run(lambda: run_psqa_kg(message, cip, family_s1, desc), family_s1, desc, psqa_branch)
+        psrqa = per_slice_run(lambda: run_psrqa_kg(message, cip, family_s1, desc), family_s1, desc, psqa_branch)
         scale = 1.0 - meas.failure_probability
         for rec, blk in psqa.blocks.items():
             other = psrqa.blocks.get(rec)

@@ -146,6 +146,25 @@ def test_uc_invariant_violation_exits_three(tmp_path, capsys, monkeypatch, clear
     assert "total weight" in capsys.readouterr().err
 
 
+def test_uc_plan_fault_exits_three(capsys, monkeypatch):
+    # a plan that maps both verdicts of QA+KG to one record (REJ drops M, ACC
+    # keeps it) can only come from the program's own plans: an internal
+    # invariant, never a configuration error (exit 2)
+    from qauthlab import protocols
+
+    plan = protocols._qa_output_plan
+
+    def one_record(*args):
+        inner = plan(*args)
+        return lambda fields: ((("verdict", "any"),),) + inner(fields)[1:]
+
+    monkeypatch.setattr(protocols, "_qa_output_plan", one_record)
+    code = main(["uc", "--family", str(FIXTURE), "--attack", "depol-0.5"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "internal invariant violated" in err and "accumulated under different kept registers" in err
+
+
 def test_uc_tampered_decoder_breaks_the_forms_identity(capsys, monkeypatch):
     # negative control for identities_ok: ebit_ptc runs the family with code 0
     # swapped for a copy of code 1, so its encoder and decoder for t = 0 are
@@ -170,8 +189,8 @@ def test_uc_tampered_decoder_breaks_the_forms_identity(capsys, monkeypatch):
 
     ebit_ptc = cli.ebit_ptc
 
-    def swapped(family, attack, detail=False):
-        return ebit_ptc(replace(family, codes=family.codes[1:2] + family.codes[1:]), attack, detail)
+    def swapped(family, attack):
+        return ebit_ptc(replace(family, codes=family.codes[1:2] + family.codes[1:]), attack)
 
     monkeypatch.setattr(cli, "ebit_ptc", swapped)
     code, result = uc()

@@ -9,11 +9,15 @@ in branch order. These tests hold it to that:
 
 - against ``per_branch_ebit_ptp`` below, the loop that built every (code,
   syndrome, syndrome) branch one at a time: accept blocks bit for bit, reject
-  blocks to 1e-14, plain and with ``detail=True``, on all 27 attacks of the
-  benchmark's m=1, s=3 family (also with the chunk budget cut to one code per
-  chunk and to 2^12 entries, so that chunk boundaries fall inside the family
-  and inside the accept sum), and on searched families at (m, s) = (1, 1),
-  (1, 2), (2, 1) and (2, 2);
+  blocks to 1e-14, on all 27 attacks of the benchmark's m=1, s=3 family (also
+  with the chunk budget cut to one code per chunk and to 2^12 entries, so
+  that chunk boundaries fall inside the family and inside the accept sum),
+  and on searched families at (m, s) = (1, 1), (1, 2), (2, 1) and (2, 2);
+- the same, against the loop with one record per branch (``detail=True``,
+  through ``oracles.branch_plan``), its branches summed per record class in
+  branch order (``oracles.merge_branches``): accept blocks still bit for bit.
+  ``tests/test_sweep_golden.py`` reads that branch form for its pinned
+  ``ebit_ptp/detail`` values;
 - against the EBIT fields of the recorded benchmark reports
   (``perfbench/reference/uc-s3.json``, read only) to 1e-12.
 
@@ -52,6 +56,8 @@ from qauthlab.qmath import (
 )
 from qauthlab.ucharness import ebit_report
 
+from oracles import branch_plan, ebit_branch, merge_branches
+
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURE = ROOT / "perfbench" / "fixtures" / "family-m1-s3.json"
 REFERENCE = ROOT / "perfbench" / "reference" / "uc-s3.json"
@@ -59,14 +65,15 @@ REFERENCE = ROOT / "perfbench" / "reference" / "uc-s3.json"
 
 def per_branch_ebit_ptp(family, attack, detail=False) -> FinalState:
     """The per-branch loop: every (t, y, ysyn) branch measured, normalized
-    and added to its record in branch order; each record mixed once."""
+    and added to its record in branch order; each record mixed once. With
+    ``detail``, every branch is its own record (``oracles.ebit_branch``)."""
     m, s, n = family.m, family.s, family.n
     dm, dt, dy = 1 << m, 1 << n, 1 << s
     encs = _family_encoders(family)
     base = StateVector(max_entangled_vector(dt), (("A0", dt), ("T", dt)))
     base = _maybe_reference(base, attack, m)
     attacked, att_regs = _apply(base.amplitudes, base.registers, *_attack_pieces(family, attack))
-    plan = _ebit_output_plan(detail)
+    plan = branch_plan(_ebit_output_plan, ebit_branch) if detail else _ebit_output_plan
     blocks: dict = {}
     mixes: dict = {}
     for t, enc in enumerate(encs):
@@ -135,20 +142,22 @@ def suite():
     return attacks
 
 
-def _compare_with_oracle(family, attacks, detail) -> int:
+def _compare_with_oracle(family, attacks, branches) -> int:
     """Assert that ``ebit_ptp`` gives the oracle's records and registers,
     accept blocks bit for bit and reject blocks within 1e-14; return the
-    number of accept blocks compared."""
+    number of accept records of the oracle. With ``branches``, the oracle
+    keeps one record per branch, summed per record class in branch order."""
     accepts = 0
     for attack in attacks:
-        got = ebit_ptp(family, attack, detail=detail)
-        want = per_branch_ebit_ptp(family, attack, detail=detail)
+        got = ebit_ptp(family, attack)
+        want = per_branch_ebit_ptp(family, attack, detail=branches)
+        accepts += sum(dict(record)["verdict"] == ACC for record in want.blocks)
+        want = merge_branches(want)
         assert set(got.blocks) == set(want.blocks), attack.name()
         for record, block in want.blocks.items():
             mine = got.blocks[record]
             assert mine.registers == block.registers, (attack.name(), record)
             if dict(record)["verdict"] == ACC:
-                accepts += 1
                 assert np.array_equal(mine.matrix, block.matrix), (attack.name(), record)
             else:
                 np.testing.assert_allclose(
@@ -157,39 +166,42 @@ def _compare_with_oracle(family, attacks, detail) -> int:
     return accepts
 
 
-@pytest.mark.parametrize("detail", [False, True])
-def test_accept_blocks_bitwise_and_reject_blocks_close(family, suite, detail):
-    accepts = _compare_with_oracle(family, suite, detail)
-    # 24 attacks have an accept block (Y0, Z0 and X2 are never accepted)
-    assert accepts == (24 if not detail else 1736)
+@pytest.mark.parametrize("branches", [False, True])
+def test_accept_blocks_bitwise_and_reject_blocks_close(family, suite, branches):
+    accepts = _compare_with_oracle(family, suite, branches)
+    # 24 attacks have an accept block (Y0, Z0 and X2 are never accepted),
+    # summed from 1,736 accept branches
+    assert accepts == (1736 if branches else 24)
 
 
-@pytest.mark.parametrize("detail", [False, True])
+@pytest.mark.parametrize("branches", [False, True])
 @pytest.mark.parametrize("budget", [1, 1 << 12])
-def test_chunk_boundaries_keep_the_accept_sum(monkeypatch, clear_job_caches, family, suite, budget, detail):
+def test_chunk_boundaries_keep_the_accept_sum(monkeypatch, clear_job_caches, family, suite, budget, branches):
     # budget 1: one code per chunk and one outer product per product call;
     # 2^12: chunks of 1 to 14 codes and outer products in runs of 1 to 256
-    starts = []
+    sizes = []
     add_chunk = protocols._add_chunk
 
     def spy(blocks, mixes, chunk, *rest):
-        starts.append(chunk.t0)
+        sizes.append(len(chunk.x))
         return add_chunk(blocks, mixes, chunk, *rest)
 
     for module in (hybrid, protocols):
         monkeypatch.setattr(module, "CHUNK_ELEMENTS", budget)
     monkeypatch.setattr(protocols, "_add_chunk", spy)
-    accepts = _compare_with_oracle(family, suite, detail)
-    assert accepts == (24 if not detail else 1736)
-    assert len(starts) == (27 * 14 if budget == 1 else 60)
+    accepts = _compare_with_oracle(family, suite, branches)
+    assert accepts == (1736 if branches else 24)
+    assert len(sizes) == (27 * 14 if budget == 1 else 60)
+    # the chunks cover each attack's 14 codes once
+    assert sum(sizes) == 27 * 14
 
 
-@pytest.mark.parametrize("detail", [False, True])
+@pytest.mark.parametrize("branches", [False, True])
 @pytest.mark.parametrize("m, s", [(1, 1), (1, 2), (2, 1), (2, 2)])
-def test_searched_families_match_the_oracle(m, s, detail):
+def test_searched_families_match_the_oracle(m, s, branches):
     family = search_ptc(m, s, target_eps=ptc_epsilon_formula(m, s), budget=60, seed=1)
     assert family.met_target
-    assert _compare_with_oracle(family, standard_suite(m, s), detail) > 0
+    assert _compare_with_oracle(family, standard_suite(m, s), branches) > 0
 
 
 def test_ebit_report_matches_the_recorded_references(family, suite):

@@ -34,7 +34,8 @@ from qauthlab.qmath import (
 )
 from qauthlab.ucharness import _ebit_ideal_from, run_qa_kg_ideal
 
-from oracles import embed, records
+from oracles import embed, ebit_branch, per_slice_key_sweep, per_slice_run, psqa_branch, qa_branch, records
+from test_ebit_ptp_bits import per_branch_ebit_ptp
 
 B = (("B", 2),)
 FIXTURE = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "family-m1-s3.json"
@@ -127,18 +128,26 @@ def per_record_distance(a: FinalState, b: FinalState) -> float:
 def compared_pairs(family, attack, psi, cipher, vec, detail):
     """Every pair of final states that ``uc`` and ``psqa`` compare for one
     attack (``psqa``'s only for attacks on T), label -> (first, second);
-    with ``detail``, the same runs with one record per branch."""
-    ptp = ebit_ptp(family, attack, detail=detail)
+    with ``detail``, the same runs with one record per branch, from the
+    per-slice and per-branch oracles."""
+
+    def run(sweep, fmt):
+        return per_slice_run(sweep, family, attack, fmt) if detail else sweep()
+
+    ptp = per_branch_ebit_ptp(family, attack, detail=True) if detail else ebit_ptp(family, attack)
     pairs = {
-        "qa/tqa": (run_qa_kg(psi, family, attack, detail=detail), run_tqa_kg(psi, family, attack, detail=detail)),
-        "ptc/ptp": (ebit_ptc(family, attack, detail=detail), ptp),
+        "qa/tqa": (
+            run(lambda: run_qa_kg(psi, family, attack), qa_branch),
+            run(lambda: run_tqa_kg(psi, family, attack), qa_branch),
+        ),
+        "ptc/ptp": (run(lambda: ebit_ptc(family, attack), ebit_branch), ptp),
     }
     if not detail:
         pairs["ebit/ideal"] = (ptp, _ebit_ideal_from(ptp, family.m))
         pairs["qa/ideal"] = (pairs["qa/tqa"][0], run_qa_kg_ideal(psi, family, attack))
     if attack.acts_on == ("T",):
-        real = run_psqa_kg(vec, cipher, family, attack, detail=detail)
-        twin = run_psrqa_kg(vec, cipher, family, attack, detail=detail)
+        real = run(lambda: run_psqa_kg(vec, cipher, family, attack), psqa_branch)
+        twin = run(lambda: run_psrqa_kg(vec, cipher, family, attack), psqa_branch)
         if detail:
             pairs["psqa/twin"] = (real, twin)
         else:
@@ -151,8 +160,9 @@ def compared_pairs(family, attack, psi, cipher, vec, detail):
 @pytest.mark.parametrize("detail", [False, True])
 def test_distance_matches_the_per_record_svd_sum(monkeypatch, detail):
     # every pair uc and psqa compare on the benchmark family, with the inputs
-    # the benchmark draws at seed 1 (with detail, on six of the attacks, two
-    # of them on R and T, and a K = 4 cipher: thousands of records each)
+    # the benchmark draws at seed 1 (with detail, the oracles' branch records
+    # on six of the attacks, two of them on R and T, and a K = 4 cipher:
+    # thousands of records each)
     family = PtcFamily.load(FIXTURE)
     psi = purified_input("random-1", family.m)
     cipher = sample_cipher(family.m, 4 if detail else 16, 1)
@@ -238,12 +248,12 @@ def test_finalize_drop_and_mix(family_s1):
     # every slice maps to one record; B is traced out and A replaced by I/2
     transfer = _transfer(family_s1, AttackDescriptor("identity"))
     base = StateVector(max_entangled_vector(2), (("A", 2), ("B0", 2)))
-    final = key_sweep(transfer, base, "B0", lambda f: ((), ("B",), ("A",)), False)
+    final = key_sweep(transfer, base, "B0", lambda f: ((), ("B",), ("A",)))
     block = final.blocks[()]
     assert block.registers == (("A", 2), ("E", 1))
     np.testing.assert_allclose(block.matrix, np.eye(2) / 2, atol=1e-14)
 
-    kept = key_sweep(transfer, base, "B0", lambda f: ((), (), ()), False)
+    kept = key_sweep(transfer, base, "B0", lambda f: ((), (), ()))
     assert kept.blocks[()].registers == (("A", 2), ("B", 2), ("E", 1))
     phi = max_entangled_vector(2)
     np.testing.assert_allclose(kept.blocks[()].matrix, np.outer(phi, phi.conj()), atol=1e-14)
@@ -252,7 +262,7 @@ def test_finalize_drop_and_mix(family_s1):
 def test_finalize_sorts_registers(family_s1):
     transfer = _transfer(family_s1, AttackDescriptor("identity"))
     base = StateVector(np.kron([1, 0], [0, 1]).astype(complex), (("Zz", 2), ("B0", 2)))
-    final = key_sweep(transfer, base, "B0", lambda f: ((), (), ()), False, receiver="Aa")
+    final = key_sweep(transfer, base, "B0", lambda f: ((), (), ()), receiver="Aa")
     assert final.blocks[()].registers == (("Aa", 2), ("E", 1), ("Zz", 2))
     # |0> on Zz, |1> on Aa -> sorted layout puts Aa first: index 1*2+0=2
     expect = np.zeros((4, 4))
@@ -261,17 +271,22 @@ def test_finalize_sorts_registers(family_s1):
 
 
 def test_key_sweep_total_weight_and_records(family_s1):
-    transfer = _transfer(family_s1, AttackDescriptor("fixed_pauli", x=1, label="X0"))
+    attack = AttackDescriptor("fixed_pauli", x=1, label="X0")
+    transfer = _transfer(family_s1, attack)
     base = StateVector(max_entangled_vector(2), (("A", 2), ("B0", 2)))
-    final = key_sweep(transfer, base, "B0", _verdict_plan, False)
+    final = key_sweep(transfer, base, "B0", _verdict_plan)
     assert final.total_weight() == pytest.approx(1.0, abs=1e-12)
     # X on qubit 0 anticommutes with ZZ and YY: two codes in three reject
     assert final.blocks[(("verdict", "REJ"),)].weight == pytest.approx(2.0 / 3.0, abs=1e-12)
-    detailed = key_sweep(
-        transfer, base, "B0", lambda f: ((("y", f["y"]), ("ysyn", f["ysyn"])), (), ()), True
+    # per slice, in the oracle: the received syndrome is an explicit field,
+    # zero-probability slices are pruned, and the records sum to the engine's
+    pieces = (_family_encoders(family_s1), _attack_pieces(family_s1, attack))
+    detailed = per_slice_key_sweep(
+        *pieces, base, "B0", lambda f: ((("y", f["y"]), ("ysyn", f["ysyn"])), (), ()), True
     )
-    # the received syndrome is an explicit field; zero-probability slices are pruned
     assert len(detailed.blocks) == 4
+    rej = sum(b.weight for rec, b in detailed.blocks.items() if dict(rec)["y"] != dict(rec)["ysyn"])
+    assert rej == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("rej_slice, kept", [(0.6e-15, True), (0.4e-15, False)])
@@ -282,8 +297,8 @@ def test_a_record_class_is_pruned_by_its_own_probability(rej_slice, kept):
     x = np.zeros((1, 2, 2, 2, 1), dtype=complex)
     x[0, [0, 1], [0, 1], 0, 0] = np.sqrt(0.5)
     x[0, [0, 1], [1, 0], 1, 0] = np.sqrt(rej_slice)
-    transfer = hybrid.Transfer((("T", 1),), (("T", 2),), (hybrid.TransferChunk(0, x),))
-    final = key_sweep(transfer, StateVector(np.ones(1, dtype=complex), (("C", 1),)), "C", _verdict_plan, False)
+    transfer = hybrid.Transfer((("T", 1),), (("T", 2),), (hybrid.TransferChunk(x),))
+    final = key_sweep(transfer, StateVector(np.ones(1, dtype=complex), (("C", 1),)), "C", _verdict_plan)
     assert final.blocks[(("verdict", "ACC"),)].weight == pytest.approx(1.0, abs=1e-15)
     rej = final.blocks.get((("verdict", "REJ"),))
     assert (rej is not None) == kept
@@ -300,8 +315,28 @@ def test_key_sweep_rejects_non_isometric_attack(family_s1):
     transfer = build_transfer(_family_encoders(family_s1), (1.1 * iso, names, out_regs), family_s1.m)
     base = StateVector(max_entangled_vector(2), (("A", 2), ("B0", 2)))
     with pytest.raises(InvariantError, match="key sweep: final state total weight"):
-        key_sweep(transfer, base, "B0", _verdict_plan, False)
+        key_sweep(transfer, base, "B0", _verdict_plan)
     assert not issubclass(InvariantError, ValueError)
+
+
+@pytest.mark.parametrize("differ", ["mix", "drop"])
+def test_a_plan_that_merges_two_classes_is_an_invariant_error(family_s1, differ):
+    # a plan that maps REJ and ACC to one record, with different registers
+    # to mix or to drop, is a fault of the program's own plans, not of its
+    # input: both verdicts of X0 are live, REJ comes first, and each raise
+    # names the register set that differs
+    transfer = _transfer(family_s1, AttackDescriptor("fixed_pauli", x=1, label="X0"))
+    base = StateVector(max_entangled_vector(2), (("A", 2), ("B0", 2)))
+
+    def plan(fields):
+        rej = fields["verdict"] == "REJ"
+        if differ == "mix":
+            return (), (), ("A",) if rej else ()
+        return (), ("B",) if rej else (), ()
+
+    message = {"mix": "registers to mix", "drop": "kept registers"}[differ]
+    with pytest.raises(InvariantError, match=f"accumulated under different {message}"):
+        key_sweep(transfer, base, "B0", plan)
 
 
 def test_key_is_contracted_once_per_sweep(monkeypatch, clear_job_caches, family_s2):
@@ -322,7 +357,7 @@ def test_key_is_contracted_once_per_sweep(monkeypatch, clear_job_caches, family_
         return contract(amps, regs, names, matrix, in_names, out_regs, classical)
 
     def chunk_spy(blocks, mixes, chunk, *rest):
-        chunks.append(chunk.t0)
+        chunks.append(len(chunk.x))
         return add_chunk(blocks, mixes, chunk, *rest)
 
     def build_spy(encoders, attack, m):
@@ -348,7 +383,7 @@ def test_key_is_contracted_once_per_sweep(monkeypatch, clear_job_caches, family_
         chunks.clear()
         run()
         assert seen == [keyed]
-        assert chunks == list(range(8))
+        assert chunks == [1] * 8
 
     clear_job_caches()
     built.clear()

@@ -22,7 +22,7 @@ from qauthlab.qmath import (
     trace_norm,
 )
 
-from oracles import syndrome, teleport
+from oracles import per_slice_run, qa_branch, syndrome, teleport
 
 
 def is_acc(rec):
@@ -178,16 +178,33 @@ def test_qa_soundness_functional_bounded_by_epsilon(family_s1):
         assert value <= family_s1.epsilon_verified + 1e-9
 
 
+def _twin_branch_differences(family, desc, psi, tamper=False) -> list:
+    """The records on which QA and TQA differ, one record per branch (code,
+    syndrome, received syndrome, key), both through the per-slice oracle;
+    with ``tamper``, TQA's Bell correction for key value 1 is the identity."""
+    qa = per_slice_run(lambda: run_qa_kg(psi, family, desc), family, desc, qa_branch)
+    tqa = per_slice_run(lambda: run_tqa_kg(psi, family, desc), family, desc, qa_branch, tamper)
+    if set(qa.blocks) != set(tqa.blocks):
+        return ["record sets differ"]
+    return [rec for rec, blk in qa.blocks.items() if not trace_norm(blk.matrix - tqa.blocks[rec].matrix) < 1e-12]
+
+
 @pytest.mark.parametrize("attack_label", ["identity", "X0", "depol-0.5", "swap-held", "random-101", "cnot-R-T0"])
 def test_teleported_twin_identity_per_branch(family_s1, attack_label):
     desc = next(a for a in standard_suite(1, 1) if a.name() == attack_label)
     psi = purified_input("entangled", 1)
-    qa = run_qa_kg(psi, family_s1, desc, detail=True)
-    tqa = run_tqa_kg(psi, family_s1, desc, detail=True)
+    assert _twin_branch_differences(family_s1, desc, psi) == []
+    # the engine's records, one per verdict and key
+    qa, tqa = run_qa_kg(psi, family_s1, desc), run_tqa_kg(psi, family_s1, desc)
     assert set(qa.blocks) == set(tqa.blocks)
-    for rec, blk in qa.blocks.items():
-        other = tqa.blocks[rec]
-        assert trace_norm(blk.matrix - other.matrix) < 1e-12
+    assert qa.distance(tqa) < 1e-12
+
+
+def test_twin_identity_per_branch_fails_with_a_wrong_bell_correction(family_s1):
+    # negative control: TQA undoes Bell outcome 1 with the identity
+    desc = AttackDescriptor("identity")
+    psi = purified_input("entangled", 1)
+    assert _twin_branch_differences(family_s1, desc, psi, tamper=True) != []
 
 
 def test_teleported_twin_identity_without_back_communication(family_s1):

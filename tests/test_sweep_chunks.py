@@ -7,7 +7,10 @@ sized by the same budget. Here the budget is patched three ways on the
 8-code ``family_s2``: one code per chunk, chunks of three (boundaries
 inside the family and a shorter last chunk), and every code in one chunk.
 Each run must give the same records on the same registers as the one-chunk
-run, with weights and the distance between them within 1e-12.
+run, with weights and the distance between them within 1e-12. For the sweeps
+named ``…/detail`` the one-chunk run must also be the oracles' records per
+branch (``oracles.per_slice_run`` with ``oracles.branch_plan``, and
+``per_branch_ebit_ptp``), summed per record class.
 """
 
 import numpy as np
@@ -19,6 +22,9 @@ from qauthlab.approx_psqa import psqa_ideal, run_psqa_kg, run_psrqa_kg, sample_c
 from qauthlab.protocols import ebit_ptc, ebit_ptp, run_qa_kg, run_tqa_kg
 from qauthlab.ucharness import run_qa_kg_ideal
 
+from oracles import ebit_branch, merge_branches, per_slice_run, psqa_branch, qa_branch
+from test_ebit_ptp_bits import per_branch_ebit_ptp
+
 TOL = 1e-12
 ATTACKS = ("identity", "depol-0.5", "swap-held", "cnot-R-T0")
 PSI = purified_input("random-5", 1)
@@ -26,18 +32,33 @@ CIPHER = sample_cipher(1, 4, seed=2)
 VEC = np.array([0.6, 0.8j], dtype=complex)
 SWEEPS = {
     "run_qa_kg": lambda f, a: run_qa_kg(PSI, f, a),
-    "run_qa_kg/no-back/detail": lambda f, a: run_qa_kg(PSI, f, a, back_communication=False, detail=True),
-    "run_tqa_kg/detail": lambda f, a: run_tqa_kg(PSI, f, a, detail=True),
+    "run_qa_kg/no-back/detail": lambda f, a: run_qa_kg(PSI, f, a, back_communication=False),
+    "run_tqa_kg/detail": lambda f, a: run_tqa_kg(PSI, f, a),
     "run_tqa_kg/no-back": lambda f, a: run_tqa_kg(PSI, f, a, back_communication=False),
     "ebit_ptc": lambda f, a: ebit_ptc(f, a),
-    "ebit_ptc/detail": lambda f, a: ebit_ptc(f, a, detail=True),
+    "ebit_ptc/detail": lambda f, a: ebit_ptc(f, a),
     "run_qa_kg_ideal": lambda f, a: run_qa_kg_ideal(PSI, f, a),
     "run_psqa_kg": lambda f, a: run_psqa_kg(VEC, CIPHER, f, a),
-    "run_psqa_kg/detail": lambda f, a: run_psqa_kg(VEC, CIPHER, f, a, detail=True),
-    "run_psrqa_kg/detail": lambda f, a: run_psrqa_kg(VEC, CIPHER, f, a, detail=True),
+    "run_psqa_kg/detail": lambda f, a: run_psqa_kg(VEC, CIPHER, f, a),
+    "run_psrqa_kg/detail": lambda f, a: run_psrqa_kg(VEC, CIPHER, f, a),
     "psqa_ideal": lambda f, a: psqa_ideal(VEC, CIPHER, f, a),
     "ebit_ptp": lambda f, a: ebit_ptp(f, a),
-    "ebit_ptp/detail": lambda f, a: ebit_ptp(f, a, detail=True),
+    "ebit_ptp/detail": lambda f, a: ebit_ptp(f, a),
+}
+
+
+def _branches(sweep, fmt):
+    return lambda f, a: per_slice_run(lambda: SWEEPS[sweep](f, a), f, a, fmt)
+
+
+# the oracles' records per branch for the sweeps named …/detail
+BRANCHES = {
+    "run_qa_kg/no-back/detail": _branches("run_qa_kg/no-back/detail", qa_branch),
+    "run_tqa_kg/detail": _branches("run_tqa_kg/detail", qa_branch),
+    "ebit_ptc/detail": _branches("ebit_ptc/detail", ebit_branch),
+    "run_psqa_kg/detail": _branches("run_psqa_kg/detail", psqa_branch),
+    "run_psrqa_kg/detail": _branches("run_psrqa_kg/detail", psqa_branch),
+    "ebit_ptp/detail": lambda f, a: per_branch_ebit_ptp(f, a, detail=True),
 }
 
 
@@ -49,8 +70,8 @@ def _chunked(monkeypatch, clear_caches, budget, run):
     seen = []
 
     def chunk_spy(blocks, mixes, chunk, *rest):
-        k = chunk.x.shape[0]
-        seen.append((chunk.t0, k, chunk.x.size // k))
+        k = len(chunk.x)
+        seen.append((k, chunk.x.size // k))
         return add_chunk(blocks, mixes, chunk, *rest)
 
     with monkeypatch.context() as patch:
@@ -60,9 +81,7 @@ def _chunked(monkeypatch, clear_caches, budget, run):
         clear_caches()
         final = run()
     clear_caches()
-    starts = [t0 for t0, _, _ in seen]
-    assert starts == sorted(starts) and starts[0] == 0
-    return final, [k for _, k, _ in seen], seen[0][2]
+    return final, [k for k, _ in seen], seen[0][1]
 
 
 def _assert_same(final, want, label):
@@ -85,6 +104,9 @@ def test_chunking_changes_no_record(monkeypatch, clear_job_caches, family_s2, sw
         run = lambda: SWEEPS[sweep](family_s2, attack)  # noqa: E731
         whole, sizes, per_code = _chunked(monkeypatch, clear_job_caches, 1 << 40, run)
         assert sizes == [8], (sweep, name)
+        if sweep in BRANCHES:
+            branches = merge_branches(BRANCHES[sweep](family_s2, attack))
+            _assert_same(whole, branches, f"{sweep} {name} branches summed per class")
         own, sizes, _ = _chunked(monkeypatch, clear_job_caches, 1, run)
         assert sizes == [1] * 8, (sweep, name)
         _assert_same(own, whole, f"{sweep} {name} one code per chunk")

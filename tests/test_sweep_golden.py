@@ -10,6 +10,15 @@ linear fingerprint of its block matrix (which reads the entries and the
 register order, not only the trace); for every attack, the distances between
 paired sweeps. Numbers agree to 1e-12.
 
+The engine keeps one record per verdict. The sweeps named ``…/detail`` keep
+one record per branch, as the recorded engine did: the five key sweeps come
+from the per-slice oracle with the old per-branch record formats
+(``oracles.per_slice_run`` with ``oracles.branch_plan``), and
+``ebit_ptp/detail`` from ``per_branch_ebit_ptp(detail=True)`` in
+``tests/test_ebit_ptp_bits.py``. Their branches, summed per record class,
+are compared with the engine's records in ``tests/test_key_sweep_oracle.py``
+and ``tests/test_ebit_ptp_bits.py``.
+
 ``golden_sweeps_s1.json`` was written by ``python tests/test_sweep_golden.py``
 run against the per-branch engine; rerunning it against the current engine
 only reproduces whatever that engine computes.
@@ -31,6 +40,7 @@ from qauthlab.protocols import ebit_ptc, ebit_ptp, run_qa_kg, run_tqa_kg
 from qauthlab.ucharness import run_qa_kg_ideal
 
 import oracles
+from test_ebit_ptp_bits import per_branch_ebit_ptp
 
 GOLDEN = Path(__file__).with_name("golden_sweeps_s1.json")
 TOL = 1e-12
@@ -61,21 +71,25 @@ def _sweeps():
     psi = purified_input("random-5", 1)
     cipher = sample_cipher(1, 4, seed=2)
     vec = np.array([0.6, 0.8j], dtype=complex)
+
+    def branches(run, fmt):
+        return lambda a: oracles.per_slice_run(lambda: run(a), fam, a, fmt)
+
     return {
         "run_qa_kg": lambda a: run_qa_kg(psi, fam, a),
-        "run_qa_kg/no-back/detail": lambda a: run_qa_kg(
-            psi, fam, a, back_communication=False, detail=True
+        "run_qa_kg/no-back/detail": branches(
+            lambda a: run_qa_kg(psi, fam, a, back_communication=False), oracles.qa_branch
         ),
-        "run_tqa_kg/detail": lambda a: run_tqa_kg(psi, fam, a, detail=True),
+        "run_tqa_kg/detail": branches(lambda a: run_tqa_kg(psi, fam, a), oracles.qa_branch),
         "run_tqa_kg/no-back": lambda a: run_tqa_kg(psi, fam, a, back_communication=False),
         "ebit_ptc": lambda a: ebit_ptc(fam, a),
-        "ebit_ptc/detail": lambda a: ebit_ptc(fam, a, detail=True),
+        "ebit_ptc/detail": branches(lambda a: ebit_ptc(fam, a), oracles.ebit_branch),
         "ebit_ptp": lambda a: ebit_ptp(fam, a),
-        "ebit_ptp/detail": lambda a: ebit_ptp(fam, a, detail=True),
+        "ebit_ptp/detail": lambda a: per_branch_ebit_ptp(fam, a, detail=True),
         "run_qa_kg_ideal": lambda a: run_qa_kg_ideal(psi, fam, a),
         "run_psqa_kg": lambda a: run_psqa_kg(vec, cipher, fam, a),
-        "run_psqa_kg/detail": lambda a: run_psqa_kg(vec, cipher, fam, a, detail=True),
-        "run_psrqa_kg/detail": lambda a: run_psrqa_kg(vec, cipher, fam, a, detail=True),
+        "run_psqa_kg/detail": branches(lambda a: run_psqa_kg(vec, cipher, fam, a), oracles.psqa_branch),
+        "run_psrqa_kg/detail": branches(lambda a: run_psrqa_kg(vec, cipher, fam, a), oracles.psqa_branch),
         "psqa_ideal": lambda a: psqa_ideal(vec, cipher, fam, a),
     }
 
