@@ -176,7 +176,7 @@ def rsp_povm(cipher: ApproxCipher, message_vec: np.ndarray) -> RspMeasurement:
 
 
 def _psqa_plan(internal: tuple[str, ...] = ()):
-    """Finalize plan: fields -> (record, drop, mix); ``internal`` registers
+    """Finalize plan: fields -> (record, drop); ``internal`` registers
     never reach the environment."""
 
     def plan(fields: dict):
@@ -185,7 +185,7 @@ def _psqa_plan(internal: tuple[str, ...] = ()):
             out_rec, drop = (("verdict", ACC), ("key", key)), ()
         else:
             out_rec, drop = (("verdict", verdict), ("key", ERR)), ("M",)
-        return out_rec, drop + internal, ()
+        return out_rec, drop + internal
 
     return plan
 

@@ -82,6 +82,7 @@ class HashFamily:
     evaluate: Callable[[object, object], int]
     eps_asu2: float
     table: np.ndarray
+    hits: np.ndarray  # read-only, the second count of ``_pair_counts``
     label: str = ""
 
 
@@ -100,8 +101,28 @@ def _row_counts(values: np.ndarray) -> np.ndarray:
     return np.bincount(flat, minlength=len(values) * width).reshape(len(values), width)
 
 
-def _verify_table(table: np.ndarray, msgs: list, n_tags: int) -> float:
-    nm, nk = table.shape
+def _pair_counts(table: np.ndarray) -> tuple[int, np.ndarray]:
+    """Each message pair i < j read once, for two counts kept apart so that a
+    fault in one cannot hide in the other: the most keys that give one tag
+    pair (a, b) to (x_i, x_j), over all pairs, and the read-only hits[i, j],
+    the most keys that give one tag difference delta (0 for j <= i)."""
+    nm, width = len(table), int(table.max()) + 1
+    worst, hits = 0, np.zeros((nm, nm), dtype=np.int64)
+    # one buffer for both counts' codes: a fresh array per count and step
+    # cost about 4x the page faults and a third more time at w6-L1
+    buf = np.empty_like(table[1:])
+    for i in range(nm - 1):
+        later, out = table[i + 1 :], buf[i:]
+        # every (a, b) tag pair of x_i against each later x', one row per x'
+        worst = max(worst, int(_row_counts(np.add(table[i] * width, later, out=out)).max()))
+        hits[i, i + 1 :] = _row_counts(np.bitwise_xor(later, table[i], out=out)).max(axis=1)
+    hits.setflags(write=False)
+    return worst, hits
+
+
+def _verify_table(table: np.ndarray, msgs: list, n_tags: int) -> tuple[float, np.ndarray]:
+    """(eps_asu2, hits) of a tag table whose single points are uniform."""
+    nk = table.shape[1]
     # every tag that occurs occurs nk / n_tags times, so exactly n_tags occur
     counts = _row_counts(table)
     skewed = np.flatnonzero(~np.all((counts == 0) | (counts * n_tags == nk), axis=1))
@@ -109,13 +130,8 @@ def _verify_table(table: np.ndarray, msgs: list, n_tags: int) -> float:
         raise FamilyVerificationError(
             f"single-point distribution for message {msgs[skewed[0]]!r} is not uniform"
         )
-    width = int(table.max()) + 1
-    worst = 0
-    for i in range(nm - 1):
-        # every (a, b) tag pair of x_i against each later x', one row per x'
-        pairs = table[i] * width + table[i + 1 :]
-        worst = max(worst, int(_row_counts(pairs).max()))
-    return worst * n_tags / nk
+    worst, hits = _pair_counts(table)
+    return worst * n_tags / nk, hits
 
 
 def poly_hash_family(field_bits: int, message_len: int) -> HashFamily:
@@ -163,8 +179,8 @@ def poly_hash_family(field_bits: int, message_len: int) -> HashFamily:
         horner = mul[horner ^ coeff[:, None], np.arange(q)]
     # key (c, d) sits at column c * q + d
     table = (horner[:, :, None] ^ np.arange(q)).reshape(q**L, q * q)
-    eps = _verify_table(table, list(msgs), q)
-    return HashFamily(keys, msgs, tags, evaluate, eps, table, label=f"affine-poly-w{w}-L{L}")
+    eps, hits = _verify_table(table, list(msgs), q)
+    return HashFamily(keys, msgs, tags, evaluate, eps, table, hits, label=f"affine-poly-w{w}-L{L}")
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +192,6 @@ def poly_hash_family(field_bits: int, message_len: int) -> HashFamily:
 class WcAdvantageReport:
     family: str
     eps_asu2: float
-    input_message: object
     advantage: float            # distinguishing probability (total variation)
     advantage_one_norm: float   # same difference in the full 1-norm
     best_substitution: dict
@@ -186,9 +201,8 @@ class WcAdvantageReport:
         return {
             "family": self.family,
             "eps_asu2": self.eps_asu2,
-            "input_message": list(self.input_message)
-            if isinstance(self.input_message, tuple)
-            else self.input_message,
+            # the advantage is maximized over every input message
+            "input_message": "all",
             "advantage": self.advantage,
             "advantage_one_norm": self.advantage_one_norm,
             "best_substitution": self.best_substitution,
@@ -207,23 +221,19 @@ def wc_kg_advantage(family: HashFamily) -> WcAdvantageReport:
 
     The best rewrite of input x_i to x_j hits #{k : T_ik ^ T_jk = delta} keys
     for its best delta, a count symmetric in (i, j), so over all inputs each
-    unordered message pair is counted once, in row i < j. That is enough: the
+    unordered message pair is counted once, in row i < j (``family.hits``,
+    counted while the family is verified). That is enough: the
     first input in message order with the most hits is the smaller index of a
     best pair, and its first best partner (``_best_rewrite``) comes after it.
     """
-    table = family.table
-    hits = np.zeros((len(table), len(table)), dtype=np.int64)
-    for i in range(len(table) - 1):
-        hits[i, i + 1 :] = _row_counts(table[i + 1 :] ^ table[i]).max(axis=1)
-    top = hits.max(axis=1)
+    top = family.hits.max(axis=1)
     r = int(np.argmax(top))
     best, best_info = 0.0, {"substitution": "identity"}
     if top[r] > 0:
-        best, best_info = int(top[r]) / table.shape[1], _best_rewrite(family, r, hits[r])
+        best, best_info = int(top[r]) / family.table.shape[1], _best_rewrite(family, r, family.hits[r])
     return WcAdvantageReport(
         family=family.label,
         eps_asu2=family.eps_asu2,
-        input_message="all",
         advantage=best,
         advantage_one_norm=2.0 * best,
         best_substitution=best_info,

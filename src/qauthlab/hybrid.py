@@ -21,9 +21,10 @@ block from one Gram matrix per record class, the verdict (see ``key_sweep``),
 whose two Grams each chunk takes once for every sweep of the job
 (``TransferChunk.verdicts``). No record holds a single branch; the tests take
 branches from per-slice oracles. A (key value, class) pair whose probability,
-read off the class's Gram matrix, is at most PRUNE_BELOW is dropped. Output
-filters such as "drop this register" trace each block; "replace this register
-by the maximally mixed state" applies once per record, after the last chunk.
+read off the class's Gram matrix, is at most PRUNE_BELOW is dropped. A plan
+maps each class to (record, registers traced out of its blocks). A fixed state
+goes onto a record's registers only by ``FinalState.replaced``, once the record
+is summed: EBIT's I/d on A on reject, the ideal's perfect ebits on accept.
 ``protocols.ebit_ptp`` batches its accept blocks over (code, syndrome) in the
 arithmetic of one branch at a time instead, so that they keep their bits, and
 hands its reject branches to the same finalizer, ``_add_chunk``, as a chunk
@@ -127,6 +128,16 @@ class FinalState:
             total = total + block.matrix
         return FinalBlock(regs, total)
 
+    def replaced(self, predicate: Callable[[Record], bool], names: Sequence[str], state: np.ndarray) -> "FinalState":
+        """This final state with the ``names`` registers of each record that
+        ``predicate`` picks replaced by ``state``, a matrix on them in the
+        order given (``qmath.replace_factors``); the other records keep their
+        blocks. Replacing is linear, so it acts once on a summed record."""
+        return FinalState({
+            rec: (b.registers, replace_factors(b.matrix, b.registers, names, state) if predicate(rec) else b.matrix)
+            for rec, b in self.blocks.items()
+        })
+
     def distance(self, other: "FinalState") -> float:
         """Full 1-norm distance, decomposed over classical records: one
         ``trace_norm`` call per block shape, and the records summed in sorted
@@ -206,7 +217,7 @@ def key_sweep(
     transfer: Transfer,
     base: StateVector,
     carrier: str,
-    plan: Callable[[dict], tuple[Record, tuple[str, ...], tuple[str, ...]]],
+    plan: Callable[[dict], tuple[Record, tuple[str, ...]]],
     key: tuple[str, Sequence, Sequence[str], np.ndarray, Registers, np.ndarray] | None = None,
     receiver: str = "B",
 ) -> FinalState:
@@ -227,9 +238,8 @@ def key_sweep(
     - A (key, class) pair counts only if its probability Tr(Psi_v G_c
       Psi_v^dag), read off G_c traced over the output registers, is above
       PRUNE_BELOW. ``plan`` maps its fields (the verdict, and the key label
-      with its value) to (output record, registers to drop, registers to
-      replace by I/d). Dropped registers are traced out of each block; each
-      record is replaced by I/d once, at the end.
+      with its value) to (output record, registers to drop). Dropped
+      registers are traced out of each block.
 
     The codes run in the transfer's chunks, one set of Grams per chunk.
     """
@@ -246,19 +256,17 @@ def key_sweep(
     psi = amps.transpose([0] + [1 + i for i in order]).reshape(len(amps), total_dim(other), total_dim(probe))
     keys = (label, values, corrections)
     blocks: dict[Record, tuple[Registers, np.ndarray]] = {}
-    mixes: dict[Record, tuple[str, ...]] = {}
     for chunk in transfer.chunks:
-        _add_chunk(blocks, mixes, chunk, psi, (other, out, receiver), plan, keys)
-    return checked_total(mix_records(blocks, mixes), "key sweep")
+        _add_chunk(blocks, chunk, psi, (other, out, receiver), plan, keys)
+    return checked_total(FinalState(blocks), "key sweep")
 
 
-def _add_chunk(blocks, mixes, chunk: TransferChunk, psi, layout, plan, keys) -> None:
+def _add_chunk(blocks, chunk: TransferChunk, psi, layout, plan, keys) -> None:
     """Add one chunk of codes to ``blocks``: per verdict class (the chunk's
     cached Gram matrices, REJ first) the blocks of its live key values, those
-    whose class probability is above PRUNE_BELOW. The registers each record
-    replaces by I/d go to ``mixes``; ``mix_records`` applies them once all
-    chunks are in. ``keys`` = (label, values, corrections),
-    label None for an unkeyed ``psi`` of one key value."""
+    whose class probability is above PRUNE_BELOW, each record's ``plan``
+    registers dropped. ``keys`` = (label, values, corrections), label None
+    for an unkeyed ``psi`` of one key value."""
     label, values, corrections = keys
     dj, dp = total_dim(layout[1]), psi.shape[2]
     for verdict, gram in chunk.verdicts:
@@ -271,9 +279,7 @@ def _add_chunk(blocks, mixes, chunk: TransferChunk, psi, layout, plan, keys) -> 
         # the live key values by the registers their records drop, then by record
         groups: dict[tuple, dict[Record, list]] = {}
         for v in live:
-            record, drop, mix = plan(fields if label is None else {**fields, label: values[v]})
-            if mixes.setdefault(record, tuple(mix)) != tuple(mix):
-                raise InvariantError(f"record {record} accumulated under different registers to mix")
+            record, drop = plan(fields if label is None else {**fields, label: values[v]})
             groups.setdefault(tuple(drop), {}).setdefault(record, []).append(v)
         fix = corrections if verdict == ACC else None
         for drop, records in groups.items():
@@ -351,14 +357,3 @@ def checked_total(final: FinalState, where: str) -> FinalState:
         raise InvariantError(f"{where}: final state total weight {total!r}, expected 1 within 1e-10")
     return final
 
-
-def mix_records(blocks: dict, mixes: dict) -> FinalState:
-    """The final state of summed ``blocks``, each record's ``mixes``
-    registers replaced by I/d (mixing is linear, so once per record)."""
-    for record, mix in mixes.items():
-        kept, rho = blocks[record]
-        for name in mix:
-            d = dict(kept)[name]
-            rho = replace_factors(rho, kept, (name,), np.eye(d) / d)
-        blocks[record] = (kept, rho)
-    return FinalState(blocks)

@@ -14,7 +14,8 @@ arithmetic):
 - ``ebit_ptc`` / ``ebit_ptp``: entanglement generation over the attacked
   channel, in the encoder-keyed form and the bilateral syndrome-measurement
   form. On reject both output the error state: maximally mixed on A, error
-  symbol on B.
+  symbol on B: the plan drops B, and ``_mixed_on_reject`` puts I/d on A
+  once every chunk is in.
 
 ``ebit_ptp`` does not go through ``key_sweep`` on purpose. Its accept blocks
 feed ``fidelity_acc``, which is ill-conditioned on these rank-deficient
@@ -86,7 +87,7 @@ from .hybrid import (
     _add_chunk,
     checked_total,
     key_sweep,
-    mix_records,
+    record_get,
 )
 from .pauli import enumerate_paulis, pauli_matrix
 from .qmath import (
@@ -232,14 +233,14 @@ def _transfer(family: PtcFamily, attack: AttackDescriptor) -> Transfer:
 
 
 def _qa_output_plan(back_communication: bool):
-    """Finalize plan for message-carrying runs: fields -> (record, drop, mix)."""
+    """Finalize plan for message-carrying runs: fields -> (record, drop)."""
 
     def plan(fields: dict):
         key = fields["key"]
         if fields["verdict"] == ACC:
-            return (("verdict", ACC), ("key_alice", key), ("key_bob", key)), (), ()
+            return (("verdict", ACC), ("key_alice", key), ("key_bob", key)), ()
         alice = ERR if back_communication else key
-        return (("verdict", REJ), ("key_alice", alice), ("key_bob", ERR)), ("M",), ()
+        return (("verdict", REJ), ("key_alice", alice), ("key_bob", ERR)), ("M",)
 
     return plan
 
@@ -309,12 +310,13 @@ def run_tqa_kg(
 
 
 def _ebit_output_plan(fields: dict):
-    """Finalize plan for entanglement runs: fields -> (record, drop, mix)."""
-    record = (("verdict", fields["verdict"]),)
-    if fields["verdict"] == ACC:
-        return record, (), ()
-    # error state: maximally mixed on A, error symbol in place of B
-    return record, ("B",), ("A",)
+    """Finalize plan for entanglement runs: fields -> (record, drop B on reject)."""
+    return (("verdict", fields["verdict"]),), () if fields["verdict"] == ACC else ("B",)
+
+
+def _mixed_on_reject(final: FinalState, m: int) -> FinalState:
+    """The error state's A: I/d on every reject record."""
+    return final.replaced(lambda rec: record_get(rec, "verdict") == REJ, ("A",), np.eye(1 << m) / (1 << m))
 
 
 def _maybe_reference(base: StateVector, attack: AttackDescriptor, m: int) -> StateVector:
@@ -337,7 +339,7 @@ def ebit_ptc(family: PtcFamily, attack: AttackDescriptor) -> FinalState:
     dm = 1 << family.m
     base = StateVector(max_entangled_vector(dm), (("A", dm), ("B0", dm)))
     base = _maybe_reference(base, attack, family.m)
-    return key_sweep(_transfer(family, attack), base, "B0", _ebit_output_plan)
+    return _mixed_on_reject(key_sweep(_transfer(family, attack), base, "B0", _ebit_output_plan), family.m)
 
 
 def ebit_ptp(family: PtcFamily, attack: AttackDescriptor) -> FinalState:
@@ -375,7 +377,6 @@ def ebit_ptp(family: PtcFamily, attack: AttackDescriptor) -> FinalState:
     attacked = np.moveaxis(attacked.reshape(reg_dims(att_regs)), pos_a, 0).reshape(dt, -1)
     diag = np.arange(dy)
     blocks: dict = {}
-    mixes: dict = {}
     step = max(1, CHUNK_ELEMENTS // attacked.size)
     for t0 in range(0, len(encs), step):
         chunk = encs[t0 : t0 + step]
@@ -412,8 +413,7 @@ def ebit_ptp(family: PtcFamily, attack: AttackDescriptor) -> FinalState:
             rhos[1:] *= weights[lo : lo + per, None, None]
             # the accept branches all add, one after another, to the running
             # sum of the one record (verdict, ACC), by one reduction
-            record, _, mix = _ebit_output_plan({"verdict": ACC})
-            mixes[record] = mix
+            record, _ = _ebit_output_plan({"verdict": ACC})
             start = 1
             if record in blocks:
                 start, rhos[0] = 0, blocks[record][1]
@@ -423,7 +423,7 @@ def ebit_ptp(family: PtcFamily, attack: AttackDescriptor) -> FinalState:
         x = np.sqrt(p_y / len(encs))[..., None, None, None] * got[..., None]
         x[:, diag, diag] = 0.0
         _add_chunk(
-            blocks, mixes, TransferChunk(x), np.ones((1, 1, 1)), ((), out_regs, "B"), _ebit_output_plan,
+            blocks, TransferChunk(x), np.ones((1, 1, 1)), ((), out_regs, "B"), _ebit_output_plan,
             (None, (None,), None),
         )
-    return checked_total(mix_records(blocks, mixes), "ebit_ptp")
+    return checked_total(_mixed_on_reject(FinalState(blocks), m), "ebit_ptp")

@@ -26,10 +26,11 @@ the codes' syndrome projectors, built from the encoders as its real and
 imaginary parts; it is real symmetric and splits into 2^n blocks by the
 XOR of its row's sender and receiver indices, and ``ptp_soundness_exact`` is
 the top eigenvalue of those blocks, after checks that Omega's imaginary part
-and its entries outside the blocks vanish; ``ebit_report`` takes its
-accept-conditional states from ``FinalBlock.conditional`` and their AB
-marginal from ``qmath.partial_trace``; the ideal key list is
-``protocols.key_pads``'.
+and its entries outside the blocks vanish; ``_ebit_ideal_from`` puts
+perfect ebits on the accept records by ``FinalState.replaced``;
+``ebit_report`` takes its accept-conditional states from
+``FinalBlock.conditional`` and their AB marginal from
+``qmath.partial_trace``; the ideal key list is ``protocols.key_pads``'.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from .qmath import (
     fidelity,
     max_entangled_vector,
     partial_trace,
-    replace_factors,
     tensor,
     trace_norm,
 )
@@ -127,14 +127,7 @@ def _ebit_ideal_from(real: FinalState, m: int) -> FinalState:
     branch is identical to the real protocol's by construction.
     """
     phi = max_entangled_vector(1 << m)
-    phi_mat = np.outer(phi, phi.conj())
-    blocks: dict[Record, tuple] = {}
-    for rec, block in real.blocks.items():
-        mat = block.matrix.copy()
-        if _is_acc(rec):
-            mat = replace_factors(mat, block.registers, ("A", "B"), phi_mat)
-        blocks[rec] = (block.registers, mat)
-    return FinalState(blocks)
+    return real.replaced(_is_acc, ("A", "B"), np.outer(phi, phi.conj()))
 
 
 def ebit_report(family: PtcFamily, attack: AttackDescriptor, real: FinalState) -> AdvantageReport:
@@ -339,8 +332,8 @@ def ideal_sweep(
 
     def plan(fields: dict):
         if fields["verdict"] == ACC:
-            return (("verdict", ACC),), ("Ad", "B"), ()
-        return (("verdict", REJ),) + key_record(ERR), ("Ad", "B", "M"), ()
+            return (("verdict", ACC),), ("Ad", "B")
+        return (("verdict", REJ),) + key_record(ERR), ("Ad", "B", "M")
 
     final = key_sweep(_transfer(family, attack), tensor(message, dummy), "B0", plan)
     blocks = {}

@@ -8,9 +8,12 @@ as it is, and fail once the edit is applied. It exits 1 if any named test
 passes on its mutant (the mutant survives), fails without it, or any old
 text is not found exactly once. The catalogue starts with the mutants in
 the engine's branch path, which the per-branch records of the key sweep
-used to guard: each check that replaced them is seen to fail.
+used to guard: each check that replaced them is seen to fail. Then come the
+fixed states that ``FinalState.replaced`` puts on records (EBIT's I/d on
+reject, the ideal's perfect ebits on accept) and the two counts of the
+classical family's one pass over message pairs.
 
-Run it from anywhere; it takes about ten seconds on two cores.
+Run it from anywhere; it takes about twenty seconds on two cores.
 """
 
 from __future__ import annotations
@@ -69,6 +72,39 @@ MUTANTS = (
         "np.add.reduce(rhos[start:], axis=0)",
         "np.add.reduce(rhos[start:][::-1], axis=0)",
         "tests/test_ebit_ptp_bits.py::test_accept_blocks_bitwise_and_reject_blocks_close",
+    ),
+    # the error state's I/d on A skipped: the per-branch oracle mixes its
+    # reject records itself
+    Mutant(
+        "ebit-reject-keeps-a",
+        "src/qauthlab/protocols.py",
+        "    return final.replaced(",
+        "    return final\n    return final.replaced(",
+        "tests/test_ebit_ptp_bits.py::test_accept_blocks_bitwise_and_reject_blocks_close",
+    ),
+    # the ideal's perfect ebits put on the reject records, which hold no B
+    Mutant(
+        "ebit-ideal-phi-on-reject",
+        "src/qauthlab/ucharness.py",
+        "real.replaced(_is_acc,",
+        "real.replaced(lambda rec: not _is_acc(rec),",
+        "tests/test_ucharness.py::test_eta_ideal_puts_perfect_ebits_on_accept_only",
+    ),
+    # the joint tag pair (a, b) read as the sum a + b, which merges pairs
+    Mutant(
+        "wc-joint-count-merges-tag-pairs",
+        "src/qauthlab/classical_wc.py",
+        "np.add(table[i] * width, later",
+        "np.add(table[i], later",
+        "tests/test_classical_wc.py::test_pair_counts_match_a_scalar_count",
+    ),
+    # every later message's tag differences taken against x_0, not x_i
+    Mutant(
+        "wc-hits-count-against-the-first-message",
+        "src/qauthlab/classical_wc.py",
+        "np.bitwise_xor(later, table[i]",
+        "np.bitwise_xor(later, table[0]",
+        "tests/test_classical_wc.py::test_pair_counts_match_a_scalar_count",
     ),
 )
 

@@ -31,7 +31,6 @@ from qauthlab.hybrid import (
     _contract,
     _keyed,
     checked_total,
-    mix_records,
 )
 from qauthlab.pauli import PauliString, _parity, hermitian_pauli, pauli_matrix, symplectic_product
 from qauthlab.protocols import _attack_pieces, _family_encoders, bell_key, key_pads
@@ -41,6 +40,7 @@ from qauthlab.qmath import (
     max_entangled_vector,
     reg_dims,
     reg_positions,
+    replace_factors,
     tensor,
     total_dim,
 )
@@ -177,7 +177,7 @@ def per_slice_key_sweep(encoders, attack, base, carrier, plan, detail, key=None,
     attacked_in = int(np.prod([dims[name] for name in att_names]))
     per_code = start.size // d_in * dt * dy * total_dim(att_out) // attacked_in
     step = max(1, hybrid.CHUNK_ELEMENTS // per_code)
-    blocks, mixes = {}, {}
+    blocks = {}
     weight = 1.0 / (len(encoders) * dy)
     for t0 in range(0, len(encoders), step):
         chunk = encoders[t0 : t0 + step]
@@ -200,16 +200,15 @@ def per_slice_key_sweep(encoders, attack, base, carrier, plan, detail, key=None,
             at = names.index("y")  # ysyn follows y
             accept = np.eye(dy, dtype=bool).reshape((1,) * at + (dy, dy) + (1,) * (amps.ndim - at - 2))
             amps = np.where(accept, fixed, amps)
-        _accumulate(blocks, mixes, amps, names, t0, values, regs, plan, exposed, weight)
-    return checked_total(mix_records(blocks, mixes), "key sweep")
+        _accumulate(blocks, amps, names, t0, values, regs, plan, exposed, weight)
+    return checked_total(FinalState(blocks), "key sweep")
 
 
-def _accumulate(blocks, mixes, amps, names, t0, values, regs, plan, exposed, weight) -> None:
+def _accumulate(blocks, amps, names, t0, values, regs, plan, exposed, weight) -> None:
     """Add the weighted density matrices of a chunk of codes (axis ``t`` of
     ``amps``, the first being code ``t0``) to ``blocks`` for each output
     record, each one contraction over the slices (classical index tuples)
-    that map to the record. The registers each record replaces by I/d go to
-    ``mixes``; ``mix_records`` applies them once all chunks are in."""
+    that map to the record, with the record's ``plan`` registers dropped."""
     shape, dims = amps.shape[: len(names)], reg_dims(regs)
     slices = amps.reshape((-1,) + dims)
     vecs = slices.reshape(len(slices), -1)
@@ -226,9 +225,9 @@ def _accumulate(blocks, mixes, amps, names, t0, values, regs, plan, exposed, wei
     members = np.split(alive[np.argsort(inverse, kind="stable")], np.cumsum(np.bincount(inverse))[:-1])
     groups: dict[Record, tuple[tuple, list]] = {}
     for code, rows in zip(zip(*np.unravel_index(codes, sizes)), members):
-        record, drop, mix = plan({f: values[f][int(i)] for f, i in zip(exposed, code)})
+        record, drop = plan({f: values[f][int(i)] for f, i in zip(exposed, code)})
         entry = groups.setdefault(record, (tuple(drop), []))
-        if entry[0] != tuple(drop) or mixes.setdefault(record, tuple(mix)) != tuple(mix):
+        if entry[0] != tuple(drop):
             raise RegisterError(f"record {record} accumulated under different register sets")
         entry[1].append(rows)
     for record, (drop, rows) in groups.items():
@@ -270,8 +269,8 @@ def branch_plan(plan: Callable, fmt: Callable[[dict], tuple]) -> Callable:
     value) from the fields."""
 
     def branched(fields: dict):
-        record, drop, mix = plan(fields)
-        return record + (("detail", fmt(fields)),), drop, mix
+        record, drop = plan(fields)
+        return record + (("detail", fmt(fields)),), drop
 
     return branched
 
@@ -281,7 +280,8 @@ def per_slice_run(
 ) -> FinalState:
     """``run()``, a protocol run of ``family`` under ``attack``, with
     ``per_slice_key_sweep`` in place of every ``key_sweep`` call, and the
-    same bases, keys and plans. With ``fmt``, the plan is ``branch_plan(plan,
+    same bases, keys and plans, and ``replaced_per_record`` in place of
+    ``FinalState.replaced``. With ``fmt``, the plan is ``branch_plan(plan,
     fmt)``: one record per branch. With ``tamper``, the accept correction of
     key value 1 (never the identity: value 0 is the identity in the Pauli pad
     and the Bell key) is the identity."""
@@ -299,7 +299,21 @@ def per_slice_run(
     with pytest.MonkeyPatch.context() as patch:
         for module in (protocols, approx_psqa, ucharness):
             patch.setattr(module, "key_sweep", oracle)
+        patch.setattr(FinalState, "replaced", replaced_per_record)
         return run()
+
+
+def replaced_per_record(final: FinalState, predicate, names, state) -> FinalState:
+    """``FinalState.replaced`` as the oracles' own step: each record that
+    ``predicate`` picks, one at a time, has its ``names`` registers replaced
+    by ``state`` with ``qmath.replace_factors``."""
+    blocks = {}
+    for record, block in final.blocks.items():
+        matrix = block.matrix
+        if predicate(record):
+            matrix = replace_factors(matrix, block.registers, names, state)
+        blocks[record] = (block.registers, matrix)
+    return FinalState(blocks)
 
 
 def merge_branches(final: FinalState) -> FinalState:

@@ -8,6 +8,7 @@ from qauthlab import classical_wc
 from qauthlab.classical_wc import (
     FamilyVerificationError,
     HashFamily,
+    _pair_counts,
     _verify_table,
     gf_mul,
     key_leak_demo,
@@ -46,8 +47,9 @@ def test_family_parameter_is_L_over_field(w, L):
 def test_family_reverification_matches():
     fam = poly_hash_family(3, 1)
     table = tag_table(fam.keys, fam.message_space, fam.evaluate)
-    again = _verify_table(table, list(fam.message_space), len(fam.tag_space))
-    assert again == fam.eps_asu2
+    eps, hits = _verify_table(table, list(fam.message_space), len(fam.tag_space))
+    assert eps == fam.eps_asu2
+    assert np.array_equal(hits, fam.hits)
 
 
 def test_slope_only_keys_fail_uniformity():
@@ -181,6 +183,7 @@ def test_advantage_tie_break_follows_the_first_key():
     fam = HashFamily(
         keys=(0, 1, 2, 3), message_space=msgs, tag_space=(0, 1, 2, 3),
         evaluate=lambda k, x: rows[msgs.index(x)][k], eps_asu2=1.0, table=np.array(rows),
+        hits=_pair_counts(np.array(rows))[1],
     )
     rep = wc_kg_advantage(fam)
     assert rep.best_substitution["input"] == "(0,)"
@@ -197,7 +200,7 @@ def test_all_inputs_choice_matches_scalar_loop_on_random_tables(seed):
     msgs = tuple((i,) for i in range(len(rows)))
     fam = HashFamily(
         keys=tuple(range(8)), message_space=msgs, tag_space=(0, 1, 2, 3),
-        evaluate=lambda k, x: int(rows[x[0], k]), eps_asu2=1.0, table=rows,
+        evaluate=lambda k, x: int(rows[x[0], k]), eps_asu2=1.0, table=rows, hits=_pair_counts(rows)[1],
     )
     overall = (0.0, {"substitution": "identity"})
     for best, info in _scalar_advantages(fam).values():
@@ -205,6 +208,24 @@ def test_all_inputs_choice_matches_scalar_loop_on_random_tables(seed):
             overall = (best, info)
     rep = wc_kg_advantage(fam)
     assert (rep.advantage, rep.best_substitution) == overall
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pair_counts_match_a_scalar_count(seed):
+    # both counts of the one pass over message pairs i < j, against a count
+    # of one key at a time: the most keys on one joint tag pair (a, b), and
+    # hits[i, j], the most keys on one tag difference (0 for j <= i)
+    rows = np.random.default_rng(seed).integers(0, 4, size=(6, 8))
+    worst, hits = _pair_counts(rows)
+    joint, want = 0, np.zeros_like(hits)
+    for i, j in itertools.combinations(range(len(rows)), 2):
+        pairs = [(int(a), int(b)) for a, b in zip(rows[i], rows[j])]
+        joint = max(joint, max(pairs.count(p) for p in pairs))
+        diffs = [a ^ b for a, b in pairs]
+        want[i, j] = max(diffs.count(d) for d in diffs)
+    assert worst == joint
+    assert np.array_equal(hits, want)
+    assert not hits.flags.writeable
 
 
 @pytest.mark.parametrize("w,L", [(2, 1), (3, 1), (2, 2)])

@@ -65,8 +65,10 @@ REFERENCE = ROOT / "perfbench" / "reference" / "uc-s3.json"
 
 def per_branch_ebit_ptp(family, attack, detail=False) -> FinalState:
     """The per-branch loop: every (t, y, ysyn) branch measured, normalized
-    and added to its record in branch order; each record mixed once. With
-    ``detail``, every branch is its own record (``oracles.ebit_branch``)."""
+    and added to its record in branch order; then A of each reject record
+    replaced by I/d, with ``qmath.replace_factors`` and not by the engine's
+    ``FinalState.replaced``. With ``detail``, every branch is its own record
+    (``oracles.ebit_branch``)."""
     m, s, n = family.m, family.s, family.n
     dm, dt, dy = 1 << m, 1 << n, 1 << s
     encs = _family_encoders(family)
@@ -75,15 +77,13 @@ def per_branch_ebit_ptp(family, attack, detail=False) -> FinalState:
     attacked, att_regs = _apply(base.amplitudes, base.registers, *_attack_pieces(family, attack))
     plan = branch_plan(_ebit_output_plan, ebit_branch) if detail else _ebit_output_plan
     blocks: dict = {}
-    mixes: dict = {}
     for t, enc in enumerate(encs):
         vec, regs = _apply(attacked, att_regs, enc.T, ("A0",))
         for y, p_y, vec_y, regs_y in _measure(vec, regs, "A0", (("Ya", dy), ("A", dm)), 1.0):
             vec_y, regs_y = _apply(vec_y, regs_y, enc.conj().T, ("T",))
             for ysyn, p, flat, out_regs in _measure(vec_y, regs_y, "T", (("Ysyn", dy), ("B", dm)), p_y):
                 verdict = ACC if ysyn == y else "REJ"
-                record, drop, mix = plan({"t": t, "y": y, "ysyn": ysyn, "verdict": verdict})
-                mixes[record] = mix
+                record, drop = plan({"t": t, "y": y, "ysyn": ysyn, "verdict": verdict})
                 names = reg_names(out_regs)
                 keep = sorted((i for i, nm in enumerate(names) if nm not in drop), key=names.__getitem__)
                 rest = [i for i in range(len(names)) if i not in keep]
@@ -93,12 +93,10 @@ def per_branch_ebit_ptp(family, attack, detail=False) -> FinalState:
                 if record in blocks:
                     rho = blocks[record][1] + rho
                 blocks[record] = (tuple(out_regs[i] for i in keep), rho)
-    for record, mix in mixes.items():
-        kept, rho = blocks[record]
-        for name in mix:
-            d = dict(kept)[name]
-            rho = replace_factors(rho, kept, (name,), np.eye(d) / d)
-        blocks[record] = (kept, rho)
+    # the error state: A maximally mixed on every reject record
+    for record, (kept, rho) in blocks.items():
+        if dict(record)["verdict"] != ACC:
+            blocks[record] = (kept, replace_factors(rho, kept, ("A",), np.eye(dm) / dm))
     return FinalState(blocks)
 
 
@@ -182,9 +180,9 @@ def test_chunk_boundaries_keep_the_accept_sum(monkeypatch, clear_job_caches, fam
     sizes = []
     add_chunk = protocols._add_chunk
 
-    def spy(blocks, mixes, chunk, *rest):
+    def spy(blocks, chunk, *rest):
         sizes.append(len(chunk.x))
-        return add_chunk(blocks, mixes, chunk, *rest)
+        return add_chunk(blocks, chunk, *rest)
 
     for module in (hybrid, protocols):
         monkeypatch.setattr(module, "CHUNK_ELEMENTS", budget)

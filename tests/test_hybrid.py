@@ -241,28 +241,34 @@ def test_conditional_where():
 
 
 def _verdict_plan(fields):
-    return (("verdict", fields["verdict"]),), (), ()
+    return (("verdict", fields["verdict"]),), ()
 
 
 def test_finalize_drop_and_mix(family_s1):
-    # every slice maps to one record; B is traced out and A replaced by I/2
+    # every slice maps to one record: B traced out of each block, or kept
     transfer = _transfer(family_s1, AttackDescriptor("identity"))
     base = StateVector(max_entangled_vector(2), (("A", 2), ("B0", 2)))
-    final = key_sweep(transfer, base, "B0", lambda f: ((), ("B",), ("A",)))
+    final = key_sweep(transfer, base, "B0", lambda f: ((), ("B",)))
     block = final.blocks[()]
     assert block.registers == (("A", 2), ("E", 1))
     np.testing.assert_allclose(block.matrix, np.eye(2) / 2, atol=1e-14)
 
-    kept = key_sweep(transfer, base, "B0", lambda f: ((), (), ()))
+    kept = key_sweep(transfer, base, "B0", lambda f: ((), ()))
     assert kept.blocks[()].registers == (("A", 2), ("B", 2), ("E", 1))
     phi = max_entangled_vector(2)
     np.testing.assert_allclose(kept.blocks[()].matrix, np.outer(phi, phi.conj()), atol=1e-14)
+    # A replaced by I/2 leaves B's marginal I/2, now uncorrelated with A; a
+    # record the predicate does not pick keeps its block
+    mixed = kept.replaced(lambda rec: True, ("A",), np.eye(2) / 2)
+    assert mixed.blocks[()].registers == kept.blocks[()].registers
+    np.testing.assert_allclose(mixed.blocks[()].matrix, np.eye(4) / 4, atol=1e-14)
+    assert kept.replaced(lambda rec: False, ("A",), np.eye(2) / 2).blocks[()].matrix is kept.blocks[()].matrix
 
 
 def test_finalize_sorts_registers(family_s1):
     transfer = _transfer(family_s1, AttackDescriptor("identity"))
     base = StateVector(np.kron([1, 0], [0, 1]).astype(complex), (("Zz", 2), ("B0", 2)))
-    final = key_sweep(transfer, base, "B0", lambda f: ((), (), ()), receiver="Aa")
+    final = key_sweep(transfer, base, "B0", lambda f: ((), ()), receiver="Aa")
     assert final.blocks[()].registers == (("Aa", 2), ("E", 1), ("Zz", 2))
     # |0> on Zz, |1> on Aa -> sorted layout puts Aa first: index 1*2+0=2
     expect = np.zeros((4, 4))
@@ -282,7 +288,7 @@ def test_key_sweep_total_weight_and_records(family_s1):
     # zero-probability slices are pruned, and the records sum to the engine's
     pieces = (_family_encoders(family_s1), _attack_pieces(family_s1, attack))
     detailed = per_slice_key_sweep(
-        *pieces, base, "B0", lambda f: ((("y", f["y"]), ("ysyn", f["ysyn"])), (), ()), True
+        *pieces, base, "B0", lambda f: ((("y", f["y"]), ("ysyn", f["ysyn"])), ()), True
     )
     assert len(detailed.blocks) == 4
     rej = sum(b.weight for rec, b in detailed.blocks.items() if dict(rec)["y"] != dict(rec)["ysyn"])
@@ -319,23 +325,19 @@ def test_key_sweep_rejects_non_isometric_attack(family_s1):
     assert not issubclass(InvariantError, ValueError)
 
 
-@pytest.mark.parametrize("differ", ["mix", "drop"])
+@pytest.mark.parametrize("differ", ["drop"])
 def test_a_plan_that_merges_two_classes_is_an_invariant_error(family_s1, differ):
     # a plan that maps REJ and ACC to one record, with different registers
-    # to mix or to drop, is a fault of the program's own plans, not of its
-    # input: both verdicts of X0 are live, REJ comes first, and each raise
-    # names the register set that differs
+    # to drop, is a fault of the program's own plans, not of its input: both
+    # verdicts of X0 are live, REJ comes first, and the raise names the
+    # register set that differs
     transfer = _transfer(family_s1, AttackDescriptor("fixed_pauli", x=1, label="X0"))
     base = StateVector(max_entangled_vector(2), (("A", 2), ("B0", 2)))
 
     def plan(fields):
-        rej = fields["verdict"] == "REJ"
-        if differ == "mix":
-            return (), (), ("A",) if rej else ()
-        return (), ("B",) if rej else (), ()
+        return (), ("B",) if fields["verdict"] == "REJ" else ()
 
-    message = {"mix": "registers to mix", "drop": "kept registers"}[differ]
-    with pytest.raises(InvariantError, match=f"accumulated under different {message}"):
+    with pytest.raises(InvariantError, match="accumulated under different kept registers"):
         key_sweep(transfer, base, "B0", plan)
 
 
@@ -356,9 +358,9 @@ def test_key_is_contracted_once_per_sweep(monkeypatch, clear_job_caches, family_
         seen.append(tuple(in_names))
         return contract(amps, regs, names, matrix, in_names, out_regs, classical)
 
-    def chunk_spy(blocks, mixes, chunk, *rest):
+    def chunk_spy(blocks, chunk, *rest):
         chunks.append(len(chunk.x))
-        return add_chunk(blocks, mixes, chunk, *rest)
+        return add_chunk(blocks, chunk, *rest)
 
     def build_spy(encoders, attack, m):
         built.append(len(encoders))
@@ -413,9 +415,9 @@ def test_verdict_grams_are_taken_once_per_chunk(monkeypatch, clear_job_caches, f
         taken.append(chunk)
         return verdicts(chunk)
 
-    def chunk_spy(blocks, mixes, chunk, *rest):
+    def chunk_spy(blocks, chunk, *rest):
         read.append(chunk)
-        return add_chunk(blocks, mixes, chunk, *rest)
+        return add_chunk(blocks, chunk, *rest)
 
     prop = cached_property(verdicts_spy)
     prop.__set_name__(hybrid.TransferChunk, "verdicts")

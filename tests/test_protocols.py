@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qauthlab.adversary import AttackDescriptor, purified_input, standard_suite
-from qauthlab.hybrid import record_get
+from qauthlab.hybrid import FinalState, record_get
 from qauthlab.pauli import PauliString, enumerate_paulis, pauli_matrix
 from qauthlab.protocols import (
     ACC,
@@ -275,6 +275,42 @@ def test_ebit_reject_state_is_error_form(family_s1):
     tens = cond.reshape(da, rest, da, rest)
     mu = tens.trace(axis1=0, axis2=2)
     np.testing.assert_allclose(cond, np.kron(np.eye(da) / da, mu), atol=1e-10)
+
+
+@pytest.mark.parametrize("run", [ebit_ptc, ebit_ptp], ids=["ebit_ptc", "ebit_ptp"])
+def test_ebit_reject_blocks_are_mixed_on_a_and_accept_blocks_untouched(family_s2, monkeypatch, run):
+    # each run puts I/d on A once, by one FinalState.replaced call after its
+    # last chunk: every reject block becomes I/d (x) Tr_A(block), A being its
+    # first register, and every accept block is the very array it was
+    calls = []
+    replaced = FinalState.replaced
+
+    def spy(final, *args):
+        calls.append((final, replaced(final, *args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(FinalState, "replaced", spy)
+    moved = 0.0
+    for attack in standard_suite(1, 2):
+        calls.clear()
+        final = run(family_s2, attack)
+        assert len(calls) == 1 and calls[0][1] is final, attack.name()
+        before = calls[0][0]
+        assert list(before.blocks) == list(final.blocks), attack.name()
+        for record, block in final.blocks.items():
+            old = before.blocks[record]
+            assert block.registers == old.registers, (attack.name(), record)
+            if is_acc(record):
+                assert block.matrix is old.matrix, (attack.name(), record)
+                continue
+            (name, d), rest = block.registers[0], old.matrix.shape[0] // block.registers[0][1]
+            assert name == "A", (attack.name(), record)
+            marginal = old.matrix.reshape(d, rest, d, rest).trace(axis1=0, axis2=2)
+            want = np.kron(np.eye(d) / d, marginal)
+            np.testing.assert_allclose(block.matrix, want, rtol=0, atol=1e-15, err_msg=f"{attack.name()} {record}")
+            moved = max(moved, float(np.abs(old.matrix - want).max()))
+    # on some reject block A was not yet I/d (x) its rest
+    assert moved > 1e-3
 
 
 @pytest.mark.parametrize("attack_label", ["identity", "Y1", "mix-I-X0", "depol-1.0", "random-104", "swap-R-T0"])

@@ -69,10 +69,10 @@ def _chunked(monkeypatch, clear_caches, budget, run):
     add_chunk = hybrid._add_chunk
     seen = []
 
-    def chunk_spy(blocks, mixes, chunk, *rest):
+    def chunk_spy(blocks, chunk, *rest):
         k = len(chunk.x)
         seen.append((k, chunk.x.size // k))
-        return add_chunk(blocks, mixes, chunk, *rest)
+        return add_chunk(blocks, chunk, *rest)
 
     with monkeypatch.context() as patch:
         for module in (hybrid, protocols):

@@ -69,6 +69,25 @@ def test_eta_reject_branches_identical(family_s1):
     assert ideal.total_weight() == pytest.approx(1.0)
 
 
+def test_eta_ideal_puts_perfect_ebits_on_accept_only(family_s1):
+    # the ideal's accept block is Phi on (A, B), its first two registers,
+    # times the real block's E-marginal; its reject block is the real one
+    desc = AttackDescriptor("random_dilation", seed=11, env_dim=2, label="r11")
+    real = ebit_ptp(family_s1, desc)
+    ideal = _ebit_ideal_from(real, family_s1.m)
+    assert list(ideal.blocks) == list(real.blocks)
+    for record, block in real.blocks.items():
+        if not is_acc(record):
+            assert ideal.blocks[record].matrix is block.matrix
+            continue
+        assert [name for name, _ in block.registers[:2]] == ["A", "B"]
+        d = block.matrix.shape[0] // 4
+        marginal = block.matrix.reshape(4, d, 4, d).trace(axis1=0, axis2=2)
+        phi = max_entangled_vector(2)
+        want = np.kron(np.outer(phi, phi.conj()), marginal)
+        np.testing.assert_allclose(ideal.blocks[record].matrix, want, rtol=0, atol=1e-15)
+
+
 def test_eta_always_detected_pauli_is_pure_reject(family_s2):
     from oracles import syndrome
 
