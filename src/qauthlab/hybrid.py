@@ -22,13 +22,14 @@ whose two Grams each chunk takes once for every sweep of the job
 (``TransferChunk.verdicts``). No record holds a single branch; the tests take
 branches from per-slice oracles. A (key value, class) pair whose probability,
 read off the class's Gram matrix, is at most PRUNE_BELOW is dropped. A plan
-maps each class to (record, registers traced out of its blocks). A fixed state
-goes onto a record's registers only by ``FinalState.replaced``, once the record
-is summed: EBIT's I/d on A on reject, the ideal's perfect ebits on accept.
+maps each class to (record, registers traced out of its blocks), and no block
+is built on a register its record drops (``_blocks``). A fixed state goes
+onto a record's registers only by ``FinalState.replaced``, once the record is
+summed: EBIT-PTC's I/d on A on reject, the ideal's perfect ebits on accept.
 ``protocols.ebit_ptp`` batches its accept blocks over (code, syndrome) in the
 arithmetic of one branch at a time instead, so that they keep their bits, and
-hands its reject branches to the same finalizer, ``_add_chunk``, as a chunk
-of a one-dimensional probe (see ``protocols``).
+builds its reject record itself, as I/d on A times one Gram of the registers
+other than A and B (see ``protocols``).
 
 Distance between two final states is sum_c || p_c rho_c - q_c sigma_c ||_1
 over the union of classical records, which equals the full 1-norm of the
@@ -41,7 +42,7 @@ shape (``qmath.trace_norm``); a record on one side only counts its weight.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -51,6 +52,7 @@ from .qmath import (
     Registers,
     RegisterError,
     StateVector,
+    _trace_out_axes,
     reg_dims,
     reg_names,
     reg_positions,
@@ -239,7 +241,7 @@ def key_sweep(
       Psi_v^dag), read off G_c traced over the output registers, is above
       PRUNE_BELOW. ``plan`` maps its fields (the verdict, and the key label
       with its value) to (output record, registers to drop). Dropped
-      registers are traced out of each block.
+      registers are traced out before each block is built (``_blocks``).
 
     The codes run in the transfer's chunks, one set of Grams per chunk.
     """
@@ -296,27 +298,69 @@ def _add_chunk(blocks, chunk: TransferChunk, psi, layout, plan, keys) -> None:
 
 def _blocks(gram, psi, layout, drop, fix):
     """Psi_v G Psi_v^dag for each key value v of ``psi`` (values, other,
-    probe), the correction ``fix[v]`` applied to the receiver, the ``drop``
-    registers traced out and the rest sorted by name. Returns the kept
-    registers and the stacked blocks."""
-    other, out, receiver = layout
-    regs, (n, do, dp), dj = other + out, psi.shape, total_dim(out)
-    # sum_p Psi[v, o, p] G[j, p, k, q], then sum_q with conj(Psi[v, o', q])
-    half = psi.reshape(-1, dp) @ gram.reshape(dj, dp, -1).transpose(1, 0, 2).reshape(dp, -1)
-    rho = np.matmul(half.reshape(n, -1, dp), psi.conj().transpose(0, 2, 1))
-    dims = reg_dims(regs)
-    rho = rho.reshape(n, do, dj, dj, do).transpose(0, 1, 2, 4, 3).reshape((n,) + dims + dims)
-    if fix is not None:
-        (pos,) = reg_positions(regs, (receiver,))
-        rho = _keyed(_keyed(rho, 0, 1 + pos, fix), 0, 1 + len(regs) + pos, fix.conj())
-    # one einsum traces the dropped registers (a shared index) and sorts the rest
-    left = {name: 1 + i for i, (name, _) in enumerate(regs)}
-    right = {name: left[name] if name in drop else 1 + len(regs) + i for i, (name, _) in enumerate(regs)}
-    kept = tuple(sorted((r for r in regs if r[0] not in drop), key=lambda r: r[0]))
-    names = reg_names(kept)
-    rho = np.einsum(rho, [0, *left.values(), *right.values()], [0, *map(left.get, names), *map(right.get, names)])
+    probe), G a verdict Gram over (out, probe), with the ``drop`` registers
+    traced out, the correction ``fix[v]`` applied to a kept receiver and the
+    kept registers sorted by name. Nothing is built on a dropped register:
+    the dropped output registers are traced out of G before the products
+    (no trace if none is dropped), where a correction on a dropped receiver
+    cancels, and the dropped registers of ``other`` are summed inside the
+    second product. Returns the kept registers and the stacked blocks."""
+    (n, _, dp), (dims, axes, split, (dk, dg, dj), shape, at, order, kept) = psi.shape, _block_layout(layout, drop)
+    if axes:
+        gram = _trace_out_axes(gram, dims + (dp,), axes)
+    if split is not None:
+        psi = psi.reshape((n,) + split[0] + (dp,)).transpose(split[1])
+    psi = psi.reshape(n, dk, dg * dp)
+    # sum_p Psi[v, o, g, p] G[j, p, k, q], one product per j: (j, v, o, g, k, q)
+    half = np.matmul(psi.reshape(-1, dp), gram.reshape(dj, dp, -1)).reshape(dj, n, dk, dg, dj, dp)
+    if dg > 1:
+        half = half.transpose(0, 1, 2, 4, 3, 5)
+    # then sum_(g, q) with conj(Psi[v, o', g, q]): (j, v, o, k, o')
+    rho = np.matmul(half.reshape(dj, n, dk * dj, dg * dp), psi.conj().transpose(0, 2, 1))
+    rho = rho.reshape(shape[0] + (n,) + shape[1])
+    if fix is not None and at is not None:
+        rho = _keyed(_keyed(rho, at[0], at[1], fix), at[0], at[2], fix.conj())
     d = total_dim(kept)
-    return kept, rho.reshape(n, d, d)
+    return kept, rho.transpose(order).reshape(n, d, d)
+
+
+@lru_cache(maxsize=256)
+def _block_layout(layout, drop):
+    """What ``_blocks`` reads off (layout, drop) alone, once per pair: the
+    output dims and the positions of the dropped outputs; None, or the dims
+    of ``other`` and the order that puts its kept registers before its
+    dropped ones; the kept, dropped and kept output dimensions; the axes of
+    a block as the second product leaves it, (j, v, o, k, o'), split around
+    v; the axes of v and of the receiver's row and column, if it is kept;
+    the order that sorts a block's rows and columns by name after v; and
+    the kept registers, sorted."""
+    other, out, receiver = layout
+    ours, gone = tuple(r for r in other if r[0] not in drop), tuple(r for r in other if r[0] in drop)
+    kept_out = tuple(r for r in out if r[0] not in drop)
+    split = None
+    if gone:
+        split = (reg_dims(other), [0, *(1 + i for i in reg_positions(other, reg_names(ours + gone))), 1 + len(other)])
+    k, v = len(ours), len(kept_out)
+    regs = ours + kept_out
+    # each kept register's row and column axis
+    rows = [v + 1 + i for i in range(k)] + list(range(v))
+    cols = [2 * v + k + 1 + i for i in range(k)] + [v + k + 1 + i for i in range(v)]
+    at = None
+    if receiver not in drop:
+        (pos,) = reg_positions(regs, (receiver,))
+        at = (v, rows[pos], cols[pos])
+    kept = tuple(sorted(regs, key=lambda r: r[0]))
+    order = reg_positions(regs, reg_names(kept))
+    return (
+        reg_dims(out),
+        tuple(i for i, (name, _) in enumerate(out) if name in drop),
+        split,
+        (total_dim(ours), total_dim(gone), total_dim(kept_out)),
+        (reg_dims(kept_out), reg_dims(ours) + reg_dims(kept_out) + reg_dims(ours)),
+        at,
+        [v, *(rows[i] for i in order), *(cols[i] for i in order)],
+        kept,
+    )
 
 
 def _keyed(amps: np.ndarray, axis: int, target: int, mats: np.ndarray) -> np.ndarray:

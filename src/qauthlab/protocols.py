@@ -14,8 +14,8 @@ arithmetic):
 - ``ebit_ptc`` / ``ebit_ptp``: entanglement generation over the attacked
   channel, in the encoder-keyed form and the bilateral syndrome-measurement
   form. On reject both output the error state: maximally mixed on A, error
-  symbol on B: the plan drops B, and ``_mixed_on_reject`` puts I/d on A
-  once every chunk is in.
+  symbol on B. ``ebit_ptc``'s plan drops B, and ``_mixed_on_reject`` puts
+  I/d on A once every chunk is in; ``ebit_ptp`` builds that record itself.
 
 ``ebit_ptp`` does not go through ``key_sweep`` on purpose. Its accept blocks
 feed ``fidelity_acc``, which is ill-conditioned on these rank-deficient
@@ -31,10 +31,13 @@ after another (one sequential ``np.add.reduce`` over the record's running
 sum and the chunk's branches), across chunks too. A stacked contraction sums
 the same terms in another order and moves ``fidelity_acc`` by up to 2.75e-8,
 far beyond the 1e-12 the reports are held to. The reject branches (received
-syndrome != sent syndrome) feed no such field: weighted, they make the branch
-maps of a transfer chunk from a one-dimensional probe, which
-``hybrid._add_chunk``, the key sweep's finalizer, turns into one Gram matrix
-per record class and prunes by that class's probability.
+syndrome != sent syndrome) feed no such field, and a rejected run outputs
+I/d on A with B discarded, so only their marginal on the other registers
+(E, and R when the attack holds one) is read. Per chunk of codes they are
+weighted, and their record is one Gram over those registers, counted if its
+trace is above PRUNE_BELOW as the key sweep prunes a class; after the last
+chunk, one ``np.kron`` puts I/d on A. Nothing of a reject branch is built on
+A or B.
 
 The keyed sweeps share one linear map: encode, attack, decode. The simulator
 sends a dummy ebit half through the same coded channel and attack as the
@@ -84,7 +87,6 @@ from .hybrid import (
     FinalState,
     Transfer,
     TransferChunk,
-    _add_chunk,
     checked_total,
     key_sweep,
     record_get,
@@ -196,15 +198,21 @@ def build_transfer(encoders: np.ndarray, attack, m: int) -> Transfer:
     dy = encoders.shape[1] // dc
     probe = tuple(r for r in att_out if r[0] == "R") + (("T", dc),)
     # the attacked amplitudes of one code hold as many entries as its transfer
-    step = max(1, CHUNK_ELEMENTS // (total_dim(probe) * dy * total_dim(att_out)))
+    per_code = total_dim(probe) * dy * total_dim(att_out)
     scale = 1.0 / np.sqrt(len(encoders) * dy)
-    chunks = tuple(
-        _transfer_chunk(encoders[t0 : t0 + step], probe, attack, scale)
-        for t0 in range(0, len(encoders), step)
-    )
+    chunks = tuple(_transfer_chunk(codes, probe, attack, scale) for codes in _code_chunks(encoders, per_code))
     # after the attack the registers are att_out; the decoder reads T as
     # (ysyn, receiver)
     return Transfer(probe, tuple(("T", dc) if r[0] == "T" else r for r in att_out), chunks)
+
+
+def _code_chunks(encoders: np.ndarray, per_code: int) -> list[np.ndarray]:
+    """The encoder stack in runs of codes, each of whose arrays, at
+    ``per_code`` entries per code, holds at most CHUNK_ELEMENTS entries (or
+    one code's, if that is more). ``build_transfer`` and ``ebit_ptp`` chunk
+    their codes here."""
+    step = max(1, CHUNK_ELEMENTS // per_code)
+    return [encoders[t0 : t0 + step] for t0 in range(0, len(encoders), step)]
 
 
 def _transfer_chunk(encoders: np.ndarray, probe: Registers, attack, scale: float) -> TransferChunk:
@@ -354,9 +362,11 @@ def ebit_ptp(family: PtcFamily, attack: AttackDescriptor) -> FinalState:
     Every (code, syndrome) branch of a chunk of codes is computed at once, in
     the arithmetic of one branch at a time (see the module notes): per code,
     the same decoder products, per branch the same normalization and outer
-    product, and the accept blocks summed in (code, syndrome) order. The
-    reject branches, as the branch maps of a one-dimensional probe, are
-    finalized per chunk of codes by ``key_sweep``'s ``_add_chunk``.
+    product (into one buffer per call), and the accept blocks summed in
+    (code, syndrome) order. The reject record is built on the registers it
+    keeps only: per chunk, one Gram of the weighted reject branches over the
+    registers other than A and B, summed over the chunks and put next to
+    I/d on A at the end.
     """
     m, s, n = family.m, family.s, family.n
     dm, dt, dy = 1 << m, 1 << n, 1 << s
@@ -376,10 +386,19 @@ def ebit_ptp(family: PtcFamily, attack: AttackDescriptor) -> FinalState:
     # the attacked state as a matrix, A0 first: the sender's decoder acts on it
     attacked = np.moveaxis(attacked.reshape(reg_dims(att_regs)), pos_a, 0).reshape(dt, -1)
     diag = np.arange(dy)
+    (acc_record, _), (rej_record, _) = _ebit_output_plan({"verdict": ACC}), _ebit_output_plan({"verdict": REJ})
+    # the reject record is I/d on A times a Gram over the other registers but
+    # B, sorted by name, summed over the chunks
+    ab = reg_positions(out_regs, ("A", "B"))
+    rest = sorted((i for i in range(len(out_regs)) if i not in ab), key=lambda i: out_regs[i][0])
+    rej_regs, rejected = (("A", dm),) + tuple(out_regs[i] for i in rest), None
     blocks: dict = {}
-    step = max(1, CHUNK_ELEMENTS // attacked.size)
-    for t0 in range(0, len(encs), step):
-        chunk = encs[t0 : t0 + step]
+    chunks = _code_chunks(encs, attacked.size)
+    # the outer products in runs of at most CHUNK_ELEMENTS entries, written
+    # into one buffer, made at the first run: branch i's block in slot i + 1,
+    # the running sum in slot 0
+    per, rhos = max(1, CHUNK_ELEMENTS // (d_out * d_out)), None
+    for chunk in chunks:
         c = len(chunk)
         # sender: decode in the conjugate basis, measure her syndrome value
         sent = np.matmul(chunk.transpose(0, 2, 1), attacked)
@@ -387,43 +406,49 @@ def ebit_ptp(family: PtcFamily, attack: AttackDescriptor) -> FinalState:
         sent = np.moveaxis(sent, 2, 2 + pos_a).reshape(c, dy, -1)
         p_y = np.einsum("tij,tij->ti", sent, sent.conj()).real
         alive = p_y > PRUNE_BELOW
-        sent = sent / np.sqrt(np.where(alive, p_y, 1.0))[..., None]
+        sent /= np.sqrt(np.where(alive, p_y, 1.0))[..., None]
         sent[~alive] = 0.0
         # receiver: decode, measure his syndrome value
         sent = np.moveaxis(sent.reshape((c, dy) + reg_dims(sent_regs)), 2 + pos_t, 2)
         sent = sent.reshape(c, dy, dt, -1)
         got = np.matmul(chunk.conj().transpose(0, 2, 1)[:, None], sent)
+        del sent
         got = got.reshape((c, dy, dy, dm) + reg_dims(sent_regs[:pos_t] + sent_regs[pos_t + 1 :]))
         got = np.moveaxis(got, 3, 3 + pos_t).reshape(c, dy, dy, -1)
         probs = np.einsum("tyij,tyij->tyi", got, got.conj()).real
-        # the accept branches, normalized, weighted and added in branch order
+        # the accept branches, normalized and weighted
         p = p_y * probs[:, diag, diag]
         ts, ys = np.nonzero(p > PRUNE_BELOW)
-        parts = got[ts, ys, ys] / np.sqrt(probs[ts, ys, ys])[:, None]
+        parts = got[ts, ys, ys]
+        parts /= np.sqrt(probs[ts, ys, ys])[:, None]
         parts = parts.reshape((len(ts),) + reg_dims(out_regs)).transpose([0] + [1 + i for i in order])
         parts = parts.reshape(len(ts), d_out, 1)
         weights = p[ts, ys] / len(encs)
-        # the outer products in runs of at most CHUNK_ELEMENTS entries
-        per = max(1, CHUNK_ELEMENTS // (d_out * d_out))
+        # the reject branches (t, y, ysyn != y), weighted: one Gram over the
+        # registers their record keeps, counted if its trace is above PRUNE_BELOW
+        got *= np.sqrt(p_y / len(encs))[..., None, None]
+        got[:, diag, diag] = 0.0
+        x = got.reshape((-1,) + reg_dims(out_regs)).transpose([0, *(1 + i for i in ab), *(1 + i for i in rest)])
+        x = x.reshape(-1, total_dim(rej_regs) // dm)
+        gram = x.T @ x.conj()
+        del got, x
+        if gram.trace().real > PRUNE_BELOW:
+            rejected = gram if rejected is None else rejected + gram
+        # the accept branches added in branch order
         for lo in range(0, len(ts), per):
             part = parts[lo : lo + per]
-            # branch i's block in slot i + 1; slot 0 holds the running sum
-            rhos = np.empty((len(part) + 1, d_out, d_out), dtype=complex)
-            np.matmul(part, part.conj().transpose(0, 2, 1), out=rhos[1:])
-            rhos[1:] *= weights[lo : lo + per, None, None]
+            k = len(part)
+            if rhos is None:
+                rhos = np.empty((min(per, len(chunks[0]) * dy) + 1, d_out, d_out), dtype=complex)
+            np.matmul(part, part.conj().transpose(0, 2, 1), out=rhos[1 : k + 1])
+            rhos[1 : k + 1] *= weights[lo : lo + per, None, None]
             # the accept branches all add, one after another, to the running
-            # sum of the one record (verdict, ACC), by one reduction
-            record, _ = _ebit_output_plan({"verdict": ACC})
+            # sum of the one accept record, by one reduction
             start = 1
-            if record in blocks:
-                start, rhos[0] = 0, blocks[record][1]
-            blocks[record] = (acc_regs, np.add.reduce(rhos[start:], axis=0))
-        # the reject branches (t, y, ysyn != y), weighted, as the branch maps
-        # of a transfer chunk from a one-dimensional probe, read by psi = 1
-        x = np.sqrt(p_y / len(encs))[..., None, None, None] * got[..., None]
-        x[:, diag, diag] = 0.0
-        _add_chunk(
-            blocks, TransferChunk(x), np.ones((1, 1, 1)), ((), out_regs, "B"), _ebit_output_plan,
-            (None, (None,), None),
-        )
-    return checked_total(_mixed_on_reject(FinalState(blocks), m), "ebit_ptp")
+            if acc_record in blocks:
+                start, rhos[0] = 0, blocks[acc_record][1]
+            blocks[acc_record] = (acc_regs, np.add.reduce(rhos[start : k + 1], axis=0))
+    if rejected is not None:
+        # the error state: A maximally mixed
+        blocks[rej_record] = (rej_regs, np.kron(np.eye(dm) / dm, rejected))
+    return checked_total(FinalState(blocks), "ebit_ptp")

@@ -206,7 +206,16 @@ def trace_norm(delta: np.ndarray):
     of a stack of them (over the last two axes), the array of their norms.
     A matrix that is not Hermitian within ATOL_EXACT is refused."""
     delta = np.asarray(delta)
-    skew = np.abs(delta - delta.conj().swapaxes(-1, -2)).max(initial=0.0)
+    # delta minus its adjoint, each entry's modulus then written over its real
+    # part: one temporary the size of delta
+    gap = np.conjugate(delta.swapaxes(-1, -2), out=np.empty(delta.shape, delta.dtype))
+    np.subtract(delta, gap, out=gap)
+    real = gap.real
+    if gap.dtype.kind == "c":
+        np.hypot(real, gap.imag, out=real)
+    else:
+        np.abs(gap, out=gap)
+    skew = real.max(initial=0.0)
     if not skew <= ATOL_EXACT:
         raise ValueError(f"trace_norm takes Hermitian matrices; this one is {skew:.3g} from its adjoint")
     norms = np.abs(np.linalg.eigvalsh(delta)).sum(axis=-1)

@@ -8,10 +8,12 @@ as it is, and fail once the edit is applied. It exits 1 if any named test
 passes on its mutant (the mutant survives), fails without it, or any old
 text is not found exactly once. The catalogue starts with the mutants in
 the engine's branch path, which the per-branch records of the key sweep
-used to guard: each check that replaced them is seen to fail. Then come the
-fixed states that ``FinalState.replaced`` puts on records (EBIT's I/d on
-reject, the ideal's perfect ebits on accept) and the two counts of the
-classical family's one pass over message pairs.
+used to guard: each check that replaced them is seen to fail. Then come
+``ebit_ptp``'s reject record (I/d on A times one Gram of the other registers
+but B), the fixed states that ``FinalState.replaced`` puts on records
+(EBIT-PTC's I/d on reject, the ideal's perfect ebits on accept), the blocks
+that ``hybrid._blocks`` builds on kept registers only, and the two counts of
+the classical family's one pass over message pairs.
 
 Run it from anywhere; it takes about twenty seconds on two cores.
 """
@@ -69,18 +71,52 @@ MUTANTS = (
     Mutant(
         "ebit-ptp-accept-sum-reversed",
         "src/qauthlab/protocols.py",
-        "np.add.reduce(rhos[start:], axis=0)",
-        "np.add.reduce(rhos[start:][::-1], axis=0)",
+        "np.add.reduce(rhos[start : k + 1], axis=0)",
+        "np.add.reduce(rhos[start : k + 1][::-1], axis=0)",
         "tests/test_ebit_ptp_bits.py::test_accept_blocks_bitwise_and_reject_blocks_close",
     ),
-    # the error state's I/d on A skipped: the per-branch oracle mixes its
-    # reject records itself
+    # ebit_ptp's reject record: I/d on A without its 1/d
+    Mutant(
+        "ebit-ptp-reject-identity-on-a",
+        "src/qauthlab/protocols.py",
+        "np.kron(np.eye(dm) / dm, rejected)",
+        "np.kron(np.eye(dm), rejected)",
+        "tests/test_ebit_ptp_bits.py::test_accept_blocks_bitwise_and_reject_blocks_close",
+    ),
+    # ebit_ptp's reject Gram with the accept branches (y == ysyn) left in
+    Mutant(
+        "ebit-ptp-reject-gram-keeps-the-accept-diagonal",
+        "src/qauthlab/protocols.py",
+        "        got[:, diag, diag] = 0.0\n",
+        "",
+        "tests/test_ebit_ptp_bits.py::test_accept_blocks_bitwise_and_reject_blocks_close",
+    ),
+    # ebit_ptc's error state without I/d on A (ebit_ptp builds its own):
+    # the bilateral form, which mixes A itself, no longer matches it
     Mutant(
         "ebit-reject-keeps-a",
         "src/qauthlab/protocols.py",
         "    return final.replaced(",
         "    return final\n    return final.replaced(",
-        "tests/test_ebit_ptp_bits.py::test_accept_blocks_bitwise_and_reject_blocks_close",
+        "tests/test_protocols.py::test_entanglement_forms_identity_per_attack",
+    ),
+    # _blocks with the receiver's correction skipped where the receiver is
+    # kept (where it is dropped, it cancels and is skipped anyway)
+    Mutant(
+        "blocks-skip-the-correction-on-a-kept-receiver",
+        "src/qauthlab/hybrid.py",
+        "if fix is not None and at is not None:",
+        "if fix is None and at is not None:",
+        "tests/test_blocks_oracle.py::test_blocks_match_the_build_then_trace_oracle",
+    ),
+    # _blocks summing the dropped input-side registers against the wrong
+    # axis of the first product
+    Mutant(
+        "blocks-sum-dropped-inputs-against-the-output",
+        "src/qauthlab/hybrid.py",
+        "    if dg > 1:\n        half = half.transpose(0, 1, 2, 4, 3, 5)\n",
+        "",
+        "tests/test_blocks_oracle.py::test_blocks_match_the_build_then_trace_oracle",
     ),
     # the ideal's perfect ebits put on the reject records, which hold no B
     Mutant(

@@ -3,7 +3,8 @@
 None of these is run by an experiment: each is a second, independent way to
 compute what the package computes (syndromes and detection one error and one
 code at a time, random codes drawn one scalar at a time, the key sweep slice
-by slice and with one record per branch, teleportation outcome by outcome,
+by slice and with one record per branch, the engine's blocks built on every
+register before the dropped ones are traced out, teleportation outcome by outcome,
 the classical channel message by message, the soundness operator from the
 stacked accept-and-decode operators and its functional on one explicit
 input, the dense block-diagonal embedding of a final state), or an object
@@ -39,6 +40,7 @@ from qauthlab.qmath import (
     StateVector,
     max_entangled_vector,
     reg_dims,
+    reg_names,
     reg_positions,
     replace_factors,
     tensor,
@@ -330,6 +332,33 @@ def merge_branches(final: FinalState) -> FinalState:
         else:
             blocks[plain] = (block.registers, block.matrix)
     return FinalState(blocks)
+
+
+def build_then_trace_blocks(gram, psi, layout, drop, fix):
+    """``hybrid._blocks`` as it was before it traced first: Psi_v G Psi_v^dag
+    for each key value v of ``psi`` (values, other, probe), G the full
+    verdict Gram over (out, probe), built on every register, the correction
+    ``fix[v]`` applied to the receiver, and only then the ``drop`` registers
+    traced out and the rest sorted by name. Returns the kept registers and
+    the stacked blocks."""
+    other, out, receiver = layout
+    regs, (n, do, dp), dj = other + out, psi.shape, total_dim(out)
+    # sum_p Psi[v, o, p] G[j, p, k, q], then sum_q with conj(Psi[v, o', q])
+    half = psi.reshape(-1, dp) @ gram.reshape(dj, dp, -1).transpose(1, 0, 2).reshape(dp, -1)
+    rho = np.matmul(half.reshape(n, -1, dp), psi.conj().transpose(0, 2, 1))
+    dims = reg_dims(regs)
+    rho = rho.reshape(n, do, dj, dj, do).transpose(0, 1, 2, 4, 3).reshape((n,) + dims + dims)
+    if fix is not None:
+        (pos,) = reg_positions(regs, (receiver,))
+        rho = _keyed(_keyed(rho, 0, 1 + pos, fix), 0, 1 + len(regs) + pos, fix.conj())
+    # one einsum traces the dropped registers (a shared index) and sorts the rest
+    left = {name: 1 + i for i, (name, _) in enumerate(regs)}
+    right = {name: left[name] if name in drop else 1 + len(regs) + i for i, (name, _) in enumerate(regs)}
+    kept = tuple(sorted((r for r in regs if r[0] not in drop), key=lambda r: r[0]))
+    names = reg_names(kept)
+    rho = np.einsum(rho, [0, *left.values(), *right.values()], [0, *map(left.get, names), *map(right.get, names)])
+    d = total_dim(kept)
+    return kept, rho.reshape(n, d, d)
 
 
 # ---------------------------------------------------------------------------

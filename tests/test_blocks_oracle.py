@@ -1,0 +1,111 @@
+"""``hybrid._blocks`` held to the blocks it built before it traced first.
+
+``_blocks`` builds each record's blocks on the registers the record keeps
+only: it traces the dropped output registers out of the verdict Gram before
+its products and sums the dropped input-side registers inside the second
+one. ``oracles.build_then_trace_blocks`` is the old way: every block built
+on every register, the receiver corrected, and only then the dropped
+registers traced out. Every ``_blocks`` call of the 13 sweep variants of
+``tests/test_sweep_chunks.py`` (every sweep, verdict and drop set they make)
+must agree with it within 1e-12, on the benchmark's m=1, s=3 family and on
+searched families at s = 1 and 2, with one code per chunk and at the default
+chunk budget. ``ebit_ptp`` makes no such call: its reject record is one Gram
+over the registers other than A and B (``tests/test_ebit_ptp_bits.py`` holds
+it to its per-branch oracle).
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from qauthlab import hybrid, protocols
+from qauthlab.adversary import standard_suite
+from qauthlab.codes import PtcFamily, ptc_epsilon_formula, search_ptc
+
+from oracles import build_then_trace_blocks
+from test_sweep_chunks import ATTACKS, SWEEPS
+
+FIXTURE = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "family-m1-s3.json"
+TOL = 1e-12
+
+
+@pytest.fixture(scope="module")
+def families():
+    searched = [search_ptc(1, s, target_eps=ptc_epsilon_formula(1, s), budget=60, seed=1) for s in (1, 2)]
+    assert all(family.met_target for family in searched)
+    return [PtcFamily.load(FIXTURE)] + searched
+
+
+def _agree(mine, theirs) -> bool:
+    """Same kept registers, and blocks within TOL."""
+    (regs, rhos), (want_regs, want) = mine, theirs
+    return regs == want_regs and rhos.shape == want.shape and float(np.abs(rhos - want).max(initial=0.0)) <= TOL
+
+
+def _calls(monkeypatch, clear_caches, budget, run):
+    """Run with the chunk budget patched; return every ``_blocks`` call as
+    (its arguments, the verdict of its Gram, its result)."""
+    blocks, calls, verdicts = hybrid._blocks, [], {}
+    add_chunk = hybrid._add_chunk
+
+    def chunk_spy(blocks, chunk, *rest):
+        verdicts.update({id(gram): verdict for verdict, gram in chunk.verdicts})
+        return add_chunk(blocks, chunk, *rest)
+
+    def spy(*args):
+        result = blocks(*args)
+        calls.append((args, verdicts[id(args[0])], result))
+        return result
+
+    with monkeypatch.context() as patch:
+        for module in (hybrid, protocols):
+            patch.setattr(module, "CHUNK_ELEMENTS", budget)
+        patch.setattr(hybrid, "_blocks", spy)
+        patch.setattr(hybrid, "_add_chunk", chunk_spy)
+        clear_caches()
+        run()
+    clear_caches()
+    return calls
+
+
+@pytest.mark.parametrize("sweep", sorted(SWEEPS))
+def test_blocks_match_the_build_then_trace_oracle(monkeypatch, clear_job_caches, families, sweep):
+    kinds = set()
+    for family in families:
+        suite = {a.name(): a for a in standard_suite(family.m, family.s)}
+        for name in ATTACKS:
+            attack = suite[name]
+            if ("psqa" in sweep or "psrqa" in sweep) and attack.acts_on != ("T",):
+                continue
+            for budget in (1, hybrid.CHUNK_ELEMENTS):
+                calls = _calls(monkeypatch, clear_job_caches, budget, lambda: SWEEPS[sweep](family, attack))
+                for args, verdict, result in calls:
+                    kinds.add((verdict, args[3]))
+                    assert _agree(result, build_then_trace_blocks(*args)), (sweep, name, family.s, budget, verdict)
+    if sweep.startswith("ebit_ptp"):
+        assert kinds == set()
+    else:
+        # each key sweep builds records of both verdicts
+        assert {verdict for verdict, _ in kinds} == {"ACC", "REJ"}, kinds
+
+
+def test_the_comparison_sees_a_kept_register_and_a_skipped_correction(monkeypatch, clear_job_caches, families):
+    # negative controls: the oracle keeping one dropped register, or skipping
+    # the receiver's correction, must not agree with _blocks
+    attack = next(a for a in standard_suite(1, 3) if a.name() == "depol-0.5")
+    kept = skipped = 0
+    for sweep in ("run_qa_kg", "run_qa_kg_ideal", "run_psrqa_kg/detail"):
+        calls = _calls(monkeypatch, clear_job_caches, hybrid.CHUNK_ELEMENTS, lambda: SWEEPS[sweep](families[0], attack))
+        for (gram, psi, layout, drop, fix), _, result in calls:
+            assert _agree(result, build_then_trace_blocks(gram, psi, layout, drop, fix))
+            for name in drop:
+                less = tuple(n for n in drop if n != name)
+                assert not _agree(result, build_then_trace_blocks(gram, psi, layout, less, fix)), (sweep, name)
+                kept += 1
+            if fix is not None and layout[2] not in drop:
+                assert not _agree(result, build_then_trace_blocks(gram, psi, layout, drop, None)), sweep
+                skipped += 1
+    # the ideal drops registers on both sides, the psrqa twin one behind a
+    # kept, corrected receiver
+    assert kept >= 4 and skipped >= 2

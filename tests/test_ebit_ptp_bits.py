@@ -63,12 +63,12 @@ FIXTURE = ROOT / "perfbench" / "fixtures" / "family-m1-s3.json"
 REFERENCE = ROOT / "perfbench" / "reference" / "uc-s3.json"
 
 
-def per_branch_ebit_ptp(family, attack, detail=False) -> FinalState:
+def per_branch_ebit_ptp(family, attack, detail=False, mixed=True) -> FinalState:
     """The per-branch loop: every (t, y, ysyn) branch measured, normalized
-    and added to its record in branch order; then A of each reject record
-    replaced by I/d, with ``qmath.replace_factors`` and not by the engine's
-    ``FinalState.replaced``. With ``detail``, every branch is its own record
-    (``oracles.ebit_branch``)."""
+    and added to its record in branch order; then, if ``mixed``, A of each
+    reject record replaced by I/d, with ``qmath.replace_factors`` and not by
+    the engine's ``FinalState.replaced``. With ``detail``, every branch is its
+    own record (``oracles.ebit_branch``)."""
     m, s, n = family.m, family.s, family.n
     dm, dt, dy = 1 << m, 1 << n, 1 << s
     encs = _family_encoders(family)
@@ -95,7 +95,7 @@ def per_branch_ebit_ptp(family, attack, detail=False) -> FinalState:
                 blocks[record] = (tuple(out_regs[i] for i in keep), rho)
     # the error state: A maximally mixed on every reject record
     for record, (kept, rho) in blocks.items():
-        if dict(record)["verdict"] != ACC:
+        if mixed and dict(record)["verdict"] != ACC:
             blocks[record] = (kept, replace_factors(rho, kept, ("A",), np.eye(dm) / dm))
     return FinalState(blocks)
 
@@ -178,15 +178,16 @@ def test_chunk_boundaries_keep_the_accept_sum(monkeypatch, clear_job_caches, fam
     # budget 1: one code per chunk and one outer product per product call;
     # 2^12: chunks of 1 to 14 codes and outer products in runs of 1 to 256
     sizes = []
-    add_chunk = protocols._add_chunk
+    code_chunks = protocols._code_chunks
 
-    def spy(blocks, chunk, *rest):
-        sizes.append(len(chunk.x))
-        return add_chunk(blocks, chunk, *rest)
+    def spy(encoders, per_code):
+        chunks = code_chunks(encoders, per_code)
+        sizes.extend(len(codes) for codes in chunks)
+        return chunks
 
     for module in (hybrid, protocols):
         monkeypatch.setattr(module, "CHUNK_ELEMENTS", budget)
-    monkeypatch.setattr(protocols, "_add_chunk", spy)
+    monkeypatch.setattr(protocols, "_code_chunks", spy)
     accepts = _compare_with_oracle(family, suite, branches)
     assert accepts == (1736 if branches else 24)
     assert len(sizes) == (27 * 14 if budget == 1 else 60)

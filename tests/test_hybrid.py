@@ -400,8 +400,9 @@ def test_key_is_contracted_once_per_sweep(monkeypatch, clear_job_caches, family_
 
 def test_verdict_grams_are_taken_once_per_chunk(monkeypatch, clear_job_caches, family_s2):
     # one code per chunk: the four key sweeps of a uc job read each chunk of
-    # the one transfer, and ebit_ptp its own reject chunks; each chunk takes
-    # its verdict Grams once, whichever sweep reads it first
+    # the one transfer, and ebit_ptp none (it cuts its own 8 runs of codes);
+    # each chunk takes its verdict Grams once, whichever sweep reads it first
+    from collections import Counter
     from functools import cached_property
 
     from qauthlab import hybrid, protocols
@@ -409,7 +410,8 @@ def test_verdict_grams_are_taken_once_per_chunk(monkeypatch, clear_job_caches, f
     from qauthlab.cli import _uc_single
 
     verdicts, add_chunk = hybrid.TransferChunk.verdicts.func, hybrid._add_chunk
-    taken, read = [], []
+    trace_out, code_chunks = hybrid._trace_out_axes, protocols._code_chunks
+    taken, read, traced, cut = [], [], Counter(), []
 
     def verdicts_spy(chunk):
         taken.append(chunk)
@@ -419,12 +421,22 @@ def test_verdict_grams_are_taken_once_per_chunk(monkeypatch, clear_job_caches, f
         read.append(chunk)
         return add_chunk(blocks, chunk, *rest)
 
+    def traced_spy(gram, dims, axes):
+        traced[id(gram), axes] += 1
+        return trace_out(gram, dims, axes)
+
+    def codes_spy(encoders, per_code):
+        cut.append(code_chunks(encoders, per_code))
+        return cut[-1]
+
     prop = cached_property(verdicts_spy)
     prop.__set_name__(hybrid.TransferChunk, "verdicts")
     monkeypatch.setattr(hybrid.TransferChunk, "verdicts", prop)
     for module in (hybrid, protocols):
         monkeypatch.setattr(module, "CHUNK_ELEMENTS", 1)
-        monkeypatch.setattr(module, "_add_chunk", chunk_spy)
+    monkeypatch.setattr(hybrid, "_add_chunk", chunk_spy)
+    monkeypatch.setattr(hybrid, "_trace_out_axes", traced_spy)
+    monkeypatch.setattr(protocols, "_code_chunks", codes_spy)
     clear_job_caches()
     x0 = next(a for a in standard_suite(1, 2) if a.name() == "X0")
     _uc_single(family_s2, x0, purified_input("random-3", 1))
@@ -433,7 +445,15 @@ def test_verdict_grams_are_taken_once_per_chunk(monkeypatch, clear_job_caches, f
     for chunk in shared:
         assert sum(c is chunk for c in read) == 4
         assert sum(c is chunk for c in taken) == 1
-    own = [c for c in read if not any(c is s for s in shared)]
-    assert len(own) == 8  # ebit_ptp's reject chunks, one per code
-    assert len(taken) == len(shared) + len(own)
-    assert all(sum(c is chunk for c in taken) == 1 for chunk in own)
+    # every chunk read is the transfer's: ebit_ptp builds none
+    assert len(read) == 4 * len(shared) and len(taken) == len(shared)
+    # the transfer's codes and ebit_ptp's, one code per run
+    assert [[len(codes) for codes in chunks] for chunks in cut] == [[1] * 8] * 2
+    # X0 is accepted or rejected per code, whatever the input. A Gram is
+    # traced only where a record drops an output register: the receiver
+    # (axis 0 of (T, E)) of a reject record in all four sweeps, of an accept
+    # record in the ideal's; the real runs' accept records keep both
+    grams = {id(gram): verdict for chunk in shared for verdict, gram in chunk.verdicts}
+    assert set(traced) <= {(gram, (0,)) for gram in grams}
+    assert {grams[gram] for gram, _ in traced} == {"ACC", "REJ"}
+    assert all(n == (4 if grams[gram] == "REJ" else 1) for (gram, _), n in traced.items())

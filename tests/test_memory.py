@@ -1,0 +1,57 @@
+"""Memory regressions: the transient peak, under tracemalloc, of a
+final-state build on the benchmark's m=1, s=3 family under swap-held, the
+attack whose E holds all of T and whose records are the largest there.
+
+Each build runs once to fill the job's caches (encoders, attack, transfer),
+and is then measured: the peak of traced memory above what was held before
+the call, its result included. The bounds sit between the builds that form
+every record on every register and then trace the dropped ones out (6.54 MB
+for ``ebit_ptp``, 1.45 MB for ``run_qa_kg_ideal``) and the builds that form
+each record on its kept registers only (2.0 MB and 0.24 MB).
+"""
+
+import tracemalloc
+from pathlib import Path
+
+import pytest
+
+from qauthlab.adversary import purified_input, standard_suite
+from qauthlab.codes import PtcFamily
+from qauthlab.protocols import ebit_ptp
+from qauthlab.ucharness import run_qa_kg_ideal
+
+FIXTURE = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "family-m1-s3.json"
+BOUNDS_MB = {"ebit_ptp": 3.5, "run_qa_kg_ideal": 0.5}
+
+
+def transient_peak_mb(run) -> float:
+    """The tracemalloc peak of ``run()`` above the memory traced before it,
+    in MB, once the job's caches are filled by a first call."""
+    run()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = run()
+        peak = tracemalloc.get_traced_memory()[1]
+        del result
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return (peak - base) / 1e6
+
+
+@pytest.mark.parametrize("build", sorted(BOUNDS_MB))
+def test_swap_held_transient_peak(clear_job_caches, build):
+    family = PtcFamily.load(FIXTURE)
+    attack = next(a for a in standard_suite(1, 3) if a.name() == "swap-held")
+    runs = {
+        "ebit_ptp": lambda: ebit_ptp(family, attack),
+        "run_qa_kg_ideal": lambda: run_qa_kg_ideal(purified_input("random-1", 1), family, attack),
+    }
+    peak = transient_peak_mb(runs[build])
+    assert peak <= BOUNDS_MB[build], f"{build}: {peak:.2f} MB"
+    # the measure sees the build: no peak of nothing passes
+    assert peak > 0.05 * BOUNDS_MB[build], f"{build}: {peak:.3f} MB"

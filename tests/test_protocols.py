@@ -23,6 +23,7 @@ from qauthlab.qmath import (
 )
 
 from oracles import per_slice_run, qa_branch, syndrome, teleport
+from test_ebit_ptp_bits import per_branch_ebit_ptp
 
 
 def is_acc(rec):
@@ -279,9 +280,13 @@ def test_ebit_reject_state_is_error_form(family_s1):
 
 @pytest.mark.parametrize("run", [ebit_ptc, ebit_ptp], ids=["ebit_ptc", "ebit_ptp"])
 def test_ebit_reject_blocks_are_mixed_on_a_and_accept_blocks_untouched(family_s2, monkeypatch, run):
-    # each run puts I/d on A once, by one FinalState.replaced call after its
-    # last chunk: every reject block becomes I/d (x) Tr_A(block), A being its
-    # first register, and every accept block is the very array it was
+    # ebit_ptc puts I/d on A once, by one FinalState.replaced call after its
+    # last chunk; ebit_ptp builds its reject record as I/d times the Gram of
+    # the registers other than A and B, and makes no such call, so its blocks
+    # before the mixing are the per-branch oracle's unmixed ones. Either way
+    # every reject block is I/d (x) Tr_A(block before), A being its first
+    # register, and every accept block is the one before: the very array for
+    # ebit_ptc, bit for bit for ebit_ptp
     calls = []
     replaced = FinalState.replaced
 
@@ -294,14 +299,22 @@ def test_ebit_reject_blocks_are_mixed_on_a_and_accept_blocks_untouched(family_s2
     for attack in standard_suite(1, 2):
         calls.clear()
         final = run(family_s2, attack)
-        assert len(calls) == 1 and calls[0][1] is final, attack.name()
-        before = calls[0][0]
-        assert list(before.blocks) == list(final.blocks), attack.name()
+        if run is ebit_ptc:
+            assert len(calls) == 1 and calls[0][1] is final, attack.name()
+            before = calls[0][0]
+            assert list(before.blocks) == list(final.blocks), attack.name()
+        else:
+            assert calls == [], attack.name()
+            before = per_branch_ebit_ptp(family_s2, attack, mixed=False)
+            assert set(before.blocks) == set(final.blocks), attack.name()
         for record, block in final.blocks.items():
             old = before.blocks[record]
             assert block.registers == old.registers, (attack.name(), record)
             if is_acc(record):
-                assert block.matrix is old.matrix, (attack.name(), record)
+                if run is ebit_ptc:
+                    assert block.matrix is old.matrix, (attack.name(), record)
+                else:
+                    assert np.array_equal(block.matrix, old.matrix), (attack.name(), record)
                 continue
             (name, d), rest = block.registers[0], old.matrix.shape[0] // block.registers[0][1]
             assert name == "A", (attack.name(), record)

@@ -148,6 +148,32 @@ def test_trace_norm_refuses_a_non_hermitian_matrix(rng):
         trace_norm(np.stack([delta, skewed]))
     with pytest.raises(ValueError, match="Hermitian"):
         trace_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # a NaN entry is never within the tolerance
+    with pytest.raises(ValueError, match="Hermitian"):
+        trace_norm(np.where(np.eye(4, k=1, dtype=bool), np.nan, delta))
+
+
+def test_trace_norm_checks_hermiticity_with_one_temporary(rng):
+    # the check runs before eigvalsh, so a refused stack shows its own peak:
+    # one array the size of the stack (the difference, its moduli written
+    # over its real part), not the conjugate, difference and modulus apart
+    import tracemalloc
+
+    stack = np.stack([random_density(64, rng) - random_density(64, rng) for _ in range(16)])
+    stack[3, 0, 5] += 1e-6j
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(ValueError, match="Hermitian"):
+            trace_norm(stack)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert stack.nbytes <= peak <= 1.2 * stack.nbytes
 
 
 def test_trace_distance_triangle_and_symmetry(rng):

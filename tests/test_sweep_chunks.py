@@ -2,10 +2,12 @@
 
 The transfer that ``key_sweep`` reads is built, and its Gram matrices taken,
 in chunks of codes sized by ``hybrid.CHUNK_ELEMENTS``; ``ebit_ptp`` computes
-its branches, and hands its reject branches to the same finalizer, in chunks
-sized by the same budget. Here the budget is patched three ways on the
-8-code ``family_s2``: one code per chunk, chunks of three (boundaries
-inside the family and a shorter last chunk), and every code in one chunk.
+its branches, its accept blocks and its reject Gram in chunks sized by the
+same budget (both cut by ``protocols._code_chunks``). Here the budget is
+patched three ways on the 8-code ``family_s2``: one code per chunk, chunks of
+three (boundaries inside the family and a shorter last chunk), and every code
+in one chunk. A key sweep's finalizer must read each chunk once, in order, and
+``ebit_ptp`` none.
 Each run must give the same records on the same registers as the one-chunk
 run, with weights and the distance between them within 1e-12. For the sweeps
 named ``…/detail`` the one-chunk run must also be the oracles' records per
@@ -63,25 +65,33 @@ BRANCHES = {
 
 
 def _chunked(monkeypatch, clear_caches, budget, run):
-    """Run with the chunk budget patched; return the final state, the chunk
-    lengths in order, and the entries per code of the chunk arrays (the
-    transfer's for a key sweep, the reject branches' for ``ebit_ptp``)."""
-    add_chunk = hybrid._add_chunk
-    seen = []
+    """Run with the chunk budget patched; return the final state, the
+    lengths of the runs of codes it was cut into, in order
+    (``protocols._code_chunks``: the transfer's for a key sweep,
+    ``ebit_ptp``'s own), their entries per code, and the lengths of the
+    transfer chunks the key sweep's finalizer read."""
+    add_chunk, code_chunks = hybrid._add_chunk, protocols._code_chunks
+    read, cut = [], []
 
     def chunk_spy(blocks, chunk, *rest):
-        k = len(chunk.x)
-        seen.append((k, chunk.x.size // k))
+        read.append(len(chunk.x))
         return add_chunk(blocks, chunk, *rest)
+
+    def codes_spy(encoders, per_code):
+        cut.append((code_chunks(encoders, per_code), per_code))
+        return cut[-1][0]
 
     with monkeypatch.context() as patch:
         for module in (hybrid, protocols):
             patch.setattr(module, "CHUNK_ELEMENTS", budget)
-            patch.setattr(module, "_add_chunk", chunk_spy)
+        patch.setattr(hybrid, "_add_chunk", chunk_spy)
+        patch.setattr(protocols, "_code_chunks", codes_spy)
         clear_caches()
         final = run()
     clear_caches()
-    return final, [k for k, _ in seen], seen[0][1]
+    # one run is cut once: one transfer per job, or ebit_ptp's codes
+    ((chunks, per_code),) = cut
+    return final, [len(codes) for codes in chunks], per_code, read
 
 
 def _assert_same(final, want, label):
@@ -102,15 +112,20 @@ def test_chunking_changes_no_record(monkeypatch, clear_job_caches, family_s2, sw
             if attack.acts_on != ("T",):
                 continue
         run = lambda: SWEEPS[sweep](family_s2, attack)  # noqa: E731
-        whole, sizes, per_code = _chunked(monkeypatch, clear_job_caches, 1 << 40, run)
+        # a key sweep's finalizer reads every transfer chunk once, in order;
+        # ebit_ptp reads none
+        whole, sizes, per_code, read = _chunked(monkeypatch, clear_job_caches, 1 << 40, run)
         assert sizes == [8], (sweep, name)
+        assert read == ([] if sweep.startswith("ebit_ptp") else sizes), (sweep, name)
         if sweep in BRANCHES:
             branches = merge_branches(BRANCHES[sweep](family_s2, attack))
             _assert_same(whole, branches, f"{sweep} {name} branches summed per class")
-        own, sizes, _ = _chunked(monkeypatch, clear_job_caches, 1, run)
+        own, sizes, _, read = _chunked(monkeypatch, clear_job_caches, 1, run)
         assert sizes == [1] * 8, (sweep, name)
+        assert read == ([] if sweep.startswith("ebit_ptp") else sizes), (sweep, name)
         _assert_same(own, whole, f"{sweep} {name} one code per chunk")
-        threes, sizes, _ = _chunked(monkeypatch, clear_job_caches, 3 * per_code, run)
+        threes, sizes, _, read = _chunked(monkeypatch, clear_job_caches, 3 * per_code, run)
         assert sizes == [3, 3, 2], (sweep, name)
+        assert read == ([] if sweep.startswith("ebit_ptp") else sizes), (sweep, name)
         _assert_same(threes, whole, f"{sweep} {name} chunks of three")
         _assert_same(run(), whole, f"{sweep} {name} default budget")
