@@ -34,7 +34,7 @@ from . import __version__
 from .adversary import AttackDescriptor, purified_input, standard_suite
 from .approx_psqa import check_cipher_size, psqa_advantage, rsp_scale, rsp_twin_identity, sample_cipher
 from .classical_wc import key_leak_demo, poly_hash_family, wc_kg_advantage
-from .codes import PtcFamily, cost_formulas, ptc_epsilon_formula, search_ptc, verify_ptc
+from .codes import PTC_MAX_N, PtcFamily, cost_formulas, ptc_epsilon_formula, search_ptc, verify_ptc
 from .hybrid import InvariantError
 from .protocols import ebit_ptc, ebit_ptp, run_qa_kg, run_tqa_kg
 from .qmath import StateVector, haar_unitary, transpose_trick_residual, encoder_postselection_residual
@@ -90,8 +90,7 @@ def _load_or_search_family(args, max_n: int | None = None) -> PtcFamily:
     m, s = (family.m, family.s) if family is not None else (args.m, args.s)
     if max_n is not None and m + s > max_n:
         raise ValueError(
-            f"state-level experiments are limited to n <= {max_n} (dense operators on 4^n dims); "
-            f"this family has n = m + s = {m + s}"
+            f"{args.command} is limited to n <= {max_n}; this family has n = m + s = {m + s}"
         )
     if getattr(args, "cipher_size", None) is not None:
         check_cipher_size(m, args.cipher_size)
@@ -196,7 +195,7 @@ def cmd_uc(args) -> int:
 
 def cmd_ptp_soundness(args) -> int:
     started = time.time()
-    family = _load_or_search_family(args, STATE_LEVEL_MAX_N)
+    family = _load_or_search_family(args, PTC_MAX_N)
     exact = ptp_soundness_exact(family)
     ok = exact <= family.epsilon_verified + 1e-9
     results = {

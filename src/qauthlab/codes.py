@@ -44,6 +44,10 @@ class CodeError(ValueError):
 # one-hot tables hold 2^(n+s) |codes| <= 4^n |codes| entries each
 PTC_COST_LIMIT = 1 << 24
 
+# the largest n = m + s at which search_ptc searches a family and
+# ucharness.ptp_soundness_exact computes its exact soundness
+PTC_MAX_N = 6
+
 # random_stabilizer_code gives up after this many candidate generators
 MAX_CANDIDATES = 100_000
 
@@ -331,8 +335,8 @@ def search_ptc(
     decide whether that is fatal.
     """
     n = m + s
-    if n > 6:
-        raise CodeError("exhaustive verification is limited to n <= 6")
+    if n > PTC_MAX_N:
+        raise CodeError(f"exhaustive verification is limited to n <= {PTC_MAX_N}")
     if budget < 1:
         raise CodeError(f"the search needs a budget of at least 1 trial, got {budget}")
     rng = np.random.default_rng(seed)

@@ -209,8 +209,8 @@ def build_transfer(encoders: np.ndarray, attack, m: int) -> Transfer:
 def _code_chunks(encoders: np.ndarray, per_code: int) -> list[np.ndarray]:
     """The encoder stack in runs of codes, each of whose arrays, at
     ``per_code`` entries per code, holds at most CHUNK_ELEMENTS entries (or
-    one code's, if that is more). ``build_transfer`` and ``ebit_ptp`` chunk
-    their codes here."""
+    one code's, if that is more). ``build_transfer``, ``ebit_ptp`` and
+    ``ucharness._soundness_operator`` chunk their codes here."""
     step = max(1, CHUNK_ELEMENTS // per_code)
     return [encoders[t0 : t0 + step] for t0 in range(0, len(encoders), step)]
 

@@ -21,15 +21,16 @@ uniform key; on reject everything is replaced by error symbols.
 
 Everything is reported in the full 1-norm (maximum 2 between states).
 
-The soundness operator Omega (``_soundness_operator``) is one Gram product of
-the codes' syndrome projectors, built from the encoders as its real and
-imaginary parts; it is real symmetric and splits into 2^n blocks by the
-XOR of its row's sender and receiver indices, and ``ptp_soundness_exact`` is
-the top eigenvalue of those blocks, after checks that Omega's imaginary part
-and its entries outside the blocks vanish; ``_ebit_ideal_from`` puts
-perfect ebits on the accept records by ``FinalState.replaced``;
-``ebit_report`` takes its accept-conditional states from
-``FinalBlock.conditional`` and their AB marginal from
+The soundness operator Omega is built only as its 2^n XOR blocks, the
+entries between rows (i, j) and columns (k, l) with i ^ j = k ^ l, from 2^n
+small Grams of the XOR diagonals of the codes' syndrome projectors
+(``_soundness_operator``), and ``ptp_soundness_exact`` is the top eigenvalue
+of those blocks, after a check that they are real and a seeded probe
+(``_off_block_residual``) that compares Omega (a (x) b), computed from the
+projectors without the blocks, with the blocks applied to a (x) b;
+``_ebit_ideal_from`` puts perfect ebits on the accept records by
+``FinalState.replaced``; ``ebit_report`` takes its accept-conditional states
+from ``FinalBlock.conditional`` and their AB marginal from
 ``qmath.partial_trace``; the ideal key list is ``protocols.key_pads``'.
 """
 
@@ -41,9 +42,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adversary import AttackDescriptor
-from .codes import PtcFamily
+from .codes import PTC_MAX_N, PtcFamily
 from .hybrid import ACC, ERR, REJ, FinalState, InvariantError, Record, key_sweep, record_get
-from .protocols import _family_encoders, _transfer, key_pads
+from .protocols import _code_chunks, _family_encoders, _transfer, key_pads
 from .qmath import (
     ATOL_EXACT,
     StateVector,
@@ -56,8 +57,11 @@ from .qmath import (
 
 ADVANTAGE_TOL = 1e-9
 
-# uc, psqa and ptp-soundness build dense states and operators on 4^n dims
+# uc and psqa build dense states on 4^n dims
 STATE_LEVEL_MAX_N = 4
+
+# the seed of the soundness probe's random phases (``_probe_phases``)
+PROBE_SEED = 20260808
 
 
 @dataclass(frozen=True)
@@ -190,106 +194,150 @@ def chain_checks(rep: AdvantageReport) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _probe_phases(dt: int) -> np.ndarray:
+    """The soundness probe's vectors a and b (rows 0 and 1), seeded random
+    phases with |a_i| = |b_i| = 1."""
+    return np.exp(2j * np.pi * np.random.default_rng(PROBE_SEED).random((2, dt)))
+
+
 def _soundness_operator(family: PtcFamily) -> tuple[np.ndarray, np.ndarray]:
-    """Omega = (1/|codes|) sum_{t,u} L_{t,u}^dag (I - Phi^m) L_{t,u}, the
-    adjoint of the accept-and-decode map applied to the overlap defect, as
-    one Gram product of the syndrome projectors, returned as the real arrays
-    (Re Omega, Im Omega).
+    """The XOR blocks of Omega = (1/|codes|) sum_{t,u} L_{t,u}^dag (I - Phi^m)
+    L_{t,u}, the adjoint of the accept-and-decode map applied to the overlap
+    defect, and Omega (a (x) b) for the probe vectors of ``_probe_phases``,
+    both from the syndrome projectors alone: the (2^n, 2^n, 2^n) complex stack
+    B_c[i, k] = Omega[(i, i ^ c), (k, k ^ c)], and the (2^n, 2^n) array Y with
+    Y[i, j] = (Omega (a (x) b))[(i, j)], rows (i, j) read as sender (x) receiver.
 
     L_{t,u} = R_bar (x) R with R = (<u| (x) I) D_t, the sender decoding in
     the conjugate basis and the receiver in the plain one, both finding
     syndrome u (2n qubits -> 2m). Two exact identities remove L:
 
     - L^dag L = P_bar (x) P, where P = R^dag R = D_t^dag (|u><u| (x) I) D_t is
-      the 2^n-dim projector onto code t's syndrome-u space. With Q the
-      (|codes| 2^s, 4^n) stack of the flattened P, G = Q^dag Q holds
-      G[(i, k), (j, l)] = sum conj(P[i, k]) P[j, l], so the sum of the
-      P_bar (x) P is G with its two middle axes swapped.
+      the 2^n-dim projector onto code t's syndrome-u space.
     - L^dag Phi L = w w^dag with w = L^dag phi = vec(P_bar) / sqrt(2^m)
-      (component (i, j) is sum_a R[a, i] conj(R[a, j]) / sqrt(2^m)), so the
-      sum of the w w^dag is G / 2^m, read without the swap.
+      (component (i, j) is sum_a R[a, i] conj(R[a, j]) / sqrt(2^m)).
 
-    So Omega |codes| = swap(G) - G / 2^m. With Q = A + iB, G splits into
-    Re G = A^T A + B^T B and Im G = C - C^T for C = A^T B, and Re Omega and
-    Im Omega are the same swap and difference of Re G and Im G. For a
-    stabilizer code, P_u = 2^-s sum_{g in S_t} chi_u(g) g with characters chi_u = +-1, and
-    the sum over u keeps only the diagonal pairs: sum_u P_bar_u (x) P_u =
+    So, summing over r = (t, u),
+
+        Omega[(i, j), (k, l)] |codes|
+            = sum_r conj(P_r[i, k]) P_r[j, l] - sum_r conj(P_r[i, j]) P_r[k, l] / 2^m.
+
+    With the XOR diagonals A_d[r, i] = P_r[i, i ^ d] and their Grams
+    M_d = A_d^dag A_d, entry (i, k) of block c is
+
+        B_c[i, k] |codes| = M_{i ^ k}[i, i ^ c] - M_c[i, k] / 2^m,
+
+    as P_r[i, k] = A_{i ^ k}[r, i] and P_r[i ^ c, k ^ c] = A_{i ^ k}[r, i ^ c].
+    The 2^n Grams cost |codes| 2^s 8^n multiply-adds, summed over chunks of
+    codes (``protocols._code_chunks``), so no array is larger than a chunk's
+    projectors or the (2^n)^3 stack. Applied to a (x) b, the same sum is
+
+        Y |codes| = sum_r conj(P_r) a (P_r b)^T - sum_r (a^T P_r b) conj(P_r) / 2^m,
+
+    which reads every entry of Omega, in and off the blocks, at
+    |codes| 2^s 4^n multiply-adds. For a stabilizer code,
+    P_u = 2^-s sum_{g in S_t} chi_u(g) g with characters chi_u = +-1, and the
+    sum over u keeps only the diagonal pairs: sum_u P_bar_u (x) P_u =
     2^-s sum_g g_bar (x) g, and the Phi term likewise
     2^-s sum_g |g>><<g| / 2^m. The phase of each Hermitian g cancels
     against its conjugate, leaving products of the real X and Z, so Omega
     is real symmetric, whatever logical basis the encoder's SVD picked.
     """
     dm, dt = 1 << family.m, 1 << family.n
-    rows = _family_encoders(family).conj().transpose(0, 2, 1).reshape(-1, dm, dt)  # <u| D_t
-    projectors = np.matmul(rows.conj().transpose(0, 2, 1), rows).reshape(len(rows), dt * dt)
-    # [A; B] as one real array, so Re G is one product; the complex stack is
-    # freed before the products, which keeps the peak memory down
-    ab = np.concatenate([projectors.real, projectors.imag])
-    del projectors
-
-    def omega_part(g):
-        part = np.multiply(g, -1.0 / dm)
-        part.reshape(dt, dt, dt, dt)[...] += g.reshape(dt, dt, dt, dt).transpose(0, 2, 1, 3)
-        part /= len(family.codes)
-        return part
-
-    real = omega_part(ab.T @ ab)
-    c = ab[: len(rows)].T @ ab[len(rows) :]
-    return real, omega_part(c - c.T)
-
-
-def _xor_blocks(omega: np.ndarray, dt: int) -> tuple[np.ndarray, float]:
-    """The (2^n, 2^n, 2^n) stack of Omega's blocks B_c[i, k] = Omega[(i, i^c),
-    (k, k^c)], and the largest |entry| of Omega outside them (rows (i, j) and
-    columns (k, l) with i ^ j != k ^ l)."""
     ar = np.arange(dt)
-    # row (c, i) of the block layout is Omega's row (i, i ^ c)
-    order = (ar * dt + (ar ^ ar[:, None])).ravel()
-    grouped = omega.take(order, 0).take(order, 1).reshape(dt, dt, dt, dt)
-    blocks = grouped[ar, :, ar]
-    grouped[ar, :, ar] = 0.0
-    return blocks, float(max(grouped.max(), -grouped.min()))
+    xor = ar[:, None] ^ ar
+    # entry (i, i ^ d) of a flattened projector, in (d, i) order
+    diagonal = (ar * dt + xor).ravel()
+    a, b = _probe_phases(dt)
+    grams = np.zeros((dt, dt, dt), dtype=complex)
+    probe = np.zeros((dt, dt), dtype=complex)
+    encoders = _family_encoders(family)
+    for chunk in _code_chunks(encoders, (dt // dm) * dt * dt):
+        rows = chunk.conj().transpose(0, 2, 1).reshape(-1, dm, dt)  # <u| D_t
+        projectors = np.matmul(rows.conj().transpose(0, 2, 1), rows)
+        # diagonals[d, r, i] = P_r[i, i ^ d]
+        diagonals = projectors.reshape(len(rows), -1).take(diagonal, 1).reshape(-1, dt, dt).transpose(1, 0, 2)
+        grams += np.matmul(diagonals.conj().transpose(0, 2, 1), diagonals)
+        p_b = projectors @ b
+        probe += (projectors @ a.conj()).conj().T @ p_b
+        # sum_r (a^T P_r b) conj(P_r), conjugated once at the end
+        probe -= ((p_b @ a).conj() @ projectors.reshape(len(rows), -1)).conj().reshape(dt, dt) / dm
+    # first[c, i, k] = M_{i ^ k}[i, i ^ c]
+    first = grams[xor, ar[:, None], xor[:, :, None]]
+    blocks = first - grams * (1.0 / dm)
+    blocks /= len(family.codes)
+    probe /= len(family.codes)
+    return blocks, probe
+
+
+def _off_block_residual(blocks: np.ndarray, probe: np.ndarray) -> float:
+    """The largest |entry| of Omega (a (x) b) - (the blocks applied to a (x) b),
+    with ``blocks`` and ``probe`` as ``_soundness_operator`` returns them.
+
+    Entry (i, i ^ c) of the blocks applied to a (x) b is
+    sum_k B_c[i, k] a_k b_(k ^ c). Omega agrees with its blocks exactly when
+    every entry outside them vanishes; as |a_k b_l| = 1, a single entry e
+    between row (i, j) and column (k, l) with i ^ j != k ^ l leaves a
+    residual of exactly |e| at row (i, j), and several in one row cancel
+    only for phases on a set of measure zero.
+    The probe also reads the block entries along a second path: Y is summed
+    from the projectors, not from the Grams the blocks come from.
+    """
+    dt = len(blocks)
+    a, b = _probe_phases(dt)
+    xor = np.arange(dt)[:, None] ^ np.arange(dt)
+    # routed[c, i] = sum_k B_c[i, k] a_k b_(k ^ c), the entry (i, i ^ c)
+    routed = np.matmul(blocks, (a * b[xor])[:, :, None])[:, :, 0]
+    return float(np.abs(routed - probe[np.arange(dt), xor]).max())
 
 
 def ptp_soundness_exact(family: PtcFamily) -> float:
     """Exact worst case of Tr[ T(rho) ((I - Phi^m) (x) acc) ] over all inputs.
 
     The functional is linear in the 2n-qubit input rho, so the maximum is the
-    largest eigenvalue of Omega (``_soundness_operator``). Omega is real
-    symmetric for stabilizer codes, so that is the top eigenvalue of its real
-    part. Dropping an imaginary part can only lower the top eigenvalue, which
-    would weaken the check unseen, so an entry of Im Omega above ATOL_EXACT
-    raises ``InvariantError``.
+    largest eigenvalue of Omega (``_soundness_operator``).
 
-    Omega also keeps i ^ j, its rows indexed (i, j) as sender (x) receiver:
-    it commutes with every Z^a (x) Z^a, which multiplies |i, j> by
+    Omega keeps i ^ j, its rows indexed (i, j) as sender (x) receiver: it
+    commutes with every Z^a (x) Z^a, which multiplies |i, j> by
     (-1)^(a . (i ^ j)). In each g_bar (x) g of ``_soundness_operator``'s
     sum, both factors have the same X-part X^x, so their signs (-1)^(a . x)
     cancel, and the Phi term's |g>> only changes sign, as Z^a g Z^a = +-g.
     So Omega is 2^n blocks of 2^n x 2^n, one per c = i ^ j, and its top
-    eigenvalue is the largest of theirs, from one batched real ``eigvalsh``;
-    an entry outside the blocks above ATOL_EXACT raises ``InvariantError``.
+    eigenvalue is the largest of theirs. Only the blocks are built, and two
+    checks stand in for the derivation, each raising ``InvariantError``:
+
+    - The blocks are real symmetric for stabilizer codes, so the value is
+      the top eigenvalue of their real parts, from one batched real
+      ``eigvalsh``. Dropping an imaginary part can only lower the top
+      eigenvalue, which would weaken the check unseen, so an imaginary block
+      entry above ATOL_EXACT is refused.
+    - The entries outside the blocks are never built, so the probe
+      ``_off_block_residual`` compares Omega (a (x) b), summed from the
+      projectors, with the blocks applied to a (x) b; a residual above
+      ATOL_EXACT is refused.
+
     This stops at the Z-subgroup on purpose: adding X^b (x) X^b would make
     Omega diagonal in the Pauli-displaced Bell basis, with
     ``codes._missed_counts``' fractions on the diagonal, and a value read off
     that form would share its derivation with the mask count it checks.
 
+    Runs at n <= ``codes.PTC_MAX_N``, where families are searched.
     Cross-validates the mask-level detection predicate against the
     state-level soundness definition: the value matches the family's
     verified epsilon.
     """
-    if family.n > STATE_LEVEL_MAX_N:
-        raise ValueError(f"exact soundness is limited to n <= {STATE_LEVEL_MAX_N} (operator on 4^n dims)")
-    omega, omega_imag = _soundness_operator(family)
-    residual = float(np.abs(omega_imag).max())
+    if family.n > PTC_MAX_N:
+        raise ValueError(f"exact soundness is limited to n <= {PTC_MAX_N}")
+    blocks, probe = _soundness_operator(family)
+    residual = float(np.abs(blocks.imag).max())
     if residual > ATOL_EXACT:
         raise InvariantError(f"ptp_soundness_exact: soundness operator has imaginary entries up to {residual!r}")
-    blocks, off_block = _xor_blocks(omega, 1 << family.n)
+    off_block = _off_block_residual(blocks, probe)
     if off_block > ATOL_EXACT:
         raise InvariantError(
-            f"ptp_soundness_exact: soundness operator has entries up to {off_block!r} off its i ^ j blocks"
+            f"ptp_soundness_exact: soundness operator has a probe residual of {off_block!r} off its i ^ j blocks"
         )
-    return float(np.linalg.eigvalsh(blocks).max())
+    return float(np.linalg.eigvalsh(blocks.real).max())
 
 
 # ---------------------------------------------------------------------------

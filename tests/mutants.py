@@ -12,10 +12,12 @@ used to guard: each check that replaced them is seen to fail. Then come
 ``ebit_ptp``'s reject record (I/d on A times one Gram of the other registers
 but B), the fixed states that ``FinalState.replaced`` puts on records
 (EBIT-PTC's I/d on reject, the ideal's perfect ebits on accept), the blocks
-that ``hybrid._blocks`` builds on kept registers only, and the two counts of
-the classical family's one pass over message pairs.
+that ``hybrid._blocks`` builds on kept registers only, the two counts of
+the classical family's one pass over message pairs, the XOR blocks of the
+soundness operator Omega, the probe that stands in for its entries off the
+blocks, and ``ptp-soundness``'s ``within_epsilon`` verdict.
 
-Run it from anywhere; it takes about twenty seconds on two cores.
+Run it from anywhere; it takes about forty seconds on two cores.
 """
 
 from __future__ import annotations
@@ -141,6 +143,39 @@ MUTANTS = (
         "np.bitwise_xor(later, table[i]",
         "np.bitwise_xor(later, table[0]",
         "tests/test_classical_wc.py::test_pair_counts_match_a_scalar_count",
+    ),
+    # the soundness probe compares the blocks applied to a (x) b with
+    # themselves, not with Omega (a (x) b) from the projectors
+    Mutant(
+        "soundness-probe-compares-the-blocks-with-themselves",
+        "src/qauthlab/ucharness.py",
+        "np.abs(routed - probe[np.arange(dt), xor])",
+        "np.abs(routed - routed)",
+        "tests/test_ucharness.py::test_soundness_refuses_entries_off_the_xor_blocks",
+    ),
+    # the blocks' first term from M_c, not M_(i ^ k)
+    Mutant(
+        "soundness-blocks-first-term-reads-m-c",
+        "src/qauthlab/ucharness.py",
+        "first = grams[xor, ar[:, None], xor[:, :, None]]",
+        "first = grams[ar[:, None, None], ar[:, None], xor[:, :, None]]",
+        "tests/test_ucharness.py::test_gram_soundness_operator_matches_the_accept_decoder_stack",
+    ),
+    # the blocks' Phi term without its 2^-m
+    Mutant(
+        "soundness-blocks-drop-the-two-to-the-minus-m",
+        "src/qauthlab/ucharness.py",
+        "blocks = first - grams * (1.0 / dm)",
+        "blocks = first - grams",
+        "tests/test_ucharness.py::test_gram_soundness_operator_matches_the_accept_decoder_stack",
+    ),
+    # ptp-soundness's verdict passes whatever the exact value
+    Mutant(
+        "ptp-soundness-within-epsilon-always-true",
+        "src/qauthlab/cli.py",
+        "ok = exact <= family.epsilon_verified + 1e-9",
+        "ok = True",
+        "tests/test_cli.py::test_ptp_soundness_understated_epsilon_exits_one",
     ),
 )
 

@@ -462,7 +462,8 @@ def accept_decoders(family: PtcFamily) -> np.ndarray:
 def soundness_operator(family: PtcFamily) -> np.ndarray:
     """Omega = (1/|codes|) sum_{t,u} L_{t,u}^dag (I - Phi^m) L_{t,u} as one
     complex product of the stacked L_{t,u}, with no identity used: the
-    reference for ``ucharness._soundness_operator``'s Gram form."""
+    reference for the XOR blocks that ``ucharness._soundness_operator``
+    builds from Grams of the syndrome projectors."""
     phi = max_entangled_vector(1 << family.m)
     l_ops = accept_decoders(family)
     rows = l_ops.shape[0] * l_ops.shape[1]

@@ -229,6 +229,20 @@ def test_ptp_soundness_command(tmp_path, capsys):
     assert rep["results"]["within_epsilon"] is True
 
 
+def test_ptp_soundness_understated_epsilon_exits_one(tmp_path, capsys):
+    # negative control: this family's exact soundness is 0.5; a stored eps of
+    # 0.2 must turn within_epsilon false and the exit code to 1
+    fam_path = tmp_path / "fam.json"
+    run_cli(capsys, "ptc", "--m", "1", "--s", "2", "--seed", "1", "--out", str(fam_path))
+    payload = json.loads(fam_path.read_text())
+    payload["epsilon_verified"] = 0.2
+    fam_path.write_text(json.dumps(payload))
+    code, rep = run_cli(capsys, "ptp-soundness", "--family", str(fam_path))
+    assert code == 1
+    assert rep["results"]["within_epsilon"] is False
+    assert rep["results"]["soundness_exact"] == pytest.approx(0.5, abs=1e-12)
+
+
 def test_wc_commands(capsys):
     code, rep = run_cli(capsys, "wc", "--field-bits", "2", "--msg-len", "1")
     assert code == 0
@@ -307,7 +321,14 @@ def test_ptc_family_above_cost_limit_exits_two(tmp_path, capsys):
     assert "4^10 * (20 + 1) = 22020096" in err and "2^24 = 16777216" in err
 
 
-@pytest.mark.parametrize("command", ["uc", "psqa", "ptp-soundness"])
+def _one_code_family(tmp_path, n: int):
+    """A family file of one code on n qubits with one generator."""
+    fam_path = tmp_path / f"fam{n}.json"
+    fam_path.write_text(json.dumps({"codes": [["xz:" + "0" * n + "|1" + "0" * (n - 1)]], "epsilon_verified": 0.0}))
+    return fam_path
+
+
+@pytest.mark.parametrize("command", ["uc", "psqa"])
 def test_state_level_runs_above_n4_exit_two_before_any_work(tmp_path, capsys, monkeypatch, command):
     from qauthlab import cli
 
@@ -318,10 +339,24 @@ def test_state_level_runs_above_n4_exit_two_before_any_work(tmp_path, capsys, mo
     assert main([command, "--m", "1", "--s", "4"]) == 2
     assert "limited to n <= 4" in capsys.readouterr().err
     # a loaded n = 5 family is refused the same way
-    fam_path = tmp_path / "fam5.json"
-    fam_path.write_text(json.dumps({"codes": [["xz:00000|10000"]], "epsilon_verified": 0.0}))
-    assert main([command, "--family", str(fam_path)]) == 2
+    assert main([command, "--family", str(_one_code_family(tmp_path, 5))]) == 2
     assert "this family has n = m + s = 5" in capsys.readouterr().err
+
+
+def test_ptp_soundness_above_n6_exits_two_before_any_work(tmp_path, capsys, monkeypatch):
+    # ptp-soundness builds only Omega's XOR blocks and runs where families
+    # are searched, up to n = 6
+    from qauthlab import cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("an experiment started")
+
+    for step in ("search_ptc", "ptp_soundness_exact"):
+        monkeypatch.setattr(cli, step, no_work)
+    assert main(["ptp-soundness", "--m", "1", "--s", "6"]) == 2
+    assert "ptp-soundness is limited to n <= 6" in capsys.readouterr().err
+    assert main(["ptp-soundness", "--family", str(_one_code_family(tmp_path, 7))]) == 2
+    assert "this family has n = m + s = 7" in capsys.readouterr().err
 
 
 def test_parser_is_built_once_and_carries_nothing_over(capsys):

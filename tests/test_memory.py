@@ -8,6 +8,11 @@ the call, its result included. The bounds sit between the builds that form
 every record on every register and then trace the dropped ones out (6.54 MB
 for ``ebit_ptp``, 1.45 MB for ``run_qa_kg_ideal``) and the builds that form
 each record on its kept registers only (2.0 MB and 0.24 MB).
+
+The same measure bounds ``ptp_soundness_exact`` on the seeded n = 6 family of
+``qauthlab ptc --m 3 --s 3 --seed 1`` (18 codes) at 64 MB: the dense Omega
+of 4^6 x 4^6 entries took two 134 MB real Grams, and the XOR blocks with the
+probe stay near the size of the (2^6)^3 stack of their Grams.
 """
 
 import tracemalloc
@@ -16,9 +21,9 @@ from pathlib import Path
 import pytest
 
 from qauthlab.adversary import purified_input, standard_suite
-from qauthlab.codes import PtcFamily
+from qauthlab.codes import PtcFamily, ptc_epsilon_formula, search_ptc
 from qauthlab.protocols import ebit_ptp
-from qauthlab.ucharness import run_qa_kg_ideal
+from qauthlab.ucharness import ptp_soundness_exact, run_qa_kg_ideal
 
 FIXTURE = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "family-m1-s3.json"
 BOUNDS_MB = {"ebit_ptp": 3.5, "run_qa_kg_ideal": 0.5}
@@ -55,3 +60,13 @@ def test_swap_held_transient_peak(clear_job_caches, build):
     assert peak <= BOUNDS_MB[build], f"{build}: {peak:.2f} MB"
     # the measure sees the build: no peak of nothing passes
     assert peak > 0.05 * BOUNDS_MB[build], f"{build}: {peak:.3f} MB"
+
+
+def test_exact_soundness_transient_peak_at_n6():
+    family = search_ptc(3, 3, ptc_epsilon_formula(3, 3), seed=1)
+    assert family.n == 6 and len(family.codes) == 18
+    # the first call builds the encoders, outside the measured call
+    peak = transient_peak_mb(lambda: ptp_soundness_exact(family))
+    assert peak <= 64.0, f"ptp_soundness_exact: {peak:.1f} MB"
+    assert peak > 1.0, f"ptp_soundness_exact: {peak:.3f} MB"
+    assert ptp_soundness_exact(family) == pytest.approx(family.epsilon_verified, abs=1e-9)

@@ -180,16 +180,18 @@ def family_m2_s3():
 
 @pytest.mark.parametrize("name", ["family_s1", "family_s2", "family_s3", "family_m2_s3"])
 def test_gram_soundness_operator_matches_the_accept_decoder_stack(name, request):
-    # the Gram form against the complex product of the stacked L_{t,u};
-    # (2, 3) is above STATE_LEVEL_MAX_N, so its top eigenvalue is taken here
+    # every XOR block of the Gram form against the same block of the complex
+    # product of the stacked L_{t,u}, and the value against the oracle's top
+    # eigenvalue, (2, 3) at n = 5 included
     fam = request.getfixturevalue(name)
-    (real, imag), oracle = ucharness._soundness_operator(fam), soundness_operator(fam)
-    assert np.abs(real + 1j * imag - oracle).max() <= 1e-12
-    assert np.abs(imag).max() <= 1e-12
-    top = np.linalg.eigvalsh(real).max()
-    assert abs(top - np.linalg.eigvalsh(oracle).max()) <= 1e-12
-    if fam.n <= ucharness.STATE_LEVEL_MAX_N:
-        assert abs(ptp_soundness_exact(fam) - top) <= 1e-12
+    blocks, _ = ucharness._soundness_operator(fam)
+    oracle = soundness_operator(fam)
+    dt = 1 << fam.n
+    ij = (np.arange(dt)[:, None] ^ np.arange(dt)).ravel()
+    for c in range(dt):
+        assert np.abs(blocks[c] - oracle[np.ix_(ij == c, ij == c)]).max() <= 1e-12
+    assert np.abs(blocks.imag).max() <= 1e-12
+    assert abs(ptp_soundness_exact(fam) - np.linalg.eigvalsh(oracle).max()) <= 1e-12
 
 
 FIXTURE = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "family-m1-s3.json"
@@ -228,10 +230,10 @@ def _t_gate_on_qubit_0(stack):
 
 def test_soundness_refuses_a_complex_operator(family_s3, monkeypatch):
     # negative control: a T gate after the encoder makes the syndrome
-    # projectors non-Pauli, and Omega's imaginary part (about 0.045) must
+    # projectors non-Pauli, and the blocks' imaginary part (about 0.045) must
     # stop the real eigvalsh, which could only under-report the maximum
     _patch_encoders(monkeypatch, _t_gate_on_qubit_0)
-    assert np.abs(ucharness._soundness_operator(family_s3)[1]).max() > 0.01
+    assert np.abs(ucharness._soundness_operator(family_s3)[0].imag).max() > 0.01
     with pytest.raises(InvariantError, match="imaginary entries up to"):
         ptp_soundness_exact(family_s3)
 
@@ -246,15 +248,35 @@ def _ry_on_qubit_0(stack):
 def test_soundness_refuses_entries_off_the_xor_blocks(family_s3, monkeypatch):
     # negative control: a real non-Clifford rotation keeps Omega real but
     # breaks its Z^a (x) Z^a symmetry; the block eigenvalues would then miss
-    # the entries between blocks (up to about 0.011), so the off-block check
-    # must stop them
+    # the entries between blocks, so the probe (residual about 0.05) must
+    # stop them
     _patch_encoders(monkeypatch, _ry_on_qubit_0)
-    real, imag = ucharness._soundness_operator(family_s3)
-    assert np.abs(imag).max() <= 1e-12
-    _, off_block = ucharness._xor_blocks(real, 1 << family_s3.n)
-    assert off_block > 1e-3
+    blocks, probe = ucharness._soundness_operator(family_s3)
+    assert np.abs(blocks.imag).max() <= 1e-12
+    assert ucharness._off_block_residual(blocks, probe) > 1e-3
     with pytest.raises(InvariantError, match="off its i \\^ j blocks"):
         ptp_soundness_exact(family_s3)
+
+
+@pytest.mark.parametrize("planted, trips", [(2e-12, True), (5e-13, False)])
+def test_probe_sees_one_entry_off_the_xor_blocks(family_s1, monkeypatch, planted, trips):
+    # an explicit dense Omega at n = 2 with one entry planted between row
+    # (0, 1) (block 1) and column (2, 0) (block 2): the probe reads it as a
+    # residual of exactly that size, which trips the check above ATOL_EXACT
+    dt = 1 << family_s1.n
+    omega = soundness_operator(family_s1).copy()
+    omega[0 * dt + 1, 2 * dt + 0] += planted
+    ij = (np.arange(dt)[:, None] ^ np.arange(dt)).ravel()
+    blocks = np.stack([omega[np.ix_(ij == c, ij == c)] for c in range(dt)])
+    a, b = ucharness._probe_phases(dt)
+    probe = (omega @ np.kron(a, b)).reshape(dt, dt)
+    assert ucharness._off_block_residual(blocks, probe) == pytest.approx(planted, abs=1e-15)
+    monkeypatch.setattr(ucharness, "_soundness_operator", lambda family: (blocks, probe))
+    if trips:
+        with pytest.raises(InvariantError, match="off its i \\^ j blocks"):
+            ptp_soundness_exact(family_s1)
+    else:
+        assert ptp_soundness_exact(family_s1) == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
 def test_ptp_soundness_command_exits_three_on_a_complex_operator(tmp_path, capsys, monkeypatch, family_s3):
