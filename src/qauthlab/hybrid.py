@@ -9,23 +9,20 @@ distances decompose per record.
 :func:`key_sweep`, the one simulation engine, runs the seven keyed sweeps
 (``run_qa_kg``, ``run_tqa_kg``, ``ebit_ptc``, ``run_qa_kg_ideal``,
 ``run_psqa_kg``, ``run_psrqa_kg``, ``psqa_ideal``). Every one of them applies
-the same linear map, encode -> attack -> decode, to its carrier: a
-:class:`Transfer`, which ``protocols`` builds once per (family, attack) and
-every sweep of the job reads. The transfer holds, per branch (code t,
-syndrome key y, received syndrome ysyn), a matrix X_b from the probe
-registers (the carrier, and R when the attack acts on it) to the output
-registers, in chunks of codes whose largest array holds at most
-CHUNK_ELEMENTS entries. A sweep takes its run's secret key (pad, cipher,
-Bell or preparation outcome) as one instrument on its input and builds every
-block from one Gram matrix per record class, the verdict (see ``key_sweep``),
-whose two Grams each chunk takes once for every sweep of the job
-(``TransferChunk.verdicts``). No record holds a single branch; the tests take
-branches from per-slice oracles. A (key value, class) pair whose probability,
-read off the class's Gram matrix, is at most PRUNE_BELOW is dropped. A plan
-maps each class to (record, registers traced out of its blocks), and no block
-is built on a register its record drops (``_blocks``). A fixed state goes
-onto a record's registers only by ``FinalState.replaced``, once the record is
-summed: EBIT-PTC's I/d on A on reject, the ideal's perfect ebits on accept.
+the same linear map, encode -> attack -> decode, to its carrier, and reads it
+only through a :class:`Transfer`, which ``protocols`` builds once per
+(family, attack) and every sweep of the job reads: per verdict, one Gram
+matrix of the branch maps (code t, syndrome key y, received syndrome ysyn),
+summed over every code. A sweep takes its run's secret key (pad, cipher, Bell
+or preparation outcome) as one instrument on its input and builds every
+block from the Gram of its verdict (see ``key_sweep``). No record holds a
+single branch; the tests take branches from per-slice oracles. A (key value,
+verdict) pair whose probability over the whole family, read off the
+verdict's Gram, is at most PRUNE_BELOW is dropped. A plan maps each verdict
+to (record, registers traced out of its blocks), and no block is built on a
+register its record drops (``_blocks``). A fixed state goes onto a record's
+registers only by ``FinalState.replaced``, once the record is summed:
+EBIT-PTC's I/d on A on reject, the ideal's perfect ebits on accept.
 ``protocols.ebit_ptp`` batches its accept blocks over (code, syndrome) in the
 arithmetic of one branch at a time instead, so that they keep their bits, and
 builds its reject record itself, as I/d on A times one Gram of the registers
@@ -42,13 +39,14 @@ shape (``qmath.trace_norm``); a record on one side only counts its weight.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .qmath import (
     DensityMatrix,
+    InvariantError,
     Registers,
     RegisterError,
     StateVector,
@@ -69,12 +67,6 @@ ACC, REJ, ERR = "ACC", "REJ", "ERR"
 # each dropped pair loses at most this much weight: even thousands of them stay
 # far under the 1e-9 pipeline tolerance.
 PRUNE_BELOW = 1e-15
-
-# Largest array, in complex entries, that one chunk of codes holds: a chunk of
-# a transfer (and the amplitudes it is built from), or of ``ebit_ptp``'s
-# branches. At m=1, s=3 every transfer of the attack suite fits in one chunk
-# (at most 4,096 entries per code, for swap-held).
-CHUNK_ELEMENTS = 1 << 16
 
 
 def record_get(record: Record, fieldname: str):
@@ -144,7 +136,9 @@ class FinalState:
         """Full 1-norm distance, decomposed over classical records: one
         ``trace_norm`` call per block shape, and the records summed in sorted
         order, so the last bit does not depend on hashing. A record that one
-        side lacks counts its weight."""
+        side lacks counts its weight; one held on different registers or
+        dimensions is an ``InvariantError``, as both sides come from the
+        program's own sweeps."""
         records = sorted(set(self.blocks) | set(other.blocks), key=repr)
         norms: dict[Record, float] = {}
         by_shape: dict[tuple, list[Record]] = {}
@@ -153,9 +147,9 @@ class FinalState:
             if mine is None or theirs is None:
                 norms[rec] = (theirs if mine is None else mine).weight
             elif reg_names(mine.registers) != reg_names(theirs.registers):
-                raise RegisterError(f"record {rec} has mismatched registers")
+                raise InvariantError(f"record {rec} has mismatched registers")
             elif mine.matrix.shape != theirs.matrix.shape:
-                raise RegisterError(f"record {rec} has mismatched dimensions")
+                raise InvariantError(f"record {rec} has mismatched dimensions")
             else:
                 by_shape.setdefault(mine.matrix.shape, []).append(rec)
         for shape, recs in by_shape.items():
@@ -174,45 +168,24 @@ class FinalState:
 # ---------------------------------------------------------------------------
 
 
-class InvariantError(RuntimeError):
-    """An internal invariant failed: a fault in the program, not in its input."""
-
-
-@dataclass(frozen=True)
-class TransferChunk:
-    """The transfer of a run of codes."""
-
-    # (codes, y, ysyn, out, probe): branch (t, y, ysyn) as a matrix from the
-    # probe registers to the output registers, scaled by 1/sqrt(codes * 2^s)
-    x: np.ndarray
-
-    @cached_property
-    def verdicts(self) -> tuple[tuple[str, np.ndarray], ...]:
-        """(verdict, read-only Gram sum_b x_b x_b^dag over its branches) for
-        REJ, then ACC (y == ysyn); taken once, for every sweep that reads the
-        chunk."""
-        x = self.x.reshape(self.x.shape[0] * self.x.shape[1] ** 2, -1)
-        accept = np.tile(np.eye(self.x.shape[1], dtype=bool).reshape(-1), len(self.x))
-        grams = [x[rows].T @ x[rows].conj() for rows in (~accept, accept)]
-        for gram in grams:
-            gram.setflags(write=False)
-        return tuple(zip((REJ, ACC), grams))
-
-
 @dataclass(frozen=True)
 class Transfer:
-    """Encode, attack and decode of one (family, attack) as one linear map per
-    branch (code t, syndrome key y, received syndrome ysyn), read on the basis
-    of the ``probe`` registers: the attack's registers besides T, then the
-    carrier. It writes the ``out`` registers: the attack's, with T replaced by
-    the decoded receiver. Carrier and receiver both go by "T" here (the code's
-    register, which no input of a sweep carries); ``key_sweep`` renames them.
-    The branch maps of an isometric attack sum to the identity:
-    sum_b X_b^dag X_b = I."""
+    """Encode, attack and decode of one (family, attack), as the sweeps read
+    it: per verdict, the Gram matrix G = sum_b x_b x_b^dag over that
+    verdict's branches b = (code t, syndrome key y, received syndrome ysyn),
+    x_b the branch map, read as a vector over (out, probe), from the basis of
+    the ``probe`` registers (the attack's registers besides T, then the
+    carrier) to the ``out`` registers (the attack's, with T replaced by the
+    decoded receiver), scaled by 1/sqrt(codes * 2^s). Carrier and receiver
+    both go by "T" here (the code's register, which no input of a sweep
+    carries); ``key_sweep`` renames them. The branch maps of an isometric
+    attack sum to the identity: sum_b x_b^dag x_b = I."""
 
     probe: Registers
     out: Registers
-    chunks: tuple[TransferChunk, ...]
+    # (REJ, Gram), then (ACC, Gram) over the branches with y == ysyn, each
+    # read-only and summed over every code
+    verdicts: tuple[tuple[str, np.ndarray], ...]
 
 
 def key_sweep(
@@ -233,17 +206,16 @@ def key_sweep(
       instrument U_k/sqrt(K).
     - The state of key value v is a matrix Psi_v from the probe registers to
       the rest of ``base``. A record class c is a verdict (accept iff ysyn ==
-      y). Its Gram matrix G_c = sum_{b in c} x_b x_b^dag, x_b the branch map
-      as a vector over (out, probe), gives every key value's block at once:
-      Psi_v G_c Psi_v^dag, one batched product over the keys, so the key
-      count multiplies no contraction over codes.
-    - A (key, class) pair counts only if its probability Tr(Psi_v G_c
-      Psi_v^dag), read off G_c traced over the output registers, is above
-      PRUNE_BELOW. ``plan`` maps its fields (the verdict, and the key label
-      with its value) to (output record, registers to drop). Dropped
-      registers are traced out before each block is built (``_blocks``).
-
-    The codes run in the transfer's chunks, one set of Grams per chunk.
+      y), and its Gram matrix G_c (``Transfer.verdicts``) gives every key
+      value's block at once: Psi_v G_c Psi_v^dag, one batched product over
+      the keys, so the key count multiplies no contraction over codes, and
+      the code count no pass of the sweep.
+    - A (key, class) pair counts only if its probability over the whole
+      family, Tr(Psi_v G_c Psi_v^dag) read off G_c traced over the output
+      registers, is above PRUNE_BELOW. ``plan`` maps its fields (the verdict,
+      and the key label with its value) to (output record, registers to
+      drop). Dropped registers are traced out before each block is built
+      (``_blocks``); the blocks of one record are summed, REJ first.
     """
     probe = tuple((carrier if name == "T" else name, d) for name, d in transfer.probe)
     out = tuple((receiver if name == "T" else name, d) for name, d in transfer.out)
@@ -256,28 +228,13 @@ def key_sweep(
     other = tuple(r for r in regs if r[0] not in reg_names(probe))
     order = reg_positions(regs, reg_names(other + probe))
     psi = amps.transpose([0] + [1 + i for i in order]).reshape(len(amps), total_dim(other), total_dim(probe))
-    keys = (label, values, corrections)
+    dj, dp = total_dim(out), psi.shape[2]
     blocks: dict[Record, tuple[Registers, np.ndarray]] = {}
-    for chunk in transfer.chunks:
-        _add_chunk(blocks, chunk, psi, (other, out, receiver), plan, keys)
-    return checked_total(FinalState(blocks), "key sweep")
-
-
-def _add_chunk(blocks, chunk: TransferChunk, psi, layout, plan, keys) -> None:
-    """Add one chunk of codes to ``blocks``: per verdict class (the chunk's
-    cached Gram matrices, REJ first) the blocks of its live key values, those
-    whose class probability is above PRUNE_BELOW, each record's ``plan``
-    registers dropped. ``keys`` = (label, values, corrections), label None
-    for an unkeyed ``psi`` of one key value."""
-    label, values, corrections = keys
-    dj, dp = total_dim(layout[1]), psi.shape[2]
-    for verdict, gram in chunk.verdicts:
+    for verdict, gram in transfer.verdicts:
         fields = {"verdict": verdict}
         # p[v] = Tr(Psi_v G Psi_v^dag), G traced over the output registers
         traced = np.trace(gram.reshape(dj, dp, dj, dp), axis1=0, axis2=2)
         live = np.flatnonzero(np.einsum("vop,pq,voq->v", psi, traced, psi.conj()).real > PRUNE_BELOW)
-        if not len(live):
-            continue
         # the live key values by the registers their records drop, then by record
         groups: dict[tuple, dict[Record, list]] = {}
         for v in live:
@@ -286,7 +243,7 @@ def _add_chunk(blocks, chunk: TransferChunk, psi, layout, plan, keys) -> None:
         fix = corrections if verdict == ACC else None
         for drop, records in groups.items():
             vals = [v for vs in records.values() for v in vs]
-            kept, rhos = _blocks(gram, psi[vals], layout, drop, None if fix is None else fix[vals])
+            kept, rhos = _blocks(gram, psi[vals], (other, out, receiver), drop, None if fix is None else fix[vals])
             starts = np.cumsum([0] + [len(vs) for vs in records.values()])[:-1]
             for record, rho in zip(records, np.add.reduceat(rhos, starts, axis=0)):
                 if record in blocks:
@@ -294,6 +251,7 @@ def _add_chunk(blocks, chunk: TransferChunk, psi, layout, plan, keys) -> None:
                         raise InvariantError(f"record {record} accumulated under different kept registers")
                     rho = blocks[record][1] + rho
                 blocks[record] = (kept, rho)
+    return checked_total(FinalState(blocks), "key sweep")
 
 
 def _blocks(gram, psi, layout, drop, fix):

@@ -15,7 +15,7 @@ arithmetic):
   channel, in the encoder-keyed form and the bilateral syndrome-measurement
   form. On reject both output the error state: maximally mixed on A, error
   symbol on B. ``ebit_ptc``'s plan drops B, and ``_mixed_on_reject`` puts
-  I/d on A once every chunk is in; ``ebit_ptp`` builds that record itself.
+  I/d on A once the sweep is summed; ``ebit_ptp`` builds that record itself.
 
 ``ebit_ptp`` does not go through ``key_sweep`` on purpose. Its accept blocks
 feed ``fidelity_acc``, which is ill-conditioned on these rank-deficient
@@ -43,11 +43,13 @@ The keyed sweeps share one linear map: encode, attack, decode. The simulator
 sends a dummy ebit half through the same coded channel and attack as the
 real run, and the teleported twin changes only how the key is handled. So
 ``build_transfer`` applies that map once per (family, attack) to the basis of
-its probe registers (the carrier, and R when the attack acts on it), in
-chunks of codes, and every ``key_sweep`` of the job reads the result
-(``_transfer``). A chunk of the transfer is two batched products and one
-transpose: the attack's isometry, as a matrix on T, times every encoder, then
-each code's decoder on the attacked T. That reads the isometry's input as
+its probe registers (the carrier, and R when the attack acts on it), and
+every ``key_sweep`` of the job reads the result (``_transfer``): its two
+verdict Grams, summed over every code. The branch maps are built in chunks
+of codes (``_code_chunks``, CHUNK_ELEMENTS), each freed once its Grams are
+added in. A chunk's branch maps are two batched products and one transpose:
+the attack's isometry, as a matrix on T, times every encoder, then each
+code's decoder on the attacked T. That reads the isometry's input as
 (R, T), R first, as ``adversary.build_attack`` lifts it; ``build_transfer``
 refuses any other order. Each keyed run passes its secret key to
 ``key_sweep`` as one instrument on its input: a pad as U_k / sqrt(K)
@@ -80,13 +82,11 @@ from .adversary import AttackDescriptor, build_attack
 from .codes import PtcFamily, encoding_unitary
 from .hybrid import (
     ACC,
-    CHUNK_ELEMENTS,
     ERR,
     PRUNE_BELOW,
     REJ,
     FinalState,
     Transfer,
-    TransferChunk,
     checked_total,
     key_sweep,
     record_get,
@@ -102,6 +102,12 @@ from .qmath import (
     tensor,
     total_dim,
 )
+
+# Largest array, in complex entries, that one chunk of codes holds: a chunk of
+# a transfer's branch maps (and the amplitudes they are built from), or of
+# ``ebit_ptp``'s branches. At m=1, s=3 every transfer of the attack suite fits
+# in one chunk (at most 4,096 entries per code, for swap-held).
+CHUNK_ELEMENTS = 1 << 16
 
 # ---------------------------------------------------------------------------
 # keys: the Pauli pad and the Bell measurement
@@ -185,12 +191,14 @@ def build_transfer(encoders: np.ndarray, attack, m: int) -> Transfer:
     """The ``hybrid.Transfer`` of the encoder stack under ``attack`` =
     (isometry, names, out registers): every code's encoder, for every
     syndrome key y, then the attack, then the code's decoder, with the
-    received syndrome read off. It is the sweep applied to the basis of the
+    received syndrome read off. The sweep is applied to the basis of the
     probe registers (R when the attack acts on it, then the 2^m-dim
     carrier), in chunks of codes whose largest array holds at most
-    CHUNK_ELEMENTS entries (or one code's, if that is more). The attack acts
-    on ("T",) or on ("R", "T"), R first, as ``adversary.build_attack`` lifts
-    it; any other order is refused before any work."""
+    CHUNK_ELEMENTS entries (or one code's, if that is more). Each chunk's two
+    verdict Grams are added in place into the first chunk's, and its branch
+    maps are freed before the next chunk is built. The attack acts on ("T",)
+    or on ("R", "T"), R first, as ``adversary.build_attack`` lifts it; any
+    other order is refused before any work."""
     iso, att_names, att_out = attack
     if att_names not in (("T",), ("R", "T")):
         raise RegisterError(f"a transfer takes attacks on ('T',) or ('R', 'T'), R first; got {att_names}")
@@ -200,10 +208,25 @@ def build_transfer(encoders: np.ndarray, attack, m: int) -> Transfer:
     # the attacked amplitudes of one code hold as many entries as its transfer
     per_code = total_dim(probe) * dy * total_dim(att_out)
     scale = 1.0 / np.sqrt(len(encoders) * dy)
-    chunks = tuple(_transfer_chunk(codes, probe, attack, scale) for codes in _code_chunks(encoders, per_code))
+    grams = []
+    for codes in _code_chunks(encoders, per_code):
+        x = _transfer_chunk(codes, probe, attack, scale).reshape(len(codes) * dy * dy, -1)
+        # REJ, then ACC: the branches with y == ysyn
+        accept = np.tile(np.eye(dy, dtype=bool).reshape(-1), len(codes))
+        for i, rows in enumerate((~accept, accept)):
+            gram = x[rows].T @ x[rows].conj()
+            if i < len(grams):
+                grams[i] += gram
+            else:
+                grams.append(gram)
+            # freed before the next Gram is taken: at most one beside the sums
+            del gram
+        del x
+    for gram in grams:
+        gram.setflags(write=False)
     # after the attack the registers are att_out; the decoder reads T as
     # (ysyn, receiver)
-    return Transfer(probe, tuple(("T", dc) if r[0] == "T" else r for r in att_out), chunks)
+    return Transfer(probe, tuple(("T", dc) if r[0] == "T" else r for r in att_out), tuple(zip((REJ, ACC), grams)))
 
 
 def _code_chunks(encoders: np.ndarray, per_code: int) -> list[np.ndarray]:
@@ -215,8 +238,9 @@ def _code_chunks(encoders: np.ndarray, per_code: int) -> list[np.ndarray]:
     return [encoders[t0 : t0 + step] for t0 in range(0, len(encoders), step)]
 
 
-def _transfer_chunk(encoders: np.ndarray, probe: Registers, attack, scale: float) -> TransferChunk:
-    """One chunk of codes of ``build_transfer``: two batched products and one
+def _transfer_chunk(encoders: np.ndarray, probe: Registers, attack, scale: float) -> np.ndarray:
+    """The branch maps of one chunk of codes of ``build_transfer``, read-only
+    and laid out (codes, y, ysyn, out, probe): two batched products and one
     transpose."""
     iso = attack[0]
     codes, dt, dc, dp = len(encoders), encoders.shape[1], dict(probe)["T"], total_dim(probe)
@@ -229,7 +253,7 @@ def _transfer_chunk(encoders: np.ndarray, probe: Registers, attack, scale: float
     amps = amps.reshape(codes, dr, dy, dc, -1, dr, dy, dc).transpose(0, 6, 2, 1, 3, 4, 5, 7)
     x = np.multiply(scale, amps, order="C").reshape(codes, dy, dy, -1, dp)
     x.setflags(write=False)
-    return TransferChunk(x)
+    return x
 
 
 # One entry, like _attack_pieces: every sweep of one job reads the same

@@ -40,6 +40,10 @@ class RegisterError(ValueError):
     """Raised for unknown, duplicate, or dimension-mismatched register names."""
 
 
+class InvariantError(RuntimeError):
+    """An internal invariant failed: a fault in the program, not in its input."""
+
+
 def as_registers(registers: Iterable) -> Registers:
     regs = tuple((str(name), int(dim)) for name, dim in registers)
     names = [name for name, _ in regs]
@@ -204,7 +208,8 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
 def trace_norm(delta: np.ndarray):
     """Schatten 1-norm of a Hermitian matrix, the sum of its |eigenvalues|;
     of a stack of them (over the last two axes), the array of their norms.
-    A matrix that is not Hermitian within ATOL_EXACT is refused."""
+    A matrix that is not Hermitian within ATOL_EXACT is an ``InvariantError``:
+    every difference the program takes the norm of is Hermitian."""
     delta = np.asarray(delta)
     # delta minus its adjoint, each entry's modulus then written over its real
     # part: one temporary the size of delta
@@ -217,7 +222,7 @@ def trace_norm(delta: np.ndarray):
         np.abs(gap, out=gap)
     skew = real.max(initial=0.0)
     if not skew <= ATOL_EXACT:
-        raise ValueError(f"trace_norm takes Hermitian matrices; this one is {skew:.3g} from its adjoint")
+        raise InvariantError(f"trace_norm takes Hermitian matrices; this one is {skew:.3g} from its adjoint")
     norms = np.abs(np.linalg.eigvalsh(delta)).sum(axis=-1)
     return float(norms) if delta.ndim == 2 else norms
 

@@ -15,9 +15,10 @@ but B), the fixed states that ``FinalState.replaced`` puts on records
 that ``hybrid._blocks`` builds on kept registers only, the two counts of
 the classical family's one pass over message pairs, the XOR blocks of the
 soundness operator Omega, the probe that stands in for its entries off the
-blocks, and ``ptp-soundness``'s ``within_epsilon`` verdict.
+blocks, and the verdicts of ``ptp-soundness`` (``within_epsilon``), of each
+``uc`` advantage report and of the classical family's advantage.
 
-Run it from anywhere; it takes about forty seconds on two cores.
+Run it from anywhere; it takes about thirty seconds on two cores.
 """
 
 from __future__ import annotations
@@ -55,10 +56,10 @@ MUTANTS = (
     # the accept class: y == ysyn + 1 instead of y == ysyn
     Mutant(
         "accept-class-off-the-diagonal",
-        "src/qauthlab/hybrid.py",
-        "np.eye(self.x.shape[1], dtype=bool)",
-        "np.eye(self.x.shape[1], k=1, dtype=bool)",
-        "tests/test_key_sweep_oracle.py::test_each_chunk_caches_its_two_verdict_classes",
+        "src/qauthlab/protocols.py",
+        "np.eye(dy, dtype=bool)",
+        "np.eye(dy, k=1, dtype=bool)",
+        "tests/test_key_sweep_oracle.py::test_the_transfer_holds_its_two_verdict_classes",
     ),
     # ebit_ptp's accept weights without the receiver's syndrome probability
     Mutant(
@@ -176,6 +177,22 @@ MUTANTS = (
         "ok = exact <= family.epsilon_verified + 1e-9",
         "ok = True",
         "tests/test_cli.py::test_ptp_soundness_understated_epsilon_exits_one",
+    ),
+    # every advantage report passes whatever its bound
+    Mutant(
+        "advantage-report-always-passes",
+        "src/qauthlab/ucharness.py",
+        "passed=bool(advantage <= bound + ADVANTAGE_TOL),",
+        "passed=True,",
+        "tests/test_cli.py::test_uc_understated_epsilon_fails_both_bounds",
+    ),
+    # the classical family's advantage passes whatever its stated eps_asu2
+    Mutant(
+        "wc-advantage-always-passes",
+        "src/qauthlab/classical_wc.py",
+        "passed=best <= family.eps_asu2 + 1e-12,",
+        "passed=True,",
+        "tests/test_classical_wc.py::test_an_understated_eps_fails_the_advantage_check",
     ),
 )
 

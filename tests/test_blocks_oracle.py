@@ -47,11 +47,12 @@ def _calls(monkeypatch, clear_caches, budget, run):
     """Run with the chunk budget patched; return every ``_blocks`` call as
     (its arguments, the verdict of its Gram, its result)."""
     blocks, calls, verdicts = hybrid._blocks, [], {}
-    add_chunk = hybrid._add_chunk
+    build = protocols.build_transfer
 
-    def chunk_spy(blocks, chunk, *rest):
-        verdicts.update({id(gram): verdict for verdict, gram in chunk.verdicts})
-        return add_chunk(blocks, chunk, *rest)
+    def build_spy(*args):
+        transfer = build(*args)
+        verdicts.update({id(gram): verdict for verdict, gram in transfer.verdicts})
+        return transfer
 
     def spy(*args):
         result = blocks(*args)
@@ -59,10 +60,9 @@ def _calls(monkeypatch, clear_caches, budget, run):
         return result
 
     with monkeypatch.context() as patch:
-        for module in (hybrid, protocols):
-            patch.setattr(module, "CHUNK_ELEMENTS", budget)
+        patch.setattr(protocols, "CHUNK_ELEMENTS", budget)
         patch.setattr(hybrid, "_blocks", spy)
-        patch.setattr(hybrid, "_add_chunk", chunk_spy)
+        patch.setattr(protocols, "build_transfer", build_spy)
         clear_caches()
         run()
     clear_caches()
@@ -78,7 +78,7 @@ def test_blocks_match_the_build_then_trace_oracle(monkeypatch, clear_job_caches,
             attack = suite[name]
             if ("psqa" in sweep or "psrqa" in sweep) and attack.acts_on != ("T",):
                 continue
-            for budget in (1, hybrid.CHUNK_ELEMENTS):
+            for budget in (1, protocols.CHUNK_ELEMENTS):
                 calls = _calls(monkeypatch, clear_job_caches, budget, lambda: SWEEPS[sweep](family, attack))
                 for args, verdict, result in calls:
                     kinds.add((verdict, args[3]))
@@ -96,7 +96,7 @@ def test_the_comparison_sees_a_kept_register_and_a_skipped_correction(monkeypatc
     attack = next(a for a in standard_suite(1, 3) if a.name() == "depol-0.5")
     kept = skipped = 0
     for sweep in ("run_qa_kg", "run_qa_kg_ideal", "run_psrqa_kg/detail"):
-        calls = _calls(monkeypatch, clear_job_caches, hybrid.CHUNK_ELEMENTS, lambda: SWEEPS[sweep](families[0], attack))
+        calls = _calls(monkeypatch, clear_job_caches, protocols.CHUNK_ELEMENTS, lambda: SWEEPS[sweep](families[0], attack))
         for (gram, psi, layout, drop, fix), _, result in calls:
             assert _agree(result, build_then_trace_blocks(gram, psi, layout, drop, fix))
             for name in drop:

@@ -109,6 +109,15 @@ def test_exhaustive_advantage_bounded_by_eps():
     assert wc_kg_advantage(fam).advantage == pytest.approx(fam.eps_asu2)
 
 
+def test_an_understated_eps_fails_the_advantage_check():
+    # negative control: the same family stating an eps_asu2 below the
+    # advantage it reaches (exactly its true eps) must not pass
+    fam = poly_hash_family(3, 1)
+    rep = wc_kg_advantage(replace(fam, eps_asu2=fam.eps_asu2 / 2))
+    assert rep.advantage == pytest.approx(fam.eps_asu2)
+    assert rep.passed is False
+
+
 def test_key_leak_demo():
     fam = poly_hash_family(3, 1)
     leak = key_leak_demo(fam)

@@ -165,6 +165,31 @@ def test_uc_plan_fault_exits_three(capsys, monkeypatch):
     assert "internal invariant violated" in err and "accumulated under different kept registers" in err
 
 
+def test_uc_non_hermitian_block_exits_three(capsys, monkeypatch):
+    # one run_tqa_kg block moved by 1e-6 in one off-diagonal entry is no
+    # longer Hermitian; the distance that compares it with run_qa_kg's refuses
+    # it as a fault of the program (exit 3), never a configuration error
+    from qauthlab import cli
+    from qauthlab.hybrid import FinalState
+
+    run_tqa_kg = cli.run_tqa_kg
+
+    def tampered(*args, **kwargs):
+        blocks = {rec: (b.registers, b.matrix) for rec, b in run_tqa_kg(*args, **kwargs).blocks.items()}
+        rec = next(iter(blocks))
+        regs, matrix = blocks[rec]
+        matrix = matrix.copy()
+        matrix[0, 1] += 1e-6
+        blocks[rec] = (regs, matrix)
+        return FinalState(blocks)
+
+    monkeypatch.setattr(cli, "run_tqa_kg", tampered)
+    code = main(["uc", "--family", str(FIXTURE), "--attack", "identity", "--input", "random-1", "--seed", "1"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "internal invariant violated" in err and "trace_norm" in err
+
+
 def test_uc_tampered_decoder_breaks_the_forms_identity(capsys, monkeypatch):
     # negative control for identities_ok: ebit_ptc runs the family with code 0
     # swapped for a copy of code 1, so its encoder and decoder for t = 0 are
@@ -219,6 +244,21 @@ def test_uc_understated_epsilon_exits_one(tmp_path, capsys):
     assert result["checks"]["acc_defect_ok"] is False
     # the advantage bounds are too loose to notice
     assert result["ebit"]["pass"] and result["qa_kg"]["pass"]
+
+
+def test_uc_understated_epsilon_fails_both_bounds(tmp_path, capsys):
+    # negative control: the fixture's eps is 2/7; stated as 1e-4, both bounds
+    # fall to 2 sqrt(2) (1e-4)^(1/3) = 0.131, below X0's advantage of 2/7
+    payload = json.loads(FIXTURE.read_text())
+    payload["epsilon_verified"] = 1e-4
+    fam_path = tmp_path / "fam.json"
+    fam_path.write_text(json.dumps(payload))
+    code, rep = run_cli(capsys, "uc", "--family", str(fam_path), "--attack", "X0", "--input", "random-1", "--seed", "1")
+    assert code == 1
+    (result,) = rep["results"]
+    for protocol in ("ebit", "qa_kg"):
+        assert result[protocol]["advantage"] > result[protocol]["bound"], protocol
+        assert result[protocol]["pass"] is False, protocol
 
 
 def test_ptp_soundness_command(tmp_path, capsys):

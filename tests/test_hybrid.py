@@ -101,7 +101,7 @@ def test_distance_counts_missing_records():
     )
     assert full.distance(only0) == pytest.approx(0.5)
     assert only0.distance(full) == pytest.approx(0.5)
-    with pytest.raises(RegisterError):
+    with pytest.raises(InvariantError):
         full.distance(FinalState({(("a", 0),): ((("Bx", 2),), np.eye(2) / 2)}))
 
 
@@ -118,9 +118,9 @@ def per_record_distance(a: FinalState, b: FinalState) -> float:
             total += mine.weight
         else:
             if reg_names(mine.registers) != reg_names(theirs.registers):
-                raise RegisterError(f"record {rec} has mismatched registers")
+                raise InvariantError(f"record {rec} has mismatched registers")
             if mine.matrix.shape != theirs.matrix.shape:
-                raise RegisterError(f"record {rec} has mismatched dimensions")
+                raise InvariantError(f"record {rec} has mismatched dimensions")
             total += float(np.linalg.svd(mine.matrix - theirs.matrix, compute_uv=False).sum())
     return float(total)
 
@@ -206,16 +206,16 @@ def test_distance_stacks_blocks_of_every_shape():
 def test_distance_refuses_a_non_hermitian_difference():
     a = FinalState({(("r", 0),): (B, np.eye(2) / 2)})
     b = FinalState({(("r", 0),): (B, np.array([[0.5, 1e-9], [0.0, 0.5]]))})
-    with pytest.raises(ValueError, match="Hermitian"):
+    with pytest.raises(InvariantError, match="Hermitian"):
         a.distance(b)
 
 
 def test_distance_refuses_mismatched_dimensions():
     a = FinalState({(("r", 0),): (B, np.eye(2) / 2)})
     b = FinalState({(("r", 0),): ((("B", 4),), np.eye(4) / 4)})
-    with pytest.raises(RegisterError, match="dimensions"):
+    with pytest.raises(InvariantError, match="dimensions"):
         a.distance(b)
-    with pytest.raises(RegisterError, match="registers"):
+    with pytest.raises(InvariantError, match="registers"):
         a.distance(FinalState({(("r", 0),): ((("C", 2),), np.eye(2) / 2)}))
 
 
@@ -297,13 +297,12 @@ def test_key_sweep_total_weight_and_records(family_s1):
 
 @pytest.mark.parametrize("rej_slice, kept", [(0.6e-15, True), (0.4e-15, False)])
 def test_a_record_class_is_pruned_by_its_own_probability(rej_slice, kept):
-    # one code at s = 1, a 1-dim probe and a 2-dim output: the two REJ slices
-    # each sit below PRUNE_BELOW, and the REJ class is kept iff their sum
-    # (1.2e-15 or 0.8e-15) is above it
-    x = np.zeros((1, 2, 2, 2, 1), dtype=complex)
-    x[0, [0, 1], [0, 1], 0, 0] = np.sqrt(0.5)
-    x[0, [0, 1], [1, 0], 1, 0] = np.sqrt(rej_slice)
-    transfer = hybrid.Transfer((("T", 1),), (("T", 2),), (hybrid.TransferChunk(x),))
+    # one code at s = 1, a 1-dim probe and a 2-dim output: the two REJ
+    # branches each carry rej_slice, below PRUNE_BELOW, on output 1, the two
+    # ACC branches 1/2 each on output 0; the REJ class is kept iff the sum of
+    # its branches (1.2e-15 or 0.8e-15) is above PRUNE_BELOW
+    rej, acc = np.diag([0.0, 2 * rej_slice]).astype(complex), np.diag([1.0, 0.0]).astype(complex)
+    transfer = hybrid.Transfer((("T", 1),), (("T", 2),), (("REJ", rej), ("ACC", acc)))
     final = key_sweep(transfer, StateVector(np.ones(1, dtype=complex), (("C", 1),)), "C", _verdict_plan)
     assert final.blocks[(("verdict", "ACC"),)].weight == pytest.approx(1.0, abs=1e-15)
     rej = final.blocks.get((("verdict", "REJ"),))
@@ -311,6 +310,37 @@ def test_a_record_class_is_pruned_by_its_own_probability(rej_slice, kept):
     if kept:
         assert rej.weight == pytest.approx(2 * rej_slice, rel=1e-12)
         assert rej.registers == (("B", 2),)
+
+
+@pytest.mark.parametrize("budget", [1, None])
+def test_a_record_class_is_pruned_over_the_whole_family(monkeypatch, clear_job_caches, budget):
+    # the fixture's first two codes, one code per chunk or both in one: X on
+    # qubit 2 has a nonzero syndrome in both, so a mixture that applies it
+    # with weight 1.2e-15 rejects with that probability, 0.6e-15 per code.
+    # The REJ pair is pruned on its probability over the whole family, above
+    # PRUNE_BELOW, never on a chunk's share, below it
+    from dataclasses import replace
+
+    from qauthlab import protocols
+
+    family = PtcFamily.load(FIXTURE)
+    family = replace(family, codes=family.codes[:2])
+    w = 1.2e-15
+    flagged = AttackDescriptor("fixed_pauli", x=4, label="X2")
+    assert ebit_ptc(family, flagged).blocks[(("verdict", "REJ"),)].weight == pytest.approx(1.0, abs=1e-12)
+    code_chunks, cut = protocols._code_chunks, []
+
+    def spy(encoders, per_code):
+        cut.append(code_chunks(encoders, per_code))
+        return cut[-1]
+
+    if budget is not None:
+        monkeypatch.setattr(protocols, "CHUNK_ELEMENTS", budget)
+    monkeypatch.setattr(protocols, "_code_chunks", spy)
+    clear_job_caches()
+    final = ebit_ptc(family, AttackDescriptor("pauli_mixture", weights=((1 - w, 0, 0), (w, 4, 0)), label="rare-X2"))
+    assert [len(chunks) for chunks in cut] == [2 if budget == 1 else 1]
+    assert final.blocks[(("verdict", "REJ"),)].weight == pytest.approx(w, rel=1e-6)
 
 
 def test_key_sweep_rejects_non_isometric_attack(family_s1):
@@ -342,50 +372,49 @@ def test_a_plan_that_merges_two_classes_is_an_invariant_error(family_s1, differ)
 
 
 def test_key_is_contracted_once_per_sweep(monkeypatch, clear_job_caches, family_s2):
-    # one code per chunk: 8 chunks, and still one contraction of the key; the
-    # transfer is built once per uc job and once per psqa job, and every sweep
-    # of the job reads it
+    # one code per chunk: 8 chunks, built by the first sweep alone, and still
+    # one contraction of the key per sweep; the transfer is built once per uc
+    # job and once per psqa job, and every sweep of the job reads it
     from qauthlab import hybrid, protocols
     from qauthlab.adversary import purified_input, standard_suite
     from qauthlab.approx_psqa import psqa_advantage, run_psqa_kg, run_psrqa_kg, sample_cipher
     from qauthlab.cli import _uc_single
     from qauthlab.protocols import run_qa_kg, run_tqa_kg
 
-    contract, add_chunk, build = hybrid._contract, hybrid._add_chunk, protocols.build_transfer
+    contract, transfer_chunk, build = hybrid._contract, protocols._transfer_chunk, protocols.build_transfer
     seen, chunks, built = [], [], []
 
     def spy(amps, regs, names, matrix, in_names, out_regs, classical=()):
         seen.append(tuple(in_names))
         return contract(amps, regs, names, matrix, in_names, out_regs, classical)
 
-    def chunk_spy(blocks, chunk, *rest):
-        chunks.append(len(chunk.x))
-        return add_chunk(blocks, chunk, *rest)
+    def chunk_spy(encoders, *rest):
+        chunks.append(len(encoders))
+        return transfer_chunk(encoders, *rest)
 
     def build_spy(encoders, attack, m):
         built.append(len(encoders))
         return build(encoders, attack, m)
 
-    for module in (hybrid, protocols):
-        monkeypatch.setattr(module, "CHUNK_ELEMENTS", 1)
+    monkeypatch.setattr(protocols, "CHUNK_ELEMENTS", 1)
     monkeypatch.setattr(hybrid, "_contract", spy)
-    monkeypatch.setattr(hybrid, "_add_chunk", chunk_spy)
+    monkeypatch.setattr(protocols, "_transfer_chunk", chunk_spy)
     monkeypatch.setattr(protocols, "build_transfer", build_spy)
     psi = StateVector(max_entangled_vector(2), (("R", 2), ("M", 2)))
     cipher = sample_cipher(1, 4, seed=2)
     vec = np.array([0.6, 0.8j], dtype=complex)
     attack = AttackDescriptor("identity")
-    for run, keyed in (
+    for i, (run, keyed) in enumerate((
         (lambda: run_qa_kg(psi, family_s2, attack), ("M",)),
         (lambda: run_tqa_kg(psi, family_s2, attack), ("M", "A1")),
         (lambda: run_psqa_kg(vec, cipher, family_s2, attack), ("Mc",)),
         (lambda: run_psrqa_kg(vec, cipher, family_s2, attack), ("Ams",)),
-    ):
+    )):
         seen.clear()
         chunks.clear()
         run()
         assert seen == [keyed]
-        assert chunks == [1] * 8
+        assert chunks == ([1] * 8 if i == 0 else [])
 
     clear_job_caches()
     built.clear()
@@ -398,28 +427,29 @@ def test_key_is_contracted_once_per_sweep(monkeypatch, clear_job_caches, family_
     assert built == [8, 8, 8]
 
 
-def test_verdict_grams_are_taken_once_per_chunk(monkeypatch, clear_job_caches, family_s2):
-    # one code per chunk: the four key sweeps of a uc job read each chunk of
-    # the one transfer, and ebit_ptp none (it cuts its own 8 runs of codes);
-    # each chunk takes its verdict Grams once, whichever sweep reads it first
+def test_verdict_grams_are_taken_once_per_job(monkeypatch, clear_job_caches, family_s2):
+    # one code per chunk: a uc job builds its transfer once, from 8 chunks
+    # whose Grams add into two arrays, and its four key sweeps each read
+    # those two; ebit_ptp reads none (it cuts its own 8 runs of codes)
     from collections import Counter
-    from functools import cached_property
 
     from qauthlab import hybrid, protocols
     from qauthlab.adversary import purified_input, standard_suite
     from qauthlab.cli import _uc_single
 
-    verdicts, add_chunk = hybrid.TransferChunk.verdicts.func, hybrid._add_chunk
-    trace_out, code_chunks = hybrid._trace_out_axes, protocols._code_chunks
-    taken, read, traced, cut = [], [], Counter(), []
+    blocks, trace_out, total = hybrid._blocks, hybrid._trace_out_axes, hybrid.checked_total
+    code_chunks, build = protocols._code_chunks, protocols.build_transfer
+    read, sweeps, traced, cut, built = [], [], Counter(), [], []
 
-    def verdicts_spy(chunk):
-        taken.append(chunk)
-        return verdicts(chunk)
+    def blocks_spy(gram, *rest):
+        read.append(gram)
+        return blocks(gram, *rest)
 
-    def chunk_spy(blocks, chunk, *rest):
-        read.append(chunk)
-        return add_chunk(blocks, chunk, *rest)
+    def total_spy(final, where):
+        # one key sweep ends: the Grams its blocks read
+        sweeps.append({id(gram) for gram in read})
+        read.clear()
+        return total(final, where)
 
     def traced_spy(gram, dims, axes):
         traced[id(gram), axes] += 1
@@ -429,31 +459,31 @@ def test_verdict_grams_are_taken_once_per_chunk(monkeypatch, clear_job_caches, f
         cut.append(code_chunks(encoders, per_code))
         return cut[-1]
 
-    prop = cached_property(verdicts_spy)
-    prop.__set_name__(hybrid.TransferChunk, "verdicts")
-    monkeypatch.setattr(hybrid.TransferChunk, "verdicts", prop)
-    for module in (hybrid, protocols):
-        monkeypatch.setattr(module, "CHUNK_ELEMENTS", 1)
-    monkeypatch.setattr(hybrid, "_add_chunk", chunk_spy)
+    def build_spy(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(protocols, "CHUNK_ELEMENTS", 1)
+    monkeypatch.setattr(hybrid, "_blocks", blocks_spy)
+    monkeypatch.setattr(hybrid, "checked_total", total_spy)
     monkeypatch.setattr(hybrid, "_trace_out_axes", traced_spy)
     monkeypatch.setattr(protocols, "_code_chunks", codes_spy)
+    monkeypatch.setattr(protocols, "build_transfer", build_spy)
     clear_job_caches()
     x0 = next(a for a in standard_suite(1, 2) if a.name() == "X0")
     _uc_single(family_s2, x0, purified_input("random-3", 1))
-    shared = _transfer(family_s2, x0).chunks
-    assert len(shared) == 8
-    for chunk in shared:
-        assert sum(c is chunk for c in read) == 4
-        assert sum(c is chunk for c in taken) == 1
-    # every chunk read is the transfer's: ebit_ptp builds none
-    assert len(read) == 4 * len(shared) and len(taken) == len(shared)
+    (transfer,) = built
+    assert _transfer(family_s2, x0) is transfer
+    grams = {id(gram): verdict for verdict, gram in transfer.verdicts}
+    assert sorted(grams.values()) == ["ACC", "REJ"]
+    # four key sweeps, each reading both Grams of the one transfer
+    assert sweeps == [set(grams)] * 4 and read == []
     # the transfer's codes and ebit_ptp's, one code per run
     assert [[len(codes) for codes in chunks] for chunks in cut] == [[1] * 8] * 2
     # X0 is accepted or rejected per code, whatever the input. A Gram is
     # traced only where a record drops an output register: the receiver
     # (axis 0 of (T, E)) of a reject record in all four sweeps, of an accept
     # record in the ideal's; the real runs' accept records keep both
-    grams = {id(gram): verdict for chunk in shared for verdict, gram in chunk.verdicts}
     assert set(traced) <= {(gram, (0,)) for gram in grams}
     assert {grams[gram] for gram, _ in traced} == {"ACC", "REJ"}
     assert all(n == (4 if grams[gram] == "REJ" else 1) for (gram, _), n in traced.items())

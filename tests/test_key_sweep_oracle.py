@@ -16,17 +16,18 @@ and the blocks agree within 1e-12, and every block is Hermitian within
 branch (``oracles.branch_plan``): it must prune every accept branch of a
 detected attack, and its branches, summed per record class
 (``oracles.merge_branches``), must give the engine's blocks.
-Each transfer chunk's cached verdict Grams are checked against their
-definition, and with the two swapped the comparison must fail.
+The transfer's two verdict Grams, summed over chunks of one code each, are
+checked against their definition, and with the two swapped the comparison
+must fail.
 """
 
-from functools import cached_property
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qauthlab import hybrid
+from qauthlab import protocols
 from qauthlab.adversary import purified_input, standard_suite
 from qauthlab.approx_psqa import psqa_ideal, run_psqa_kg, run_psrqa_kg, sample_cipher
 from qauthlab.codes import PtcFamily
@@ -147,21 +148,34 @@ def test_a_wrong_correction_fails_the_comparison(family, suite, sweep):
     assert compare(got, oracle_run(sweep, family, attack, tamper=True)) != []
 
 
-def test_each_chunk_caches_its_two_verdict_classes(family, suite):
+def test_the_transfer_holds_its_two_verdict_classes(monkeypatch, clear_job_caches, family, suite):
     # REJ then ACC: each Gram matrix is the sum of x_b x_b^dag over its
-    # branches, ACC's exactly those with y == ysyn
+    # branches, ACC's exactly those with y == ysyn, over the branch maps of
+    # every chunk of codes (one code each here); the transfer is built once
+    # per job, so every sweep of the job reads the same two read-only arrays
+    transfer_chunk, built = protocols._transfer_chunk, []
+
+    def spy(*args):
+        built.append(transfer_chunk(*args))
+        return built[-1]
+
+    monkeypatch.setattr(protocols, "_transfer_chunk", spy)
+    monkeypatch.setattr(protocols, "CHUNK_ELEMENTS", 1)
     for attack in suite:
-        for chunk in _transfer(family, attack).chunks:
-            codes, dy = chunk.x.shape[:2]
-            x = chunk.x.reshape(codes * dy * dy, -1)
-            _, y, ysyn = np.unravel_index(np.arange(len(x)), (codes, dy, dy))
-            (rej, rej_gram), (acc, acc_gram) = chunk.verdicts
-            assert (rej, acc) == (REJ, ACC)
-            for rows, gram in ((np.flatnonzero(y != ysyn), rej_gram), (np.flatnonzero(y == ysyn), acc_gram)):
-                want = sum(np.outer(x[b], x[b].conj()) for b in rows)
-                assert np.abs(gram - want).max() <= TOL, attack.name()
-                assert not gram.flags.writeable
-            assert chunk.verdicts is chunk.verdicts
+        built.clear()
+        transfer = _transfer(family, attack)
+        assert len(built) == len(family.codes)
+        x = np.concatenate(built)
+        codes, dy = x.shape[:2]
+        x = x.reshape(codes * dy * dy, -1)
+        _, y, ysyn = np.unravel_index(np.arange(len(x)), (codes, dy, dy))
+        (rej, rej_gram), (acc, acc_gram) = transfer.verdicts
+        assert (rej, acc) == (REJ, ACC)
+        for rows, gram in ((np.flatnonzero(y != ysyn), rej_gram), (np.flatnonzero(y == ysyn), acc_gram)):
+            want = sum(np.outer(x[b], x[b].conj()) for b in rows)
+            assert np.abs(gram - want).max() <= TOL, attack.name()
+            assert not gram.flags.writeable
+        assert _transfer(family, attack) is transfer and len(built) == len(family.codes)
 
 
 @pytest.mark.parametrize("sweep", ["run_qa_kg", "ebit_ptc", "run_psqa_kg"])
@@ -171,14 +185,13 @@ def test_swapped_verdict_classes_fail_the_comparison(monkeypatch, clear_job_cach
     got = SWEEPS[sweep](family, attack)
     want = oracle_run(sweep, family, attack)
     assert compare(got, want) == []
-    verdicts = hybrid.TransferChunk.verdicts.func
+    build = protocols.build_transfer
 
-    def swapped(chunk):
-        (rej, rej_gram), (acc, acc_gram) = verdicts(chunk)
-        return (rej, acc_gram), (acc, rej_gram)
+    def swapped(*args):
+        transfer = build(*args)
+        (rej, rej_gram), (acc, acc_gram) = transfer.verdicts
+        return replace(transfer, verdicts=((rej, acc_gram), (acc, rej_gram)))
 
-    prop = cached_property(swapped)
-    prop.__set_name__(hybrid.TransferChunk, "verdicts")
-    monkeypatch.setattr(hybrid.TransferChunk, "verdicts", prop)
+    monkeypatch.setattr(protocols, "build_transfer", swapped)
     clear_job_caches()
     assert compare(SWEEPS[sweep](family, attack), want) != []

@@ -4,6 +4,7 @@ import pytest
 from qauthlab import qmath
 from qauthlab.qmath import (
     DensityMatrix,
+    InvariantError,
     Povm,
     RegisterError,
     StateVector,
@@ -142,14 +143,14 @@ def test_trace_norm_refuses_a_non_hermitian_matrix(rng):
     # roundoff-sized skew passes; a skew above 1e-12 is refused
     trace_norm(delta + 1e-13 * np.triu(np.ones((4, 4)), 1))
     skewed = delta + 1e-11 * np.triu(np.ones((4, 4)), 1)
-    with pytest.raises(ValueError, match="Hermitian"):
+    with pytest.raises(InvariantError, match="Hermitian"):
         trace_norm(skewed)
-    with pytest.raises(ValueError, match="Hermitian"):
+    with pytest.raises(InvariantError, match="Hermitian"):
         trace_norm(np.stack([delta, skewed]))
-    with pytest.raises(ValueError, match="Hermitian"):
+    with pytest.raises(InvariantError, match="Hermitian"):
         trace_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
     # a NaN entry is never within the tolerance
-    with pytest.raises(ValueError, match="Hermitian"):
+    with pytest.raises(InvariantError, match="Hermitian"):
         trace_norm(np.where(np.eye(4, k=1, dtype=bool), np.nan, delta))
 
 
@@ -167,7 +168,7 @@ def test_trace_norm_checks_hermiticity_with_one_temporary(rng):
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        with pytest.raises(ValueError, match="Hermitian"):
+        with pytest.raises(InvariantError, match="Hermitian"):
             trace_norm(stack)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:

@@ -1,13 +1,14 @@
 """The chunking of the code axis changes no result.
 
-The transfer that ``key_sweep`` reads is built, and its Gram matrices taken,
-in chunks of codes sized by ``hybrid.CHUNK_ELEMENTS``; ``ebit_ptp`` computes
-its branches, its accept blocks and its reject Gram in chunks sized by the
-same budget (both cut by ``protocols._code_chunks``). Here the budget is
-patched three ways on the 8-code ``family_s2``: one code per chunk, chunks of
-three (boundaries inside the family and a shorter last chunk), and every code
-in one chunk. A key sweep's finalizer must read each chunk once, in order, and
-``ebit_ptp`` none.
+The transfer that ``key_sweep`` reads is built, and its two verdict Grams
+summed, in chunks of codes sized by ``protocols.CHUNK_ELEMENTS``;
+``ebit_ptp`` computes its branches, its accept blocks and its reject Gram in
+chunks sized by the same budget (both cut by ``protocols._code_chunks``).
+Here the budget is patched three ways on the 8-code ``family_s2``: one code
+per chunk, chunks of three (boundaries inside the family and a shorter last
+chunk), and every code in one chunk. A key sweep must make the same
+``hybrid._blocks`` calls (as many, on the same registers to drop, in the
+same order) whatever the chunks, and ``ebit_ptp`` none.
 Each run must give the same records on the same registers as the one-chunk
 run, with weights and the distance between them within 1e-12. For the sweeps
 named ``…/detail`` the one-chunk run must also be the oracles' records per
@@ -68,30 +69,29 @@ def _chunked(monkeypatch, clear_caches, budget, run):
     """Run with the chunk budget patched; return the final state, the
     lengths of the runs of codes it was cut into, in order
     (``protocols._code_chunks``: the transfer's for a key sweep,
-    ``ebit_ptp``'s own), their entries per code, and the lengths of the
-    transfer chunks the key sweep's finalizer read."""
-    add_chunk, code_chunks = hybrid._add_chunk, protocols._code_chunks
-    read, cut = [], []
+    ``ebit_ptp``'s own), their entries per code, and the registers to drop of
+    each ``hybrid._blocks`` call, in order."""
+    blocks, code_chunks = hybrid._blocks, protocols._code_chunks
+    calls, cut = [], []
 
-    def chunk_spy(blocks, chunk, *rest):
-        read.append(len(chunk.x))
-        return add_chunk(blocks, chunk, *rest)
+    def blocks_spy(*args):
+        calls.append(args[3])
+        return blocks(*args)
 
     def codes_spy(encoders, per_code):
         cut.append((code_chunks(encoders, per_code), per_code))
         return cut[-1][0]
 
     with monkeypatch.context() as patch:
-        for module in (hybrid, protocols):
-            patch.setattr(module, "CHUNK_ELEMENTS", budget)
-        patch.setattr(hybrid, "_add_chunk", chunk_spy)
+        patch.setattr(protocols, "CHUNK_ELEMENTS", budget)
+        patch.setattr(hybrid, "_blocks", blocks_spy)
         patch.setattr(protocols, "_code_chunks", codes_spy)
         clear_caches()
         final = run()
     clear_caches()
     # one run is cut once: one transfer per job, or ebit_ptp's codes
     ((chunks, per_code),) = cut
-    return final, [len(codes) for codes in chunks], per_code, read
+    return final, [len(codes) for codes in chunks], per_code, calls
 
 
 def _assert_same(final, want, label):
@@ -112,20 +112,20 @@ def test_chunking_changes_no_record(monkeypatch, clear_job_caches, family_s2, sw
             if attack.acts_on != ("T",):
                 continue
         run = lambda: SWEEPS[sweep](family_s2, attack)  # noqa: E731
-        # a key sweep's finalizer reads every transfer chunk once, in order;
-        # ebit_ptp reads none
-        whole, sizes, per_code, read = _chunked(monkeypatch, clear_job_caches, 1 << 40, run)
+        # a key sweep builds its blocks as often from any chunks of codes as
+        # from one; ebit_ptp builds none through _blocks
+        whole, sizes, per_code, calls = _chunked(monkeypatch, clear_job_caches, 1 << 40, run)
         assert sizes == [8], (sweep, name)
-        assert read == ([] if sweep.startswith("ebit_ptp") else sizes), (sweep, name)
+        assert (calls == []) == sweep.startswith("ebit_ptp"), (sweep, name)
         if sweep in BRANCHES:
             branches = merge_branches(BRANCHES[sweep](family_s2, attack))
             _assert_same(whole, branches, f"{sweep} {name} branches summed per class")
-        own, sizes, _, read = _chunked(monkeypatch, clear_job_caches, 1, run)
+        own, sizes, _, own_calls = _chunked(monkeypatch, clear_job_caches, 1, run)
         assert sizes == [1] * 8, (sweep, name)
-        assert read == ([] if sweep.startswith("ebit_ptp") else sizes), (sweep, name)
+        assert own_calls == calls, (sweep, name)
         _assert_same(own, whole, f"{sweep} {name} one code per chunk")
-        threes, sizes, _, read = _chunked(monkeypatch, clear_job_caches, 3 * per_code, run)
+        threes, sizes, _, three_calls = _chunked(monkeypatch, clear_job_caches, 3 * per_code, run)
         assert sizes == [3, 3, 2], (sweep, name)
-        assert read == ([] if sweep.startswith("ebit_ptp") else sizes), (sweep, name)
+        assert three_calls == calls, (sweep, name)
         _assert_same(threes, whole, f"{sweep} {name} chunks of three")
         _assert_same(run(), whole, f"{sweep} {name} default budget")

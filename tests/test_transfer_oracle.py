@@ -4,14 +4,18 @@
 probe basis contracted with the encoders, then the attack, through
 ``hybrid._contract``, then each code's decoder through ``hybrid._keyed`` and
 three ``moveaxis`` to the (codes, y, ysyn, out, probe) layout. The engine
-builds the same chunk from two batched products and one transpose. Both are
-read through ``build_transfer``, so they see the same chunks of codes.
+builds the same branch maps from two batched products and one transpose.
+Both are read through ``build_transfer``, so they see the same chunks of
+codes, and each chunk's maps are taken as ``_transfer_chunk`` returns them.
 
-Every chunk's ``x`` must be ``array_equal`` to the oracle's: on all 27 attacks of the benchmark's m=1, s=3 family, with the
-chunk budget at one entry (one code per chunk), at 2^12 entries and at its
-default, and on searched families at (m, s) = (1, 1), (1, 2), (2, 1) and
-(2, 2). An oracle that applies the decoder without its conjugate must
-differ, and an attack on (T, R), in that order, is refused.
+Every chunk's branch maps must be ``array_equal`` to the oracle's, and the
+transfer's two verdict Grams (REJ, then ACC), read-only, within 1e-12 of the
+oracle's: per chunk, sum_b x_b x_b^dag over each verdict's branches, summed
+in chunk order. This holds on all 27 attacks of the benchmark's m=1, s=3
+family, with the chunk budget at one entry (one code per chunk), at 2^12
+entries and at its default, and on searched families at (m, s) = (1, 1),
+(1, 2), (2, 1) and (2, 2). An oracle that applies the decoder without its
+conjugate must differ, and an attack on (T, R), in that order, is refused.
 """
 
 from pathlib import Path
@@ -19,14 +23,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qauthlab import hybrid, protocols
+from qauthlab import protocols
 from qauthlab.adversary import AttackDescriptor, purified_input, standard_suite
 from qauthlab.codes import PtcFamily, ptc_epsilon_formula, search_ptc
-from qauthlab.hybrid import TransferChunk, _contract, _keyed
+from qauthlab.hybrid import ACC, REJ, _contract, _keyed
 from qauthlab.protocols import _attack_pieces, _family_encoders, _transfer, build_transfer, run_qa_kg
 from qauthlab.qmath import RegisterError, reg_dims, reg_positions, total_dim
 
 FIXTURE = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "family-m1-s3.json"
+TOL = 1e-12
 
 
 def chained_transfer_chunk(encoders, probe, attack, scale, conj=True):
@@ -47,34 +52,64 @@ def chained_transfer_chunk(encoders, probe, attack, scale, conj=True):
     amps = _keyed(amps, names.index("t"), at, decoders)
     amps = amps.reshape(amps.shape[:at] + (dy, dc) + amps.shape[at + 1 :])
     amps = np.moveaxis(amps, at, len(names))
-    x = np.ascontiguousarray(scale * np.moveaxis(amps.reshape(dp, codes, dy, dy, -1), 0, -1))
-    return TransferChunk(x)
+    return np.ascontiguousarray(scale * np.moveaxis(amps.reshape(dp, codes, dy, dy, -1), 0, -1))
+
+
+def _build(monkeypatch, family, attack, make):
+    """The transfer of ``family`` under ``attack``, each chunk's branch maps
+    made by ``make``, and those maps in chunk order."""
+    chunks = []
+
+    def spy(*args):
+        chunks.append(make(*args))
+        return chunks[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(protocols, "_transfer_chunk", spy)
+        transfer = build_transfer(_family_encoders(family), _attack_pieces(family, attack), family.m)
+    return transfer, chunks
 
 
 def both_transfers(monkeypatch, family, attack, conj=True):
-    """(engine, oracle) transfers of ``family`` under ``attack``."""
-    encoders, pieces = _family_encoders(family), _attack_pieces(family, attack)
-    got = build_transfer(encoders, pieces, family.m)
-    with monkeypatch.context() as patch:
-        patch.setattr(
-            protocols, "_transfer_chunk",
-            lambda *args: chained_transfer_chunk(*args, conj=conj),
-        )
-        want = build_transfer(encoders, pieces, family.m)
-    return got, want
+    """(engine, oracle) transfers of ``family`` under ``attack``, each with
+    its chunks' branch maps."""
+    engine = _build(monkeypatch, family, attack, protocols._transfer_chunk)
+    return engine, _build(monkeypatch, family, attack, lambda *args: chained_transfer_chunk(*args, conj=conj))
+
+
+def summed_grams(chunks):
+    """(REJ, ACC) Grams of branch maps laid out (codes, y, ysyn, out, probe):
+    per chunk, sum_b x_b x_b^dag over the branches of each verdict (accept
+    iff y == ysyn), summed in chunk order."""
+    totals = {}
+    for x in chunks:
+        accept = np.eye(x.shape[1], dtype=bool)[None, :, :, None, None]
+        for verdict, part in ((REJ, np.where(accept, 0, x)), (ACC, np.where(accept, x, 0))):
+            flat = part.reshape(-1, x.shape[3] * x.shape[4])
+            gram = np.einsum("bi,bj->ij", flat, flat.conj())
+            totals[verdict] = totals[verdict] + gram if verdict in totals else gram
+    return [(REJ, totals[REJ]), (ACC, totals[ACC])]
 
 
 def differences(got, want) -> list[str]:
-    """What differs, bit for bit, between two transfers."""
-    if (got.probe, got.out, len(got.chunks)) != (want.probe, want.out, len(want.chunks)):
+    """What differs between two transfers: their chunks' branch maps, bit for
+    bit, and the first's verdict Grams against the second's chunks' Grams,
+    within TOL."""
+    (mine, my_chunks), (theirs, their_chunks) = got, want
+    if (mine.probe, mine.out, len(my_chunks)) != (theirs.probe, theirs.out, len(their_chunks)):
         return ["layouts or chunk counts differ"]
     problems = []
     # a chunk's first code is the number of codes of the chunks before it
-    offsets = np.cumsum([0] + [len(chunk.x) for chunk in want.chunks])
-    for mine, theirs, t0 in zip(got.chunks, want.chunks, offsets):
-        a, b = mine.x, theirs.x
+    offsets = np.cumsum([0] + [len(x) for x in their_chunks])
+    for a, b, t0 in zip(my_chunks, their_chunks, offsets):
         if a.shape != b.shape or not np.array_equal(a, b):
             problems.append(f"chunk from code {t0}: x")
+    verdicts = [verdict for verdict, _ in mine.verdicts]
+    if verdicts != [REJ, ACC]:
+        return problems + [f"verdicts {verdicts}"]
+    for (verdict, gram), (_, want_gram) in zip(mine.verdicts, summed_grams(their_chunks)):
+        if gram.flags.writeable or gram.shape != want_gram.shape or np.abs(gram - want_gram).max() > TOL:
+            problems.append(f"{verdict} Gram")
     return problems
 
 
@@ -83,17 +118,16 @@ def family():
     return PtcFamily.load(FIXTURE)
 
 
-@pytest.mark.parametrize("budget", [1, 1 << 12, hybrid.CHUNK_ELEMENTS])
+@pytest.mark.parametrize("budget", [1, 1 << 12, protocols.CHUNK_ELEMENTS])
 def test_transfer_chunks_match_the_contraction_chain(monkeypatch, clear_job_caches, family, budget):
-    for module in (hybrid, protocols):
-        monkeypatch.setattr(module, "CHUNK_ELEMENTS", budget)
+    monkeypatch.setattr(protocols, "CHUNK_ELEMENTS", budget)
     suite = standard_suite(family.m, family.s)
     assert len(suite) == 27
     chunks = 0
     for attack in suite:
         got, want = both_transfers(monkeypatch, family, attack)
         assert differences(got, want) == [], attack.name()
-        chunks += len(got.chunks)
+        chunks += len(got[1])
     # one code per chunk; chunks of 1 to 14 codes; one chunk per attack
     assert chunks == {1: 27 * 14, 1 << 12: 64}.get(budget, 27)
 
