@@ -39,7 +39,7 @@ shape (``qmath.trace_norm``); a record on one side only counts its weight.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -79,17 +79,26 @@ def record_get(record: Record, fieldname: str):
 @dataclass(frozen=True)
 class FinalBlock:
     registers: Registers
-    matrix: np.ndarray  # weighted: trace equals the record probability
+    matrix: np.ndarray  # weighted, read-only: trace equals the record probability
 
-    @property
+    def __post_init__(self):
+        # the weight is taken once, so the matrix must not change under it
+        self.matrix.setflags(write=False)
+
+    @cached_property
     def weight(self) -> float:
         return float(self.matrix.trace().real)
 
     def conditional(self) -> DensityMatrix:
+        """The normalized block. The program built it, so a matrix that
+        ``DensityMatrix`` refuses is an ``InvariantError``."""
         w = self.weight
         if w <= 0:
             raise ValueError("cannot normalize a zero-weight block")
-        return DensityMatrix(self.matrix / w, self.registers)
+        try:
+            return DensityMatrix(self.matrix / w, self.registers)
+        except ValueError as exc:
+            raise InvariantError(f"FinalBlock.conditional: {exc}") from exc
 
 
 class FinalState:

@@ -208,19 +208,22 @@ def build_transfer(encoders: np.ndarray, attack, m: int) -> Transfer:
     # the attacked amplitudes of one code hold as many entries as its transfer
     per_code = total_dim(probe) * dy * total_dim(att_out)
     scale = 1.0 / np.sqrt(len(encoders) * dy)
+    # REJ, then ACC: the (y, ysyn) with y == ysyn, as row indices of a code
+    accept = np.eye(dy, dtype=bool).reshape(-1)
+    verdict_rows = (np.flatnonzero(~accept), np.flatnonzero(accept))
     grams = []
     for codes in _code_chunks(encoders, per_code):
-        x = _transfer_chunk(codes, probe, attack, scale).reshape(len(codes) * dy * dy, -1)
-        # REJ, then ACC: the branches with y == ysyn
-        accept = np.tile(np.eye(dy, dtype=bool).reshape(-1), len(codes))
-        for i, rows in enumerate((~accept, accept)):
-            gram = x[rows].T @ x[rows].conj()
+        x = _transfer_chunk(codes, probe, attack, scale).reshape(len(codes), dy * dy, -1)
+        for i, rows in enumerate(verdict_rows):
+            # the verdict's rows, gathered once, in the order (code, y, ysyn)
+            picked = x[:, rows].reshape(-1, x.shape[-1])
+            gram = picked.T @ picked.conj()
             if i < len(grams):
                 grams[i] += gram
             else:
                 grams.append(gram)
             # freed before the next Gram is taken: at most one beside the sums
-            del gram
+            del gram, picked
         del x
     for gram in grams:
         gram.setflags(write=False)

@@ -117,9 +117,11 @@ class DensityMatrix:
         d = total_dim(regs)
         if mat.shape != (d, d):
             raise RegisterError(f"matrix shape {mat.shape} != register dims {d}x{d}")
-        if not np.allclose(mat, mat.conj().T, atol=1e-8):
+        # np.allclose(mat, adj, atol=1e-8) as one comparison; NaN fails it
+        adj = mat.conj().T
+        if not (np.abs(mat - adj) <= 1e-8 + 1e-5 * np.abs(adj)).all():
             raise ValueError("density matrix is not Hermitian")
-        eigs = np.linalg.eigvalsh((mat + mat.conj().T) / 2)
+        eigs = np.linalg.eigvalsh((mat + adj) / 2)
         if eigs.min() < -PSD_FLOOR:
             raise ValueError(f"density matrix has eigenvalue {eigs.min()} below -{PSD_FLOOR}")
         tr = float(mat.trace().real)
@@ -202,7 +204,11 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
     if not new_regs:
         raise RegisterError("cannot trace out every register")
     mat = _trace_out_axes(rho.matrix, reg_dims(rho.registers), drop)
-    return DensityMatrix(mat, new_regs)
+    # the marginal of a valid state: a refusal is a fault in the program
+    try:
+        return DensityMatrix(mat, new_regs)
+    except ValueError as exc:
+        raise InvariantError(f"partial_trace: {exc}") from exc
 
 
 def trace_norm(delta: np.ndarray):

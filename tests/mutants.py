@@ -15,8 +15,9 @@ but B), the fixed states that ``FinalState.replaced`` puts on records
 that ``hybrid._blocks`` builds on kept registers only, the two counts of
 the classical family's one pass over message pairs, the XOR blocks of the
 soundness operator Omega, the probe that stands in for its entries off the
-blocks, and the verdicts of ``ptp-soundness`` (``within_epsilon``), of each
-``uc`` advantage report and of the classical family's advantage.
+blocks, ``uc``'s ``identities_ok`` at its 1e-9 tolerance, and the verdicts
+of ``ptp-soundness`` (``within_epsilon``), of each ``uc`` advantage report
+and of the classical family's advantage.
 
 Run it from anywhere; it takes about thirty seconds on two cores.
 """
@@ -169,6 +170,15 @@ MUTANTS = (
         "blocks = first - grams * (1.0 / dm)",
         "blocks = first - grams",
         "tests/test_ucharness.py::test_gram_soundness_operator_matches_the_accept_decoder_stack",
+    ),
+    # identities_ok loosened from 1e-9 to 1e-3: only a tampered form whose
+    # gap lies between the two tells them apart
+    Mutant(
+        "identities-ok-loosened-to-1e-3",
+        "src/qauthlab/cli.py",
+        "bool(twin_gap < 1e-9 and forms_gap < 1e-9)",
+        "bool(twin_gap < 1e-3 and forms_gap < 1e-3)",
+        "tests/test_cli.py::test_uc_small_forms_gap_fails_identities_ok",
     ),
     # ptp-soundness's verdict passes whatever the exact value
     Mutant(

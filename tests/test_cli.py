@@ -227,6 +227,62 @@ def test_uc_tampered_decoder_breaks_the_forms_identity(capsys, monkeypatch):
     assert result["ebit"]["pass"] and result["qa_kg"]["pass"]
 
 
+def test_uc_negative_eigenvalue_in_an_accept_block_exits_three(capsys, monkeypatch):
+    # ebit_ptp's accept block with its lowest eigenvalue moved to -4.7e-6 of
+    # its weight (the top one raised by as much, so it stays Hermitian with
+    # its trace): the program built that block, so ebit_report's refusal of
+    # its conditional state is a fault of the program (exit 3), never a
+    # configuration error (exit 2)
+    from qauthlab import cli
+    from qauthlab.hybrid import ACC, FinalState, record_get
+
+    ebit_ptp = cli.ebit_ptp
+
+    def tampered(family, attack):
+        blocks = {rec: (b.registers, b.matrix) for rec, b in ebit_ptp(family, attack).blocks.items()}
+        rec = next(rec for rec in blocks if record_get(rec, "verdict") == ACC)
+        regs, matrix = blocks[rec]
+        values, vectors = np.linalg.eigh(matrix)
+        shift = values[0] + 4.7e-6 * values.sum()
+        low, top = vectors[:, :1], vectors[:, -1:]
+        blocks[rec] = (regs, matrix + shift * (top @ top.conj().T - low @ low.conj().T))
+        return FinalState(blocks)
+
+    monkeypatch.setattr(cli, "ebit_ptp", tampered)
+    code = main(["uc", "--family", str(FIXTURE), "--attack", "X1", "--input", "random-1", "--seed", "1"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "internal invariant violated" in err
+    assert re.search(r"FinalBlock\.conditional: density matrix has eigenvalue -4\.(7|69+\d*)e-06 below", err)
+
+
+def test_uc_small_forms_gap_fails_identities_ok(capsys, monkeypatch):
+    # negative control for identities_ok's 1e-9: ebit_ptc's accept block
+    # mixed with 1e-6 of its trace times I/d stays Hermitian and positive, and
+    # moves the forms identity to about 1e-6, far below any bound's notice
+    from qauthlab import cli
+    from qauthlab.hybrid import ACC, FinalState, record_get
+
+    ebit_ptc = cli.ebit_ptc
+
+    def mixed(family, attack):
+        blocks = {rec: (b.registers, b.matrix) for rec, b in ebit_ptc(family, attack).blocks.items()}
+        rec = next(rec for rec in blocks if record_get(rec, "verdict") == ACC)
+        regs, matrix = blocks[rec]
+        noise = matrix.trace().real * np.eye(len(matrix)) / len(matrix)
+        blocks[rec] = (regs, (1 - 1e-6) * matrix + 1e-6 * noise)
+        return FinalState(blocks)
+
+    monkeypatch.setattr(cli, "ebit_ptc", mixed)
+    code, rep = run_cli(capsys, "uc", "--family", str(FIXTURE), "--attack", "identity", "--input", "entangled")
+    assert code == 1
+    (result,) = rep["results"]
+    assert 1e-9 < result["checks"]["entanglement_forms_identity"] < 1e-3
+    assert result["checks"]["teleported_twin_identity"] < 1e-9
+    assert result["checks"]["identities_ok"] is False
+    assert result["ebit"]["pass"] and result["qa_kg"]["pass"]
+
+
 def test_uc_understated_epsilon_exits_one(tmp_path, capsys):
     # negative control: this family's true eps is 0.625; with a stored eps of
     # 0.2, attack X0 is accepted with p_acc * (1 - overlap) = 0.25 > 0.2,
@@ -332,6 +388,28 @@ def test_psqa_remote_preparation_twin_identity(capsys, monkeypatch):
         assert {k: v for k, v in after.items() if k not in ("rsp_twin_identity", "pass")} == {
             k: v for k, v in before.items() if k not in ("rsp_twin_identity", "pass")
         }
+
+
+def test_psqa_sweeps_each_attack_once(capsys, monkeypatch):
+    # one real state per attack, shared by the advantage report and the
+    # twin check, and Pr(f) measured once per run (the twin's own POVM, one
+    # per attack, measures it again)
+    from qauthlab import approx_psqa, cli
+
+    calls = {"run_psqa_kg": 0, "rsp_scale": 0}
+    for name in calls:
+
+        def counted(*args, _inner=getattr(approx_psqa, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+
+        for module in (approx_psqa, cli):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    code, rep = run_cli(capsys, "psqa", "--family", str(FIXTURE), "--attacks", "6", "--seed", "1")
+    assert code == 0 and len(rep["results"]) == 6
+    assert calls["run_psqa_kg"] == 6
+    assert calls["rsp_scale"] <= 7
 
 
 def test_bad_usage_exits_two():
@@ -485,7 +563,7 @@ def test_unusable_paths_exit_two(tmp_path, capsys, monkeypatch):
 
         return spy
 
-    for name in ("search_ptc", "_uc_single", "psqa_advantage"):
+    for name in ("search_ptc", "_uc_single", "run_psqa_kg"):
         monkeypatch.setattr(cli, name, never(name))
     (tmp_path / "file").write_text("")
     for out in (tmp_path, tmp_path / "missing" / "r.json", tmp_path / "file" / "r.json"):

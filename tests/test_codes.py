@@ -271,6 +271,27 @@ def test_family_json_malformed(tmp_path):
         PtcFamily.load(path)
 
 
+def test_load_parses_each_text_once_and_reads_the_file_every_time(tmp_path, family_s2):
+    path = tmp_path / "family.json"
+    family_s2.save(path)
+    first = PtcFamily.load(path)
+    # the same text gives the same frozen family, not a second parse
+    assert PtcFamily.load(path) is first
+    # an edited file is read again and gives the edited family
+    payload = json.loads(path.read_text())
+    payload["epsilon_verified"] = 0.5
+    path.write_text(json.dumps(payload))
+    edited = PtcFamily.load(path)
+    assert edited.epsilon_verified == 0.5 and edited.codes == first.codes and edited is not first
+    # a malformed text raises on every load: the cache keeps no exception
+    path.write_text(json.dumps({"codes": "nope"}))
+    for _ in range(2):
+        with pytest.raises(CodeError):
+            PtcFamily.load(path)
+    family_s2.save(path)
+    assert PtcFamily.load(path) is first
+
+
 def _scalar_ptc_details(codes):
     """Reference loop: one `detects` call per (error, code), first maximum kept."""
     worst_count, worst = -1, None

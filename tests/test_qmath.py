@@ -52,6 +52,43 @@ def test_density_validation():
         DensityMatrix(np.diag([1.5, -0.5]), (("Q", 2),))
 
 
+def test_hermitian_check_agrees_with_allclose():
+    # DensityMatrix tests |rho - rho^dag| <= 1e-8 + 1e-5 |rho^dag| in one
+    # comparison: np.allclose's formula at the tolerances it used, so the
+    # verdict must match np.allclose on matrices near the threshold: dense
+    # ones, where the 1e-5 relative term sets it, and diagonal ones, whose
+    # zero entries leave the 1e-8 alone
+    rng = np.random.default_rng(20261020)
+    verdicts = set()
+    for gap in np.logspace(-10, -6, 33):
+        for k in range(4):
+            rho = random_density(4, rng) if k % 2 else np.diag(rng.dirichlet(np.ones(4))).astype(complex)
+            i, j = rng.choice(4, size=2, replace=False)
+            rho[i, j] += gap * np.exp(2j * np.pi * rng.random())
+            hermitian = np.allclose(rho, rho.conj().T, atol=1e-8)
+            try:
+                DensityMatrix(rho, (("Q", 4),))
+                refused = False
+            except ValueError as exc:
+                refused = "not Hermitian" in str(exc)
+            assert refused is not hermitian, (gap, i, j)
+            verdicts.add(hermitian)
+    assert verdicts == {True, False}
+    rho = random_density(4, rng)
+    rho[1, 2] = np.nan
+    with pytest.raises(ValueError, match="not Hermitian"):
+        DensityMatrix(rho, (("Q", 4),))
+
+
+def test_partial_trace_refusal_is_an_invariant_error(monkeypatch):
+    # the marginal of a valid state is valid: a refused one is a fault in
+    # the program, not in its input
+    rho = density(StateVector(ket(1, 0, 0, 0), (("A", 2), ("B", 2))))
+    monkeypatch.setattr(qmath, "_trace_out_axes", lambda *args: np.diag([1.5, -0.5]))
+    with pytest.raises(InvariantError, match="partial_trace: density matrix has eigenvalue"):
+        partial_trace(rho, ("A",))
+
+
 def test_tensor_basics():
     zero = StateVector(ket(1, 0), (("A", 2),))
     one = StateVector(ket(0, 1), (("B", 2),))

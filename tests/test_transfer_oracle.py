@@ -132,6 +132,36 @@ def test_transfer_chunks_match_the_contraction_chain(monkeypatch, clear_job_cach
     assert chunks == {1: 27 * 14, 1 << 12: 64}.get(budget, 27)
 
 
+def masked_grams(chunks):
+    """(REJ, ACC) Grams as the engine took them from a tiled boolean mask:
+    each verdict's rows of a chunk, picked by the mask, times their
+    conjugates, added in place into the first chunk's."""
+    grams = []
+    for x in chunks:
+        codes, dy = x.shape[:2]
+        x = x.reshape(codes * dy * dy, -1)
+        accept = np.tile(np.eye(dy, dtype=bool).reshape(-1), codes)
+        for i, rows in enumerate((~accept, accept)):
+            gram = x[rows].T @ x[rows].conj()
+            if i < len(grams):
+                grams[i] += gram
+            else:
+                grams.append(gram)
+    return grams
+
+
+@pytest.mark.parametrize("budget", [1, protocols.CHUNK_ELEMENTS])
+def test_verdict_grams_equal_the_masked_rows_bit_for_bit(monkeypatch, clear_job_caches, family, budget):
+    # the rows of each verdict, gathered by index, are the masked rows in the
+    # same order, so every Gram is the same to the last bit; a REJ Gram taken
+    # as all rows minus ACC leaves roundoff on classes that are exactly zero
+    monkeypatch.setattr(protocols, "CHUNK_ELEMENTS", budget)
+    for attack in standard_suite(family.m, family.s):
+        transfer, chunks = _build(monkeypatch, family, attack, protocols._transfer_chunk)
+        for (verdict, gram), want in zip(transfer.verdicts, masked_grams(chunks), strict=True):
+            assert np.array_equal(gram, want), (attack.name(), verdict)
+
+
 @pytest.mark.parametrize("m, s", [(1, 1), (1, 2), (2, 1), (2, 2)])
 def test_searched_families_match_the_contraction_chain(monkeypatch, clear_job_caches, m, s):
     family = search_ptc(m, s, target_eps=ptc_epsilon_formula(m, s), budget=60, seed=1)
