@@ -16,9 +16,6 @@ up 2 Pr(f) from the failure branch. The exact cipher is the keyed Pauli pad of
 ``protocols.key_pads``. Pr(f) comes from ``rsp_scale``, without a POVM, and
 F from ``rsp_povm`` alone (``run_psrqa_kg``). ``rsp_twin_identity`` checks
 the twin against ``run_psqa_kg`` on every record that recycles a cipher key.
-``psqa_report`` reads the real state and Pr(f) that ``qauthlab psqa`` also
-hands to the twin check, so a run sweeps each attack's real state once and
-measures Pr(f) once.
 """
 
 from __future__ import annotations
@@ -276,14 +273,21 @@ def _keyed_accepts(final: FinalState, scale: float) -> FinalState:
     })
 
 
-def rsp_twin_identity(real: FinalState, twin: FinalState, p_f: float) -> float:
+def rsp_twin_identity(
+    message_vec: np.ndarray,
+    cipher: ApproxCipher,
+    family: PtcFamily,
+    attack: AttackDescriptor,
+) -> float:
     """Full 1-norm distance between the accept blocks with a cipher key of
-    the twin (``run_psrqa_kg``'s final state) and (1 - ``p_f``) times those of
-    ``real`` (``run_psqa_kg``'s), a record that one side lacks counting its
-    weight, with ``p_f`` the failure probability of ``rsp_scale``. Zero up to
-    roundoff: on outcome k != f the twin's receiver half collapses exactly
-    onto the k-th encryption, with probability (1 - Pr f) / K."""
-    return _keyed_accepts(twin, 1.0).distance(_keyed_accepts(real, 1.0 - p_f))
+    ``run_psrqa_kg`` and (1 - Pr f) times those of ``run_psqa_kg``, a record
+    that one side lacks counting its weight. Zero up to roundoff: on outcome
+    k != f the twin's receiver half collapses exactly onto the k-th
+    encryption, with probability (1 - Pr f) / K."""
+    real = run_psqa_kg(message_vec, cipher, family, attack)
+    twin = run_psrqa_kg(message_vec, cipher, family, attack)
+    kept = 1.0 - rsp_scale(cipher, message_vec)[-1]
+    return _keyed_accepts(twin, 1.0).distance(_keyed_accepts(real, kept))
 
 
 def psqa_advantage(
@@ -292,28 +296,15 @@ def psqa_advantage(
     family: PtcFamily,
     attack: AttackDescriptor,
 ) -> AdvantageReport:
-    """Real-vs-ideal advantage of the pure-state protocol (``psqa_report``
-    on a fresh ``run_psqa_kg``)."""
-    real = run_psqa_kg(message_vec, cipher, family, attack)
-    return psqa_report(real, rsp_scale(cipher, message_vec)[-1], message_vec, cipher, family, attack)
+    """Real-vs-ideal advantage of the pure-state protocol.
 
-
-def psqa_report(
-    real: FinalState,
-    p_f: float,
-    message_vec: np.ndarray,
-    cipher: ApproxCipher,
-    family: PtcFamily,
-    attack: AttackDescriptor,
-) -> AdvantageReport:
-    """Real-vs-ideal advantage of the pure-state protocol, from its real final
-    state (``run_psqa_kg``'s) and the failure probability ``p_f`` measured for
-    this very message and cipher (``rsp_scale``'s).
-
-    The bound is the entanglement-generation bound plus 2 Pr(f).
+    The bound is the entanglement-generation bound plus 2 Pr(f) with the
+    failure probability measured for this very message and cipher.
     """
+    real = run_psqa_kg(message_vec, cipher, family, attack)
     ideal = psqa_ideal(message_vec, cipher, family, attack)
     advantage = real.distance(ideal)
+    p_f = rsp_scale(cipher, message_vec)[-1]
     bound = min(2.0, ebit_advantage_bound(family.epsilon_verified) + 2.0 * p_f)
     p_acc = real.weight_where(lambda r: record_get(r, "verdict") == ACC)
     return make_report(

@@ -32,15 +32,7 @@ import numpy as np
 
 from . import __version__
 from .adversary import AttackDescriptor, purified_input, standard_suite
-from .approx_psqa import (
-    check_cipher_size,
-    psqa_report,
-    rsp_scale,
-    rsp_twin_identity,
-    run_psqa_kg,
-    run_psrqa_kg,
-    sample_cipher,
-)
+from .approx_psqa import check_cipher_size, psqa_advantage, rsp_scale, rsp_twin_identity, sample_cipher
 from .classical_wc import key_leak_demo, poly_hash_family, wc_kg_advantage
 from .codes import PTC_MAX_N, PtcFamily, cost_formulas, ptc_epsilon_formula, search_ptc, verify_ptc
 from .hybrid import InvariantError
@@ -236,20 +228,21 @@ def cmd_psqa(args) -> int:
     vec = haar_unitary(1 << family.m, rng)[:, 0]
     suite = standard_suite(family.m, family.s)
     picks = [a for a in suite if a.acts_on == ("T",)][: args.attacks]
-    p_f = rsp_scale(cipher, vec)[-1]
     results = []
     for attack in picks:
-        # one real state per attack, read by the report and the twin check
-        real = run_psqa_kg(vec, cipher, family, attack)
-        rep = psqa_report(real, p_f, vec, cipher, family, attack).to_json()
+        rep = psqa_advantage(vec, cipher, family, attack).to_json()
         # the remote-preparation twin against the protocol, like uc's
         # teleported_twin_identity
-        twin_gap = rsp_twin_identity(real, run_psrqa_kg(vec, cipher, family, attack), p_f)
+        twin_gap = rsp_twin_identity(vec, cipher, family, attack)
         results.append({**rep, "rsp_twin_identity": twin_gap, "pass": bool(rep["pass"] and twin_gap < 1e-9)})
     all_ok = all(r["pass"] for r in results)
     report = _report(
         "psqa",
-        _config_echo(args, delta_measured=cipher.delta_measured, failure_probability=p_f),
+        _config_echo(
+            args,
+            delta_measured=cipher.delta_measured,
+            failure_probability=rsp_scale(cipher, vec)[-1],
+        ),
         results,
         started,
     )

@@ -256,17 +256,15 @@ class PtcFamily:
 
     @classmethod
     def load(cls, path) -> "PtcFamily":
-        """The family in the file at ``path``, read on every call and parsed
-        once per text (``_parsed``)."""
+        """The family in the file at ``path``: read on every call, parsed and
+        validated once per text (``_parsed``)."""
         with open(path) as fh:
             return _parsed(cls, fh.read())
 
 
-# The same text gives the same frozen family: a job that loads the family
-# it loaded before skips the parse and the validation. A malformed text is
-# not kept, so it raises on every load.
 @lru_cache(maxsize=8)
 def _parsed(cls, text: str) -> PtcFamily:
+    # a malformed text is not kept, so it raises on every load
     return cls.from_json(json.loads(text))
 
 

@@ -39,7 +39,7 @@ shape (``qmath.trace_norm``); a record on one side only counts its weight.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -79,13 +79,9 @@ def record_get(record: Record, fieldname: str):
 @dataclass(frozen=True)
 class FinalBlock:
     registers: Registers
-    matrix: np.ndarray  # weighted, read-only: trace equals the record probability
+    matrix: np.ndarray  # weighted: trace equals the record probability
 
-    def __post_init__(self):
-        # the weight is taken once, so the matrix must not change under it
-        self.matrix.setflags(write=False)
-
-    @cached_property
+    @property
     def weight(self) -> float:
         return float(self.matrix.trace().real)
 

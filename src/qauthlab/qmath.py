@@ -117,7 +117,7 @@ class DensityMatrix:
         d = total_dim(regs)
         if mat.shape != (d, d):
             raise RegisterError(f"matrix shape {mat.shape} != register dims {d}x{d}")
-        # np.allclose(mat, adj, atol=1e-8) as one comparison; NaN fails it
+        # np.allclose's formula (atol=1e-8) in one pass; NaN and inf fail it
         adj = mat.conj().T
         if not (np.abs(mat - adj) <= 1e-8 + 1e-5 * np.abs(adj)).all():
             raise ValueError("density matrix is not Hermitian")

@@ -390,28 +390,6 @@ def test_psqa_remote_preparation_twin_identity(capsys, monkeypatch):
         }
 
 
-def test_psqa_sweeps_each_attack_once(capsys, monkeypatch):
-    # one real state per attack, shared by the advantage report and the
-    # twin check, and Pr(f) measured once per run (the twin's own POVM, one
-    # per attack, measures it again)
-    from qauthlab import approx_psqa, cli
-
-    calls = {"run_psqa_kg": 0, "rsp_scale": 0}
-    for name in calls:
-
-        def counted(*args, _inner=getattr(approx_psqa, name), _name=name, **kwargs):
-            calls[_name] += 1
-            return _inner(*args, **kwargs)
-
-        for module in (approx_psqa, cli):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, counted)
-    code, rep = run_cli(capsys, "psqa", "--family", str(FIXTURE), "--attacks", "6", "--seed", "1")
-    assert code == 0 and len(rep["results"]) == 6
-    assert calls["run_psqa_kg"] == 6
-    assert calls["rsp_scale"] <= 7
-
-
 def test_bad_usage_exits_two():
     assert main(["no-such-command"]) == 2
 
@@ -563,7 +541,7 @@ def test_unusable_paths_exit_two(tmp_path, capsys, monkeypatch):
 
         return spy
 
-    for name in ("search_ptc", "_uc_single", "run_psqa_kg"):
+    for name in ("search_ptc", "_uc_single", "psqa_advantage"):
         monkeypatch.setattr(cli, name, never(name))
     (tmp_path / "file").write_text("")
     for out in (tmp_path, tmp_path / "missing" / "r.json", tmp_path / "file" / "r.json"):

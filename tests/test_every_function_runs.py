@@ -6,8 +6,7 @@ tests reach. The subcommands run once each, at small size, in a fresh
 interpreter under ``sys.setprofile``: a fresh process, because the caches
 (``cli.build_parser``, ``protocols._family_encoders``, ``_attack_pieces`` and
 ``_transfer``) would otherwise hide functions that an earlier test
-already ran. ``ast`` then lists the ``def``s that were never entered. The
-one exception, ``BENCHMARK_ONLY``, names the benchmark file that calls it.
+already ran. ``ast`` then lists the ``def``s that were never entered.
 """
 
 import ast
@@ -93,17 +92,8 @@ def never_entered(commands, scratch: Path, src: Path = SRC) -> list[str]:
     ]
 
 
-# defs that no subcommand enters on purpose, each with the benchmark file
-# that calls it: ``qauthlab psqa`` sweeps each attack's real state once and
-# hands it to both the report and the twin check, while the benchmark's
-# psqa-s3 jobs time the one-report path
-BENCHMARK_ONLY = {"approx_psqa.psqa_advantage": "perfbench/workloads.py"}
-
-
 def test_every_function_in_src_is_entered_by_a_subcommand(tmp_path):
-    assert never_entered(COMMANDS, tmp_path) == sorted(BENCHMARK_ONLY)
-    for name, caller in BENCHMARK_ONLY.items():
-        assert f"{name}(" in (SRC.parent / caller).read_text(), name
+    assert never_entered(COMMANDS, tmp_path) == []
 
 
 def test_the_checker_names_what_a_subcommand_alone_runs(tmp_path):

@@ -240,18 +240,6 @@ def test_conditional_where():
         mixed.conditional_where(lambda rec: True)
 
 
-def test_a_final_block_is_read_only_and_weighed_once():
-    # the weight is a cached trace, so the matrix under it must not change
-    matrix = np.diag([0.25, 0.5]).astype(complex)
-    final = FinalState({(("a", 0),): (B, matrix)})
-    block = final.blocks[(("a", 0),)]
-    assert not block.matrix.flags.writeable
-    with pytest.raises(ValueError):
-        block.matrix[0, 0] = 1.0
-    assert block.weight == 0.75 and block.__dict__["weight"] == 0.75
-    assert final.total_weight() == 0.75
-
-
 def _verdict_plan(fields):
     return (("verdict", fields["verdict"]),), ()
 

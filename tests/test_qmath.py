@@ -78,6 +78,10 @@ def test_hermitian_check_agrees_with_allclose():
     rho[1, 2] = np.nan
     with pytest.raises(ValueError, match="not Hermitian"):
         DensityMatrix(rho, (("Q", 4),))
+    # np.allclose takes a symmetric inf as close; here inf - inf is NaN
+    rho[1, 2] = rho[2, 1] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not Hermitian"):
+        DensityMatrix(rho, (("Q", 4),))
 
 
 def test_partial_trace_refusal_is_an_invariant_error(monkeypatch):
