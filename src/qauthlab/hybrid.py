@@ -10,23 +10,23 @@ distances decompose per record.
 (``run_qa_kg``, ``run_tqa_kg``, ``ebit_ptc``, ``run_qa_kg_ideal``,
 ``run_psqa_kg``, ``run_psrqa_kg``, ``psqa_ideal``). Every one of them applies
 the same linear map, encode -> attack -> decode, to its carrier, and reads it
-only through a :class:`Transfer`, which ``protocols`` builds once per
-(family, attack) and every sweep of the job reads: per verdict, one Gram
-matrix of the branch maps (code t, syndrome key y, received syndrome ysyn),
-summed over every code. A sweep takes its run's secret key (pad, cipher, Bell
-or preparation outcome) as one instrument on its input and builds every
-block from the Gram of its verdict (see ``key_sweep``). No record holds a
-single branch; the tests take branches from per-slice oracles. A (key value,
-verdict) pair whose probability over the whole family, read off the
-verdict's Gram, is at most PRUNE_BELOW is dropped. A plan maps each verdict
-to (record, registers traced out of its blocks), and no block is built on a
-register its record drops (``_blocks``). A fixed state goes onto a record's
-registers only by ``FinalState.replaced``, once the record is summed:
-EBIT-PTC's I/d on A on reject, the ideal's perfect ebits on accept.
-``protocols.ebit_ptp`` batches its accept blocks over (code, syndrome) in the
-arithmetic of one branch at a time instead, so that they keep their bits, and
-builds its reject record itself, as I/d on A times one Gram of the registers
-other than A and B (see ``protocols``).
+only through a :class:`Transfer`, which ``protocols`` builds once per (family,
+attack) and every sweep of the job reads: per verdict, one Gram matrix of the
+branch maps (code t, syndrome key y, received syndrome ysyn), summed over
+every code, and traced once over the receiver and once over every output. A
+sweep takes its run's secret key (pad, cipher, Bell or preparation outcome) as
+one instrument on its input and builds every block from its verdict's Gram
+(see ``key_sweep``), never a single branch. A (key value, verdict) pair whose
+probability over the whole family is at most PRUNE_BELOW is dropped. A plan
+maps each verdict to (record, registers traced out of its blocks): the
+receiver, whose traced Gram the record then reads, and input-side registers,
+on which no block is built (``_blocks``). A record of several key values sums
+its blocks in one reduction. A fixed state goes onto a record's registers only
+by ``FinalState.replaced``, once the record is summed: EBIT-PTC's I/d on A on
+reject, the ideal's perfect ebits on accept. ``protocols.ebit_ptp`` builds its
+own blocks: its accept blocks in the arithmetic of one branch at a time, so
+that they keep their bits, and its reject record as I/d on A times one Gram of
+the registers other than A and B.
 
 Distance between two final states is sum_c || p_c rho_c - q_c sigma_c ||_1
 over the union of classical records, which equals the full 1-norm of the
@@ -38,7 +38,7 @@ shape (``qmath.trace_norm``); a record on one side only counts its weight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -188,9 +188,21 @@ class Transfer:
 
     probe: Registers
     out: Registers
-    # (REJ, Gram), then (ACC, Gram) over the branches with y == ysyn, each
-    # read-only and summed over every code
+    # (REJ, Gram), then (ACC, Gram) over the branches with y == ysyn, each read-only and summed
+    # over every code; ``traced``, taken once: each G traced over the receiver, and over every output
     verdicts: tuple[tuple[str, np.ndarray], ...]
+    traced: tuple[tuple[np.ndarray, np.ndarray], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        dims, dj, dp = reg_dims(self.out), total_dim(self.out), total_dim(self.probe)
+        at = reg_positions(self.out, ("T",))
+        traced = tuple(
+            (_trace_out_axes(gram, dims + (dp,), at), np.trace(gram.reshape(dj, dp, dj, dp), axis1=0, axis2=2))
+            for _, gram in self.verdicts
+        )
+        for array in (array for pair in traced for array in pair):
+            array.setflags(write=False)
+        object.__setattr__(self, "traced", traced)
 
 
 def key_sweep(
@@ -233,13 +245,11 @@ def key_sweep(
     other = tuple(r for r in regs if r[0] not in reg_names(probe))
     order = reg_positions(regs, reg_names(other + probe))
     psi = amps.transpose([0] + [1 + i for i in order]).reshape(len(amps), total_dim(other), total_dim(probe))
-    dj, dp = total_dim(out), psi.shape[2]
     blocks: dict[Record, tuple[Registers, np.ndarray]] = {}
-    for verdict, gram in transfer.verdicts:
+    for (verdict, gram), (no_receiver, probe_gram) in zip(transfer.verdicts, transfer.traced):
         fields = {"verdict": verdict}
         # p[v] = Tr(Psi_v G Psi_v^dag), G traced over the output registers
-        traced = np.trace(gram.reshape(dj, dp, dj, dp), axis1=0, axis2=2)
-        live = np.flatnonzero(np.einsum("vop,pq,voq->v", psi, traced, psi.conj()).real > PRUNE_BELOW)
+        live = np.flatnonzero(np.einsum("vop,pq,voq->v", psi, probe_gram, psi.conj()).real > PRUNE_BELOW)
         # the live key values by the registers their records drop, then by record
         groups: dict[tuple, dict[Record, list]] = {}
         for v in live:
@@ -247,10 +257,13 @@ def key_sweep(
             groups.setdefault(tuple(drop), {}).setdefault(record, []).append(v)
         fix = corrections if verdict == ACC else None
         for drop, records in groups.items():
-            vals = [v for vs in records.values() for v in vs]
-            kept, rhos = _blocks(gram, psi[vals], (other, out, receiver), drop, None if fix is None else fix[vals])
-            starts = np.cumsum([0] + [len(vs) for vs in records.values()])[:-1]
-            for record, rho in zip(records, np.add.reduceat(rhos, starts, axis=0)):
+            vals, start = [v for vs in records.values() for v in vs], 0
+            read = no_receiver if receiver in drop else gram
+            kept, rhos = _blocks(read, psi[vals], (other, out, receiver), drop, None if fix is None else fix[vals])
+            for record, vs in records.items():
+                # a record's rows are contiguous: one row as it is, or one sum
+                rho = rhos[start] if len(vs) == 1 else np.add.reduce(rhos[start : start + len(vs)])
+                start += len(vs)
                 if record in blocks:
                     if blocks[record][0] != kept:
                         raise InvariantError(f"record {record} accumulated under different kept registers")
@@ -261,16 +274,13 @@ def key_sweep(
 
 def _blocks(gram, psi, layout, drop, fix):
     """Psi_v G Psi_v^dag for each key value v of ``psi`` (values, other,
-    probe), G a verdict Gram over (out, probe), with the ``drop`` registers
-    traced out, the correction ``fix[v]`` applied to a kept receiver and the
-    kept registers sorted by name. Nothing is built on a dropped register:
-    the dropped output registers are traced out of G before the products
-    (no trace if none is dropped), where a correction on a dropped receiver
-    cancels, and the dropped registers of ``other`` are summed inside the
-    second product. Returns the kept registers and the stacked blocks."""
-    (n, _, dp), (dims, axes, split, (dk, dg, dj), shape, at, order, kept) = psi.shape, _block_layout(layout, drop)
-    if axes:
-        gram = _trace_out_axes(gram, dims + (dp,), axes)
+    probe), with the ``drop`` registers traced out, the correction ``fix[v]``
+    applied to a kept receiver and the kept registers sorted by name. G is a
+    verdict Gram over (out, probe), already traced over the receiver if
+    ``drop`` names it (``Transfer.traced``; a correction there cancels). No
+    block is built on a dropped register: those of ``other`` are summed
+    inside the second product. Returns the kept registers and the blocks."""
+    (n, _, dp), (split, (dk, dg, dj), shape, at, order, kept) = psi.shape, _block_layout(layout, drop)
     if split is not None:
         psi = psi.reshape((n,) + split[0] + (dp,)).transpose(split[1])
     psi = psi.reshape(n, dk, dg * dp)
@@ -289,15 +299,17 @@ def _blocks(gram, psi, layout, drop, fix):
 
 @lru_cache(maxsize=256)
 def _block_layout(layout, drop):
-    """What ``_blocks`` reads off (layout, drop) alone, once per pair: the
-    output dims and the positions of the dropped outputs; None, or the dims
-    of ``other`` and the order that puts its kept registers before its
-    dropped ones; the kept, dropped and kept output dimensions; the axes of
-    a block as the second product leaves it, (j, v, o, k, o'), split around
-    v; the axes of v and of the receiver's row and column, if it is kept;
-    the order that sorts a block's rows and columns by name after v; and
-    the kept registers, sorted."""
+    """What ``_blocks`` reads off (layout, drop) alone, once per pair: None,
+    or the dims of ``other`` and the order that puts its kept registers
+    before its dropped ones; the kept, dropped and kept output dimensions;
+    the axes of a block as the second product leaves it, (j, v, o, k, o'),
+    split around v; the axes of v and of the receiver's row and column, if
+    it is kept; the order that sorts a block's rows and columns by name
+    after v; and the kept registers, sorted. A ``drop`` that names an output
+    register other than the receiver is an ``InvariantError``."""
     other, out, receiver = layout
+    if set(drop) & set(reg_names(out)) - {receiver}:
+        raise InvariantError(f"_blocks: drop {drop} names an output register other than the receiver {receiver!r}")
     ours, gone = tuple(r for r in other if r[0] not in drop), tuple(r for r in other if r[0] in drop)
     kept_out = tuple(r for r in out if r[0] not in drop)
     split = None
@@ -315,8 +327,6 @@ def _block_layout(layout, drop):
     kept = tuple(sorted(regs, key=lambda r: r[0]))
     order = reg_positions(regs, reg_names(kept))
     return (
-        reg_dims(out),
-        tuple(i for i, (name, _) in enumerate(out) if name in drop),
         split,
         (total_dim(ours), total_dim(gone), total_dim(kept_out)),
         (reg_dims(kept_out), reg_dims(ours) + reg_dims(kept_out) + reg_dims(ours)),

@@ -12,14 +12,17 @@ used to guard: each check that replaced them is seen to fail. Then come
 ``ebit_ptp``'s reject record (I/d on A times one Gram of the other registers
 but B), the fixed states that ``FinalState.replaced`` puts on records
 (EBIT-PTC's I/d on reject, the ideal's perfect ebits on accept), the blocks
-that ``hybrid._blocks`` builds on kept registers only, the two counts of
-the classical family's one pass over message pairs, the XOR blocks of the
-soundness operator Omega, the probe that stands in for its entries off the
-blocks, ``uc``'s ``identities_ok`` at its 1e-9 tolerance, and the verdicts
-of ``ptp-soundness`` (``within_epsilon``), of each ``uc`` advantage report
-and of the classical family's advantage.
+that ``hybrid._blocks`` builds on kept registers only (from the Gram the
+transfer traced over the receiver) and that ``key_sweep`` sums per record,
+the two counts of the classical family's one pass over message pairs, the
+XOR blocks of the soundness operator Omega, the probe that stands in for
+its entries off the blocks, ``uc``'s ``identities_ok``,
+``factored_matches_direct`` and ``fidelity_chain_ok`` and ``psqa``'s gate on
+``rsp_twin_identity`` at their tolerances of 1e-9, and the verdicts of
+``ptp-soundness`` (``within_epsilon``), of each ``uc`` advantage report and
+of the classical family's advantage.
 
-Run it from anywhere; it takes about thirty seconds on two cores.
+Run it from anywhere; it takes about two minutes on one core.
 """
 
 from __future__ import annotations
@@ -113,6 +116,24 @@ MUTANTS = (
         "if fix is None and at is not None:",
         "tests/test_blocks_oracle.py::test_blocks_match_the_build_then_trace_oracle",
     ),
+    # the transfer's Gram for records that drop the receiver traced over E
+    # instead of the receiver
+    Mutant(
+        "transfer-traces-e-for-the-receiver",
+        "src/qauthlab/hybrid.py",
+        'at = reg_positions(self.out, ("T",))',
+        'at = reg_positions(self.out, ("E",))',
+        "tests/test_blocks_oracle.py::test_blocks_match_the_build_then_trace_oracle",
+    ),
+    # a record of several key values (a REJ record over the pads) keeps only
+    # the block of its first value
+    Mutant(
+        "key-sweep-record-keeps-its-first-row",
+        "src/qauthlab/hybrid.py",
+        "rho = rhos[start] if len(vs) == 1 else np.add.reduce(rhos[start : start + len(vs)])",
+        "rho = rhos[start]",
+        "tests/test_key_sweep_oracle.py::test_engine_matches_the_per_slice_oracle",
+    ),
     # _blocks summing the dropped input-side registers against the wrong
     # axis of the first product
     Mutant(
@@ -179,6 +200,33 @@ MUTANTS = (
         "bool(twin_gap < 1e-9 and forms_gap < 1e-9)",
         "bool(twin_gap < 1e-3 and forms_gap < 1e-3)",
         "tests/test_cli.py::test_uc_small_forms_gap_fails_identities_ok",
+    ),
+    # factored_matches_direct loosened from 1e-9 to 1e-3: a factored form
+    # read 1e-6 too high tells them apart
+    Mutant(
+        "factored-matches-direct-loosened-to-1e-3",
+        "src/qauthlab/cli.py",
+        'abs(chain["advantage"] - chain["advantage_factored"]) < 1e-9',
+        'abs(chain["advantage"] - chain["advantage_factored"]) < 1e-3',
+        "tests/test_cli.py::test_uc_small_factored_gap_fails_factored_matches_direct",
+    ),
+    # fidelity_chain_ok loosened from 1e-9 to 1e-2: an accept fidelity read
+    # 1e-6 too low tells them apart
+    Mutant(
+        "fidelity-chain-ok-loosened-to-1e-2",
+        "src/qauthlab/cli.py",
+        'chain["fidelity"] >= chain["fidelity_floor"] - 1e-9',
+        'chain["fidelity"] >= chain["fidelity_floor"] - 1e-2',
+        "tests/test_cli.py::test_uc_small_fidelity_dip_fails_fidelity_chain_ok",
+    ),
+    # psqa's gate on rsp_twin_identity loosened from 1e-9 to 1e-3: a twin
+    # mixed with 1e-6 of I/d on accept tells them apart
+    Mutant(
+        "psqa-twin-gate-loosened-to-1e-3",
+        "src/qauthlab/cli.py",
+        'rep["pass"] and twin_gap < 1e-9',
+        'rep["pass"] and twin_gap < 1e-3',
+        "tests/test_cli.py::test_psqa_small_twin_gap_fails_the_attack",
     ),
     # ptp-soundness's verdict passes whatever the exact value
     Mutant(

@@ -1,11 +1,13 @@
 """``hybrid._blocks`` held to the blocks it built before it traced first.
 
 ``_blocks`` builds each record's blocks on the registers the record keeps
-only: it traces the dropped output registers out of the verdict Gram before
-its products and sums the dropped input-side registers inside the second
-one. ``oracles.build_then_trace_blocks`` is the old way: every block built
-on every register, the receiver corrected, and only then the dropped
-registers traced out. Every ``_blocks`` call of the 13 sweep variants of
+only: a record that drops the receiver reads the verdict Gram traced over
+it (``Transfer.traced``, taken once per transfer), and the dropped
+input-side registers are summed inside the second product.
+``oracles.build_then_trace_blocks`` is the old way: every block built on
+every register from the full verdict Gram, the receiver corrected, and only
+then the dropped registers traced out. Every ``_blocks`` call of the 13
+sweep variants of
 ``tests/test_sweep_chunks.py`` (every sweep, verdict and drop set they make)
 must agree with it within 1e-12, on the benchmark's m=1, s=3 family and on
 searched families at s = 1 and 2, with one code per chunk and at the default
@@ -45,18 +47,25 @@ def _agree(mine, theirs) -> bool:
 
 def _calls(monkeypatch, clear_caches, budget, run):
     """Run with the chunk budget patched; return every ``_blocks`` call as
-    (its arguments, the verdict of its Gram, its result)."""
-    blocks, calls, verdicts = hybrid._blocks, [], {}
+    (its arguments with the full verdict Gram in place of the one it read,
+    the verdict of that Gram, its result). A call reads the Gram traced over
+    the receiver iff its ``drop`` names the receiver, and the full Gram
+    otherwise."""
+    blocks, calls, grams = hybrid._blocks, [], {}
     build = protocols.build_transfer
 
     def build_spy(*args):
         transfer = build(*args)
-        verdicts.update({id(gram): verdict for verdict, gram in transfer.verdicts})
+        for (verdict, gram), (no_receiver, _) in zip(transfer.verdicts, transfer.traced):
+            grams[id(gram)] = (verdict, gram, False)
+            grams[id(no_receiver)] = (verdict, gram, True)
         return transfer
 
-    def spy(*args):
-        result = blocks(*args)
-        calls.append((args, verdicts[id(args[0])], result))
+    def spy(read, psi, layout, drop, fix):
+        result = blocks(read, psi, layout, drop, fix)
+        verdict, gram, traced = grams[id(read)]
+        assert traced == (layout[2] in drop), (verdict, drop)
+        calls.append(((gram, psi, layout, drop, fix), verdict, result))
         return result
 
     with monkeypatch.context() as patch:

@@ -283,6 +283,42 @@ def test_uc_small_forms_gap_fails_identities_ok(capsys, monkeypatch):
     assert result["ebit"]["pass"] and result["qa_kg"]["pass"]
 
 
+def test_uc_small_factored_gap_fails_factored_matches_direct(capsys, monkeypatch):
+    # negative control for factored_matches_direct's 1e-9: the factored
+    # form's trace norm read 1e-6 too high moves the factored advantage by
+    # p_acc * 1e-6 = 1e-6 on the identity attack, far below any bound
+    from qauthlab import ucharness
+
+    trace_norm = ucharness.trace_norm
+    monkeypatch.setattr(ucharness, "trace_norm", lambda matrix: trace_norm(matrix) + 1e-6)
+    code, rep = run_cli(capsys, "uc", "--family", str(FIXTURE), "--attack", "identity", "--input", "entangled")
+    assert code == 1
+    (result,) = rep["results"]
+    ebit = result["ebit"]
+    assert 1e-9 < abs(ebit["advantage"] - ebit["extras"]["advantage_factored"]) < 1e-3
+    assert result["checks"]["factored_matches_direct"] is False
+    assert result["checks"]["identities_ok"] and result["checks"]["fidelity_chain_ok"]
+    assert ebit["pass"] and result["qa_kg"]["pass"]
+
+
+def test_uc_small_fidelity_dip_fails_fidelity_chain_ok(capsys, monkeypatch):
+    # negative control for fidelity_chain_ok's 1e-9: an accept fidelity read
+    # 1e-6 too low falls 1e-6 below the floor (1 - d)^2, which is 1 up to
+    # roundoff on the identity attack
+    from qauthlab import ucharness
+
+    fidelity = ucharness.fidelity
+    monkeypatch.setattr(ucharness, "fidelity", lambda rho, sigma: fidelity(rho, sigma) - 1e-6)
+    code, rep = run_cli(capsys, "uc", "--family", str(FIXTURE), "--attack", "identity", "--input", "entangled")
+    assert code == 1
+    (result,) = rep["results"]
+    extras = result["ebit"]["extras"]
+    assert 1e-9 < (1.0 - extras["overlap_defect"]) ** 2 - extras["fidelity_acc"] < 1e-2
+    assert result["checks"]["fidelity_chain_ok"] is False
+    assert result["checks"]["identities_ok"] and result["checks"]["factored_matches_direct"]
+    assert result["ebit"]["pass"] and result["qa_kg"]["pass"]
+
+
 def test_uc_understated_epsilon_exits_one(tmp_path, capsys):
     # negative control: this family's true eps is 0.625; with a stored eps of
     # 0.2, attack X0 is accepted with p_acc * (1 - overlap) = 0.25 > 0.2,
@@ -388,6 +424,39 @@ def test_psqa_remote_preparation_twin_identity(capsys, monkeypatch):
         assert {k: v for k, v in after.items() if k not in ("rsp_twin_identity", "pass")} == {
             k: v for k, v in before.items() if k not in ("rsp_twin_identity", "pass")
         }
+
+
+def test_psqa_small_twin_gap_fails_the_attack(capsys, monkeypatch):
+    # negative control for the 1e-9 gate on rsp_twin_identity: the twin's
+    # accept blocks mixed with 1e-6 of their trace times I/d stay Hermitian
+    # and positive, and move the twin identity to about 1e-6
+    from qauthlab import approx_psqa
+    from qauthlab.hybrid import ACC, FinalState, record_get
+
+    argv = ["psqa", "--family", str(FIXTURE), "--attacks", "1", "--seed", "1"]
+    code, rep = run_cli(capsys, *argv)
+    assert code == 0
+    twin = approx_psqa.run_psrqa_kg
+
+    def mixed(*args):
+        blocks = {rec: (b.registers, b.matrix) for rec, b in twin(*args).blocks.items()}
+        for rec, (regs, matrix) in blocks.items():
+            if record_get(rec, "verdict") == ACC:
+                noise = matrix.trace().real * np.eye(len(matrix)) / len(matrix)
+                blocks[rec] = (regs, (1 - 1e-6) * matrix + 1e-6 * noise)
+        return FinalState(blocks)
+
+    monkeypatch.setattr(approx_psqa, "run_psrqa_kg", mixed)
+    code, tampered = run_cli(capsys, *argv)
+    assert code == 1
+    (before,), (after,) = rep["results"], tampered["results"]
+    assert after["attack"]["label"] == "identity"
+    assert 1e-9 < after["rsp_twin_identity"] < 1e-3
+    assert after["pass"] is False and after["advantage"] <= after["bound"]
+    # the advantage and its bound do not read the twin
+    assert {k: v for k, v in after.items() if k not in ("rsp_twin_identity", "pass")} == {
+        k: v for k, v in before.items() if k not in ("rsp_twin_identity", "pass")
+    }
 
 
 def test_bad_usage_exits_two():

@@ -371,6 +371,17 @@ def test_a_plan_that_merges_two_classes_is_an_invariant_error(family_s1, differ)
         key_sweep(transfer, base, "B0", plan)
 
 
+@pytest.mark.parametrize("drop", [("E",), ("B", "E")])
+def test_a_plan_that_drops_the_environment_is_an_invariant_error(family_s1, drop):
+    # the transfer is traced over the receiver alone, so a record may drop
+    # no other output register: no plan of the program does, and one that
+    # did is a fault of the program's own plans, refused before any block
+    transfer = _transfer(family_s1, AttackDescriptor("fixed_pauli", x=1, label="X0"))
+    base = StateVector(max_entangled_vector(2), (("A", 2), ("B0", 2)))
+    with pytest.raises(InvariantError, match=r"_blocks: drop .* names an output register other than the receiver 'B'"):
+        key_sweep(transfer, base, "B0", lambda fields: ((("verdict", fields["verdict"]),), drop))
+
+
 def test_key_is_contracted_once_per_sweep(monkeypatch, clear_job_caches, family_s2):
     # one code per chunk: 8 chunks, built by the first sweep alone, and still
     # one contraction of the key per sweep; the transfer is built once per uc
@@ -429,30 +440,38 @@ def test_key_is_contracted_once_per_sweep(monkeypatch, clear_job_caches, family_
 
 def test_verdict_grams_are_taken_once_per_job(monkeypatch, clear_job_caches, family_s2):
     # one code per chunk: a uc job builds its transfer once, from 8 chunks
-    # whose Grams add into two arrays, and its four key sweeps each read
-    # those two; ebit_ptp reads none (it cuts its own 8 runs of codes)
-    from collections import Counter
-
-    from qauthlab import hybrid, protocols
-    from qauthlab.adversary import purified_input, standard_suite
+    # whose Grams add into two arrays; the transfer traces each of them once
+    # over the receiver and once over every output, and its four key sweeps
+    # read those arrays and trace nothing; ebit_ptp reads none (it cuts its
+    # own 8 runs of codes)
+    from qauthlab import protocols
     from qauthlab.cli import _uc_single
 
     blocks, trace_out, total = hybrid._blocks, hybrid._trace_out_axes, hybrid.checked_total
     code_chunks, build = protocols._code_chunks, protocols.build_transfer
-    read, sweeps, traced, cut, built = [], [], Counter(), [], []
+    read, sweeps, traced, probe_traced, cut, built = [], [], [], [], [], []
+
+    class CountingNumpy:
+        # hybrid's numpy, with its np.trace calls (the probe Grams) counted
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def trace(self, a, *args, **kwargs):
+            probe_traced.append(a)
+            return np.trace(a, *args, **kwargs)
 
     def blocks_spy(gram, *rest):
         read.append(gram)
         return blocks(gram, *rest)
 
     def total_spy(final, where):
-        # one key sweep ends: the Grams its blocks read
+        # one key sweep ends: the arrays its blocks read
         sweeps.append({id(gram) for gram in read})
         read.clear()
         return total(final, where)
 
     def traced_spy(gram, dims, axes):
-        traced[id(gram), axes] += 1
+        traced.append((gram, axes))
         return trace_out(gram, dims, axes)
 
     def codes_spy(encoders, per_code):
@@ -464,6 +483,7 @@ def test_verdict_grams_are_taken_once_per_job(monkeypatch, clear_job_caches, fam
         return built[-1]
 
     monkeypatch.setattr(protocols, "CHUNK_ELEMENTS", 1)
+    monkeypatch.setattr(hybrid, "np", CountingNumpy())
     monkeypatch.setattr(hybrid, "_blocks", blocks_spy)
     monkeypatch.setattr(hybrid, "checked_total", total_spy)
     monkeypatch.setattr(hybrid, "_trace_out_axes", traced_spy)
@@ -474,16 +494,17 @@ def test_verdict_grams_are_taken_once_per_job(monkeypatch, clear_job_caches, fam
     _uc_single(family_s2, x0, purified_input("random-3", 1))
     (transfer,) = built
     assert _transfer(family_s2, x0) is transfer
-    grams = {id(gram): verdict for verdict, gram in transfer.verdicts}
-    assert sorted(grams.values()) == ["ACC", "REJ"]
-    # four key sweeps, each reading both Grams of the one transfer
-    assert sweeps == [set(grams)] * 4 and read == []
+    (rej, acc), ((rej_b, _), (acc_b, _)) = (gram for _, gram in transfer.verdicts), transfer.traced
+    assert [verdict for verdict, _ in transfer.verdicts] == ["REJ", "ACC"]
+    # one trace over the receiver (axis 0 of (T, E)) per verdict Gram, and
+    # one over every output, both taken with the transfer: none by a sweep
+    assert [(gram is rej, gram is acc, axes) for gram, axes in traced] == [(True, False, (0,)), (False, True, (0,))]
+    assert [(np.shares_memory(a, rej), np.shares_memory(a, acc)) for a in probe_traced] == [(True, False), (False, True)]
+    assert all(not g.flags.writeable for pair in transfer.traced for g in pair)
+    # X0 is accepted or rejected per code, whatever the input. A reject
+    # record drops the receiver in all four sweeps, an accept record in the
+    # ideal's; the real runs' accept records keep it, and read the full Gram
+    real = {id(rej_b), id(acc)}
+    assert sweeps == [real, real, real, {id(rej_b), id(acc_b)}] and read == []
     # the transfer's codes and ebit_ptp's, one code per run
     assert [[len(codes) for codes in chunks] for chunks in cut] == [[1] * 8] * 2
-    # X0 is accepted or rejected per code, whatever the input. A Gram is
-    # traced only where a record drops an output register: the receiver
-    # (axis 0 of (T, E)) of a reject record in all four sweeps, of an accept
-    # record in the ideal's; the real runs' accept records keep both
-    assert set(traced) <= {(gram, (0,)) for gram in grams}
-    assert {grams[gram] for gram, _ in traced} == {"ACC", "REJ"}
-    assert all(n == (4 if grams[gram] == "REJ" else 1) for (gram, _), n in traced.items())
