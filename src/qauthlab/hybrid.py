@@ -15,12 +15,17 @@ attack) and every sweep of the job reads: per verdict, one Gram matrix of the
 branch maps (code t, syndrome key y, received syndrome ysyn), summed over
 every code, and traced once over the receiver and once over every output. A
 sweep takes its run's secret key (pad, cipher, Bell or preparation outcome) as
-one instrument on its input and builds every block from its verdict's Gram
-(see ``key_sweep``), never a single branch. A (key value, verdict) pair whose
-probability over the whole family is at most PRUNE_BELOW is dropped. A plan
-maps each verdict to (record, registers traced out of its blocks): the
-receiver, whose traced Gram the record then reads, and input-side registers,
-on which no block is built (``_blocks``). A record of several key values sums
+one instrument on its input, applied by ``_apply``, the package's one
+contraction of an operator into named registers (``protocols.ebit_ptp``
+applies its attack through it too), and builds every block from its
+verdict's Gram (see ``key_sweep``), never a single branch. A (key value,
+verdict) pair whose probability over the whole family is at most PRUNE_BELOW
+is dropped. A plan maps each verdict to (record, registers traced out of its
+blocks): the receiver, whose traced Gram the record then reads, and
+input-side registers, on which no block is built (``_blocks``). An accept
+record that keeps the receiver undoes the key there once its blocks are
+sorted by name: two batched products on the (values, d, d) stack, one on the
+receiver's rows and one on its columns. A record of several key values sums
 its blocks in one reduction. A fixed state goes onto a record's registers only
 by ``FinalState.replaced``, once the record is summed: EBIT-PTC's I/d on A on
 reject, the ideal's perfect ebits on accept. ``protocols.ebit_ptp`` builds its
@@ -241,7 +246,10 @@ def key_sweep(
         label, values, corrections, amps = None, (None,), None, amps[None]
     else:
         label, values, key_names, ops, key_out, corrections = key
-        amps, regs, _ = _contract(amps, regs, [], ops, key_names, ((label, len(ops)),) + tuple(key_out), (label,))
+        amps, regs = _apply(amps, regs, ops, key_names, ((label, len(ops)),) + tuple(key_out))
+        # the outcome axis first: the key value v
+        (at,) = reg_positions(regs, (label,))
+        amps, regs = np.moveaxis(amps.reshape(reg_dims(regs)), at, 0), regs[:at] + regs[at + 1 :]
     other = tuple(r for r in regs if r[0] not in reg_names(probe))
     order = reg_positions(regs, reg_names(other + probe))
     psi = amps.transpose([0] + [1 + i for i in order]).reshape(len(amps), total_dim(other), total_dim(probe))
@@ -274,13 +282,17 @@ def key_sweep(
 
 def _blocks(gram, psi, layout, drop, fix):
     """Psi_v G Psi_v^dag for each key value v of ``psi`` (values, other,
-    probe), with the ``drop`` registers traced out, the correction ``fix[v]``
-    applied to a kept receiver and the kept registers sorted by name. G is a
+    probe), with the ``drop`` registers traced out, the kept registers sorted
+    by name and the correction ``fix[v]`` applied to a kept receiver. G is a
     verdict Gram over (out, probe), already traced over the receiver if
     ``drop`` names it (``Transfer.traced``; a correction there cancels). No
     block is built on a dropped register: those of ``other`` are summed
-    inside the second product. Returns the kept registers and the blocks."""
-    (n, _, dp), (split, (dk, dg, dj), shape, at, order, kept) = psi.shape, _block_layout(layout, drop)
+    inside the second product. The first product is freed before the blocks
+    are sorted, and the correction acts on the sorted (values, d, d) stack:
+    fix[v] on the receiver's rows, then fix[v].conj() on its columns, each
+    one broadcast product that makes no transposed copy of the stack.
+    Returns the kept registers and the blocks."""
+    (n, _, dp), (split, (dk, dg, dj), shape, cut, order, kept) = psi.shape, _block_layout(layout, drop)
     if split is not None:
         psi = psi.reshape((n,) + split[0] + (dp,)).transpose(split[1])
     psi = psi.reshape(n, dk, dg * dp)
@@ -290,11 +302,15 @@ def _blocks(gram, psi, layout, drop, fix):
         half = half.transpose(0, 1, 2, 4, 3, 5)
     # then sum_(g, q) with conj(Psi[v, o', g, q]): (j, v, o, k, o')
     rho = np.matmul(half.reshape(dj, n, dk * dj, dg * dp), psi.conj().transpose(0, 2, 1))
-    rho = rho.reshape(shape[0] + (n,) + shape[1])
-    if fix is not None and at is not None:
-        rho = _keyed(_keyed(rho, at[0], at[1], fix), at[0], at[2], fix.conj())
+    del half
     d = total_dim(kept)
-    return kept, rho.transpose(order).reshape(n, d, d)
+    rho = rho.reshape(shape[0] + (n,) + shape[1]).transpose(order).reshape(n, d, d)
+    if fix is not None and cut is not None:
+        # fix[v] on the receiver's rows, then fix[v].conj() on its columns
+        (before, dim, after), fix = cut, fix[:, None]
+        rho = np.matmul(fix, rho.reshape(n, before, dim, after * d))
+        rho = np.matmul(fix.conj(), rho.reshape(n, d * before, dim, after)).reshape(n, d, d)
+    return kept, rho
 
 
 @lru_cache(maxsize=256)
@@ -303,9 +319,10 @@ def _block_layout(layout, drop):
     or the dims of ``other`` and the order that puts its kept registers
     before its dropped ones; the kept, dropped and kept output dimensions;
     the axes of a block as the second product leaves it, (j, v, o, k, o'),
-    split around v; the axes of v and of the receiver's row and column, if
-    it is kept; the order that sorts a block's rows and columns by name
-    after v; and the kept registers, sorted. A ``drop`` that names an output
+    split around v; the receiver's (before, dim, after) in the sorted
+    layout, if it is kept: the dimensions of the kept registers before it,
+    its own and those after it; the order that sorts a block's rows and
+    columns by name after v; and the kept registers, sorted. A ``drop`` that names an output
     register other than the receiver is an ``InvariantError``."""
     other, out, receiver = layout
     if set(drop) & set(reg_names(out)) - {receiver}:
@@ -320,50 +337,39 @@ def _block_layout(layout, drop):
     # each kept register's row and column axis
     rows = [v + 1 + i for i in range(k)] + list(range(v))
     cols = [2 * v + k + 1 + i for i in range(k)] + [v + k + 1 + i for i in range(v)]
-    at = None
-    if receiver not in drop:
-        (pos,) = reg_positions(regs, (receiver,))
-        at = (v, rows[pos], cols[pos])
     kept = tuple(sorted(regs, key=lambda r: r[0]))
     order = reg_positions(regs, reg_names(kept))
+    cut = None
+    if receiver not in drop:
+        (pos,) = reg_positions(kept, (receiver,))
+        cut = (total_dim(kept[:pos]), kept[pos][1], total_dim(kept[pos + 1 :]))
     return (
         split,
         (total_dim(ours), total_dim(gone), total_dim(kept_out)),
         (reg_dims(kept_out), reg_dims(ours) + reg_dims(kept_out) + reg_dims(ours)),
-        at,
+        cut,
         [v, *(rows[i] for i in order), *(cols[i] for i in order)],
         kept,
     )
 
 
-def _keyed(amps: np.ndarray, axis: int, target: int, mats: np.ndarray) -> np.ndarray:
-    """Apply mats[v] to axis ``target`` of the slices whose axis ``axis`` is v
-    (one batched product over v)."""
-    moved = np.moveaxis(amps, (axis, target), (0, -1))
-    rows = moved.reshape(len(mats), -1, moved.shape[-1])
-    out = np.matmul(rows, mats.transpose(0, 2, 1)).reshape(moved.shape[:-1] + (mats.shape[1],))
-    return np.moveaxis(out, (0, -1), (axis, target))
-
-
-def _contract(amps, regs: Registers, names: list, matrix, in_names, out_regs, classical=()):
-    """Contract ``matrix`` against the named register axes of ``amps``, whose
-    leading axes are the classical fields ``names``. The output registers go
-    to the end of the layout, except those named in ``classical``, which
-    become classical axes after the existing ones."""
-    lead = len(names)
-    pos = reg_positions(regs, in_names)
-    out_dims = reg_dims(out_regs)
-    k = len(out_dims)
-    tensor = np.asarray(matrix).reshape(out_dims + tuple(regs[p][1] for p in pos))
-    amps = np.tensordot(amps, tensor, axes=([lead + p for p in pos], list(range(k, k + len(pos)))))
-    regs = tuple(r for i, r in enumerate(regs) if i not in pos) + tuple(out_regs)
-    names = list(names)
-    for name in classical:
-        (p,) = reg_positions(regs, (name,))
-        amps = np.moveaxis(amps, len(names) + p, len(names))
-        names.append(name)
-        regs = regs[:p] + regs[p + 1 :]
-    return amps, regs, names
+def _apply(vector: np.ndarray, registers: Registers, matrix, names, out_regs=None):
+    """Contract ``matrix`` (out dim x in dim) against the named registers of
+    the flat ``vector``. The output registers (by default the input ones)
+    take the place of the first named register; the others keep their order.
+    Returns the new flat vector and layout. The one register contraction of
+    the package: ``key_sweep`` applies its key through it, and
+    ``protocols.ebit_ptp`` the attack."""
+    pos = reg_positions(registers, names)
+    dims = reg_dims(registers)
+    out_regs = tuple(registers[p] for p in pos) if out_regs is None else tuple(out_regs)
+    k = len(out_regs)
+    mat = np.asarray(matrix, dtype=complex).reshape(reg_dims(out_regs) + tuple(dims[p] for p in pos))
+    res = np.tensordot(mat, vector.reshape(dims), axes=(tuple(range(k, k + len(pos))), pos))
+    at = min(pos)
+    res = np.moveaxis(res, range(k), range(at, at + k))
+    rest = tuple(r for i, r in enumerate(registers) if i not in pos)
+    return res.reshape(-1), rest[:at] + out_regs + rest[at:]
 
 
 def checked_total(final: FinalState, where: str) -> FinalState:

@@ -21,7 +21,9 @@ arithmetic):
 feed ``fidelity_acc``, which is ill-conditioned on these rank-deficient
 states (a 1e-17 perturbation of the state moves it by up to 2.7e-8), so its
 accept path keeps the arithmetic of one branch at a time while it computes
-every (code, syndrome) branch of a chunk of codes at once. What keeps the
+every (code, syndrome) branch of a chunk of codes at once. It applies the
+attack through ``hybrid._apply``, the one helper that contracts an operator
+into named registers, by which ``key_sweep`` applies its key. What keeps the
 bits: the decoders are applied by one batched product whose per-code matrix
 products have the shapes and layouts of the per-branch ``tensordot`` (the
 same BLAS call each); the syndrome probabilities reduce the same contiguous
@@ -87,6 +89,7 @@ from .hybrid import (
     REJ,
     FinalState,
     Transfer,
+    _apply,
     checked_total,
     key_sweep,
     record_get,
@@ -124,24 +127,6 @@ def key_pads(m: int) -> tuple[tuple[tuple[int, int], ...], np.ndarray]:
     stack = np.stack([pauli_matrix(p) for p in paulis])
     stack.setflags(write=False)
     return tuple((p.x, p.z) for p in paulis), stack
-
-
-def _apply(vector: np.ndarray, registers: Registers, matrix, names, out_regs=None):
-    """Contract ``matrix`` (out dim x in dim) against the named registers of
-    the flat ``vector``. The output registers (by default the input ones)
-    take the place of the first named register; the others keep their order.
-    Returns the new flat vector and layout. Serves ``ebit_ptp``, which
-    applies the attack through it."""
-    pos = reg_positions(registers, names)
-    dims = reg_dims(registers)
-    out_regs = tuple(registers[p] for p in pos) if out_regs is None else tuple(out_regs)
-    k = len(out_regs)
-    mat = np.asarray(matrix, dtype=complex).reshape(reg_dims(out_regs) + tuple(dims[p] for p in pos))
-    res = np.tensordot(mat, vector.reshape(dims), axes=(tuple(range(k, k + len(pos))), pos))
-    at = min(pos)
-    res = np.moveaxis(res, range(k), range(at, at + k))
-    rest = tuple(r for i, r in enumerate(registers) if i not in pos)
-    return res.reshape(-1), rest[:at] + out_regs + rest[at:]
 
 
 def pad_key(label: str, values, pads: np.ndarray, carrier: str):

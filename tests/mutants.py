@@ -13,7 +13,9 @@ used to guard: each check that replaced them is seen to fail. Then come
 but B), the fixed states that ``FinalState.replaced`` puts on records
 (EBIT-PTC's I/d on reject, the ideal's perfect ebits on accept), the blocks
 that ``hybrid._blocks`` builds on kept registers only (from the Gram the
-transfer traced over the receiver) and that ``key_sweep`` sums per record,
+transfer traced over the receiver), corrects on a kept receiver once they
+are sorted (rows by fix[v], columns by its conjugate) and that
+``key_sweep`` sums per record,
 the two counts of the classical family's one pass over message pairs, the
 XOR blocks of the soundness operator Omega, the probe that stands in for
 its entries off the blocks, ``uc``'s ``identities_ok``,
@@ -112,9 +114,19 @@ MUTANTS = (
     Mutant(
         "blocks-skip-the-correction-on-a-kept-receiver",
         "src/qauthlab/hybrid.py",
-        "if fix is not None and at is not None:",
-        "if fix is None and at is not None:",
+        "        rho = np.matmul(fix, rho.reshape(n, before, dim, after * d))\n"
+        "        rho = np.matmul(fix.conj(), rho.reshape(n, d * before, dim, after)).reshape(n, d, d)\n",
+        "",
         "tests/test_blocks_oracle.py::test_blocks_match_the_build_then_trace_oracle",
+    ),
+    # the receiver's columns corrected by fix[v], not its conjugate: the
+    # Pauli pads are real, so only the psqa sweeps' Haar cipher sees it
+    Mutant(
+        "blocks-column-correction-without-conj",
+        "src/qauthlab/hybrid.py",
+        "rho = np.matmul(fix.conj(), rho.reshape(n, d * before, dim, after))",
+        "rho = np.matmul(fix, rho.reshape(n, d * before, dim, after))",
+        "tests/test_blocks_oracle.py::test_blocks_match_the_build_then_trace_oracle[run_psqa_kg]",
     ),
     # the transfer's Gram for records that drop the receiver traced over E
     # instead of the receiver

@@ -8,7 +8,9 @@ register before the dropped ones are traced out, teleportation outcome by outcom
 the classical channel message by message, the soundness operator from the
 stacked accept-and-decode operators and its functional on one explicit
 input, the dense block-diagonal embedding of a final state), or an object
-the tests build their cases from.
+the tests build their cases from. The key sweep and transfer oracles
+contract through their own helpers (``_contract``, ``_keyed``), which the
+engine does not have, so they share no contraction code with it.
 """
 
 from __future__ import annotations
@@ -29,8 +31,6 @@ from qauthlab.hybrid import (
     REJ,
     FinalState,
     Record,
-    _contract,
-    _keyed,
     checked_total,
 )
 from qauthlab.pauli import PauliString, _parity, hermitian_pauli, pauli_matrix, symplectic_product
@@ -140,6 +140,41 @@ def scalar_random_stabilizer_code(n: int, s: int, rng: np.random.Generator) -> S
         gens.append(cand)
         rows = new_rows
     return StabilizerCode(tuple(gens))
+
+
+# ---------------------------------------------------------------------------
+# the contractions of the oracles below, which share none with the engine
+# ---------------------------------------------------------------------------
+
+
+def _keyed(amps: np.ndarray, axis: int, target: int, mats: np.ndarray) -> np.ndarray:
+    """Apply mats[v] to axis ``target`` of the slices whose axis ``axis`` is v
+    (one batched product over v)."""
+    moved = np.moveaxis(amps, (axis, target), (0, -1))
+    rows = moved.reshape(len(mats), -1, moved.shape[-1])
+    out = np.matmul(rows, mats.transpose(0, 2, 1)).reshape(moved.shape[:-1] + (mats.shape[1],))
+    return np.moveaxis(out, (0, -1), (axis, target))
+
+
+def _contract(amps, regs, names: list, matrix, in_names, out_regs, classical=()):
+    """Contract ``matrix`` against the named register axes of ``amps``, whose
+    leading axes are the classical fields ``names``. The output registers go
+    to the end of the layout, except those named in ``classical``, which
+    become classical axes after the existing ones."""
+    lead = len(names)
+    pos = reg_positions(regs, in_names)
+    out_dims = reg_dims(out_regs)
+    k = len(out_dims)
+    tensor = np.asarray(matrix).reshape(out_dims + tuple(regs[p][1] for p in pos))
+    amps = np.tensordot(amps, tensor, axes=([lead + p for p in pos], list(range(k, k + len(pos)))))
+    regs = tuple(r for i, r in enumerate(regs) if i not in pos) + tuple(out_regs)
+    names = list(names)
+    for name in classical:
+        (p,) = reg_positions(regs, (name,))
+        amps = np.moveaxis(amps, len(names) + p, len(names))
+        names.append(name)
+        regs = regs[:p] + regs[p + 1 :]
+    return amps, regs, names
 
 
 # ---------------------------------------------------------------------------

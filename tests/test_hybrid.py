@@ -392,12 +392,12 @@ def test_key_is_contracted_once_per_sweep(monkeypatch, clear_job_caches, family_
     from qauthlab.cli import _uc_single
     from qauthlab.protocols import run_qa_kg, run_tqa_kg
 
-    contract, transfer_chunk, build = hybrid._contract, protocols._transfer_chunk, protocols.build_transfer
+    apply, transfer_chunk, build = hybrid._apply, protocols._transfer_chunk, protocols.build_transfer
     seen, chunks, built = [], [], []
 
-    def spy(amps, regs, names, matrix, in_names, out_regs, classical=()):
-        seen.append(tuple(in_names))
-        return contract(amps, regs, names, matrix, in_names, out_regs, classical)
+    def spy(vector, registers, matrix, names, out_regs=None):
+        seen.append(tuple(names))
+        return apply(vector, registers, matrix, names, out_regs)
 
     def chunk_spy(encoders, *rest):
         chunks.append(len(encoders))
@@ -408,7 +408,7 @@ def test_key_is_contracted_once_per_sweep(monkeypatch, clear_job_caches, family_
         return build(encoders, attack, m)
 
     monkeypatch.setattr(protocols, "CHUNK_ELEMENTS", 1)
-    monkeypatch.setattr(hybrid, "_contract", spy)
+    monkeypatch.setattr(hybrid, "_apply", spy)
     monkeypatch.setattr(protocols, "_transfer_chunk", chunk_spy)
     monkeypatch.setattr(protocols, "build_transfer", build_spy)
     psi = StateVector(max_entangled_vector(2), (("R", 2), ("M", 2)))

@@ -7,7 +7,10 @@ and is then measured: the peak of traced memory above what was held before
 the call, its result included. The bounds sit between the builds that form
 every record on every register and then trace the dropped ones out (6.54 MB
 for ``ebit_ptp``, 1.45 MB for ``run_qa_kg_ideal``) and the builds that form
-each record on its kept registers only (2.0 MB and 0.24 MB).
+each record on its kept registers only (2.0 MB and 0.24 MB). ``run_qa_kg``
+and ``run_tqa_kg`` keep the receiver on accept and undo the pad there: that
+correction took 1.4 MB when it copied the block stack twice per side, and
+0.6 MB as two products on the stack sorted by name (bound 1.0 MB).
 
 The same measure bounds ``ptp_soundness_exact`` on the seeded n = 6 family of
 ``qauthlab ptc --m 3 --s 3 --seed 1`` (18 codes) at 64 MB: the dense Omega
@@ -22,11 +25,11 @@ import pytest
 
 from qauthlab.adversary import purified_input, standard_suite
 from qauthlab.codes import PtcFamily, ptc_epsilon_formula, search_ptc
-from qauthlab.protocols import ebit_ptp
+from qauthlab.protocols import ebit_ptp, run_qa_kg, run_tqa_kg
 from qauthlab.ucharness import ptp_soundness_exact, run_qa_kg_ideal
 
 FIXTURE = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "family-m1-s3.json"
-BOUNDS_MB = {"ebit_ptp": 3.5, "run_qa_kg_ideal": 0.5}
+BOUNDS_MB = {"ebit_ptp": 3.5, "run_qa_kg": 1.0, "run_qa_kg_ideal": 0.5, "run_tqa_kg": 1.0}
 
 
 def transient_peak_mb(run) -> float:
@@ -52,9 +55,12 @@ def transient_peak_mb(run) -> float:
 def test_swap_held_transient_peak(clear_job_caches, build):
     family = PtcFamily.load(FIXTURE)
     attack = next(a for a in standard_suite(1, 3) if a.name() == "swap-held")
+    psi = purified_input("random-1", 1)
     runs = {
         "ebit_ptp": lambda: ebit_ptp(family, attack),
-        "run_qa_kg_ideal": lambda: run_qa_kg_ideal(purified_input("random-1", 1), family, attack),
+        "run_qa_kg": lambda: run_qa_kg(psi, family, attack),
+        "run_qa_kg_ideal": lambda: run_qa_kg_ideal(psi, family, attack),
+        "run_tqa_kg": lambda: run_tqa_kg(psi, family, attack),
     }
     peak = transient_peak_mb(runs[build])
     assert peak <= BOUNDS_MB[build], f"{build}: {peak:.2f} MB"

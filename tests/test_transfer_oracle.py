@@ -2,7 +2,7 @@
 
 ``chained_transfer_chunk`` below is that chain, kept as the oracle: the
 probe basis contracted with the encoders, then the attack, through
-``hybrid._contract``, then each code's decoder through ``hybrid._keyed`` and
+``oracles._contract``, then each code's decoder through ``oracles._keyed`` and
 three ``moveaxis`` to the (codes, y, ysyn, out, probe) layout. The engine
 builds the same branch maps from two batched products and one transpose.
 Both are read through ``build_transfer``, so they see the same chunks of
@@ -26,9 +26,11 @@ import pytest
 from qauthlab import protocols
 from qauthlab.adversary import AttackDescriptor, purified_input, standard_suite
 from qauthlab.codes import PtcFamily, ptc_epsilon_formula, search_ptc
-from qauthlab.hybrid import ACC, REJ, _contract, _keyed
+from qauthlab.hybrid import ACC, REJ
 from qauthlab.protocols import _attack_pieces, _family_encoders, _transfer, build_transfer, run_qa_kg
 from qauthlab.qmath import RegisterError, reg_dims, reg_positions, total_dim
+
+from oracles import _contract, _keyed
 
 FIXTURE = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "family-m1-s3.json"
 TOL = 1e-12
