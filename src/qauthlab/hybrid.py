@@ -25,10 +25,12 @@ blocks): the receiver, whose traced Gram the record then reads, and
 input-side registers, on which no block is built (``_blocks``). An accept
 record that keeps the receiver undoes the key there once its blocks are
 sorted by name: two batched products on the (values, d, d) stack, one on the
-receiver's rows and one on its columns. A record of several key values sums
-its blocks in one reduction. A fixed state goes onto a record's registers only
-by ``FinalState.replaced``, once the record is summed: EBIT-PTC's I/d on A on
-reject, the ideal's perfect ebits on accept. ``protocols.ebit_ptp`` builds its
+receiver's rows and one on its columns. ``_blocks`` takes the key values in
+runs that fit CHUNK_ELEMENTS; a record of several key values sums its blocks
+of a run in one reduction, and adds the runs up one after another. A fixed
+state goes onto a record's registers only by ``FinalState.replaced``, once
+the record is summed: EBIT-PTC's I/d on A on reject, the ideal's perfect
+ebits on accept. ``protocols.ebit_ptp`` builds its
 own blocks: its accept blocks in the arithmetic of one branch at a time, so
 that they keep their bits, and its reject record as I/d on A times one Gram of
 the registers other than A and B.
@@ -37,14 +39,22 @@ Distance between two final states is sum_c || p_c rho_c - q_c sigma_c ||_1
 over the union of classical records, which equals the full 1-norm of the
 block-diagonal embedding (the tests spot-check that against a dense one). The
 blocks are Hermitian, so ``FinalState.distance`` stacks the shared records'
-differences by block shape and takes their norms with one ``eigvalsh`` per
-shape (``qmath.trace_norm``); a record on one side only counts its weight.
+differences by block shape, in runs that fit CHUNK_ELEMENTS, and takes their
+norms with one ``eigvalsh`` per run (``qmath.trace_norm``); a record on one
+side only counts its weight, and one that both sides hold as the same array
+counts 0.
+
+CHUNK_ELEMENTS bounds every transient the engine builds: ``key_sweep`` hands
+``_blocks`` runs of key values, ``FinalState.distance`` takes runs of
+records, and ``protocols`` cuts its codes into chunks by it (the transfer's,
+``ebit_ptp``'s and the soundness operator's). Each reads it at call time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import groupby
 from typing import Callable, Sequence
 
 import numpy as np
@@ -72,6 +82,18 @@ ACC, REJ, ERR = "ACC", "REJ", "ERR"
 # each dropped pair loses at most this much weight: even thousands of them stay
 # far under the 1e-9 pipeline tolerance.
 PRUNE_BELOW = 1e-15
+
+# Largest transient, in complex entries, of one step of the engine: a run of
+# key values of ``key_sweep`` (its first product or its blocks), a run of
+# records of ``FinalState.distance`` (their stacked differences), or a chunk of
+# codes of ``protocols`` (a transfer's branch maps and the amplitudes they are
+# built from, ``ebit_ptp``'s branches, the soundness operator's projectors); a
+# single key value, record or code may exceed it. At m=1, s=3 every distance of
+# the attack suite is one run, and so is every sweep but psqa's under
+# swap-held (16 cipher values, 2,048 entries each: two runs); swap-held's
+# transfer and ``ebit_ptp`` take four chunks of codes, the soundness operator
+# two.
+CHUNK_ELEMENTS = 1 << 14
 
 
 def record_get(record: Record, fieldname: str):
@@ -144,33 +166,42 @@ class FinalState:
 
     def distance(self, other: "FinalState") -> float:
         """Full 1-norm distance, decomposed over classical records: one
-        ``trace_norm`` call per block shape, and the records summed in sorted
-        order, so the last bit does not depend on hashing. A record that one
-        side lacks counts its weight; one held on different registers or
-        dimensions is an ``InvariantError``, as both sides come from the
-        program's own sweeps."""
+        ``trace_norm`` call per run of records of one block shape whose
+        stacked differences hold at most CHUNK_ELEMENTS entries (or one
+        record's), and the records summed in sorted order, so the last bit
+        depends neither on hashing nor on the runs. A record that one side
+        lacks counts its weight, and one that both sides hold as the same
+        array counts 0, without an eigensolve; one held on different
+        registers or dimensions is an ``InvariantError``, as both sides come
+        from the program's own sweeps."""
         records = sorted(set(self.blocks) | set(other.blocks), key=repr)
-        norms: dict[Record, float] = {}
-        by_shape: dict[tuple, list[Record]] = {}
-        for rec in records:
+        norms = np.zeros(len(records))
+        by_shape: dict[tuple, list[int]] = {}
+        for i, rec in enumerate(records):
             mine, theirs = self.blocks.get(rec), other.blocks.get(rec)
             if mine is None or theirs is None:
-                norms[rec] = (theirs if mine is None else mine).weight
+                norms[i] = (theirs if mine is None else mine).weight
             elif reg_names(mine.registers) != reg_names(theirs.registers):
                 raise InvariantError(f"record {rec} has mismatched registers")
             elif mine.matrix.shape != theirs.matrix.shape:
                 raise InvariantError(f"record {rec} has mismatched dimensions")
-            else:
-                by_shape.setdefault(mine.matrix.shape, []).append(rec)
-        for shape, recs in by_shape.items():
-            pairs = [(self.blocks[rec].matrix, other.blocks[rec].matrix) for rec in recs]
+            elif mine.matrix is not theirs.matrix:
+                by_shape.setdefault(mine.matrix.shape, []).append(i)
+        for shape, at in by_shape.items():
+            pairs = [(self.blocks[records[i]].matrix, other.blocks[records[i]].matrix) for i in at]
+            # one dtype per shape, whatever the runs
             dtype = np.result_type(*{m.dtype for pair in pairs for m in pair})
-            # one stack per shape, each difference written into its own slice
-            diffs = np.empty((len(recs), *shape), dtype=dtype)
-            for out, (mine, theirs) in zip(diffs, pairs):
-                np.subtract(mine, theirs, out=out)
-            norms.update(zip(recs, trace_norm(diffs)))
-        return float(sum(norms[rec] for rec in records))
+            per = max(1, CHUNK_ELEMENTS // (shape[0] * shape[1]))
+            for lo in range(0, len(at), per):
+                # one stack per run, each difference written into its own slice
+                run = at[lo : lo + per]
+                diffs = np.empty((len(run), *shape), dtype=dtype)
+                for out, (mine, theirs) in zip(diffs, pairs[lo : lo + per]):
+                    np.subtract(mine, theirs, out=out)
+                norms[run] = trace_norm(diffs)
+                del diffs
+        # one term after another, in sorted record order
+        return float(sum(norms))
 
 
 # ---------------------------------------------------------------------------
@@ -229,15 +260,17 @@ def key_sweep(
     - The state of key value v is a matrix Psi_v from the probe registers to
       the rest of ``base``. A record class c is a verdict (accept iff ysyn ==
       y), and its Gram matrix G_c (``Transfer.verdicts``) gives every key
-      value's block at once: Psi_v G_c Psi_v^dag, one batched product over
-      the keys, so the key count multiplies no contraction over codes, and
+      value's block at once: Psi_v G_c Psi_v^dag, one batched product per
+      run of keys, so the key count multiplies no contraction over codes, and
       the code count no pass of the sweep.
     - A (key, class) pair counts only if its probability over the whole
       family, Tr(Psi_v G_c Psi_v^dag) read off G_c traced over the output
       registers, is above PRUNE_BELOW. ``plan`` maps its fields (the verdict,
       and the key label with its value) to (output record, registers to
       drop). Dropped registers are traced out before each block is built
-      (``_blocks``); the blocks of one record are summed, REJ first.
+      (``_blocks``, in runs of key values whose largest array holds at most
+      CHUNK_ELEMENTS entries, or one value's); the blocks of one record are
+      summed, REJ first, run after run.
     """
     probe = tuple((carrier if name == "T" else name, d) for name, d in transfer.probe)
     out = tuple((receiver if name == "T" else name, d) for name, d in transfer.out)
@@ -265,18 +298,29 @@ def key_sweep(
             groups.setdefault(tuple(drop), {}).setdefault(record, []).append(v)
         fix = corrections if verdict == ACC else None
         for drop, records in groups.items():
-            vals, start = [v for vs in records.values() for v in vs], 0
-            read = no_receiver if receiver in drop else gram
-            kept, rhos = _blocks(read, psi[vals], (other, out, receiver), drop, None if fix is None else fix[vals])
-            for record, vs in records.items():
-                # a record's rows are contiguous: one row as it is, or one sum
-                rho = rhos[start] if len(vs) == 1 else np.add.reduce(rhos[start : start + len(vs)])
-                start += len(vs)
-                if record in blocks:
-                    if blocks[record][0] != kept:
-                        raise InvariantError(f"record {record} accumulated under different kept registers")
-                    rho = blocks[record][1] + rho
-                blocks[record] = (kept, rho)
+            read, layout = no_receiver if receiver in drop else gram, (other, out, receiver)
+            vals = [v for vs in records.values() for v in vs]
+            owners = [record for record, vs in records.items() for _ in vs]
+            # a key value's largest array in _blocks: its share of the first
+            # product, or its block
+            (dk, dg, dj), dp = _block_layout(layout, drop)[1], psi.shape[2]
+            per = max(1, CHUNK_ELEMENTS // max(dj * dk * dg * dj * dp, (dk * dj) ** 2))
+            for lo in range(0, len(vals), per):
+                run = vals[lo : lo + per]
+                kept, rhos = _blocks(read, psi[run], layout, drop, None if fix is None else fix[run])
+                start = 0
+                for record, rows in groupby(owners[lo : lo + per]):
+                    # a record's rows of a run are contiguous: one row as it
+                    # is, or one sum; a record that spans runs adds up here
+                    n = len(list(rows))
+                    rho = rhos[start] if n == 1 else np.add.reduce(rhos[start : start + n])
+                    start += n
+                    if record in blocks:
+                        if blocks[record][0] != kept:
+                            raise InvariantError(f"record {record} accumulated under different kept registers")
+                        rho = blocks[record][1] + rho
+                    blocks[record] = (kept, rho)
+                del rhos
     return checked_total(FinalState(blocks), "key sweep")
 
 

@@ -48,10 +48,12 @@ real run, and the teleported twin changes only how the key is handled. So
 its probe registers (the carrier, and R when the attack acts on it), and
 every ``key_sweep`` of the job reads the result (``_transfer``): its two
 verdict Grams, summed over every code. The branch maps are built in chunks
-of codes (``_code_chunks``, CHUNK_ELEMENTS), each freed once its Grams are
-added in. A chunk's branch maps are two batched products and one transpose:
-the attack's isometry, as a matrix on T, times every encoder, then each
-code's decoder on the attacked T. That reads the isometry's input as
+of codes (``_code_chunks``, ``hybrid.CHUNK_ELEMENTS``, the engine's one
+budget), each freed once its Grams are added in. At m=1, s=3 swap-held's
+transfer takes four chunks (4,096 entries per code); every other transfer of
+the attack suite fits in one. A chunk's branch maps are two batched products
+and one transpose: the attack's isometry, as a matrix on T, times every
+encoder, then each code's decoder on the attacked T. That reads the isometry's input as
 (R, T), R first, as ``adversary.build_attack`` lifts it; ``build_transfer``
 refuses any other order. Each keyed run passes its secret key to
 ``key_sweep`` as one instrument on its input: a pad as U_k / sqrt(K)
@@ -80,6 +82,7 @@ from __future__ import annotations
 from functools import lru_cache
 import numpy as np
 
+from . import hybrid
 from .adversary import AttackDescriptor, build_attack
 from .codes import PtcFamily, encoding_unitary
 from .hybrid import (
@@ -105,12 +108,6 @@ from .qmath import (
     tensor,
     total_dim,
 )
-
-# Largest array, in complex entries, that one chunk of codes holds: a chunk of
-# a transfer's branch maps (and the amplitudes they are built from), or of
-# ``ebit_ptp``'s branches. At m=1, s=3 every transfer of the attack suite fits
-# in one chunk (at most 4,096 entries per code, for swap-held).
-CHUNK_ELEMENTS = 1 << 16
 
 # ---------------------------------------------------------------------------
 # keys: the Pauli pad and the Bell measurement
@@ -179,11 +176,11 @@ def build_transfer(encoders: np.ndarray, attack, m: int) -> Transfer:
     received syndrome read off. The sweep is applied to the basis of the
     probe registers (R when the attack acts on it, then the 2^m-dim
     carrier), in chunks of codes whose largest array holds at most
-    CHUNK_ELEMENTS entries (or one code's, if that is more). Each chunk's two
-    verdict Grams are added in place into the first chunk's, and its branch
-    maps are freed before the next chunk is built. The attack acts on ("T",)
-    or on ("R", "T"), R first, as ``adversary.build_attack`` lifts it; any
-    other order is refused before any work."""
+    ``hybrid.CHUNK_ELEMENTS`` entries (or one code's, if that is more). Each
+    chunk's two verdict Grams are added in place into the first chunk's, and
+    its branch maps are freed before the next chunk is built. The attack acts
+    on ("T",) or on ("R", "T"), R first, as ``adversary.build_attack`` lifts
+    it; any other order is refused before any work."""
     iso, att_names, att_out = attack
     if att_names not in (("T",), ("R", "T")):
         raise RegisterError(f"a transfer takes attacks on ('T',) or ('R', 'T'), R first; got {att_names}")
@@ -219,10 +216,11 @@ def build_transfer(encoders: np.ndarray, attack, m: int) -> Transfer:
 
 def _code_chunks(encoders: np.ndarray, per_code: int) -> list[np.ndarray]:
     """The encoder stack in runs of codes, each of whose arrays, at
-    ``per_code`` entries per code, holds at most CHUNK_ELEMENTS entries (or
-    one code's, if that is more). ``build_transfer``, ``ebit_ptp`` and
-    ``ucharness._soundness_operator`` chunk their codes here."""
-    step = max(1, CHUNK_ELEMENTS // per_code)
+    ``per_code`` entries per code, holds at most ``hybrid.CHUNK_ELEMENTS``
+    entries (or one code's, if that is more), read at each call.
+    ``build_transfer``, ``ebit_ptp`` and ``ucharness._soundness_operator``
+    chunk their codes here."""
+    step = max(1, hybrid.CHUNK_ELEMENTS // per_code)
     return [encoders[t0 : t0 + step] for t0 in range(0, len(encoders), step)]
 
 
@@ -406,10 +404,10 @@ def ebit_ptp(family: PtcFamily, attack: AttackDescriptor) -> FinalState:
     rej_regs, rejected = (("A", dm),) + tuple(out_regs[i] for i in rest), None
     blocks: dict = {}
     chunks = _code_chunks(encs, attacked.size)
-    # the outer products in runs of at most CHUNK_ELEMENTS entries, written
-    # into one buffer, made at the first run: branch i's block in slot i + 1,
-    # the running sum in slot 0
-    per, rhos = max(1, CHUNK_ELEMENTS // (d_out * d_out)), None
+    # the outer products in runs of at most hybrid.CHUNK_ELEMENTS entries,
+    # written into one buffer, made at the first run: branch i's block in slot
+    # i + 1, the running sum in slot 0
+    per, rhos = max(1, hybrid.CHUNK_ELEMENTS // (d_out * d_out)), None
     for chunk in chunks:
         c = len(chunk)
         # sender: decode in the conjugate basis, measure her syndrome value

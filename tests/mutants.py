@@ -15,7 +15,8 @@ but B), the fixed states that ``FinalState.replaced`` puts on records
 that ``hybrid._blocks`` builds on kept registers only (from the Gram the
 transfer traced over the receiver), corrects on a kept receiver once they
 are sorted (rows by fix[v], columns by its conjugate) and that
-``key_sweep`` sums per record,
+``key_sweep`` sums per record, run after run of key values, the runs of
+records of ``FinalState.distance``,
 the two counts of the classical family's one pass over message pairs, the
 XOR blocks of the soundness operator Omega, the probe that stands in for
 its entries off the blocks, ``uc``'s ``identities_ok``,
@@ -142,9 +143,27 @@ MUTANTS = (
     Mutant(
         "key-sweep-record-keeps-its-first-row",
         "src/qauthlab/hybrid.py",
-        "rho = rhos[start] if len(vs) == 1 else np.add.reduce(rhos[start : start + len(vs)])",
+        "rho = rhos[start] if n == 1 else np.add.reduce(rhos[start : start + n])",
         "rho = rhos[start]",
         "tests/test_key_sweep_oracle.py::test_engine_matches_the_per_slice_oracle",
+    ),
+    # key_sweep skips its last run of key values: one value per run at
+    # budget 1, so a pad's blocks go missing
+    Mutant(
+        "key-sweep-skips-the-last-run-of-key-values",
+        "src/qauthlab/hybrid.py",
+        "for lo in range(0, len(vals), per):",
+        "for lo in range(0, len(vals) - per, per):",
+        "tests/test_transfer_oracle.py::test_one_code_key_value_and_record_per_run_match_the_default_budget",
+    ),
+    # FinalState.distance skips its last run of records of each shape: one
+    # record per run at budget 1, so that record counts 0
+    Mutant(
+        "distance-skips-the-last-run-of-records",
+        "src/qauthlab/hybrid.py",
+        "for lo in range(0, len(at), per):",
+        "for lo in range(0, len(at) - per, per):",
+        "tests/test_hybrid.py::test_distance_matches_the_per_record_svd_sum",
     ),
     # _blocks summing the dropped input-side registers against the wrong
     # axis of the first product

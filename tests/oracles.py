@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 import pytest
 
-from qauthlab import approx_psqa, protocols, ucharness
+from qauthlab import approx_psqa, hybrid, protocols, ucharness
 from qauthlab.adversary import AttackDescriptor
 from qauthlab.approx_psqa import ApproxCipher, measure_delta
 from qauthlab.classical_wc import HashFamily
@@ -213,7 +213,7 @@ def per_slice_key_sweep(encoders, attack, base, carrier, plan, detail, key=None,
     dims = {**dict(start_regs), "T": dt}
     attacked_in = int(np.prod([dims[name] for name in att_names]))
     per_code = start.size // d_in * dt * dy * total_dim(att_out) // attacked_in
-    step = max(1, protocols.CHUNK_ELEMENTS // per_code)
+    step = max(1, hybrid.CHUNK_ELEMENTS // per_code)
     blocks = {}
     weight = 1.0 / (len(encoders) * dy)
     for t0 in range(0, len(encoders), step):

@@ -10,8 +10,9 @@ then the dropped registers traced out. Every ``_blocks`` call of the 13
 sweep variants of
 ``tests/test_sweep_chunks.py`` (every sweep, verdict and drop set they make)
 must agree with it within 1e-12, on the benchmark's m=1, s=3 family and on
-searched families at s = 1 and 2, with one code per chunk and at the default
-chunk budget. ``ebit_ptp`` makes no such call: its reject record is one Gram
+searched families at s = 1 and 2, with one code per chunk and one key value
+per run (budget 1) and at the default chunk budget; the final states of the
+two budgets agree within 1e-12. ``ebit_ptp`` makes no such call: its reject record is one Gram
 over the registers other than A and B (``tests/test_ebit_ptp_bits.py`` holds
 it to its per-branch oracle).
 """
@@ -48,9 +49,9 @@ def _agree(mine, theirs) -> bool:
 def _calls(monkeypatch, clear_caches, budget, run):
     """Run with the chunk budget patched; return every ``_blocks`` call as
     (its arguments with the full verdict Gram in place of the one it read,
-    the verdict of that Gram, its result). A call reads the Gram traced over
-    the receiver iff its ``drop`` names the receiver, and the full Gram
-    otherwise."""
+    the verdict of that Gram, its result), and the final state. A call reads
+    the Gram traced over the receiver iff its ``drop`` names the receiver,
+    and the full Gram otherwise."""
     blocks, calls, grams = hybrid._blocks, [], {}
     build = protocols.build_transfer
 
@@ -69,13 +70,13 @@ def _calls(monkeypatch, clear_caches, budget, run):
         return result
 
     with monkeypatch.context() as patch:
-        patch.setattr(protocols, "CHUNK_ELEMENTS", budget)
+        patch.setattr(hybrid, "CHUNK_ELEMENTS", budget)
         patch.setattr(hybrid, "_blocks", spy)
         patch.setattr(protocols, "build_transfer", build_spy)
         clear_caches()
-        run()
+        final = run()
     clear_caches()
-    return calls
+    return calls, final
 
 
 @pytest.mark.parametrize("sweep", sorted(SWEEPS))
@@ -87,11 +88,18 @@ def test_blocks_match_the_build_then_trace_oracle(monkeypatch, clear_job_caches,
             attack = suite[name]
             if ("psqa" in sweep or "psrqa" in sweep) and attack.acts_on != ("T",):
                 continue
-            for budget in (1, protocols.CHUNK_ELEMENTS):
-                calls = _calls(monkeypatch, clear_job_caches, budget, lambda: SWEEPS[sweep](family, attack))
+            finals = {}
+            for budget in (1, hybrid.CHUNK_ELEMENTS):
+                calls, finals[budget] = _calls(monkeypatch, clear_job_caches, budget, lambda: SWEEPS[sweep](family, attack))
                 for args, verdict, result in calls:
                     kinds.add((verdict, args[3]))
                     assert _agree(result, build_then_trace_blocks(*args)), (sweep, name, family.s, budget, verdict)
+                    # budget 1: one key value per run
+                    assert budget > 1 or len(args[1]) == 1, (sweep, name, family.s)
+            # the records of one key value per run are the default budget's
+            ones, default = finals[1], finals[hybrid.CHUNK_ELEMENTS]
+            assert sorted(ones.blocks, key=repr) == sorted(default.blocks, key=repr), (sweep, name, family.s)
+            assert ones.distance(default) <= TOL, (sweep, name, family.s)
     if sweep.startswith("ebit_ptp"):
         assert kinds == set()
     else:
@@ -105,7 +113,7 @@ def test_the_comparison_sees_a_kept_register_and_a_skipped_correction(monkeypatc
     attack = next(a for a in standard_suite(1, 3) if a.name() == "depol-0.5")
     kept = skipped = 0
     for sweep in ("run_qa_kg", "run_qa_kg_ideal", "run_psrqa_kg/detail"):
-        calls = _calls(monkeypatch, clear_job_caches, protocols.CHUNK_ELEMENTS, lambda: SWEEPS[sweep](families[0], attack))
+        calls, _ = _calls(monkeypatch, clear_job_caches, hybrid.CHUNK_ELEMENTS, lambda: SWEEPS[sweep](families[0], attack))
         for (gram, psi, layout, drop, fix), _, result in calls:
             assert _agree(result, build_then_trace_blocks(gram, psi, layout, drop, fix))
             for name in drop:

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qauthlab import protocols
+from qauthlab import hybrid, protocols
 from qauthlab.adversary import standard_suite
 from qauthlab.codes import PtcFamily, ptc_epsilon_formula, search_ptc
 from qauthlab.hybrid import ACC, PRUNE_BELOW, FinalState
@@ -185,7 +185,7 @@ def test_chunk_boundaries_keep_the_accept_sum(monkeypatch, clear_job_caches, fam
         sizes.extend(len(codes) for codes in chunks)
         return chunks
 
-    monkeypatch.setattr(protocols, "CHUNK_ELEMENTS", budget)
+    monkeypatch.setattr(hybrid, "CHUNK_ELEMENTS", budget)
     monkeypatch.setattr(protocols, "_code_chunks", spy)
     accepts = _compare_with_oracle(family, suite, branches)
     assert accepts == (1736 if branches else 24)

@@ -1,3 +1,4 @@
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -162,7 +163,8 @@ def test_distance_matches_the_per_record_svd_sum(monkeypatch, detail):
     # every pair uc and psqa compare on the benchmark family, with the inputs
     # the benchmark draws at seed 1 (with detail, the oracles' branch records
     # on six of the attacks, two of them on R and T, and a K = 4 cipher:
-    # thousands of records each)
+    # thousands of records each); with one record per run (budget 1) too,
+    # where each distance is bit for bit the default budget's
     family = PtcFamily.load(FIXTURE)
     psi = purified_input("random-1", family.m)
     cipher = sample_cipher(family.m, 4 if detail else 16, 1)
@@ -179,11 +181,50 @@ def test_distance_matches_the_per_record_svd_sum(monkeypatch, detail):
             del calls[:]
             got = a.distance(b)
             assert abs(got - per_record_distance(a, b)) <= 1e-12, (attack.name(), label)
-            # one call per block shape among the shared records
-            shapes = {a.blocks[r].matrix.shape for r in set(a.blocks) & set(b.blocks)}
-            assert sorted(shape[1:] for shape in calls) == sorted(shapes), (attack.name(), label)
+            # one call per run of records of one block shape, among the shared
+            # records the two sides hold as different arrays; without detail,
+            # every shape is one run at the default budget
+            runs = []
+            for shape, k in Counter(
+                a.blocks[r].matrix.shape for r in set(a.blocks) & set(b.blocks) if a.blocks[r].matrix is not b.blocks[r].matrix
+            ).items():
+                per = max(1, hybrid.CHUNK_ELEMENTS // (shape[0] * shape[1]))
+                runs += [(min(per, k - lo), *shape) for lo in range(0, k, per)]
+                assert detail or k <= per, (attack.name(), label, shape, k)
+            assert sorted(calls) == sorted(runs), (attack.name(), label)
+            with monkeypatch.context() as patch:
+                patch.setattr(hybrid, "CHUNK_ELEMENTS", 1)
+                del calls[:]
+                assert a.distance(b) == got, (attack.name(), label)
+            # one call per record
+            assert sorted(calls) == sorted((1, *shape) for k, *shape in runs for _ in range(k)), (attack.name(), label)
             count += 1
     assert count == (6 * 2 + 4 if detail else 27 * 4 + 25 * 2)
+
+
+def test_a_record_both_sides_hold_as_one_array_counts_zero(monkeypatch):
+    # EBIT's reject record is one array in the real run and in its ideal
+    # (FinalState.replaced keeps it): no stack slot and no eigensolve, and
+    # the distance keeps its bits against the same records with that one
+    # copied, whose difference is exactly zero
+    family = PtcFamily.load(FIXTURE)
+    attack = next(a for a in standard_suite(family.m, family.s) if a.name() == "depol-0.5")
+    real = ebit_ptp(family, attack)
+    ideal = _ebit_ideal_from(real, family.m)
+    acc, rej = (("verdict", "ACC"),), (("verdict", "REJ"),)
+    assert ideal.blocks[rej].matrix is real.blocks[rej].matrix
+    assert ideal.blocks[acc].matrix is not real.blocks[acc].matrix
+    assert real.blocks[rej].weight > 0.1
+    stacks = []
+    norm = hybrid.trace_norm
+    monkeypatch.setattr(hybrid, "trace_norm", lambda deltas: stacks.append(deltas.shape) or norm(deltas))
+    got = real.distance(ideal)
+    assert stacks == [(1, *real.blocks[acc].matrix.shape)]
+    copied = FinalState({rec: (b.registers, b.matrix.copy()) for rec, b in ideal.blocks.items()})
+    del stacks[:]
+    assert real.distance(copied) == got
+    assert sorted(stacks) == sorted([(1, *real.blocks[acc].matrix.shape), (1, *real.blocks[rej].matrix.shape)])
+    assert got > 0.01
 
 
 def test_distance_stacks_blocks_of_every_shape():
@@ -335,7 +376,7 @@ def test_a_record_class_is_pruned_over_the_whole_family(monkeypatch, clear_job_c
         return cut[-1]
 
     if budget is not None:
-        monkeypatch.setattr(protocols, "CHUNK_ELEMENTS", budget)
+        monkeypatch.setattr(hybrid, "CHUNK_ELEMENTS", budget)
     monkeypatch.setattr(protocols, "_code_chunks", spy)
     clear_job_caches()
     final = ebit_ptc(family, AttackDescriptor("pauli_mixture", weights=((1 - w, 0, 0), (w, 4, 0)), label="rare-X2"))
@@ -407,7 +448,7 @@ def test_key_is_contracted_once_per_sweep(monkeypatch, clear_job_caches, family_
         built.append(len(encoders))
         return build(encoders, attack, m)
 
-    monkeypatch.setattr(protocols, "CHUNK_ELEMENTS", 1)
+    monkeypatch.setattr(hybrid, "CHUNK_ELEMENTS", 1)
     monkeypatch.setattr(hybrid, "_apply", spy)
     monkeypatch.setattr(protocols, "_transfer_chunk", chunk_spy)
     monkeypatch.setattr(protocols, "build_transfer", build_spy)
@@ -482,7 +523,7 @@ def test_verdict_grams_are_taken_once_per_job(monkeypatch, clear_job_caches, fam
         built.append(build(*args))
         return built[-1]
 
-    monkeypatch.setattr(protocols, "CHUNK_ELEMENTS", 1)
+    monkeypatch.setattr(hybrid, "CHUNK_ELEMENTS", 1)
     monkeypatch.setattr(hybrid, "np", CountingNumpy())
     monkeypatch.setattr(hybrid, "_blocks", blocks_spy)
     monkeypatch.setattr(hybrid, "checked_total", total_spy)

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qauthlab import protocols
+from qauthlab import hybrid, protocols
 from qauthlab.adversary import purified_input, standard_suite
 from qauthlab.approx_psqa import psqa_ideal, run_psqa_kg, run_psrqa_kg, sample_cipher
 from qauthlab.codes import PtcFamily
@@ -160,7 +160,7 @@ def test_the_transfer_holds_its_two_verdict_classes(monkeypatch, clear_job_cache
         return built[-1]
 
     monkeypatch.setattr(protocols, "_transfer_chunk", spy)
-    monkeypatch.setattr(protocols, "CHUNK_ELEMENTS", 1)
+    monkeypatch.setattr(hybrid, "CHUNK_ELEMENTS", 1)
     for attack in suite:
         built.clear()
         transfer = _transfer(family, attack)

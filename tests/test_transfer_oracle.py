@@ -13,9 +13,14 @@ transfer's two verdict Grams (REJ, then ACC), read-only, within 1e-12 of the
 oracle's: per chunk, sum_b x_b x_b^dag over each verdict's branches, summed
 in chunk order. This holds on all 27 attacks of the benchmark's m=1, s=3
 family, with the chunk budget at one entry (one code per chunk), at 2^12
-entries and at its default, and on searched families at (m, s) = (1, 1),
-(1, 2), (2, 1) and (2, 2). An oracle that applies the decoder without its
-conjugate must differ, and an attack on (T, R), in that order, is refused.
+and 2^16 entries and at its default, and on searched families at (m, s) =
+(1, 1), (1, 2), (2, 1) and (2, 2). An oracle that applies the decoder without
+its conjugate must differ, and an attack on (T, R), in that order, is refused.
+
+At budget 1 the same budget also cuts each key sweep into runs of one key
+value and each distance into runs of one record: every final state ``uc``
+compares, and every distance between them, must stay within 1e-12 of the
+default budget's on all 27 attacks.
 """
 
 from pathlib import Path
@@ -23,11 +28,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qauthlab import protocols
+from qauthlab import hybrid, protocols
 from qauthlab.adversary import AttackDescriptor, purified_input, standard_suite
 from qauthlab.codes import PtcFamily, ptc_epsilon_formula, search_ptc
 from qauthlab.hybrid import ACC, REJ
-from qauthlab.protocols import _attack_pieces, _family_encoders, _transfer, build_transfer, run_qa_kg
+from qauthlab.protocols import (
+    _attack_pieces,
+    _family_encoders,
+    _transfer,
+    build_transfer,
+    ebit_ptc,
+    ebit_ptp,
+    run_qa_kg,
+    run_tqa_kg,
+)
+from qauthlab.ucharness import run_qa_kg_ideal
 from qauthlab.qmath import RegisterError, reg_dims, reg_positions, total_dim
 
 from oracles import _contract, _keyed
@@ -120,9 +135,9 @@ def family():
     return PtcFamily.load(FIXTURE)
 
 
-@pytest.mark.parametrize("budget", [1, 1 << 12, protocols.CHUNK_ELEMENTS])
+@pytest.mark.parametrize("budget", [1, 1 << 12, 1 << 16, hybrid.CHUNK_ELEMENTS])
 def test_transfer_chunks_match_the_contraction_chain(monkeypatch, clear_job_caches, family, budget):
-    monkeypatch.setattr(protocols, "CHUNK_ELEMENTS", budget)
+    monkeypatch.setattr(hybrid, "CHUNK_ELEMENTS", budget)
     suite = standard_suite(family.m, family.s)
     assert len(suite) == 27
     chunks = 0
@@ -130,8 +145,9 @@ def test_transfer_chunks_match_the_contraction_chain(monkeypatch, clear_job_cach
         got, want = both_transfers(monkeypatch, family, attack)
         assert differences(got, want) == [], attack.name()
         chunks += len(got[1])
-    # one code per chunk; chunks of 1 to 14 codes; one chunk per attack
-    assert chunks == {1: 27 * 14, 1 << 12: 64}.get(budget, 27)
+    # one code per chunk; chunks of 1 to 14 codes; one chunk per attack; at
+    # the default budget swap-held's 14 codes in four chunks, the others in one
+    assert chunks == {1: 27 * 14, 1 << 12: 64, 1 << 14: 30, 1 << 16: 27}[budget]
 
 
 def masked_grams(chunks):
@@ -152,16 +168,41 @@ def masked_grams(chunks):
     return grams
 
 
-@pytest.mark.parametrize("budget", [1, protocols.CHUNK_ELEMENTS])
+@pytest.mark.parametrize("budget", [1, 1 << 16, hybrid.CHUNK_ELEMENTS])
 def test_verdict_grams_equal_the_masked_rows_bit_for_bit(monkeypatch, clear_job_caches, family, budget):
     # the rows of each verdict, gathered by index, are the masked rows in the
     # same order, so every Gram is the same to the last bit; a REJ Gram taken
     # as all rows minus ACC leaves roundoff on classes that are exactly zero
-    monkeypatch.setattr(protocols, "CHUNK_ELEMENTS", budget)
+    monkeypatch.setattr(hybrid, "CHUNK_ELEMENTS", budget)
     for attack in standard_suite(family.m, family.s):
         transfer, chunks = _build(monkeypatch, family, attack, protocols._transfer_chunk)
         for (verdict, gram), want in zip(transfer.verdicts, masked_grams(chunks), strict=True):
             assert np.array_equal(gram, want), (attack.name(), verdict)
+
+
+def test_one_code_key_value_and_record_per_run_match_the_default_budget(monkeypatch, clear_job_caches, family):
+    psi = purified_input("random-1", family.m)
+
+    def compared(attack):
+        """The final states uc compares for the attack, and their distances."""
+        clear_job_caches()
+        qa, ptp = run_qa_kg(psi, family, attack), ebit_ptp(family, attack)
+        finals = {
+            "qa": qa, "tqa": run_tqa_kg(psi, family, attack), "ideal": run_qa_kg_ideal(psi, family, attack),
+            "ptc": ebit_ptc(family, attack), "ptp": ptp,
+        }
+        pairs = (("qa", "tqa"), ("qa", "ideal"), ("ptc", "ptp"))
+        return finals, [finals[a].distance(finals[b]) for a, b in pairs]
+
+    for attack in standard_suite(family.m, family.s):
+        finals, distances = compared(attack)
+        with monkeypatch.context() as patch:
+            patch.setattr(hybrid, "CHUNK_ELEMENTS", 1)
+            ones, one_distances = compared(attack)
+            for name, final in finals.items():
+                assert sorted(ones[name].blocks, key=repr) == sorted(final.blocks, key=repr), (attack.name(), name)
+                assert ones[name].distance(final) <= TOL, (attack.name(), name)
+        assert np.abs(np.subtract(one_distances, distances)).max() <= TOL, attack.name()
 
 
 @pytest.mark.parametrize("m, s", [(1, 1), (1, 2), (2, 1), (2, 2)])
