@@ -12,21 +12,23 @@ phase) and therefore acts trivially on every codeword. Errors that commute
 with all generators without being stabilizers are the harmful ones; they pass
 the syndrome comparison while corrupting the logical content.
 
-Syndrome bits live only in the detection count ``_missed_counts``, which
-takes the parity in arrays, factored over the two halves of an error: the
-syndrome of (x, z) under a code is sx(x) XOR sz(z), bit i of sx the parity of
-x & g_i.z and of sz that of z & g_i.x. A code is silent on (x, z) when the
-halves agree, so with 2^n x (|codes| 2^s) one-hot tables A of sx and B of sz
-the number of silent codes is (A B^T)[x, z]: one small product counts every
-error under every code, less each code's 2^s stabilizers. The count is a sum
-over codes: ``search_ptc`` adds each new code's count to a running total.
+Each code keeps its generators' labels x << n | z (``StabilizerCode.labels``,
+taken once for its rank check). Syndrome bits live only in the detection
+count ``_missed_counts``, which reads those labels and takes the parity in
+arrays, factored over the two halves of an error: the syndrome of (x, z)
+under a code is sx(x) XOR sz(z), bit i of sx the parity of x & g_i.z and of
+sz that of z & g_i.x. A code is silent on (x, z) when the halves agree, so
+with 2^n x (|codes| 2^s) one-hot tables A of sx and B of sz the number of
+silent codes is (A B^T)[x, z]: one small product counts every error under
+every code, less each code's 2^s stabilizers. The count is a sum over codes:
+``search_ptc`` adds each new code's count to a running total.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
@@ -52,7 +54,7 @@ PTC_MAX_N = 6
 MAX_CANDIDATES = 100_000
 
 
-def _gf2_rank(rows: list[int]) -> int:
+def _gf2_rank(rows: Sequence[int]) -> int:
     rank = 0
     pivots = []
     for row in rows:
@@ -68,9 +70,11 @@ def _gf2_rank(rows: list[int]) -> int:
 
 @dataclass(frozen=True)
 class StabilizerCode:
-    """m-into-n stabilizer code given by s independent commuting generators."""
+    """m-into-n stabilizer code given by s independent commuting generators,
+    with each generator's label x << n | z in ``labels``."""
 
     generators: tuple[PauliString, ...]
+    labels: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         gens = tuple(self.generators)
@@ -88,10 +92,11 @@ class StabilizerCode:
             for h in gens[i + 1 :]:
                 if symplectic_product(g, h):
                     raise CodeError("generators do not commute")
-        rows = [(g.x << n) | g.z for g in gens]
-        if _gf2_rank(rows) != len(gens):
+        labels = tuple((g.x << n) | g.z for g in gens)
+        if _gf2_rank(labels) != len(gens):
             raise CodeError("generators are not multiplicatively independent")
         object.__setattr__(self, "generators", gens)
+        object.__setattr__(self, "labels", labels)
 
     @property
     def n(self) -> int:
@@ -123,11 +128,13 @@ def verify_ptc(codes: Sequence[StabilizerCode]) -> float:
 
 @lru_cache(maxsize=None)
 def _parity_table(n: int) -> np.ndarray:
-    """Read-only 2^n x 2^n table of parity(a & b), as uint8.
+    """Read-only 2^n x 2^n table of parity(a & b), as float32 0.0 or 1.0.
 
-    The 0/1 bit rows' product counts the common bits (exact in float32)."""
+    The 0/1 bit rows' product counts the common bits, and a product of these
+    parities with the weights 2^i sums at most 2^s - 1: whole numbers below
+    2^24, which float32 holds exactly."""
     bits = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(np.float32)
-    table = (bits @ bits.T).astype(np.uint8) & 1
+    table = (bits @ bits.T) % 2
     table.setflags(write=False)
     return table
 
@@ -160,18 +167,20 @@ def _missed_counts(codes: Sequence[StabilizerCode]) -> np.ndarray:
             f"verify_ptc cost 4^n * (2n + |codes|) = 4^{n} * ({2 * n} + {len(codes)}) = {cost} "
             f"exceeds the limit 2^24 = {PTC_COST_LIMIT}"
         )
-    # generator i of code c as the label x << n | z
-    labels = np.array([[(g.x << n) | g.z for g in c.generators] for c in codes])
+    # generator i of code c's stored label x << n | z at [c, i]
+    labels = np.array([label for c in codes for label in c.labels]).reshape(len(codes), s)
     # the module docstring's tables A (rows x, masks g.z) and B (rows z,
     # masks g.x): column c * 2^s + y marks the halves whose syndrome reads y
     parity = _parity_table(n)
-    weights = 1 << np.arange(s)
+    weights = (1 << np.arange(s)).astype(np.float32)
     rows = np.arange(1 << n)[:, None]
     offsets = np.arange(len(codes)) << s
     halves = []
     for masks in (labels & ((1 << n) - 1), labels >> n):
         onehot = np.zeros((1 << n, len(codes) << s), dtype=np.float32)
-        onehot[rows, parity[:, masks] @ weights + offsets] = 1.0
+        # every syndrome in one float32 product, exact below 2^s
+        syndromes = parity[:, masks].reshape(-1, s) @ weights
+        onehot[rows, syndromes.astype(np.int64).reshape(1 << n, -1) + offsets] = 1.0
         halves.append(onehot)
     # silent[x << n | z] counts the codes whose two halves agree (a zero
     # syndrome); every count is below 2^24, so float32 keeps it exact

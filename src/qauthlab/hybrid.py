@@ -24,10 +24,11 @@ is dropped. A plan maps each verdict to (record, registers traced out of its
 blocks): the receiver, whose traced Gram the record then reads, and
 input-side registers, on which no block is built (``_blocks``). An accept
 record that keeps the receiver undoes the key there once its blocks are
-sorted by name: two batched products on the (values, d, d) stack, one on the
-receiver's rows and one on its columns. ``_blocks`` takes the key values in
-runs that fit CHUNK_ELEMENTS; a record of several key values sums its blocks
-of a run in one reduction, and adds the runs up one after another. A fixed
+sorted by name: two batched products on the (values, d, d) stack, each on
+the receiver's rows, of the block and then of its conjugate transpose,
+which is transposed back. ``_blocks`` takes the key values in runs that fit
+CHUNK_ELEMENTS; a record of several key values sums its blocks of a run in
+one reduction, and adds the runs up one after another. A fixed
 state goes onto a record's registers only by ``FinalState.replaced``, once
 the record is summed: EBIT-PTC's I/d on A on reject, the ideal's perfect
 ebits on accept. ``protocols.ebit_ptp`` builds its
@@ -333,8 +334,9 @@ def _blocks(gram, psi, layout, drop, fix):
     block is built on a dropped register: those of ``other`` are summed
     inside the second product. The first product is freed before the blocks
     are sorted, and the correction acts on the sorted (values, d, d) stack:
-    fix[v] on the receiver's rows, then fix[v].conj() on its columns, each
-    one broadcast product that makes no transposed copy of the stack.
+    fix[v] on the receiver's rows, then on those of the conjugate transpose,
+    transposed back, two broadcast products over the rows rather than one
+    small column product per row of the block.
     Returns the kept registers and the blocks."""
     (n, _, dp), (split, (dk, dg, dj), shape, cut, order, kept) = psi.shape, _block_layout(layout, drop)
     if split is not None:
@@ -350,10 +352,14 @@ def _blocks(gram, psi, layout, drop, fix):
     d = total_dim(kept)
     rho = rho.reshape(shape[0] + (n,) + shape[1]).transpose(order).reshape(n, d, d)
     if fix is not None and cut is not None:
-        # fix[v] on the receiver's rows, then fix[v].conj() on its columns
+        # fix[v] on the receiver's rows, then on those of the conjugate
+        # transpose, transposed back: (F (F rho)^dag)^dag = F rho F^dag. The
+        # conjugate is taken in place: a ufunc that reads the transposed stack
+        # buffers it, which took swap-held's peak from 0.55 to 0.68 MB
         (before, dim, after), fix = cut, fix[:, None]
-        rho = np.matmul(fix, rho.reshape(n, before, dim, after * d))
-        rho = np.matmul(fix.conj(), rho.reshape(n, d * before, dim, after)).reshape(n, d, d)
+        for _ in range(2):
+            rho = np.matmul(fix, rho.reshape(n, before, dim, after * d)).reshape(n, d, d)
+            rho = np.conjugate(rho, out=rho).transpose(0, 2, 1).copy()
     return kept, rho
 
 

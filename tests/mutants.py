@@ -14,12 +14,13 @@ but B), the fixed states that ``FinalState.replaced`` puts on records
 (EBIT-PTC's I/d on reject, the ideal's perfect ebits on accept), the blocks
 that ``hybrid._blocks`` builds on kept registers only (from the Gram the
 transfer traced over the receiver), corrects on a kept receiver once they
-are sorted (rows by fix[v], columns by its conjugate) and that
-``key_sweep`` sums per record, run after run of key values, the runs of
-records of ``FinalState.distance``,
-the two counts of the classical family's one pass over message pairs, the
-XOR blocks of the soundness operator Omega, the probe that stands in for
-its entries off the blocks, ``uc``'s ``identities_ok``,
+are sorted (fix[v] on the rows of the block, then on those of its conjugate
+transpose) and that ``key_sweep`` sums per record, run after run of key
+values, the runs of records of ``FinalState.distance``, the field product's
+reduction, the two counts of the classical family's one pass over message
+pairs and their bin offsets, the stored generator labels that the detection
+count reads, the XOR blocks of the soundness operator Omega, the probe that
+stands in for its entries off the blocks, ``uc``'s ``identities_ok``,
 ``factored_matches_direct`` and ``fidelity_chain_ok`` and ``psqa``'s gate on
 ``rsp_twin_identity`` at their tolerances of 1e-9, and the verdicts of
 ``ptp-soundness`` (``within_epsilon``), of each ``uc`` advantage report and
@@ -115,18 +116,20 @@ MUTANTS = (
     Mutant(
         "blocks-skip-the-correction-on-a-kept-receiver",
         "src/qauthlab/hybrid.py",
-        "        rho = np.matmul(fix, rho.reshape(n, before, dim, after * d))\n"
-        "        rho = np.matmul(fix.conj(), rho.reshape(n, d * before, dim, after)).reshape(n, d, d)\n",
+        "        for _ in range(2):\n"
+        "            rho = np.matmul(fix, rho.reshape(n, before, dim, after * d)).reshape(n, d, d)\n"
+        "            rho = np.conjugate(rho, out=rho).transpose(0, 2, 1).copy()\n",
         "",
         "tests/test_blocks_oracle.py::test_blocks_match_the_build_then_trace_oracle",
     ),
-    # the receiver's columns corrected by fix[v], not its conjugate: the
-    # Pauli pads are real, so only the psqa sweeps' Haar cipher sees it
+    # the receiver corrected through the plain transpose, not the conjugate
+    # one, which is F rho F^T: the Pauli pads are real, so only the psqa
+    # sweeps' Haar cipher sees it
     Mutant(
-        "blocks-column-correction-without-conj",
+        "blocks-receiver-correction-without-conj",
         "src/qauthlab/hybrid.py",
-        "rho = np.matmul(fix.conj(), rho.reshape(n, d * before, dim, after))",
-        "rho = np.matmul(fix, rho.reshape(n, d * before, dim, after))",
+        "rho = np.conjugate(rho, out=rho).transpose(0, 2, 1).copy()",
+        "rho = rho.transpose(0, 2, 1).copy()",
         "tests/test_blocks_oracle.py::test_blocks_match_the_build_then_trace_oracle[run_psqa_kg]",
     ),
     # the transfer's Gram for records that drop the receiver traced over E
@@ -182,21 +185,47 @@ MUTANTS = (
         "real.replaced(lambda rec: not _is_acc(rec),",
         "tests/test_ucharness.py::test_eta_ideal_puts_perfect_ebits_on_accept_only",
     ),
+    # the field product without its reduction by the polynomial
+    Mutant(
+        "gf-mul-without-the-reduction",
+        "src/qauthlab/classical_wc.py",
+        "        a = a ^ (a >> w) * poly\n",
+        "",
+        "tests/test_classical_wc.py::test_field_arithmetic",
+    ),
     # the joint tag pair (a, b) read as the sum a + b, which merges pairs
     Mutant(
         "wc-joint-count-merges-tag-pairs",
         "src/qauthlab/classical_wc.py",
-        "np.add(table[i] * width, later",
-        "np.add(table[i], later",
+        "np.add(later, table[i] * width, out=out)",
+        "np.add(later, table[i], out=out)",
+        "tests/test_classical_wc.py::test_pair_counts_match_a_scalar_count",
+    ),
+    # the joint count's rows offset by width, not width^2: the bins of one
+    # later message overlap those of the next
+    Mutant(
+        "wc-joint-bin-offset-by-width",
+        "src/qauthlab/classical_wc.py",
+        "joint_rows = np.arange(nm - 1)[:, None] * (width * width)",
+        "joint_rows = np.arange(nm - 1)[:, None] * width",
         "tests/test_classical_wc.py::test_pair_counts_match_a_scalar_count",
     ),
     # every later message's tag differences taken against x_0, not x_i
     Mutant(
         "wc-hits-count-against-the-first-message",
         "src/qauthlab/classical_wc.py",
-        "np.bitwise_xor(later, table[i]",
-        "np.bitwise_xor(later, table[0]",
+        "np.bitwise_xor(later, table[i], out=out)",
+        "np.bitwise_xor(later, table[0], out=out)",
         "tests/test_classical_wc.py::test_pair_counts_match_a_scalar_count",
+    ),
+    # each generator's stored label with its halves swapped, z << n | x:
+    # the rank check is blind to it, the detection count is not
+    Mutant(
+        "code-labels-z-over-x",
+        "src/qauthlab/codes.py",
+        "labels = tuple((g.x << n) | g.z for g in gens)",
+        "labels = tuple((g.z << n) | g.x for g in gens)",
+        "tests/test_codes.py::test_count_product_matches_scalar_loop_at_five_and_six_qubits",
     ),
     # the soundness probe compares the blocks applied to a (x) b with
     # themselves, not with Omega (a (x) b) from the projectors

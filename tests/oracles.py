@@ -4,15 +4,16 @@ None of these is run by an experiment: each is a second, independent way to
 compute what the package computes (syndromes and detection one error and one
 code at a time, random codes drawn one scalar at a time, the key sweep slice
 by slice and with one record per branch, the engine's blocks built on every
-register before the dropped ones are traced out, teleportation outcome by outcome,
-the classical channel message by message, the soundness operator from the
-stacked accept-and-decode operators and its functional on one explicit
-input, the dense block-diagonal embedding of a final state), or an object
-the tests build their cases from. The key sweep and transfer oracles
-contract through their own helpers (``_contract``, ``_keyed``), which the
-engine does not have, so they share no contraction code with it.
+register before the dropped ones are traced out, teleportation outcome by
+outcome, the classical channel message by message, the field product bit by
+bit, the classical pair counts and the detection count in their earlier
+forms, the soundness operator from the stacked accept-and-decode operators
+and its functional on one explicit input, the dense block-diagonal embedding
+of a final state), or an object the tests build their cases from. The key
+sweep and transfer oracles contract through their own helpers (``_contract``,
+``_keyed``), which the engine does not have, so they share no contraction
+code with it.
 """
-
 from __future__ import annotations
 
 from typing import Callable, Sequence
@@ -23,7 +24,7 @@ import pytest
 from qauthlab import approx_psqa, hybrid, protocols, ucharness
 from qauthlab.adversary import AttackDescriptor
 from qauthlab.approx_psqa import ApproxCipher, measure_delta
-from qauthlab.classical_wc import HashFamily
+from qauthlab.classical_wc import _IRREDUCIBLE, HashFamily
 from qauthlab.codes import CodeError, PtcFamily, StabilizerCode, _gf2_rank
 from qauthlab.hybrid import (
     ACC,
@@ -140,6 +141,30 @@ def scalar_random_stabilizer_code(n: int, s: int, rng: np.random.Generator) -> S
         gens.append(cand)
         rows = new_rows
     return StabilizerCode(tuple(gens))
+
+
+def int64_missed_counts(codes: Sequence[StabilizerCode]) -> np.ndarray:
+    """``codes._missed_counts`` as it was before the codes kept their labels:
+    each generator's label rebuilt per call, each half's syndromes read off a
+    uint8 parity table by an int64 product, and the silent count taken in
+    int64 too, so no float rounds anywhere."""
+    n, s = codes[0].n, codes[0].s
+    labels = np.array([[(g.x << n) | g.z for g in c.generators] for c in codes])
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    parity = (bits @ bits.T).astype(np.uint8) & 1
+    weights = 1 << np.arange(s)
+    rows = np.arange(1 << n)[:, None]
+    offsets = np.arange(len(codes)) << s
+    halves = []
+    for masks in (labels & ((1 << n) - 1), labels >> n):
+        onehot = np.zeros((1 << n, len(codes) << s), dtype=np.int64)
+        onehot[rows, parity[:, masks] @ weights + offsets] = 1
+        halves.append(onehot)
+    silent = (halves[0] @ halves[1].T).ravel()
+    group = np.zeros((len(codes), 1), dtype=np.int64)
+    for i in range(s):
+        group = np.concatenate([group, group ^ labels[:, i : i + 1]], axis=1)
+    return silent - np.bincount(group.ravel(), minlength=silent.size)
 
 
 # ---------------------------------------------------------------------------
@@ -547,3 +572,37 @@ def completeness_exact(family: HashFamily) -> bool:
                 if wire[0] != x or not wc_verify(wire, k, t, family):
                     return False
     return True
+
+
+def scalar_gf_mul(a: int, b: int, w: int) -> int:
+    """``classical_wc.gf_mul`` on two ints, one bit of b per step while any
+    is left: the form it had before it took arrays."""
+    poly = _IRREDUCIBLE[w]
+    out = 0
+    while b:
+        if b & 1:
+            out ^= a
+        b >>= 1
+        a <<= 1
+        if a >> w:
+            a ^= poly
+    return out
+
+
+def _row_counts(values: np.ndarray) -> np.ndarray:
+    """counts[i, v] = how often the int v >= 0 occurs in row i of ``values``."""
+    width = int(values.max()) + 1
+    flat = (np.arange(len(values))[:, None] * width + values).ravel()
+    return np.bincount(flat, minlength=len(values) * width).reshape(len(values), width)
+
+
+def row_counts_pair_counts(table: np.ndarray) -> tuple[int, np.ndarray]:
+    """``classical_wc._pair_counts`` as it was before it wrote its bin codes in
+    place: each step's codes offset per row by a fresh ``_row_counts``."""
+    nm, width = len(table), int(table.max()) + 1
+    worst, hits = 0, np.zeros((nm, nm), dtype=np.int64)
+    for i in range(nm - 1):
+        later = table[i + 1 :]
+        worst = max(worst, int(_row_counts(table[i] * width + later).max()))
+        hits[i, i + 1 :] = _row_counts(later ^ table[i]).max(axis=1)
+    return worst, hits

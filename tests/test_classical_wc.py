@@ -16,7 +16,7 @@ from qauthlab.classical_wc import (
     wc_kg_advantage,
 )
 
-from oracles import completeness_exact, wc_send, wc_verify
+from oracles import completeness_exact, row_counts_pair_counts, scalar_gf_mul, wc_send, wc_verify
 
 
 def tag_table(keys, msgs, evaluate) -> np.ndarray:
@@ -31,6 +31,16 @@ def test_field_arithmetic():
     for a in range(8):
         assert gf_mul(a, 1, 3) == a
         assert gf_mul(a, 0, 3) == 0
+
+
+@pytest.mark.parametrize("w", sorted(classical_wc._IRREDUCIBLE))
+def test_gf_mul_on_arrays_matches_the_scalar_loop(w):
+    # one call over every pair of field elements, and the same function on
+    # ints, against the loop that reads one bit of b at a time
+    q = 1 << w
+    want = np.array([[scalar_gf_mul(a, b, w) for b in range(q)] for a in range(q)])
+    np.testing.assert_array_equal(gf_mul(np.arange(q)[:, None], np.arange(q), w), want)
+    assert [gf_mul(a, b, w) for a in range(q) for b in range(q)] == want.ravel().tolist()
 
 
 @pytest.mark.parametrize("w,L", [(2, 1), (3, 1), (2, 2), (6, 1), (4, 2), (3, 3), (2, 4)])
@@ -235,6 +245,16 @@ def test_pair_counts_match_a_scalar_count(seed):
     assert worst == joint
     assert np.array_equal(hits, want)
     assert not hits.flags.writeable
+
+
+# the benchmark's two families, then the two largest that WC_COST_LIMIT admits
+@pytest.mark.parametrize("w,L", [(5, 1), (3, 2), (6, 1), (4, 2)])
+def test_pair_counts_match_the_row_counts_form(w, L):
+    table = poly_hash_family(w, L).table
+    worst, hits = _pair_counts(table)
+    want_worst, want_hits = row_counts_pair_counts(table)
+    assert worst == want_worst
+    np.testing.assert_array_equal(hits, want_hits)
 
 
 @pytest.mark.parametrize("w,L", [(2, 1), (3, 1), (2, 2)])

@@ -26,7 +26,7 @@ from qauthlab.codes import (
 )
 from qauthlab.pauli import PauliString, enumerate_paulis, hermitian_pauli, pauli_matrix
 
-from oracles import detects, scalar_random_stabilizer_code, stabilizer_masks, syndrome
+from oracles import detects, int64_missed_counts, scalar_random_stabilizer_code, stabilizer_masks, syndrome
 
 
 def single(x, z):
@@ -332,6 +332,25 @@ def test_count_product_matches_scalar_loop_at_five_and_six_qubits(n, s, size, se
     rng = np.random.default_rng(seed)
     codes = [random_stabilizer_code(n, s, rng) for _ in range(size)]
     assert _verify_ptc_details(codes) == _scalar_ptc_details(codes)
+
+
+@pytest.mark.parametrize("n, s", [(1, 1), (3, 2), (6, 3), (6, 6)])
+def test_code_labels_are_x_over_z(n, s):
+    rng = np.random.default_rng(n * 10 + s)
+    for code in [random_stabilizer_code(n, s, rng) for _ in range(8)]:
+        assert code.labels == tuple((g.x << n) | g.z for g in code.generators)
+
+
+@pytest.mark.parametrize("n, s, size", [(6, 3, 64), (6, 5, 64), (6, 1, 64), (6, 3, 1), (6, 6, 1), (4, 2, 1)])
+@pytest.mark.parametrize("seed", range(3))
+def test_missed_counts_match_the_int64_form(n, s, size, seed):
+    # the float32 syndrome product and the stored labels against the int64
+    # product over labels rebuilt from the generators
+    rng = np.random.default_rng(seed)
+    codes = [random_stabilizer_code(n, s, rng) for _ in range(size)]
+    got = _missed_counts(codes)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, int64_missed_counts(codes))
 
 
 def test_search_reproduces_the_committed_fixture():
