@@ -20,6 +20,7 @@ import numpy as np
 
 from .pauli import PauliString, hermitian_pauli, pauli_matrix
 from .qmath import (
+    InvariantError,
     RegisterError,
     StateVector,
     haar_state,
@@ -84,7 +85,9 @@ def build_attack(desc: AttackDescriptor, dims: dict[str, int]) -> np.ndarray:
     input index runs over the registers in ``desc.acts_on`` order, the first
     most significant; the row index is (output, env) with env least
     significant, so the attack's e-th Kraus operator is V[e::env_dim]. A V
-    whose V^dag V differs from I by more than ISOMETRY_TOL is refused.
+    whose V^dag V differs from I by more than ISOMETRY_TOL is an
+    ``InvariantError``: every descriptor that reaches it is one of the
+    program's own (``--attack`` only names suite attacks).
     """
     for name in desc.acts_on:
         if name not in dims:
@@ -92,7 +95,7 @@ def build_attack(desc: AttackDescriptor, dims: dict[str, int]) -> np.ndarray:
     v = _isometry(desc, dims)
     defect = np.abs(v.conj().T @ v - np.eye(v.shape[1])).max()
     if not defect <= ISOMETRY_TOL:
-        raise ValueError(f"attack {desc.name()!r} is not an isometry: V^dag V is {defect:.3g} from I")
+        raise InvariantError(f"attack {desc.name()!r} is not an isometry: V^dag V is {defect:.3g} from I")
     v.setflags(write=False)
     return v
 

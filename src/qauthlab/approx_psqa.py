@@ -6,16 +6,19 @@ of test states plus a seeded sample of random pure states (a sampled lower
 bound on the true supremum, reported as such, never assumed).
 
 Remote state preparation turns a known-pure-message cipher into a measurement
-on shared entanglement: measuring one ebit half with the POVM
+on shared entanglement: measuring one ebit half with the elements
 { (U_k rho U_k^dag)^T / M }_k  plus the failure element F collapses the other
 half exactly onto U_k rho U_k^dag when k != f. Substituting this for
 teleportation inside the authentication protocol yields the pure-state
 variant; with the exact Pauli cipher the variant reduces to the standard
 protocol branch for branch, and with sampled ciphers the security bound picks
 up 2 Pr(f) from the failure branch. The exact cipher is the keyed Pauli pad of
-``protocols.key_pads``. Pr(f) comes from ``rsp_scale``, without a POVM, and
-F from ``rsp_povm`` alone (``run_psrqa_kg``). ``rsp_twin_identity`` checks
-the twin against ``run_psqa_kg`` on every record that recycles a cipher key.
+``protocols.key_pads``. Pr(f) comes from ``rsp_scale``, without building
+the measurement; the measurement, F included, comes from ``rsp_key`` alone, a
+``key_sweep`` key like ``protocols.pad_key`` (``run_psrqa_kg``), and the
+engine checks that its elements sum to the identity. ``rsp_twin_identity``
+checks the twin against ``run_psqa_kg`` on every record that recycles a
+cipher key.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from .codes import PtcFamily
 from .hybrid import ACC, ERR, FinalState, key_sweep, record_get
 from .protocols import _transfer, pad_key
 from .qmath import (
-    Povm,
     StateVector,
     haar_state,
     haar_unitary,
@@ -129,45 +131,45 @@ def sample_cipher(m: int, key_count: int, seed: int) -> ApproxCipher:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RspMeasurement:
-    povm: Povm  # the K cipher elements, then the failure element F
-    scale: float  # M = || sum_k U_k rho U_k^dag ||_inf
-    failure_probability: float  # on half of a maximally entangled pair
-
-
-def rsp_scale(cipher: ApproxCipher, message_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """``rsp_povm``'s rho = |message><message|, S = sum_k U_k rho U_k^dag, its
-    norm M and the failure probability max(0, 1 - K/(M 2^m)), without a POVM."""
+def rsp_scale(cipher: ApproxCipher, message_vec: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """S = sum_k U_k rho U_k^dag for rho = |message><message|, its norm M and
+    the failure probability max(0, 1 - K/(M 2^m)) of ``rsp_key``'s
+    measurement, without building it."""
     vec = np.asarray(message_vec, dtype=complex).reshape(-1)
     d = 1 << cipher.m
     if vec.size != d:
         raise ValueError(f"message must have dimension {d}")
     if abs(np.vdot(vec, vec).real - 1.0) > 1e-10:
         raise ValueError("message must be a unit vector (pure state)")
-    rho = np.outer(vec, vec.conj())
     # S = sum_k (U_k vec)(U_k vec)^dag, PSD, so its norm is its top eigenvalue
     images = np.stack(cipher.unitaries) @ vec
     total = images.T @ images.conj()
     scale = float(np.linalg.eigvalsh(total)[-1])
     p_fail = 1.0 - cipher.key_count / (scale * d)
-    return rho, total, scale, float(max(p_fail, 0.0))
+    return total, scale, float(max(p_fail, 0.0))
 
 
-def rsp_povm(cipher: ApproxCipher, message_vec: np.ndarray) -> RspMeasurement:
-    """The cipher's preparation measurement for one known pure message.
+def rsp_key(cipher: ApproxCipher, message_vec: np.ndarray):
+    """The ``key_sweep`` key of the cipher's preparation measurement for one
+    known pure message, on the sender's half "Ams" of an ebit.
 
-    Elements (U_k rho U_k^dag)^T / M for each key plus the failure element
-    F = I - (sum_k U_k rho U_k^dag)^T / M; they sum to the identity by
-    construction. Applied to half of a maximally entangled pair, outcome k
-    occurs with probability 1/(M 2^m) and leaves the far half in exactly
-    U_k rho U_k^dag; the failure outcome has probability 1 - K/(M 2^m).
-    """
-    rho, total, scale, p_fail = rsp_scale(cipher, message_vec)
-    elements = [(u @ rho @ u.conj().T).T / scale for u in cipher.unitaries]
-    failure = np.eye(len(rho), dtype=complex) - total.T / scale
-    povm = Povm(tuple(elements) + (failure,))
-    return RspMeasurement(povm, scale, p_fail)
+    Outcome k has the operator |0><conj(U_k message)| / sqrt(M), so its
+    element is (U_k rho U_k^dag)^T / M, and the failure outcome f has
+    sqrt(F), F = I - S^T / M: the one place F is formed. Applied to half of
+    a maximally entangled pair, outcome k occurs with probability 1/(M 2^m)
+    and leaves the far half in exactly U_k rho U_k^dag, undone by U_k^dag on
+    accept; f has probability 1 - K/(M 2^m) and leaves the far half as it
+    is. ``key_sweep`` checks that the elements sum to the identity."""
+    vec = np.asarray(message_vec, dtype=complex).reshape(-1)
+    total, scale, _ = rsp_scale(cipher, vec)
+    d = len(vec)
+    ket0 = np.eye(d, dtype=complex)[:, 0]
+    # as a matrix, the operator's row is the unconjugated encryption, so the
+    # far half collapses to U_k message
+    ops = [np.outer(ket0, u @ vec) / np.sqrt(scale) for u in cipher.unitaries]
+    ops.append(psd_sqrt(np.eye(d, dtype=complex) - total.T / scale))
+    corrections = [u.conj().T for u in cipher.unitaries] + [np.eye(d, dtype=complex)]
+    return "k", list(range(cipher.key_count)) + ["f"], ("Ams",), np.stack(ops), (("Ams", d),), np.stack(corrections)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +224,7 @@ def run_psrqa_kg(
     attack: AttackDescriptor,
 ) -> FinalState:
     """Remote-preparation twin: entanglement through the attacked channel,
-    then the message-specific measurement on the sender's halves.
+    then the message-specific measurement ``rsp_key`` on the sender's half.
 
     On outcome k != f the receiver's half collapses exactly onto the k-th
     encryption of the message, so conditioned on not failing, the final state
@@ -230,23 +232,13 @@ def run_psrqa_kg(
     probability 1 - K/(M 2^m) and error symbols.
     """
     dm = 1 << family.m
-    vec = np.asarray(message_vec, dtype=complex).reshape(-1)
-    meas = rsp_povm(cipher, vec)
-    ket0 = np.eye(dm, dtype=complex)[:, 0]
-    # measurement operator |0><conj(phi_k)| / sqrt(M); as a matrix its row is
-    # the unconjugated encryption, so the far half collapses to phi_k
-    ops = [np.outer(ket0, u @ vec) / np.sqrt(meas.scale) for u in cipher.unitaries]
-    ops.append(psd_sqrt(meas.povm.elements[-1]))
-    # the failure outcome f leaves the receiver's half as it is
-    corrections = [u.conj().T for u in cipher.unitaries] + [np.eye(dm, dtype=complex)]
     base = StateVector(max_entangled_vector(dm), (("Ams", dm), ("B0", dm)))
     return key_sweep(
         _transfer(family, attack),
         base,
         "B0",
         _psqa_plan(internal=("Ams",)),
-        key=("k", list(range(cipher.key_count)) + ["f"], ("Ams",), np.stack(ops), (("Ams", dm),),
-             np.stack(corrections)),
+        key=rsp_key(cipher, message_vec),
         receiver="M",
     )
 

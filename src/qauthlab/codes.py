@@ -35,6 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .pauli import PauliString, hermitian_pauli, pauli_matrix, symplectic_product
+from .qmath import InvariantError
 
 
 class CodeError(ValueError):
@@ -122,8 +123,7 @@ def verify_ptc(codes: Sequence[StabilizerCode]) -> float:
     the only way this package ever assigns one. Raises ``CodeError`` before
     any work when 4^n * (2n + |codes|) exceeds PTC_COST_LIMIT.
     """
-    eps, _ = _verify_ptc_details(codes)
-    return eps
+    return _worst_error(_missed_counts(codes), len(codes))[0]
 
 
 @lru_cache(maxsize=None)
@@ -137,12 +137,6 @@ def _parity_table(n: int) -> np.ndarray:
     table = (bits @ bits.T) % 2
     table.setflags(write=False)
     return table
-
-
-def _verify_ptc_details(codes: Sequence[StabilizerCode]) -> tuple[float, PauliString]:
-    eps, worst = _worst_error(_missed_counts(codes), len(codes))
-    n = codes[0].n
-    return eps, PauliString(n, worst >> n, worst & ((1 << n) - 1))
 
 
 def _worst_error(missed: np.ndarray, size: int) -> tuple[float, int]:
@@ -392,6 +386,9 @@ def encoding_unitary(code: StabilizerCode) -> np.ndarray:
     The logical basis inside each subspace is an arbitrary (deterministic)
     choice; nothing downstream relies on aligning logical labels across
     different syndrome values, because mismatched syndromes are rejected.
+    A ``StabilizerCode`` has independent commuting generators, so a
+    subspace of the wrong rank or an encoder that is not unitary is an
+    ``InvariantError``.
     """
     n, s, m = code.n, code.s, code.m
     d = 1 << n
@@ -404,9 +401,9 @@ def encoding_unitary(code: StabilizerCode) -> np.ndarray:
             proj = proj @ ((np.eye(d) + sign * g) / 2.0)
         u_, sv, _ = np.linalg.svd(proj)
         if sv[(1 << m) - 1] < 0.5 or ((1 << m) < d and sv[1 << m] > 0.5):
-            raise CodeError("degenerate generator set: syndrome subspace rank is off")
+            raise InvariantError("degenerate generator set: syndrome subspace rank is off")
         cols[:, y * (1 << m) : (y + 1) * (1 << m)] = u_[:, : 1 << m]
     if not np.allclose(cols.conj().T @ cols, np.eye(d), atol=1e-10):
-        raise CodeError("encoder failed unitarity check")
+        raise InvariantError("encoder failed unitarity check")
     cols.setflags(write=False)
     return cols

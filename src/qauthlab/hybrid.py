@@ -15,7 +15,8 @@ attack) and every sweep of the job reads: per verdict, one Gram matrix of the
 branch maps (code t, syndrome key y, received syndrome ysyn), summed over
 every code, and traced once over the receiver and once over every output. A
 sweep takes its run's secret key (pad, cipher, Bell or preparation outcome) as
-one instrument on its input, applied by ``_apply``, the package's one
+one instrument on its input, checked complete (its elements sum to the
+identity within 1e-10) and applied by ``_apply``, the package's one
 contraction of an operator into named registers (``protocols.ebit_ptp``
 applies its attack through it too), and builds every block from its
 verdict's Gram (see ``key_sweep``), never a single branch. A (key value,
@@ -257,7 +258,9 @@ def key_sweep(
       stacked (values, out dim, in dim), act once on the registers ``names``
       of ``base``, with their outcome as the key value v; corrections[v] acts
       on the receiver on accept (ysyn == y). A pad of K unitaries U_k is the
-      instrument U_k/sqrt(K).
+      instrument U_k/sqrt(K). A key whose operators K_v miss
+      sum_v K_v^dag K_v = I by more than 1e-10 is an ``InvariantError``:
+      every key is built by the program.
     - The state of key value v is a matrix Psi_v from the probe registers to
       the rest of ``base``. A record class c is a verdict (accept iff ysyn ==
       y), and its Gram matrix G_c (``Transfer.verdicts``) gives every key
@@ -280,6 +283,13 @@ def key_sweep(
         label, values, corrections, amps = None, (None,), None, amps[None]
     else:
         label, values, key_names, ops, key_out, corrections = key
+        flat = ops.reshape(-1, ops.shape[-1])
+        defect = np.abs(flat.conj().T @ flat - np.eye(ops.shape[-1])).max()
+        if not defect <= 1e-10:
+            raise InvariantError(
+                f"key sweep: key {label!r} is not a complete instrument: "
+                f"sum_v K_v^dag K_v is {defect:.3g} from I, above 1e-10"
+            )
         amps, regs = _apply(amps, regs, ops, key_names, ((label, len(ops)),) + tuple(key_out))
         # the outcome axis first: the key value v
         (at,) = reg_positions(regs, (label,))

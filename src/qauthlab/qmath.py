@@ -136,29 +136,6 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
-class Povm:
-    """A finite measurement: positive elements summing to the identity."""
-
-    elements: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        elems = tuple(np.asarray(e, dtype=complex) for e in self.elements)
-        d = elems[0].shape[0]
-        total = np.zeros((d, d), dtype=complex)
-        for e in elems:
-            if e.shape != (d, d):
-                raise ValueError("POVM elements disagree on dimension")
-            if np.linalg.eigvalsh((e + e.conj().T) / 2).min() < -PSD_FLOOR:
-                raise ValueError("POVM element is not positive semidefinite")
-            total += e
-        if not np.allclose(total, np.eye(d), atol=1e-10):
-            raise ValueError("POVM elements do not sum to the identity")
-        for e in elems:
-            e.setflags(write=False)
-        object.__setattr__(self, "elements", elems)
-
-
 # ---------------------------------------------------------------------------
 # basic operations
 # ---------------------------------------------------------------------------

@@ -16,9 +16,11 @@ that ``hybrid._blocks`` builds on kept registers only (from the Gram the
 transfer traced over the receiver), corrects on a kept receiver once they
 are sorted (fix[v] on the rows of the block, then on those of its conjugate
 transpose) and that ``key_sweep`` sums per record, run after run of key
-values, the runs of records of ``FinalState.distance``, the field product's
-reduction, the two counts of the classical family's one pass over message
-pairs and their bin offsets, the stored generator labels that the detection
+values, the check that every key of ``key_sweep`` is a complete instrument,
+the transpose in the failure element of ``approx_psqa.rsp_key``, the runs of
+records of ``FinalState.distance``, the field product's reduction, the two
+counts of the classical family's one pass over message pairs and their bin
+offsets, the stored generator labels that the detection
 count reads, the XOR blocks of the soundness operator Omega, the probe that
 stands in for its entries off the blocks, ``uc``'s ``identities_ok``,
 ``factored_matches_direct`` and ``fidelity_chain_ok`` and ``psqa``'s gate on
@@ -176,6 +178,27 @@ MUTANTS = (
         "    if dg > 1:\n        half = half.transpose(0, 1, 2, 4, 3, 5)\n",
         "",
         "tests/test_blocks_oracle.py::test_blocks_match_the_build_then_trace_oracle",
+    ),
+    # key_sweep applies a key without checking that it is a complete
+    # instrument: a pad missing a unitary still fails the total weight, but
+    # not with the completeness check's message
+    Mutant(
+        "key-sweep-skips-the-instrument-check",
+        "src/qauthlab/hybrid.py",
+        "if not defect <= 1e-10:",
+        "if False:",
+        "tests/test_hybrid.py::test_key_sweep_refuses_a_key_that_is_not_a_complete_instrument",
+    ),
+    # the preparation measurement's failure element F = I - S/M, without the
+    # transpose of S: the total weight is blind to it (S and S^T weigh alike
+    # on half of a maximally entangled pair), and the exact cipher's S = 2I
+    # is symmetric, so only a sampled cipher shows it
+    Mutant(
+        "rsp-failure-element-untransposed",
+        "src/qauthlab/approx_psqa.py",
+        "np.eye(d, dtype=complex) - total.T / scale",
+        "np.eye(d, dtype=complex) - total / scale",
+        "tests/test_approx_psqa.py::test_rsp_scale_reads_the_keys_failure_element",
     ),
     # the ideal's perfect ebits put on the reject records, which hold no B
     Mutant(

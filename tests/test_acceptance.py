@@ -13,7 +13,7 @@ import pytest
 from qauthlab.adversary import AttackDescriptor, purified_input, standard_suite
 from qauthlab.approx_psqa import (
     psqa_advantage,
-    rsp_povm,
+    rsp_scale,
     run_psqa_kg,
     sample_cipher,
 )
@@ -262,7 +262,7 @@ def test_criterion_8_pure_state_variant(family_s1, family_s3):
     measured = []
     for seed in (3, 4):
         cip_s = sample_cipher(1, 16, seed=seed)
-        p_f = rsp_povm(cip_s, message).failure_probability
+        p_f = rsp_scale(cip_s, message)[-1]
         for label in ("identity", "X3", "depol-0.5", "random-101"):
             desc = next(a for a in standard_suite(1, 3) if a.name() == label)
             rep = psqa_advantage(message, cip_s, family_s3, desc)

@@ -11,7 +11,7 @@ from qauthlab.adversary import (
     standard_suite,
 )
 from qauthlab.pauli import hermitian_pauli, pauli_matrix
-from qauthlab.qmath import RegisterError, StateVector, haar_state
+from qauthlab.qmath import InvariantError, RegisterError, StateVector, haar_state
 
 from oracles import attack_from_json, random_density
 
@@ -112,14 +112,15 @@ def test_swap_held_resets_t_and_keeps_it_in_e(rng):
 
 
 def test_build_attack_refuses_a_non_isometry(monkeypatch):
-    # a Pauli table off by 10% makes V^dag V = 0.81 I
+    # a Pauli table off by 10% makes V^dag V = 0.81 I; every descriptor is
+    # the program's own, so this is an InvariantError, never a ValueError
     def scaled(p):
         return 0.9 * pauli_matrix(p)
 
     monkeypatch.setattr(adversary, "pauli_matrix", scaled)
-    with pytest.raises(ValueError, match=r"'X0' is not an isometry: V\^dag V is 0.19 from I"):
+    with pytest.raises(InvariantError, match=r"'X0' is not an isometry: V\^dag V is 0.19 from I"):
         build_attack(AttackDescriptor("fixed_pauli", x=1, label="X0"), DIMS)
-    with pytest.raises(ValueError, match="not an isometry"):
+    with pytest.raises(InvariantError, match="not an isometry"):
         build_attack(AttackDescriptor("depolarizing", strength=0.5), DIMS)
     monkeypatch.undo()
     build_attack(AttackDescriptor("fixed_pauli", x=1, label="X0"), DIMS)

@@ -8,7 +8,7 @@ from qauthlab.approx_psqa import (
     check_cipher_size,
     measure_delta,
     psqa_advantage,
-    rsp_povm,
+    rsp_key,
     rsp_scale,
     run_psqa_kg,
     run_psrqa_kg,
@@ -85,43 +85,60 @@ def test_measure_delta_matches_flattening_definition(rng):
         assert measure_delta(unitaries, m, seed=seed, samples=300) == pytest.approx(oracle, rel=0, abs=1e-14)
 
 
-def test_rsp_povm_structure(message):
+def _check_rsp_key(cipher, vec):
+    """``rsp_key``'s elements K_v^dag K_v against their definition:
+    (U_k rho U_k^dag)^T / M for each key k, then F = I - S^T / M, complete,
+    within 1e-12; returns F."""
+    total, scale, p_fail = rsp_scale(cipher, vec)
+    label, values, names, ops, out, _ = rsp_key(cipher, vec)
+    assert (label, values, names, out) == ("k", [*range(cipher.key_count), "f"], ("Ams",), (("Ams", len(vec)),))
+    elements = ops.conj().transpose(0, 2, 1) @ ops
+    rho = np.outer(vec, vec.conj())
+    for u, elem in zip(cipher.unitaries, elements):
+        np.testing.assert_allclose(elem, (u @ rho @ u.conj().T).T / scale, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(elements[-1], np.eye(len(vec)) - total.T / scale, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(elements.sum(axis=0), np.eye(len(vec)), rtol=0, atol=1e-12)
+    # on half of a maximally entangled pair F has probability Tr(F) / 2^m
+    assert np.trace(elements[-1]).real / len(vec) == pytest.approx(p_fail, abs=1e-12)
+    return elements[-1]
+
+
+def test_rsp_key_structure(message):
     cip = pauli_cipher(1)
-    meas = rsp_povm(cip, message)
-    assert len(meas.povm.elements) == cip.key_count + 1
-    total = sum(meas.povm.elements)
-    assert np.allclose(total, np.eye(2), atol=1e-10)
+    failure = _check_rsp_key(cip, message)
     # with the exact cipher the failure element vanishes
-    assert meas.failure_probability < 1e-10
-    # post-measurement states on the far half are the four Pauli conjugates
-    rho = np.outer(message, message.conj())
+    assert np.abs(failure).max() < 1e-12
+    assert rsp_scale(cip, message)[-1] < 1e-10
+    # on accept, U_k^dag undoes the k-th encryption; f leaves the far half as it is
+    fix = rsp_key(cip, message)[5]
     for k in range(4):
         x, z = divmod(k, 2)
-        u = pauli_matrix(PauliString(1, x, z))
-        elem = meas.povm.elements[k]
-        np.testing.assert_allclose(elem, (u @ rho @ u.conj().T).T / meas.scale, atol=1e-12)
+        np.testing.assert_array_equal(fix[k], pauli_matrix(PauliString(1, x, z)).conj().T)
+    np.testing.assert_array_equal(fix[-1], np.eye(2))
 
 
-def test_rsp_povm_failure_probability(message):
+def test_rsp_key_failure_probability(message):
     cip = sample_cipher(1, 8, seed=5)
-    meas = rsp_povm(cip, message)
-    assert 0.0 <= meas.failure_probability < 1.0
-    assert meas.scale >= cip.key_count / 2.0 - 1e-12
+    _check_rsp_key(cip, message)
+    _, scale, p_fail = rsp_scale(cip, message)
+    assert 0.0 <= p_fail < 1.0
+    assert scale >= cip.key_count / 2.0 - 1e-12
     with pytest.raises(ValueError):
-        rsp_povm(cip, np.array([1.0, 1.0]))
+        rsp_key(cip, np.array([1.0, 1.0]))
 
 
-def test_rsp_scale_reads_the_povms_failure_probability(message):
-    # the psqa message and the cipher of `psqa --seed 1 --K 16`, and the
-    # module's message with a sampled and the exact cipher
+def test_rsp_scale_reads_the_keys_failure_element(message):
+    # the psqa message and the cipher of `psqa --seed 1 --K 16`, the module's
+    # message with a sampled and the exact cipher, and a two-qubit cipher
     vec = haar_unitary(2, np.random.default_rng(1))[:, 0]
-    for cip, msg in ((sample_cipher(1, 16, 1), vec), (sample_cipher(1, 16, 3), message), (pauli_cipher(1), message)):
-        meas = rsp_povm(cip, msg)
-        rho, total, scale, p_fail = rsp_scale(cip, msg)
-        assert p_fail == meas.failure_probability
-        assert scale == meas.scale
-        np.testing.assert_allclose(total.T / scale + meas.povm.elements[-1], np.eye(2), rtol=0, atol=1e-12)
-        np.testing.assert_array_equal(rho, np.outer(msg, msg.conj()))
+    cases = (
+        (sample_cipher(1, 16, 1), vec),
+        (sample_cipher(1, 16, 3), message),
+        (pauli_cipher(1), message),
+        (sample_cipher(2, 16, 2), haar_state(4, np.random.default_rng(2))),
+    )
+    for cip, msg in cases:
+        _check_rsp_key(cip, msg)
     with pytest.raises(ValueError, match="unit vector"):
         rsp_scale(pauli_cipher(1), np.array([1.0, 1.0]))
 
@@ -133,28 +150,11 @@ def test_rsp_scale_is_the_operator_norm_of_s(m, keys):
     for seed in range(3):
         cipher = sample_cipher(m, keys, seed=seed)
         vec = haar_state(1 << m, np.random.default_rng(seed))
-        rho, total, scale, _ = rsp_scale(cipher, vec)
+        total, scale, _ = rsp_scale(cipher, vec)
+        rho = np.outer(vec, vec.conj())
         want = sum(u @ rho @ u.conj().T for u in cipher.unitaries)
         assert np.abs(total - want).max() <= 1e-12
         assert abs(scale - np.linalg.norm(total, 2)) <= 1e-12
-
-
-def test_psqa_advantage_builds_no_povm(monkeypatch, family_s2, message):
-    built = []
-    povm = approx_psqa.Povm
-
-    def spy(elements):
-        built.append(len(elements))
-        return povm(elements)
-
-    monkeypatch.setattr(approx_psqa, "Povm", spy)
-    cip = sample_cipher(1, 16, seed=3)
-    attack = next(a for a in standard_suite(1, 2) if a.name() == "X0")
-    rep = psqa_advantage(message, cip, family_s2, attack)
-    assert built == []
-    assert rep.extras["failure_probability"] == rsp_povm(cip, message).failure_probability
-    # the spy sees the POVM that rsp_povm builds
-    assert built == [17]
 
 
 def test_psqa_reduces_to_qa_with_pauli_cipher(family_s1, message):
@@ -181,13 +181,13 @@ def test_psqa_reduces_to_qa_with_pauli_cipher(family_s1, message):
 
 def test_psrqa_matches_psqa_branch_for_branch(family_s1, message):
     cip = sample_cipher(1, 8, seed=5)
-    meas = rsp_povm(cip, message)
+    p_fail = rsp_scale(cip, message)[-1]
     for label in ("identity", "depol-0.5", "random-103"):
         desc = next(a for a in standard_suite(1, 1) if a.name() == label)
         # one record per branch, through the per-slice oracle
         psqa = per_slice_run(lambda: run_psqa_kg(message, cip, family_s1, desc), family_s1, desc, psqa_branch)
         psrqa = per_slice_run(lambda: run_psrqa_kg(message, cip, family_s1, desc), family_s1, desc, psqa_branch)
-        scale = 1.0 - meas.failure_probability
+        scale = 1.0 - p_fail
         for rec, blk in psqa.blocks.items():
             other = psrqa.blocks.get(rec)
             assert other is not None, rec
@@ -201,7 +201,7 @@ def test_psrqa_matches_psqa_branch_for_branch(family_s1, message):
             for rec, blk in psrqa.blocks.items()
             if dict(dict(rec)["detail"]).get("k") == "f"
         )
-        assert f_mass == pytest.approx(meas.failure_probability, abs=1e-10)
+        assert f_mass == pytest.approx(p_fail, abs=1e-10)
 
 
 def test_psqa_advantage_identity_attack(family_s1, message):

@@ -146,6 +146,25 @@ def test_uc_invariant_violation_exits_three(tmp_path, capsys, monkeypatch, clear
     assert "total weight" in capsys.readouterr().err
 
 
+def test_uc_tampered_attack_table_exits_three(capsys, monkeypatch, clear_job_caches):
+    # swap-held's Kraus operators scaled by 1.01: --attack only names suite
+    # attacks, so a V that is no isometry is a fault of the program (exit 3),
+    # never a configuration error (exit 2)
+    from qauthlab import adversary
+
+    isometry = adversary._isometry
+
+    def scaled(desc, dims):
+        v = isometry(desc, dims)
+        return 1.01 * v if desc.kind == "swap_held" else v
+
+    monkeypatch.setattr(adversary, "_isometry", scaled)
+    code = main(["uc", "--m", "1", "--s", "1", "--seed", "1", "--attack", "swap-held"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "internal invariant violated" in err and "'swap-held' is not an isometry" in err
+
+
 def test_uc_plan_fault_exits_three(capsys, monkeypatch):
     # a plan that maps both verdicts of QA+KG to one record (REJ drops M, ACC
     # keeps it) can only come from the program's own plans: an internal
@@ -424,6 +443,29 @@ def test_psqa_remote_preparation_twin_identity(capsys, monkeypatch):
         assert {k: v for k, v in after.items() if k not in ("rsp_twin_identity", "pass")} == {
             k: v for k, v in before.items() if k not in ("rsp_twin_identity", "pass")
         }
+
+
+def test_psqa_untransposed_failure_element_exits_three(capsys, monkeypatch):
+    # F = I - S/M, the transpose of S dropped: on half of a maximally
+    # entangled pair it weighs what F does, so only key_sweep's check that
+    # the preparation measurement is complete sees it, 0.145 from I
+    from qauthlab import approx_psqa
+    from qauthlab.qmath import psd_sqrt
+
+    key = approx_psqa.rsp_key
+
+    def untransposed(cipher, vec):
+        label, values, names, ops, out, fix = key(cipher, vec)
+        total, scale, _ = approx_psqa.rsp_scale(cipher, vec)
+        ops = np.concatenate([ops[:-1], psd_sqrt(np.eye(len(total)) - total / scale)[None]])
+        return label, values, names, ops, out, fix
+
+    monkeypatch.setattr(approx_psqa, "rsp_key", untransposed)
+    code = main(["psqa", "--family", str(FIXTURE), "--attacks", "1", "--seed", "1"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "internal invariant violated" in err
+    assert "key sweep: key 'k' is not a complete instrument: sum_v K_v^dag K_v is 0.145 from I" in err
 
 
 def test_psqa_small_twin_gap_fails_the_attack(capsys, monkeypatch):

@@ -14,7 +14,7 @@ from qauthlab.codes import (
     PTC_COST_LIMIT,
     CodeError,
     _missed_counts,
-    _verify_ptc_details,
+    _worst_error,
     PtcFamily,
     StabilizerCode,
     cost_formulas,
@@ -25,6 +25,7 @@ from qauthlab.codes import (
     verify_ptc,
 )
 from qauthlab.pauli import PauliString, enumerate_paulis, hermitian_pauli, pauli_matrix
+from qauthlab.qmath import InvariantError
 
 from oracles import detects, int64_missed_counts, scalar_random_stabilizer_code, stabilizer_masks, syndrome
 
@@ -218,8 +219,10 @@ def test_encoding_displacement_moves_syndrome(family_s2):
 
 
 def test_encoding_rejects_degenerate_generators():
+    # a StabilizerCode refuses dependent generators, so only a program fault
+    # can hand the encoder some: an InvariantError, never a CodeError
     good = random_stabilizer_code(3, 2, np.random.default_rng(0))
-    with pytest.raises(CodeError):
+    with pytest.raises(InvariantError, match="degenerate generator set"):
         # fabricate a "code" with dependent generators by dodging validation
         class Fake:
             n, s, m = 3, 2, 1
@@ -293,13 +296,19 @@ def test_load_parses_each_text_once_and_reads_the_file_every_time(tmp_path, fami
 
 
 def _scalar_ptc_details(codes):
-    """Reference loop: one `detects` call per (error, code), first maximum kept."""
+    """Reference loop: one `detects` call per (error, code), first maximum
+    kept, as (missed fraction, label x << n | z)."""
     worst_count, worst = -1, None
     for e in enumerate_paulis(codes[0].n, include_identity=False):
         missed = sum(not detects(c, e) for c in codes)
         if missed > worst_count:
             worst_count, worst = missed, e
-    return worst_count / len(codes), worst
+    return worst_count / len(codes), worst.x << worst.n | worst.z
+
+
+def _array_ptc_details(codes):
+    """``verify_ptc``'s count: (missed fraction, label) of its worst error."""
+    return _worst_error(_missed_counts(codes), len(codes))
 
 
 @settings(max_examples=60, deadline=None)
@@ -309,7 +318,7 @@ def test_array_sweep_matches_scalar_loop(seed, n, data):
     size = data.draw(st.integers(1, 10))
     rng = np.random.default_rng(seed)
     codes = [random_stabilizer_code(n, s, rng) for _ in range(size)]
-    eps, worst = _verify_ptc_details(codes)
+    eps, worst = _array_ptc_details(codes)
     ref_eps, ref_worst = _scalar_ptc_details(codes)
     assert eps == ref_eps
     assert worst == ref_worst
@@ -331,7 +340,7 @@ def test_array_sweep_matches_scalar_loop(seed, n, data):
 def test_count_product_matches_scalar_loop_at_five_and_six_qubits(n, s, size, seed):
     rng = np.random.default_rng(seed)
     codes = [random_stabilizer_code(n, s, rng) for _ in range(size)]
-    assert _verify_ptc_details(codes) == _scalar_ptc_details(codes)
+    assert _array_ptc_details(codes) == _scalar_ptc_details(codes)
 
 
 @pytest.mark.parametrize("n, s", [(1, 1), (3, 2), (6, 3), (6, 6)])
@@ -408,8 +417,8 @@ def test_worst_error_is_first_maximum_and_never_identity():
     # m = 0: every nontrivial error is flagged or a stabilizer, so every count
     # is 0 and the first nontrivial label (x=0, z=1) is the worst, not I
     codes = [StabilizerCode((hermitian_pauli(1, 0, 1),))] * 3
-    assert _verify_ptc_details(codes) == (0.0, PauliString(1, 0, 1))
-    assert _scalar_ptc_details(codes) == (0.0, PauliString(1, 0, 1))
+    assert _array_ptc_details(codes) == (0.0, 0b01)
+    assert _scalar_ptc_details(codes) == (0.0, 0b01)
 
 
 def test_verify_ptc_cost_limit_refuses_before_any_work(monkeypatch):

@@ -6,7 +6,15 @@ import pytest
 
 from qauthlab import hybrid
 from qauthlab.adversary import AttackDescriptor, purified_input, standard_suite
-from qauthlab.approx_psqa import _keyed_accepts, psqa_ideal, rsp_scale, run_psqa_kg, run_psrqa_kg, sample_cipher
+from qauthlab.approx_psqa import (
+    _keyed_accepts,
+    psqa_ideal,
+    rsp_key,
+    rsp_scale,
+    run_psqa_kg,
+    run_psrqa_kg,
+    sample_cipher,
+)
 from qauthlab.codes import PtcFamily
 from qauthlab.hybrid import (
     FinalState,
@@ -19,9 +27,12 @@ from qauthlab.protocols import (
     _attack_pieces,
     _family_encoders,
     _transfer,
+    bell_key,
     build_transfer,
     ebit_ptc,
     ebit_ptp,
+    key_pads,
+    pad_key,
     run_qa_kg,
     run_tqa_kg,
 )
@@ -30,6 +41,7 @@ from qauthlab.qmath import (
     StateVector,
     haar_unitary,
     max_entangled_vector,
+    psd_sqrt,
     reg_names,
     trace_norm,
 )
@@ -394,6 +406,41 @@ def test_key_sweep_rejects_non_isometric_attack(family_s1):
     with pytest.raises(InvariantError, match="key sweep: final state total weight"):
         key_sweep(transfer, base, "B0", _verdict_plan)
     assert not issubclass(InvariantError, ValueError)
+
+
+def test_key_sweep_refuses_a_key_that_is_not_a_complete_instrument(family_s1):
+    # every key is checked for sum_v K_v^dag K_v = I before it is applied:
+    # a pad without its last unitary, a Bell measurement without its last
+    # outcome, and psqa's preparation measurement (the cipher and message of
+    # `psqa --seed 1`) with the failure element F = I - S/M, S untransposed.
+    # The total-weight check cannot see the last: on half of a maximally
+    # entangled pair S and S^T weigh alike
+    transfer = _transfer(family_s1, AttackDescriptor("fixed_pauli", x=1, label="X0"))
+    phi = max_entangled_vector(2)
+    cipher, vec = sample_cipher(1, 16, 1), haar_unitary(2, np.random.default_rng(1))[:, 0]
+    total, scale, _ = rsp_scale(cipher, vec)
+    label, values, names, ops, out, fix = rsp_key(cipher, vec)
+    untransposed = np.concatenate([ops[:-1], psd_sqrt(np.eye(2) - total / scale)[None]])
+
+    def without_last(key):
+        label, values, names, ops, out, fix = key
+        return label, values[:-1], names, ops[:-1], out, fix[:-1]
+
+    pad, bell = pad_key("key", *key_pads(1), "M"), bell_key(1, ("M", "A1"))
+    cases = (
+        (StateVector(phi, (("A", 2), ("M", 2))), "M", pad, without_last(pad)),
+        (StateVector(np.kron([1, 0], phi), (("M", 2), ("A1", 2), ("B0", 2))), "B0", bell, without_last(bell)),
+        (StateVector(phi, (("Ams", 2), ("B0", 2))), "B0", (label, values, names, ops, out, fix),
+         (label, values, names, untransposed, out, fix)),
+    )
+    for base, carrier, complete, broken in cases:
+        final = key_sweep(transfer, base, carrier, _verdict_plan, key=complete)
+        assert final.total_weight() == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(InvariantError, match=rf"key sweep: key '{complete[0]}' is not a complete instrument"):
+            key_sweep(transfer, base, carrier, _verdict_plan, key=broken)
+    # the untransposed F weighs what F does on the maximally entangled half
+    weight = np.einsum("voi,voi->", untransposed, untransposed.conj()).real / 2
+    assert weight == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("differ", ["drop"])

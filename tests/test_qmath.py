@@ -5,7 +5,6 @@ from qauthlab import qmath
 from qauthlab.qmath import (
     DensityMatrix,
     InvariantError,
-    Povm,
     RegisterError,
     StateVector,
     encoder_postselection_residual,
@@ -281,14 +280,6 @@ def test_dilation_identity_and_rank():
     kraus = [depol[e::4] for e in range(4)]
     np.testing.assert_allclose(kraus, [0.5 * op for op in (np.eye(2), x, y, z)], rtol=0, atol=1e-15)
     assert np.linalg.matrix_rank(np.array([k.ravel() for k in kraus])) == 4
-
-
-def test_povm_validation():
-    Povm((np.eye(2) / 2, np.eye(2) / 2))
-    with pytest.raises(ValueError):
-        Povm((np.eye(2), np.eye(2)))  # does not sum to identity
-    with pytest.raises(ValueError):
-        Povm((np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])))
 
 
 def test_psd_sqrt(rng):
