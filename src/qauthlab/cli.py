@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -124,7 +125,7 @@ def cmd_ptc(args) -> int:
     family = _load_or_search_family(args)
     formula = ptc_epsilon_formula(family.m, family.s)
     re_eps = verify_ptc(family.codes)
-    qubits, key_bits = cost_formulas(family.m, family.s)
+    qubits, key_bits_formula = cost_formulas(family.m, family.s)
     stored_ok = re_eps == family.epsilon_verified
     meets_formula = re_eps <= formula + 1e-12
     results = {
@@ -133,10 +134,14 @@ def cmd_ptc(args) -> int:
         "epsilon_reverified": re_eps,
         "epsilon_formula": formula,
         "meets_formula": meets_formula,
+        # meets_formula cannot fail where the formula reads 1 or more
+        "formula_vacuous": formula >= 1.0,
         "stored_matches_reverification": stored_ok,
         "met_target": family.met_target,
         "qubits_sent": qubits,
-        "key_bits": key_bits,
+        # the verified family's key: a Pauli pad, a syndrome, a code index
+        "key_bits": 2 * family.m + family.s + math.log2(len(family.codes)),
+        "key_bits_formula": key_bits_formula,
     }
     if args.out:
         family.save(args.out)

@@ -13,15 +13,16 @@ with all generators without being stabilizers are the harmful ones; they pass
 the syndrome comparison while corrupting the logical content.
 
 Each code keeps its generators' labels x << n | z (``StabilizerCode.labels``,
-taken once for its rank check). Syndrome bits live only in the detection
-count ``_missed_counts``, which reads those labels and takes the parity in
-arrays, factored over the two halves of an error: the syndrome of (x, z)
-under a code is sx(x) XOR sz(z), bit i of sx the parity of x & g_i.z and of
-sz that of z & g_i.x. A code is silent on (x, z) when the halves agree, so
-with 2^n x (|codes| 2^s) one-hot tables A of sx and B of sz the number of
-silent codes is (A B^T)[x, z]: one small product counts every error under
-every code, less each code's 2^s stabilizers. The count is a sum over codes:
-``search_ptc`` adds each new code's count to a running total.
+taken once for its rank check). The detection count ``_missed_counts``
+reads those labels and forms no syndrome bit. A code's projector onto
+its zero syndrome is the average of its stabilizer group S, so the code is
+silent on an error (x, z) exactly when 2^-s sum over (X, Z) in S of
+(-1)^(x.Z + z.X) is 1, and that sum is 0 otherwise. Summed over codes, this
+is the two-sided Walsh-Hadamard transform of the histogram H[X, Z] of every
+code's group labels: with the +-1 table W[a, b] = (-1)^(a.b), 2^s times the
+number of silent codes is (W H^T W)[x, z]. Two small products count every
+error under every code, less each code's 2^s stabilizers. The count is a sum
+over codes: ``search_ptc`` adds each new code's count to a running total.
 """
 
 from __future__ import annotations
@@ -43,8 +44,9 @@ class CodeError(ValueError):
 
 
 # verify_ptc refuses 4^n * (2n + |codes|) above this before any work. It is
-# a conservative bound, not the size of an array: the count product's two
-# one-hot tables hold 2^(n+s) |codes| <= 4^n |codes| entries each
+# a conservative bound, not the size of an array: the character sum's arrays
+# hold 4^n entries each. It also keeps that sum exact in float32, whose
+# partial sums reach |codes| 2^s <= |codes| 2^n < 2^24 under it
 PTC_COST_LIMIT = 1 << 24
 
 # the largest n = m + s at which search_ptc searches a family and
@@ -116,9 +118,9 @@ def verify_ptc(codes: Sequence[StabilizerCode]) -> float:
     """Exhaustive worst-case undetected fraction of a uniformly weighted family.
 
     Covers all 4^n - 1 nontrivial Pauli errors at once: the number of codes
-    with a zero syndrome on each error is one product of the codes' one-hot
-    x-half and z-half syndrome tables (see the module docstring), less each
-    code's stabilizers. Returns the maximum, over errors, of the fraction of
+    with a zero syndrome on each error is a character sum over each code's
+    stabilizer group (see the module docstring), less each code's
+    stabilizers. Returns the maximum, over errors, of the fraction of
     codes that fail to detect. This is the family's security parameter and
     the only way this package ever assigns one. Raises ``CodeError`` before
     any work when 4^n * (2n + |codes|) exceeds PTC_COST_LIMIT.
@@ -128,13 +130,10 @@ def verify_ptc(codes: Sequence[StabilizerCode]) -> float:
 
 @lru_cache(maxsize=None)
 def _parity_table(n: int) -> np.ndarray:
-    """Read-only 2^n x 2^n table of parity(a & b), as float32 0.0 or 1.0.
-
-    The 0/1 bit rows' product counts the common bits, and a product of these
-    parities with the weights 2^i sums at most 2^s - 1: whole numbers below
-    2^24, which float32 holds exactly."""
+    """Read-only 2^n x 2^n table of (-1)^(a.b), -1 where a & b has odd
+    parity, as float32 1.0 or -1.0."""
     bits = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(np.float32)
-    table = (bits @ bits.T) % 2
+    table = 1.0 - 2.0 * ((bits @ bits.T) % 2)
     table.setflags(write=False)
     return table
 
@@ -163,28 +162,21 @@ def _missed_counts(codes: Sequence[StabilizerCode]) -> np.ndarray:
         )
     # generator i of code c's stored label x << n | z at [c, i]
     labels = np.array([label for c in codes for label in c.labels]).reshape(len(codes), s)
-    # the module docstring's tables A (rows x, masks g.z) and B (rows z,
-    # masks g.x): column c * 2^s + y marks the halves whose syndrome reads y
-    parity = _parity_table(n)
-    weights = (1 << np.arange(s)).astype(np.float32)
-    rows = np.arange(1 << n)[:, None]
-    offsets = np.arange(len(codes)) << s
-    halves = []
-    for masks in (labels & ((1 << n) - 1), labels >> n):
-        onehot = np.zeros((1 << n, len(codes) << s), dtype=np.float32)
-        # every syndrome in one float32 product, exact below 2^s
-        syndromes = parity[:, masks].reshape(-1, s) @ weights
-        onehot[rows, syndromes.astype(np.int64).reshape(1 << n, -1) + offsets] = 1.0
-        halves.append(onehot)
-    # silent[x << n | z] counts the codes whose two halves agree (a zero
-    # syndrome); every count is below 2^24, so float32 keeps it exact
-    silent = (halves[0] @ halves[1].T).astype(np.int64).ravel()
-    # stabilizers (the identity among them) are silent but act trivially, so
-    # they are detected: take each code's 2^s group labels off the count
+    # every code's 2^s stabilizer group labels X << n | Z, the identity among
+    # them, counted at hist[X << n | Z]
     group = np.zeros((len(codes), 1), dtype=np.int64)
     for i in range(s):
         group = np.concatenate([group, group ^ labels[:, i : i + 1]], axis=1)
-    return silent - np.bincount(group.ravel(), minlength=silent.size)
+    hist = np.bincount(group.ravel(), minlength=1 << 2 * n)
+    # 2^s silent[x, z] sums (-1)^(x.Z + z.X) over every code's group: rows x
+    # meet the Z halves and columns z the X halves. Every partial sum is a
+    # whole number of size at most |codes| 2^s < 2^24, so float32 keeps it exact
+    sign = _parity_table(n)
+    counts = hist.astype(np.float32).reshape(1 << n, 1 << n)
+    silent = (sign @ counts.T @ sign).astype(np.int64).ravel() >> s
+    # stabilizers (the identity among them) are silent but act trivially, so
+    # they are detected: take each code's group labels off the count
+    return silent - hist
 
 
 @dataclass(frozen=True)

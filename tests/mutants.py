@@ -20,13 +20,15 @@ values, the check that every key of ``key_sweep`` is a complete instrument,
 the transpose in the failure element of ``approx_psqa.rsp_key``, the runs of
 records of ``FinalState.distance``, the field product's reduction, the two
 counts of the classical family's one pass over message pairs and their bin
-offsets, the stored generator labels that the detection
-count reads, the XOR blocks of the soundness operator Omega, the probe that
-stands in for its entries off the blocks, ``uc``'s ``identities_ok``,
-``factored_matches_direct`` and ``fidelity_chain_ok`` and ``psqa``'s gate on
-``rsp_twin_identity`` at their tolerances of 1e-9, and the verdicts of
-``ptp-soundness`` (``within_epsilon``), of each ``uc`` advantage report and
-of the classical family's advantage.
+offsets, the stored generator labels that the detection count reads and the
+halves of its character sum over each code's stabilizer group, the key that
+``ptc`` reports for the family it verified, the XOR blocks of the soundness
+operator Omega, the probe that stands in for its entries off the blocks,
+``uc``'s ``identities_ok``, ``factored_matches_direct`` and
+``fidelity_chain_ok`` and ``psqa``'s gate on ``rsp_twin_identity`` at their
+tolerances of 1e-9, and the verdicts of ``ptp-soundness``
+(``within_epsilon``), of each ``uc`` advantage report and of the classical
+family's advantage.
 
 Run it from anywhere; it takes about two minutes on one core.
 """
@@ -249,6 +251,23 @@ MUTANTS = (
         "labels = tuple((g.x << n) | g.z for g in gens)",
         "labels = tuple((g.z << n) | g.x for g in gens)",
         "tests/test_codes.py::test_count_product_matches_scalar_loop_at_five_and_six_qubits",
+    ),
+    # the character sum with the two halves of the group labels swapped:
+    # rows x meet the X halves and columns z the Z halves
+    Mutant(
+        "character-sum-swaps-the-halves",
+        "src/qauthlab/codes.py",
+        "sign @ counts.T @ sign",
+        "sign @ counts @ sign",
+        "tests/test_codes.py::test_missed_counts_match_the_int64_form",
+    ),
+    # ptc's key priced at the formula's 2^s + 1 codes, not the family's size
+    Mutant(
+        "ptc-key-bits-from-the-formula",
+        "src/qauthlab/cli.py",
+        "math.log2(len(family.codes))",
+        "math.log2(2**family.s + 1)",
+        "tests/test_cli.py::test_ptc_reports_the_key_of_the_family_it_verified",
     ),
     # the soundness probe compares the blocks applied to a (x) b with
     # themselves, not with Omega (a (x) b) from the projectors

@@ -90,6 +90,29 @@ def test_ptc_loaded_family_overrides_size_flags(tmp_path, capsys):
     assert rep["results"]["qubits_sent"] == 4
 
 
+def test_ptc_reports_the_key_of_the_family_it_verified(tmp_path, capsys):
+    # the 14-code fixture pays log2 14 bits for its code index, not the
+    # formula's log2 (2^3 + 1); its formula 8/27 can fail
+    code, rep = run_cli(capsys, "ptc", "--family", str(FIXTURE))
+    assert code == 0
+    results = rep["results"]
+    assert results["family_size"] == 14
+    assert results["key_bits"] == pytest.approx(2 + 3 + np.log2(14.0), abs=1e-12)
+    assert results["key_bits_formula"] == pytest.approx(2 + 3 + np.log2(9.0), abs=1e-12)
+    assert round(results["key_bits"], 3) == 8.807 and round(results["key_bits_formula"], 3) == 8.170
+    assert results["formula_vacuous"] is False
+    # at s = 1 the formula 2 (1 + m) / 3 is at least 1: meets_formula holds
+    # whatever the family's epsilon
+    fam_path = tmp_path / "fam.json"
+    code, rep = run_cli(capsys, "ptc", "--m", "2", "--s", "1", "--seed", "1", "--out", str(fam_path))
+    assert code == 0
+    results = rep["results"]
+    assert results["epsilon_formula"] >= 1.0
+    assert results["formula_vacuous"] is True
+    assert results["key_bits"] == pytest.approx(4 + 1 + np.log2(results["family_size"]), abs=1e-12)
+    assert results["key_bits_formula"] == pytest.approx(4 + 1 + np.log2(3.0), abs=1e-12)
+
+
 def test_ptc_malformed_family_is_config_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"codes": [["xz:11|00", "xz:11|00"]]}))

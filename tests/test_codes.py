@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from qauthlab import codes as codes_module
 from qauthlab.codes import (
     PTC_COST_LIMIT,
+    PTC_MAX_N,
     CodeError,
     _missed_counts,
     _worst_error,
@@ -353,13 +354,28 @@ def test_code_labels_are_x_over_z(n, s):
 @pytest.mark.parametrize("n, s, size", [(6, 3, 64), (6, 5, 64), (6, 1, 64), (6, 3, 1), (6, 6, 1), (4, 2, 1)])
 @pytest.mark.parametrize("seed", range(3))
 def test_missed_counts_match_the_int64_form(n, s, size, seed):
-    # the float32 syndrome product and the stored labels against the int64
-    # product over labels rebuilt from the generators
+    # the float32 character sum over the stabilizer groups, from the stored
+    # labels, against the int64 syndrome product over labels rebuilt from
+    # the generators
     rng = np.random.default_rng(seed)
     codes = [random_stabilizer_code(n, s, rng) for _ in range(size)]
     got = _missed_counts(codes)
     assert got.dtype == np.int64
     np.testing.assert_array_equal(got, int64_missed_counts(codes))
+
+
+def test_cost_limit_keeps_the_character_sum_exact_in_float32():
+    # the count's partial sums reach |codes| 2^s <= |codes| 2^n; float32
+    # holds every whole number below 2^24 exactly. At each n the guard
+    # admits, its largest family must stay below that
+    n = 1
+    while 4**n * 2 * n <= PTC_COST_LIMIT:
+        largest = PTC_COST_LIMIT // 4**n - 2 * n
+        assert 4**n * (2 * n + largest) <= PTC_COST_LIMIT < 4**n * (2 * n + largest + 1)
+        assert largest * 2**n < 2**24, n
+        n += 1
+    assert n > PTC_MAX_N
+    assert float(np.float32(2**24 - 1)) == 2**24 - 1 and float(np.float32(2**24 + 1)) != 2**24 + 1
 
 
 def test_search_reproduces_the_committed_fixture():
