@@ -12,30 +12,33 @@ phase) and therefore acts trivially on every codeword. Errors that commute
 with all generators without being stabilizers are the harmful ones; they pass
 the syndrome comparison while corrupting the logical content.
 
-Each code keeps its generators' labels x << n | z (``StabilizerCode.labels``,
-taken once for its rank check). The detection count ``_missed_counts``
-reads those labels and forms no syndrome bit. A code's projector onto
-its zero syndrome is the average of its stabilizer group S, so the code is
-silent on an error (x, z) exactly when 2^-s sum over (X, Z) in S of
-(-1)^(x.Z + z.X) is 1, and that sum is 0 otherwise. Summed over codes, this
-is the two-sided Walsh-Hadamard transform of the histogram H[X, Z] of every
-code's group labels: with the +-1 table W[a, b] = (-1)^(a.b), 2^s times the
-number of silent codes is (W H^T W)[x, z]. Two small products count every
-error under every code, less each code's 2^s stabilizers. The count is a sum
-over codes: ``search_ptc`` adds each new code's count to a running total.
+A code is its generators' labels x << n | z (``StabilizerCode.labels``);
+generator i is the Hermitian Pauli +(i^|x&z|) X^x Z^z of label i. One check,
+``_admits``, accepts a label that commutes with the accepted ones and lies
+outside their GF(2) span: the sampler and ``StabilizerCode`` both use it.
+The detection count ``_missed_counts`` reads the labels and forms no
+syndrome bit. A code's projector onto its zero syndrome is the average of
+its stabilizer group S, so the code is silent on an error (x, z) exactly
+when 2^-s sum over (X, Z) in S of (-1)^(x.Z + z.X) is 1, and that sum is 0
+otherwise. Summed over codes, this is the two-sided Walsh-Hadamard transform
+of the histogram H[X, Z] of every code's group labels: with the +-1 table
+W[a, b] = (-1)^(a.b), 2^s times the number of silent codes is
+(W H^T W)[x, z]. Two small products count every error under every code,
+less each code's 2^s stabilizers. The count is a sum over codes:
+``search_ptc`` adds each new code's count to a running total.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .pauli import PauliString, hermitian_pauli, pauli_matrix, symplectic_product
+from .pauli import PauliString, hermitian_pauli, pauli_matrix
 from .qmath import InvariantError
 
 
@@ -57,61 +60,69 @@ PTC_MAX_N = 6
 MAX_CANDIDATES = 100_000
 
 
-def _gf2_rank(rows: Sequence[int]) -> int:
-    rank = 0
-    pivots = []
-    for row in rows:
-        cur = row
-        for p in pivots:
-            cur = min(cur, cur ^ p)
-        if cur:
-            pivots.append(cur)
-            pivots.sort(reverse=True)
-            rank += 1
-    return rank
+def _admits(labels: list[int], pivots: list[int], label: int, n: int) -> bool:
+    """Whether generator ``label`` (x << n | z) commutes with each accepted
+    label in ``labels`` (the parity of (x & Z) ^ (z & X) is even) and lies
+    outside their GF(2) span, whose reduced basis, largest first, is
+    ``pivots`` (it does not reduce to 0; label 0 always does). An admitted
+    label is appended to ``labels`` and its reduced row to ``pivots``."""
+    x, z = label >> n, label & ((1 << n) - 1)
+    if any(((x & g) ^ (z & g >> n)).bit_count() & 1 for g in labels):
+        return False
+    row = label
+    for p in pivots:
+        row = min(row, row ^ p)
+    if not row:
+        return False
+    labels.append(label)
+    pivots.append(row)
+    pivots.sort(reverse=True)
+    return True
 
 
 @dataclass(frozen=True)
 class StabilizerCode:
-    """m-into-n stabilizer code given by s independent commuting generators,
-    with each generator's label x << n | z in ``labels``."""
+    """m-into-n stabilizer code: the labels x << n | z of its s independent
+    commuting generators, each the Hermitian Pauli +(i^|x&z|) X^x Z^z."""
 
-    generators: tuple[PauliString, ...]
-    labels: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    n: int
+    labels: tuple[int, ...]
 
     def __post_init__(self):
-        gens = tuple(self.generators)
-        if not gens:
+        labels = tuple(self.labels)
+        if not labels:
             raise CodeError("need at least one generator")
-        n = gens[0].n
-        for g in gens:
-            if g.n != n:
-                raise CodeError("generators act on different qubit counts")
-            if g.is_identity:
-                raise CodeError("identity is not a valid generator")
-            if not g.is_hermitian():
-                raise CodeError(f"generator {g.to_text()} is not Hermitian")
-        for i, g in enumerate(gens):
-            for h in gens[i + 1 :]:
-                if symplectic_product(g, h):
-                    raise CodeError("generators do not commute")
-        labels = tuple((g.x << n) | g.z for g in gens)
-        if _gf2_rank(labels) != len(gens):
-            raise CodeError("generators are not multiplicatively independent")
-        object.__setattr__(self, "generators", gens)
+        accepted: list[int] = []
+        pivots: list[int] = []
+        for label in labels:
+            if label >> 2 * self.n or not _admits(accepted, pivots, label, self.n):
+                raise CodeError(
+                    f"generator label {label} lies outside 4^{self.n}, anticommutes with an "
+                    "earlier generator or lies in their span"
+                )
         object.__setattr__(self, "labels", labels)
 
     @property
-    def n(self) -> int:
-        return self.generators[0].n
+    def generators(self) -> tuple[PauliString, ...]:
+        """Each label's Hermitian Pauli, built on every read."""
+        low = (1 << self.n) - 1
+        return tuple(hermitian_pauli(self.n, label >> self.n, label & low) for label in self.labels)
 
     @property
     def s(self) -> int:
-        return len(self.generators)
+        return len(self.labels)
 
     @property
     def m(self) -> int:
         return self.n - self.s
+
+
+def _parameters(codes: Sequence[StabilizerCode]) -> tuple[int, int]:
+    """The (n, s) of every code of a nonempty family."""
+    shapes = {(c.n, c.s) for c in codes}
+    if len(shapes) != 1:
+        raise CodeError("family mixes code parameters" if shapes else "empty family")
+    return shapes.pop()
 
 
 def verify_ptc(codes: Sequence[StabilizerCode]) -> float:
@@ -147,13 +158,7 @@ def _worst_error(missed: np.ndarray, size: int) -> tuple[float, int]:
 def _missed_counts(codes: Sequence[StabilizerCode]) -> np.ndarray:
     """int64 count, at each error label x << n | z, of the codes that miss it
     (a zero syndrome, not a stabilizer); see ``verify_ptc`` for the guards."""
-    codes = list(codes)
-    if not codes:
-        raise CodeError("empty family")
-    n, s = codes[0].n, codes[0].s
-    for c in codes:
-        if (c.n, c.s) != (n, s):
-            raise CodeError("family mixes code parameters")
+    n, s = _parameters(codes)
     cost = 4**n * (2 * n + len(codes))
     if cost > PTC_COST_LIMIT:
         raise CodeError(
@@ -190,8 +195,7 @@ class PtcFamily:
 
     def __post_init__(self):
         object.__setattr__(self, "codes", tuple(self.codes))
-        if not self.codes:
-            raise CodeError("empty family")
+        _parameters(self.codes)
         if self.m < 1:
             raise CodeError(f"a family must encode at least one qubit; its codes have m = {self.m}")
         # the caches keyed by (family, attack) hash it on every lookup
@@ -225,15 +229,16 @@ class PtcFamily:
 
     @classmethod
     def from_json(cls, payload: dict) -> "PtcFamily":
-        def gen_from_text(text: str) -> PauliString:
-            masks = PauliString.from_text(text)
-            return hermitian_pauli(masks.n, masks.x, masks.z)
+        def code_from_texts(texts) -> StabilizerCode:
+            paulis = [PauliString.from_text(text) for text in texts]
+            lengths = {p.n for p in paulis}
+            if len(lengths) != 1:
+                raise CodeError(f"a code needs generator texts of one length, got lengths {sorted(lengths)}")
+            (n,) = lengths
+            return StabilizerCode(n, tuple(p.x << n | p.z for p in paulis))
 
         try:
-            codes = tuple(
-                StabilizerCode(tuple(gen_from_text(text) for text in gen_texts))
-                for gen_texts in payload["codes"]
-            )
+            codes = tuple(code_from_texts(texts) for texts in payload["codes"])
             family = cls(
                 codes,
                 float(payload["epsilon_verified"]),
@@ -280,21 +285,18 @@ def cost_formulas(m: int, s: int) -> tuple[int, float]:
 def random_stabilizer_code(n: int, s: int, rng: np.random.Generator) -> StabilizerCode:
     """Uniform-ish random code: rejection-sample commuting independent generators.
 
-    Each candidate (x, z) is two consecutive ``rng.integers(0, 2^n)`` draws.
-    It is rejected if it anticommutes with an accepted generator (the parity
-    of (x & g.z) ^ (z & g.x)) or lies in their span (it reduces to 0 against
-    their GF(2) pivots; the zero mask always does), on plain int masks.
-    Candidates are drawn in chunks of ``2^(s+1)``, each one array draw; an
-    array draw takes the same numbers from the generator as that many scalar
-    draws, so after the last chunk the state is restored and exactly the
-    candidates used are drawn again. The generator ends where one scalar draw
-    per mask would leave it, and the codes are those of that scalar loop.
-    Raises ``CodeError`` after MAX_CANDIDATES candidates without s
-    generators.
+    Each candidate (x, z) is two consecutive ``rng.integers(0, 2^n)`` draws,
+    kept if ``_admits`` its label x << n | z. Candidates are drawn in chunks
+    of ``2^(s+1)``, each one array draw; an array draw takes the same numbers
+    from the generator as that many scalar draws, so after the last chunk the
+    state is restored and exactly the candidates used are drawn again. The
+    generator ends where one scalar draw per mask would leave it, and the
+    codes are those of that scalar loop. Raises ``CodeError`` after
+    MAX_CANDIDATES candidates without s generators.
     """
     if s < 1 or s > n:
         raise CodeError(f"bad parameters n={n}, s={s}")
-    masks: list[tuple[int, int]] = []
+    labels: list[int] = []
     pivots: list[int] = []
     drawn = 0
     while drawn < MAX_CANDIDATES:
@@ -302,21 +304,11 @@ def random_stabilizer_code(n: int, s: int, rng: np.random.Generator) -> Stabiliz
         start = rng.bit_generator.state
         pairs = rng.integers(0, 1 << n, size=2 * chunk).tolist()
         for used in range(1, chunk + 1):
-            x, z = pairs[2 * used - 2], pairs[2 * used - 1]
-            if any(((x & gz) ^ (z & gx)).bit_count() & 1 for gx, gz in masks):
-                continue
-            row = (x << n) | z
-            for p in pivots:
-                row = min(row, row ^ p)
-            if not row:
-                continue
-            pivots.append(row)
-            pivots.sort(reverse=True)
-            masks.append((x, z))
-            if len(masks) == s:
+            label = pairs[2 * used - 2] << n | pairs[2 * used - 1]
+            if _admits(labels, pivots, label, n) and len(labels) == s:
                 rng.bit_generator.state = start
                 rng.integers(0, 1 << n, size=2 * used)
-                return StabilizerCode(tuple(hermitian_pauli(n, x, z) for x, z in masks))
+                return StabilizerCode(n, tuple(labels))
         drawn += chunk
     raise CodeError("could not sample independent commuting generators")
 

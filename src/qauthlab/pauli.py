@@ -50,15 +50,6 @@ class PauliString:
     def phase(self) -> complex:
         return _PHASES[self.phase_exp]
 
-    @property
-    def is_identity(self) -> bool:
-        return self.x == 0 and self.z == 0
-
-    def is_hermitian(self) -> bool:
-        # X^x Z^z is Hermitian iff the XZ overlap is even; an odd overlap is
-        # repaired by a +-i phase.
-        return (self.phase_exp + (self.x & self.z).bit_count()) % 2 == 0
-
     def to_text(self) -> str:
         """Mask text form "xz:<x bits>|<z bits>", qubit j at character j."""
         xs = "".join(str((self.x >> j) & 1) for j in range(self.n))
@@ -77,14 +68,10 @@ class PauliString:
         return cls(len(xs), x, z, phase_exp)
 
 
-def hermitian_pauli(n: int, x: int, z: int, sign: int = +1) -> PauliString:
-    """The Hermitian operator +-(i^|x&z|) X^x Z^z with the given overall sign."""
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    exp = (x & z).bit_count() % 4
-    if sign == -1:
-        exp += 2
-    return PauliString(n, x, z, exp)
+def hermitian_pauli(n: int, x: int, z: int) -> PauliString:
+    """The Hermitian operator +(i^|x&z|) X^x Z^z: each qubit's X Z is
+    anti-Hermitian, and a phase i per such qubit makes the product Hermitian."""
+    return PauliString(n, x, z, (x & z).bit_count())
 
 
 def pauli_matrix(p: PauliString) -> np.ndarray:
@@ -96,13 +83,6 @@ def pauli_matrix(p: PauliString) -> np.ndarray:
     mat = np.zeros((1 << p.n, 1 << p.n), dtype=complex)
     mat[cols ^ p.x, cols] = p.phase * signs
     return mat
-
-
-def symplectic_product(p: PauliString, q: PauliString) -> int:
-    """0 if the operators commute, 1 if they anticommute (phases irrelevant)."""
-    if p.n != q.n:
-        raise ValueError(f"length mismatch {p.n} vs {q.n}")
-    return _parity(p.x & q.z) ^ _parity(p.z & q.x)
 
 
 def enumerate_paulis(n: int, include_identity: bool = True) -> Iterator[PauliString]:

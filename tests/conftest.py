@@ -2,16 +2,13 @@ import numpy as np
 import pytest
 
 from qauthlab.codes import PtcFamily, StabilizerCode, search_ptc
-from qauthlab.pauli import hermitian_pauli
 from qauthlab.protocols import _attack_pieces, _transfer
 
 
 @pytest.fixture(scope="session")
 def family_s1():
     """The XX / ZZ / YY triple: m=1, s=1, worst undetected fraction 2/3."""
-    codes = tuple(
-        StabilizerCode((hermitian_pauli(2, x, z),)) for x, z in ((3, 0), (0, 3), (3, 3))
-    )
+    codes = tuple(StabilizerCode(2, (x << 2 | z,)) for x, z in ((3, 0), (0, 3), (3, 3)))
     return PtcFamily(codes, epsilon_verified=2.0 / 3.0)
 
 

@@ -20,8 +20,11 @@ values, the check that every key of ``key_sweep`` is a complete instrument,
 the transpose in the failure element of ``approx_psqa.rsp_key``, the runs of
 records of ``FinalState.distance``, the field product's reduction, the two
 counts of the classical family's one pass over message pairs and their bin
-offsets, the stored generator labels that the detection count reads and the
-halves of its character sum over each code's stabilizer group, the key that
+offsets, the generator labels that the family parser reads, the commutation
+and span test that every code passes (``codes._admits``), the refusal of a
+family whose codes differ in size or of a code whose generator texts do, the
+halves of the detection count's character sum over each code's stabilizer
+group, the key that
 ``ptc`` reports for the family it verified, the XOR blocks of the soundness
 operator Omega, the probe that stands in for its entries off the blocks,
 ``uc``'s ``identities_ok``, ``factored_matches_direct`` and
@@ -30,7 +33,7 @@ tolerances of 1e-9, and the verdicts of ``ptp-soundness``
 (``within_epsilon``), of each ``uc`` advantage report and of the classical
 family's advantage.
 
-Run it from anywhere; it takes about two minutes on one core.
+Run it from anywhere; it takes about two to three minutes on one core.
 """
 
 from __future__ import annotations
@@ -243,14 +246,50 @@ MUTANTS = (
         "np.bitwise_xor(later, table[0], out=out)",
         "tests/test_classical_wc.py::test_pair_counts_match_a_scalar_count",
     ),
-    # each generator's stored label with its halves swapped, z << n | x:
-    # the rank check is blind to it, the detection count is not
+    # the family parser's label with its halves swapped, z << n | x: the
+    # code checks are blind to it (swapping every label's halves keeps
+    # commutation and independence), the parsed labels are not
     Mutant(
-        "code-labels-z-over-x",
+        "parser-label-z-over-x",
         "src/qauthlab/codes.py",
-        "labels = tuple((g.x << n) | g.z for g in gens)",
-        "labels = tuple((g.z << n) | g.x for g in gens)",
-        "tests/test_codes.py::test_count_product_matches_scalar_loop_at_five_and_six_qubits",
+        "tuple(p.x << n | p.z for p in paulis)",
+        "tuple(p.z << n | p.x for p in paulis)",
+        "tests/test_codes.py::test_generator_text_parses_to_x_over_z",
+    ),
+    # the commutation test of _admits with its halves swapped: the parity of
+    # (x & X) ^ (z & Z), which admits X and Z on one qubit together
+    Mutant(
+        "admits-commutation-halves-swapped",
+        "src/qauthlab/codes.py",
+        "((x & g) ^ (z & g >> n))",
+        "((x & g >> n) ^ (z & g))",
+        "tests/test_codes.py::test_code_validation",
+    ),
+    # _admits without the pivot reduction: only label 0 is refused as lying
+    # in the span, so a repeated or product generator is admitted
+    Mutant(
+        "admits-skips-the-pivot-reduction",
+        "src/qauthlab/codes.py",
+        "        row = min(row, row ^ p)\n",
+        "        pass\n",
+        "tests/test_codes.py::test_code_validation",
+    ),
+    # a family whose codes differ in size is built, and the encoders of its
+    # codes are stacked before anything refuses it
+    Mutant(
+        "family-skips-the-mixed-size-check",
+        "src/qauthlab/codes.py",
+        "        _parameters(self.codes)\n",
+        "",
+        "tests/test_cli.py::test_family_file_of_mixed_code_sizes_exits_two_before_any_encoder",
+    ),
+    # the parser reads a code's n from its first generator text alone
+    Mutant(
+        "parser-skips-the-text-length-check",
+        "src/qauthlab/codes.py",
+        "            if len(lengths) != 1:",
+        "            lengths = {paulis[0].n} if paulis else lengths\n            if len(lengths) != 1:",
+        "tests/test_codes.py::test_a_code_whose_generator_texts_differ_in_length_is_refused",
     ),
     # the character sum with the two halves of the group labels swapped:
     # rows x meet the X halves and columns z the Z halves

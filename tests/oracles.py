@@ -2,17 +2,17 @@
 
 None of these is run by an experiment: each is a second, independent way to
 compute what the package computes (syndromes and detection one error and one
-code at a time, random codes drawn one scalar at a time, the key sweep slice
-by slice and with one record per branch, the engine's blocks built on every
-register before the dropped ones are traced out, teleportation outcome by
-outcome, the classical channel message by message, the field product bit by
-bit, the classical pair counts and the detection count in their earlier
-forms, the soundness operator from the stacked accept-and-decode operators
-and its functional on one explicit input, the dense block-diagonal embedding
-of a final state), or an object the tests build their cases from. The key
-sweep and transfer oracles contract through their own helpers (``_contract``,
-``_keyed``), which the engine does not have, so they share no contraction
-code with it.
+code at a time, commutation and GF(2) rank on Pauli masks, random codes
+drawn one scalar at a time, the key sweep slice by slice and with one record
+per branch, the engine's blocks built on every register before the dropped
+ones are traced out, teleportation outcome by outcome, the classical channel
+message by message, the field product bit by bit, the classical pair counts
+and the detection count in their earlier forms, the soundness operator from
+the stacked accept-and-decode operators and its functional on one explicit
+input, the dense block-diagonal embedding of a final state), or an object
+the tests build their cases from. The key sweep and transfer oracles contract
+through their own helpers (``_contract``, ``_keyed``), which the engine does
+not have, so they share no contraction code with it.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from qauthlab import approx_psqa, hybrid, protocols, ucharness
 from qauthlab.adversary import AttackDescriptor
 from qauthlab.approx_psqa import ApproxCipher, measure_delta
 from qauthlab.classical_wc import _IRREDUCIBLE, HashFamily
-from qauthlab.codes import CodeError, PtcFamily, StabilizerCode, _gf2_rank
+from qauthlab.codes import CodeError, PtcFamily, StabilizerCode
 from qauthlab.hybrid import (
     ACC,
     PRUNE_BELOW,
@@ -34,7 +34,7 @@ from qauthlab.hybrid import (
     Record,
     checked_total,
 )
-from qauthlab.pauli import PauliString, _parity, hermitian_pauli, pauli_matrix, symplectic_product
+from qauthlab.pauli import PauliString, _parity, hermitian_pauli, pauli_matrix
 from qauthlab.protocols import _attack_pieces, _family_encoders, bell_key, key_pads
 from qauthlab.qmath import (
     RegisterError,
@@ -63,6 +63,26 @@ def pauli_mul(p: PauliString, q: PauliString) -> PauliString:
         raise ValueError(f"length mismatch {p.n} vs {q.n}")
     exp = p.phase_exp + q.phase_exp + 2 * _parity(p.z & q.x)
     return PauliString(p.n, p.x ^ q.x, p.z ^ q.z, exp)
+
+
+def symplectic_product(p: PauliString, q: PauliString) -> int:
+    """0 if the operators commute, 1 if they anticommute (phases irrelevant)."""
+    if p.n != q.n:
+        raise ValueError(f"length mismatch {p.n} vs {q.n}")
+    return _parity(p.x & q.z) ^ _parity(p.z & q.x)
+
+
+def gf2_rank(rows: Sequence[int]) -> int:
+    """Rank over GF(2) of int rows, by Gaussian elimination on leading bits."""
+    basis: dict[int, int] = {}
+    for row in rows:
+        while row:
+            lead = row.bit_length() - 1
+            if lead not in basis:
+                basis[lead] = row
+                break
+            row ^= basis[lead]
+    return len(basis)
 
 
 def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
@@ -136,11 +156,11 @@ def scalar_random_stabilizer_code(n: int, s: int, rng: np.random.Generator) -> S
         if any(symplectic_product(cand, g) for g in gens):
             continue
         new_rows = rows + [(x << n) | z]
-        if _gf2_rank(new_rows) != len(new_rows):
+        if gf2_rank(new_rows) != len(new_rows):
             continue
         gens.append(cand)
         rows = new_rows
-    return StabilizerCode(tuple(gens))
+    return StabilizerCode(n, tuple(rows))
 
 
 def int64_missed_counts(codes: Sequence[StabilizerCode]) -> np.ndarray:

@@ -656,6 +656,24 @@ def test_family_file_without_a_logical_qubit_exits_two(tmp_path, capsys):
         assert "its codes have m = 0" in capsys.readouterr().err, command
 
 
+def test_family_file_of_mixed_code_sizes_exits_two_before_any_encoder(tmp_path, capsys, monkeypatch):
+    # the fixture's (1, 3) codes behind a (2, 3) code on 5 qubits: refused
+    # when the family is built, not by numpy when the encoders are stacked
+    from qauthlab import protocols
+
+    def no_encoder(code):
+        raise AssertionError("an encoder was built")
+
+    monkeypatch.setattr(protocols, "encoding_unitary", no_encoder)
+    payload = json.loads(FIXTURE.read_text())
+    payload["codes"].insert(0, ["xz:00000|10000", "xz:00000|01000", "xz:00000|00100"])
+    fam_path = tmp_path / "mixed.json"
+    fam_path.write_text(json.dumps(payload))
+    for command in ("uc", "psqa", "ptp-soundness", "ptc"):
+        assert main([command, "--family", str(fam_path)]) == 2, command
+        assert "family mixes code parameters" in capsys.readouterr().err, command
+
+
 def test_unusable_paths_exit_two(tmp_path, capsys, monkeypatch):
     # a directory where a file belongs raises IsADirectoryError, an OSError
     # but no FileNotFoundError: a configuration error all the same, not a

@@ -25,27 +25,36 @@ from qauthlab.codes import (
     search_ptc,
     verify_ptc,
 )
-from qauthlab.pauli import PauliString, enumerate_paulis, hermitian_pauli, pauli_matrix
+from qauthlab.pauli import PauliString, enumerate_paulis, pauli_matrix
 from qauthlab.qmath import InvariantError
 
 from oracles import detects, int64_missed_counts, scalar_random_stabilizer_code, stabilizer_masks, syndrome
 
 
+FIXTURE = Path(__file__).resolve().parent.parent / "perfbench/fixtures/family-m1-s3.json"
+
+
 def single(x, z):
-    return StabilizerCode((hermitian_pauli(2, x, z),))
+    return StabilizerCode(2, (x << 2 | z,))
 
 
 def test_code_validation():
-    with pytest.raises(CodeError):
-        StabilizerCode(())
-    with pytest.raises(CodeError):
-        StabilizerCode((PauliString(2, 0, 0),))
-    with pytest.raises(CodeError):  # anticommuting pair
-        StabilizerCode((hermitian_pauli(2, 0b01, 0), hermitian_pauli(2, 0, 0b01)))
-    with pytest.raises(CodeError):  # dependent pair
-        StabilizerCode((hermitian_pauli(2, 0b11, 0), hermitian_pauli(2, 0b11, 0)))
-    with pytest.raises(CodeError):  # not Hermitian as stored
-        StabilizerCode((PauliString(2, 0b11, 0b10),))
+    with pytest.raises(CodeError, match="need at least one generator"):
+        StabilizerCode(2, ())
+    for labels in (
+        (0,),  # the identity
+        (0b01 << 2, 0b01),  # X and Z on qubit 0 anticommute
+        (0b11 << 2, 0b11 << 2),  # XX twice
+        (0b11 << 2, 0b11, 0b1111),  # XX, ZZ and their product
+        (1 << 4,),  # a label of 4^n or more
+        (0b11 << 2, 0b11 << 2 | 0b01),  # XX, then Y on qubit 0 and X on qubit 1
+    ):
+        with pytest.raises(CodeError, match="lies outside 4\\^2, anticommutes"):
+            StabilizerCode(2, labels)
+    # XX and ZZ commute (two anticommuting qubits) and are independent
+    code = StabilizerCode(2, [0b11 << 2, 0b11])
+    assert (code.n, code.s, code.m, code.labels) == (2, 2, 0, (0b11 << 2, 0b11))
+    assert [g.to_text() for g in code.generators] == ["xz:11|00", "xz:00|11"]
 
 
 def test_syndrome_examples():
@@ -90,7 +99,7 @@ def test_verify_ptc_range(family_s2):
     with pytest.raises(CodeError):
         verify_ptc([])
     with pytest.raises(CodeError):
-        verify_ptc([single(0, 0b11), StabilizerCode((hermitian_pauli(3, 0b111, 0),))])
+        verify_ptc([single(0, 0b11), StabilizerCode(3, (0b111 << 3,))])
 
 
 def test_detection_oracle_matches_dense_action(family_s1):
@@ -344,11 +353,34 @@ def test_count_product_matches_scalar_loop_at_five_and_six_qubits(n, s, size, se
     assert _array_ptc_details(codes) == _scalar_ptc_details(codes)
 
 
-@pytest.mark.parametrize("n, s", [(1, 1), (3, 2), (6, 3), (6, 6)])
-def test_code_labels_are_x_over_z(n, s):
-    rng = np.random.default_rng(n * 10 + s)
-    for code in [random_stabilizer_code(n, s, rng) for _ in range(8)]:
-        assert code.labels == tuple((g.x << n) | g.z for g in code.generators)
+def test_generator_text_parses_to_x_over_z():
+    # qubit j at character j: x = 0b011 and z = 0b110, label x << 3 | z
+    family = PtcFamily.from_json({"codes": [["xz:110|011"]], "epsilon_verified": 1.0})
+    (code,) = family.codes
+    assert (code.n, code.labels) == (3, (0b011 << 3 | 0b110,))
+    (g,) = code.generators
+    assert (g.x, g.z, g.to_text()) == (0b011, 0b110, "xz:110|011")
+    assert family.to_json()["codes"] == [["xz:110|011"]]
+
+
+def test_fixture_loads_and_saves_to_the_same_bytes(tmp_path):
+    path = tmp_path / "again.json"
+    PtcFamily.load(FIXTURE).save(path)
+    assert path.read_bytes() == FIXTURE.read_bytes()
+
+
+def test_a_code_whose_generator_texts_differ_in_length_is_refused():
+    # read on the first text's 3 qubits, the second text would be X on qubit 1
+    payload = {"codes": [["xz:100|000", "xz:0100|0000"]], "epsilon_verified": 1.0}
+    with pytest.raises(CodeError, match="generator texts of one length, got lengths \\[3, 4\\]"):
+        PtcFamily.from_json(payload)
+
+
+def test_a_family_of_mixed_code_sizes_is_refused():
+    with pytest.raises(CodeError, match="family mixes code parameters"):
+        PtcFamily((single(0, 0b11), StabilizerCode(3, (0b111 << 3,))), 1.0)
+    with pytest.raises(CodeError, match="family mixes code parameters"):
+        PtcFamily((StabilizerCode(3, (0b111 << 3,)), StabilizerCode(3, (0b111 << 3, 0b011))), 1.0)
 
 
 @pytest.mark.parametrize("n, s, size", [(6, 3, 64), (6, 5, 64), (6, 1, 64), (6, 3, 1), (6, 6, 1), (4, 2, 1)])
@@ -381,7 +413,7 @@ def test_cost_limit_keeps_the_character_sum_exact_in_float32():
 def test_search_reproduces_the_committed_fixture():
     # search and verification end to end: the s = 3 benchmark family is what
     # ``qauthlab ptc --m 1 --s 3 --seed 1`` searches, code for code
-    fixture = PtcFamily.load(Path(__file__).resolve().parent.parent / "perfbench/fixtures/family-m1-s3.json")
+    fixture = PtcFamily.load(FIXTURE)
     family = search_ptc(1, 3, ptc_epsilon_formula(1, 3), budget=200, seed=1)
     assert family.codes == fixture.codes
     assert family.epsilon_verified == fixture.epsilon_verified == verify_ptc(fixture.codes)
@@ -432,7 +464,7 @@ def test_searched_families_are_pinned(m, s, seed, target, budget, digest):
 def test_worst_error_is_first_maximum_and_never_identity():
     # m = 0: every nontrivial error is flagged or a stabilizer, so every count
     # is 0 and the first nontrivial label (x=0, z=1) is the worst, not I
-    codes = [StabilizerCode((hermitian_pauli(1, 0, 1),))] * 3
+    codes = [StabilizerCode(1, (0b01,))] * 3
     assert _array_ptc_details(codes) == (0.0, 0b01)
     assert _scalar_ptc_details(codes) == (0.0, 0b01)
 
@@ -442,8 +474,8 @@ def test_verify_ptc_cost_limit_refuses_before_any_work(monkeypatch):
         raise AssertionError("the sweep started")
 
     # n = 10: 4^10 * (20 + 1) = 22020096 entries; n = 7 with 1011 codes: just over
-    wide = StabilizerCode((hermitian_pauli(10, 0, 1),))
-    narrow = StabilizerCode((hermitian_pauli(7, 0, 1),))
+    wide = StabilizerCode(10, (1,))
+    narrow = StabilizerCode(7, (1,))
     with monkeypatch.context() as patch:
         patch.setattr(codes_module.np, "arange", no_sweep)
         for family, cost in (([wide], 22020096), ([narrow] * 1011, 16793600)):

@@ -3,15 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qauthlab.pauli import (
-    PauliString,
-    enumerate_paulis,
-    hermitian_pauli,
-    pauli_matrix,
-    symplectic_product,
-)
+from qauthlab.pauli import PauliString, enumerate_paulis, hermitian_pauli, pauli_matrix
 
-from oracles import pauli_mul
+from oracles import pauli_mul, symplectic_product
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
@@ -107,16 +101,18 @@ def test_enumerate_counts():
 
 def test_hermitian_pauli():
     y = hermitian_pauli(1, 1, 1)
-    assert y.is_hermitian()
     my = pauli_matrix(y)
     assert np.allclose(my, np.array([[0, -1j], [1j, 0]]))  # the physics Y
     assert np.allclose(my @ my, np.eye(2))
     yy = hermitian_pauli(2, 0b11, 0b11)
     assert np.allclose(pauli_matrix(yy), np.kron(my, my))
-    neg = hermitian_pauli(2, 0b11, 0, sign=-1)
-    assert np.allclose(pauli_matrix(neg), -np.kron(X, X))
+    # every mask pair at n = 3 gives a Hermitian matrix
+    for p in enumerate_paulis(3):
+        mat = pauli_matrix(hermitian_pauli(3, p.x, p.z))
+        assert np.array_equal(mat, mat.conj().T), (p.x, p.z)
     # bare (1,1) without the phase fix is anti-Hermitian
-    assert not PauliString(1, 1, 1).is_hermitian()
+    bare = pauli_matrix(PauliString(1, 1, 1))
+    assert np.array_equal(bare.conj().T, -bare)
 
 
 def test_pauli_matrix_is_the_kron_chain():

@@ -35,7 +35,6 @@ import pytest
 from qauthlab.adversary import purified_input, standard_suite
 from qauthlab.approx_psqa import psqa_ideal, run_psqa_kg, run_psrqa_kg, sample_cipher
 from qauthlab.codes import PtcFamily, StabilizerCode
-from qauthlab.pauli import hermitian_pauli
 from qauthlab.protocols import ebit_ptc, ebit_ptp, run_qa_kg, run_tqa_kg
 from qauthlab.ucharness import run_qa_kg_ideal
 
@@ -60,9 +59,7 @@ PAIRS = (
 
 
 def _family():
-    codes = tuple(
-        StabilizerCode((hermitian_pauli(2, x, z),)) for x, z in ((3, 0), (0, 3), (3, 3))
-    )
+    codes = tuple(StabilizerCode(2, (x << 2 | z,)) for x, z in ((3, 0), (0, 3), (3, 3)))
     return PtcFamily(codes, epsilon_verified=2.0 / 3.0)
 
 
