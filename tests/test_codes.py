@@ -353,6 +353,23 @@ def test_count_product_matches_scalar_loop_at_five_and_six_qubits(n, s, size, se
     assert _array_ptc_details(codes) == _scalar_ptc_details(codes)
 
 
+@pytest.mark.parametrize("n, s", [(1, 1), (3, 2), (6, 3), (6, 6)])
+def test_code_labels_are_x_over_z(n, s):
+    # each stored label splits into the X and Z halves of the generator built
+    # from it, and writing those generators out and parsing them back gives
+    # the same halves; a family (m >= 1) gives back the same labels
+    rng = np.random.default_rng(n * 10 + s)
+    codes = tuple(random_stabilizer_code(n, s, rng) for _ in range(8))
+    for code in codes:
+        assert code.labels == tuple((g.x << n) | g.z for g in code.generators)
+        for g in code.generators:
+            parsed = PauliString.from_text(g.to_text())
+            assert (parsed.n, parsed.x, parsed.z) == (n, g.x, g.z)
+    if s < n:
+        again = PtcFamily.from_json(PtcFamily(codes, 1.0).to_json())
+        assert [c.labels for c in again.codes] == [c.labels for c in codes]
+
+
 def test_generator_text_parses_to_x_over_z():
     # qubit j at character j: x = 0b011 and z = 0b110, label x << 3 | z
     family = PtcFamily.from_json({"codes": [["xz:110|011"]], "epsilon_verified": 1.0})
