@@ -198,29 +198,7 @@ def poly_hash_family(field_bits: int, message_len: int) -> HashFamily:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WcAdvantageReport:
-    family: str
-    eps_asu2: float
-    advantage: float            # distinguishing probability (total variation)
-    advantage_one_norm: float   # same difference in the full 1-norm
-    best_substitution: dict
-    passed: bool
-
-    def to_json(self) -> dict:
-        return {
-            "family": self.family,
-            "eps_asu2": self.eps_asu2,
-            # the advantage is maximized over every input message
-            "input_message": "all",
-            "advantage": self.advantage,
-            "advantage_one_norm": self.advantage_one_norm,
-            "best_substitution": self.best_substitution,
-            "pass": self.passed,
-        }
-
-
-def wc_kg_advantage(family: HashFamily) -> WcAdvantageReport:
+def wc_kg_advantage(family: HashFamily) -> dict:
     """Exact real-vs-ideal advantage, maximized over deterministic substitutions.
 
     The environment sees the wire pair, Bob's output, and the recycled hash
@@ -241,14 +219,16 @@ def wc_kg_advantage(family: HashFamily) -> WcAdvantageReport:
     best, best_info = 0.0, {"substitution": "identity"}
     if top[r] > 0:
         best, best_info = int(top[r]) / family.table.shape[1], _best_rewrite(family, r, family.hits[r])
-    return WcAdvantageReport(
-        family=family.label,
-        eps_asu2=family.eps_asu2,
-        advantage=best,
-        advantage_one_norm=2.0 * best,
-        best_substitution=best_info,
-        passed=best <= family.eps_asu2 + 1e-12,
-    )
+    return {
+        "family": family.label,
+        "eps_asu2": family.eps_asu2,
+        # the advantage is maximized over every input message
+        "input_message": "all",
+        "advantage": best,
+        "advantage_one_norm": 2.0 * best,
+        "best_substitution": best_info,
+        "pass": best <= family.eps_asu2 + 1e-12,
+    }
 
 
 def _best_rewrite(family: HashFamily, i: int, hits: np.ndarray) -> dict:
@@ -273,35 +253,13 @@ def _best_rewrite(family: HashFamily, i: int, hits: np.ndarray) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KeyLeakReport:
-    strategy: str
-    accept_probability: float
-    leakage_bits: float
-    entropy_bound_bits: float
-    guessed_key: object
-    passed: bool  # leak strictly positive for the tampering strategy
-
-    def to_json(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "accept_probability": self.accept_probability,
-            "leakage_bits": self.leakage_bits,
-            "entropy_bound_bits": self.entropy_bound_bits,
-            "guessed_key": list(self.guessed_key)
-            if isinstance(self.guessed_key, tuple)
-            else self.guessed_key,
-            "pass": self.passed,
-        }
-
-
 def _binary_entropy(p: float) -> float:
     if p <= 0.0 or p >= 1.0:
         return 0.0
     return -p * math.log2(p) - (1 - p) * math.log2(1 - p)
 
 
-def key_leak_demo(family: HashFamily, honest: bool = False) -> KeyLeakReport:
+def key_leak_demo(family: HashFamily, honest: bool = False) -> dict:
     """Recycling leaks: guess a key, tamper consistently, watch accept/reject.
 
     The adversary guesses a key value k0, picks x' != x, and rewrites the wire
@@ -325,11 +283,13 @@ def key_leak_demo(family: HashFamily, honest: bool = False) -> KeyLeakReport:
     h_given_key = sum(int(c) / nk * _binary_entropy(int(a) / nt) for a, c in zip(values, n_keys))
     h_verdict = _binary_entropy(p_acc)
     leak = h_verdict - h_given_key
-    return KeyLeakReport(
-        strategy="honest" if honest else "guess-and-tamper",
-        accept_probability=p_acc,
-        leakage_bits=leak,
-        entropy_bound_bits=h_verdict,
-        guessed_key="-" if honest else family.keys[0],
-        passed=leak == 0.0 if honest else leak > 0.0,
-    )
+    key = "-" if honest else family.keys[0]
+    return {
+        "strategy": "honest" if honest else "guess-and-tamper",
+        "accept_probability": p_acc,
+        "leakage_bits": leak,
+        "entropy_bound_bits": h_verdict,
+        "guessed_key": list(key) if isinstance(key, tuple) else key,
+        # the leak is strictly positive for the tampering strategy
+        "pass": leak == 0.0 if honest else leak > 0.0,
+    }

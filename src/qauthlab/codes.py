@@ -46,6 +46,9 @@ class CodeError(ValueError):
     """Raised for malformed generator sets or inconsistent family parameters."""
 
 
+FAMILY_SCHEMA = "qauthlab-ptc-family/1"
+
+
 # verify_ptc refuses 4^n * (2n + |codes|) above this before any work. It is
 # a conservative bound, not the size of an array: the character sum's arrays
 # hold 4^n entries each. It also keeps that sum exact in float32, whose
@@ -218,7 +221,7 @@ class PtcFamily:
 
     def to_json(self) -> dict:
         return {
-            "schema": "qauthlab-ptc-family/1",
+            "schema": FAMILY_SCHEMA,
             "m": self.m,
             "s": self.s,
             "epsilon_verified": self.epsilon_verified,
@@ -247,6 +250,11 @@ class PtcFamily:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise CodeError(f"malformed family payload: {exc}") from exc
+        # a file may leave these fields out, but one it declares must hold,
+        # as the same JSON type (true and 1.0 equal 1 in Python)
+        for name, value in (("schema", FAMILY_SCHEMA), ("m", family.m), ("s", family.s)):
+            if name in payload and (type(payload[name]) is not type(value) or payload[name] != value):
+                raise CodeError(f"family file declares {name} = {payload[name]!r}, but its codes give {value!r}")
         return family
 
     def save(self, path) -> None:

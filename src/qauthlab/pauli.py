@@ -57,7 +57,7 @@ class PauliString:
         return f"xz:{xs}|{zs}"
 
     @classmethod
-    def from_text(cls, text: str, phase_exp: int = 0) -> "PauliString":
+    def from_text(cls, text: str) -> "PauliString":
         if not text.startswith("xz:") or "|" not in text:
             raise ValueError(f"bad Pauli text form {text!r}")
         xs, zs = text[3:].split("|", 1)
@@ -65,7 +65,7 @@ class PauliString:
             raise ValueError(f"bad Pauli text form {text!r}")
         x = int(xs[::-1], 2)
         z = int(zs[::-1], 2)
-        return cls(len(xs), x, z, phase_exp)
+        return cls(len(xs), x, z)
 
 
 def hermitian_pauli(n: int, x: int, z: int) -> PauliString:
@@ -85,13 +85,11 @@ def pauli_matrix(p: PauliString) -> np.ndarray:
     return mat
 
 
-def enumerate_paulis(n: int, include_identity: bool = True) -> Iterator[PauliString]:
-    """All 4^n phase-free Pauli strings on n qubits, identity optional.
+def enumerate_paulis(n: int) -> Iterator[PauliString]:
+    """All 4^n phase-free Pauli strings on n qubits, the identity first.
 
     Iteration order is deterministic: x-major, z-minor.
     """
     for x in range(1 << n):
         for z in range(1 << n):
-            if not include_identity and x == 0 and z == 0:
-                continue
             yield PauliString(n, x, z)

@@ -140,7 +140,10 @@ def ebit_report(family: PtcFamily, attack: AttackDescriptor, real: FinalState) -
 
     Computed two ways: directly as the distance between the assembled final
     states, and through the factored form p_acc * ||xi_ABE - Phi (x) xi_E||_1.
-    Both land in the report; they agree to numerical precision.
+    Both land in the report; they agree to numerical precision. The extras
+    also hold the fidelity F of xi_ABE to Phi (x) xi_E and the overlap defect
+    d = Tr[xi_AB (I - Phi)], which obey F >= (1 - d)^2 and, by the
+    purity-test soundness, p_acc * d <= eps.
     """
     ideal = _ebit_ideal_from(real, family.m)
     direct = real.distance(ideal)
@@ -166,27 +169,6 @@ def ebit_report(family: PtcFamily, attack: AttackDescriptor, real: FinalState) -
         fidelity_acc=float(fid),
         overlap_defect=float(alpha),
     )
-
-
-def chain_checks(rep: AdvantageReport) -> dict:
-    """The two analytic consequences used in the security argument, read off
-    an ``ebit_report``.
-
-    Returns the overlap defect d = Tr[S_AB (I - perfect ebits)], p_acc, the
-    soundness product p_acc * d (bounded by the family epsilon), and the
-    fidelity between the accept-conditional state and perfect ebits tensored
-    with its E-marginal, which obeys F >= (1 - d)^2.
-    """
-    defect = rep.extras["overlap_defect"]
-    return {
-        "p_acc": rep.p_acc,
-        "overlap_defect": defect,
-        "soundness_product": rep.p_acc * defect,
-        "fidelity": rep.extras["fidelity_acc"],
-        "fidelity_floor": (1.0 - defect) ** 2,
-        "advantage": rep.advantage,
-        "advantage_factored": rep.extras["advantage_factored"],
-    }
 
 
 # ---------------------------------------------------------------------------

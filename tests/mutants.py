@@ -22,16 +22,16 @@ records of ``FinalState.distance``, the field product's reduction, the two
 counts of the classical family's one pass over message pairs and their bin
 offsets, the generator labels that the family parser reads, the commutation
 and span test that every code passes (``codes._admits``), the refusal of a
-family whose codes differ in size or of a code whose generator texts do, the
-halves of the detection count's character sum over each code's stabilizer
-group, the key that
-``ptc`` reports for the family it verified, the XOR blocks of the soundness
-operator Omega, the probe that stands in for its entries off the blocks,
-``uc``'s ``identities_ok``, ``factored_matches_direct`` and
-``fidelity_chain_ok`` and ``psqa``'s gate on ``rsp_twin_identity`` at their
-tolerances of 1e-9, and the verdicts of ``ptp-soundness``
-(``within_epsilon``), of each ``uc`` advantage report and of the classical
-family's advantage.
+family whose codes differ in size, of a family file whose declared m, s or
+schema differs from its codes', or of a code whose generator texts differ in
+length, the halves of the detection count's character sum over each code's
+stabilizer group, the key that ``ptc`` reports for the family it verified,
+the XOR blocks of the soundness operator Omega, the probe that stands in for
+its entries off the blocks, ``uc``'s ``identities_ok``,
+``factored_matches_direct``, ``fidelity_chain_ok`` and ``acc_defect_ok`` and
+``psqa``'s gate on ``rsp_twin_identity`` at their tolerances of 1e-9, and the
+verdicts of ``ptp-soundness`` (``within_epsilon``), of each ``uc`` advantage
+report and of the classical family's advantage.
 
 Run it from anywhere; it takes about two to three minutes on one core.
 """
@@ -283,6 +283,15 @@ MUTANTS = (
         "",
         "tests/test_cli.py::test_family_file_of_mixed_code_sizes_exits_two_before_any_encoder",
     ),
+    # a family file's declared m, s and schema are never compared with its
+    # codes, so a file declaring another size loads as its codes' size
+    Mutant(
+        "family-skips-the-declared-parameter-check",
+        "src/qauthlab/codes.py",
+        "            if name in payload and (type(payload[name]) is not type(value) or payload[name] != value):",
+        "            if False:",
+        "tests/test_codes.py::test_a_declared_parameter_the_codes_disagree_with_is_refused",
+    ),
     # the parser reads a code's n from its first generator text alone
     Mutant(
         "parser-skips-the-text-length-check",
@@ -347,8 +356,8 @@ MUTANTS = (
     Mutant(
         "factored-matches-direct-loosened-to-1e-3",
         "src/qauthlab/cli.py",
-        'abs(chain["advantage"] - chain["advantage_factored"]) < 1e-9',
-        'abs(chain["advantage"] - chain["advantage_factored"]) < 1e-3',
+        'abs(ebit_rep.advantage - extras["advantage_factored"]) < 1e-9',
+        'abs(ebit_rep.advantage - extras["advantage_factored"]) < 1e-3',
         "tests/test_cli.py::test_uc_small_factored_gap_fails_factored_matches_direct",
     ),
     # fidelity_chain_ok loosened from 1e-9 to 1e-2: an accept fidelity read
@@ -356,9 +365,18 @@ MUTANTS = (
     Mutant(
         "fidelity-chain-ok-loosened-to-1e-2",
         "src/qauthlab/cli.py",
-        'chain["fidelity"] >= chain["fidelity_floor"] - 1e-9',
-        'chain["fidelity"] >= chain["fidelity_floor"] - 1e-2',
+        'extras["fidelity_acc"] >= (1.0 - defect) ** 2 - 1e-9',
+        'extras["fidelity_acc"] >= (1.0 - defect) ** 2 - 1e-2',
         "tests/test_cli.py::test_uc_small_fidelity_dip_fails_fidelity_chain_ok",
+    ),
+    # acc_defect_ok loosened from 1e-9 to 1e-1: X0's soundness product of
+    # 0.25 against a stated eps of 0.2 tells them apart
+    Mutant(
+        "acc-defect-ok-loosened-to-1e-1",
+        "src/qauthlab/cli.py",
+        "ebit_rep.p_acc * defect <= eps + 1e-9",
+        "ebit_rep.p_acc * defect <= eps + 1e-1",
+        "tests/test_cli.py::test_uc_understated_epsilon_exits_one",
     ),
     # psqa's gate on rsp_twin_identity loosened from 1e-9 to 1e-3: a twin
     # mixed with 1e-6 of I/d on accept tells them apart
@@ -389,8 +407,8 @@ MUTANTS = (
     Mutant(
         "wc-advantage-always-passes",
         "src/qauthlab/classical_wc.py",
-        "passed=best <= family.eps_asu2 + 1e-12,",
-        "passed=True,",
+        '"pass": best <= family.eps_asu2 + 1e-12,',
+        '"pass": True,',
         "tests/test_classical_wc.py::test_an_understated_eps_fails_the_advantage_check",
     ),
 )

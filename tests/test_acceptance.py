@@ -42,7 +42,6 @@ from qauthlab.qmath import (
     transpose_trick_residual,
 )
 from qauthlab.ucharness import (
-    chain_checks,
     ebit_advantage_bound,
     ebit_report,
     ptp_soundness_exact,
@@ -180,16 +179,18 @@ def test_criterion_5_uc_bounds(family_s2, family_s3):
             assert (
                 abs(rep_e.advantage - rep_e.extras["advantage_factored"]) < PIPELINE_TOL
             )
-            chk = chain_checks(rep_e)
-            if chk["p_acc"] > eps ** (1.0 / 3.0):
-                assert chk["overlap_defect"] <= eps / chk["p_acc"] + PIPELINE_TOL
+            defect = rep_e.extras["overlap_defect"]
+            assert rep_e.extras["fidelity_acc"] >= (1.0 - defect) ** 2 - PIPELINE_TOL, desc.name()
+            if rep_e.p_acc > eps ** (1.0 / 3.0):
+                assert defect <= eps / rep_e.p_acc + PIPELINE_TOL
+            assert rep_e.p_acc * defect <= eps + PIPELINE_TOL, desc.name()
             real, ideal = run_qa_kg(psi, fam, desc), run_qa_kg_ideal(psi, fam, desc)
             rep_q = qa_kg_report(fam, desc, real, ideal)
             assert rep_q.advantage <= bound + PIPELINE_TOL, desc.name()
             checked += 1
     report(
         f"criterion 5 PASS: {checked} suite attacks at s=2,3 within 2*sqrt(2)*eps^(1/3); "
-        "factored form matches direct to 1e-9; accept-defect inequality holds"
+        "factored form matches direct to 1e-9; fidelity chain and accept-defect inequalities hold"
     )
 
 
@@ -219,17 +220,17 @@ def test_criterion_7_classical_authentication():
     for w, L in ((2, 1), (3, 1), (2, 2)):
         fam = poly_hash_family(w, L)
         rep = wc_kg_advantage(fam)  # exact max over all deterministic substitutions
-        assert rep.passed
-        assert rep.advantage <= fam.eps_asu2 + 1e-12
-        results.append(f"w={w},L={L}: {rep.advantage:.4f} <= {fam.eps_asu2:.4f}")
+        assert rep["pass"]
+        assert rep["advantage"] <= fam.eps_asu2 + 1e-12
+        results.append(f"w={w},L={L}: {rep['advantage']:.4f} <= {fam.eps_asu2:.4f}")
     fam3 = poly_hash_family(3, 1)
     assert completeness_exact(fam3)
     leak = key_leak_demo(fam3)
-    assert leak.passed and leak.leakage_bits > 0.0
+    assert leak["pass"] and leak["leakage_bits"] > 0.0
     report(
         "criterion 7 PASS: exhaustive substitution advantage bounded ("
         + "; ".join(results)
-        + f"); completeness exact; guess-and-tamper leaks {leak.leakage_bits:.3f} bits"
+        + f"); completeness exact; guess-and-tamper leaks {leak['leakage_bits']:.3f} bits"
     )
 
 

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -674,6 +675,23 @@ def test_family_file_of_mixed_code_sizes_exits_two_before_any_encoder(tmp_path, 
         assert "family mixes code parameters" in capsys.readouterr().err, command
 
 
+def test_family_file_declaring_other_parameters_exits_two_before_any_encoder(tmp_path, capsys, monkeypatch):
+    # the fixture's (1, 3) codes under a declared s = 2
+    from qauthlab import protocols
+
+    def no_encoder(code):
+        raise AssertionError("an encoder was built")
+
+    monkeypatch.setattr(protocols, "encoding_unitary", no_encoder)
+    payload = json.loads(FIXTURE.read_text())
+    payload["s"] = 2
+    fam_path = tmp_path / "s2.json"
+    fam_path.write_text(json.dumps(payload))
+    for command in ("uc", "psqa", "ptp-soundness", "ptc"):
+        assert main([command, "--family", str(fam_path)]) == 2, command
+        assert "family file declares s = 2, but its codes give 3" in capsys.readouterr().err, command
+
+
 def test_unusable_paths_exit_two(tmp_path, capsys, monkeypatch):
     # a directory where a file belongs raises IsADirectoryError, an OSError
     # but no FileNotFoundError: a configuration error all the same, not a
@@ -738,8 +756,11 @@ def test_a_count_that_is_not_an_integer_exits_two(capsys):
     [
         ("uc", "--m", "1", "--s", "1", "--attack", "random-101", "--seed", "1"),
         ("psqa", "--m", "1", "--s", "1", "--attacks", "2", "--seed", "1"),
+        ("wc",),
+        ("wc", "--leak-demo"),
+        ("ptp-soundness", "--family", str(FIXTURE)),
     ],
-    ids=["uc", "psqa"],
+    ids=["uc", "psqa", "wc", "wc-leak-demo", "ptp-soundness"],
 )
 def test_reports_do_not_depend_on_the_hash_seed(argv):
     # records are dict keys, grouped and summed in dict order; reruns in one
@@ -762,10 +783,13 @@ def test_internal_key_error_exits_three(tmp_path, capsys, monkeypatch):
     fam_path = tmp_path / "fam.json"
     run_cli(capsys, "ptc", "--m", "1", "--s", "1", "--seed", "1", "--out", str(fam_path))
 
-    def missing_field(rep):  # a record or report field the program expected
-        raise KeyError("overlap_defect")
+    ebit_report = cli.ebit_report
 
-    monkeypatch.setattr(cli, "chain_checks", missing_field)
+    def missing_field(*args):  # a report field the program expected
+        rep = ebit_report(*args)
+        return replace(rep, extras={k: v for k, v in rep.extras.items() if k != "overlap_defect"})
+
+    monkeypatch.setattr(cli, "ebit_report", missing_field)
     code = main(["uc", "--m", "1", "--s", "1", "--family", str(fam_path), "--attack", "identity"])
     assert code == 3
     err = capsys.readouterr().err

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import time
 from pathlib import Path
 from types import SimpleNamespace
@@ -110,7 +111,7 @@ def test_detection_oracle_matches_dense_action(family_s1):
         g = pauli_matrix(code.generators[0])
         proj = (np.eye(4) + g) / 2.0
         rank = int(round(np.real(proj.trace())))
-        for e in enumerate_paulis(2, include_identity=False):
+        for e in list(enumerate_paulis(2))[1:]:
             em = pauli_matrix(e)
             commutes_with_code = np.allclose(em @ proj, proj @ em, atol=1e-12)
             pep = proj @ em @ proj
@@ -217,7 +218,7 @@ def test_encoding_displacement_moves_syndrome(family_s2):
     code = family_s2.codes[0]
     enc = encoding_unitary(code)
     dm, dy = 1 << code.m, 1 << code.s
-    for e in enumerate_paulis(code.n, include_identity=False):
+    for e in list(enumerate_paulis(code.n))[1:]:
         em = pauli_matrix(e)
         sy = syndrome(code, e)
         for l in range(dm):
@@ -309,7 +310,7 @@ def _scalar_ptc_details(codes):
     """Reference loop: one `detects` call per (error, code), first maximum
     kept, as (missed fraction, label x << n | z)."""
     worst_count, worst = -1, None
-    for e in enumerate_paulis(codes[0].n, include_identity=False):
+    for e in list(enumerate_paulis(codes[0].n))[1:]:
         missed = sum(not detects(c, e) for c in codes)
         if missed > worst_count:
             worst_count, worst = missed, e
@@ -391,6 +392,22 @@ def test_a_code_whose_generator_texts_differ_in_length_is_refused():
     payload = {"codes": [["xz:100|000", "xz:0100|0000"]], "epsilon_verified": 1.0}
     with pytest.raises(CodeError, match="generator texts of one length, got lengths \\[3, 4\\]"):
         PtcFamily.from_json(payload)
+
+
+@pytest.mark.parametrize(
+    "field, declared, held",
+    [("m", 7, 1), ("s", 9, 3), ("m", True, 1), ("s", 3.0, 3), ("schema", "qauthlab-ptc-family/2", "qauthlab-ptc-family/1")],
+)
+def test_a_declared_parameter_the_codes_disagree_with_is_refused(field, declared, held):
+    # the fixture's codes are (1, 3); a file that says otherwise is refused,
+    # not loaded as (1, 3) and written back with the codes' values
+    payload = json.loads(FIXTURE.read_text())
+    payload[field] = declared
+    with pytest.raises(CodeError, match=re.escape(f"declares {field} = {declared!r}, but its codes give {held!r}")):
+        PtcFamily.from_json(payload)
+    # a file that leaves the field out still loads
+    del payload[field]
+    assert PtcFamily.from_json(payload) == PtcFamily.load(FIXTURE)
 
 
 def test_a_family_of_mixed_code_sizes_is_refused():

@@ -94,8 +94,9 @@ def test_symplectic_product_antisymmetry():
 
 
 def test_enumerate_counts():
-    assert len(list(enumerate_paulis(1, include_identity=False))) == 3
-    assert len(list(enumerate_paulis(2, include_identity=False))) == 15
+    # x-major, z-minor: the identity is first, so callers skip it as item 0
+    assert [(p.x, p.z) for p in enumerate_paulis(1)] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert len(list(enumerate_paulis(2))) == 16
     assert len(list(enumerate_paulis(3))) == 64
 
 
